@@ -184,15 +184,6 @@ class PrefixTree:
         return out
 
 
-# Spec-level operation aliases.
-def next_target(tree: PrefixTree) -> Node | None:
-    return tree.next_target()
-
-
-def extend_tree(tree: PrefixTree, transcript: Transcript, target: Node | None = None) -> int:
-    return tree.extend(transcript, target)
-
-
 @dataclass
 class ExplorationResult:
     transcripts: list[Transcript]

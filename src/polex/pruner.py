@@ -1,12 +1,18 @@
-"""Bounded information containment and policy minimization.
+"""Information containment and policy minimization.
 
 A query is allowed under a policy iff it can be answered from the views
-alone.  We decide this at a finite bound with the standard two-instance
-formulation: search for two constraint-satisfying instances (within the
-table bound and value range) that share session-parameter values and
-agree on every view's result set yet disagree on the query.  No such
-pair means Allowed (at this bound); a found pair is verified by
-brute-force evaluation before it is reported.
+alone.  Two paths decide this:
+
+  * Rewriting.  When the query equals a selection and projection over a
+    product of view results (each view mapped table for table onto the
+    query's sources), it is computed from the views on every instance,
+    so Allowed holds at every bound and value range.  No solver runs.
+  * Solver.  Otherwise the standard two-instance formulation runs at a
+    finite bound: search for two constraint-satisfying instances (within
+    the table bound and value range) that share session-parameter values
+    and agree on every view's result set yet disagree on the query.  No
+    such pair means Allowed (at this bound); a found pair is verified by
+    brute-force evaluation before it is reported.
 
 Pruning walks views in decreasing join count (ties: longer SQL text
 first, then lexicographic) and greedily removes any view already
@@ -15,6 +21,7 @@ answerable from the rest; Unknown verdicts never remove a view.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .constraints import Constraint, validate_instance
@@ -32,17 +39,35 @@ from .solver import (
     result_pairs,
     sym_value_eq,
 )
+from .terms import (
+    SESSION_PARAMS,
+    BoolLit,
+    Cmp,
+    Col,
+    IntLit,
+    NullLit,
+    Predicate,
+    SessionParam,
+    conjuncts,
+    iter_terms,
+    map_terms,
+)
 from .unparse import unparse_view
 
 ALLOWED = "allowed"
 NOT_ALLOWED = "not_allowed"
 UNKNOWN = "unknown"
 
+# Which path decided a verdict.
+REWRITING = "rewriting"
+SOLVER = "solver"
+
 
 @dataclass
 class ContainmentVerdict:
     status: str
     counterexample: tuple[ConcreteInput, ConcreteInput] | None = None
+    via: str = SOLVER
 
     @property
     def allowed(self) -> bool:
@@ -92,6 +117,113 @@ def _set_neq(pairs_a, pairs_b):
     return lor(*parts)
 
 
+# ---------------------------------------------------------------------------
+# Rewriting fast path
+
+_FLIPPED = {">": "<", ">=": "<="}
+
+
+def _plain(t) -> bool:
+    """A column, a constant or a session parameter: both instances share the latter two."""
+    if isinstance(t, SessionParam):
+        return t.name in SESSION_PARAMS
+    return isinstance(t, (Col, IntLit, BoolLit, NullLit))
+
+
+def _atoms(p: Predicate) -> frozenset | None:
+    """The conjuncts of `p` in canonical form; None if a term is not plain.
+
+    The operands of = and <> are sorted and > / >= are flipped; NOT, IS NULL
+    and boolean atoms are kept as written.
+    """
+    out = set()
+    for a in conjuncts(p):
+        if not all(_plain(t) for t in iter_terms(a)):
+            return None
+        if isinstance(a, Cmp) and a.op in _FLIPPED:
+            a = Cmp(_FLIPPED[a.op], a.right, a.left)
+        elif isinstance(a, Cmp) and a.op in ("=", "<>"):
+            a = Cmp(a.op, *sorted((a.left, a.right), key=repr))
+        out.add(a)
+    return frozenset(out)
+
+
+def _offsets(sources: tuple[str, ...], schema: Schema) -> list[int]:
+    out, off = [], 0
+    for t in sources:
+        out.append(off)
+        off += schema.table(t).arity
+    return out
+
+
+@dataclass(frozen=True)
+class _Use:
+    """A view mapped onto some of the query's sources."""
+
+    positions: frozenset  # query source positions the view's sources map to
+    columns: frozenset  # query ordinals the view projects
+    atoms: frozenset  # the view's conjuncts, in query ordinals
+
+
+def _uses(v: NormalFormQuery, q: NormalFormQuery, q_atoms: frozenset, schema: Schema):
+    """Every injective, table-for-table map of `v`'s sources onto `q`'s under
+    which each conjunct of `v` is a conjunct of `q`."""
+    v_off = _offsets(v.sources, schema)
+    q_off = _offsets(q.sources, schema)
+    for image in itertools.permutations(range(len(q.sources)), len(v.sources)):
+        if any(q.sources[j] != t for j, t in zip(image, v.sources)):
+            continue
+        ordinal = {}
+        for i, j in enumerate(image):
+            for c in range(schema.table(v.sources[i]).arity):
+                ordinal[v_off[i] + c] = q_off[j] + c
+        atoms = _atoms(map_terms(v.filter, lambda t: Col(ordinal[t.index]) if isinstance(t, Col) else t))
+        if atoms is not None and atoms <= q_atoms:
+            yield _Use(frozenset(image), frozenset(ordinal[c] for c in v.projection), atoms)
+
+
+def _reapplicable(q: NormalFormQuery, q_atoms: frozenset, uses: list[_Use]) -> bool:
+    """Whether `q`'s projection and the conjuncts no use gives (those joining
+    two uses among them) touch only columns the uses project."""
+    visible = frozenset().union(*(u.columns for u in uses))
+    needed = set(q.projection)
+    for a in q_atoms.difference(*(u.atoms for u in uses)):
+        needed.update(t.index for t in iter_terms(a) if isinstance(t, Col))
+    return needed <= visible
+
+
+def _has_rewriting(q: NormalFormQuery, views: list[NormalFormQuery], schema: Schema) -> bool:
+    """Whether `q` equals σ/π over a product of view uses that split its sources.
+
+    The rewriting re-applies the conjuncts no use gives and `q`'s projection.
+    Its expansion has `q`'s sources and conjuncts, and it reads only the
+    views' result sets, so the views determine `q` on every instance (set
+    semantics, shared constants and session parameters).  A view may be
+    used more than once, as in a self-join.
+    """
+    q_atoms = _atoms(q.filter)
+    if q_atoms is None:
+        return False
+    uses = [u for v in views for u in _uses(v, q, q_atoms, schema)]
+    everything = frozenset(range(len(q.sources)))
+
+    def cover(done: frozenset, chosen: list[_Use]) -> bool:
+        if done == everything:
+            return _reapplicable(q, q_atoms, chosen)
+        first = min(everything - done)
+        return any(
+            cover(done | u.positions, chosen + [u])
+            for u in uses
+            if first in u.positions and not u.positions & done
+        )
+
+    return cover(frozenset(), [])
+
+
+# ---------------------------------------------------------------------------
+# Determinacy
+
+
 def is_allowed(
     q: NormalFormQuery,
     views: list[NormalFormQuery],
@@ -102,7 +234,24 @@ def is_allowed(
     timeout_s: float = 5.0,
     backend=None,
 ) -> ContainmentVerdict:
-    """Bounded determinacy check of `q` against `views`."""
+    """Determinacy check of `q` against `views`: by rewriting if one exists,
+    else the bounded solver check."""
+    if _has_rewriting(q, views, schema):
+        return ContainmentVerdict(ALLOWED, via=REWRITING)
+    return _is_allowed_by_solver(q, views, constraints, schema, bound, value_range, timeout_s, backend)
+
+
+def _is_allowed_by_solver(
+    q: NormalFormQuery,
+    views: list[NormalFormQuery],
+    constraints: list[Constraint],
+    schema: Schema,
+    bound: int = 2,
+    value_range: tuple[int, int] = (0, 7),
+    timeout_s: float = 5.0,
+    backend=None,
+) -> ContainmentVerdict:
+    """Bounded two-instance determinacy check of `q` against `views`."""
     pool = VarPool()
     lo, hi = value_range
     env = SymEnv()

@@ -14,8 +14,6 @@ from polex.explorer import (
     Explorer,
     PrefixTree,
     explore,
-    extend_tree,
-    next_target,
     record_label,
 )
 from polex.interpreter import MultiRowResult, execute
@@ -44,12 +42,12 @@ def canonical_transcript():
 
 def test_fresh_tree_targets_root():
     tree = PrefixTree()
-    assert next_target(tree) is tree.root
+    assert tree.next_target() is tree.root
 
 
 def test_insert_canonical_transcript_creates_three_pendings():
     tree = PrefixTree()
-    new = extend_tree(tree, canonical_transcript())
+    new = tree.extend(canonical_transcript())
     assert new == 3
     pendings = tree.pending_nodes()
     assert len(pendings) == 3
@@ -63,42 +61,42 @@ def test_insert_canonical_transcript_creates_three_pendings():
 def test_insert_empty_transcript_marks_root_visited():
     tree = PrefixTree()
     t = Transcript("h", "h-0001", (), "end")
-    assert extend_tree(tree, t) == 0
+    assert tree.extend(t) == 0
     assert tree.root.status == VISITED
     assert tree.pending_nodes() == []
 
 
 def test_reinsert_is_idempotent():
     tree = PrefixTree()
-    extend_tree(tree, canonical_transcript())
+    tree.extend(canonical_transcript())
     snapshot = tree.counts()
-    assert extend_tree(tree, canonical_transcript()) == 0
+    assert tree.extend(canonical_transcript()) == 0
     assert tree.counts() == snapshot
 
 
 def test_next_target_is_deterministic_depth_first():
     tree = PrefixTree()
-    extend_tree(tree, canonical_transcript())
-    first = next_target(tree)
+    tree.extend(canonical_transcript())
+    first = tree.next_target()
     # depth-first, creation order: the deepest sibling comes first
     assert isinstance(first.record, QueryRecord) and first.record.index == 2
     assert first.record.is_empty is True
-    assert next_target(tree) is first  # unchanged until status changes
+    assert tree.next_target() is first  # unchanged until status changes
 
 
 def test_fully_explored_tree_has_no_target():
     tree = PrefixTree()
     t = Transcript("h", "h-0001", (), "end")
-    extend_tree(tree, t)
-    assert next_target(tree) is None
+    tree.extend(t)
+    assert tree.next_target() is None
 
 
 def test_divergence_detected():
     tree = PrefixTree()
-    extend_tree(tree, canonical_transcript())
+    tree.extend(canonical_transcript())
     target = [p for p in tree.pending_nodes() if isinstance(p.record, BranchRecord)][0]
     with pytest.raises(DivergenceError):
-        extend_tree(tree, canonical_transcript(), target)
+        tree.extend(canonical_transcript(), target)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from polex.fdsolver import (
     FALSE_F,
     TRUE_F,
     CdclBackend,
-    EnumerationBackend,
     VarPool,
     bvar,
     const,
@@ -22,6 +21,8 @@ from polex.fdsolver import (
     lor,
     to_smtlib,
 )
+
+from enumeration import EnumerationBackend
 
 
 def test_conflicting_equalities_unsat_with_full_core():

@@ -1,0 +1,398 @@
+"""The pruner's rewriting fast path: unit shapes, soundness, agreement.
+
+A check decided by rewriting (`via == "rewriting"`) claims determinacy at
+every bound.  It is cross-checked three ways: on the query shapes the
+bundled corpora produce, against the exhaustive oracle on random join
+cases, and against the solver on every check the corpora make.
+"""
+
+from __future__ import annotations
+
+import random
+from pathlib import Path
+
+import pytest
+
+from polex import pruner
+from polex.constraints import expand_all, generate_constraints
+from polex.dsl import parse_handlers
+from polex.explorer import ExplorationConfig, explore
+from polex.normal import NormalFormQuery, to_normal_form
+from polex.policygen import simplify, to_conditioned_queries, views_from_cqs
+from polex.pruner import ALLOWED, NOT_ALLOWED, REWRITING, SOLVER, Policy
+from polex.rundir import load_policy_file
+from polex.schema import parse_schema
+from polex.sqlparser import parse_sql
+from polex.terms import (
+    BoolCol,
+    Cmp,
+    Col,
+    IntLit,
+    IsNull,
+    Not,
+    SessionParam,
+    conjoin,
+    conjuncts,
+    iter_terms,
+    map_terms,
+)
+
+from oracle import BruteForceDeterminacy
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def nf(sql, schema):
+    return to_normal_form(parse_sql(sql), schema)
+
+
+def verdict(q, views, schema, constraints):
+    return pruner.is_allowed(nf(q, schema), [nf(v, schema) for v in views], constraints, schema,
+                             bound=2, value_range=(0, 3))
+
+
+# ---------------------------------------------------------------------------
+# The shapes the bundled corpora produce
+
+DETAILS_ITEMS = "SELECT * FROM details, items WHERE items.id = details.item_id"
+
+
+def test_selection_with_not_and_session_parameter(toys_schema, toys_constraints):
+    v = verdict(
+        "SELECT * FROM items, details WHERE NOT items.public"
+        " AND items.owner_id = MyUserId AND details.item_id = items.id",
+        [DETAILS_ITEMS], toys_schema, toys_constraints,
+    )
+    assert (v.status, v.via) == (ALLOWED, REWRITING)
+
+
+def test_projection_of_join_with_reordered_sources(toys_schema, toys_constraints):
+    v = verdict(
+        "SELECT items.id, items.owner_id, details.body FROM items, details"
+        " WHERE details.item_id = items.id",
+        [DETAILS_ITEMS], toys_schema, toys_constraints,
+    )
+    assert (v.status, v.via) == (ALLOWED, REWRITING)
+
+
+def test_join_of_two_single_table_views(toys_schema, toys_constraints):
+    v = verdict(
+        "SELECT * FROM users, items WHERE users.id = MyUserId AND items.owner_id = MyUserId",
+        ["SELECT * FROM users", "SELECT * FROM items"], toys_schema, toys_constraints,
+    )
+    assert (v.status, v.via) == (ALLOWED, REWRITING)
+
+
+def test_self_join_of_one_view(toys_schema, toys_constraints):
+    v = verdict(
+        "SELECT * FROM details, details d2 WHERE d2.item_id = details.item_id",
+        ["SELECT * FROM details"], toys_schema, toys_constraints,
+    )
+    assert (v.status, v.via) == (ALLOWED, REWRITING)
+
+
+def test_foreign_key_lossless_join_falls_back_to_solver(toys_schema, toys_constraints):
+    # Every details row joins its item, but only the constraint says so.
+    v = verdict("SELECT * FROM details", [DETAILS_ITEMS], toys_schema, toys_constraints)
+    assert (v.status, v.via) == (ALLOWED, SOLVER)
+
+
+def test_flipped_comparison_matches(toys_schema, toys_constraints):
+    v = verdict("SELECT id FROM items WHERE category > 1 AND MyUserId = owner_id",
+                ["SELECT id, owner_id FROM items WHERE 1 < category"], toys_schema, toys_constraints)
+    assert (v.status, v.via) == (ALLOWED, REWRITING)
+
+
+@pytest.mark.parametrize("q, views", [
+    # a selection on a column no view projects
+    ("SELECT id FROM items WHERE public", ["SELECT id, owner_id FROM items"]),
+    # NOT and IS NULL match only exactly
+    ("SELECT id FROM items WHERE NOT public", ["SELECT id, public FROM items WHERE public"]),
+    ("SELECT body FROM details WHERE extra IS NULL", ["SELECT * FROM details WHERE extra IS NOT NULL"]),
+    # > flips together with its operands
+    ("SELECT id FROM items WHERE category > 1", ["SELECT * FROM items WHERE category < 1"]),
+    # uses may not overlap: only the join view links details to items
+    ("SELECT items.*, details.body FROM items, details WHERE details.item_id = items.id",
+     ["SELECT * FROM items", "SELECT details.body FROM items, details WHERE details.item_id = items.id"]),
+])
+def test_near_misses_fall_back_to_solver(toys_schema, toys_constraints, q, views):
+    v = verdict(q, views, toys_schema, toys_constraints)
+    assert (v.status, v.via) == (NOT_ALLOWED, SOLVER)
+
+
+# ---------------------------------------------------------------------------
+# Soundness against the exhaustive oracle on random join cases
+
+JOIN_SCHEMAS = (
+    "table owners { id int unique  flag bool }\n"
+    "table things { owner int fk owners.id  v int nullable }",
+    "table users { id int unique }\n"
+    "table items { id int unique  owner int fk users.id  pub bool }\n"
+    "table notes { item int fk items.id  body int nullable }",
+)
+
+
+def _offsets(schema, sources):
+    out, off = [], 0
+    for t in sources:
+        out.append(off)
+        off += schema.table(t).arity
+    return out
+
+
+def _atom_pool(rng, schema, sources):
+    """(join atoms, local atoms) over the product of `sources`."""
+    offs = _offsets(schema, sources)
+    joins, local = [], []
+    for i, t in enumerate(sources):
+        for c, col in enumerate(schema.table(t).columns):
+            x = Col(offs[i] + c)
+            if col.type == "bool":
+                local += [BoolCol(x), Not(BoolCol(x))]
+            else:
+                k = IntLit(rng.randint(0, 1))
+                local += [Cmp("=", x, SessionParam("MyUserId")), Cmp("=", x, k), Cmp("<>", x, k),
+                          _reorient(rng, Cmp(rng.choice(["<", "<=", ">", ">="]), x, k))]
+            if col.nullable:
+                local += [IsNull(x), Not(IsNull(x))]
+            for j, u in enumerate(sources):
+                if j == i:
+                    continue
+                for d, other in enumerate(schema.table(u).columns):
+                    y = Col(offs[j] + d)
+                    if col.foreign_key == (u, other.name) or (t == u and c == d and i < j and col.type == "int"):
+                        joins.append(Cmp("=", x, y))
+    return joins, local
+
+
+_CONVERSE = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+_OPPOSITE = {"=": "<>", "<>": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _reorient(rng, a):
+    """The same atom written another way: operands swapped, < as >."""
+    if isinstance(a, Cmp) and rng.random() < 0.5:
+        return Cmp(_CONVERSE[a.op], a.right, a.left)
+    return a
+
+
+def _perturb(a):
+    """A different atom that looks like `a`: `<` made `>` (`=` made `<>`)
+    without swapping operands, or the test negated."""
+    if isinstance(a, Cmp):
+        return Cmp(_OPPOSITE[a.op], a.left, a.right)
+    return a.inner if isinstance(a, Not) else Not(a)
+
+
+def _projection(rng, arity):
+    if rng.random() < 0.4:
+        return tuple(range(arity))  # SELECT *
+    return tuple(sorted(rng.sample(range(arity), rng.randint(1, arity))))
+
+
+def _random_query(rng, schema, n_sources):
+    sources = tuple(rng.choice(schema.tables).name for _ in range(n_sources))
+    joins, local = _atom_pool(rng, schema, sources)
+    atoms = [a for a in joins if rng.random() < 0.75]
+    atoms += rng.sample(local, min(len(local), rng.choice([0, 1, 2, 2])))
+    arity = sum(schema.table(t).arity for t in sources)
+    return NormalFormQuery(_projection(rng, arity), conjoin(atoms), sources)
+
+
+def _cols(a):
+    return {t.index for t in iter_terms(a) if isinstance(t, Col)}
+
+
+def _block_view(rng, schema, q, positions, spoil=None, hide_from=None):
+    """A view over `q`'s sources at `positions`, listed in shuffled order.
+
+    It gives some of `q`'s conjuncts that lie inside those sources, each
+    written another way, and projects every column the rewriting needs
+    from them: the ones it re-applies a conjunct to, and `q`'s projection.
+    `spoil` makes the view differ from that in one way: "perturb" one given
+    conjunct, add an "extra" one that `q` does not have, or "hide" one
+    needed column (one of the `q` ordinals in `hide_from`, if given).
+    """
+    positions = list(positions)
+    rng.shuffle(positions)
+    sources = tuple(q.sources[p] for p in positions)
+    q_offs, v_offs = _offsets(schema, q.sources), _offsets(schema, sources)
+    to_view = {}
+    for k, p in enumerate(positions):
+        for c in range(schema.table(q.sources[p]).arity):
+            to_view[q_offs[p] + c] = v_offs[k] + c
+    given, needed = [], {c for c in q.projection if c in to_view}
+    selected = set()  # columns of re-applied single-column conjuncts
+    for a in conjuncts(q.filter):
+        if _cols(a) <= to_view.keys() and rng.random() < 0.7:
+            given.append(map_terms(a, lambda t: Col(to_view[t.index]) if isinstance(t, Col) else t))
+        else:
+            inside = _cols(a) & to_view.keys()
+            needed |= inside
+            if len(_cols(a)) == 1:
+                selected |= inside
+    if spoil == "perturb" and given:
+        k = rng.randrange(len(given))
+        given[k] = _perturb(given[k])
+    if spoil == "extra":
+        given.append(rng.choice(_atom_pool(rng, schema, sources)[1]))
+    hidden = set()
+    if spoil == "hide":
+        # A hidden join column is often harmless (the foreign key makes the
+        # join lossless), so a selected column is hidden when there is one.
+        hideable = sorted(needed & (to_view.keys() if hide_from is None else hide_from))
+        hideable = sorted(selected & set(hideable)) or hideable
+        hidden = {to_view[rng.choice(hideable)]} if hideable else set()
+    wanted = {to_view[c] for c in needed}
+    arity = sum(schema.table(t).arity for t in sources)
+    extra = rng.choice([0.0, 0.3, 1.0])  # 1.0: SELECT *
+    projection = tuple(
+        c for c in range(arity) if c not in hidden and (c in wanted or rng.random() < extra)
+    )
+    return NormalFormQuery(projection, conjoin([_reorient(rng, a) for a in given]), sources)
+
+
+def random_join_case(rng, schema):
+    """A query and 1-5 views.
+
+    The views start as a rewriting of the query: one view per block of a
+    random split of its sources.  In four cases of seven one is spoiled so
+    that no rewriting is left, though a fast path with a bug would still
+    find one: a conjunct is perturbed or added, a needed column is hidden,
+    or two views overlap so that only their union would cover the query.
+    Sometimes an unrelated random view joins them.
+    """
+    q = _random_query(rng, schema, rng.choice([1, 2, 2, 3]))
+    n = len(q.sources)
+    order = rng.sample(range(n), n)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    blocks = [order[i:j] for i, j in zip([0] + cuts, cuts + [n])]
+    q_offs = _offsets(schema, q.sources)
+
+    def block_cols(block):
+        return {q_offs[p] + c for p in block for c in range(schema.table(q.sources[p]).arity)}
+
+    trap = rng.choice([None, None, None, "perturb", "extra", "hide", "overlap"])
+    if trap == "overlap" and len(blocks) < 2:
+        trap = "hide"
+    victim = rng.randrange(len(blocks))
+    views = []
+    for k, block in enumerate(blocks):
+        if k != victim or trap is None:
+            views.append(_block_view(rng, schema, q, block))
+        elif trap != "overlap":
+            views.append(_block_view(rng, schema, q, block, spoil=trap))
+        else:
+            # The victim hides a column; a view over the victim's block and
+            # a neighbour's shows it but hides one of the neighbour's.
+            other = blocks[k - 1]
+            views.append(_block_view(rng, schema, q, block, "hide"))
+            views.append(_block_view(rng, schema, q, block + other, "hide", block_cols(other)))
+    if rng.random() < 0.3:
+        views.append(_random_query(rng, schema, rng.choice([1, 2])))
+    rng.shuffle(views)
+    return q, views
+
+
+def test_rewriting_never_fires_where_the_oracle_disallows():
+    settings = []
+    for text in JOIN_SCHEMAS:
+        schema = parse_schema(text)
+        constraints = expand_all(generate_constraints(schema), schema)
+        settings.append((schema, BruteForceDeterminacy(schema, constraints, 2, (0, 1))))
+    rng = random.Random(20241118)
+    fired = fired_joins = 0
+    for case in range(240):
+        schema, oracle = rng.choice(settings)
+        q, views = random_join_case(rng, schema)
+        if not pruner._has_rewriting(q, views, schema):
+            continue
+        fired += 1
+        fired_joins += len(q.sources) > 1
+        allowed, _ = oracle.is_allowed(q, views)
+        assert allowed, f"case {case}: rewriting fired but the oracle says not allowed"
+    assert fired >= 40 and fired_joins >= 20, (fired, fired_joins)
+
+
+# ---------------------------------------------------------------------------
+# Agreement with the solver on the corpora, bound 2
+
+BOUND, RANGE = 2, (0, 7)
+
+
+def _record_verdicts(monkeypatch):
+    """Route `pruner.is_allowed` through a recorder; returns the record."""
+    calls = []
+    original = pruner.is_allowed
+
+    def recorded(q, views, constraints, schema, bound=2, value_range=(0, 7), timeout_s=5.0, backend=None):
+        v = original(q, views, constraints, schema, bound, value_range, timeout_s, backend)
+        calls.append((q, list(views), bound, value_range, v))
+        return v
+
+    monkeypatch.setattr(pruner, "is_allowed", recorded)
+    return calls
+
+
+def _assert_rewritten_checks_solver_allowed(calls, constraints, schema):
+    rewritten = [c for c in calls if c[-1].via == REWRITING]
+    assert rewritten
+    for q, views, bound, value_range, _ in rewritten:
+        v = pruner._is_allowed_by_solver(q, views, constraints, schema, bound, value_range, timeout_s=None)
+        assert v.status == ALLOWED
+
+
+@pytest.fixture(scope="module")
+def toys_handler_views(toys_schema, toys_constraints):
+    out = []
+    for path in sorted((CORPUS / "toys" / "handlers").glob("*.hdl")):
+        for program in parse_handlers(path.read_text()):
+            config = ExplorationConfig(table_bound=BOUND, value_range=RANGE, solver_timeout=None)
+            res = explore(program, toys_schema, toys_constraints, config)
+            cqs = simplify(
+                to_conditioned_queries(res.transcripts, toys_schema), toys_schema, toys_constraints,
+                dict(program.request_params), table_bound=BOUND, value_range=RANGE, timeout_s=None,
+            )
+            out.append(views_from_cqs(cqs, toys_schema))
+    return out
+
+
+def _toys_merged(handler_views, schema, constraints):
+    per_handler = [
+        pruner.prune(Policy(views, BOUND, RANGE), constraints, schema, timeout_s=None)[0]
+        for views in handler_views
+    ]
+    return pruner.merge_and_prune(per_handler, constraints, schema, timeout_s=None)[0]
+
+
+def test_toys_policy_agrees_with_solver_only_run(toys_schema, toys_constraints, toys_handler_views, monkeypatch):
+    calls = _record_verdicts(monkeypatch)
+    merged = _toys_merged(toys_handler_views, toys_schema, toys_constraints)
+    _assert_rewritten_checks_solver_allowed(calls, toys_constraints, toys_schema)
+    monkeypatch.setattr(pruner, "is_allowed", pruner._is_allowed_by_solver)
+    solver_only = _toys_merged(toys_handler_views, toys_schema, toys_constraints)
+    assert [v.nf for v in merged.views] == [v.nf for v in solver_only.views]
+
+
+def test_broadened_policy_and_blame_agree_with_solver_only_run(monkeypatch):
+    schema = parse_schema((CORPUS / "broaden" / "schema.txt").read_text())
+    constraints = expand_all(generate_constraints(schema), schema)
+    narrow = load_policy_file(CORPUS / "broaden" / "narrow.sql", schema)
+    broader = load_policy_file(CORPUS / "broaden" / "broader.sql", schema)
+
+    def run():
+        policy, report = pruner.broaden(Policy(list(narrow), BOUND, RANGE), broader, constraints, schema,
+                                        timeout_s=None)
+        return [v.nf for v in policy.views], [(v.nf, blame) for v, blame in report.removed]
+
+    calls = _record_verdicts(monkeypatch)
+    got = run()
+    _assert_rewritten_checks_solver_allowed(calls, constraints, schema)
+    monkeypatch.setattr(pruner, "is_allowed", pruner._is_allowed_by_solver)
+    assert got == run()
+
+
+def test_request_parameters_block_the_rewriting(toys_schema):
+    # Only constants and session parameters are known to be shared.
+    q = nf("SELECT * FROM items WHERE owner_id = OwnerId", toys_schema)
+    assert not pruner._has_rewriting(q, [q], toys_schema)

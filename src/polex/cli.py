@@ -43,14 +43,30 @@ class CliError(Exception):
 
 def _value_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition(":")
-    return (int(lo), int(hi))
+    lo, hi = int(lo), int(hi)
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}: LO must be <= HI")
+    return (lo, hi)
+
+
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not >= 1")
+    return n
+
+
+def _positive_float(text: str) -> float:
+    x = float(text)
+    if not x > 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not > 0")
+    return x
 
 
 def _config_from_args(args) -> ExplorationConfig:
     return ExplorationConfig(
         table_bound=args.bound,
         value_range=args.value_range,
-        executor_count=args.executors,
         solver_timeout=args.timeout,
         max_paths=args.max_paths,
         seed=args.seed,
@@ -285,13 +301,12 @@ def cmd_is_allowed(args) -> int:
 
 
 def _add_solver_args(p, include_explore=False):
-    p.add_argument("--bound", type=int, default=2, help="symbolic rows per table (default 2)")
+    p.add_argument("--bound", type=_positive_int, default=2, help="symbolic rows per table (default 2)")
     p.add_argument("--value-range", type=_value_range, default=(0, 7), metavar="LO:HI",
                    help="database value range (default 0:7)")
-    p.add_argument("--timeout", type=float, default=5.0, help="solver timeout per check, seconds")
+    p.add_argument("--timeout", type=_positive_float, default=5.0, help="solver timeout per check, seconds")
     if include_explore:
-        p.add_argument("--max-paths", type=int, default=10000, help="path budget")
-        p.add_argument("--executors", type=int, default=1, help="concurrent executors")
+        p.add_argument("--max-paths", type=_positive_int, default=10000, help="path budget")
         p.add_argument("--seed", type=int, default=0, help="run seed (recorded in metadata)")
 
 

@@ -10,9 +10,9 @@ outcome), asks the solver for an input, runs the handler on it, and
 grows the tree from the transcript.  Exploration ends when no pending
 prefix remains or the path budget runs out.
 
-Determinism: inputs are generated sequentially in depth-first tree
-order; executions may run on a small pool, but transcripts are merged
-in generation order, so the visited set and all emitted ids reproduce.
+Determinism: each round generates inputs for the pending prefixes in
+depth-first tree order, then runs them in that order, so the visited set
+and all emitted ids reproduce.
 
 Infeasible prefixes are never re-attempted: unsat cores over record
 labels are cached, and any later prefix containing a cached conflict is
@@ -22,16 +22,15 @@ marked infeasible without calling the solver.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .constraints import Constraint, validate_instance
 from .dsl import HandlerProgram
-from .fdsolver import CdclBackend, VarPool, lnot
+from .fdsolver import lnot
 from .instance import ConcreteInput
 from .interpreter import MultiRowResult, QueryCatalog, execute, validate_program
 from .schema import Schema
-from .solver import SymEnv, encode_instance, encode_pred, encode_query, check, model_to_input
+from .solver import bounded, check, encode_pred, encode_query, model_to_input
 from .terms import IntLit, iter_terms
 from .transcript import (
     BranchRecord,
@@ -56,11 +55,9 @@ class DivergenceError(Exception):
 class ExplorationConfig:
     table_bound: int = 2
     value_range: tuple[int, int] = (0, 7)
-    executor_count: int = 1
     solver_timeout: float = 5.0
     max_paths: int = 10000
     seed: int = 0
-    check_encodings: bool = True
 
     def __post_init__(self):
         if self.table_bound < 1:
@@ -72,10 +69,8 @@ class ExplorationConfig:
         return {
             "bound": self.table_bound,
             "valueRange": list(self.value_range),
-            "executors": self.executor_count,
             "solverTimeout": self.solver_timeout,
             "maxPaths": self.max_paths,
-            "checkEncodings": self.check_encodings,
         }
 
 
@@ -202,17 +197,9 @@ class _PathEncoder:
         self.schema = schema
         self.config = config
         self.catalog = catalog
-        self.pool = VarPool()
-        self.inst, self.constraint_formulas = encode_instance(
-            schema, constraints, config.table_bound, self.pool, config.value_range
+        self.pool, (self.inst,), self.env, self.constraint_formulas = bounded(
+            schema, constraints, config.table_bound, config.value_range, program.request_params
         )
-        self.env = SymEnv()
-        lo, hi = config.value_range
-        self.env.params["MyUserId"] = self.pool.new_int("MyUserId", lo, hi)
-        self.env.params["Now"] = self.pool.new_int("Now", lo, hi)
-        for name, ptype in program.request_params:
-            plo, phi = (0, 1) if ptype == "bool" else (lo, hi)
-            self.env.params[name] = self.pool.new_int(name, plo, phi)
         self.labeled: list[tuple[str, tuple]] = list(self.constraint_formulas)
         self.hard: list[tuple] = []
         self._seen_labels = {label for label, _ in self.labeled}
@@ -261,7 +248,6 @@ class Explorer:
         self.config = config
         self.catalog = QueryCatalog(schema)
         self.tree = PrefixTree()
-        self.backend = CdclBackend()
         self.conflict_cache: list[frozenset[str]] = []
         self.transcripts: list[Transcript] = []
         self.inputs: dict[str, ConcreteInput] = {}
@@ -288,7 +274,7 @@ class Explorer:
         for core in self.conflict_cache:
             if core <= labels:
                 return INFEASIBLE, None, core
-        verdict = check(enc.pool, enc.labeled, enc.hard, self.backend, self.config.solver_timeout)
+        verdict = check(enc.pool, enc.labeled, enc.hard, self.config.solver_timeout)
         if verdict.status == "unknown":
             return ABANDONED, None, None
         if verdict.status == "unsat":
@@ -303,10 +289,9 @@ class Explorer:
             verdict.model, enc.inst, self.schema, enc.env,
             input_id, self.program.name, self.program.param_names(),
         )
-        if self.config.check_encodings:
-            ok, viol = validate_instance(ci, self.constraints, self.schema)
-            if not ok:
-                raise RuntimeError(f"generated input violates constraints: {viol}")
+        ok, viol = validate_instance(ci, self.constraints, self.schema)
+        if not ok:
+            raise RuntimeError(f"generated input violates constraints: {viol}")
         return "sat", ci, None
 
     # -- execution with multi-row repair ------------------------------------
@@ -384,17 +369,16 @@ class Explorer:
                     return self._result(complete=False)
                 continue
 
-            results = self._run_jobs(jobs)
-            for (target, ci), outcome in zip(jobs, results):
-                if isinstance(outcome, MultiRowResult):
+            for target, ci in jobs:
+                try:
                     try:
-                        outcome = self.repair_and_run(target, outcome)
-                    except Exception as e:
-                        outcome = e
-                if isinstance(outcome, Exception):
+                        outcome = ci, execute(self.program, ci, self.schema, self.catalog)
+                    except MultiRowResult as e:
+                        outcome = self.repair_and_run(target, e)
+                except Exception as e:
                     target.status = ABANDONED
-                    target.note = str(outcome)
-                    self.warnings.append(f"executor failure: {outcome}")
+                    target.note = str(e)
+                    self.warnings.append(f"executor failure: {e}")
                     continue
                 final_ci, (transcript, warnings) = outcome
                 try:
@@ -408,23 +392,9 @@ class Explorer:
                 self.inputs[final_ci.input_id] = final_ci
                 self.warnings.extend(warnings)
                 self._report_transcript(transcript)
-                if self.config.check_encodings:
-                    self._check_agreement(transcript, final_ci)
+                self._check_agreement(transcript, final_ci)
             if len(self.transcripts) >= budget and self.tree.pending_nodes():
                 return self._result(complete=False)
-
-    def _run_jobs(self, jobs):
-        def one(job):
-            _target, ci = job
-            try:
-                return ci, execute(self.program, ci, self.schema, self.catalog)
-            except Exception as e:  # surfaced per-job in merge order
-                return e
-
-        if self.config.executor_count > 1 and len(jobs) > 1:
-            with ThreadPoolExecutor(max_workers=self.config.executor_count) as pool:
-                return list(pool.map(one, jobs))
-        return [one(j) for j in jobs]
 
     def _check_agreement(self, transcript: Transcript, ci: ConcreteInput) -> None:
         """Concrete/symbolic agreement: branch outcomes recompute identically."""

@@ -17,10 +17,10 @@ from dataclasses import dataclass, field, replace
 from typing import Union
 
 from .constraints import Constraint
-from .fdsolver import CdclBackend, VarPool, land, lnot
+from .fdsolver import land, lnot
 from .normal import NormalFormQuery, column_of_ordinal, count_parts, normalize_query
 from .schema import Schema
-from .solver import SymEnv, encode_instance, encode_pred, encode_query, check
+from .solver import bounded, check, encode_pred, encode_query
 from .sqlast import COUNT_AGGREGATE
 from .sqlparser import parse_sql
 from .terms import (
@@ -343,22 +343,6 @@ class Simplifier:
             visit(s)
         return names
 
-    def _context(self, cq: ConditionedQuery):
-        pool = VarPool()
-        inst, labeled = encode_instance(
-            self.schema, self.constraints, self.table_bound, pool, self.value_range
-        )
-        env = SymEnv()
-        lo, hi = self.value_range
-        for name in ("MyUserId", "Now"):
-            env.params[name] = pool.new_int(name, lo, hi)
-        for name, ptype in sorted(self._param_names(cq).items()):
-            if name in env.params:
-                continue
-            plo, phi = (0, 1) if ptype == "bool" else (lo, hi)
-            env.params[name] = pool.new_int(name, plo, phi)
-        return pool, inst, env, labeled
-
     def _record_formula(self, rec, inst, env, pool, hard, k: int):
         """Assert one condition record; extends env with result symbols."""
         if isinstance(rec, CondBranch):
@@ -376,7 +360,10 @@ class Simplifier:
     def _entails(self, cq: ConditionedQuery, upto: int, formula_of) -> bool:
         """constraints + conditions[:upto] entail the formula built by
         `formula_of(inst, env, pool, hard)`; Unknown counts as no."""
-        pool, inst, env, labeled = self._context(cq)
+        pool, (inst,), env, labeled = bounded(
+            self.schema, self.constraints, self.table_bound, self.value_range,
+            sorted(self._param_names(cq).items()),
+        )
         hard: list = []
         for k, rec in enumerate(cq.conditions[:upto]):
             f = self._record_formula(rec, inst, env, pool, hard, k)
@@ -385,7 +372,7 @@ class Simplifier:
         goal = formula_of(inst, env, pool, hard)
         labeled.append(("negated-goal", lnot(goal)))
         # Entailment only needs sat/unsat, not cores: assert everything hard.
-        verdict = check(pool, [], hard + [f for _, f in labeled], CdclBackend(), self.timeout_s)
+        verdict = check(pool, [], hard + [f for _, f in labeled], self.timeout_s)
         return verdict.status == "unsat"
 
     def _remove_vacuous_branches(self, cq: ConditionedQuery) -> ConditionedQuery:

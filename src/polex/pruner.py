@@ -26,19 +26,12 @@ from dataclasses import dataclass, field
 
 from .constraints import Constraint, validate_instance
 from .evaluate import ScalarEnv, eval_nf
-from .fdsolver import CdclBackend, VarPool, land, lnot, lor
+from .fdsolver import land, lnot, lor
 from .instance import ConcreteInput
 from .normal import NormalFormQuery
 from .policygen import View
 from .schema import Schema
-from .solver import (
-    SymEnv,
-    check,
-    encode_instance,
-    model_to_input,
-    result_pairs,
-    sym_value_eq,
-)
+from .solver import bounded, check, matches, model_to_input, result_pairs
 from .terms import (
     SESSION_PARAMS,
     BoolLit,
@@ -88,20 +81,12 @@ class PrunerError(Exception):
     pass
 
 
-def _tuple_eq(ta, tb):
-    return land(*[sym_value_eq(a, b) for a, b in zip(ta, tb)])
-
-
 def _set_eq(pairs_a, pairs_b):
     """Result sets equal: mutual membership over distinct tuples."""
-    parts = []
-    for g, tup in pairs_a:
-        member = lor(*[land(g2, _tuple_eq(tup, tup2)) for g2, tup2 in pairs_b])
-        parts.append(lor(lnot(g), member))
-    for g, tup in pairs_b:
-        member = lor(*[land(g2, _tuple_eq(tup, tup2)) for g2, tup2 in pairs_a])
-        parts.append(lor(lnot(g), member))
-    return land(*parts)
+    return land(
+        *[lor(lnot(g), *matches(tup, pairs_b)) for g, tup in pairs_a],
+        *[lor(lnot(g), *matches(tup, pairs_a)) for g, tup in pairs_b],
+    )
 
 
 def _set_neq(pairs_a, pairs_b):
@@ -110,11 +95,7 @@ def _set_neq(pairs_a, pairs_b):
     One direction suffices: the two instances are interchangeable, so any
     distinguishing pair can be swapped into this orientation.
     """
-    parts = []
-    for g, tup in pairs_a:
-        others = [land(g2, _tuple_eq(tup, tup2)) for g2, tup2 in pairs_b]
-        parts.append(land(g, *[lnot(o) for o in others]))
-    return lor(*parts)
+    return lor(*[land(g, *[lnot(m) for m in matches(tup, pairs_b)]) for g, tup in pairs_a])
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +213,12 @@ def is_allowed(
     bound: int = 2,
     value_range: tuple[int, int] = (0, 7),
     timeout_s: float = 5.0,
-    backend=None,
 ) -> ContainmentVerdict:
     """Determinacy check of `q` against `views`: by rewriting if one exists,
     else the bounded solver check."""
     if _has_rewriting(q, views, schema):
         return ContainmentVerdict(ALLOWED, via=REWRITING)
-    return _is_allowed_by_solver(q, views, constraints, schema, bound, value_range, timeout_s, backend)
+    return _is_allowed_by_solver(q, views, constraints, schema, bound, value_range, timeout_s)
 
 
 def _is_allowed_by_solver(
@@ -249,17 +229,11 @@ def _is_allowed_by_solver(
     bound: int = 2,
     value_range: tuple[int, int] = (0, 7),
     timeout_s: float = 5.0,
-    backend=None,
 ) -> ContainmentVerdict:
     """Bounded two-instance determinacy check of `q` against `views`."""
-    pool = VarPool()
-    lo, hi = value_range
-    env = SymEnv()
-    env.params["MyUserId"] = pool.new_int("MyUserId", lo, hi)
-    env.params["Now"] = pool.new_int("Now", lo, hi)
-    inst_a, labeled_a = encode_instance(schema, constraints, bound, pool, value_range, prefix="A.")
-    inst_b, labeled_b = encode_instance(schema, constraints, bound, pool, value_range, prefix="B.")
-    labeled = labeled_a + labeled_b
+    pool, (inst_a, inst_b), env, labeled = bounded(
+        schema, constraints, bound, value_range, prefixes=("A.", "B.")
+    )
     for k, v in enumerate(views):
         pa = result_pairs(v, inst_a, schema, env)
         pb = result_pairs(v, inst_b, schema, env)
@@ -268,8 +242,8 @@ def _is_allowed_by_solver(
     qb = result_pairs(q, inst_b, schema, env)
     labeled.append(("differ:query", _set_neq(qa, qb)))
     # Cores are not needed here; asserting everything as hard formulas lets
-    # the backend propagate them at the root level.
-    verdict = check(pool, [], [f for _, f in labeled], backend or CdclBackend(), timeout_s)
+    # the solver propagate them at the root level.
+    verdict = check(pool, [], [f for _, f in labeled], timeout_s)
     if verdict.status == "unknown":
         return ContainmentVerdict(UNKNOWN)
     if verdict.status == "unsat":

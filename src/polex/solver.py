@@ -29,7 +29,6 @@ from .fdsolver import (
     VarPool,
     bvar,
     const,
-    eval_formula,
     fcmp,
     feq,
     iff,
@@ -43,6 +42,7 @@ from .instance import ConcreteInput
 from .normal import CountQuery, ExecutableQuery, LeftJoinQuery, NormalFormQuery, PlainQuery
 from .schema import Schema
 from .terms import (
+    SESSION_PARAMS,
     And,
     BoolCol,
     BoolLit,
@@ -168,6 +168,32 @@ def encode_instance(
     return inst, labeled
 
 
+def bounded(
+    schema: Schema,
+    constraints: list[Constraint],
+    bound: int,
+    value_range: tuple[int, int],
+    params=(),
+    prefixes: tuple[str, ...] = ("",),
+) -> tuple[VarPool, list[SymInstance], SymEnv, list[tuple[str, tuple]]]:
+    """The symbols every check starts from: one instance per prefix, then
+    shared session-parameter symbols, then one per `(name, type)` request
+    parameter not yet allocated.  Returns (pool, instances, env, labeled
+    constraint formulas); allocation order fixes the SAT variable numbers.
+    """
+    pool = VarPool()
+    instances, labeled = [], []
+    for prefix in prefixes:
+        inst, formulas = encode_instance(schema, constraints, bound, pool, value_range, prefix)
+        instances.append(inst)
+        labeled.extend(formulas)
+    env = SymEnv()
+    for name, ptype in [(name, "int") for name in SESSION_PARAMS] + list(params):
+        if name not in env.params:
+            env.params[name] = pool.new_int(name, *_col_domain(value_range, ptype))
+    return pool, instances, env, labeled
+
+
 def _row_values(inst: SymInstance, table: str, row_idx: int) -> tuple[SymValue, ...]:
     row = inst.tables[table].rows[row_idx]
     out = []
@@ -181,6 +207,11 @@ def sym_value_eq(a: SymValue, b: SymValue):
     ta, na = a
     tb, nb = b
     return lor(land(na, nb), land(lnot(na), lnot(nb), feq(ta, tb)))
+
+
+def matches(tup: tuple[SymValue, ...], pairs) -> list:
+    """Per (guard, tuple) of `pairs`: that row is present and equals `tup`."""
+    return [land(g, *[sym_value_eq(a, b) for a, b in zip(tup, t)]) for g, t in pairs]
 
 
 def encode_pred(p: Predicate, colmap, env: SymEnv):
@@ -354,42 +385,23 @@ def encode_constraint(c: Constraint, inst: SymInstance, schema: Schema):
             ]
         else:
             right_pairs = result_pairs(c.right, inst, schema, env)
-        parts = []
-        for g, tup in left_pairs:
-            membership = lor(
-                *[
-                    land(g2, *[sym_value_eq(a, b) for a, b in zip(tup, tup2)])
-                    for g2, tup2 in right_pairs
-                ]
-            )
-            parts.append(implies(g, membership))
-        return land(*parts)
+        return land(*[implies(g, lor(*matches(tup, right_pairs))) for g, tup in left_pairs])
     raise EncodeError(f"cannot encode constraint {c!r}")
 
 
 # ---------------------------------------------------------------------------
-# Verdicts and model extraction
-
-
-@dataclass
-class SolverVerdict:
-    status: str  # "sat" | "unsat" | "unknown"
-    model: dict | None = None
-    core: list[str] | None = None
+# Solving and model extraction
 
 
 def check(
     pool: VarPool,
     labeled: list[tuple[str, tuple]],
     hard: list[tuple] = (),
-    backend=None,
-    timeout_s: float = 5.0,
-) -> SolverVerdict:
-    """Run the pluggable backend; Sat models satisfy all formulas, Unsat
-    cores re-check as unsat, timeouts surface as Unknown."""
-    backend = backend or CdclBackend()
-    r: CheckResult = backend.check(pool, labeled, list(hard), timeout_s=timeout_s)
-    return SolverVerdict(r.status, r.model, r.core)
+    timeout_s: float | None = 5.0,
+) -> CheckResult:
+    """Decide `labeled` and `hard` with the CDCL backend: Sat models satisfy
+    all formulas, Unsat cores re-check as unsat, timeouts surface as Unknown."""
+    return CdclBackend().check(pool, labeled, list(hard), timeout_s=timeout_s)
 
 
 def model_to_input(

@@ -3,6 +3,8 @@ from __future__ import annotations
 import shutil
 from pathlib import Path
 
+import pytest
+
 from polex.cli import main
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -55,6 +57,28 @@ def test_explore_unknown_handler_exits_2(tmp_path, capsys):
     run = make_run(tmp_path, "grade_sheet")
     assert main(["explore", str(run), "nosuch"]) == 2
     assert "unknown handler" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["explore", "RUN", "show_item", "--bound", "0"],
+        ["explore", "RUN", "show_item", "--max-paths", "0"],
+        ["explore", "RUN", "show_item", "--value-range", "5:3"],
+        ["explore", "RUN", "show_item", "--timeout", "-1"],
+        ["policy-gen", "RUN", "show_item", "--bound", "0"],
+    ],
+    ids=["bound", "max-paths", "value-range", "timeout", "policy-gen-bound"],
+)
+def test_out_of_range_numbers_exit_2(tmp_path, capsys, argv):
+    run = make_run(tmp_path, "toys")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([str(run) if a == "RUN" else a for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {argv[3]}" in err
+    assert "Traceback" not in err
 
 
 def test_explore_path_budget_exits_3(tmp_path, capsys):

@@ -172,20 +172,6 @@ def test_reproducible_visited_set(grade_program, grade_schema, grade_constraints
     assert visited_set(r1) == visited_set(r2)
 
 
-def test_concurrent_executors_same_visited_set(toys_schema, toys_constraints):
-    from pathlib import Path
-
-    text = (Path(__file__).parent.parent / "corpus" / "toys" / "handlers" / "show_item.hdl").read_text()
-    p = parse_handler(text)
-    seq = explore(p, toys_schema, toys_constraints, ExplorationConfig(executor_count=1))
-    par = explore(p, toys_schema, toys_constraints, ExplorationConfig(executor_count=3))
-    key = lambda res: sorted(
-        tuple(record_label(r) for r in t.records) for t in res.transcripts
-    )
-    assert key(seq) == key(par)
-    assert [t.input_id for t in seq.transcripts] == [t.input_id for t in par.transcripts]
-
-
 def test_max_paths_cutoff_flags_incomplete(grade_program, grade_schema, grade_constraints):
     res = explore(grade_program, grade_schema, grade_constraints, ExplorationConfig(max_paths=1))
     assert not res.complete

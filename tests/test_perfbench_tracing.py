@@ -1,0 +1,52 @@
+"""The benchmark's tracer still finds, wraps and restores every layer entry point.
+
+`perfbench/tracing.py` rebinds program names from outside `src/`; a rename
+in the program would otherwise surface only in a traced benchmark run.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from polex import explorer, fdsolver, policygen, pruner, solver
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# (owner, attribute) pairs the per-layer metrics are read from.
+WRAPPED = [
+    (fdsolver.CdclBackend, "check"),
+    (fdsolver._Cdcl, "solve"),
+    (explorer, "explore"),
+    (explorer.Explorer, "generate_input"),
+    (explorer, "execute"),
+    (policygen, "simplify"),
+    (policygen, "views_from_cqs"),
+    (pruner, "is_allowed"),
+    (pruner, "prune"),
+    (pruner, "eval_nf"),
+    (solver, "encode_instance"),
+    (solver, "encode_query"),
+    (solver, "result_pairs"),
+    (explorer, "encode_query"),
+    (policygen, "encode_query"),
+    (pruner, "result_pairs"),
+]
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    return tracing
+
+
+def test_tracer_wraps_and_restores_every_binding(tracing):
+    before = {(owner, attr): vars(owner)[attr] for owner, attr in WRAPPED}
+    with tracing.Tracer():
+        for owner, attr in WRAPPED:
+            assert vars(owner)[attr] is not before[owner, attr], f"{attr} is not wrapped"
+    for owner, attr in WRAPPED:
+        assert vars(owner)[attr] is before[owner, attr], f"{attr} is not restored"

@@ -325,8 +325,8 @@ def _record_verdicts(monkeypatch):
     calls = []
     original = pruner.is_allowed
 
-    def recorded(q, views, constraints, schema, bound=2, value_range=(0, 7), timeout_s=5.0, backend=None):
-        v = original(q, views, constraints, schema, bound, value_range, timeout_s, backend)
+    def recorded(q, views, constraints, schema, bound=2, value_range=(0, 7), timeout_s=5.0):
+        v = original(q, views, constraints, schema, bound, value_range, timeout_s)
         calls.append((q, list(views), bound, value_range, v))
         return v
 
@@ -334,30 +334,37 @@ def _record_verdicts(monkeypatch):
     return calls
 
 
-def _assert_rewritten_checks_solver_allowed(calls, constraints, schema):
+def _assert_rewritten_checks_solver_allowed(calls, constraints, schema) -> int:
+    """Re-checks every rewriting verdict by SAT; returns how many there were."""
     rewritten = [c for c in calls if c[-1].via == REWRITING]
-    assert rewritten
     for q, views, bound, value_range, _ in rewritten:
         v = pruner._is_allowed_by_solver(q, views, constraints, schema, bound, value_range, timeout_s=None)
         assert v.status == ALLOWED
+    return len(rewritten)
 
 
-@pytest.fixture(scope="module")
-def toys_handler_views(toys_schema, toys_constraints):
-    out = []
-    for path in sorted((CORPUS / "toys" / "handlers").glob("*.hdl")):
+# Whether the corpus's prune makes any check the rewriting path decides:
+# every check of grade_sheet needs the solver.
+@pytest.fixture(scope="module", params=[("toys", True), ("grade_sheet", False)], ids=lambda p: p[0])
+def corpus_views(request):
+    """(schema, constraints, per-handler views, rewrites) of a corpus at bound 2."""
+    corpus, rewrites = request.param
+    schema = parse_schema((CORPUS / corpus / "schema.txt").read_text())
+    constraints = expand_all(generate_constraints(schema), schema)
+    handler_views = []
+    for path in sorted((CORPUS / corpus / "handlers").glob("*.hdl")):
         for program in parse_handlers(path.read_text()):
             config = ExplorationConfig(table_bound=BOUND, value_range=RANGE, solver_timeout=None)
-            res = explore(program, toys_schema, toys_constraints, config)
+            res = explore(program, schema, constraints, config)
             cqs = simplify(
-                to_conditioned_queries(res.transcripts, toys_schema), toys_schema, toys_constraints,
+                to_conditioned_queries(res.transcripts, schema), schema, constraints,
                 dict(program.request_params), table_bound=BOUND, value_range=RANGE, timeout_s=None,
             )
-            out.append(views_from_cqs(cqs, toys_schema))
-    return out
+            handler_views.append(views_from_cqs(cqs, schema))
+    return schema, constraints, handler_views, rewrites
 
 
-def _toys_merged(handler_views, schema, constraints):
+def _merged(handler_views, schema, constraints):
     per_handler = [
         pruner.prune(Policy(views, BOUND, RANGE), constraints, schema, timeout_s=None)[0]
         for views in handler_views
@@ -365,12 +372,13 @@ def _toys_merged(handler_views, schema, constraints):
     return pruner.merge_and_prune(per_handler, constraints, schema, timeout_s=None)[0]
 
 
-def test_toys_policy_agrees_with_solver_only_run(toys_schema, toys_constraints, toys_handler_views, monkeypatch):
+def test_merged_policy_agrees_with_solver_only_run(corpus_views, monkeypatch):
+    schema, constraints, handler_views, rewrites = corpus_views
     calls = _record_verdicts(monkeypatch)
-    merged = _toys_merged(toys_handler_views, toys_schema, toys_constraints)
-    _assert_rewritten_checks_solver_allowed(calls, toys_constraints, toys_schema)
+    merged = _merged(handler_views, schema, constraints)
+    assert bool(_assert_rewritten_checks_solver_allowed(calls, constraints, schema)) == rewrites
     monkeypatch.setattr(pruner, "is_allowed", pruner._is_allowed_by_solver)
-    solver_only = _toys_merged(toys_handler_views, toys_schema, toys_constraints)
+    solver_only = _merged(handler_views, schema, constraints)
     assert [v.nf for v in merged.views] == [v.nf for v in solver_only.views]
 
 
@@ -387,7 +395,7 @@ def test_broadened_policy_and_blame_agree_with_solver_only_run(monkeypatch):
 
     calls = _record_verdicts(monkeypatch)
     got = run()
-    _assert_rewritten_checks_solver_allowed(calls, constraints, schema)
+    assert _assert_rewritten_checks_solver_allowed(calls, constraints, schema)
     monkeypatch.setattr(pruner, "is_allowed", pruner._is_allowed_by_solver)
     assert got == run()
 

@@ -9,6 +9,7 @@ from polex.normal import NormalFormQuery, to_executable
 from polex.schema import parse_schema
 from polex.solver import (
     SymEnv,
+    bounded,
     check,
     encode_instance,
     encode_query,
@@ -33,12 +34,34 @@ RANGE = (0, 3)
 
 
 def fresh_context(constraints=CONSTRAINTS, bound=2):
-    pool = VarPool()
-    inst, labeled = encode_instance(SCHEMA, constraints, bound, pool, RANGE)
-    env = SymEnv()
-    env.params["MyUserId"] = pool.new_int("MyUserId", *RANGE)
-    env.params["Now"] = pool.new_int("Now", *RANGE)
+    pool, (inst,), env, labeled = bounded(SCHEMA, constraints, bound, RANGE)
     return pool, inst, env, labeled
+
+
+def _row_symbols(inst) -> set[int]:
+    return {
+        v
+        for table in inst.tables.values()
+        for row in table.rows
+        for v in (row.presence, *row.values, *row.nulls)
+        if v is not None
+    }
+
+
+def test_bounded_instances_share_session_and_request_symbols():
+    params = [("Flag", "bool"), ("MyUserId", "int"), ("CourseId", "int")]
+    pool, (a, b), env, labeled = bounded(SCHEMA, CONSTRAINTS, 2, RANGE, params, prefixes=("A.", "B."))
+    rows_a, rows_b = _row_symbols(a), _row_symbols(b)
+    assert rows_a and rows_b and not rows_a & rows_b
+    assert pool.names.count("MyUserId") == 1 and pool.names.count("Now") == 1
+    assert list(env.params) == ["MyUserId", "Now", "Flag", "CourseId"]
+    assert pool.domains[env.params["Flag"]] == (0, 1)
+    assert pool.domains[env.params["CourseId"]] == RANGE
+    # Instances first, then parameters: the explorer's variable numbering.
+    assert max(rows_a | rows_b) < min(env.params.values())
+    assert sorted(env.params.values()) == list(range(len(pool) - 4, len(pool)))
+    one = encode_instance(SCHEMA, CONSTRAINTS, 2, VarPool(), RANGE)[1]
+    assert [label for label, _ in labeled] == [p + label for p in ("A.", "B.") for label, _ in one]
 
 
 def test_symbol_counts():

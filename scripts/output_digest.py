@@ -1,0 +1,142 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 digest per pipeline run, to compare two versions' outputs.
+
+    PYTHONPATH=src python3 scripts/output_digest.py
+
+Every run is in-process and every solver call has no deadline
+(`timeout_s=None`), so the digests depend only on the code, never on the
+machine's speed.  The runs:
+
+- toys at bounds 2 and 3 and grade_sheet at bound 2: explore, policy-gen
+  and prune per handler, then merge-prune;
+- broaden at bounds 2 and 3: the narrow policy broadened by the pinned
+  broader views;
+- the generated `synth-front` corpus (`perfbench/synth.py`), seeds 1-3 at
+  bound 2: explore and policy-gen per handler.
+
+A digest covers the transcript lines, the generated inputs, the prefix-tree
+counts, the warnings and reports, the per-handler views with their witness
+ids, the merged or broadened policy text and the broaden blame.  Two
+versions of the program produce byte-identical outputs on these runs iff
+they print the same lines.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+from polex import constraints, dsl, explorer, policygen, pruner, rundir, schema
+from polex.transcript import record_line
+
+ROOT = Path(__file__).resolve().parent.parent
+VALUE_RANGE = (0, 7)
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+import synth  # noqa: E402  (the synth-front corpus generator)
+
+
+class Digest:
+    def __init__(self):
+        self._h = hashlib.sha256()
+
+    def add(self, *lines: str) -> None:
+        for line in lines:
+            self._h.update(line.encode("utf-8") + b"\n")
+
+    def hexdigest(self) -> str:
+        return self._h.hexdigest()
+
+
+def _load(schema_text: str):
+    s = schema.parse_schema(schema_text)
+    return s, constraints.expand_all(constraints.generate_constraints(s), s)
+
+
+def _handler_views(d: Digest, program, s, cons, bound: int):
+    """Explore and policy-gen one handler; digest everything it produced."""
+    result = explorer.explore(
+        program, s, cons,
+        explorer.ExplorationConfig(table_bound=bound, value_range=VALUE_RANGE, solver_timeout=None),
+    )
+    d.add(f"handler {program.name} complete={result.complete}",
+          json.dumps(result.tree.counts(), sort_keys=True))
+    for t in result.transcripts:
+        d.add(f"transcript {t.input_id} outcome={t.outcome}", *(record_line(r) for r in t.records))
+        d.add(json.dumps(result.inputs[t.input_id].to_json(s), sort_keys=True))
+    d.add(*(f"report {line}" for line in result.reports))
+    d.add(*(f"warning {line}" for line in result.warnings))
+    cqs = policygen.to_conditioned_queries(result.transcripts, s)
+    simplified = policygen.simplify(
+        cqs, s, cons, dict(program.request_params),
+        table_bound=bound, value_range=VALUE_RANGE, timeout_s=None,
+    )
+    views = policygen.views_from_cqs(simplified, s)
+    d.add(f"condqs {len(cqs)} -> {len(simplified)}", rundir.render_policy(views, s))
+    return views
+
+
+def pipeline(corpus: str, bound: int) -> str:
+    """Per-handler explore, policy-gen and prune, then merge-prune."""
+    d = Digest()
+    root = ROOT / "corpus" / corpus
+    s, cons = _load((root / "schema.txt").read_text(encoding="utf-8"))
+    policies = []
+    for path in sorted((root / "handlers").glob("*.hdl")):
+        for program in dsl.parse_handlers(path.read_text(encoding="utf-8")):
+            views = _handler_views(d, program, s, cons, bound)
+            pruned, _ = pruner.prune(pruner.Policy(views, bound, VALUE_RANGE), cons, s, timeout_s=None)
+            d.add(f"pruned {program.name}", rundir.render_policy(pruned.views, s))
+            policies.append(pruned)
+    merged, removed = pruner.merge_and_prune(policies, cons, s, timeout_s=None)
+    d.add(f"merged, {len(removed)} pruned", rundir.render_policy(merged.views, s))
+    return d.hexdigest()
+
+
+def broaden(bound: int) -> str:
+    d = Digest()
+    root = ROOT / "corpus" / "broaden"
+    s, cons = _load((root / "schema.txt").read_text(encoding="utf-8"))
+    narrow = rundir.load_policy_file(root / "narrow.sql", s)
+    broader = rundir.load_policy_file(root / "broader.sql", s)
+    policy, report = pruner.broaden(
+        pruner.Policy(narrow, bound, VALUE_RANGE), broader, cons, s, timeout_s=None
+    )
+    d.add("broadened", rundir.render_policy(policy.views, s))
+    for v, blame in report.removed:
+        d.add(f"removed {narrow.index(v)} blame {blame}")
+    return d.hexdigest()
+
+
+def synth_front(seed: int, bound: int = 2) -> str:
+    d = Digest()
+    schema_text, handlers, _expected = synth.generate(seed)
+    s, cons = _load(schema_text)
+    for name in sorted(handlers):
+        for program in dsl.parse_handlers(handlers[name]):
+            _handler_views(d, program, s, cons, bound)
+    return d.hexdigest()
+
+
+RUNS = [
+    ("toys-b2", lambda: pipeline("toys", 2)),
+    ("toys-b3", lambda: pipeline("toys", 3)),
+    ("grade_sheet-b2", lambda: pipeline("grade_sheet", 2)),
+    ("broaden-b2", lambda: broaden(2)),
+    ("broaden-b3", lambda: broaden(3)),
+    ("synth-s1-b2", lambda: synth_front(1)),
+    ("synth-s2-b2", lambda: synth_front(2)),
+    ("synth-s3-b2", lambda: synth_front(3)),
+]
+
+
+def main() -> int:
+    for name, run in RUNS:
+        print(f"{name} {run()}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

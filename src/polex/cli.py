@@ -25,7 +25,8 @@ from .pruner import Policy, broaden, is_allowed, merge_and_prune, prune
 from .rundir import RunDirectory, RunDirError, load_policy_file, render_policy
 from .schema import SchemaError, load_schema
 from .sqlparser import parse_sql
-from .normal import normalize_query, NormalizeError
+from .normal import NormalizeError, non_session_scalar, normalize_query
+from .terms import render_scalar
 from .transcript import record_line, render_record
 from .unparse import unparse_view
 
@@ -201,7 +202,7 @@ def cmd_policy_merge_prune(args) -> int:
         for name in args.handlers:
             views = load_policy_file(run.policy_path(name), schema)
             policies.append(Policy(views, settings["bound"], settings["value_range"]))
-    except (CliError, RunDirError, SchemaError, SourceError) as e:
+    except (CliError, RunDirError, SchemaError, SourceError, NormalizeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
     merged, removed = merge_and_prune(policies, constraints, schema, settings["timeout"])
@@ -278,6 +279,9 @@ def cmd_is_allowed(args) -> int:
         if len(variants) != 1 or not variants[0].lossless:
             raise CliError("query must be a PSJ (or existence) query")
         q = variants[0].nf
+        bad = non_session_scalar(q)
+        if bad is not None:
+            raise CliError(f"query uses {render_scalar(bad)}, not a session parameter")
     except (CliError, RunDirError, SchemaError, SourceError, NormalizeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR

@@ -14,9 +14,8 @@ Determinism: each round generates inputs for the pending prefixes in
 depth-first tree order, then runs them in that order, so the visited set
 and all emitted ids reproduce.
 
-Infeasible prefixes are never re-attempted: unsat cores over record
-labels are cached, and any later prefix containing a cached conflict is
-marked infeasible without calling the solver.
+Every pending prefix costs one solver check: sat gives the next input,
+unsat marks the prefix infeasible, and a timeout marks it abandoned.
 """
 
 from __future__ import annotations
@@ -197,10 +196,10 @@ class _PathEncoder:
         self.schema = schema
         self.config = config
         self.catalog = catalog
-        self.pool, (self.inst,), self.env, self.constraint_formulas = bounded(
+        self.pool, (self.inst,), self.env, constraint_formulas = bounded(
             schema, constraints, config.table_bound, config.value_range, program.request_params
         )
-        self.labeled: list[tuple[str, tuple]] = list(self.constraint_formulas)
+        self.labeled: list[tuple[str, tuple]] = list(constraint_formulas)
         self.hard: list[tuple] = []
         self._seen_labels = {label for label, _ in self.labeled}
 
@@ -234,9 +233,6 @@ class _PathEncoder:
         self.hard.extend(enc.defs)
         self._add("amo:" + record_label(QueryRecord(index, sql, params, False)), enc.at_most_one)
 
-    def record_labels(self) -> frozenset[str]:
-        return frozenset(self._seen_labels - {label for label, _ in self.constraint_formulas})
-
 
 class Explorer:
     def __init__(self, program: HandlerProgram, schema: Schema,
@@ -248,7 +244,6 @@ class Explorer:
         self.config = config
         self.catalog = QueryCatalog(schema)
         self.tree = PrefixTree()
-        self.conflict_cache: list[frozenset[str]] = []
         self.transcripts: list[Transcript] = []
         self.inputs: dict[str, ConcreteInput] = {}
         self.reports: list[str] = []
@@ -265,24 +260,18 @@ class Explorer:
             enc.add_record(r)
         return enc
 
-    def generate_input(self, records, extra_amo=()) -> tuple[str, ConcreteInput | None, frozenset[str] | None]:
-        """Solve the path conditions of `records`; returns (status, input, core)."""
+    def generate_input(self, records, extra_amo=()) -> tuple[str, ConcreteInput | None]:
+        """Solve the path conditions of `records`; returns (status, input)."""
         enc = self._encoder_for(records)
         for (index, sql, params) in extra_amo:
             enc.add_at_most_one(index, sql, params)
-        labels = enc.record_labels()
-        for core in self.conflict_cache:
-            if core <= labels:
-                return INFEASIBLE, None, core
         verdict = check(enc.pool, enc.labeled, enc.hard, self.config.solver_timeout)
         if verdict.status == "unknown":
-            return ABANDONED, None, None
+            return ABANDONED, None
         if verdict.status == "unsat":
-            core = frozenset(verdict.core or ()) & labels
-            if not core:
+            if not records and not extra_amo:
                 raise RuntimeError("database constraints alone are unsatisfiable")
-            self.conflict_cache.append(core)
-            return INFEASIBLE, None, core
+            return INFEASIBLE, None
         self.input_seq += 1
         input_id = f"{self.program.name}-{self.input_seq:04d}"
         ci = model_to_input(
@@ -292,7 +281,7 @@ class Explorer:
         ok, viol = validate_instance(ci, self.constraints, self.schema)
         if not ok:
             raise RuntimeError(f"generated input violates constraints: {viol}")
-        return "sat", ci, None
+        return "sat", ci
 
     # -- execution with multi-row repair ------------------------------------
 
@@ -308,7 +297,7 @@ class Explorer:
             # The partial run may have stopped mid-prefix; keep asserting
             # the full target prefix in that case.
             records = list(exc.records) if len(exc.records) >= len(prefix) else prefix
-            status, ci, _ = self.generate_input(records, tuple(extra_amo))
+            status, ci = self.generate_input(records, tuple(extra_amo))
             if status != "sat":
                 raise DivergenceError(f"could not repair multi-row result for {exc.sql!r}")
             try:
@@ -355,7 +344,7 @@ class Explorer:
             for target in targets:
                 if len(self.transcripts) + len(jobs) >= budget:
                     break
-                status, ci, _core = self.generate_input(target.prefix())
+                status, ci = self.generate_input(target.prefix())
                 if status == INFEASIBLE:
                     target.status = INFEASIBLE
                 elif status == ABANDONED:

@@ -11,11 +11,11 @@ finite, so instead of an external SMT engine we compile to SAT:
   * comparison atoms become clauses over the one-hot vectors;
   * the boolean structure is Tseitin-encoded with full equivalences.
 
-`check` runs a small CDCL (two-watched literals, 1UIP learning, VSIDS-ish
-activities, phase saving) under one selector assumption per labeled
-formula, which yields unsat cores the usual way; cores are then shrunk by
-deletion so that re-checking only the core is still unsat.  All heuristics
-are deterministic, so identical inputs give identical models.
+`check` asserts every formula as a unit clause and runs one search of a
+small CDCL (two-watched literals, 1UIP learning, VSIDS-ish activities,
+phase saving, Luby restarts).  Labels only name formulas in error messages
+and in the SMT-LIB dump.  All heuristics are deterministic, so identical
+inputs give identical models.
 """
 
 from __future__ import annotations
@@ -188,7 +188,7 @@ class _Cnf:
 
 
 class Compiler:
-    """Compile formula IR over a VarPool into CNF with named selectors."""
+    """Compile formula IR over a VarPool into CNF."""
 
     def __init__(self, pool: VarPool):
         self.pool = pool
@@ -541,27 +541,6 @@ class _Cdcl:
             bt = self.level[learnt[1] >> 1]
         return learnt, bt
 
-    def analyze_final(self, p: int) -> list[int]:
-        """Assumption literals responsible for forcing ~p; p is an assumption."""
-        core = [p]
-        if self.decision_level() == 0:
-            return core
-        seen = [False] * self.nvars
-        seen[p >> 1] = True
-        for i in range(len(self.trail) - 1, self.trail_lim[0] - 1, -1):
-            lit = self.trail[i]
-            v = lit >> 1
-            if not seen[v]:
-                continue
-            if self.reason[v] is None:
-                core.append(lit)
-            else:
-                for q in self.clauses[self.reason[v]][1:]:
-                    if self.level[q >> 1] > 0:
-                        seen[q >> 1] = True
-            seen[v] = False
-        return core
-
     def _check_time(self) -> None:
         if self.deadline is not None and self.conflicts % 64 == 0:
             if time.monotonic() > self.deadline:
@@ -578,12 +557,10 @@ class _Cdcl:
                 return v
         return None
 
-    def solve(self, assumptions: list[int]):
-        """Returns ("sat", assigns) | ("unsat", core_lits)."""
-        if not self.ok:
-            return "unsat", []
-        if self.propagate() is not None:
-            return "unsat", []
+    def solve(self):
+        """Returns ("sat", assigns) | ("unsat", None)."""
+        if not self.ok or self.propagate() is not None:
+            return "unsat", None
         restart_count = 0
         conflicts_left = 64 * _luby(restart_count)
         while True:
@@ -593,7 +570,7 @@ class _Cdcl:
                 conflicts_left -= 1
                 self._check_time()
                 if self.decision_level() == 0:
-                    return "unsat", []
+                    return "unsat", None
                 learnt, bt = self.analyze(confl)
                 self.cancel_until(bt)
                 ci = len(self.clauses)
@@ -606,30 +583,16 @@ class _Cdcl:
                     self.enqueue(learnt[0], ci)
                 self.var_inc /= 0.95
                 continue
-            if conflicts_left <= 0 and self.decision_level() > len(assumptions):
+            if conflicts_left <= 0 and self.decision_level() > 0:
                 restart_count += 1
                 conflicts_left = 64 * _luby(restart_count)
-                self.cancel_until(len(assumptions))
+                self.cancel_until(0)
                 continue
-            # extend with assumptions, then decide
-            next_lit = None
-            while self.decision_level() < len(assumptions):
-                p = assumptions[self.decision_level()]
-                v = self.value(p)
-                if v is True:
-                    self.new_level()
-                elif v is False:
-                    return "unsat", self.analyze_final(p)
-                else:
-                    next_lit = p
-                    break
-            if next_lit is None:
-                v = self.decide_var()
-                if v is None:
-                    return "sat", list(self.assigns)
-                next_lit = 2 * v + (1 - self.phase[v])
+            v = self.decide_var()
+            if v is None:
+                return "sat", list(self.assigns)
             self.new_level()
-            self.enqueue(next_lit, None)
+            self.enqueue(2 * v + (1 - self.phase[v]), None)
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +603,6 @@ class _Cdcl:
 class CheckResult:
     status: str  # "sat" | "unsat" | "unknown"
     model: dict | None = None  # vid -> bool/int
-    core: list[str] | None = None  # labels
 
 
 class InternalSolverError(Exception):
@@ -648,9 +610,7 @@ class InternalSolverError(Exception):
 
 
 class CdclBackend:
-    """Default backend: compile to SAT and run the CDCL under assumptions."""
-
-    name = "cdcl"
+    """Compile every formula to SAT as a unit clause and run one CDCL search."""
 
     def check(
         self,
@@ -658,57 +618,20 @@ class CdclBackend:
         labeled: list[tuple[str, tuple]],
         hard: list[tuple] = (),
         timeout_s: float | None = 5.0,
-        shrink_cores: bool = True,
     ) -> CheckResult:
         deadline = None if timeout_s is None else time.monotonic() + timeout_s
         comp = Compiler(pool)
-        for f in hard:
+        for f in list(hard) + [f for _, f in labeled]:
             comp.cnf.add([comp.lit(f)])
-        label_sel: dict[str, int] = {}
-        sel_label: dict[int, str] = {}
-        for label, f in labeled:
-            if label in label_sel:
-                raise InternalSolverError(f"duplicate formula label {label!r}")
-            s = comp.cnf.new_var()
-            comp.cnf.add([2 * s + 1, comp.lit(f)])
-            label_sel[label] = s
-            sel_label[s] = label
-
-        def solve_subset(labels: list[str]):
-            solver = _Cdcl(comp.cnf.nvars, comp.cnf.clauses, deadline)
-            return solver.solve([2 * label_sel[l] for l in labels])
-
-        all_labels = [label for label, _ in labeled]
         try:
-            status, payload = solve_subset(all_labels)
+            status, assigns = _Cdcl(comp.cnf.nvars, comp.cnf.clauses, deadline).solve()
         except _Timeout:
             return CheckResult("unknown")
-        if status == "sat":
-            model = comp.model_from_sat(payload)
-            self._verify_model(model, labeled, hard)
-            return CheckResult("sat", model=model)
-        core = [l for l in all_labels if label_sel[l] in {q >> 1 for q in payload}]
-        if shrink_cores:
-            core = self._shrink(solve_subset, core, deadline)
-        return CheckResult("unsat", core=core)
-
-    @staticmethod
-    def _shrink(solve_subset, core: list[str], deadline) -> list[str]:
-        """Deletion-based minimization; the result is always a correct core."""
-        i = 0
-        while i < len(core):
-            if deadline is not None and time.monotonic() > deadline:
-                break
-            trial = core[:i] + core[i + 1:]
-            try:
-                status, _payload = solve_subset(trial)
-            except _Timeout:
-                break
-            if status == "unsat":
-                core = trial
-            else:
-                i += 1
-        return core
+        if status == "unsat":
+            return CheckResult("unsat")
+        model = comp.model_from_sat(assigns)
+        self._verify_model(model, labeled, hard)
+        return CheckResult("sat", model=model)
 
     @staticmethod
     def _verify_model(model, labeled, hard) -> None:

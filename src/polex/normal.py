@@ -40,19 +40,17 @@ from .sqlast import (
     TableStar,
 )
 from .terms import (
-    And,
-    BoolCol,
-    Cmp,
     Col,
-    IsNull,
     NamedCol,
-    Not,
+    PlaceholderRef,
     Predicate,
+    RequestParam,
+    RowCol,
+    Scalar,
     Term,
     TRUE,
-    TruePred,
     conjoin,
-    conjuncts,
+    fold_nulls,
     iter_terms,
     map_terms,
 )
@@ -210,6 +208,16 @@ def check_nf(nf: NormalFormQuery, schema: Schema) -> None:
             raise NormalizeError("unresolved column reference in normal form")
 
 
+def non_session_scalar(nf: NormalFormQuery) -> Scalar | None:
+    """The first placeholder, request parameter or result-row reference in
+    `nf`, or None.  Policy views and checked queries may hold only columns,
+    constants and session parameters."""
+    for t in iter_terms(nf.filter):
+        if isinstance(t, (PlaceholderRef, RequestParam, RowCol)):
+            return t
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Conversions
 
@@ -224,44 +232,6 @@ def to_normal_form(ast: QueryAst, schema: Schema) -> NormalFormQuery:
     nf = NormalFormQuery(projection, filt, tuple(t.table for t in ast.tables))
     check_nf(nf, schema)
     return nf
-
-
-def _fold_null_right(p: Predicate, is_right) -> Predicate | bool:
-    """Partially evaluate `p` under "every right-side column is NULL".
-
-    Returns True/False when the value is forced, else the residual
-    predicate (which no longer references right-side columns).
-    """
-    if isinstance(p, TruePred):
-        return True
-    if isinstance(p, Cmp):
-        if any(isinstance(t, Col) and is_right(t.index) for t in (p.left, p.right)):
-            return False
-        return p
-    if isinstance(p, BoolCol):
-        if isinstance(p.term, Col) and is_right(p.term.index):
-            return False
-        return p
-    if isinstance(p, IsNull):
-        if isinstance(p.term, Col) and is_right(p.term.index):
-            return True
-        return p
-    if isinstance(p, Not):
-        inner = _fold_null_right(p.inner, is_right)
-        if isinstance(inner, bool):
-            return not inner
-        return Not(inner)
-    if isinstance(p, And):
-        left = _fold_null_right(p.left, is_right)
-        right = _fold_null_right(p.right, is_right)
-        if left is False or right is False:
-            return False
-        if left is True:
-            return right
-        if right is True:
-            return left
-        return And(left, right)
-    raise TypeError(f"not a predicate: {p!r}")
 
 
 def count_parts(ast: QueryAst, schema: Schema) -> tuple[str, Predicate]:
@@ -319,7 +289,7 @@ def rewrite_to_psj(ast: QueryAst, schema: Schema) -> list[RewriteVariant]:
         )
         check_nf(inner_nf, schema)
         identity = tuple(range(len(projection)))
-        folded = _fold_null_right(where, lambda o: o >= left_arity)
+        folded = fold_nulls(where, lambda t: isinstance(t, Col) and t.index >= left_arity)
         if folded is False:
             # WHERE rejects unmatched rows, so the join is equivalent to an inner join.
             return [RewriteVariant("full", inner_nf, True, identity)]

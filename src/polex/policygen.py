@@ -24,13 +24,10 @@ from .solver import bounded, check, encode_pred, encode_query
 from .sqlast import COUNT_AGGREGATE
 from .sqlparser import parse_sql
 from .terms import (
-    And,
-    BoolCol,
     BoolLit,
     Cmp,
     Col,
     IntLit,
-    IsNull,
     Not,
     NullLit,
     Predicate,
@@ -38,10 +35,10 @@ from .terms import (
     RowCol,
     Scalar,
     SessionParam,
-    TruePred,
     TRUE,
     conjoin,
     conjuncts,
+    fold_nulls,
     iter_terms,
     map_terms,
     substitute_placeholders,
@@ -121,37 +118,6 @@ def _dedup(items):
 # Preprocessing: records -> normalized conditioned queries
 
 
-def _fold_known_nulls(p: Predicate) -> Union[bool, Predicate]:
-    """Partially evaluate a scalar predicate whose NullLit leaves are known
-    null; returns True/False when forced."""
-    if isinstance(p, Cmp):
-        if isinstance(p.left, NullLit) or isinstance(p.right, NullLit):
-            return False
-        return p
-    if isinstance(p, IsNull):
-        return True if isinstance(p.term, NullLit) else p
-    if isinstance(p, BoolCol):
-        return False if isinstance(p.term, NullLit) else p
-    if isinstance(p, Not):
-        inner = _fold_known_nulls(p.inner)
-        if isinstance(inner, bool):
-            return not inner
-        return Not(inner)
-    if isinstance(p, And):
-        left = _fold_known_nulls(p.left)
-        right = _fold_known_nulls(p.right)
-        if left is False or right is False:
-            return False
-        if left is True:
-            return right if not isinstance(right, bool) else True
-        if right is True:
-            return left
-        return And(left, right)
-    if isinstance(p, TruePred):
-        return True
-    raise ViewGenError(f"not a predicate: {p!r}")
-
-
 @dataclass
 class _Partial:
     """One rewrite variant of a conditioned query under construction."""
@@ -191,7 +157,7 @@ def _expand_record(partials: list[_Partial], record, ast_cache, schema) -> list[
                 return NullLit() if r is None else r
 
             pred = map_terms(record.cond, sub)
-            folded = _fold_known_nulls(pred)
+            folded = fold_nulls(pred, lambda t: isinstance(t, NullLit))
             if isinstance(folded, bool):
                 if folded == record.outcome:
                     out.append(part)  # vacuous under this variant
@@ -371,8 +337,7 @@ class Simplifier:
                 labeled.append((f"cond{k}", f))
         goal = formula_of(inst, env, pool, hard)
         labeled.append(("negated-goal", lnot(goal)))
-        # Entailment only needs sat/unsat, not cores: assert everything hard.
-        verdict = check(pool, [], hard + [f for _, f in labeled], self.timeout_s)
+        verdict = check(pool, labeled, hard, self.timeout_s)
         return verdict.status == "unsat"
 
     def _remove_vacuous_branches(self, cq: ConditionedQuery) -> ConditionedQuery:

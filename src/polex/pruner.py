@@ -241,9 +241,7 @@ def _is_allowed_by_solver(
     qa = result_pairs(q, inst_a, schema, env)
     qb = result_pairs(q, inst_b, schema, env)
     labeled.append(("differ:query", _set_neq(qa, qb)))
-    # Cores are not needed here; asserting everything as hard formulas lets
-    # the solver propagate them at the root level.
-    verdict = check(pool, [], [f for _, f in labeled], timeout_s)
+    verdict = check(pool, labeled, timeout_s=timeout_s)
     if verdict.status == "unknown":
         return ContainmentVerdict(UNKNOWN)
     if verdict.status == "unsat":

@@ -23,10 +23,11 @@ from pathlib import Path
 from .constraints import expand_all, parse_constraint_file
 from .dsl import HandlerProgram, parse_handlers
 from .instance import ConcreteInput
-from .normal import normalize_query
+from .normal import non_session_scalar, normalize_query
 from .policygen import View
 from .schema import Interner, Schema, load_schema
 from .sqlparser import parse_sql
+from .terms import render_scalar
 from .transcript import Transcript, transcript_from_jsonl, transcript_to_jsonl
 from .unparse import unparse_view
 
@@ -183,6 +184,9 @@ def parse_policy_text(text: str, schema: Schema) -> list[View]:
         variants = normalize_query(parse_sql(stmt), schema)
         if len(variants) != 1 or not variants[0].lossless:
             raise RunDirError(f"policy view is not a PSJ query: {stmt!r}")
+        bad = non_session_scalar(variants[0].nf)
+        if bad is not None:
+            raise RunDirError(f"policy view uses {render_scalar(bad)}, not a session parameter: {stmt!r}")
         views.append(View(variants[0].nf, handler=handler, witness=witness))
         handler = witness = ""
 

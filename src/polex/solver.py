@@ -399,8 +399,8 @@ def check(
     hard: list[tuple] = (),
     timeout_s: float | None = 5.0,
 ) -> CheckResult:
-    """Decide `labeled` and `hard` with the CDCL backend: Sat models satisfy
-    all formulas, Unsat cores re-check as unsat, timeouts surface as Unknown."""
+    """Decide the conjunction of `hard` and `labeled` in one CDCL search: Sat
+    models are verified against every formula, timeouts surface as Unknown."""
     return CdclBackend().check(pool, labeled, list(hard), timeout_s=timeout_s)
 
 

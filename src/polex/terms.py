@@ -209,6 +209,37 @@ def map_terms(p: Predicate, fn: Callable[[Term], Term]) -> Predicate:
     raise TypeError(f"not a predicate: {p!r}")
 
 
+def fold_nulls(p: Predicate, is_null: Callable[[Term], bool]) -> Predicate | bool:
+    """Partially evaluate `p` where every term picked by `is_null` is NULL.
+
+    A comparison or truth test of such a term is false and its IS NULL is
+    true; NOT and AND fold.  Returns True/False when the value is forced,
+    else the residual predicate.
+    """
+    if isinstance(p, TruePred):
+        return True
+    if isinstance(p, Cmp):
+        return False if is_null(p.left) or is_null(p.right) else p
+    if isinstance(p, BoolCol):
+        return False if is_null(p.term) else p
+    if isinstance(p, IsNull):
+        return True if is_null(p.term) else p
+    if isinstance(p, Not):
+        inner = fold_nulls(p.inner, is_null)
+        return not inner if isinstance(inner, bool) else Not(inner)
+    if isinstance(p, And):
+        left = fold_nulls(p.left, is_null)
+        right = fold_nulls(p.right, is_null)
+        if left is False or right is False:
+            return False
+        if left is True:
+            return right
+        if right is True:
+            return left
+        return And(left, right)
+    raise TypeError(f"not a predicate: {p!r}")
+
+
 def iter_terms(p: Predicate) -> Iterator[Term]:
     if isinstance(p, Cmp):
         yield p.left

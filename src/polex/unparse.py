@@ -10,24 +10,18 @@ the repo grammar.
 
 from __future__ import annotations
 
-from .normal import NormalFormQuery, check_nf
+from .normal import NormalFormQuery, check_nf, non_session_scalar
 from .schema import Schema
 from .terms import (
-    And,
     BoolCol,
     Cmp,
     Col,
     IsNull,
     Not,
     Predicate,
-    PlaceholderRef,
-    RequestParam,
-    RowCol,
     Term,
-    TruePred,
     conjoin,
     conjuncts,
-    iter_terms,
     map_terms,
     render_scalar,
 )
@@ -222,9 +216,9 @@ def unparse_nf(nf: NormalFormQuery, schema: Schema) -> str:
 
 def unparse_view(nf: NormalFormQuery, schema: Schema) -> str:
     """Render a view definition (no placeholders, no request parameters)."""
-    for t in iter_terms(nf.filter):
-        if isinstance(t, (PlaceholderRef, RequestParam, RowCol)):
-            raise UnparseError(f"view contains non-session scalar {t!r}")
+    bad = non_session_scalar(nf)
+    if bad is not None:
+        raise UnparseError(f"view contains non-session scalar {bad!r}")
     if not nf.sources:
         raise UnparseError("view has no sources")
     check_nf(nf, schema)

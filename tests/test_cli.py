@@ -201,6 +201,35 @@ def test_broaden_cli(tmp_path, capsys):
     assert (run / "reports" / "broaden.txt").exists()
 
 
+BAD_SQL = {
+    "placeholder": "SELECT * FROM users WHERE id = ?",
+    "request-param": "SELECT * FROM users WHERE id = Foo",
+    "unknown-column": "SELECT nosuch FROM users",
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_SQL))
+@pytest.mark.parametrize("command", ["is-allowed-view", "is-allowed-query", "broaden", "policy-merge-prune"])
+def test_bad_policy_view_or_query_exits_2(tmp_path, capsys, command, bad):
+    run = make_run(tmp_path, "toys")
+    policies = run / "policies"
+    policies.mkdir()
+    (policies / "ok.sql").write_text("SELECT * FROM users;\n")
+    (policies / "bad.sql").write_text(BAD_SQL[bad] + ";\n")
+    ok, bad_file = str(policies / "ok.sql"), str(policies / "bad.sql")
+    argv = {
+        "is-allowed-view": ["is-allowed", str(run), bad_file, "SELECT * FROM users"],
+        "is-allowed-query": ["is-allowed", str(run), ok, BAD_SQL[bad]],
+        "broaden": ["broaden", str(run), ok, bad_file],
+        "policy-merge-prune": ["policy-merge-prune", str(run), "ok", "bad"],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_pipeline_is_deterministic(tmp_path):
     runs = []
     for name in ("a", "b"):

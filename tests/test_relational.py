@@ -17,16 +17,19 @@ from polex.normal import (
 from polex.schema import parse_schema
 from polex.sqlparser import SqlSyntaxError, UnsupportedSqlError, parse_sql
 from polex.terms import (
+    And,
     BoolCol,
     Cmp,
     Col,
     IntLit,
     IsNull,
     Not,
+    NullLit,
     RequestParam,
     SessionParam,
     TRUE,
     conjoin,
+    fold_nulls,
 )
 from polex.unparse import unparse_nf, unparse_view
 
@@ -211,6 +214,35 @@ def test_rewrite_left_join_null_rejecting_where_is_inner():
     ast = parse_sql("SELECT t.a FROM t LEFT JOIN u ON t.a = u.a WHERE u.flag")
     variants = rewrite_to_psj(ast, SCHEMA)
     assert len(variants) == 1 and variants[0].lossless
+
+
+# Each case: (predicate, folded result) under "NullLit and Col(1) are NULL",
+# which covers both callers' null tests (policy-gen's NullLit operands and
+# the LEFT JOIN rewrite's right-side columns).
+_A0 = Cmp("=", Col(0), IntLit(1))
+FOLD_CASES = {
+    "true": [(TRUE, True)],
+    "cmp": [(Cmp("<", Col(0), Col(1)), False), (Cmp("=", NullLit(), IntLit(1)), False), (_A0, _A0)],
+    "boolcol": [(BoolCol(Col(1)), False), (BoolCol(NullLit()), False), (BoolCol(Col(0)), BoolCol(Col(0)))],
+    "isnull": [(IsNull(Col(1)), True), (IsNull(NullLit()), True), (IsNull(Col(0)), IsNull(Col(0)))],
+    "not": [(Not(IsNull(Col(1))), False), (Not(BoolCol(Col(1))), True), (Not(_A0), Not(_A0))],
+    "and": [
+        (And(IsNull(Col(1)), _A0), _A0),
+        (And(_A0, IsNull(NullLit())), _A0),
+        (And(_A0, BoolCol(NullLit())), False),
+        (And(IsNull(Col(1)), Not(BoolCol(Col(1)))), True),
+        (And(_A0, BoolCol(Col(0))), And(_A0, BoolCol(Col(0)))),
+    ],
+}
+
+
+@pytest.mark.parametrize("node", sorted(FOLD_CASES))
+def test_fold_nulls(node):
+    def is_null(t):
+        return isinstance(t, NullLit) or t == Col(1)
+
+    for pred, want in FOLD_CASES[node]:
+        assert fold_nulls(pred, is_null) == want, pred
 
 
 # ---------------------------------------------------------------------------

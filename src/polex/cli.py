@@ -1,7 +1,8 @@
 """Command-line surface for the policy-extraction pipeline.
 
 Exit codes: 0 success, 2 input error, 3 partial result (path budget hit),
-4 policy-generation refusal (e.g. an unremovable request parameter).
+4 policy-generation refusal (an unremovable request parameter, or a
+COUNT(*) over a table with no unique column).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from .explorer import ExplorationConfig, explore
 from .interpreter import execute
 from .lexutil import SourceError
 from .policygen import (
-    RequestParamRemovalError,
     ViewGenError,
     simplify,
     to_conditioned_queries,
@@ -170,7 +170,7 @@ def cmd_policy_gen(args) -> int:
     except (CliError, RunDirError, SchemaError, SourceError) as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
-    except (RequestParamRemovalError, ViewGenError) as e:
+    except (ViewGenError, NormalizeError) as e:
         print(f"policy generation refused: {e}", file=sys.stderr)
         return REFUSED
     policy = Policy(views, settings["bound"], settings["value_range"])

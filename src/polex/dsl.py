@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Union
 
-from .lexutil import SourceError, Token, TokenStream, tokenize, unquote
+from .lexutil import SourceError, TokenStream, tokenize, unquote
 from .sqlast import COUNT_AGGREGATE, EXISTENCE_LIMIT1, QueryAst
 from .sqlparser import parse_sql
 from .terms import SESSION_PARAMS, BoolLit, IntLit, iter_terms, max_placeholder
@@ -143,7 +143,6 @@ class HandlerProgram:
     name: str
     request_params: tuple[tuple[str, str], ...]  # (name, type)
     body: tuple[Stmt, ...]
-    queries: dict[str, QueryAst]  # binding name -> parsed SQL
     literals: frozenset[int]  # int literals appearing in the source
 
     def param_names(self) -> tuple[str, ...]:
@@ -193,7 +192,7 @@ class _Parser:
             raise DslError("duplicate parameter name", name_tok.line, name_tok.col)
         ts.expect_punct("{")
         body = self.block()
-        program = HandlerProgram(name_tok.text, tuple(params), tuple(body), {}, frozenset())
+        program = HandlerProgram(name_tok.text, tuple(params), tuple(body), frozenset())
         return _check_program(program)
 
     def block(self) -> list[Stmt]:
@@ -416,7 +415,6 @@ class _Checker:
             self.program.name,
             self.program.request_params,
             self.program.body,
-            self.queries,
             frozenset(literals),
         )
 

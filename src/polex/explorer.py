@@ -114,16 +114,6 @@ class PrefixTree:
     def __init__(self):
         self.root = Node(None, PENDING)
 
-    def next_target(self) -> Node | None:
-        """First pending node in depth-first, creation order; None when done."""
-        stack = [self.root]
-        while stack:
-            n = stack.pop()
-            if n.status == PENDING:
-                return n
-            stack.extend(reversed(n.children))
-        return None
-
     def pending_nodes(self) -> list[Node]:
         out = []
         stack = [self.root]

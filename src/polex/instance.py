@@ -57,13 +57,3 @@ class ConcreteInput:
     @classmethod
     def load(cls, path: str | Path, schema: Schema) -> "ConcreteInput":
         return cls.from_json(json.loads(Path(path).read_text(encoding="utf-8")), schema)
-
-
-def empty_input(schema: Schema, handler: str = "", input_id: str = "") -> ConcreteInput:
-    return ConcreteInput(
-        input_id=input_id,
-        handler=handler,
-        tables={t.name: () for t in schema.tables},
-        session={"MyUserId": 0, "Now": 0},
-        request={},
-    )

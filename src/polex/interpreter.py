@@ -18,7 +18,6 @@ from .dsl import (
     AbortIfEmpty,
     AbortStmt,
     ArgExpr,
-    BindingRef,
     Cond,
     CondEq,
     CondIsNull,

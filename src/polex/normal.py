@@ -234,14 +234,6 @@ def to_normal_form(ast: QueryAst, schema: Schema) -> NormalFormQuery:
     return nf
 
 
-def count_parts(ast: QueryAst, schema: Schema) -> tuple[str, Predicate]:
-    """Table and resolved filter of a COUNT(*) query."""
-    if ast.shape != COUNT_AGGREGATE:
-        raise NormalizeError("not a COUNT(*) query")
-    space = _Space(schema, ast.tables)
-    return ast.tables[0].table, space.resolve_pred(ast.where)
-
-
 def _key_column(schema: Schema, table: str) -> int:
     t = schema.table(table)
     for i, c in enumerate(t.columns):

@@ -1,14 +1,16 @@
 """From transcripts to candidate policy views.
 
 Pipeline: transcripts are cut into conditioned queries (one per issued
-query, carrying the prior records as conditions, with empty-result Query
-records dropped); queries are normalized to PSJ form, splitting a
-conditioned query in two wherever a LEFT JOIN cannot be reduced to an
-inner join; the set is simplified (vacuous branches, equality
-propagation, duplicate and vacuous-unused query records, branch merging,
-subsumption); and each surviving conditioned query becomes one view by
-conjoining its records onto an accumulated query, then deleting request
-parameters of the supported shape.
+query, carrying the prior records as conditions; a query record with an
+empty result or a COUNT(*) adds no condition, since the latter always
+returns one row whose value may not be read); queries are normalized to
+PSJ form, splitting a conditioned query in two wherever a LEFT JOIN
+cannot be reduced to an inner join, and an issued COUNT(*) becomes a
+projection of its table's unique key; the set is simplified (vacuous
+branches, equality propagation, duplicate and vacuous-unused query
+records, branch merging, subsumption); and each surviving conditioned
+query becomes one view by conjoining its records onto an accumulated
+query, then deleting request parameters of the supported shape.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Union
 
 from .constraints import Constraint
 from .fdsolver import land, lnot
-from .normal import NormalFormQuery, column_of_ordinal, count_parts, normalize_query
+from .normal import NormalFormQuery, column_of_ordinal, normalize_query
 from .schema import Schema
 from .solver import bounded, check, encode_pred, encode_query
 from .sqlast import COUNT_AGGREGATE
@@ -43,7 +45,7 @@ from .terms import (
     map_terms,
     substitute_placeholders,
 )
-from .transcript import BranchRecord, QueryRecord, Transcript
+from .transcript import BranchRecord, Transcript
 
 
 class ViewGenError(Exception):
@@ -70,23 +72,12 @@ class CondQuery:
 
 
 @dataclass(frozen=True)
-class CondCount:
-    """A count aggregate surviving in conditions; it always returns one row
-    and its value may not be referenced, so simplification drops it."""
-
-    index: int
-    source: str
-    filter: Predicate
-    params: tuple[Scalar, ...]
-
-
-@dataclass(frozen=True)
 class CondBranch:
     pred: Predicate
     outcome: bool
 
 
-CondRecord = Union[CondQuery, CondCount, CondBranch]
+CondRecord = Union[CondQuery, CondBranch]
 
 
 @dataclass(frozen=True)
@@ -114,6 +105,27 @@ def _dedup(items):
     return list(seen.values())
 
 
+def _renumber(s: Scalar, mapping: dict[int, int]) -> Scalar:
+    """Rename the query index of a result-column reference."""
+    if isinstance(s, RowCol) and s.query_index in mapping:
+        return RowCol(mapping[s.query_index], s.column_index)
+    return s
+
+
+def _find(parent: dict, x):
+    parent.setdefault(x, x)
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent: dict, a, b) -> None:
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra != rb:
+        parent[ra] = rb
+
+
 # ---------------------------------------------------------------------------
 # Preprocessing: records -> normalized conditioned queries
 
@@ -123,40 +135,23 @@ class _Partial:
     """One rewrite variant of a conditioned query under construction."""
 
     conditions: list[CondRecord]
-    remap: dict[tuple[int, int], Scalar | None]  # (query, col) -> replacement; None = NULL
+    remap: dict[tuple[int, int], Scalar]  # (query, col) -> replacement; NullLit() = NULL
     approx: bool
 
 
-def _remap_scalar(s: Scalar, remap) -> Scalar | None:
-    """None means the scalar is a NULL under this variant."""
-    if isinstance(s, RowCol) and (s.query_index, s.column_index) in remap:
-        return remap[(s.query_index, s.column_index)]
+def _remap_scalar(s: Scalar, remap) -> Scalar:
+    if isinstance(s, RowCol):
+        return remap.get((s.query_index, s.column_index), s)
     return s
 
 
-def _remap_params(params, remap) -> tuple[tuple[Scalar, ...], bool]:
-    out = []
-    any_null = False
-    for s in params:
-        r = _remap_scalar(s, remap)
-        if r is None:
-            out.append(NullLit())
-            any_null = True
-        else:
-            out.append(r)
-    return tuple(out), any_null
-
-
-def _expand_record(partials: list[_Partial], record, ast_cache, schema) -> list[_Partial]:
-    """Apply one prior record to every live variant."""
+def _expand_record(partials: list[_Partial], record, variants=()) -> list[_Partial]:
+    """Apply one condition record to every live variant: a branch, or a
+    query that returned a row together with its PSJ rewrite variants."""
     out: list[_Partial] = []
     for part in partials:
         if isinstance(record, BranchRecord):
-            def sub(t, remap=part.remap):
-                r = _remap_scalar(t, remap)
-                return NullLit() if r is None else r
-
-            pred = map_terms(record.cond, sub)
+            pred = map_terms(record.cond, lambda t: _remap_scalar(t, part.remap))
             folded = fold_nulls(pred, lambda t: isinstance(t, NullLit))
             if isinstance(folded, bool):
                 if folded == record.outcome:
@@ -166,27 +161,15 @@ def _expand_record(partials: list[_Partial], record, ast_cache, schema) -> list[
             part = _Partial(part.conditions + [CondBranch(folded, record.outcome)], part.remap, part.approx)
             out.append(part)
             continue
-        # Query record in conditions (isEmpty=false by preprocessing).
-        params, any_null = _remap_params(record.params, part.remap)
-        if any_null:
+        params = tuple(_remap_scalar(s, part.remap) for s in record.params)
+        if any(isinstance(s, NullLit) for s in params):
             continue  # its filter compares against NULL: cannot have returned a row
-        ast = ast_cache(record.sql)
-        if ast.shape == COUNT_AGGREGATE:
-            table, filt = count_parts(ast, schema)
-            out.append(
-                _Partial(
-                    part.conditions + [CondCount(record.index, table, filt, params)],
-                    part.remap,
-                    part.approx,
-                )
-            )
-            continue
-        for variant in normalize_query(ast, schema):
+        for variant in variants:
             remap = dict(part.remap)
             if variant.tag == "left_only":
                 for old, new in enumerate(variant.result_map):
                     if new is None:
-                        remap[(record.index, old)] = None
+                        remap[(record.index, old)] = NullLit()
                     elif new != old:
                         remap[(record.index, old)] = RowCol(record.index, new)
             out.append(
@@ -203,31 +186,27 @@ def to_conditioned_queries(
     transcripts: list[Transcript], schema: Schema
 ) -> list[ConditionedQuery]:
     """One conditioned query per issued query per transcript (duplicates
-    collapse), with LEFT JOIN splits and the COUNT(*) rewrite applied."""
+    collapse), with LEFT JOIN splits and the COUNT(*) rewrite applied.
+
+    One pass per transcript keeps the live condition variants: each query
+    record first emits its conditioned queries under them, then extends
+    them.  An empty result and a COUNT(*) (one row, whose value may not be
+    read) add no condition."""
     asts: dict[str, object] = {}
-
-    def ast_cache(sql: str):
-        if sql not in asts:
-            asts[sql] = parse_sql(sql)
-        return asts[sql]
-
     out: list[ConditionedQuery] = []
     for t in transcripts:
-        for k, record in enumerate(t.records):
-            if not isinstance(record, QueryRecord):
+        partials = [_Partial([], {}, False)]
+        for record in t.records:
+            if isinstance(record, BranchRecord):
+                partials = _expand_record(partials, record)
                 continue
-            prior = [
-                r
-                for r in t.records[:k]
-                if isinstance(r, BranchRecord) or not r.is_empty
-            ]
-            partials = [_Partial([], {}, False)]
-            for r in prior:
-                partials = _expand_record(partials, r, ast_cache, schema)
+            if record.sql not in asts:
+                asts[record.sql] = parse_sql(record.sql)
+            ast = asts[record.sql]
+            variants = normalize_query(ast, schema)
             for part in partials:
-                params, _ = _remap_params(record.params, part.remap)
-                ast = ast_cache(record.sql)
-                for variant in normalize_query(ast, schema):
+                params = tuple(_remap_scalar(s, part.remap) for s in record.params)
+                for variant in variants:
                     out.append(
                         ConditionedQuery(
                             variant.nf,
@@ -238,6 +217,8 @@ def to_conditioned_queries(
                             approx=part.approx or not variant.lossless,
                         )
                     )
+            if not record.is_empty and ast.shape != COUNT_AGGREGATE:
+                partials = _expand_record(partials, record, variants)
     return _dedup(out)
 
 
@@ -314,8 +295,6 @@ class Simplifier:
         if isinstance(rec, CondBranch):
             f = encode_pred(rec.pred, {}, env)
             return f if rec.outcome else lnot(f)
-        if isinstance(rec, CondCount):
-            return None  # always returns a row; adds nothing
         enc = encode_query(
             rec.nf, rec.params, inst, self.schema, env, pool, f"c{k}", self.value_range
         )
@@ -332,9 +311,7 @@ class Simplifier:
         )
         hard: list = []
         for k, rec in enumerate(cq.conditions[:upto]):
-            f = self._record_formula(rec, inst, env, pool, hard, k)
-            if f is not None:
-                labeled.append((f"cond{k}", f))
+            labeled.append((f"cond{k}", self._record_formula(rec, inst, env, pool, hard, k)))
         goal = formula_of(inst, env, pool, hard)
         labeled.append(("negated-goal", lnot(goal)))
         verdict = check(pool, labeled, hard, self.timeout_s)
@@ -363,23 +340,18 @@ class Simplifier:
         k = 0
         while k < len(conditions):
             rec = conditions[k]
-            if not isinstance(rec, (CondQuery, CondCount)):
+            if not isinstance(rec, CondQuery) or self._referenced(rec.index, conditions[k + 1 :], cq.params):
                 k += 1
                 continue
-            if self._referenced(rec.index, conditions[k + 1 :], cq.params):
-                k += 1
-                continue
-            if isinstance(rec, CondCount):
-                vacuous = True  # a count always returns one row
-            else:
-                def goal(inst, env, pool, hard, rec=rec, k=k):
-                    enc = encode_query(
-                        rec.nf, rec.params, inst, self.schema, env, pool, f"g{k}", self.value_range
-                    )
-                    hard.extend(enc.defs)
-                    return enc.non_empty
-                vacuous = self._entails(cq, k, goal)
-            if vacuous:
+
+            def goal(inst, env, pool, hard, rec=rec, k=k):
+                enc = encode_query(
+                    rec.nf, rec.params, inst, self.schema, env, pool, f"g{k}", self.value_range
+                )
+                hard.extend(enc.defs)
+                return enc.non_empty
+
+            if self._entails(cq, k, goal):
                 del conditions[k]
             else:
                 k += 1
@@ -408,28 +380,15 @@ class Simplifier:
 
         Keys: ("qcol", query index, source ordinal) for result columns and
         plain columns of a condition query; ("scalar", s) for parameters and
-        literals.  Returns (find, scalar_key, queries, positions).
+        literals.  Returns (parent, scalar_key, queries, positions) for
+        `_find(parent, key)`.
         """
         parent: dict = {}
-
-        def find(x):
-            parent.setdefault(x, x)
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-        queries: dict[int, CondQuery] = {
-            rec.index: rec for rec in cq.conditions if isinstance(rec, CondQuery)
-        }
+        queries: dict[int, CondQuery] = {}
         positions: dict[int, int] = {}
         for pos, rec in enumerate(cq.conditions):
-            if isinstance(rec, (CondQuery, CondCount)):
+            if isinstance(rec, CondQuery):
+                queries[rec.index] = rec
                 positions[rec.index] = pos
 
         def scalar_key(s: Scalar):
@@ -455,11 +414,11 @@ class Simplifier:
                     ka = key_of(atom.left, rec.index)
                     kb = key_of(atom.right, rec.index)
                     if ka is not None and kb is not None:
-                        union(ka, kb)
-        return find, scalar_key, queries, positions, parent
+                        _union(parent, ka, kb)
+        return parent, scalar_key, queries, positions
 
     def _propagate_equalities(self, cq: ConditionedQuery) -> ConditionedQuery:
-        find, scalar_key, queries, positions, parent = self._equality_classes(cq)
+        parent, scalar_key, queries, positions = self._equality_classes(cq)
         if not parent:
             return cq
 
@@ -487,8 +446,8 @@ class Simplifier:
             k = scalar_key(s)
             if k is None:
                 return s
-            root = find(k)
-            members = [m for m in parent if find(m) == root]
+            root = _find(parent, k)
+            members = [m for m in parent if _find(parent, m) == root]
             best = None
             best_rank = None
             for m in members:
@@ -510,10 +469,6 @@ class Simplifier:
             if isinstance(rec, CondBranch):
                 new_pred = map_terms(rec.pred, lambda t: best_scalar(t, pos) if not isinstance(t, Col) else t)
                 new_conditions.append(CondBranch(new_pred, rec.outcome))
-            elif isinstance(rec, CondCount):
-                new_conditions.append(
-                    replace(rec, params=tuple(best_scalar(s, pos) for s in rec.params))
-                )
             else:
                 new_conditions.append(
                     replace(rec, params=tuple(best_scalar(s, pos) for s in rec.params))
@@ -529,46 +484,34 @@ class Simplifier:
         compared modulo the filter-induced equality classes, which is what
         makes duplicates visible after variable unification."""
         while True:
-            find, scalar_key, _queries, _positions, _parent = self._equality_classes(cq)
+            parent, scalar_key, _queries, _positions = self._equality_classes(cq)
 
             def param_key(s: Scalar):
                 k = scalar_key(s)
-                return find(k) if k is not None else s
+                return _find(parent, k) if k is not None else s
 
             seen: dict = {}
-            dup: tuple[int, int] | None = None  # (duplicate index, surviving index)
+            dup: dict[int, int] = {}  # duplicate index -> surviving index
             for rec in cq.conditions:
-                if isinstance(rec, CondQuery):
-                    key = (rec.nf, tuple(param_key(s) for s in rec.params))
-                elif isinstance(rec, CondCount):
-                    key = (rec.source, rec.filter, tuple(param_key(s) for s in rec.params))
-                else:
+                if not isinstance(rec, CondQuery):
                     continue
+                key = (rec.nf, tuple(param_key(s) for s in rec.params))
                 if key in seen:
-                    dup = (rec.index, seen[key])
+                    dup = {rec.index: seen[key]}
                     break
                 seen[key] = rec.index
-            if dup is None:
+            if not dup:
                 return cq
-            drop, keep = dup
-
-            def renumber(s: Scalar) -> Scalar:
-                if isinstance(s, RowCol) and s.query_index == drop:
-                    return RowCol(keep, s.column_index)
-                return s
-
             new_conditions = []
             for rec in cq.conditions:
-                if isinstance(rec, (CondQuery, CondCount)) and rec.index == drop:
-                    continue
                 if isinstance(rec, CondBranch):
-                    new_conditions.append(CondBranch(map_terms(rec.pred, renumber), rec.outcome))
-                else:
-                    new_conditions.append(replace(rec, params=tuple(renumber(s) for s in rec.params)))
+                    new_conditions.append(CondBranch(map_terms(rec.pred, lambda t: _renumber(t, dup)), rec.outcome))
+                elif rec.index not in dup:
+                    new_conditions.append(replace(rec, params=tuple(_renumber(s, dup) for s in rec.params)))
             cq = replace(
                 cq,
                 conditions=tuple(new_conditions),
-                params=tuple(renumber(s) for s in cq.params),
+                params=tuple(_renumber(s, dup) for s in cq.params),
             )
 
     # -- cross-conditioned-query steps ---------------------------------------
@@ -602,21 +545,10 @@ class Simplifier:
 
     @staticmethod
     def _records_match(rb: CondRecord, ra: CondRecord, mapping: dict[int, int]) -> bool:
-        def remap(s: Scalar) -> Scalar:
-            if isinstance(s, RowCol) and s.query_index in mapping:
-                return RowCol(mapping[s.query_index], s.column_index)
-            return s
-
         if isinstance(rb, CondBranch) and isinstance(ra, CondBranch):
-            return rb.outcome == ra.outcome and map_terms(rb.pred, remap) == ra.pred
+            return rb.outcome == ra.outcome and map_terms(rb.pred, lambda t: _renumber(t, mapping)) == ra.pred
         if isinstance(rb, CondQuery) and isinstance(ra, CondQuery):
-            return rb.nf == ra.nf and tuple(remap(s) for s in rb.params) == ra.params
-        if isinstance(rb, CondCount) and isinstance(ra, CondCount):
-            return (
-                rb.source == ra.source
-                and rb.filter == ra.filter
-                and tuple(remap(s) for s in rb.params) == ra.params
-            )
+            return rb.nf == ra.nf and tuple(_renumber(s, mapping) for s in rb.params) == ra.params
         return False
 
     @classmethod
@@ -630,19 +562,13 @@ class Simplifier:
                 ra = a.conditions[ai]
                 ai += 1
                 if cls._records_match(rb, ra, mapping):
-                    if isinstance(rb, (CondQuery, CondCount)):
+                    if isinstance(rb, CondQuery):
                         mapping[rb.index] = ra.index
                     found = True
                     break
             if not found:
                 return False
-
-        def remap(s: Scalar) -> Scalar:
-            if isinstance(s, RowCol) and s.query_index in mapping:
-                return RowCol(mapping[s.query_index], s.column_index)
-            return s
-
-        return b.sql == a.sql and tuple(remap(s) for s in b.params) == a.params
+        return b.sql == a.sql and tuple(_renumber(s, mapping) for s in b.params) == a.params
 
     def _remove_subsumed(self, cqs: list[ConditionedQuery]) -> list[ConditionedQuery]:
         """Drop a conditioned query when another carries the same query under
@@ -730,10 +656,6 @@ def generate_view_trace(cq: ConditionedQuery, schema: Schema) -> list[NormalForm
             theta = _pred_via_mapping(rec.pred, mapping)
             theta = theta if rec.outcome else Not(theta)
             acc = NormalFormQuery(acc.projection, conjoin([acc.filter, theta]), acc.sources)
-        elif isinstance(rec, CondCount):
-            raise ViewGenError(
-                f"aggregation survived preprocessing in conditions of query {unparse_safe(cq.sql, schema)}"
-            )
         else:
             acc, mapping = _conjoin_query(acc, mapping, rec.nf, rec.params, rec.index, schema)
         trace.append(acc)
@@ -809,21 +731,11 @@ def _remove_one_request_param(nf: NormalFormQuery, name: str, schema: Schema) ->
 def _projected_equal(col: int, projection: tuple[int, ...], remaining: list[Predicate]) -> bool:
     """Is `col` itself projected, or forced equal to a projected column?"""
     parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for c in remaining:
         if isinstance(c, Cmp) and c.op == "=" and isinstance(c.left, Col) and isinstance(c.right, Col):
-            ra, rb = find(c.left.index), find(c.right.index)
-            if ra != rb:
-                parent[ra] = rb
-    root = find(col)
-    return any(find(p) == root for p in projection)
+            _union(parent, c.left.index, c.right.index)
+    root = _find(parent, col)
+    return any(_find(parent, p) == root for p in projection)
 
 
 def views_from_cqs(cqs: list[ConditionedQuery], schema: Schema) -> list[View]:

@@ -73,9 +73,6 @@ class Policy:
     bound: int = 2
     value_range: tuple[int, int] = (0, 7)
 
-    def view_queries(self) -> list[NormalFormQuery]:
-        return [v.nf for v in self.views]
-
 
 class PrunerError(Exception):
     pass

@@ -15,7 +15,6 @@ Every policy view's witness input id resolves to a file under inputs/.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -214,8 +213,3 @@ def load_policy_file(path: str | Path, schema: Schema) -> list[View]:
     if not p.exists():
         raise RunDirError(f"no policy file at {p}")
     return parse_policy_text(p.read_text(encoding="utf-8"), schema)
-
-
-def save_json(path: Path, data) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")

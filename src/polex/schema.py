@@ -74,9 +74,6 @@ class Schema:
                 return t
         raise SchemaError(f"no table {name!r} in schema")
 
-    def has_table(self, name: str) -> bool:
-        return any(t.name == name for t in self.tables)
-
     def validate(self) -> None:
         names = [t.name for t in self.tables]
         if len(set(names)) != len(names):

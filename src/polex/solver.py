@@ -39,7 +39,7 @@ from .fdsolver import (
     lor,
 )
 from .instance import ConcreteInput
-from .normal import CountQuery, ExecutableQuery, LeftJoinQuery, NormalFormQuery, PlainQuery
+from .normal import CountQuery, LeftJoinQuery, NormalFormQuery, PlainQuery
 from .schema import Schema
 from .terms import (
     SESSION_PARAMS,

@@ -7,7 +7,7 @@ else malformed raises `SqlSyntaxError` with a line/column position.
 
 from __future__ import annotations
 
-from .lexutil import SourceError, Token, TokenStream, tokenize
+from .lexutil import SourceError, TokenStream, tokenize
 from .sqlast import (
     CountStar,
     JoinClause,

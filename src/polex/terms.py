@@ -253,11 +253,6 @@ def iter_terms(p: Predicate) -> Iterator[Term]:
         yield from iter_terms(p.right)
 
 
-def shift_cols(p: Predicate, offset: int) -> Predicate:
-    """Shift every Col ordinal by `offset` (used when prepending sources)."""
-    return map_terms(p, lambda t: Col(t.index + offset) if isinstance(t, Col) else t)
-
-
 def max_placeholder(p: Predicate) -> int:
     m = 0
     for t in iter_terms(p):

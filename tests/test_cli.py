@@ -138,6 +138,24 @@ handler flagged(Flag: bool) {
     assert "refused" in capsys.readouterr().err
 
 
+def test_policy_gen_refuses_count_over_keyless_table(tmp_path, capsys):
+    run = make_run(tmp_path, "toys")
+    (run / "handlers" / "detail_count.hdl").write_text(
+        """
+handler detail_count(B: int) {
+  let n = query("SELECT COUNT(*) FROM details WHERE body = ?", B);
+  render(n);
+}
+"""
+    )
+    assert main(["explore", str(run), "detail_count"]) == 0
+    capsys.readouterr()
+    assert main(["policy-gen", str(run), "detail_count"]) == 4
+    err = capsys.readouterr().err
+    assert "policy generation refused:" in err and "unique key column" in err
+    assert "Traceback" not in err
+
+
 def test_merge_prune_and_final_policy(tmp_path):
     run = make_run(tmp_path, "grade_sheet")
     main(["explore", str(run), "view_grade_sheet"])

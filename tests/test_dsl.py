@@ -3,12 +3,9 @@ from __future__ import annotations
 import pytest
 
 from polex.dsl import (
-    AbortIfEmpty,
     ComputedArgumentError,
     DslError,
-    IfStmt,
     LetQuery,
-    RenderStmt,
     UseBeforeGuardError,
     parse_handler,
 )
@@ -25,7 +22,6 @@ def test_grade_sheet_handler_parses(grade_program):
 def test_empty_handler_is_valid():
     p = parse_handler("handler nothing() { }")
     assert p.body == ()
-    assert p.queries == {}
 
 
 def test_computed_argument_rejected():

@@ -7,7 +7,6 @@ from polex.dsl import parse_handler
 from polex.explorer import (
     ABANDONED,
     INFEASIBLE,
-    PENDING,
     VISITED,
     DivergenceError,
     ExplorationConfig,
@@ -42,7 +41,7 @@ def canonical_transcript():
 
 def test_fresh_tree_targets_root():
     tree = PrefixTree()
-    assert tree.next_target() is tree.root
+    assert tree.pending_nodes()[0] is tree.root
 
 
 def test_insert_canonical_transcript_creates_three_pendings():
@@ -77,18 +76,18 @@ def test_reinsert_is_idempotent():
 def test_next_target_is_deterministic_depth_first():
     tree = PrefixTree()
     tree.extend(canonical_transcript())
-    first = tree.next_target()
+    first = tree.pending_nodes()[0]
     # depth-first, creation order: the deepest sibling comes first
     assert isinstance(first.record, QueryRecord) and first.record.index == 2
     assert first.record.is_empty is True
-    assert tree.next_target() is first  # unchanged until status changes
+    assert tree.pending_nodes()[0] is first  # unchanged until status changes
 
 
 def test_fully_explored_tree_has_no_target():
     tree = PrefixTree()
     t = Transcript("h", "h-0001", (), "end")
     tree.extend(t)
-    assert tree.next_target() is None
+    assert tree.pending_nodes() == []
 
 
 def test_divergence_detected():

@@ -1,0 +1,59 @@
+"""Every name imported by the program, its tests and its scripts is used.
+
+An AST check, so it needs no linter: a module fails when it imports a
+name that no expression or annotation (quoted ones included) of the same
+module mentions.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted(p for d in ("src/polex", "tests", "scripts") for p in (ROOT / d).rglob("*.py"))
+
+
+def _imported(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                yield node.lineno, a.asname or a.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                if a.name != "*":
+                    yield node.lineno, a.asname or a.name
+
+
+def _names(node: ast.AST) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def _used(tree: ast.Module) -> set[str]:
+    used = _names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotation = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        else:
+            continue
+        for c in ast.walk(annotation) if annotation else ():
+            if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                used |= _names(ast.parse(c.value, mode="eval"))
+    return used
+
+
+def test_sources_found():
+    assert any(p.name == "policygen.py" for p in FILES)
+    assert any(p.name == "output_digest.py" for p in FILES)
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path: Path):
+    tree = ast.parse(path.read_text(), str(path))
+    used = _used(tree)
+    unused = [f"line {line}: {name}" for line, name in _imported(tree) if name not in used]
+    assert not unused, f"{path.relative_to(ROOT)} imports names it never uses: {unused}"

@@ -4,17 +4,16 @@ import itertools
 
 import pytest
 
+from polex.dsl import parse_handler
 from polex.evaluate import ScalarEnv, eval_branch, eval_nf
 from polex.explorer import ExplorationConfig, explore
 from polex.instance import ConcreteInput
 from polex.normal import to_normal_form
 from polex.policygen import (
     CondBranch,
-    CondCount,
     CondQuery,
     ConditionedQuery,
     RequestParamRemovalError,
-    ViewGenError,
     generate_view,
     generate_view_trace,
     remove_request_params,
@@ -26,16 +25,12 @@ from polex.sqlparser import parse_sql
 from polex.terms import (
     BoolCol,
     Cmp,
-    Col,
     IntLit,
     IsNull,
-    Not,
-    PlaceholderRef,
     RequestParam,
     RowCol,
     SessionParam,
     TRUE,
-    conjoin,
     substitute_placeholders,
 )
 from polex.transcript import BranchRecord, QueryRecord, Transcript
@@ -108,6 +103,70 @@ def test_duplicate_cqs_collapse(grade_schema):
     t = canonical_transcript()
     cqs = to_conditioned_queries([t, t], grade_schema)
     assert len(cqs) == 2
+
+
+COUNT_SQL = "SELECT COUNT(*) FROM items WHERE category = ?"
+USERS_SQL = "SELECT * FROM users WHERE id = ?"
+ITEM_DETAIL_SQL = (
+    "SELECT items.id, details.body FROM items"
+    " LEFT JOIN details ON items.id = details.item_id WHERE items.id = ?"
+)
+
+
+def test_count_record_adds_no_condition(toys_schema):
+    t = Transcript(
+        "h", "h-0001",
+        (
+            QueryRecord(1, COUNT_SQL, (RequestParam("Cat"),), False),
+            QueryRecord(2, USERS_SQL, (SessionParam("MyUserId"),), False),
+        ),
+        "rendered",
+    )
+    count_cq, users_cq = to_conditioned_queries([t], toys_schema)
+    assert count_cq.sql.sources == ("items",) and count_cq.approx  # the key-projection rewrite
+    assert users_cq.sql.sources == ("users",)
+    assert users_cq.conditions == ()
+
+
+def test_count_of_left_join_null_keeps_left_only_variant(toys_schema):
+    # The count's parameter is the LEFT JOIN's right-side column, NULL in
+    # the left-only variant; the count adds no condition, so that variant
+    # must survive for the query after it.
+    t = Transcript(
+        "h", "h-0001",
+        (
+            QueryRecord(1, ITEM_DETAIL_SQL, (RequestParam("ItemId"),), False),
+            QueryRecord(2, COUNT_SQL, (RowCol(1, 1),), False),
+            QueryRecord(3, USERS_SQL, (SessionParam("MyUserId"),), False),
+        ),
+        "rendered",
+    )
+    cqs = to_conditioned_queries([t], toys_schema)
+    users_cqs = [c for c in cqs if c.sql.sources == ("users",)]
+    assert sorted(c.conditions[0].nf.sources for c in users_cqs) == [
+        ("items",),  # left-only
+        ("items", "details"),  # inner
+    ]
+    assert all(len(c.conditions) == 1 for c in users_cqs)
+
+
+def test_count_of_left_join_null_views_through_explore(toys_schema, toys_constraints):
+    program = parse_handler(
+        "handler h(ItemId: int) {\n"
+        f'  let a = query("{ITEM_DETAIL_SQL}", ItemId);\n'
+        "  abort_if_empty(a, 404);\n"
+        f'  let n = query("{COUNT_SQL}", a.body);\n'
+        f'  let u = query("{USERS_SQL}", MyUserId);\n'
+        "  render(a, n, u);\n"
+        "}\n"
+    )
+    res = explore(program, toys_schema, toys_constraints, ExplorationConfig())
+    cqs = simplify(
+        to_conditioned_queries(res.transcripts, toys_schema),
+        toys_schema, toys_constraints, dict(program.request_params),
+    )
+    views = {unparse_view(v.nf, toys_schema) for v in views_from_cqs(cqs, toys_schema)}
+    assert "SELECT items.id, users.* FROM items, users\nWHERE users.id = MyUserId" in views
 
 
 # ---------------------------------------------------------------------------
@@ -249,24 +308,6 @@ def test_vacuous_unused_query_removed(toys_schema, toys_constraints):
     )
     (out,) = simplify([cq], toys_schema, toys_constraints, {"BodyVal": "int"})
     assert out.conditions == (CondQuery(1, details, (RequestParam("BodyVal"),)),)
-
-
-def test_count_record_dropped_as_vacuous(toys_schema, toys_constraints):
-    items = to_normal_form(parse_sql("SELECT * FROM items WHERE id = ?"), toys_schema)
-    cq = ConditionedQuery(
-        items,
-        (RequestParam("ItemId"),),
-        (CondCount(1, "items", TRUE, ()),),
-    )
-    (out,) = simplify([cq], toys_schema, toys_constraints, {"ItemId": "int"})
-    assert out.conditions == ()
-
-
-def test_surviving_count_record_is_a_view_error(toys_schema):
-    items = to_normal_form(parse_sql("SELECT * FROM items WHERE id = ?"), toys_schema)
-    cq = ConditionedQuery(items, (RequestParam("ItemId"),), (CondCount(1, "items", TRUE, ()),))
-    with pytest.raises(ViewGenError):
-        generate_view(cq, toys_schema)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from polex.terms import (
     RequestParam,
     SessionParam,
     TRUE,
-    conjoin,
     fold_nulls,
 )
 from polex.unparse import unparse_nf, unparse_view

@@ -10,9 +10,12 @@ outcome), asks the solver for an input, runs the handler on it, and
 grows the tree from the transcript.  Exploration ends when no pending
 prefix remains or the path budget runs out.
 
-Determinism: each round generates inputs for the pending prefixes in
-depth-first tree order, then runs them in that order, so the visited set
-and all emitted ids reproduce.
+Determinism: one loop takes the pending prefixes first in, first out,
+in the order they were found; the siblings a run adds enter deepest
+first.  Pending prefixes of different runs lie in disjoint subtrees, so
+this is the depth-first order of the tree.  Each input takes the next id
+when it is solved, a repaired input too, so the visited set and all
+emitted ids reproduce.
 
 Every pending prefix costs one solver check: sat gives the next input,
 unsat marks the prefix infeasible, and a timeout marks it abandoned.
@@ -21,13 +24,16 @@ unsat marks the prefix infeasible, and a timeout marks it abandoned.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass, field, replace
 
 from .constraints import Constraint, validate_instance
 from .dsl import HandlerProgram
+from .evaluate import ScalarEnv, eval_branch, eval_executable
 from .fdsolver import lnot
 from .instance import ConcreteInput
 from .interpreter import MultiRowResult, QueryCatalog, execute, validate_program
+from .normal import CountQuery, LeftJoinQuery, PlainQuery
 from .schema import Schema
 from .solver import bounded, check, encode_pred, encode_query, model_to_input
 from .terms import IntLit, iter_terms
@@ -99,7 +105,6 @@ class Node:
     status: str
     parent: "Node | None" = None
     children: list["Node"] = field(default_factory=list)
-    note: str = ""
 
     def prefix(self) -> list[TranscriptRecord]:
         out = []
@@ -114,19 +119,10 @@ class PrefixTree:
     def __init__(self):
         self.root = Node(None, PENDING)
 
-    def pending_nodes(self) -> list[Node]:
-        out = []
-        stack = [self.root]
-        while stack:
-            n = stack.pop()
-            if n.status == PENDING:
-                out.append(n)
-            stack.extend(reversed(n.children))
-        return out
-
-    def extend(self, transcript: Transcript, target: Node | None = None) -> int:
+    def extend(self, transcript: Transcript, target: Node | None = None) -> list[Node]:
         """Mark the transcript's path visited, adding pending siblings for
-        fresh branch points.  Returns the number of new pending nodes.
+        fresh branch points.  Returns the new pending siblings deepest
+        first, which is their depth-first order.
 
         Raises DivergenceError if the transcript does not pass through
         `target` (the prefix its input was generated to follow).
@@ -140,7 +136,7 @@ class PrefixTree:
                 )
         node = self.root
         node.status = VISITED
-        new_pending = 0
+        new_pending = []
         for r in transcript.records:
             label = record_label(r)
             child = None
@@ -153,10 +149,10 @@ class PrefixTree:
                 node.children.append(child)
                 sibling = Node(_flip(r), PENDING, parent=node)
                 node.children.append(sibling)
-                new_pending += 1
+                new_pending.append(sibling)
             child.status = VISITED
             node = child
-        return new_pending
+        return new_pending[::-1]
 
     def counts(self) -> dict[str, int]:
         out = {PENDING: 0, VISITED: 0, INFEASIBLE: 0, ABANDONED: 0}
@@ -176,52 +172,6 @@ class ExplorationResult:
     complete: bool
     reports: list[str]
     warnings: list[str]
-
-
-class _PathEncoder:
-    """Assemble labeled solver formulas for one prefix."""
-
-    def __init__(self, program: HandlerProgram, schema: Schema, constraints: list[Constraint],
-                 config: ExplorationConfig, catalog: QueryCatalog):
-        self.schema = schema
-        self.config = config
-        self.catalog = catalog
-        self.pool, (self.inst,), self.env, constraint_formulas = bounded(
-            schema, constraints, config.table_bound, config.value_range, program.request_params
-        )
-        self.labeled: list[tuple[str, tuple]] = list(constraint_formulas)
-        self.hard: list[tuple] = []
-        self._seen_labels = {label for label, _ in self.labeled}
-
-    def _add(self, label: str, formula) -> None:
-        if label in self._seen_labels:
-            return
-        self._seen_labels.add(label)
-        self.labeled.append((label, formula))
-
-    def add_record(self, r: TranscriptRecord) -> None:
-        if isinstance(r, QueryRecord):
-            exe = self.catalog.executable(r.sql)
-            enc = encode_query(
-                exe, r.params, self.inst, self.schema, self.env,
-                self.pool, f"q{r.index}", self.config.value_range,
-            )
-            self.hard.extend(enc.defs)
-            label = record_label(r)
-            self._add(label, lnot(enc.non_empty) if r.is_empty else enc.non_empty)
-            self._add("amo:" + record_label(QueryRecord(r.index, r.sql, r.params, False)), enc.at_most_one)
-            if not r.is_empty:
-                self.env.rows[r.index] = enc.result
-        else:
-            f = encode_pred(r.cond, {}, self.env)
-            self._add(record_label(r), f if r.outcome else lnot(f))
-
-    def add_at_most_one(self, index: int, sql: str, params) -> None:
-        exe = self.catalog.executable(sql)
-        enc = encode_query(exe, params, self.inst, self.schema, self.env,
-                           self.pool, f"amoq{index}", self.config.value_range)
-        self.hard.extend(enc.defs)
-        self._add("amo:" + record_label(QueryRecord(index, sql, params, False)), enc.at_most_one)
 
 
 class Explorer:
@@ -244,18 +194,42 @@ class Explorer:
 
     # -- input generation --------------------------------------------------
 
-    def _encoder_for(self, records) -> _PathEncoder:
-        enc = _PathEncoder(self.program, self.schema, self.constraints, self.config, self.catalog)
-        for r in records:
-            enc.add_record(r)
-        return enc
-
     def generate_input(self, records, extra_amo=()) -> tuple[str, ConcreteInput | None]:
-        """Solve the path conditions of `records`; returns (status, input)."""
-        enc = self._encoder_for(records)
-        for (index, sql, params) in extra_amo:
-            enc.add_at_most_one(index, sql, params)
-        verdict = check(enc.pool, enc.labeled, enc.hard, self.config.solver_timeout)
+        """Solve the path conditions of `records`, with an at-most-one-row
+        restriction per `(index, sql, params)` of `extra_amo`; returns
+        (status, input)."""
+        cfg = self.config
+        pool, (inst,), env, constraint_formulas = bounded(
+            self.schema, self.constraints, cfg.table_bound, cfg.value_range,
+            self.program.request_params,
+        )
+        labeled: list[tuple[str, tuple]] = list(constraint_formulas)
+        hard: list[tuple] = []
+        seen = {label for label, _ in labeled}
+
+        def add(label: str, formula) -> None:
+            if label not in seen:
+                seen.add(label)
+                labeled.append((label, formula))
+
+        steps = [(r, "q") for r in records]
+        steps += [(QueryRecord(i, sql, params, False), "amoq") for i, sql, params in extra_amo]
+        for r, tag in steps:
+            if isinstance(r, BranchRecord):
+                f = encode_pred(r.cond, {}, env)
+                add(record_label(r), f if r.outcome else lnot(f))
+                continue
+            enc = encode_query(
+                self.catalog.executable(r.sql), r.params, inst, self.schema, env,
+                pool, f"{tag}{r.index}", cfg.value_range,
+            )
+            hard.extend(enc.defs)
+            if tag == "q":  # a path condition, not only a restriction
+                add(record_label(r), lnot(enc.non_empty) if r.is_empty else enc.non_empty)
+                if not r.is_empty:
+                    env.rows[r.index] = enc.result
+            add("amo:" + record_label(replace(r, is_empty=False)), enc.at_most_one)
+        verdict = check(pool, labeled, hard, cfg.solver_timeout)
         if verdict.status == "unknown":
             return ABANDONED, None
         if verdict.status == "unsat":
@@ -265,7 +239,7 @@ class Explorer:
         self.input_seq += 1
         input_id = f"{self.program.name}-{self.input_seq:04d}"
         ci = model_to_input(
-            verdict.model, enc.inst, self.schema, enc.env,
+            verdict.model, inst, self.schema, env,
             input_id, self.program.name, self.program.param_names(),
         )
         ok, viol = validate_instance(ci, self.constraints, self.schema)
@@ -299,8 +273,6 @@ class Explorer:
     # -- reporting (new constants / new queries, per the detection mechanism)
 
     def _report_transcript(self, t: Transcript) -> None:
-        from .normal import CountQuery, LeftJoinQuery, PlainQuery
-
         for r in t.records:
             if isinstance(r, QueryRecord):
                 if r.sql not in self.seen_sql:
@@ -325,60 +297,41 @@ class Explorer:
     # -- main loop -----------------------------------------------------------
 
     def explore(self) -> ExplorationResult:
-        budget = self.config.max_paths
-        while True:
-            targets = self.tree.pending_nodes()
-            if not targets:
-                return self._result(complete=True)
-            jobs = []
-            for target in targets:
-                if len(self.transcripts) + len(jobs) >= budget:
-                    break
-                status, ci = self.generate_input(target.prefix())
-                if status == INFEASIBLE:
-                    target.status = INFEASIBLE
-                elif status == ABANDONED:
-                    target.status = ABANDONED
-                    target.note = "solver timeout"
-                    self.warnings.append("solver timeout; prefix abandoned")
-                else:
-                    jobs.append((target, ci))
-            if not jobs:
-                if len(self.transcripts) >= budget and self.tree.pending_nodes():
-                    return self._result(complete=False)
-                continue
-
-            for target, ci in jobs:
-                try:
-                    try:
-                        outcome = ci, execute(self.program, ci, self.schema, self.catalog)
-                    except MultiRowResult as e:
-                        outcome = self.repair_and_run(target, e)
-                except Exception as e:
-                    target.status = ABANDONED
-                    target.note = str(e)
-                    self.warnings.append(f"executor failure: {e}")
-                    continue
-                final_ci, (transcript, warnings) = outcome
-                try:
-                    self.tree.extend(transcript, target)
-                except DivergenceError as e:
-                    target.status = ABANDONED
-                    target.note = str(e)
-                    self.warnings.append(str(e))
-                    continue
-                self.transcripts.append(transcript)
-                self.inputs[final_ci.input_id] = final_ci
-                self.warnings.extend(warnings)
-                self._report_transcript(transcript)
-                self._check_agreement(transcript, final_ci)
-            if len(self.transcripts) >= budget and self.tree.pending_nodes():
+        pending = deque([self.tree.root])
+        while pending:
+            if len(self.transcripts) >= self.config.max_paths:
                 return self._result(complete=False)
+            target = pending.popleft()
+            status, ci = self.generate_input(target.prefix())
+            if status != "sat":
+                target.status = status
+                if status == ABANDONED:
+                    self.warnings.append("solver timeout; prefix abandoned")
+                continue
+            try:
+                try:
+                    transcript, warnings = execute(self.program, ci, self.schema, self.catalog)
+                except MultiRowResult as e:
+                    ci, (transcript, warnings) = self.repair_and_run(target, e)
+            except Exception as e:
+                target.status = ABANDONED
+                self.warnings.append(f"executor failure: {e}")
+                continue
+            try:
+                pending.extend(self.tree.extend(transcript, target))
+            except DivergenceError as e:
+                target.status = ABANDONED
+                self.warnings.append(str(e))
+                continue
+            self.transcripts.append(transcript)
+            self.inputs[ci.input_id] = ci
+            self.warnings.extend(warnings)
+            self._report_transcript(transcript)
+            self._check_agreement(transcript, ci)
+        return self._result(complete=True)
 
     def _check_agreement(self, transcript: Transcript, ci: ConcreteInput) -> None:
         """Concrete/symbolic agreement: branch outcomes recompute identically."""
-        from .evaluate import ScalarEnv, eval_branch, eval_executable
-
         env = ScalarEnv(session=dict(ci.session), request=dict(ci.request))
         for r in transcript.records:
             if isinstance(r, QueryRecord):

@@ -35,6 +35,7 @@ from .evaluate import ScalarEnv, eval_branch, eval_executable
 from .instance import ConcreteInput, Row
 from .normal import ExecutableQuery, to_executable
 from .schema import Schema
+from .sqlparser import parse_sql
 from .terms import (
     SESSION_PARAMS,
     BoolCol,
@@ -79,8 +80,6 @@ class QueryCatalog:
 
     def executable(self, sql: str) -> ExecutableQuery:
         if sql not in self._cache:
-            from .sqlparser import parse_sql
-
             self._cache[sql] = to_executable(parse_sql(sql), self.schema)
         return self._cache[sql]
 

@@ -46,6 +46,7 @@ from .terms import (
     substitute_placeholders,
 )
 from .transcript import BranchRecord, Transcript
+from .unparse import unparse_nf
 
 
 class ViewGenError(Exception):
@@ -145,6 +146,14 @@ def _remap_scalar(s: Scalar, remap) -> Scalar:
     return s
 
 
+def _live_params(record, part: _Partial) -> tuple[Scalar, ...] | None:
+    """The query record's parameters under a variant, or None when one
+    became NULL: its filter then compares against NULL, so the query
+    returns no row."""
+    params = tuple(_remap_scalar(s, part.remap) for s in record.params)
+    return None if any(isinstance(s, NullLit) for s in params) else params
+
+
 def _expand_record(partials: list[_Partial], record, variants=()) -> list[_Partial]:
     """Apply one condition record to every live variant: a branch, or a
     query that returned a row together with its PSJ rewrite variants."""
@@ -161,9 +170,9 @@ def _expand_record(partials: list[_Partial], record, variants=()) -> list[_Parti
             part = _Partial(part.conditions + [CondBranch(folded, record.outcome)], part.remap, part.approx)
             out.append(part)
             continue
-        params = tuple(_remap_scalar(s, part.remap) for s in record.params)
-        if any(isinstance(s, NullLit) for s in params):
-            continue  # its filter compares against NULL: cannot have returned a row
+        params = _live_params(record, part)
+        if params is None:
+            continue  # cannot have returned a row
         for variant in variants:
             remap = dict(part.remap)
             if variant.tag == "left_only":
@@ -191,7 +200,8 @@ def to_conditioned_queries(
     One pass per transcript keeps the live condition variants: each query
     record first emits its conditioned queries under them, then extends
     them.  An empty result and a COUNT(*) (one row, whose value may not be
-    read) add no condition."""
+    read) add no condition.  A variant under which a parameter became NULL
+    (a LEFT JOIN's left-only part) emits no conditioned query for it."""
     asts: dict[str, object] = {}
     out: list[ConditionedQuery] = []
     for t in transcripts:
@@ -205,7 +215,9 @@ def to_conditioned_queries(
             ast = asts[record.sql]
             variants = normalize_query(ast, schema)
             for part in partials:
-                params = tuple(_remap_scalar(s, part.remap) for s in record.params)
+                params = _live_params(record, part)
+                if params is None:
+                    continue  # always empty: nothing to allow
                 for variant in variants:
                     out.append(
                         ConditionedQuery(
@@ -669,8 +681,6 @@ def generate_view(cq: ConditionedQuery, schema: Schema) -> NormalFormQuery:
 
 
 def unparse_safe(nf: NormalFormQuery, schema: Schema) -> str:
-    from .unparse import unparse_nf
-
     try:
         return unparse_nf(nf, schema)
     except Exception:
@@ -695,8 +705,6 @@ def remove_request_params(nf: NormalFormQuery, schema: Schema) -> NormalFormQuer
 
 
 def _remove_one_request_param(nf: NormalFormQuery, name: str, schema: Schema) -> NormalFormQuery:
-    from .unparse import unparse_nf
-
     cs = conjuncts(nf.filter)
     hits: list[int] = []
     col: int | None = None

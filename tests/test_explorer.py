@@ -7,6 +7,7 @@ from polex.dsl import parse_handler
 from polex.explorer import (
     ABANDONED,
     INFEASIBLE,
+    PENDING,
     VISITED,
     DivergenceError,
     ExplorationConfig,
@@ -17,7 +18,7 @@ from polex.explorer import (
 )
 from polex.interpreter import MultiRowResult, execute
 from polex.schema import parse_schema
-from polex.terms import BoolCol, RequestParam, RowCol, SessionParam
+from polex.terms import BoolCol, Cmp, IntLit, RequestParam, RowCol, SessionParam
 from polex.transcript import BranchRecord, QueryRecord, Transcript
 
 
@@ -39,17 +40,33 @@ def canonical_transcript():
 # Prefix tree
 
 
+def pending_preorder(tree):
+    """The tree's PENDING nodes in depth-first preorder, children in
+    creation order."""
+    out = []
+    stack = [tree.root]
+    while stack:
+        n = stack.pop()
+        if n.status == PENDING:
+            out.append(n)
+        stack.extend(reversed(n.children))
+    return out
+
+
 def test_fresh_tree_targets_root():
     tree = PrefixTree()
-    assert tree.pending_nodes()[0] is tree.root
+    assert tree.root.status == PENDING
+    assert tree.root.children == []
+    assert pending_preorder(tree) == [tree.root]
 
 
 def test_insert_canonical_transcript_creates_three_pendings():
     tree = PrefixTree()
-    new = tree.extend(canonical_transcript())
-    assert new == 3
-    pendings = tree.pending_nodes()
+    pendings = tree.extend(canonical_transcript())
     assert len(pendings) == 3
+    assert all(p.status == PENDING for p in pendings)
+    assert tree.root.status == VISITED
+    assert tree.counts() == {PENDING: 3, VISITED: 4, INFEASIBLE: 0, ABANDONED: 0}
     kinds = {record_label(p.record) for p in pendings}
     # one sibling per record, with the outcome flipped
     assert any('"empty": true' in k or '"empty":true' in k for k in kinds)
@@ -60,42 +77,62 @@ def test_insert_canonical_transcript_creates_three_pendings():
 def test_insert_empty_transcript_marks_root_visited():
     tree = PrefixTree()
     t = Transcript("h", "h-0001", (), "end")
-    assert tree.extend(t) == 0
+    assert tree.extend(t) == []
     assert tree.root.status == VISITED
-    assert tree.pending_nodes() == []
+    assert tree.counts()[PENDING] == 0
 
 
 def test_reinsert_is_idempotent():
     tree = PrefixTree()
-    tree.extend(canonical_transcript())
+    first = tree.extend(canonical_transcript())
     snapshot = tree.counts()
-    assert tree.extend(canonical_transcript()) == 0
+    assert tree.extend(canonical_transcript()) == []
     assert tree.counts() == snapshot
+    assert all(p.status == PENDING for p in first)
 
 
 def test_next_target_is_deterministic_depth_first():
     tree = PrefixTree()
-    tree.extend(canonical_transcript())
-    first = tree.pending_nodes()[0]
+    pendings = tree.extend(canonical_transcript())
+    # the whole list is the depth-first preorder of the pending nodes,
+    # which the explorer's first-in, first-out queue relies on
+    assert pendings == pending_preorder(tree)
+    first = pendings[0]
     # depth-first, creation order: the deepest sibling comes first
     assert isinstance(first.record, QueryRecord) and first.record.index == 2
     assert first.record.is_empty is True
-    assert tree.pending_nodes()[0] is first  # unchanged until status changes
+    assert [len(p.prefix()) for p in pendings] == [3, 2, 1]
+    # a run through the deepest sibling adds its own pendings below it,
+    # still in depth-first order
+    t = canonical_transcript()
+    deeper = Transcript(t.handler, "x-0002", (
+        *t.records[:2],
+        first.record,
+        BranchRecord(Cmp("=", RequestParam("CourseId"), IntLit(3)), True),
+    ), "rendered")
+    added = tree.extend(deeper, first)
+    assert first.status == VISITED
+    assert added == [n for n in pending_preorder(tree) if n not in pendings]
+    assert pending_preorder(tree) == added + pendings[1:]
 
 
 def test_fully_explored_tree_has_no_target():
     tree = PrefixTree()
     t = Transcript("h", "h-0001", (), "end")
     tree.extend(t)
-    assert tree.pending_nodes() == []
+    assert pending_preorder(tree) == []
+    assert tree.counts() == {PENDING: 0, VISITED: 1, INFEASIBLE: 0, ABANDONED: 0}
 
 
 def test_divergence_detected():
     tree = PrefixTree()
-    tree.extend(canonical_transcript())
-    target = [p for p in tree.pending_nodes() if isinstance(p.record, BranchRecord)][0]
+    pendings = tree.extend(canonical_transcript())
+    target = [p for p in pendings if isinstance(p.record, BranchRecord)][0]
+    snapshot = tree.counts()
     with pytest.raises(DivergenceError):
         tree.extend(canonical_transcript(), target)
+    assert target.status == PENDING
+    assert tree.counts() == snapshot
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +212,8 @@ def test_max_paths_cutoff_flags_incomplete(grade_program, grade_schema, grade_co
     res = explore(grade_program, grade_schema, grade_constraints, ExplorationConfig(max_paths=1))
     assert not res.complete
     assert len(res.transcripts) == 1
+    # the prefixes left unvisited stay pending
+    assert res.tree.counts()[PENDING] >= 1
 
 
 def test_infeasible_sibling_for_count_query(toys_schema, toys_constraints):

@@ -1,8 +1,10 @@
-"""Every name imported by the program, its tests and its scripts is used.
+"""Every name imported by the program, its tests and its scripts is used,
+and the program imports at module level only.
 
-An AST check, so it needs no linter: a module fails when it imports a
+AST checks, so they need no linter: a module fails when it imports a
 name that no expression or annotation (quoted ones included) of the same
-module mentions.
+module mentions, and a program module fails when a function body holds an
+import.
 """
 
 from __future__ import annotations
@@ -57,3 +59,19 @@ def test_no_unused_imports(path: Path):
     used = _used(tree)
     unused = [f"line {line}: {name}" for line, name in _imported(tree) if name not in used]
     assert not unused, f"{path.relative_to(ROOT)} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in FILES if p.is_relative_to(ROOT / "src")],
+    ids=lambda p: str(p.relative_to(ROOT)),
+)
+def test_no_function_level_imports(path: Path):
+    tree = ast.parse(path.read_text(), str(path))
+    inner = [
+        f"line {node.lineno} in {fn.name}"
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert not inner, f"{path.relative_to(ROOT)} imports inside a function: {inner}"

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .constraints import generate_constraints, render_constraint_file
 from .explorer import ExplorationConfig, explore
-from .interpreter import execute
+from .interpreter import ExecutionError, execute
 from .lexutil import SourceError
 from .policygen import (
     ViewGenError,
@@ -24,9 +24,7 @@ from .policygen import (
 from .pruner import Policy, broaden, is_allowed, merge_and_prune, prune
 from .rundir import RunDirectory, RunDirError, load_policy_file, render_policy
 from .schema import SchemaError, load_schema
-from .sqlparser import parse_sql
-from .normal import NormalizeError, non_session_scalar, normalize_query
-from .terms import render_scalar
+from .normal import NormalizeError, session_view
 from .transcript import record_line, render_record
 from .unparse import unparse_view
 
@@ -114,7 +112,7 @@ def cmd_explore(args) -> int:
         program, _path = _load_handler(run, args.handler)
         config = _config_from_args(args)
         result = explore(program, schema, constraints, config)
-    except (CliError, RunDirError, SchemaError, SourceError) as e:
+    except (CliError, RunDirError, SchemaError, SourceError, NormalizeError, ExecutionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
     meta = {"config": config.to_json(), "seed": config.seed}
@@ -136,7 +134,7 @@ def cmd_explore(args) -> int:
     return OK
 
 
-def _generate_handler_views(run: RunDirectory, schema, constraints, name: str, settings: dict, skip=()):
+def _generate_handler_views(run: RunDirectory, schema, constraints, name: str, settings: dict):
     ids = run.transcript_ids(name)
     if not ids:
         raise CliError(f"no transcripts for handler {name!r}; run explore first")
@@ -152,7 +150,6 @@ def _generate_handler_views(run: RunDirectory, schema, constraints, name: str, s
         table_bound=settings["bound"],
         value_range=settings["value_range"],
         timeout_s=settings["timeout"],
-        skip=skip,
     )
     views = views_from_cqs(simplified, schema)
     return transcripts, cqs, simplified, views
@@ -275,13 +272,7 @@ def cmd_is_allowed(args) -> int:
         schema = run.load_schema()
         constraints, _ = run.load_constraints(schema)
         views = load_policy_file(args.policy, schema)
-        variants = normalize_query(parse_sql(args.query), schema)
-        if len(variants) != 1 or not variants[0].lossless:
-            raise CliError("query must be a PSJ (or existence) query")
-        q = variants[0].nf
-        bad = non_session_scalar(q)
-        if bad is not None:
-            raise CliError(f"query uses {render_scalar(bad)}, not a session parameter")
+        q = session_view(args.query, schema)
     except (CliError, RunDirError, SchemaError, SourceError, NormalizeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR

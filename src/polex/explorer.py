@@ -23,7 +23,6 @@ unsat marks the prefix infeasible, and a timeout marks it abandoned.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -37,14 +36,7 @@ from .normal import CountQuery, LeftJoinQuery, PlainQuery
 from .schema import Schema
 from .solver import bounded, check, encode_pred, encode_query, model_to_input
 from .terms import IntLit, iter_terms
-from .transcript import (
-    BranchRecord,
-    QueryRecord,
-    Transcript,
-    TranscriptRecord,
-    pred_to_json,
-    scalar_to_json,
-)
+from .transcript import BranchRecord, QueryRecord, Transcript, TranscriptRecord
 
 PENDING = "pending"
 VISITED = "visited"
@@ -79,20 +71,6 @@ class ExplorationConfig:
         }
 
 
-def record_label(r: TranscriptRecord) -> str:
-    """Stable content-based identity of a record plus its outcome."""
-    if isinstance(r, QueryRecord):
-        body = {
-            "q": r.index,
-            "sql": r.sql,
-            "params": [scalar_to_json(s) for s in r.params],
-            "empty": r.is_empty,
-        }
-    else:
-        body = {"cond": pred_to_json(r.cond), "out": r.outcome}
-    return json.dumps(body, sort_keys=True, separators=(",", ":"))
-
-
 def _flip(r: TranscriptRecord) -> TranscriptRecord:
     if isinstance(r, QueryRecord):
         return QueryRecord(r.index, r.sql, r.params, not r.is_empty)
@@ -125,11 +103,12 @@ class PrefixTree:
         first, which is their depth-first order.
 
         Raises DivergenceError if the transcript does not pass through
-        `target` (the prefix its input was generated to follow).
+        `target` (the prefix its input was generated to follow).  Records
+        compare by value, which ignores their source lines.
         """
         if target is not None:
-            want = [record_label(r) for r in target.prefix()]
-            got = [record_label(r) for r in transcript.records[: len(want)]]
+            want = target.prefix()
+            got = list(transcript.records[: len(want)])
             if got != want:
                 raise DivergenceError(
                     f"run diverged from its prefix at record {len(got)}"
@@ -138,12 +117,7 @@ class PrefixTree:
         node.status = VISITED
         new_pending = []
         for r in transcript.records:
-            label = record_label(r)
-            child = None
-            for c in node.children:
-                if record_label(c.record) == label:
-                    child = c
-                    break
+            child = next((c for c in node.children if c.record == r), None)
             if child is None:
                 child = Node(r, PENDING, parent=node)
                 node.children.append(child)
@@ -199,37 +173,36 @@ class Explorer:
         restriction per `(index, sql, params)` of `extra_amo`; returns
         (status, input)."""
         cfg = self.config
-        pool, (inst,), env, constraint_formulas = bounded(
+        pool, (inst,), env, formulas = bounded(
             self.schema, self.constraints, cfg.table_bound, cfg.value_range,
             self.program.request_params,
         )
-        labeled: list[tuple[str, tuple]] = list(constraint_formulas)
-        hard: list[tuple] = []
-        seen = {label for label, _ in labeled}
+        defs: list[tuple] = []
+        seen = set()
 
-        def add(label: str, formula) -> None:
-            if label not in seen:
-                seen.add(label)
-                labeled.append((label, formula))
+        def add(key, formula) -> None:  # a record asserted twice counts once
+            if key not in seen:
+                seen.add(key)
+                formulas.append(formula)
 
         steps = [(r, "q") for r in records]
         steps += [(QueryRecord(i, sql, params, False), "amoq") for i, sql, params in extra_amo]
         for r, tag in steps:
             if isinstance(r, BranchRecord):
                 f = encode_pred(r.cond, {}, env)
-                add(record_label(r), f if r.outcome else lnot(f))
+                add(r, f if r.outcome else lnot(f))
                 continue
             enc = encode_query(
                 self.catalog.executable(r.sql), r.params, inst, self.schema, env,
                 pool, f"{tag}{r.index}", cfg.value_range,
             )
-            hard.extend(enc.defs)
+            defs.extend(enc.defs)
             if tag == "q":  # a path condition, not only a restriction
-                add(record_label(r), lnot(enc.non_empty) if r.is_empty else enc.non_empty)
+                add(r, lnot(enc.non_empty) if r.is_empty else enc.non_empty)
                 if not r.is_empty:
                     env.rows[r.index] = enc.result
-            add("amo:" + record_label(replace(r, is_empty=False)), enc.at_most_one)
-        verdict = check(pool, labeled, hard, cfg.solver_timeout)
+            add(("amo", replace(r, is_empty=False)), enc.at_most_one)
+        verdict = check(pool, defs + formulas, cfg.solver_timeout)
         if verdict.status == "unknown":
             return ABANDONED, None
         if verdict.status == "unsat":

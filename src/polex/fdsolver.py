@@ -11,11 +11,10 @@ finite, so instead of an external SMT engine we compile to SAT:
   * comparison atoms become clauses over the one-hot vectors;
   * the boolean structure is Tseitin-encoded with full equivalences.
 
-`check` asserts every formula as a unit clause and runs one search of a
-small CDCL (two-watched literals, 1UIP learning, VSIDS-ish activities,
-phase saving, Luby restarts).  Labels only name formulas in error messages
-and in the SMT-LIB dump.  All heuristics are deterministic, so identical
-inputs give identical models.
+`check` takes one list of formulas, asserts each as a unit clause in list
+order and runs one search of a small CDCL (two-watched literals, 1UIP
+learning, VSIDS-ish activities, phase saving, Luby restarts).  All
+heuristics are deterministic, so identical inputs give identical models.
 """
 
 from __future__ import annotations
@@ -612,16 +611,10 @@ class InternalSolverError(Exception):
 class CdclBackend:
     """Compile every formula to SAT as a unit clause and run one CDCL search."""
 
-    def check(
-        self,
-        pool: VarPool,
-        labeled: list[tuple[str, tuple]],
-        hard: list[tuple] = (),
-        timeout_s: float | None = 5.0,
-    ) -> CheckResult:
+    def check(self, pool: VarPool, formulas: list[tuple], timeout_s: float | None = 5.0) -> CheckResult:
         deadline = None if timeout_s is None else time.monotonic() + timeout_s
         comp = Compiler(pool)
-        for f in list(hard) + [f for _, f in labeled]:
+        for f in formulas:
             comp.cnf.add([comp.lit(f)])
         try:
             status, assigns = _Cdcl(comp.cnf.nvars, comp.cnf.clauses, deadline).solve()
@@ -630,17 +623,10 @@ class CdclBackend:
         if status == "unsat":
             return CheckResult("unsat")
         model = comp.model_from_sat(assigns)
-        self._verify_model(model, labeled, hard)
+        for i, f in enumerate(formulas):
+            if not eval_formula(f, model):
+                raise InternalSolverError(f"model does not satisfy formula {i}")
         return CheckResult("sat", model=model)
-
-    @staticmethod
-    def _verify_model(model, labeled, hard) -> None:
-        for f in hard:
-            if not eval_formula(f, model):
-                raise InternalSolverError("model does not satisfy a hard formula")
-        for label, f in labeled:
-            if not eval_formula(f, model):
-                raise InternalSolverError(f"model does not satisfy formula {label!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -677,9 +663,9 @@ def _smt_formula(pool: VarPool, f) -> str:
     raise ValueError(f"bad formula node {f!r}")
 
 
-def to_smtlib(pool: VarPool, labeled: list[tuple[str, tuple]], hard: list[tuple] = ()) -> str:
+def to_smtlib(pool: VarPool, formulas: list[tuple]) -> str:
     """Render the problem as SMT-LIB2 text for offline inspection."""
-    lines = ["(set-logic QF_LIA)", "(set-option :produce-unsat-cores true)"]
+    lines = ["(set-logic QF_LIA)"]
     for vid in range(len(pool)):
         name = pool.names[vid]
         if pool.kinds[vid] == "bool":
@@ -688,9 +674,7 @@ def to_smtlib(pool: VarPool, labeled: list[tuple[str, tuple]], hard: list[tuple]
             lo, hi = pool.domains[vid]
             lines.append(f"(declare-fun |{name}| () Int)")
             lines.append(f"(assert (and (<= {lo} |{name}|) (<= |{name}| {hi})))")
-    for f in hard:
+    for f in formulas:
         lines.append(f"(assert {_smt_formula(pool, f)})")
-    for label, f in labeled:
-        lines.append(f"(assert (! {_smt_formula(pool, f)} :named |{label}|))")
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"

@@ -37,7 +37,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-def tokenize(text: str, allow_comments: bool = True) -> list[Token]:
+def tokenize(text: str) -> list[Token]:
     """Split `text` into tokens, tracking 1-based line/column positions."""
     tokens: list[Token] = []
     pos = 0
@@ -50,11 +50,8 @@ def tokenize(text: str, allow_comments: bool = True) -> list[Token]:
             raise SourceError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
         kind = m.lastgroup
         tok_text = m.group()
-        col = pos - line_start + 1
-        if kind == "comment" and not allow_comments:
-            raise SourceError("comments are not allowed here", line, col)
         if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, tok_text, line, col))
+            tokens.append(Token(kind, tok_text, line, pos - line_start + 1))
         newlines = tok_text.count("\n")
         if newlines:
             line += newlines

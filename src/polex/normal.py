@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .schema import Schema
+from .sqlparser import parse_sql
 from .sqlast import (
     COUNT_AGGREGATE,
     EXISTENCE_LIMIT1,
@@ -53,6 +54,7 @@ from .terms import (
     fold_nulls,
     iter_terms,
     map_terms,
+    render_scalar,
 )
 
 
@@ -216,6 +218,19 @@ def non_session_scalar(nf: NormalFormQuery) -> Scalar | None:
         if isinstance(t, (PlaceholderRef, RequestParam, RowCol)):
             return t
     return None
+
+
+def session_view(sql: str, schema: Schema) -> NormalFormQuery:
+    """The normal form of a policy view or a checked query: `sql` must have
+    one lossless PSJ variant, holding no scalar but session parameters.
+    Raises NormalizeError (SourceError if `sql` does not parse)."""
+    variants = normalize_query(parse_sql(sql), schema)
+    if len(variants) != 1 or not variants[0].lossless:
+        raise NormalizeError(f"{sql!r} is not a PSJ (or existence) query")
+    bad = non_session_scalar(variants[0].nf)
+    if bad is not None:
+        raise NormalizeError(f"{sql!r} uses {render_scalar(bad)}, not a session parameter")
+    return variants[0].nf
 
 
 # ---------------------------------------------------------------------------

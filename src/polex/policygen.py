@@ -237,16 +237,6 @@ def to_conditioned_queries(
 # ---------------------------------------------------------------------------
 # Simplification
 
-SIMPLIFY_STEPS = (
-    "vacuous_branches",
-    "propagate_equalities",
-    "duplicate_queries",
-    "vacuous_queries",
-    "merge_branches",
-    "subsume",
-)
-
-
 @dataclass
 class Simplifier:
     schema: Schema
@@ -255,34 +245,19 @@ class Simplifier:
     table_bound: int = 2
     value_range: tuple[int, int] = (0, 7)
     timeout_s: float = 5.0
-    skip: frozenset = frozenset()
 
     def simplify(self, cqs: list[ConditionedQuery]) -> list[ConditionedQuery]:
         cqs = _dedup(cqs)
-        cqs = [self._per_cq(cq) for cq in cqs]
+        for step in (self._remove_vacuous_branches, self._propagate_equalities, self._remove_duplicate_queries):
+            cqs = [step(cq) for cq in cqs]
         cqs = _dedup(cqs)
         while True:
             before = list(cqs)
-            if "vacuous_queries" not in self.skip:
-                cqs = _dedup([self._remove_vacuous_queries(cq) for cq in cqs])
-            if "merge_branches" not in self.skip:
-                cqs = self._merge_branches(cqs)
+            cqs = _dedup([self._remove_vacuous_queries(cq) for cq in cqs])
+            cqs = self._merge_branches(cqs)
             if cqs == before:
                 break
-        if "subsume" not in self.skip:
-            cqs = self._remove_subsumed(cqs)
-        return cqs
-
-    # -- per-conditioned-query steps --------------------------------------
-
-    def _per_cq(self, cq: ConditionedQuery) -> ConditionedQuery:
-        if "vacuous_branches" not in self.skip:
-            cq = self._remove_vacuous_branches(cq)
-        if "propagate_equalities" not in self.skip:
-            cq = self._propagate_equalities(cq)
-        if "duplicate_queries" not in self.skip:
-            cq = self._remove_duplicate_queries(cq)
-        return cq
+        return self._remove_subsumed(cqs)
 
     # Solver plumbing for entailment checks over a condition prefix.
 
@@ -302,48 +277,35 @@ class Simplifier:
             visit(s)
         return names
 
-    def _record_formula(self, rec, inst, env, pool, hard, k: int):
-        """Assert one condition record; extends env with result symbols."""
-        if isinstance(rec, CondBranch):
-            f = encode_pred(rec.pred, {}, env)
-            return f if rec.outcome else lnot(f)
-        enc = encode_query(
-            rec.nf, rec.params, inst, self.schema, env, pool, f"c{k}", self.value_range
-        )
-        hard.extend(enc.defs)
-        env.rows[rec.index] = enc.result
-        return land(enc.non_empty, enc.at_most_one)
-
-    def _entails(self, cq: ConditionedQuery, upto: int, formula_of) -> bool:
-        """constraints + conditions[:upto] entail the formula built by
-        `formula_of(inst, env, pool, hard)`; Unknown counts as no."""
-        pool, (inst,), env, labeled = bounded(
+    def _entails(self, cq: ConditionedQuery, conditions, k: int) -> bool:
+        """The constraints plus `conditions[:k]` entail that `conditions[k]`
+        holds: a branch its outcome, a query a row.  A premise query also
+        returns at most one row.  Unknown counts as no."""
+        pool, (inst,), env, formulas = bounded(
             self.schema, self.constraints, self.table_bound, self.value_range,
             sorted(self._param_names(cq).items()),
         )
-        hard: list = []
-        for k, rec in enumerate(cq.conditions[:upto]):
-            labeled.append((f"cond{k}", self._record_formula(rec, inst, env, pool, hard, k)))
-        goal = formula_of(inst, env, pool, hard)
-        labeled.append(("negated-goal", lnot(goal)))
-        verdict = check(pool, labeled, hard, self.timeout_s)
-        return verdict.status == "unsat"
+        defs: list = []
+        for j, rec in enumerate(conditions[: k + 1]):
+            if isinstance(rec, CondBranch):
+                f = encode_pred(rec.pred, {}, env)
+                f = f if rec.outcome else lnot(f)
+            else:
+                enc = encode_query(
+                    rec.nf, rec.params, inst, self.schema, env, pool, f"c{j}", self.value_range
+                )
+                defs.extend(enc.defs)
+                env.rows[rec.index] = enc.result
+                f = land(enc.non_empty, enc.at_most_one) if j < k else enc.non_empty
+            formulas.append(f if j < k else lnot(f))
+        return check(pool, defs + formulas, self.timeout_s).status == "unsat"
 
     def _remove_vacuous_branches(self, cq: ConditionedQuery) -> ConditionedQuery:
-        kept: list[CondRecord] = []
-        removed = False
-        for k, rec in enumerate(cq.conditions):
-            if isinstance(rec, CondBranch):
-                def goal(inst, env, pool, hard, rec=rec):
-                    f = encode_pred(rec.pred, {}, env)
-                    return f if rec.outcome else lnot(f)
-                if self._entails(cq, k, goal):
-                    removed = True
-                    continue
-            kept.append(rec)
-        if not removed:
-            return cq
-        return replace(cq, conditions=tuple(kept))
+        kept = tuple(
+            rec for k, rec in enumerate(cq.conditions)
+            if not (isinstance(rec, CondBranch) and self._entails(cq, cq.conditions, k))
+        )
+        return cq if len(kept) == len(cq.conditions) else replace(cq, conditions=kept)
 
     def _remove_vacuous_queries(self, cq: ConditionedQuery) -> ConditionedQuery:
         """Drop condition queries that must return a row and whose result
@@ -352,18 +314,11 @@ class Simplifier:
         k = 0
         while k < len(conditions):
             rec = conditions[k]
-            if not isinstance(rec, CondQuery) or self._referenced(rec.index, conditions[k + 1 :], cq.params):
-                k += 1
-                continue
-
-            def goal(inst, env, pool, hard, rec=rec, k=k):
-                enc = encode_query(
-                    rec.nf, rec.params, inst, self.schema, env, pool, f"g{k}", self.value_range
-                )
-                hard.extend(enc.defs)
-                return enc.non_empty
-
-            if self._entails(cq, k, goal):
+            if (
+                isinstance(rec, CondQuery)
+                and not self._referenced(rec.index, conditions[k + 1 :], cq.params)
+                and self._entails(cq, conditions, k)
+            ):
                 del conditions[k]
             else:
                 k += 1
@@ -610,11 +565,8 @@ def simplify(
     table_bound: int = 2,
     value_range: tuple[int, int] = (0, 7),
     timeout_s: float = 5.0,
-    skip=(),
 ) -> list[ConditionedQuery]:
-    s = Simplifier(
-        schema, constraints, param_types or {}, table_bound, value_range, timeout_s, frozenset(skip)
-    )
+    s = Simplifier(schema, constraints, param_types or {}, table_bound, value_range, timeout_s)
     return s.simplify(cqs)
 
 

@@ -228,17 +228,17 @@ def _is_allowed_by_solver(
     timeout_s: float = 5.0,
 ) -> ContainmentVerdict:
     """Bounded two-instance determinacy check of `q` against `views`."""
-    pool, (inst_a, inst_b), env, labeled = bounded(
+    pool, (inst_a, inst_b), env, formulas = bounded(
         schema, constraints, bound, value_range, prefixes=("A.", "B.")
     )
-    for k, v in enumerate(views):
+    for v in views:
         pa = result_pairs(v, inst_a, schema, env)
         pb = result_pairs(v, inst_b, schema, env)
-        labeled.append((f"agree:view{k}", _set_eq(pa, pb)))
+        formulas.append(_set_eq(pa, pb))
     qa = result_pairs(q, inst_a, schema, env)
     qb = result_pairs(q, inst_b, schema, env)
-    labeled.append(("differ:query", _set_neq(qa, qb)))
-    verdict = check(pool, labeled, timeout_s=timeout_s)
+    formulas.append(_set_neq(qa, qb))
+    verdict = check(pool, formulas, timeout_s)
     if verdict.status == "unknown":
         return ContainmentVerdict(UNKNOWN)
     if verdict.status == "unsat":

@@ -22,17 +22,23 @@ from pathlib import Path
 from .constraints import expand_all, parse_constraint_file
 from .dsl import HandlerProgram, parse_handlers
 from .instance import ConcreteInput
-from .normal import non_session_scalar, normalize_query
+from .normal import session_view
 from .policygen import View
-from .schema import Interner, Schema, load_schema
-from .sqlparser import parse_sql
-from .terms import render_scalar
+from .schema import Interner, Schema, SchemaError, load_schema
 from .transcript import Transcript, transcript_from_jsonl, transcript_to_jsonl
 from .unparse import unparse_view
 
 
 class RunDirError(Exception):
     pass
+
+
+def _load(path: Path, load):
+    """`load(path)`; a malformed file raises RunDirError naming it."""
+    try:
+        return load(path)
+    except (ValueError, KeyError, IndexError, TypeError, AttributeError, SchemaError) as e:
+        raise RunDirError(f"malformed {path}: {e}") from e
 
 
 @dataclass
@@ -85,7 +91,7 @@ class RunDirectory:
 
     def load_constraints(self, schema: Schema):
         """Returns (expanded constraints, interner)."""
-        interner = Interner.load(self.intern_path)
+        interner = _load(self.intern_path, Interner.load)
         items = []
         if self.constraints_path.exists():
             items = parse_constraint_file(
@@ -118,7 +124,7 @@ class RunDirectory:
         path = self.transcripts_dir / f"{input_id}.jsonl"
         if not path.exists():
             raise RunDirError(f"no transcript for input id {input_id!r}")
-        return transcript_from_jsonl(path.read_text(encoding="utf-8"))
+        return _load(path, lambda p: transcript_from_jsonl(p.read_text(encoding="utf-8")))
 
     def transcript_ids(self, handler: str | None = None) -> list[str]:
         if not self.transcripts_dir.is_dir():
@@ -138,7 +144,7 @@ class RunDirectory:
         path = self.inputs_dir / f"{input_id}.json"
         if not path.exists():
             raise RunDirError(f"no input for id {input_id!r}")
-        return ConcreteInput.load(path, schema)
+        return _load(path, lambda p: ConcreteInput.load(p, schema))
 
     # -- policies ------------------------------------------------------------
 
@@ -169,7 +175,8 @@ _HEADER_RE = re.compile(r"--\s*view\s+\d+(?:\s+handler=(?P<handler>\S+))?(?:\s+w
 
 def parse_policy_text(text: str, schema: Schema) -> list[View]:
     """Parse a policy file: `;`-terminated view statements with optional
-    `-- view k handler=... witness=...` headers."""
+    `-- view k handler=... witness=...` headers.  Each view must pass
+    `session_view`, which raises NormalizeError otherwise."""
     views: list[View] = []
     handler = witness = ""
     statement_lines: list[str] = []
@@ -180,13 +187,7 @@ def parse_policy_text(text: str, schema: Schema) -> list[View]:
         statement_lines = []
         if not stmt:
             return
-        variants = normalize_query(parse_sql(stmt), schema)
-        if len(variants) != 1 or not variants[0].lossless:
-            raise RunDirError(f"policy view is not a PSJ query: {stmt!r}")
-        bad = non_session_scalar(variants[0].nf)
-        if bad is not None:
-            raise RunDirError(f"policy view uses {render_scalar(bad)}, not a session parameter: {stmt!r}")
-        views.append(View(variants[0].nf, handler=handler, witness=witness))
+        views.append(View(session_view(stmt, schema), handler=handler, witness=witness))
         handler = witness = ""
 
     for raw in text.splitlines():

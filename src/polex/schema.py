@@ -175,4 +175,4 @@ class Interner:
         p = Path(path)
         if not p.exists():
             return cls()
-        return cls(json.loads(p.read_text(encoding="utf-8")))
+        return cls(dict(json.loads(p.read_text(encoding="utf-8"))))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .constraints import Constraint, Containment, LiteralRelation, Unique, render_constraint
+from .constraints import Constraint, Containment, LiteralRelation, Unique
 from .fdsolver import (
     FALSE_F,
     TRUE_F,
@@ -135,8 +135,10 @@ def encode_instance(
     pool: VarPool,
     value_range: tuple[int, int] = (0, 7),
     prefix: str = "",
-) -> tuple[SymInstance, list[tuple[str, tuple]]]:
-    """Allocate a bounded symbolic instance and its constraint formulas."""
+) -> tuple[SymInstance, list[tuple]]:
+    """Allocate a bounded symbolic instance; returns it with its formulas:
+    one row-order formula per table (for bounds above 1), then one per
+    constraint, in list order."""
     if bound < 1:
         raise EncodeError("table bound must be >= 1")
     tables = {}
@@ -153,7 +155,7 @@ def encode_instance(
             rows.append(SymRow(p, tuple(values), tuple(nulls)))
         tables[t.name] = SymTable(t.name, tuple(rows))
     inst = SymInstance(prefix, bound, tables)
-    labeled = []
+    formulas = []
     # Row order within a conditional table is irrelevant, so force absent
     # rows to trail present ones; this halves the symmetric search space.
     for t in schema.tables:
@@ -162,10 +164,10 @@ def encode_instance(
             *[implies(bvar(rows[r + 1].presence), bvar(rows[r].presence)) for r in range(bound - 1)]
         )
         if order != TRUE_F:
-            labeled.append((f"{prefix}rows:{t.name}", order))
+            formulas.append(order)
     for c in constraints:
-        labeled.append((f"{prefix}{render_constraint(c)}", encode_constraint(c, inst, schema)))
-    return inst, labeled
+        formulas.append(encode_constraint(c, inst, schema))
+    return inst, formulas
 
 
 def bounded(
@@ -175,23 +177,24 @@ def bounded(
     value_range: tuple[int, int],
     params=(),
     prefixes: tuple[str, ...] = ("",),
-) -> tuple[VarPool, list[SymInstance], SymEnv, list[tuple[str, tuple]]]:
+) -> tuple[VarPool, list[SymInstance], SymEnv, list[tuple]]:
     """The symbols every check starts from: one instance per prefix, then
     shared session-parameter symbols, then one per `(name, type)` request
-    parameter not yet allocated.  Returns (pool, instances, env, labeled
-    constraint formulas); allocation order fixes the SAT variable numbers.
+    parameter not yet allocated.  Returns (pool, instances, env, formulas),
+    the formulas being every instance's `encode_instance` formulas in
+    prefix order; allocation order fixes the SAT variable numbers.
     """
     pool = VarPool()
-    instances, labeled = [], []
+    instances, formulas = [], []
     for prefix in prefixes:
-        inst, formulas = encode_instance(schema, constraints, bound, pool, value_range, prefix)
+        inst, own = encode_instance(schema, constraints, bound, pool, value_range, prefix)
         instances.append(inst)
-        labeled.extend(formulas)
+        formulas.extend(own)
     env = SymEnv()
     for name, ptype in [(name, "int") for name in SESSION_PARAMS] + list(params):
         if name not in env.params:
             env.params[name] = pool.new_int(name, *_col_domain(value_range, ptype))
-    return pool, instances, env, labeled
+    return pool, instances, env, formulas
 
 
 def _row_values(inst: SymInstance, table: str, row_idx: int) -> tuple[SymValue, ...]:
@@ -393,15 +396,11 @@ def encode_constraint(c: Constraint, inst: SymInstance, schema: Schema):
 # Solving and model extraction
 
 
-def check(
-    pool: VarPool,
-    labeled: list[tuple[str, tuple]],
-    hard: list[tuple] = (),
-    timeout_s: float | None = 5.0,
-) -> CheckResult:
-    """Decide the conjunction of `hard` and `labeled` in one CDCL search: Sat
-    models are verified against every formula, timeouts surface as Unknown."""
-    return CdclBackend().check(pool, labeled, list(hard), timeout_s=timeout_s)
+def check(pool: VarPool, formulas: list[tuple], timeout_s: float | None = 5.0) -> CheckResult:
+    """Decide the conjunction of `formulas` in one CDCL search, compiling
+    them in list order (callers put query definitions first): Sat models
+    are verified against every formula, timeouts surface as Unknown."""
+    return CdclBackend().check(pool, formulas, timeout_s=timeout_s)
 
 
 def model_to_input(

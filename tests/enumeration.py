@@ -17,13 +17,7 @@ from polex.fdsolver import CheckResult, VarPool, eval_formula
 class EnumerationBackend:
     """Reference backend: enumerate all assignments (tiny problems only)."""
 
-    def check(
-        self,
-        pool: VarPool,
-        labeled: list[tuple[str, tuple]],
-        hard: list[tuple] = (),
-        timeout_s: float | None = 5.0,
-    ) -> CheckResult:
+    def check(self, pool: VarPool, formulas: list[tuple], timeout_s: float | None = 5.0) -> CheckResult:
         deadline = None if timeout_s is None else time.monotonic() + timeout_s
         spaces = []
         for vid in range(len(pool)):
@@ -33,7 +27,6 @@ class EnumerationBackend:
                 lo, hi = pool.domains[vid]
                 spaces.append(tuple(range(lo, hi + 1)))
 
-        formulas = list(hard) + [f for _, f in labeled]
         for combo in itertools.product(*spaces):
             if deadline is not None and time.monotonic() > deadline:
                 return CheckResult("unknown")

@@ -238,14 +238,14 @@ def toy_pipeline(toys_schema, toys_constraints):
     return handlers
 
 
-def _corpus_policy(toys_schema, toys_constraints, toy_pipeline, skip=(), value_range=(0, 3)):
+def _corpus_policy(toys_schema, toys_constraints, toy_pipeline, value_range=(0, 3)):
     all_cqs = {}
     per_handler = []
     for name, (program, transcripts) in toy_pipeline.items():
         cqs = to_conditioned_queries(transcripts, toys_schema)
         simplified = simplify(
             cqs, toys_schema, toys_constraints, dict(program.request_params),
-            value_range=value_range, skip=skip,
+            value_range=value_range,
         )
         all_cqs[name] = simplified
         views = views_from_cqs(simplified, toys_schema)
@@ -275,13 +275,27 @@ def test_criterion_3_completeness(toys_schema, toys_constraints, toy_pipeline):
                "handlers are allowed under the final merged policy (zero violations)")
 
 
+SIMPLIFY_STEPS = (
+    "_remove_vacuous_branches",
+    "_propagate_equalities",
+    "_remove_duplicate_queries",
+    "_remove_vacuous_queries",
+    "_merge_branches",
+    "_remove_subsumed",
+)
+
+
 def test_criterion_5_simplification_soundness(toys_schema, toys_constraints, toy_pipeline):
-    from polex.policygen import SIMPLIFY_STEPS
+    from polex.policygen import Simplifier
 
     _, full = _corpus_policy(toys_schema, toys_constraints, toy_pipeline)
     full_nfs = [v.nf for v in full.views]
     for step in SIMPLIFY_STEPS:
-        _, ablated = _corpus_policy(toys_schema, toys_constraints, toy_pipeline, skip=(step,))
+        # Ablate one step: it returns its argument (one conditioned query,
+        # or the list for the cross-query steps) unchanged.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Simplifier, step, lambda self, arg: arg)
+            _, ablated = _corpus_policy(toys_schema, toys_constraints, toy_pipeline)
         ablated_nfs = [v.nf for v in ablated.views]
         for q in full_nfs:
             verdict = is_allowed(q, ablated_nfs, toys_constraints, toys_schema, 2, (0, 3))
@@ -299,8 +313,7 @@ def test_criterion_5_simplification_soundness(toys_schema, toys_constraints, toy
     base = (CondQuery(1, items, (RequestParam("ItemId"),)),)
     a = ConditionedQuery(details, (RowCol(1, 0),), base + (CondBranch(BoolCol(RowCol(1, 2)), True),))
     b = ConditionedQuery(details, (RowCol(1, 0),), base + (CondBranch(BoolCol(RowCol(1, 2)), False),))
-    out = simplify([a, b], toys_schema, toys_constraints, {"ItemId": "int"},
-                   skip=("vacuous_branches", "vacuous_queries"))
+    out = Simplifier(toys_schema, toys_constraints, {"ItemId": "int"})._merge_branches([a, b])
     assert len(out) == 1
     _passed(5, "each simplification step preserves mutual allowance on the corpus; "
                "the branch-merge unit case reduces 2 conditioned queries to 1")

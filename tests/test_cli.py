@@ -262,3 +262,54 @@ def test_pipeline_is_deterministic(tmp_path):
     assert (a / "policies" / "final.sql").read_bytes() == (b / "policies" / "final.sql").read_bytes()
     for t in sorted(p.name for p in (a / "transcripts").glob("*.jsonl")):
         assert (a / "transcripts" / t).read_bytes() == (b / "transcripts" / t).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "handler",
+    [
+        'let x = query("SELECT * FROM details WHERE nosuch = ?", B);\n  render(x);',
+        'let x = query("SELECT * FROM details WHERE body = ?", B);\n  abort_if_empty(x, 404);\n'
+        '  let y = query("SELECT * FROM items WHERE id = ?", x.nosuch);\n  render(y);',
+    ],
+    ids=["sql-unknown-column", "field-of-missing-column"],
+)
+def test_explore_bad_handler_exits_2(tmp_path, capsys, handler):
+    run = make_run(tmp_path, "toys")
+    (run / "handlers" / "bad.hdl").write_text(f"handler bad(B: int) {{\n  {handler}\n}}\n")
+    capsys.readouterr()
+    assert main(["explore", str(run), "bad"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nosuch" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", ["", "{not json\n"], ids=["empty", "corrupt"])
+@pytest.mark.parametrize("kind", ["transcripts", "inputs"])
+def test_malformed_run_files_exit_2_naming_the_file(tmp_path, capsys, kind, content):
+    run = make_run(tmp_path, "grade_sheet")
+    main(["explore", str(run), "view_grade_sheet"])
+    (bad,) = (run / kind).glob("view_grade_sheet-0001.json*")
+    bad.write_text(content)
+    commands = [["replay", str(run), "view_grade_sheet-0001"]]
+    if kind == "transcripts":
+        commands.append(["policy-gen", str(run), "view_grade_sheet"])
+    for argv in commands:
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed ") and bad.name in err, argv
+
+
+@pytest.mark.parametrize("content", ["[1, 2", "[1, 2]"], ids=["corrupt", "not-an-object"])
+def test_corrupt_intern_table_exits_2_naming_the_file(tmp_path, capsys, content):
+    run = make_run(tmp_path, "grade_sheet")
+    main(["explore", str(run), "view_grade_sheet"])
+    (run / "intern.json").write_text(content)
+    for argv in (
+        ["explore", str(run), "view_grade_sheet"],
+        ["policy-gen", str(run), "view_grade_sheet"],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed ") and "intern.json" in err, argv

@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polex import fdsolver
 from polex.fdsolver import (
     FALSE_F,
     TRUE_F,
     CdclBackend,
+    InternalSolverError,
     VarPool,
     bvar,
     const,
@@ -28,16 +31,14 @@ from enumeration import EnumerationBackend
 def test_conflicting_equalities_unsat_with_full_core():
     pool = VarPool()
     x = pool.new_int("x", 0, 7)
-    r = CdclBackend().check(
-        pool, [("a", fcmp("=", ivar(x), const(1))), ("b", fcmp("=", ivar(x), const(2)))]
-    )
+    r = CdclBackend().check(pool, [fcmp("=", ivar(x), const(1)), fcmp("=", ivar(x), const(2))])
     assert r.status == "unsat"
 
 
 def test_single_equality_sat():
     pool = VarPool()
     x = pool.new_int("x", 0, 7)
-    r = CdclBackend().check(pool, [("a", fcmp("=", ivar(x), const(1)))])
+    r = CdclBackend().check(pool, [fcmp("=", ivar(x), const(1))])
     assert r.status == "sat"
     assert r.model[x] == 1
 
@@ -45,15 +46,26 @@ def test_single_equality_sat():
 def test_hard_formulas_participate():
     pool = VarPool()
     x = pool.new_int("x", 0, 3)
-    r = CdclBackend().check(pool, [("want", feq(ivar(x), const(2)))], hard=[fcmp("<", ivar(x), const(2))])
+    r = CdclBackend().check(pool, [fcmp("<", ivar(x), const(2)), feq(ivar(x), const(2))])
     assert r.status == "unsat"
+
+
+def test_model_check_names_a_failing_formula_by_index(monkeypatch):
+    pool = VarPool()
+    x = pool.new_int("x", 0, 3)
+    formulas = [feq(ivar(x), const(1)), fcmp("<", ivar(x), const(2))]
+    # Re-evaluation rejects the second formula, as it would after a
+    # compilation bug.
+    monkeypatch.setattr(fdsolver, "eval_formula", lambda f, model: f is not formulas[1])
+    with pytest.raises(InternalSolverError, match=r"formula 1$"):
+        CdclBackend().check(pool, formulas)
 
 
 def test_bool_vars():
     pool = VarPool()
     p = pool.new_bool("p")
     q = pool.new_bool("q")
-    r = CdclBackend().check(pool, [("f", land(bvar(p), lnot(bvar(q))))])
+    r = CdclBackend().check(pool, [land(bvar(p), lnot(bvar(q)))])
     assert r.status == "sat"
     assert r.model[p] is True and r.model[q] is False
 
@@ -63,22 +75,22 @@ def _pigeonhole(n: int):
     exponentially hard for clause learning, so it exercises timeouts."""
     pool = VarPool()
     xs = [pool.new_int(f"x{i}", 0, n - 2) for i in range(n)]
-    labeled = []
+    formulas = []
     for i in range(n):
         for j in range(i + 1, n):
-            labeled.append((f"d{i}_{j}", fcmp("<>", ivar(xs[i]), ivar(xs[j]))))
-    return pool, labeled
+            formulas.append(fcmp("<>", ivar(xs[i]), ivar(xs[j])))
+    return pool, formulas
 
 
 def test_timeout_returns_unknown():
-    pool, labeled = _pigeonhole(9)
-    r = CdclBackend().check(pool, labeled, timeout_s=0.01)
+    pool, formulas = _pigeonhole(9)
+    r = CdclBackend().check(pool, formulas, timeout_s=0.01)
     assert r.status == "unknown"
 
 
 def test_small_pigeonhole_unsat():
-    pool, labeled = _pigeonhole(5)
-    r = CdclBackend().check(pool, labeled, timeout_s=30.0)
+    pool, formulas = _pigeonhole(5)
+    r = CdclBackend().check(pool, formulas, timeout_s=30.0)
     assert r.status == "unsat"
 
 
@@ -108,11 +120,10 @@ def test_cdcl_agrees_with_enumeration_on_random_formulas():
         pool = VarPool()
         ints = [pool.new_int(f"x{i}", 0, rng.randint(1, 3)) for i in range(rng.randint(1, 3))]
         bools = [pool.new_bool(f"p{i}") for i in range(rng.randint(1, 2))]
-        labeled = [(f"f{i}", _rand_formula(rng, ints, bools, rng.randint(1, 3)))
-                   for i in range(rng.randint(1, 4))]
-        r1 = CdclBackend().check(pool, labeled)
-        r2 = EnumerationBackend().check(pool, labeled, timeout_s=30)
-        assert r1.status == r2.status, f"trial {trial}: {labeled}"
+        formulas = [_rand_formula(rng, ints, bools, rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+        r1 = CdclBackend().check(pool, formulas)
+        r2 = EnumerationBackend().check(pool, formulas, timeout_s=30)
+        assert r1.status == r2.status, f"trial {trial}: {formulas}"
 
 
 def test_sat_models_verified_against_formulas():
@@ -123,10 +134,10 @@ def test_sat_models_verified_against_formulas():
         pool = VarPool()
         ints = [pool.new_int(f"x{i}", 0, 2) for i in range(3)]
         bools = [pool.new_bool(f"p{i}") for i in range(2)]
-        labeled = [(f"f{i}", _rand_formula(rng, ints, bools, 3)) for i in range(3)]
-        r = CdclBackend().check(pool, labeled)
+        formulas = [_rand_formula(rng, ints, bools, 3) for _ in range(3)]
+        r = CdclBackend().check(pool, formulas)
         if r.status == "sat":
-            for _, f in labeled:
+            for f in formulas:
                 assert eval_formula(f, r.model)
 
 
@@ -135,10 +146,10 @@ def test_determinism():
     pool = VarPool()
     ints = [pool.new_int(f"x{i}", 0, 3) for i in range(4)]
     bools = [pool.new_bool(f"p{i}") for i in range(3)]
-    labeled = [(f"f{i}", _rand_formula(rng, ints, bools, 4)) for i in range(5)]
-    first = CdclBackend().check(pool, labeled)
+    formulas = [_rand_formula(rng, ints, bools, 4) for _ in range(5)]
+    first = CdclBackend().check(pool, formulas)
     for _ in range(3):
-        again = CdclBackend().check(pool, labeled)
+        again = CdclBackend().check(pool, formulas)
         assert again.status == first.status
         assert again.model == first.model
 
@@ -159,8 +170,8 @@ def test_smtlib_dump():
     pool = VarPool()
     x = pool.new_int("table.r0.col", 0, 7)
     p = pool.new_bool("table.r0.present")
-    text = to_smtlib(pool, [("c1", land(bvar(p), feq(ivar(x), const(3))))])
+    text = to_smtlib(pool, [land(bvar(p), feq(ivar(x), const(3)))])
     assert "(declare-fun |table.r0.col| () Int)" in text
     assert "(declare-fun |table.r0.present| () Bool)" in text
-    assert ":named |c1|" in text
+    assert "(assert (and |table.r0.present| (= |table.r0.col| 3)))" in text
     assert text.strip().endswith("(check-sat)")

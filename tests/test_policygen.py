@@ -14,6 +14,7 @@ from polex.policygen import (
     CondQuery,
     ConditionedQuery,
     RequestParamRemovalError,
+    Simplifier,
     generate_view,
     generate_view_trace,
     remove_request_params,
@@ -197,10 +198,7 @@ def test_merge_branches_unit_case(grade_schema, grade_constraints):
         base.sql, base.params,
         (base.conditions[0], CondBranch(BoolCol(RowCol(1, 2)), False)),
     )
-    out = simplify(
-        [base, flipped], grade_schema, grade_constraints, {"CourseId": "int"},
-        skip=("vacuous_branches", "vacuous_queries"),
-    )
+    out = Simplifier(grade_schema, grade_constraints, {"CourseId": "int"})._merge_branches([base, flipped])
     assert len(out) == 1  # reduced by exactly one
     assert out[0].conditions == (base.conditions[0],)
 
@@ -215,8 +213,7 @@ def test_vacuous_branch_removed_by_solver(grade_schema, grade_constraints):
             CondBranch(Cmp("=", RowCol(1, 0), SessionParam("MyUserId")), True),
         ),
     )
-    (out,) = simplify([cq], grade_schema, grade_constraints, {"CourseId": "int"},
-                      skip=("propagate_equalities",))
+    out = Simplifier(grade_schema, grade_constraints, {"CourseId": "int"})._remove_vacuous_branches(cq)
     assert out.conditions == (cq.conditions[0],)
 
 
@@ -256,8 +253,7 @@ def test_subsumption_renumbers_query_indices(grade_schema, grade_constraints):
         ),
     )
     b = ConditionedQuery(gnf, (RowCol(1, 1),), (CondQuery(1, rnf, params),))
-    out = simplify([a, b], grade_schema, grade_constraints, {"CourseId": "int"},
-                   skip=("vacuous_branches", "vacuous_queries"))
+    out = Simplifier(grade_schema, grade_constraints, {"CourseId": "int"})._remove_subsumed([a, b])
     assert out == [b]
 
 
@@ -272,8 +268,7 @@ def test_duplicate_queries_removed_and_renumbered(grade_schema, grade_constraint
             CondQuery(2, rnf, params),  # the same query issued twice
         ),
     )
-    (out,) = simplify([cq], grade_schema, grade_constraints, {"CourseId": "int"},
-                      skip=("vacuous_branches", "vacuous_queries"))
+    out = Simplifier(grade_schema, grade_constraints, {"CourseId": "int"})._remove_duplicate_queries(cq)
     assert out.conditions == (CondQuery(1, rnf, params),)
     assert out.params == (RowCol(1, 1),)
 
@@ -292,8 +287,8 @@ def test_equality_propagation_enables_duplicate_removal(grade_schema, grade_cons
             CondQuery(3, gnf, (RowCol(1, 1),)),
         ),
     )
-    (out,) = simplify([cq], grade_schema, grade_constraints, {"CourseId": "int"},
-                      skip=("vacuous_branches", "vacuous_queries"))
+    s = Simplifier(grade_schema, grade_constraints, {"CourseId": "int"})
+    out = s._remove_duplicate_queries(s._propagate_equalities(cq))
     queries = [r for r in out.conditions if isinstance(r, CondQuery)]
     assert len(queries) == 2  # records 2 and 3 collapsed
 
@@ -311,6 +306,39 @@ def test_vacuous_unused_query_removed(toys_schema, toys_constraints):
     )
     (out,) = simplify([cq], toys_schema, toys_constraints, {"BodyVal": "int"})
     assert out.conditions == (CondQuery(1, details, (RequestParam("BodyVal"),)),)
+
+
+def test_vacuous_queries_after_a_removal_see_the_records_before_them(toys_schema, toys_constraints):
+    # `parent` goes first; `owner` is then checked against the records left
+    # before it, which must include `pub`, whose result it reads.
+    program = parse_handler(
+        """
+handler chain(BodyVal: int) {
+  let d = query("SELECT * FROM details WHERE body = ?", BodyVal);
+  abort_if_empty(d, 404);
+  let parent = query("SELECT * FROM items WHERE id = ?", d.item_id);
+  let pub = query("SELECT * FROM items WHERE id = ? AND public", d.item_id);
+  abort_if_empty(pub, 404);
+  let owner = query("SELECT * FROM users WHERE id = ?", pub.owner_id);
+  let siblings = query("SELECT * FROM details WHERE item_id = ?", d.item_id);
+  render(d, siblings);
+}
+"""
+    )
+    res = explore(program, toys_schema, toys_constraints, ExplorationConfig(table_bound=2))
+    assert res.complete
+    cqs = to_conditioned_queries(res.transcripts, toys_schema)
+    out = simplify(cqs, toys_schema, toys_constraints, dict(program.request_params))
+    assert views_from_cqs(out, toys_schema)
+
+    def nf(sql):
+        return to_normal_form(parse_sql(sql), toys_schema)
+
+    (siblings,) = [cq for cq in out if cq.sql == nf("SELECT * FROM details WHERE item_id = ?")]
+    assert [r.nf for r in siblings.conditions if isinstance(r, CondQuery)] == [
+        nf("SELECT * FROM details WHERE body = ?"),
+        nf("SELECT * FROM items WHERE id = ? AND public"),
+    ]
 
 
 # ---------------------------------------------------------------------------

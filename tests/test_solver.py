@@ -34,8 +34,8 @@ RANGE = (0, 3)
 
 
 def fresh_context(constraints=CONSTRAINTS, bound=2):
-    pool, (inst,), env, labeled = bounded(SCHEMA, constraints, bound, RANGE)
-    return pool, inst, env, labeled
+    pool, (inst,), env, formulas = bounded(SCHEMA, constraints, bound, RANGE)
+    return pool, inst, env, formulas
 
 
 def _row_symbols(inst) -> set[int]:
@@ -48,9 +48,21 @@ def _row_symbols(inst) -> set[int]:
     }
 
 
+def _vids(f) -> set[int]:
+    if f[0] in ("bv", "v"):
+        return {f[1]}
+    if f[0] == "not":
+        return _vids(f[1])
+    if f[0] in ("and", "or"):
+        return set().union(*map(_vids, f[1]))
+    if f[0] == "cmp":
+        return _vids(f[2]) | _vids(f[3])
+    return set()
+
+
 def test_bounded_instances_share_session_and_request_symbols():
     params = [("Flag", "bool"), ("MyUserId", "int"), ("CourseId", "int")]
-    pool, (a, b), env, labeled = bounded(SCHEMA, CONSTRAINTS, 2, RANGE, params, prefixes=("A.", "B."))
+    pool, (a, b), env, formulas = bounded(SCHEMA, CONSTRAINTS, 2, RANGE, params, prefixes=("A.", "B."))
     rows_a, rows_b = _row_symbols(a), _row_symbols(b)
     assert rows_a and rows_b and not rows_a & rows_b
     assert pool.names.count("MyUserId") == 1 and pool.names.count("Now") == 1
@@ -60,8 +72,15 @@ def test_bounded_instances_share_session_and_request_symbols():
     # Instances first, then parameters: the explorer's variable numbering.
     assert max(rows_a | rows_b) < min(env.params.values())
     assert sorted(env.params.values()) == list(range(len(pool) - 4, len(pool)))
-    one = encode_instance(SCHEMA, CONSTRAINTS, 2, VarPool(), RANGE)[1]
-    assert [label for label, _ in labeled] == [p + label for p in ("A.", "B.") for label, _ in one]
+    # One instance's formulas per prefix, in prefix order, each over its
+    # own instance's symbols only.
+    shared = VarPool()
+    one_a = encode_instance(SCHEMA, CONSTRAINTS, 2, shared, RANGE, "A.")[1]
+    one_b = encode_instance(SCHEMA, CONSTRAINTS, 2, shared, RANGE, "B.")[1]
+    assert len(one_a) == len(one_b) == len(CONSTRAINTS) + len(SCHEMA.tables)
+    assert formulas == one_a + one_b
+    assert all(_vids(f) <= rows_a for f in formulas[: len(one_a)])
+    assert all(_vids(f) <= rows_b for f in formulas[len(one_a) :])
 
 
 def test_symbol_counts():
@@ -75,7 +94,7 @@ def test_symbol_counts():
 
 
 def test_unique_constraint_formula():
-    pool, inst, env, labeled = fresh_context()
+    pool, inst, env, formulas = fresh_context()
     # courses.id is unique: no model may present two rows with equal ids.
     id0 = inst.tables["courses"].rows[0]
     id1 = inst.tables["courses"].rows[1]
@@ -84,32 +103,30 @@ def test_unique_constraint_formula():
     both_equal = land(
         bvar(id0.presence), bvar(id1.presence), feq(ivar(id0.values[0]), ivar(id1.values[0]))
     )
-    verdict = check(pool, labeled + [("force", both_equal)], [])
+    verdict = check(pool, formulas + [both_equal])
     assert verdict.status == "unsat"
 
 
 def test_fk_containment_models_validate():
     # Every model found under the constraints materializes into an input
     # that passes brute-force validation.
-    pool, inst, env, labeled = fresh_context()
+    pool, inst, env, formulas = fresh_context()
     from polex.fdsolver import bvar
 
     roles_present = bvar(inst.tables["roles"].rows[0].presence)
     for extra in range(4):
-        verdict = check(pool, labeled + [("present", roles_present)], [])
+        verdict = check(pool, formulas + [roles_present])
         assert verdict.status == "sat"
         ci = model_to_input(verdict.model, inst, SCHEMA, env, "m", "h")
         ok, why = validate_instance(ci, CONSTRAINTS, SCHEMA)
         assert ok, why
         # ban this exact model's course ids to get a different one next time
         row = inst.tables["courses"].rows[0]
-        labeled.append(
-            (f"ban{extra}", lnot((("cmp", "=", ("v", row.values[0]), ("c", verdict.model[row.values[0]]))))),
-        )
+        formulas.append(lnot(("cmp", "=", ("v", row.values[0]), ("c", verdict.model[row.values[0]]))))
 
 
 def test_nonempty_is_two_way_disjunction():
-    pool, inst, env, labeled = fresh_context(constraints=[])
+    pool, inst, env, _ = fresh_context(constraints=[])
     nf = NormalFormQuery((0, 1, 2, 3), TRUE, ("roles",))
     enc = encode_query(nf, (), inst, SCHEMA, env, pool, "q1", RANGE)
     # nonEmpty holds iff some roles row is present.
@@ -119,30 +136,30 @@ def test_nonempty_is_two_way_disjunction():
         lnot(bvar(inst.tables["roles"].rows[0].presence)),
         lnot(bvar(inst.tables["roles"].rows[1].presence)),
     )
-    assert check(pool, [("ne", enc.non_empty), ("none", none_present)], enc.defs).status == "unsat"
-    assert check(pool, [("ne", enc.non_empty)], enc.defs).status == "sat"
+    assert check(pool, enc.defs + [enc.non_empty, none_present]).status == "unsat"
+    assert check(pool, enc.defs + [enc.non_empty]).status == "sat"
 
 
 def test_query_over_absent_rows_unsat():
-    pool, inst, env, labeled = fresh_context(constraints=[])
+    pool, inst, env, _ = fresh_context(constraints=[])
     from polex.fdsolver import bvar
 
     nf = NormalFormQuery((0,), TRUE, ("courses",))
     enc = encode_query(nf, (), inst, SCHEMA, env, pool, "q1", RANGE)
     hard = enc.defs + [lnot(bvar(r.presence)) for r in inst.tables["courses"].rows]
-    assert check(pool, [("ne", enc.non_empty)], hard).status == "unsat"
+    assert check(pool, hard + [enc.non_empty]).status == "unsat"
 
 
 def test_tautological_filter_nonempty_iff_row_present():
-    pool, inst, env, labeled = fresh_context(constraints=[])
+    pool, inst, env, _ = fresh_context(constraints=[])
     nf = NormalFormQuery((0,), Cmp("=", Col(0), Col(0)), ("courses",))
     enc = encode_query(nf, (), inst, SCHEMA, env, pool, "q1", RANGE)
     from polex.fdsolver import bvar, lor
 
     some_present = lor(*[bvar(r.presence) for r in inst.tables["courses"].rows])
     # nonEmpty <-> some row present: both directions unsat when negated.
-    assert check(pool, [("a", enc.non_empty), ("b", lnot(some_present))], enc.defs).status == "unsat"
-    assert check(pool, [("a", lnot(enc.non_empty)), ("b", some_present)], enc.defs).status == "unsat"
+    assert check(pool, enc.defs + [enc.non_empty, lnot(some_present)]).status == "unsat"
+    assert check(pool, enc.defs + [lnot(enc.non_empty), some_present]).status == "unsat"
 
 
 def test_check_examples():
@@ -150,27 +167,27 @@ def test_check_examples():
     x = pool.new_int("x", 0, 7)
     from polex.fdsolver import feq, ivar, const
 
-    v = check(pool, [("a", feq(ivar(x), const(1))), ("b", feq(ivar(x), const(2)))])
+    v = check(pool, [feq(ivar(x), const(1)), feq(ivar(x), const(2))])
     assert v.status == "unsat"
-    v = check(pool, [("a", feq(ivar(x), const(1)))])
+    v = check(pool, [feq(ivar(x), const(1))])
     assert v.status == "sat" and v.model[x] == 1
 
 
 def test_model_to_input_empty_and_nulls():
-    pool, inst, env, labeled = fresh_context(constraints=[])
+    pool, inst, env, _ = fresh_context(constraints=[])
     from polex.fdsolver import bvar
 
     # all rows absent -> empty database
     hard = [lnot(bvar(r.presence)) for t in inst.tables.values() for r in t.rows]
-    v = check(pool, [], hard)
+    v = check(pool, hard)
     ci = model_to_input(v.model, inst, SCHEMA, env, "m", "h")
     assert all(rows == () for rows in ci.tables.values())
 
     # force a roles row with a null note
-    pool, inst, env, labeled = fresh_context(constraints=[])
+    pool, inst, env, _ = fresh_context(constraints=[])
     row = inst.tables["roles"].rows[0]
     hard = [bvar(row.presence), bvar(row.nulls[3])]
-    v = check(pool, [], hard)
+    v = check(pool, hard)
     ci = model_to_input(v.model, inst, SCHEMA, env, "m", "h")
     assert ci.tables["roles"][0][3] is None
 
@@ -200,11 +217,11 @@ def test_encoding_agrees_with_evaluator_on_random_queries():
     checked = 0
     for _ in range(120):
         nf = _random_nf(rng)
-        pool, inst, env, labeled = fresh_context()
+        pool, inst, env, formulas = fresh_context()
         enc = encode_query(nf, (), inst, SCHEMA, env, pool, "q1", RANGE)
         want_nonempty = rng.random() < 0.7
         path = enc.non_empty if want_nonempty else lnot(enc.non_empty)
-        verdict = check(pool, labeled + [("path", path), ("amo", enc.at_most_one)], enc.defs)
+        verdict = check(pool, enc.defs + formulas + [path, enc.at_most_one])
         if verdict.status != "sat":
             continue
         checked += 1
@@ -234,7 +251,7 @@ def test_left_join_encoding_agrees_with_evaluator():
     checked_nonempty = 0
     for trial in range(60):
         pool = VarPool()
-        inst, labeled = encode_instance(schema, cons, 2, pool, RANGE)
+        inst, formulas = encode_instance(schema, cons, 2, pool, RANGE)
         env = SymEnv()
         env.params["MyUserId"] = pool.new_int("MyUserId", *RANGE)
         enc = encode_query(exe, (SessionParam("MyUserId"),), inst, schema, env, pool, "q1", RANGE)
@@ -244,8 +261,8 @@ def test_left_join_encoding_agrees_with_evaluator():
         if rng.random() < 0.5:
             from polex.fdsolver import bvar
 
-            extra.append(("row", bvar(inst.tables["b"].rows[0].presence)))
-        verdict = check(pool, labeled + extra + [("p", path), ("amo", enc.at_most_one)], enc.defs)
+            extra.append(bvar(inst.tables["b"].rows[0].presence))
+        verdict = check(pool, enc.defs + formulas + extra + [path, enc.at_most_one])
         if verdict.status != "sat":
             continue
         ci = model_to_input(verdict.model, inst, schema, env, "t", "h")
@@ -266,6 +283,6 @@ def test_left_join_encoding_agrees_with_evaluator():
 
 def test_count_query_never_empty():
     exe = to_executable(parse_sql("SELECT COUNT(*) FROM courses"), SCHEMA)
-    pool, inst, env, labeled = fresh_context()
+    pool, inst, env, formulas = fresh_context()
     enc = encode_query(exe, (), inst, SCHEMA, env, pool, "q1", RANGE)
-    assert check(pool, labeled + [("ne", lnot(enc.non_empty))], enc.defs).status == "unsat"
+    assert check(pool, enc.defs + formulas + [lnot(enc.non_empty)]).status == "unsat"

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .constraints import generate_constraints, render_constraint_file
 from .explorer import ExplorationConfig, explore
-from .interpreter import ExecutionError, execute
+from .interpreter import ExecutionError, MultiRowResult, execute
 from .lexutil import SourceError
 from .policygen import (
     ViewGenError,
@@ -250,10 +250,13 @@ def cmd_replay(args) -> int:
         meta, stored = run.read_transcript(args.input_id)
         ci = run.read_input(args.input_id, schema)
         program, path = _load_handler(run, meta["handler"])
-    except (CliError, RunDirError, SchemaError, SourceError) as e:
+        transcript, _warnings = execute(program, ci, schema)
+    except (CliError, RunDirError, SchemaError, SourceError, NormalizeError, ExecutionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
-    transcript, _warnings = execute(program, ci, schema)
+    except MultiRowResult:
+        print("error: replay diverged from the stored transcript", file=sys.stderr)
+        return INPUT_ERROR
     got = [record_line(r) for r in transcript.records]
     want = [record_line(r) for r in stored.records]
     if got != want:

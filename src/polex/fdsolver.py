@@ -15,10 +15,21 @@ finite, so instead of an external SMT engine we compile to SAT:
 order and runs one search of a small CDCL (two-watched literals, 1UIP
 learning, VSIDS-ish activities, phase saving, Luby restarts).  All
 heuristics are deterministic, so identical inputs give identical models.
+
+Only the long clause of an `and`/`or` gate goes through `_Cnf.add`, which
+drops a tautology and repeated literals: its literals come from arbitrary
+subformulas, so two may coincide or be complementary.  Every other clause
+is appended as built.  The exactly-one scaffold, the comparison and
+value-set gates and the binary gate clauses each name distinct one-hot
+variables or a fresh gate variable, and a unit clause has one literal, so
+none can hold a repeat or a complementary pair.  The search keeps each
+literal's value in an array indexed by literal (`_Cdcl.lval`), so
+propagation reads a value with one list lookup.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappush
@@ -175,19 +186,30 @@ class _Cnf:
         return self.nvars - 1
 
     def add(self, lits: list[int]) -> None:
-        seen = set()
-        out = []
-        for l in lits:
+        """Append `lits` unless it is a tautology, dropping repeats (first
+        occurrences kept in order)."""
+        seen = set(lits)
+        for l in seen:
             if l ^ 1 in seen:
-                return  # tautology
-            if l not in seen:
-                seen.add(l)
-                out.append(l)
-        self.clauses.append(out)
+                return
+        self.clauses.append(lits if len(seen) == len(lits) else list(dict.fromkeys(lits)))
+
+
+@functools.cache
+def _exactly_one(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """Exactly-one over SAT variables 0..n-1: the at-least-one clause and
+    the at-most-one pairs, in order."""
+    return (
+        tuple(2 * i for i in range(n)),
+        tuple((2 * i + 1, 2 * j + 1) for i in range(n) for j in range(i + 1, n)),
+    )
 
 
 class Compiler:
-    """Compile formula IR over a VarPool into CNF."""
+    """Compile formula IR over a VarPool into CNF.
+
+    `cnf.clauses` is handed to `_Cdcl`, which takes ownership of the list
+    and rewrites it in place, so a Compiler feeds exactly one search."""
 
     def __init__(self, pool: VarPool):
         self.pool = pool
@@ -196,24 +218,24 @@ class Compiler:
         self.bool_sat: dict[int, int] = {}
         self.onehot: dict[int, dict[int, int]] = {}  # vid -> value -> sat var
         self._true_lit: int | None = None
+        clauses = self.cnf.clauses
         for vid in range(len(pool)):
             if pool.kinds[vid] == "bool":
                 self.bool_sat[vid] = self.cnf.new_var()
-            else:
-                lo, hi = pool.domains[vid]
-                hot = {v: self.cnf.new_var() for v in range(lo, hi + 1)}
-                self.onehot[vid] = hot
-                lits = [2 * s for s in hot.values()]
-                self.cnf.add(lits)  # at least one
-                vals = list(hot.values())
-                for i in range(len(vals)):
-                    for j in range(i + 1, len(vals)):
-                        self.cnf.add([2 * vals[i] + 1, 2 * vals[j] + 1])
+                continue
+            lo, hi = pool.domains[vid]
+            base, n = self.cnf.nvars, hi - lo + 1
+            self.cnf.nvars += n
+            self.onehot[vid] = dict(zip(range(lo, hi + 1), range(base, base + n)))
+            at_least, at_most = _exactly_one(n)
+            off = 2 * base
+            clauses.append([l + off for l in at_least])
+            clauses.extend([[a + off, b + off] for a, b in at_most])
 
     def true_lit(self) -> int:
         if self._true_lit is None:
             v = self.cnf.new_var()
-            self.cnf.add([2 * v])
+            self.cnf.clauses.append([2 * v])
             self._true_lit = 2 * v
         return self._true_lit
 
@@ -222,10 +244,9 @@ class Compiler:
 
     def lit(self, f) -> int:
         """SAT literal equivalent to formula `f` (adds defining clauses)."""
-        if f in self.cache:
-            return self.cache[f]
-        out = self._compile(f)
-        self.cache[f] = out
+        out = self.cache.get(f)
+        if out is None:
+            out = self.cache[f] = self._compile(f)
         return out
 
     def _compile(self, f) -> int:
@@ -240,19 +261,15 @@ class Compiler:
             return self.lit(f[1]) ^ 1
         if op == "and":
             lits = [self.lit(g) for g in f[1]]
-            g = self._aux()
-            gl = 2 * g
-            for l in lits:
-                self.cnf.add([gl ^ 1, l])
+            gl = 2 * self._aux()
+            self.cnf.clauses.extend([[gl ^ 1, l] for l in lits])
             self.cnf.add([gl] + [l ^ 1 for l in lits])
             return gl
         if op == "or":
             lits = [self.lit(g) for g in f[1]]
-            g = self._aux()
-            gl = 2 * g
+            gl = 2 * self._aux()
             self.cnf.add([gl ^ 1] + lits)
-            for l in lits:
-                self.cnf.add([gl, l ^ 1])
+            self.cnf.clauses.extend([[gl, l ^ 1] for l in lits])
             return gl
         if op == "cmp":
             return self._compile_cmp(f)
@@ -272,11 +289,9 @@ class Compiler:
         if len(inside) == len(domain) - 1:
             (only,) = [v for v in domain if v not in values]
             return 2 * hot[only] + 1
-        g = self._aux()
-        gl = 2 * g
-        self.cnf.add([gl ^ 1] + [2 * hot[v] for v in inside])
-        for v in inside:
-            self.cnf.add([gl, 2 * hot[v] + 1])
+        gl = 2 * self._aux()
+        self.cnf.clauses.append([gl ^ 1] + [2 * hot[v] for v in inside])
+        self.cnf.clauses.extend([[gl, 2 * hot[v] + 1] for v in inside])
         return gl
 
     def _compile_cmp(self, f) -> int:
@@ -298,39 +313,36 @@ class Compiler:
         if op == "<>":
             return self.lit(("cmp", "=", t1, t2)) ^ 1
         hx, hy = self.onehot[x], self.onehot[y]
-        g = self._aux()
-        gl = 2 * g
+        gl = 2 * self._aux()
+        add = self.cnf.clauses.append
         if op == "=":
             # g <-> (x == y), exploiting the shared domain values.
             for u, su in hx.items():
                 sw = hy.get(u)
                 if sw is None:
-                    self.cnf.add([gl ^ 1, 2 * su + 1])  # value unavailable on y
+                    add([gl ^ 1, 2 * su + 1])  # value unavailable on y
                     continue
-                self.cnf.add([gl ^ 1, 2 * su + 1, 2 * sw])
-                self.cnf.add([gl ^ 1, 2 * sw + 1, 2 * su])
-                self.cnf.add([gl, 2 * su + 1, 2 * sw + 1])
+                add([gl ^ 1, 2 * su + 1, 2 * sw])
+                add([gl ^ 1, 2 * sw + 1, 2 * su])
+                add([gl, 2 * su + 1, 2 * sw + 1])
             for w, sw in hy.items():
                 if w not in hx:
-                    self.cnf.add([gl ^ 1, 2 * sw + 1])
+                    add([gl ^ 1, 2 * sw + 1])
             return gl
         for u, su in hx.items():
             for w, sw in hy.items():
-                if cmp_eval(op, u, w):
-                    self.cnf.add([2 * su + 1, 2 * sw + 1, gl])
-                else:
-                    self.cnf.add([2 * su + 1, 2 * sw + 1, gl ^ 1])
+                add([2 * su + 1, 2 * sw + 1, gl if cmp_eval(op, u, w) else gl ^ 1])
         return gl
 
     def model_from_sat(self, assigns: list) -> dict:
         model: dict = {}
         for vid in range(len(self.pool)):
             if self.pool.kinds[vid] == "bool":
-                model[vid] = assigns[self.bool_sat[vid]] == 1
+                model[vid] = assigns[self.bool_sat[vid]]
             else:
                 value = None
                 for v, s in self.onehot[vid].items():
-                    if assigns[s] == 1:
+                    if assigns[s]:
                         value = v
                         break
                 # exactly-one guarantees a hit
@@ -360,13 +372,16 @@ def _luby(x: int) -> int:
 
 
 class _Cdcl:
-    """Minisat-style solver over a fixed clause database."""
+    """Minisat-style solver over a fixed clause database.
+
+    Takes ownership of `clauses`: it reorders literals inside them and
+    appends learnt clauses.  `lval[lit]` is True, False or None (unset)."""
 
     def __init__(self, nvars: int, clauses: list[list[int]], deadline: float | None):
         self.nvars = nvars
-        self.clauses = [list(c) for c in clauses]
+        self.clauses = clauses
         self.deadline = deadline
-        self.assigns: list = [None] * nvars
+        self.lval: list = [None] * (2 * nvars)
         self.level = [0] * nvars
         self.reason: list = [None] * nvars
         self.trail: list[int] = []
@@ -379,77 +394,63 @@ class _Cdcl:
         self.heap: list[tuple[float, int]] = [(0.0, v) for v in range(nvars)]
         self.ok = True
         self.conflicts = 0
-        for ci, clause in enumerate(self.clauses):
-            if not self._attach(ci, clause):
+        watches = self.watches
+        for ci, clause in enumerate(clauses):
+            if len(clause) > 1:
+                watches[clause[0]].append(ci)
+                watches[clause[1]].append(ci)
+            elif not clause or not self.enqueue(clause[0], None):
                 self.ok = False
                 return
 
-    def _attach(self, ci: int, clause: list[int]) -> bool:
-        if len(clause) == 0:
-            return False
-        if len(clause) == 1:
-            return self.enqueue(clause[0], None)
-        self.watches[clause[0]].append(ci)
-        self.watches[clause[1]].append(ci)
-        return True
-
-    def value(self, lit: int):
-        a = self.assigns[lit >> 1]
-        if a is None:
-            return None
-        return a != (lit & 1)
-
     def enqueue(self, lit: int, reason) -> bool:
-        v = lit >> 1
-        a = self.assigns[v]
+        a = self.lval[lit]
         if a is not None:
-            return a == ((lit & 1) ^ 1)
-        self.assigns[v] = (lit & 1) ^ 1
+            return a
+        self.lval[lit] = True
+        self.lval[lit ^ 1] = False
+        v = lit >> 1
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.trail.append(lit)
         return True
 
     def propagate(self):
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
-            self.qhead += 1
-            fl = p ^ 1
-            ws = self.watches[fl]
+        trail, clauses, watches, lval, enqueue = self.trail, self.clauses, self.watches, self.lval, self.enqueue
+        qhead = self.qhead
+        while qhead < len(trail):
+            fl = trail[qhead] ^ 1
+            qhead += 1
+            ws = watches[fl]
             i = j = 0
             n = len(ws)
             while i < n:
                 ci = ws[i]
                 i += 1
-                clause = self.clauses[ci]
+                clause = clauses[ci]
                 if clause[0] == fl:
-                    clause[0], clause[1] = clause[1], clause[0]
+                    clause[0], clause[1] = clause[1], fl
                 first = clause[0]
-                if self.value(first) is True:
+                fv = lval[first]
+                if fv is True:
                     ws[j] = ci
                     j += 1
                     continue
-                found = False
                 for k in range(2, len(clause)):
-                    if self.value(clause[k]) is not False:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self.watches[clause[1]].append(ci)
-                        found = True
+                    if lval[clause[k]] is not False:
+                        clause[1], clause[k] = clause[k], fl
+                        watches[clause[1]].append(ci)
                         break
-                if found:
-                    continue
-                ws[j] = ci
-                j += 1
-                if self.value(first) is False:
-                    while i < n:
-                        ws[j] = ws[i]
-                        j += 1
-                        i += 1
-                    del ws[j:]
-                    self.qhead = len(self.trail)
-                    return ci
-                self.enqueue(first, ci)
+                else:
+                    ws[j] = ci
+                    j += 1
+                    if fv is False:
+                        del ws[j:i]  # keep the unvisited watchers
+                        self.qhead = len(trail)
+                        return ci
+                    enqueue(first, ci)
             del ws[j:]
+        self.qhead = qhead
         return None
 
     def decision_level(self) -> int:
@@ -461,12 +462,12 @@ class _Cdcl:
     def cancel_until(self, lvl: int) -> None:
         if self.decision_level() <= lvl:
             return
-        heappush = _heappush
+        heappush, lval = _heappush, self.lval
         for i in range(len(self.trail) - 1, self.trail_lim[lvl] - 1, -1):
             lit = self.trail[i]
             v = lit >> 1
-            self.phase[v] = self.assigns[v]
-            self.assigns[v] = None
+            self.phase[v] = (lit & 1) ^ 1
+            lval[lit] = lval[lit ^ 1] = None
             self.reason[v] = None
             heappush(self.heap, (-self.activity[v], v))
         del self.trail[self.trail_lim[lvl]:]
@@ -479,10 +480,10 @@ class _Cdcl:
             for i in range(self.nvars):
                 self.activity[i] *= 1e-100
             self.var_inc *= 1e-100
-            self.heap = [(-self.activity[x], x) for x in range(self.nvars) if self.assigns[x] is None]
+            self.heap = [(-self.activity[x], x) for x in range(self.nvars) if self.lval[2 * x] is None]
             _heapify(self.heap)
             return
-        if self.assigns[v] is None:
+        if self.lval[2 * v] is None:
             _heappush(self.heap, (-self.activity[v], v))
 
     def analyze(self, confl: int):
@@ -549,15 +550,15 @@ class _Cdcl:
         heap = self.heap
         while heap:
             act, v = _heappop(heap)
-            if self.assigns[v] is None and -act == self.activity[v]:
+            if self.lval[2 * v] is None and -act == self.activity[v]:
                 return v
         for v in range(self.nvars):  # heap may be stale after rescaling
-            if self.assigns[v] is None:
+            if self.lval[2 * v] is None:
                 return v
         return None
 
     def solve(self):
-        """Returns ("sat", assigns) | ("unsat", None)."""
+        """Returns ("sat", assigns) | ("unsat", None); assigns[v] is v's bool."""
         if not self.ok or self.propagate() is not None:
             return "unsat", None
         restart_count = 0
@@ -589,7 +590,7 @@ class _Cdcl:
                 continue
             v = self.decide_var()
             if v is None:
-                return "sat", list(self.assigns)
+                return "sat", self.lval[0::2]
             self.new_level()
             self.enqueue(2 * v + (1 - self.phase[v]), None)
 
@@ -615,7 +616,7 @@ class CdclBackend:
         deadline = None if timeout_s is None else time.monotonic() + timeout_s
         comp = Compiler(pool)
         for f in formulas:
-            comp.cnf.add([comp.lit(f)])
+            comp.cnf.clauses.append([comp.lit(f)])
         try:
             status, assigns = _Cdcl(comp.cnf.nvars, comp.cnf.clauses, deadline).solve()
         except _Timeout:

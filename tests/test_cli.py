@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import shutil
 from pathlib import Path
 
@@ -181,6 +182,32 @@ def test_replay_unknown_input_exits_2(tmp_path, capsys):
     run = make_run(tmp_path, "grade_sheet")
     main(["explore", str(run), "view_grade_sheet"])
     assert main(["replay", str(run), "view_grade_sheet-9999"]) == 2
+
+
+def test_replay_of_edited_handler_exits_2(tmp_path, capsys):
+    run = make_run(tmp_path, "toys")
+    assert main(["explore", str(run), "detail_chain", "--bound", "2"]) == 0
+    handler = run / "handlers" / "detail_chain.hdl"
+    text = handler.read_text()
+    assert "WHERE body = ?" in text
+    handler.write_text(text.replace("WHERE body = ?", "WHERE nosuch = ?"))
+    capsys.readouterr()
+    assert main(["replay", str(run), "detail_chain-0002"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nosuch" in err
+
+
+def test_replay_of_input_with_a_second_row_exits_2(tmp_path, capsys):
+    run = make_run(tmp_path, "grade_sheet")
+    assert main(["explore", str(run), "view_grade_sheet"]) == 0
+    path = run / "inputs" / "view_grade_sheet-0003.json"
+    data = json.loads(path.read_text())
+    data["tables"]["grades"].append({"user_id": 6, "course_id": 7, "grade": 5})
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    # `all_grades` now matches two rows, which no stored transcript records.
+    assert main(["replay", str(run), "view_grade_sheet-0003"]) == 2
+    assert capsys.readouterr().err == "error: replay diverged from the stored transcript\n"
 
 
 def test_is_allowed_cli_with_counterexample_dump(tmp_path, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -175,3 +176,99 @@ def test_smtlib_dump():
     assert "(declare-fun |table.r0.present| () Bool)" in text
     assert "(assert (and |table.r0.present| (= |table.r0.col| 3)))" in text
     assert text.strip().endswith("(check-sat)")
+
+
+def _add_reference(lits):
+    """What `_Cnf.add` must append: None for a tautology, else the literals
+    with repeats dropped, first occurrences kept in order."""
+    seen = set()
+    out = []
+    for l in lits:
+        if l ^ 1 in seen:
+            return None
+        if l not in seen:
+            seen.add(l)
+            out.append(l)
+    return out
+
+
+def test_cnf_add_matches_reference_loop():
+    rng = random.Random(4242)
+    for _ in range(2000):
+        lits = [rng.randrange(12) for _ in range(rng.randint(1, 8))]
+        cnf = fdsolver._Cnf()
+        cnf.add(list(lits))
+        want = _add_reference(lits)
+        assert cnf.clauses == ([] if want is None else [want]), lits
+
+
+def test_onehot_scaffold_is_pairwise_exactly_one():
+    pool = VarPool()
+    pool.new_int("a", 3, 3)
+    pool.new_bool("p")
+    pool.new_int("b", 0, 1)
+    pool.new_int("c", 0, 7)
+    want = []
+    for base, n in ((0, 1), (2, 2), (4, 8)):
+        hot = range(base, base + n)
+        want.append([2 * s for s in hot])
+        want.extend([2 * s + 1, 2 * t + 1] for i, s in enumerate(hot) for t in hot[i + 1:])
+    comp = fdsolver.Compiler(pool)
+    assert comp.cnf.nvars == 12
+    assert comp.cnf.clauses == want
+    assert comp.onehot == {0: {3: 0}, 2: {0: 2, 1: 3}, 3: {v: 4 + v for v in range(8)}}
+
+
+def _rand_clause_set(rng):
+    """A conjunction of random three-atom disjunctions over comparisons and
+    bool symbols: sat and unsat both occur, and most need conflicts."""
+    pool = VarPool()
+    xs = [pool.new_int(f"x{i}", 0, rng.randint(2, 7)) for i in range(rng.randint(4, 8))]
+    ps = [pool.new_bool(f"p{i}") for i in range(2)]
+    formulas = []
+    for _ in range(rng.randint(40, 90)):
+        atoms = []
+        for _ in range(3):
+            r = rng.random()
+            if r < 0.15:
+                p = bvar(rng.choice(ps))
+                atoms.append(p if rng.random() < 0.5 else lnot(p))
+                continue
+            other = const(rng.randint(0, 7)) if r < 0.4 else ivar(rng.choice(xs))
+            atoms.append(fcmp(rng.choice(["=", "<>", "<", "<=", ">", ">="]), ivar(rng.choice(xs)), other))
+        formulas.append(lor(*atoms))
+    return pool, formulas
+
+
+# SHA-256 over every check's CNF, verdict, model and conflict count below.
+# A change to the compiled clauses, their order or the search heuristics
+# changes it; such a change must be deliberate and say so.
+TRAJECTORY_SHA256 = "aba6f2f1732c81eaa3fd2ba13e98c75dafeb0a001327cf24b6098b965fa92423"
+
+
+def test_pinned_compile_and_search_trajectory(monkeypatch):
+    seen = []
+    solve = fdsolver._Cdcl.solve
+
+    def traced_solve(self):
+        cnf = [list(c) for c in self.clauses]
+        out = solve(self)
+        seen.append((self.nvars, cnf, self.conflicts))
+        return out
+
+    monkeypatch.setattr(fdsolver._Cdcl, "solve", traced_solve)
+    rng = random.Random(31337)
+    checks = [_pigeonhole(5), _pigeonhole(6)]
+    for _ in range(16):
+        pool = VarPool()
+        ints = [pool.new_int(f"x{i}", 0, rng.randint(0, 7)) for i in range(rng.randint(2, 6))]
+        bools = [pool.new_bool(f"p{i}") for i in range(rng.randint(1, 3))]
+        checks.append((pool, [_rand_formula(rng, ints, bools, rng.randint(1, 4)) for _ in range(rng.randint(2, 6))]))
+    checks.extend(_rand_clause_set(rng) for _ in range(32))
+    h = hashlib.sha256()
+    for pool, formulas in checks:
+        r = CdclBackend().check(pool, formulas, timeout_s=None)
+        nvars, cnf, conflicts = seen.pop()
+        model = sorted(r.model.items()) if r.model else None
+        h.update(repr((nvars, cnf, r.status, model, conflicts)).encode())
+    assert h.hexdigest() == TRAJECTORY_SHA256

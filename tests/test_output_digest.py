@@ -1,0 +1,36 @@
+"""Same inputs, same bytes: pinned output digests of the cheapest runs of
+`scripts/output_digest.py`.
+
+A change that alters any of these outputs (transcripts, generated inputs,
+policies, blame) on purpose must update the digest here and say why.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "output_digest.py"
+
+
+@pytest.fixture(scope="module")
+def output_digest():
+    spec = importlib.util.spec_from_file_location("output_digest", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "run, args, digest",
+    [
+        ("pipeline", ("toys", 2), "4fa5b045e39ca8d32e122080e6948a1c708a9bda94436ae4b40c82363a536ba5"),
+        ("pipeline", ("grade_sheet", 2), "1ce704ebc951599b2d032220eb04a58364e9e7af7ca01677cc9e3ec7e3ecfa6a"),
+        ("broaden", (2,), "38d9cdef5556f66239b63aa1d1d9b3534071ecbbbd83b619d898db8780e50871"),
+    ],
+    ids=["toys-b2", "grade_sheet-b2", "broaden-b2"],
+)
+def test_output_digest_unchanged(output_digest, run, args, digest):
+    assert getattr(output_digest, run)(*args) == digest

@@ -371,6 +371,9 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
+    except OSError as e:  # an unwritable output or unreadable input path
+        print(f"error: {e}", file=sys.stderr)
+        return INPUT_ERROR
 
 
 def entrypoint() -> None:

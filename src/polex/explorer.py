@@ -173,11 +173,12 @@ class Explorer:
         restriction per `(index, sql, params)` of `extra_amo`; returns
         (status, input)."""
         cfg = self.config
-        pool, (inst,), env, formulas = bounded(
+        pool, (inst,), env = bounded(
             self.schema, self.constraints, cfg.table_bound, cfg.value_range,
             self.program.request_params,
         )
         defs: list[tuple] = []
+        formulas: list[tuple] = []
         seen = set()
 
         def add(key, formula) -> None:  # a record asserted twice counts once

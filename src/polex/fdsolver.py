@@ -16,6 +16,12 @@ order and runs one search of a small CDCL (two-watched literals, 1UIP
 learning, VSIDS-ish activities, phase saving, Luby restarts).  All
 heuristics are deterministic, so identical inputs give identical models.
 
+A Compiler that has compiled and attached a pool's shared formulas once
+can be the `base` of pools that extend that pool.  A check on such a
+pool copies the base's clauses, compile cache and watch lists, then
+compiles and attaches only what it adds; a pool without a base is the
+empty case.  Models are verified against every formula, the base's too.
+
 Only the long clause of an `and`/`or` gate goes through `_Cnf.add`, which
 drops a tautology and repeated literals: its literals come from arbitrary
 subformulas, so two may coincide or be complementary.  Every other clause
@@ -33,6 +39,7 @@ import functools
 import time
 from dataclasses import dataclass, field
 from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappush
+from types import SimpleNamespace
 
 from .terms import cmp_eval
 
@@ -126,11 +133,15 @@ def feq(t1, t2):
 
 @dataclass
 class VarPool:
-    """Symbol registry: boolean symbols and bounded integer symbols."""
+    """Symbol registry: boolean symbols and bounded integer symbols.
+
+    `base`, when set, is a compiled `Compiler` over the pool's first
+    symbols and the formulas every check on the pool also asserts."""
 
     names: list[str] = field(default_factory=list)
     kinds: list[str] = field(default_factory=list)  # "bool" | "int"
     domains: list[tuple[int, int] | None] = field(default_factory=list)
+    base: Compiler | None = None
 
     def new_bool(self, name: str) -> int:
         self.names.append(name)
@@ -195,6 +206,11 @@ class _Cnf:
         self.clauses.append(lits if len(seen) == len(lits) else list(dict.fromkeys(lits)))
 
 
+_NO_BASE = SimpleNamespace(  # what a Compiler over a pool without a base copies
+    cnf=_Cnf(), cache={}, bool_sat={}, onehot={}, _true_lit=None, formulas=[], watches=[], units=[], attached=0
+)
+
+
 @functools.cache
 def _exactly_one(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
     """Exactly-one over SAT variables 0..n-1: the at-least-one clause and
@@ -208,29 +224,55 @@ def _exactly_one(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
 class Compiler:
     """Compile formula IR over a VarPool into CNF.
 
-    `cnf.clauses` is handed to `_Cdcl`, which takes ownership of the list
-    and rewrites it in place, so a Compiler feeds exactly one search."""
+    A Compiler starts as a copy of `pool.base` (`_NO_BASE` when it is
+    None) and adds the one-hot scaffold of the symbols past it.  `_Cdcl`
+    takes over `cnf.clauses`, `watches` and `units` and rewrites them in
+    place, so a Compiler feeds exactly one search, and a base none."""
 
     def __init__(self, pool: VarPool):
+        base = pool.base or _NO_BASE
         self.pool = pool
         self.cnf = _Cnf()
-        self.cache: dict = {}
-        self.bool_sat: dict[int, int] = {}
-        self.onehot: dict[int, dict[int, int]] = {}  # vid -> value -> sat var
-        self._true_lit: int | None = None
+        self.cnf.nvars = base.cnf.nvars
+        self.cnf.clauses = list(map(list.copy, base.cnf.clauses))
+        self.cache: dict = dict(base.cache)
+        self.bool_sat: dict[int, int] = dict(base.bool_sat)
+        self.onehot: dict[int, dict[int, int]] = dict(base.onehot)  # vid -> value -> sat var
+        self._true_lit: int | None = base._true_lit
+        self.formulas: list[tuple] = base.formulas[:]  # asserted, in order
+        self.watches: list[list[int]] = list(map(list.copy, base.watches))  # lit -> clauses watching it
+        self.units: list[int] = base.units[:]  # the unit clauses' literals
+        self.attached = base.attached  # clauses[:attached] are in watches or units
         clauses = self.cnf.clauses
-        for vid in range(len(pool)):
+        for vid in range(len(self.bool_sat) + len(self.onehot), len(pool)):
             if pool.kinds[vid] == "bool":
                 self.bool_sat[vid] = self.cnf.new_var()
                 continue
             lo, hi = pool.domains[vid]
-            base, n = self.cnf.nvars, hi - lo + 1
+            first, n = self.cnf.nvars, hi - lo + 1
             self.cnf.nvars += n
-            self.onehot[vid] = dict(zip(range(lo, hi + 1), range(base, base + n)))
+            self.onehot[vid] = dict(zip(range(lo, hi + 1), range(first, first + n)))
             at_least, at_most = _exactly_one(n)
-            off = 2 * base
+            off = 2 * first
             clauses.append([l + off for l in at_least])
             clauses.extend([[a + off, b + off] for a, b in at_most])
+
+    def add(self, formulas: list[tuple]) -> None:
+        """Assert each formula as a unit clause, in list order, then attach
+        every new clause: watch its first two literals, or record a unit."""
+        clauses, watches, units = self.cnf.clauses, self.watches, self.units
+        for f in formulas:
+            clauses.append([self.lit(f)])
+        self.formulas += formulas
+        watches.extend([] for _ in range(2 * self.cnf.nvars - len(watches)))
+        for ci in range(self.attached, len(clauses)):
+            clause = clauses[ci]
+            if len(clause) > 1:
+                watches[clause[0]].append(ci)
+                watches[clause[1]].append(ci)
+            else:
+                units.append(clause[0])
+        self.attached = len(clauses)
 
     def true_lit(self) -> int:
         if self._true_lit is None:
@@ -374,10 +416,12 @@ def _luby(x: int) -> int:
 class _Cdcl:
     """Minisat-style solver over a fixed clause database.
 
-    Takes ownership of `clauses`: it reorders literals inside them and
-    appends learnt clauses.  `lval[lit]` is True, False or None (unset)."""
+    Takes over a Compiler's attached `clauses`, `watches` and `units`: it
+    reorders literals inside clauses, moves watches and appends learnt
+    clauses.  `lval[lit]` is True, False or None (unset)."""
 
-    def __init__(self, nvars: int, clauses: list[list[int]], deadline: float | None):
+    def __init__(self, nvars: int, clauses: list[list[int]], watches: list[list[int]],
+                 units: list[int], deadline: float | None):
         self.nvars = nvars
         self.clauses = clauses
         self.deadline = deadline
@@ -387,21 +431,13 @@ class _Cdcl:
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
-        self.watches: list[list[int]] = [[] for _ in range(2 * nvars)]
+        self.watches = watches
         self.activity = [0.0] * nvars
         self.var_inc = 1.0
         self.phase = [0] * nvars
         self.heap: list[tuple[float, int]] = [(0.0, v) for v in range(nvars)]
-        self.ok = True
         self.conflicts = 0
-        watches = self.watches
-        for ci, clause in enumerate(clauses):
-            if len(clause) > 1:
-                watches[clause[0]].append(ci)
-                watches[clause[1]].append(ci)
-            elif not clause or not self.enqueue(clause[0], None):
-                self.ok = False
-                return
+        self.ok = all(self.enqueue(lit, None) for lit in units)
 
     def enqueue(self, lit: int, reason) -> bool:
         a = self.lval[lit]
@@ -610,21 +646,21 @@ class InternalSolverError(Exception):
 
 
 class CdclBackend:
-    """Compile every formula to SAT as a unit clause and run one CDCL search."""
+    """Compile every formula past the pool's base as a unit clause and run
+    one CDCL search."""
 
     def check(self, pool: VarPool, formulas: list[tuple], timeout_s: float | None = 5.0) -> CheckResult:
         deadline = None if timeout_s is None else time.monotonic() + timeout_s
         comp = Compiler(pool)
-        for f in formulas:
-            comp.cnf.clauses.append([comp.lit(f)])
+        comp.add(formulas)
         try:
-            status, assigns = _Cdcl(comp.cnf.nvars, comp.cnf.clauses, deadline).solve()
+            status, assigns = _Cdcl(comp.cnf.nvars, comp.cnf.clauses, comp.watches, comp.units, deadline).solve()
         except _Timeout:
             return CheckResult("unknown")
         if status == "unsat":
             return CheckResult("unsat")
         model = comp.model_from_sat(assigns)
-        for i, f in enumerate(formulas):
+        for i, f in enumerate(comp.formulas):
             if not eval_formula(f, model):
                 raise InternalSolverError(f"model does not satisfy formula {i}")
         return CheckResult("sat", model=model)
@@ -665,7 +701,8 @@ def _smt_formula(pool: VarPool, f) -> str:
 
 
 def to_smtlib(pool: VarPool, formulas: list[tuple]) -> str:
-    """Render the problem as SMT-LIB2 text for offline inspection."""
+    """Render the problem, the pool's base formulas included, as SMT-LIB2
+    text for offline inspection."""
     lines = ["(set-logic QF_LIA)"]
     for vid in range(len(pool)):
         name = pool.names[vid]
@@ -675,7 +712,7 @@ def to_smtlib(pool: VarPool, formulas: list[tuple]) -> str:
             lo, hi = pool.domains[vid]
             lines.append(f"(declare-fun |{name}| () Int)")
             lines.append(f"(assert (and (<= {lo} |{name}|) (<= |{name}| {hi})))")
-    for f in formulas:
+    for f in (pool.base or _NO_BASE).formulas + formulas:
         lines.append(f"(assert {_smt_formula(pool, f)})")
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"

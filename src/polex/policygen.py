@@ -281,11 +281,12 @@ class Simplifier:
         """The constraints plus `conditions[:k]` entail that `conditions[k]`
         holds: a branch its outcome, a query a row.  A premise query also
         returns at most one row.  Unknown counts as no."""
-        pool, (inst,), env, formulas = bounded(
+        pool, (inst,), env = bounded(
             self.schema, self.constraints, self.table_bound, self.value_range,
             sorted(self._param_names(cq).items()),
         )
         defs: list = []
+        formulas: list = []
         for j, rec in enumerate(conditions[: k + 1]):
             if isinstance(rec, CondBranch):
                 f = encode_pred(rec.pred, {}, env)

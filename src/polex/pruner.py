@@ -228,9 +228,10 @@ def _is_allowed_by_solver(
     timeout_s: float = 5.0,
 ) -> ContainmentVerdict:
     """Bounded two-instance determinacy check of `q` against `views`."""
-    pool, (inst_a, inst_b), env, formulas = bounded(
+    pool, (inst_a, inst_b), env = bounded(
         schema, constraints, bound, value_range, prefixes=("A.", "B.")
     )
+    formulas = []
     for v in views:
         pa = result_pairs(v, inst_a, schema, env)
         pb = result_pairs(v, inst_b, schema, env)

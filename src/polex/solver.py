@@ -17,6 +17,7 @@ and `atMostOne` asserts that no two distinct combinations both match
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -26,6 +27,7 @@ from .fdsolver import (
     TRUE_F,
     CdclBackend,
     CheckResult,
+    Compiler,
     VarPool,
     bvar,
     const,
@@ -170,6 +172,23 @@ def encode_instance(
     return inst, formulas
 
 
+@functools.lru_cache(maxsize=4)
+def _shared(schema, constraints, bound, value_range, prefixes):
+    """The compiled part of every check on one bounded context: one
+    instance per prefix, then the session-parameter symbols, with every
+    instance's `encode_instance` formulas in prefix order."""
+    pool = VarPool()
+    instances, formulas = [], []
+    for prefix in prefixes:
+        inst, own = encode_instance(schema, constraints, bound, pool, value_range, prefix)
+        instances.append(inst)
+        formulas.extend(own)
+    session = {name: pool.new_int(name, *value_range) for name in SESSION_PARAMS}
+    base = Compiler(pool)
+    base.add(formulas)
+    return base, tuple(instances), session
+
+
 def bounded(
     schema: Schema,
     constraints: list[Constraint],
@@ -177,24 +196,22 @@ def bounded(
     value_range: tuple[int, int],
     params=(),
     prefixes: tuple[str, ...] = ("",),
-) -> tuple[VarPool, list[SymInstance], SymEnv, list[tuple]]:
+) -> tuple[VarPool, tuple[SymInstance, ...], SymEnv]:
     """The symbols every check starts from: one instance per prefix, then
     shared session-parameter symbols, then one per `(name, type)` request
-    parameter not yet allocated.  Returns (pool, instances, env, formulas),
-    the formulas being every instance's `encode_instance` formulas in
-    prefix order; allocation order fixes the SAT variable numbers.
+    parameter not yet allocated; allocation order fixes the SAT variable
+    numbers.  Returns (pool, instances, env), the pool's base holding the
+    instance formulas, compiled once per context (`_shared` keeps a few).
     """
-    pool = VarPool()
-    instances, formulas = [], []
-    for prefix in prefixes:
-        inst, own = encode_instance(schema, constraints, bound, pool, value_range, prefix)
-        instances.append(inst)
-        formulas.extend(own)
-    env = SymEnv()
-    for name, ptype in [(name, "int") for name in SESSION_PARAMS] + list(params):
+    base, instances, session = _shared(
+        schema, tuple(constraints), bound, tuple(value_range), tuple(prefixes)
+    )
+    pool = VarPool(base.pool.names[:], base.pool.kinds[:], base.pool.domains[:], base)
+    env = SymEnv(dict(session))
+    for name, ptype in params:
         if name not in env.params:
             env.params[name] = pool.new_int(name, *_col_domain(value_range, ptype))
-    return pool, instances, env, formulas
+    return pool, instances, env
 
 
 def _row_values(inst: SymInstance, table: str, row_idx: int) -> tuple[SymValue, ...]:
@@ -397,9 +414,10 @@ def encode_constraint(c: Constraint, inst: SymInstance, schema: Schema):
 
 
 def check(pool: VarPool, formulas: list[tuple], timeout_s: float | None = 5.0) -> CheckResult:
-    """Decide the conjunction of `formulas` in one CDCL search, compiling
-    them in list order (callers put query definitions first): Sat models
-    are verified against every formula, timeouts surface as Unknown."""
+    """Decide the conjunction of the pool's base formulas and `formulas` in
+    one CDCL search, compiling `formulas` after the base in list order
+    (callers put query definitions first): Sat models are verified against
+    every formula, timeouts surface as Unknown."""
     return CdclBackend().check(pool, formulas, timeout_s=timeout_s)
 
 

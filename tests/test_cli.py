@@ -340,3 +340,31 @@ def test_corrupt_intern_table_exits_2_naming_the_file(tmp_path, capsys, content)
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: malformed ") and "intern.json" in err, argv
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["constraints-gen-o", "merge-prune-o", "broaden-o", "is-allowed-dump", "is-allowed-dir", "broaden-dir"],
+)
+def test_unwritable_output_or_unreadable_policy_exits_2(tmp_path, capsys, case):
+    run = make_run(tmp_path, "toys")
+    policies = run / "policies"
+    policies.mkdir()
+    ok = policies / "ok.sql"
+    ok.write_text("SELECT * FROM users;\n")
+    missing = tmp_path / "missing" / "out.sql"
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv, path = {
+        "constraints-gen-o": (["constraints-gen", str(run / "schema.txt"), "-o", str(missing)], missing),
+        "merge-prune-o": (["policy-merge-prune", str(run), "ok", "-o", str(missing)], missing),
+        "broaden-o": (["broaden", str(run), str(ok), str(ok), "-o", str(missing)], missing),
+        "is-allowed-dump": (["is-allowed", str(run), str(ok), "SELECT * FROM items", "--dump", str(taken)], taken),
+        "is-allowed-dir": (["is-allowed", str(run), str(policies), "SELECT * FROM users"], policies),
+        "broaden-dir": (["broaden", str(run), str(policies), str(ok)], policies),
+    }[case]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert "Traceback" not in err

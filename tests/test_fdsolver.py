@@ -26,6 +26,10 @@ from polex.fdsolver import (
     to_smtlib,
 )
 
+from polex.constraints import Unique
+from polex.schema import parse_schema
+from polex.solver import bounded
+
 from enumeration import EnumerationBackend
 
 
@@ -176,6 +180,13 @@ def test_smtlib_dump():
     assert "(declare-fun |table.r0.present| () Bool)" in text
     assert "(assert (and |table.r0.present| (= |table.r0.col| 3)))" in text
     assert text.strip().endswith("(check-sat)")
+    # A bounded check's dump also asserts the instance and constraint
+    # formulas that its pool's compiled base holds.
+    pool, (inst,), env = bounded(parse_schema("table t { a int }"), [Unique("t", ("a",))], 2, (0, 3))
+    text = to_smtlib(pool, [bvar(inst.tables["t"].rows[0].presence)])
+    assert "(assert (or (not |t.r1.present|) |t.r0.present|))" in text
+    assert "(assert (not (and |t.r0.present| |t.r1.present| (= |t.r0.a| |t.r1.a|))))" in text
+    assert "(assert |t.r0.present|)" in text
 
 
 def _add_reference(lits):

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
+import pytest
+
+from polex import fdsolver, solver
 from polex.constraints import expand_all, generate_constraints, validate_instance
+from polex.dsl import parse_handlers
 from polex.evaluate import ScalarEnv, eval_executable, eval_nf
+from polex.explorer import ExplorationConfig, explore
 from polex.fdsolver import VarPool, eval_formula, lnot
 from polex.normal import NormalFormQuery, to_executable
 from polex.schema import parse_schema
@@ -34,8 +40,8 @@ RANGE = (0, 3)
 
 
 def fresh_context(constraints=CONSTRAINTS, bound=2):
-    pool, (inst,), env, formulas = bounded(SCHEMA, constraints, bound, RANGE)
-    return pool, inst, env, formulas
+    pool, (inst,), env = bounded(SCHEMA, constraints, bound, RANGE)
+    return pool, inst, env
 
 
 def _row_symbols(inst) -> set[int]:
@@ -62,7 +68,7 @@ def _vids(f) -> set[int]:
 
 def test_bounded_instances_share_session_and_request_symbols():
     params = [("Flag", "bool"), ("MyUserId", "int"), ("CourseId", "int")]
-    pool, (a, b), env, formulas = bounded(SCHEMA, CONSTRAINTS, 2, RANGE, params, prefixes=("A.", "B."))
+    pool, (a, b), env = bounded(SCHEMA, CONSTRAINTS, 2, RANGE, params, prefixes=("A.", "B."))
     rows_a, rows_b = _row_symbols(a), _row_symbols(b)
     assert rows_a and rows_b and not rows_a & rows_b
     assert pool.names.count("MyUserId") == 1 and pool.names.count("Now") == 1
@@ -72,8 +78,9 @@ def test_bounded_instances_share_session_and_request_symbols():
     # Instances first, then parameters: the explorer's variable numbering.
     assert max(rows_a | rows_b) < min(env.params.values())
     assert sorted(env.params.values()) == list(range(len(pool) - 4, len(pool)))
-    # One instance's formulas per prefix, in prefix order, each over its
-    # own instance's symbols only.
+    # The base asserts one instance's formulas per prefix, in prefix order,
+    # each over its own instance's symbols only.
+    formulas = pool.base.formulas
     shared = VarPool()
     one_a = encode_instance(SCHEMA, CONSTRAINTS, 2, shared, RANGE, "A.")[1]
     one_b = encode_instance(SCHEMA, CONSTRAINTS, 2, shared, RANGE, "B.")[1]
@@ -94,7 +101,7 @@ def test_symbol_counts():
 
 
 def test_unique_constraint_formula():
-    pool, inst, env, formulas = fresh_context()
+    pool, inst, env = fresh_context()
     # courses.id is unique: no model may present two rows with equal ids.
     id0 = inst.tables["courses"].rows[0]
     id1 = inst.tables["courses"].rows[1]
@@ -103,16 +110,17 @@ def test_unique_constraint_formula():
     both_equal = land(
         bvar(id0.presence), bvar(id1.presence), feq(ivar(id0.values[0]), ivar(id1.values[0]))
     )
-    verdict = check(pool, formulas + [both_equal])
+    verdict = check(pool, [both_equal])
     assert verdict.status == "unsat"
 
 
 def test_fk_containment_models_validate():
     # Every model found under the constraints materializes into an input
     # that passes brute-force validation.
-    pool, inst, env, formulas = fresh_context()
+    pool, inst, env = fresh_context()
     from polex.fdsolver import bvar
 
+    formulas = []
     roles_present = bvar(inst.tables["roles"].rows[0].presence)
     for extra in range(4):
         verdict = check(pool, formulas + [roles_present])
@@ -126,7 +134,7 @@ def test_fk_containment_models_validate():
 
 
 def test_nonempty_is_two_way_disjunction():
-    pool, inst, env, _ = fresh_context(constraints=[])
+    pool, inst, env = fresh_context(constraints=[])
     nf = NormalFormQuery((0, 1, 2, 3), TRUE, ("roles",))
     enc = encode_query(nf, (), inst, SCHEMA, env, pool, "q1", RANGE)
     # nonEmpty holds iff some roles row is present.
@@ -141,7 +149,7 @@ def test_nonempty_is_two_way_disjunction():
 
 
 def test_query_over_absent_rows_unsat():
-    pool, inst, env, _ = fresh_context(constraints=[])
+    pool, inst, env = fresh_context(constraints=[])
     from polex.fdsolver import bvar
 
     nf = NormalFormQuery((0,), TRUE, ("courses",))
@@ -151,7 +159,7 @@ def test_query_over_absent_rows_unsat():
 
 
 def test_tautological_filter_nonempty_iff_row_present():
-    pool, inst, env, _ = fresh_context(constraints=[])
+    pool, inst, env = fresh_context(constraints=[])
     nf = NormalFormQuery((0,), Cmp("=", Col(0), Col(0)), ("courses",))
     enc = encode_query(nf, (), inst, SCHEMA, env, pool, "q1", RANGE)
     from polex.fdsolver import bvar, lor
@@ -174,7 +182,7 @@ def test_check_examples():
 
 
 def test_model_to_input_empty_and_nulls():
-    pool, inst, env, _ = fresh_context(constraints=[])
+    pool, inst, env = fresh_context(constraints=[])
     from polex.fdsolver import bvar
 
     # all rows absent -> empty database
@@ -184,7 +192,7 @@ def test_model_to_input_empty_and_nulls():
     assert all(rows == () for rows in ci.tables.values())
 
     # force a roles row with a null note
-    pool, inst, env, _ = fresh_context(constraints=[])
+    pool, inst, env = fresh_context(constraints=[])
     row = inst.tables["roles"].rows[0]
     hard = [bvar(row.presence), bvar(row.nulls[3])]
     v = check(pool, hard)
@@ -217,11 +225,11 @@ def test_encoding_agrees_with_evaluator_on_random_queries():
     checked = 0
     for _ in range(120):
         nf = _random_nf(rng)
-        pool, inst, env, formulas = fresh_context()
+        pool, inst, env = fresh_context()
         enc = encode_query(nf, (), inst, SCHEMA, env, pool, "q1", RANGE)
         want_nonempty = rng.random() < 0.7
         path = enc.non_empty if want_nonempty else lnot(enc.non_empty)
-        verdict = check(pool, enc.defs + formulas + [path, enc.at_most_one])
+        verdict = check(pool, enc.defs + [path, enc.at_most_one])
         if verdict.status != "sat":
             continue
         checked += 1
@@ -283,6 +291,113 @@ def test_left_join_encoding_agrees_with_evaluator():
 
 def test_count_query_never_empty():
     exe = to_executable(parse_sql("SELECT COUNT(*) FROM courses"), SCHEMA)
-    pool, inst, env, formulas = fresh_context()
+    pool, inst, env = fresh_context()
     enc = encode_query(exe, (), inst, SCHEMA, env, pool, "q1", RANGE)
-    assert check(pool, enc.defs + formulas + [lnot(enc.non_empty)]).status == "unsat"
+    assert check(pool, enc.defs + [lnot(enc.non_empty)]).status == "unsat"
+
+
+# ---------------------------------------------------------------------------
+# The compiled base of a bounded context
+
+
+def _own_formulas(rng, insts, env, pool):
+    """A seeded check's own formulas: one random query per instance, each
+    asserted empty or non-empty and at most one row."""
+    own = []
+    for i, inst in enumerate(insts):
+        enc = encode_query(_random_nf(rng), (), inst, SCHEMA, env, pool, f"q{i}", RANGE)
+        own += enc.defs + [enc.non_empty if rng.random() < 0.7 else lnot(enc.non_empty), enc.at_most_one]
+    return own
+
+
+def test_forked_checks_agree_with_a_fresh_full_compile():
+    rng = random.Random(909)
+    statuses = []
+    for bound in (1, 2, 3):
+        for prefixes in (("",), ("A.", "B.")):
+            for _ in range(6):
+                pool, insts, env = bounded(SCHEMA, CONSTRAINTS, bound, RANGE, prefixes=prefixes)
+                own = _own_formulas(rng, insts, env, pool)
+                shared = pool.base.formulas
+                assert len(shared) == len(prefixes) * (len(CONSTRAINTS) + (bound > 1) * len(SCHEMA.tables))
+                fresh = check(VarPool(pool.names[:], pool.kinds[:], pool.domains[:]), shared + own, None)
+                forked = check(pool, own, None)
+                assert forked.status == fresh.status
+                statuses.append(forked.status)
+                for verdict in (forked, fresh):
+                    if verdict.status == "sat":
+                        assert all(eval_formula(f, verdict.model) for f in shared)
+                        assert all(eval_formula(f, verdict.model) for f in own)
+    assert statuses.count("sat") == 22 and statuses.count("unsat") == 14
+
+
+def _base_snapshot(base):
+    return (
+        [c[:] for c in base.cnf.clauses],
+        dict(base.cache),
+        [w[:] for w in base.watches],
+        base.units[:],
+        base.cnf.nvars,
+    )
+
+
+def test_checks_on_one_context_leave_its_base_untouched():
+    courses = NormalFormQuery((0,), Cmp("=", Col(0), SessionParam("MyUserId")), ("courses",))
+    roles = NormalFormQuery((0, 3), Not(IsNull(Col(3))), ("roles",))
+    join = NormalFormQuery((0,), Cmp("=", Col(0), Col(2)), ("courses", "roles"))
+
+    def run(nf, empty):
+        pool, (inst,), env = bounded(SCHEMA, CONSTRAINTS, 2, RANGE)
+        enc = encode_query(nf, (), inst, SCHEMA, env, pool, "q1", RANGE)
+        return pool.base, check(pool, enc.defs + [lnot(enc.non_empty) if empty else enc.non_empty])
+
+    base = bounded(SCHEMA, CONSTRAINTS, 2, RANGE)[0].base
+    before = _base_snapshot(base)
+    results = []
+    for nf, empty in ((join, False), (courses, False), (roles, True), (join, False)):
+        again, verdict = run(nf, empty)
+        assert again is base
+        assert _base_snapshot(base) == before
+        results.append((verdict.status, verdict.model))
+    assert results[0] == results[-1] and results[0][0] == "sat"
+
+
+def test_explore_encodes_each_context_once(monkeypatch):
+    root = Path(__file__).resolve().parent.parent / "corpus" / "toys"
+    schema = parse_schema((root / "schema.txt").read_text())
+    cons = expand_all(generate_constraints(schema), schema)
+    (program,) = parse_handlers((root / "handlers" / "show_item.hdl").read_text())
+    calls = {"encode_instance": 0, "exactly_one": 0}
+    pools = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def recording_check(self, pool, formulas, timeout_s=5.0):
+        pools.append(pool)
+        return backend_check(self, pool, formulas, timeout_s)
+
+    backend_check = fdsolver.CdclBackend.check
+    monkeypatch.setattr(solver, "encode_instance", counted("encode_instance", solver.encode_instance))
+    monkeypatch.setattr(fdsolver, "_exactly_one", counted("exactly_one", fdsolver._exactly_one))
+    monkeypatch.setattr(fdsolver.CdclBackend, "check", recording_check)
+    solver._shared.cache_clear()
+    result = explore(program, schema, cons, ExplorationConfig(table_bound=2, solver_timeout=None))
+    assert len(result.transcripts) > 1 and len(pools) > 2
+    assert calls["encode_instance"] == 1
+    (base,) = {id(p.base): p.base for p in pools}.values()
+    # One exactly-one scaffold per int symbol of the base, plus one per int
+    # symbol each check adds past it (request parameters, query results).
+    past_base = sum(p.kinds.count("int") - len(base.onehot) for p in pools)
+    assert calls["exactly_one"] == len(base.onehot) + past_base
+
+
+def test_model_check_covers_the_base_formulas(monkeypatch):
+    pool, _, _ = bounded(SCHEMA, CONSTRAINTS, 2, RANGE)
+    rejected = pool.base.formulas[1]
+    monkeypatch.setattr(fdsolver, "eval_formula", lambda f, model: f is not rejected)
+    with pytest.raises(fdsolver.InternalSolverError, match=r"formula 1$"):
+        check(pool, [])

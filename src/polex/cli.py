@@ -35,9 +35,11 @@ REFUSED = 4
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = INPUT_ERROR):
-        super().__init__(message)
-        self.code = code
+    pass
+
+
+# A malformed or missing input, or an unwritable output path: exit 2.
+INPUT_ERRORS = (CliError, RunDirError, SchemaError, SourceError, NormalizeError, ExecutionError, OSError)
 
 
 def _value_range(text: str) -> tuple[int, int]:
@@ -89,12 +91,7 @@ def _load_handler(run: RunDirectory, name: str):
 
 
 def cmd_constraints_gen(args) -> int:
-    try:
-        schema = load_schema(args.schema)
-        items = generate_constraints(schema)
-    except (SchemaError, SourceError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return INPUT_ERROR
+    items = generate_constraints(load_schema(args.schema))
     text = render_constraint_file(items)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -106,15 +103,11 @@ def cmd_constraints_gen(args) -> int:
 
 def cmd_explore(args) -> int:
     run = RunDirectory(args.rundir)
-    try:
-        schema = run.load_schema()
-        constraints, _ = run.load_constraints(schema)
-        program, _path = _load_handler(run, args.handler)
-        config = _config_from_args(args)
-        result = explore(program, schema, constraints, config)
-    except (CliError, RunDirError, SchemaError, SourceError, NormalizeError, ExecutionError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return INPUT_ERROR
+    schema = run.load_schema()
+    constraints = run.load_constraints(schema)
+    program, _path = _load_handler(run, args.handler)
+    config = _config_from_args(args)
+    result = explore(program, schema, constraints, config)
     meta = {"config": config.to_json(), "seed": config.seed}
     for t in result.transcripts:
         run.write_transcript(t, meta)
@@ -134,39 +127,28 @@ def cmd_explore(args) -> int:
     return OK
 
 
-def _generate_handler_views(run: RunDirectory, schema, constraints, name: str, settings: dict):
-    ids = run.transcript_ids(name)
-    if not ids:
-        raise CliError(f"no transcripts for handler {name!r}; run explore first")
-    transcripts = [run.read_transcript(i)[1] for i in ids]
-    program, _ = _load_handler(run, name)
-    param_types = dict(program.request_params)
-    cqs = to_conditioned_queries(transcripts, schema)
-    simplified = simplify(
-        cqs,
-        schema,
-        constraints,
-        param_types,
-        table_bound=settings["bound"],
-        value_range=settings["value_range"],
-        timeout_s=settings["timeout"],
-    )
-    views = views_from_cqs(simplified, schema)
-    return transcripts, cqs, simplified, views
-
-
 def cmd_policy_gen(args) -> int:
     run = RunDirectory(args.rundir)
     settings = _policy_settings(args)
+    schema = run.load_schema()
+    constraints = run.load_constraints(schema)
+    ids = run.transcript_ids(args.handler)
+    if not ids:
+        raise CliError(f"no transcripts for handler {args.handler!r}; run explore first")
+    transcripts = [run.read_transcript(i)[1] for i in ids]
+    program, _ = _load_handler(run, args.handler)
     try:
-        schema = run.load_schema()
-        constraints, _ = run.load_constraints(schema)
-        transcripts, cqs, simplified, views = _generate_handler_views(
-            run, schema, constraints, args.handler, settings
+        cqs = to_conditioned_queries(transcripts, schema)
+        simplified = simplify(
+            cqs,
+            schema,
+            constraints,
+            dict(program.request_params),
+            table_bound=settings["bound"],
+            value_range=settings["value_range"],
+            timeout_s=settings["timeout"],
         )
-    except (CliError, RunDirError, SchemaError, SourceError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return INPUT_ERROR
+        views = views_from_cqs(simplified, schema)
     except (ViewGenError, NormalizeError) as e:
         print(f"policy generation refused: {e}", file=sys.stderr)
         return REFUSED
@@ -192,16 +174,12 @@ def cmd_policy_gen(args) -> int:
 def cmd_policy_merge_prune(args) -> int:
     run = RunDirectory(args.rundir)
     settings = _policy_settings(args)
-    try:
-        schema = run.load_schema()
-        constraints, _ = run.load_constraints(schema)
-        policies = []
-        for name in args.handlers:
-            views = load_policy_file(run.policy_path(name), schema)
-            policies.append(Policy(views, settings["bound"], settings["value_range"]))
-    except (CliError, RunDirError, SchemaError, SourceError, NormalizeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return INPUT_ERROR
+    schema = run.load_schema()
+    constraints = run.load_constraints(schema)
+    policies = []
+    for name in args.handlers:
+        views = load_policy_file(run.policy_path(name), schema)
+        policies.append(Policy(views, settings["bound"], settings["value_range"]))
     merged, removed = merge_and_prune(policies, constraints, schema, settings["timeout"])
     run.policies_dir.mkdir(parents=True, exist_ok=True)
     out = Path(args.output) if args.output else run.policies_dir / "final.sql"
@@ -215,14 +193,10 @@ def cmd_policy_merge_prune(args) -> int:
 def cmd_broaden(args) -> int:
     run = RunDirectory(args.rundir)
     settings = _policy_settings(args)
-    try:
-        schema = run.load_schema()
-        constraints, _ = run.load_constraints(schema)
-        base_views = load_policy_file(args.policy, schema)
-        user_views = load_policy_file(args.added, schema)
-    except (CliError, RunDirError, SchemaError, SourceError, NormalizeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return INPUT_ERROR
+    schema = run.load_schema()
+    constraints = run.load_constraints(schema)
+    base_views = load_policy_file(args.policy, schema)
+    user_views = load_policy_file(args.added, schema)
     policy = Policy(base_views, settings["bound"], settings["value_range"])
     broadened, report = broaden(policy, user_views, constraints, schema, settings["timeout"])
     out = Path(args.output) if args.output else Path(args.policy).with_suffix(".broadened.sql")
@@ -245,15 +219,12 @@ def cmd_broaden(args) -> int:
 
 def cmd_replay(args) -> int:
     run = RunDirectory(args.rundir)
+    schema = run.load_schema()
+    meta, stored = run.read_transcript(args.input_id)
+    ci = run.read_input(args.input_id, schema)
+    program, path = _load_handler(run, meta["handler"])
     try:
-        schema = run.load_schema()
-        meta, stored = run.read_transcript(args.input_id)
-        ci = run.read_input(args.input_id, schema)
-        program, path = _load_handler(run, meta["handler"])
         transcript, _warnings = execute(program, ci, schema)
-    except (CliError, RunDirError, SchemaError, SourceError, NormalizeError, ExecutionError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return INPUT_ERROR
     except MultiRowResult:
         print("error: replay diverged from the stored transcript", file=sys.stderr)
         return INPUT_ERROR
@@ -271,14 +242,10 @@ def cmd_replay(args) -> int:
 
 def cmd_is_allowed(args) -> int:
     run = RunDirectory(args.rundir)
-    try:
-        schema = run.load_schema()
-        constraints, _ = run.load_constraints(schema)
-        views = load_policy_file(args.policy, schema)
-        q = session_view(args.query, schema)
-    except (CliError, RunDirError, SchemaError, SourceError, NormalizeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return INPUT_ERROR
+    schema = run.load_schema()
+    constraints = run.load_constraints(schema)
+    views = load_policy_file(args.policy, schema)
+    q = session_view(args.query, schema)
     verdict = is_allowed(
         q, [v.nf for v in views], constraints, schema,
         bound=args.bound, value_range=args.value_range, timeout_s=args.timeout,
@@ -368,10 +335,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.code
-    except OSError as e:  # an unwritable output or unreadable input path
+    except INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
 

@@ -1,22 +1,25 @@
-"""Relational normal form and the mechanical rewrites into it.
+"""Relational normal form, and the one lowering of parsed SQL into it.
 
 A `NormalFormQuery` is a projection over a filtered cross product of
 base tables (unnamed perspective: columns are ordinals into the product).
-Project-select-join queries convert losslessly; the other supported
-shapes are rewritten:
 
-  * inner join      -> cross product plus filter (lossless)
-  * SELECT 1..LIMIT 1 -> projection of the empty tuple (lossless)
-  * COUNT(*)        -> projection of the table's unique key column
-                       (approximate)
-  * LEFT JOIN       -> the matching inner part plus the left-only part
-                       (approximate; the caller duplicates the
-                       conditioned query accordingly), except when the
-                       WHERE clause rejects unmatched rows anyway, in
-                       which case the inner part alone is lossless.
+`to_executable` lowers every parsed query once, with precise semantics,
+for the interpreter and the symbolic encoder: names resolve over the
+product of the FROM list and the joined table, an inner join's ON joins
+its WHERE, and an existence query projects the empty tuple.  It yields
+a `PlainQuery`, a `LeftJoinQuery` or a `CountQuery`.
 
-Execution-facing code keeps the precise semantics instead: `to_executable`
-yields a form the interpreter and the symbolic encoder share.
+`psj_variants` derives what policy generation reads from that lowering,
+as PSJ normal forms:
+
+  * a plain query (PSJ, inner join, existence) -> itself (lossless)
+  * COUNT(*)  -> projection of the table's unique key column
+                 (approximate)
+  * LEFT JOIN -> the matching inner part plus the left-only part
+                 (approximate; the caller duplicates the conditioned
+                 query accordingly), except when the WHERE clause
+                 rejects unmatched rows anyway, in which case the inner
+                 part alone is lossless.
 """
 
 from __future__ import annotations
@@ -24,16 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .schema import Schema
+from .schema import Column, Schema
 from .sqlparser import parse_sql
 from .sqlast import (
     COUNT_AGGREGATE,
-    EXISTENCE_LIMIT1,
-    INNER_JOIN,
-    LEFT_JOIN,
     PSJ,
-    CountStar,
-    OneLit,
     QueryAst,
     SelectCol,
     Star,
@@ -116,7 +114,26 @@ class RewriteVariant:
 
 
 # ---------------------------------------------------------------------------
-# Name resolution
+# Column layout and name resolution
+
+
+def source_ranges(schema: Schema, sources: tuple[str, ...]) -> list[tuple[int, int]]:
+    """Each source's (start, end) ordinal range in the product of `sources`."""
+    ranges = []
+    off = 0
+    for t in sources:
+        n = schema.table(t).arity
+        ranges.append((off, off + n))
+        off += n
+    return ranges
+
+
+def column_of_ordinal(schema: Schema, sources: tuple[str, ...], ordinal: int) -> tuple[str, Column]:
+    """Map a product ordinal to its (table, column)."""
+    for name, (lo, hi) in zip(sources, source_ranges(schema, sources)):
+        if lo <= ordinal < hi:
+            return name, schema.table(name).columns[ordinal - lo]
+    raise NormalizeError(f"ordinal {ordinal} out of range for sources {sources}")
 
 
 class _Space:
@@ -125,25 +142,19 @@ class _Space:
     def __init__(self, schema: Schema, tables: tuple[TableRef, ...]):
         self.schema = schema
         self.tables = tables
-        self.offsets: list[int] = []
-        off = 0
-        for ref in tables:
-            self.offsets.append(off)
-            off += schema.table(ref.table).arity
-        self.arity = off
+        self.ranges = source_ranges(schema, tuple(t.table for t in tables))
 
     def resolve(self, ref: NamedCol) -> int:
         if ref.table is not None:
-            for pos, t in enumerate(self.tables):
+            for t, (lo, _) in zip(self.tables, self.ranges):
                 if t.alias == ref.table:
-                    return self.offsets[pos] + self.schema.table(t.table).column_index(ref.name)
+                    return lo + self.schema.table(t.table).column_index(ref.name)
             raise NormalizeError(f"unknown table or alias {ref.table!r}")
         hits = []
-        for pos, t in enumerate(self.tables):
-            table = self.schema.table(t.table)
-            for i, c in enumerate(table.columns):
+        for t, (lo, _) in zip(self.tables, self.ranges):
+            for i, c in enumerate(self.schema.table(t.table).columns):
                 if c.name == ref.name:
-                    hits.append(self.offsets[pos] + i)
+                    hits.append(lo + i)
         if not hits:
             raise NormalizeError(f"unknown column {ref.name!r}")
         if len(hits) > 1:
@@ -158,43 +169,22 @@ class _Space:
 
         return map_terms(p, sub)
 
-    def column_at(self, ordinal: int) -> tuple[TableRef, int]:
-        for pos in reversed(range(len(self.tables))):
-            if ordinal >= self.offsets[pos]:
-                return self.tables[pos], ordinal - self.offsets[pos]
-        raise NormalizeError(f"ordinal {ordinal} out of range")
-
     def select_ordinals(self, items) -> list[int]:
+        """The projected ordinals; `1` and `COUNT(*)` project none."""
         out: list[int] = []
         for item in items:
             if isinstance(item, Star):
-                out.extend(range(self.arity))
+                out.extend(range(self.ranges[-1][1]))
             elif isinstance(item, TableStar):
-                for pos, t in enumerate(self.tables):
+                for t, span in zip(self.tables, self.ranges):
                     if t.alias == item.alias:
-                        n = self.schema.table(t.table).arity
-                        out.extend(range(self.offsets[pos], self.offsets[pos] + n))
+                        out.extend(range(*span))
                         break
                 else:
                     raise NormalizeError(f"unknown table or alias {item.alias!r}")
             elif isinstance(item, SelectCol):
                 out.append(self.resolve(NamedCol(item.table, item.name)))
-            elif isinstance(item, (OneLit, CountStar)):
-                continue  # handled by the shape-specific rewrites
-            else:
-                raise NormalizeError(f"bad select item {item!r}")
         return out
-
-
-def column_of_ordinal(schema: Schema, sources: tuple[str, ...], ordinal: int) -> tuple[str, int, str]:
-    """Map a product ordinal to (table, source position, column name)."""
-    off = 0
-    for pos, name in enumerate(sources):
-        n = schema.table(name).arity
-        if ordinal < off + n:
-            return name, pos, schema.table(name).columns[ordinal - off].name
-        off += n
-    raise NormalizeError(f"ordinal {ordinal} out of range for sources {sources}")
 
 
 def check_nf(nf: NormalFormQuery, schema: Schema) -> None:
@@ -234,19 +224,43 @@ def session_view(sql: str, schema: Schema) -> NormalFormQuery:
 
 
 # ---------------------------------------------------------------------------
-# Conversions
+# The lowering and the PSJ variants derived from it
+
+
+def to_executable(ast: QueryAst, schema: Schema) -> ExecutableQuery:
+    """Precise, execution-facing form of a parsed query."""
+    tables = ast.all_tables()
+    space = _Space(schema, tables)
+    sources = tuple(t.table for t in tables)
+    if ast.shape == COUNT_AGGREGATE:
+        return CountQuery(sources[0], space.resolve_pred(ast.where), (ResultCol("count", "int", False),))
+    projection = tuple(space.select_ordinals(ast.select))
+    on = conjoin([space.resolve_pred(eq) for eq in ast.join.on]) if ast.join else TRUE
+    where = space.resolve_pred(ast.where)
+    if ast.join is not None and ast.join.kind == "left":
+        result = _result_cols(schema, sources, projection, space.ranges[-1][0])
+        return LeftJoinQuery(sources[:-1], sources[-1], on, where, projection, result)
+    nf = NormalFormQuery(projection, conjoin([on, where]), sources)
+    return PlainQuery(nf, _result_cols(schema, sources, projection, space.ranges[-1][1]))
+
+
+def _result_cols(
+    schema: Schema, sources: tuple[str, ...], ordinals: tuple[int, ...], nullable_from: int
+) -> tuple[ResultCol, ...]:
+    """The result columns; those at `nullable_from` and after (a LEFT JOIN's
+    right side) may be NULL whatever the schema says."""
+    columns = [c for t in sources for c in schema.table(t).columns]
+    return tuple(
+        ResultCol(columns[o].name, columns[o].type, columns[o].nullable or o >= nullable_from) for o in ordinals
+    )
 
 
 def to_normal_form(ast: QueryAst, schema: Schema) -> NormalFormQuery:
-    """Convert a PSJ-shaped query; other shapes must go through rewrite_to_psj."""
+    """The normal form of a PSJ-shaped query; other shapes go through
+    `normalize_query`."""
     if ast.shape != PSJ:
         raise NormalizeError(f"query shape {ast.shape!r} is not PSJ; rewrite first")
-    space = _Space(schema, ast.tables)
-    projection = tuple(space.select_ordinals(ast.select))
-    filt = space.resolve_pred(ast.where)
-    nf = NormalFormQuery(projection, filt, tuple(t.table for t in ast.tables))
-    check_nf(nf, schema)
-    return nf
+    return to_executable(ast, schema).nf
 
 
 def _key_column(schema: Schema, table: str) -> int:
@@ -257,110 +271,40 @@ def _key_column(schema: Schema, table: str) -> int:
     raise NormalizeError(f"COUNT(*) rewrite needs a unique key column on table {table!r}")
 
 
-def rewrite_to_psj(ast: QueryAst, schema: Schema) -> list[RewriteVariant]:
-    """Rewrite a non-PSJ query into PSJ normal form(s)."""
-    shape = ast.shape
-    if shape == PSJ:
-        raise NormalizeError("query is already PSJ; use to_normal_form")
-
-    if shape == EXISTENCE_LIMIT1:
-        space = _Space(schema, ast.tables)
-        nf = NormalFormQuery((), space.resolve_pred(ast.where), tuple(t.table for t in ast.tables))
-        return [RewriteVariant("full", nf, True, ())]
-
-    if shape == COUNT_AGGREGATE:
-        table = ast.tables[0]
-        space = _Space(schema, ast.tables)
-        key = _key_column(schema, table.table)
-        nf = NormalFormQuery((key,), space.resolve_pred(ast.where), (table.table,))
+def psj_variants(exe: ExecutableQuery, schema: Schema) -> list[RewriteVariant]:
+    """The PSJ normal forms of an executable query; what policy generation
+    consumes."""
+    if isinstance(exe, PlainQuery):
+        return [RewriteVariant("full", exe.nf, True, tuple(range(len(exe.nf.projection))))]
+    if isinstance(exe, CountQuery):
+        nf = NormalFormQuery((_key_column(schema, exe.source),), exe.filter, (exe.source,))
         # The count value itself has no column in the rewrite.
         return [RewriteVariant("full", nf, False, (None,))]
-
-    if shape == INNER_JOIN:
-        space = _Space(schema, ast.all_tables())
-        projection = tuple(space.select_ordinals(ast.select))
-        on = conjoin([space.resolve_pred(eq) for eq in ast.join.on])
-        filt = conjoin([on, space.resolve_pred(ast.where)])
-        nf = NormalFormQuery(projection, filt, tuple(t.table for t in ast.all_tables()))
-        check_nf(nf, schema)
-        return [RewriteVariant("full", nf, True, tuple(range(len(projection))))]
-
-    if shape == LEFT_JOIN:
-        space = _Space(schema, ast.all_tables())
-        left_arity = space.offsets[-1]  # join table is last
-        projection = tuple(space.select_ordinals(ast.select))
-        on = conjoin([space.resolve_pred(eq) for eq in ast.join.on])
-        where = space.resolve_pred(ast.where)
-        inner_nf = NormalFormQuery(
-            projection, conjoin([on, where]), tuple(t.table for t in ast.all_tables())
-        )
-        check_nf(inner_nf, schema)
-        identity = tuple(range(len(projection)))
-        folded = fold_nulls(where, lambda t: isinstance(t, Col) and t.index >= left_arity)
-        if folded is False:
-            # WHERE rejects unmatched rows, so the join is equivalent to an inner join.
-            return [RewriteVariant("full", inner_nf, True, identity)]
-        left_filter: Predicate = TRUE if folded is True else folded
-        kept: list[int] = []
-        result_map: list[int | None] = []
-        for o in projection:
-            if o < left_arity:
-                result_map.append(len(kept))
-                kept.append(o)
-            else:
-                result_map.append(None)
-        left_nf = NormalFormQuery(tuple(kept), left_filter, tuple(t.table for t in ast.tables))
-        check_nf(left_nf, schema)
-        return [
-            RewriteVariant("inner", inner_nf, False, identity),
-            RewriteVariant("left_only", left_nf, False, tuple(result_map)),
-        ]
-
-    raise NormalizeError(f"unsupported query shape {shape!r}")
+    left_arity = sum(schema.table(t).arity for t in exe.left_sources)
+    inner_nf = NormalFormQuery(
+        exe.projection, conjoin([exe.on, exe.where]), exe.left_sources + (exe.right_source,)
+    )
+    identity = tuple(range(len(exe.projection)))
+    folded = fold_nulls(exe.where, lambda t: isinstance(t, Col) and t.index >= left_arity)
+    if folded is False:
+        # WHERE rejects unmatched rows, so the join is equivalent to an inner join.
+        return [RewriteVariant("full", inner_nf, True, identity)]
+    left_filter: Predicate = TRUE if folded is True else folded
+    kept: list[int] = []
+    result_map: list[int | None] = []
+    for o in exe.projection:
+        if o < left_arity:
+            result_map.append(len(kept))
+            kept.append(o)
+        else:
+            result_map.append(None)
+    left_nf = NormalFormQuery(tuple(kept), left_filter, exe.left_sources)
+    return [
+        RewriteVariant("inner", inner_nf, False, identity),
+        RewriteVariant("left_only", left_nf, False, tuple(result_map)),
+    ]
 
 
 def normalize_query(ast: QueryAst, schema: Schema) -> list[RewriteVariant]:
-    """PSJ passthrough plus the rewrites; what policy generation consumes."""
-    if ast.shape == PSJ:
-        nf = to_normal_form(ast, schema)
-        return [RewriteVariant("full", nf, True, tuple(range(len(nf.projection))))]
-    return rewrite_to_psj(ast, schema)
-
-
-def _result_cols(schema: Schema, space: _Space, ordinals: tuple[int, ...], force_nullable_from: int | None = None) -> tuple[ResultCol, ...]:
-    cols = []
-    for o in ordinals:
-        ref, ci = space.column_at(o)
-        col = schema.table(ref.table).columns[ci]
-        nullable = col.nullable or (force_nullable_from is not None and o >= force_nullable_from)
-        cols.append(ResultCol(col.name, col.type, nullable))
-    return tuple(cols)
-
-
-def to_executable(ast: QueryAst, schema: Schema) -> ExecutableQuery:
-    """Precise, execution-facing form of a parsed query."""
-    shape = ast.shape
-    if shape in (PSJ, INNER_JOIN, EXISTENCE_LIMIT1):
-        variant = normalize_query(ast, schema)[0]
-        space = _Space(schema, ast.all_tables())
-        return PlainQuery(variant.nf, _result_cols(schema, space, variant.nf.projection))
-    if shape == COUNT_AGGREGATE:
-        table = ast.tables[0]
-        space = _Space(schema, ast.tables)
-        return CountQuery(table.table, space.resolve_pred(ast.where), (ResultCol("count", "int", False),))
-    if shape == LEFT_JOIN:
-        space = _Space(schema, ast.all_tables())
-        left_arity = space.offsets[-1]
-        projection = tuple(space.select_ordinals(ast.select))
-        on = conjoin([space.resolve_pred(eq) for eq in ast.join.on])
-        where = space.resolve_pred(ast.where)
-        result = _result_cols(schema, space, projection, force_nullable_from=left_arity)
-        return LeftJoinQuery(
-            tuple(t.table for t in ast.tables),
-            ast.join.table.table,
-            on,
-            where,
-            projection,
-            result,
-        )
-    raise NormalizeError(f"unsupported query shape {shape!r}")
+    """The PSJ variants of a parsed query."""
+    return psj_variants(to_executable(ast, schema), schema)

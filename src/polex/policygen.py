@@ -20,10 +20,9 @@ from typing import Union
 
 from .constraints import Constraint
 from .fdsolver import land, lnot
-from .normal import NormalFormQuery, column_of_ordinal, normalize_query
+from .normal import CountQuery, NormalFormQuery, column_of_ordinal, psj_variants, to_executable
 from .schema import Schema
 from .solver import bounded, check, encode_pred, encode_query
-from .sqlast import COUNT_AGGREGATE
 from .sqlparser import parse_sql
 from .terms import (
     BoolLit,
@@ -202,7 +201,7 @@ def to_conditioned_queries(
     them.  An empty result and a COUNT(*) (one row, whose value may not be
     read) add no condition.  A variant under which a parameter became NULL
     (a LEFT JOIN's left-only part) emits no conditioned query for it."""
-    asts: dict[str, object] = {}
+    lowered: dict[str, tuple] = {}  # SQL text -> (executable, PSJ variants)
     out: list[ConditionedQuery] = []
     for t in transcripts:
         partials = [_Partial([], {}, False)]
@@ -210,10 +209,10 @@ def to_conditioned_queries(
             if isinstance(record, BranchRecord):
                 partials = _expand_record(partials, record)
                 continue
-            if record.sql not in asts:
-                asts[record.sql] = parse_sql(record.sql)
-            ast = asts[record.sql]
-            variants = normalize_query(ast, schema)
+            if record.sql not in lowered:
+                exe = to_executable(parse_sql(record.sql), schema)
+                lowered[record.sql] = (exe, psj_variants(exe, schema))
+            exe, variants = lowered[record.sql]
             for part in partials:
                 params = _live_params(record, part)
                 if params is None:
@@ -229,7 +228,7 @@ def to_conditioned_queries(
                             approx=part.approx or not variant.lossless,
                         )
                     )
-            if not record.is_empty and ast.shape != COUNT_AGGREGATE:
+            if not record.is_empty and not isinstance(exe, CountQuery):
                 partials = _expand_record(partials, record, variants)
     return _dedup(out)
 
@@ -679,9 +678,9 @@ def _remove_one_request_param(nf: NormalFormQuery, name: str, schema: Schema) ->
         raise RequestParamRemovalError(
             view_sql, name, "the parameter must occur exactly once, as `column = Param`"
         )
-    table, _pos, colname = column_of_ordinal(schema, nf.sources, col)
-    if schema.table(table).column(colname).nullable:
-        raise RequestParamRemovalError(view_sql, name, f"column {table}.{colname} is nullable")
+    table, column = column_of_ordinal(schema, nf.sources, col)
+    if column.nullable:
+        raise RequestParamRemovalError(view_sql, name, f"column {table}.{column.name} is nullable")
     remaining = [c for i, c in enumerate(cs) if i != hits[0]]
     projection = nf.projection
     if not _projected_equal(col, projection, remaining):

@@ -28,7 +28,7 @@ from .constraints import Constraint, validate_instance
 from .evaluate import ScalarEnv, eval_nf
 from .fdsolver import land, lnot, lor
 from .instance import ConcreteInput
-from .normal import NormalFormQuery
+from .normal import NormalFormQuery, source_ranges
 from .policygen import View
 from .schema import Schema
 from .solver import bounded, check, matches, model_to_input, result_pairs
@@ -126,14 +126,6 @@ def _atoms(p: Predicate) -> frozenset | None:
     return frozenset(out)
 
 
-def _offsets(sources: tuple[str, ...], schema: Schema) -> list[int]:
-    out, off = [], 0
-    for t in sources:
-        out.append(off)
-        off += schema.table(t).arity
-    return out
-
-
 @dataclass(frozen=True)
 class _Use:
     """A view mapped onto some of the query's sources."""
@@ -146,15 +138,15 @@ class _Use:
 def _uses(v: NormalFormQuery, q: NormalFormQuery, q_atoms: frozenset, schema: Schema):
     """Every injective, table-for-table map of `v`'s sources onto `q`'s under
     which each conjunct of `v` is a conjunct of `q`."""
-    v_off = _offsets(v.sources, schema)
-    q_off = _offsets(q.sources, schema)
+    v_ranges = source_ranges(schema, v.sources)
+    q_start = [lo for lo, _ in source_ranges(schema, q.sources)]
     for image in itertools.permutations(range(len(q.sources)), len(v.sources)):
         if any(q.sources[j] != t for j, t in zip(image, v.sources)):
             continue
         ordinal = {}
-        for i, j in enumerate(image):
-            for c in range(schema.table(v.sources[i]).arity):
-                ordinal[v_off[i] + c] = q_off[j] + c
+        for (lo, hi), j in zip(v_ranges, image):
+            for o in range(lo, hi):
+                ordinal[o] = q_start[j] + o - lo
         atoms = _atoms(map_terms(v.filter, lambda t: Col(ordinal[t.index]) if isinstance(t, Col) else t))
         if atoms is not None and atoms <= q_atoms:
             yield _Use(frozenset(image), frozenset(ordinal[c] for c in v.projection), atoms)

@@ -19,10 +19,11 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .constraints import expand_all, parse_constraint_file
+from .constraints import Constraint, ConstraintError, expand_all, parse_constraint_file
 from .dsl import HandlerProgram, parse_handlers
 from .instance import ConcreteInput
-from .normal import session_view
+from .lexutil import SourceError
+from .normal import NormalizeError, session_view
 from .policygen import View
 from .schema import Interner, Schema, SchemaError, load_schema
 from .transcript import Transcript, transcript_from_jsonl, transcript_to_jsonl
@@ -89,17 +90,20 @@ class RunDirectory:
             raise RunDirError(f"no schema file at {self.schema_path}")
         return load_schema(self.schema_path)
 
-    def load_constraints(self, schema: Schema):
-        """Returns (expanded constraints, interner)."""
+    def load_constraints(self, schema: Schema) -> list[Constraint]:
+        """The expanded constraints; a line that does not parse or expand
+        raises RunDirError naming the file and the line."""
         interner = _load(self.intern_path, Interner.load)
-        items = []
+        constraints: list[Constraint] = []
         if self.constraints_path.exists():
-            items = parse_constraint_file(
-                self.constraints_path.read_text(encoding="utf-8"), schema, interner
-            )
-        constraints = expand_all(items, schema)
+            text = self.constraints_path.read_text(encoding="utf-8")
+            for n, line in enumerate(text.splitlines(), 1):
+                try:
+                    constraints += expand_all(parse_constraint_file(line, schema, interner), schema)
+                except (ConstraintError, SourceError, NormalizeError, SchemaError) as e:
+                    raise RunDirError(f"malformed {self.constraints_path} line {n} ({line.strip()}): {e}") from e
         interner.save(self.intern_path)
-        return constraints, interner
+        return constraints
 
     def load_handlers(self) -> dict[str, tuple[HandlerProgram, Path]]:
         out: dict[str, tuple[HandlerProgram, Path]] = {}

@@ -10,7 +10,7 @@ the repo grammar.
 
 from __future__ import annotations
 
-from .normal import NormalFormQuery, check_nf, non_session_scalar
+from .normal import NormalFormQuery, check_nf, non_session_scalar, source_ranges
 from .schema import Schema
 from .terms import (
     BoolCol,
@@ -35,16 +35,6 @@ class UnparseError(Exception):
 # Cleanup: remove self-joins on a unique key
 
 
-def _source_ranges(nf: NormalFormQuery, schema: Schema) -> list[tuple[int, int]]:
-    ranges = []
-    off = 0
-    for t in nf.sources:
-        n = schema.table(t).arity
-        ranges.append((off, off + n))
-        off += n
-    return ranges
-
-
 def _unique_groups(schema: Schema, table: str) -> list[tuple[int, ...]]:
     t = schema.table(table)
     groups = [(i,) for i, c in enumerate(t.columns) if c.unique]
@@ -64,7 +54,7 @@ def _positive_equalities(filter: Predicate) -> set[tuple[int, int]]:
 
 
 def _merge_copies(nf: NormalFormQuery, schema: Schema, keep: int, drop: int) -> NormalFormQuery:
-    ranges = _source_ranges(nf, schema)
+    ranges = source_ranges(schema, nf.sources)
     k_start, _ = ranges[keep]
     d_start, d_end = ranges[drop]
     width = d_end - d_start
@@ -98,7 +88,7 @@ def _merge_copies(nf: NormalFormQuery, schema: Schema, keep: int, drop: int) -> 
 def remove_redundant_self_joins(nf: NormalFormQuery, schema: Schema) -> NormalFormQuery:
     """Collapse two copies of a table equated on a full unique key."""
     while True:
-        ranges = _source_ranges(nf, schema)
+        ranges = source_ranges(schema, nf.sources)
         eqs = _positive_equalities(nf.filter)
         merged = False
         for i in range(len(nf.sources)):
@@ -138,7 +128,7 @@ class _Renderer:
         self.nf = nf
         self.schema = schema
         self.aliases = _aliases(nf.sources)
-        self.ranges = _source_ranges(nf, schema)
+        self.ranges = source_ranges(schema, nf.sources)
         self.qualify = len(nf.sources) > 1
 
     def col_name(self, ordinal: int) -> str:

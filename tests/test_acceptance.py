@@ -94,7 +94,7 @@ def test_criterion_1_golden_end_to_end(tmp_path):
     assert main(["explore", str(run), "view_grade_sheet", "--bound", "2"]) == 0
     rd = RunDirectory(run)
     schema = rd.load_schema()
-    constraints, _ = rd.load_constraints(schema)
+    constraints = rd.load_constraints(schema)
 
     ids = rd.transcript_ids("view_grade_sheet")
     assert len(ids) == 4, "exactly 4 explored paths"

@@ -368,3 +368,53 @@ def test_unwritable_output_or_unreadable_policy_exits_2(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err
     assert "Traceback" not in err
+
+
+BAD_CONSTRAINTS = {
+    "unknown-kind": "bogus items.id",
+    "arity-mismatch": "contain SELECT id, owner_id FROM items in SELECT id FROM users",
+    "fk-unknown-column": "fk items.nosuch -> users.id",
+    "contain-unknown-column": "contain SELECT nosuch FROM items in SELECT id FROM users",
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_CONSTRAINTS))
+@pytest.mark.parametrize("command", ["explore", "policy-gen", "policy-merge-prune", "broaden", "is-allowed"])
+def test_malformed_constraints_file_exits_2_naming_the_file(tmp_path, capsys, command, bad):
+    run = make_run(tmp_path, "toys")
+    policies = run / "policies"
+    policies.mkdir()
+    ok = str(policies / "ok.sql")
+    (policies / "ok.sql").write_text("SELECT * FROM users;\n")
+    with (run / "constraints.txt").open("a") as f:
+        f.write(BAD_CONSTRAINTS[bad] + "\n")
+    argv = {
+        "explore": ["explore", str(run), "show_item"],
+        "policy-gen": ["policy-gen", str(run), "show_item"],
+        "policy-merge-prune": ["policy-merge-prune", str(run), "ok"],
+        "broaden": ["broaden", str(run), ok, ok],
+        "is-allowed": ["is-allowed", str(run), ok, "SELECT * FROM users"],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed ") and "constraints.txt" in err
+    assert BAD_CONSTRAINTS[bad] in err
+
+
+def test_existence_join_policy_keeps_the_join(tmp_path, capsys):
+    run = make_run(tmp_path, "toys")
+    (run / "handlers" / "probe.hdl").write_text(
+        """
+handler probe(ItemId: int) {
+  let e = query("SELECT 1 FROM items INNER JOIN details ON details.item_id = items.id WHERE items.id = ? LIMIT 1", ItemId);
+  if (nonempty(e)) {
+    render(e);
+  }
+}
+"""
+    )
+    assert main(["explore", str(run), "probe"]) == 0
+    assert main(["policy-gen", str(run), "probe"]) == 0
+    text = (run / "policies" / "probe.sql").read_text()
+    assert text.endswith("SELECT items.id FROM items, details\nWHERE details.item_id = items.id;\n")

@@ -11,7 +11,6 @@ from polex.normal import (
     NormalizeError,
     check_nf,
     normalize_query,
-    rewrite_to_psj,
     to_normal_form,
 )
 from polex.schema import parse_schema
@@ -162,7 +161,7 @@ def test_unknown_column_rejected():
 
 
 def test_rewrite_existence_limit1():
-    variants = rewrite_to_psj(parse_sql("SELECT 1 FROM t WHERE a = ? LIMIT 1"), SCHEMA)
+    variants = normalize_query(parse_sql("SELECT 1 FROM t WHERE a = ? LIMIT 1"), SCHEMA)
     assert len(variants) == 1
     v = variants[0]
     assert v.lossless
@@ -171,7 +170,7 @@ def test_rewrite_existence_limit1():
 
 
 def test_rewrite_count_projects_key_column():
-    variants = rewrite_to_psj(parse_sql("SELECT COUNT(*) FROM u"), SCHEMA)
+    variants = normalize_query(parse_sql("SELECT COUNT(*) FROM u"), SCHEMA)
     assert len(variants) == 1
     v = variants[0]
     assert not v.lossless
@@ -181,11 +180,11 @@ def test_rewrite_count_projects_key_column():
 
 def test_rewrite_count_needs_key():
     with pytest.raises(NormalizeError):
-        rewrite_to_psj(parse_sql("SELECT COUNT(*) FROM t"), SCHEMA)
+        normalize_query(parse_sql("SELECT COUNT(*) FROM t"), SCHEMA)
 
 
 def test_rewrite_inner_join_lossless():
-    variants = rewrite_to_psj(parse_sql("SELECT * FROM t INNER JOIN u ON t.a = u.a"), SCHEMA)
+    variants = normalize_query(parse_sql("SELECT * FROM t INNER JOIN u ON t.a = u.a"), SCHEMA)
     assert len(variants) == 1
     v = variants[0]
     assert v.lossless
@@ -201,7 +200,7 @@ def test_rewrite_inner_join_lossless():
 
 def test_rewrite_left_join_splits():
     ast = parse_sql("SELECT t.a, u.id FROM t LEFT JOIN u ON t.a = u.a")
-    variants = rewrite_to_psj(ast, SCHEMA)
+    variants = normalize_query(ast, SCHEMA)
     assert [v.tag for v in variants] == ["inner", "left_only"]
     inner, left_only = variants
     assert not inner.lossless and not left_only.lossless
@@ -211,8 +210,21 @@ def test_rewrite_left_join_splits():
 
 def test_rewrite_left_join_null_rejecting_where_is_inner():
     ast = parse_sql("SELECT t.a FROM t LEFT JOIN u ON t.a = u.a WHERE u.flag")
-    variants = rewrite_to_psj(ast, SCHEMA)
+    variants = normalize_query(ast, SCHEMA)
     assert len(variants) == 1 and variants[0].lossless
+
+
+def test_existence_left_join_splits_unless_where_rejects_nulls():
+    variants = normalize_query(parse_sql("SELECT 1 FROM t LEFT JOIN u ON t.a = u.a LIMIT 1"), SCHEMA)
+    assert [v.tag for v in variants] == ["inner", "left_only"]
+    inner, left_only = variants
+    assert inner.nf.sources == ("t", "u") and inner.nf.projection == ()
+    assert left_only.nf == NormalFormQuery((), TRUE, ("t",))
+    variants = normalize_query(
+        parse_sql("SELECT 1 FROM t LEFT JOIN u ON t.a = u.a WHERE u.flag LIMIT 1"), SCHEMA
+    )
+    assert len(variants) == 1 and variants[0].lossless
+    assert variants[0].nf.sources == ("t", "u")
 
 
 # Each case: (predicate, folded result) under "NullLit and Col(1) are NULL",
@@ -299,7 +311,7 @@ def test_unparse_reparses():
 
 
 def test_unparse_existence_form():
-    variants = rewrite_to_psj(parse_sql("SELECT 1 FROM t WHERE a = MyUserId LIMIT 1"), SCHEMA)
+    variants = normalize_query(parse_sql("SELECT 1 FROM t WHERE a = MyUserId LIMIT 1"), SCHEMA)
     text = unparse_view(variants[0].nf, SCHEMA)
     assert text.startswith("SELECT 1 FROM t") and text.endswith("LIMIT 1")
     reparsed = normalize_query(parse_sql(text), SCHEMA)
@@ -363,22 +375,25 @@ def test_round_trip_semantics(sql, my_user):
         assert eval_nf(nf, inst, SCHEMA, env) == eval_nf(nf2, inst, SCHEMA, env)
 
 
+def _existence(sql: str) -> str:
+    return "SELECT 1" + sql[sql.index(" FROM"):] + " LIMIT 1"
+
+
 @settings(max_examples=40, deadline=None)
 @given(sql_texts())
 def test_lossless_rewrites_preserve_results(sql):
-    # PSJ passthrough is trivially lossless; exercise the join rewrite too.
+    # PSJ passthrough is trivially lossless; exercise the join rewrite too,
+    # in the plain and the existence form, whose WHERE may name `u` too.
     join_sql = sql.replace("FROM t, u", "FROM t INNER JOIN u ON t.a = u.a", 1)
-    ast = parse_sql(join_sql)
-    variants = normalize_query(ast, SCHEMA)
-    assert len(variants) == 1 and variants[0].lossless
-    nf = variants[0].nf
+    plain_sql = sql + (" AND t.a = u.a" if "WHERE" in sql else " WHERE t.a = u.a")
     env = ScalarEnv(session={"MyUserId": 1, "Now": 0})
-    plain = to_normal_form(
-        parse_sql(join_sql.replace("INNER JOIN u ON t.a = u.a", ", u") + (" AND t.a = u.a" if "WHERE" in join_sql else " WHERE t.a = u.a")),
-        SCHEMA,
-    )
-    for inst in _small_instances():
-        assert eval_nf(nf, inst, SCHEMA, env) == eval_nf(plain, inst, SCHEMA, env)
+    for joined, plain_text in ((join_sql, plain_sql), (_existence(join_sql), _existence(plain_sql))):
+        variants = normalize_query(parse_sql(joined), SCHEMA)
+        assert len(variants) == 1 and variants[0].lossless
+        nf = variants[0].nf
+        (plain,) = normalize_query(parse_sql(plain_text), SCHEMA)
+        for inst in _small_instances():
+            assert eval_nf(nf, inst, SCHEMA, env) == eval_nf(plain.nf, inst, SCHEMA, env), joined
 
 
 def test_check_nf_bounds():

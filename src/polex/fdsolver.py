@@ -16,6 +16,16 @@ order and runs one search of a small CDCL (two-watched literals, 1UIP
 learning, VSIDS-ish activities, phase saving, Luby restarts).  All
 heuristics are deterministic, so identical inputs give identical models.
 
+The search decides only gate variables and the SAT variables of symbols
+some compiled formula mentions (`Compiler.mentioned`; MiniSat's
+`setDecisionVar`).  An unmentioned symbol's exactly-one clauses stay in
+the CNF but only propagate inside its one-hot group and never take part
+in a conflict, so the other variables see the same decisions, conflicts
+and learnt clauses (only a restart due while such decisions alone stand
+waits for the next level).  Its model value is the one deciding it would
+force: False, or its domain's upper value, since its one-hot variables
+decided false in index order leave the at-least-one clause the last.
+
 A Compiler that has compiled and attached a pool's shared formulas once
 can be the `base` of pools that extend that pool.  A check on such a
 pool copies the base's clauses, compile cache and watch lists, then
@@ -207,7 +217,8 @@ class _Cnf:
 
 
 _NO_BASE = SimpleNamespace(  # what a Compiler over a pool without a base copies
-    cnf=_Cnf(), cache={}, bool_sat={}, onehot={}, _true_lit=None, formulas=[], watches=[], units=[], attached=0
+    cnf=_Cnf(), cache={}, bool_sat={}, onehot={}, mentioned=set(), _true_lit=None, formulas=[], watches=[], units=[],
+    attached=0,
 )
 
 
@@ -238,6 +249,7 @@ class Compiler:
         self.cache: dict = dict(base.cache)
         self.bool_sat: dict[int, int] = dict(base.bool_sat)
         self.onehot: dict[int, dict[int, int]] = dict(base.onehot)  # vid -> value -> sat var
+        self.mentioned: set[int] = set(base.mentioned)  # vids some compiled formula names
         self._true_lit: int | None = base._true_lit
         self.formulas: list[tuple] = base.formulas[:]  # asserted, in order
         self.watches: list[list[int]] = list(map(list.copy, base.watches))  # lit -> clauses watching it
@@ -298,6 +310,7 @@ class Compiler:
         if op == "false":
             return self.true_lit() ^ 1
         if op == "bv":
+            self.mentioned.add(f[1])
             return 2 * self.bool_sat[f[1]]
         if op == "not":
             return self.lit(f[1]) ^ 1
@@ -340,6 +353,7 @@ class Compiler:
         _, op, t1, t2 = f
         if t1[0] == "c" and t2[0] == "c":
             return self.true_lit() if cmp_eval(op, t1[1], t2[1]) else self.true_lit() ^ 1
+        self.mentioned.update(t[1] for t in (t1, t2) if t[0] == "v")
         if t1[0] == "c":
             vid = t2[1]
             values = [v for v in self.onehot[vid] if cmp_eval(op, t1[1], v)]
@@ -376,19 +390,20 @@ class Compiler:
                 add([2 * su + 1, 2 * sw + 1, gl if cmp_eval(op, u, w) else gl ^ 1])
         return gl
 
+    def decision_vars(self) -> list[int]:
+        """The SAT variables a search decides, ascending: all but those of unmentioned symbols."""
+        skip = {s for vid in range(len(self.pool)) if vid not in self.mentioned
+                for s in (self.onehot[vid].values() if vid in self.onehot else (self.bool_sat[vid],))}
+        return [v for v in range(self.cnf.nvars) if v not in skip]
+
     def model_from_sat(self, assigns: list) -> dict:
         model: dict = {}
         for vid in range(len(self.pool)):
             if self.pool.kinds[vid] == "bool":
-                model[vid] = assigns[self.bool_sat[vid]]
+                model[vid] = assigns[self.bool_sat[vid]] is True
             else:
-                value = None
-                for v, s in self.onehot[vid].items():
-                    if assigns[s]:
-                        value = v
-                        break
-                # exactly-one guarantees a hit
-                model[vid] = value
+                hot = self.onehot[vid]
+                model[vid] = next((v for v, s in hot.items() if assigns[s]), self.pool.domains[vid][1])
         return model
 
 
@@ -418,12 +433,13 @@ class _Cdcl:
 
     Takes over a Compiler's attached `clauses`, `watches` and `units`: it
     reorders literals inside clauses, moves watches and appends learnt
-    clauses.  `lval[lit]` is True, False or None (unset)."""
+    clauses.  `lval[lit]` is True, False or None (unset).  It decides
+    only `decision` (ascending) and is sat once those are all set."""
 
-    def __init__(self, nvars: int, clauses: list[list[int]], watches: list[list[int]],
-                 units: list[int], deadline: float | None):
-        self.nvars = nvars
-        self.clauses = clauses
+    def __init__(self, comp: Compiler, deadline: float | None):
+        nvars = self.nvars = comp.cnf.nvars
+        self.decision = comp.decision_vars()
+        self.clauses = comp.cnf.clauses
         self.deadline = deadline
         self.lval: list = [None] * (2 * nvars)
         self.level = [0] * nvars
@@ -431,13 +447,13 @@ class _Cdcl:
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
-        self.watches = watches
+        self.watches = comp.watches
         self.activity = [0.0] * nvars
         self.var_inc = 1.0
         self.phase = [0] * nvars
-        self.heap: list[tuple[float, int]] = [(0.0, v) for v in range(nvars)]
+        self.heap: list[tuple[float, int]] = [(0.0, v) for v in self.decision]
         self.conflicts = 0
-        self.ok = all(self.enqueue(lit, None) for lit in units)
+        self.ok = all(self.enqueue(lit, None) for lit in comp.units)
 
     def enqueue(self, lit: int, reason) -> bool:
         a = self.lval[lit]
@@ -452,7 +468,8 @@ class _Cdcl:
         return True
 
     def propagate(self):
-        trail, clauses, watches, lval, enqueue = self.trail, self.clauses, self.watches, self.lval, self.enqueue
+        trail, clauses, watches, lval = self.trail, self.clauses, self.watches, self.lval
+        level, reason, lvl = self.level, self.reason, len(self.trail_lim)
         qhead = self.qhead
         while qhead < len(trail):
             fl = trail[qhead] ^ 1
@@ -484,7 +501,11 @@ class _Cdcl:
                         del ws[j:i]  # keep the unvisited watchers
                         self.qhead = len(trail)
                         return ci
-                    enqueue(first, ci)
+                    lval[first] = True  # an inlined enqueue: `first` is unset here
+                    lval[first ^ 1] = False
+                    level[first >> 1] = lvl
+                    reason[first >> 1] = ci
+                    trail.append(first)
             del ws[j:]
         self.qhead = qhead
         return None
@@ -516,7 +537,7 @@ class _Cdcl:
             for i in range(self.nvars):
                 self.activity[i] *= 1e-100
             self.var_inc *= 1e-100
-            self.heap = [(-self.activity[x], x) for x in range(self.nvars) if self.lval[2 * x] is None]
+            self.heap = [(-self.activity[x], x) for x in self.decision if self.lval[2 * x] is None]
             _heapify(self.heap)
             return
         if self.lval[2 * v] is None:
@@ -588,7 +609,7 @@ class _Cdcl:
             act, v = _heappop(heap)
             if self.lval[2 * v] is None and -act == self.activity[v]:
                 return v
-        for v in range(self.nvars):  # heap may be stale after rescaling
+        for v in self.decision:  # heap may be stale after rescaling
             if self.lval[2 * v] is None:
                 return v
         return None
@@ -654,7 +675,7 @@ class CdclBackend:
         comp = Compiler(pool)
         comp.add(formulas)
         try:
-            status, assigns = _Cdcl(comp.cnf.nvars, comp.cnf.clauses, comp.watches, comp.units, deadline).solve()
+            status, assigns = _Cdcl(comp, deadline).solve()
         except _Timeout:
             return CheckResult("unknown")
         if status == "unsat":

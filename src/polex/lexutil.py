@@ -69,6 +69,8 @@ class TokenStream:
         self.i = 0
 
     def peek(self, ahead: int = 0) -> Token:
+        if not ahead:  # `next()` never moves past the final "eof" token
+            return self.tokens[self.i]
         return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
 
     def next(self) -> Token:
@@ -78,7 +80,7 @@ class TokenStream:
         return tok
 
     def at_keyword(self, *words: str) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         return tok.kind == "ident" and tok.text.upper() in words
 
     def accept_keyword(self, *words: str) -> Token | None:

@@ -244,6 +244,8 @@ class Simplifier:
     table_bound: int = 2
     value_range: tuple[int, int] = (0, 7)
     timeout_s: float = 5.0
+    # (params, conditions[:k+1]) -> `_entails` verdict, for this Simplifier's life
+    _verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def simplify(self, cqs: list[ConditionedQuery]) -> list[ConditionedQuery]:
         cqs = _dedup(cqs)
@@ -279,10 +281,14 @@ class Simplifier:
     def _entails(self, cq: ConditionedQuery, conditions, k: int) -> bool:
         """The constraints plus `conditions[:k]` entail that `conditions[k]`
         holds: a branch its outcome, a query a row.  A premise query also
-        returns at most one row.  Unknown counts as no."""
+        returns at most one row.  Unknown counts as no.  Each distinct
+        question is asked once."""
+        params = tuple(sorted(self._param_names(cq).items()))
+        key = (params, tuple(conditions[: k + 1]))
+        if key in self._verdicts:
+            return self._verdicts[key]
         pool, (inst,), env = bounded(
-            self.schema, self.constraints, self.table_bound, self.value_range,
-            sorted(self._param_names(cq).items()),
+            self.schema, self.constraints, self.table_bound, self.value_range, params
         )
         defs: list = []
         formulas: list = []
@@ -298,7 +304,8 @@ class Simplifier:
                 env.rows[rec.index] = enc.result
                 f = land(enc.non_empty, enc.at_most_one) if j < k else enc.non_empty
             formulas.append(f if j < k else lnot(f))
-        return check(pool, defs + formulas, self.timeout_s).status == "unsat"
+        verdict = self._verdicts[key] = check(pool, defs + formulas, self.timeout_s).status == "unsat"
+        return verdict
 
     def _remove_vacuous_branches(self, cq: ConditionedQuery) -> ConditionedQuery:
         kept = tuple(

@@ -146,6 +146,44 @@ def test_sat_models_verified_against_formulas():
                 assert eval_formula(f, r.model)
 
 
+def test_unmentioned_symbols_are_never_decided(monkeypatch):
+    # Symbols no formula names sit between the named ones; their one-hot
+    # and bool SAT variables are never decided, and the model gives them
+    # what a search deciding them would force.
+    decided = []
+    decide_var = fdsolver._Cdcl.decide_var
+
+    def traced_decide_var(self):
+        v = decide_var(self)
+        decided.append(v)
+        return v
+
+    monkeypatch.setattr(fdsolver._Cdcl, "decide_var", traced_decide_var)
+    rng = random.Random(1103)
+    statuses = set()
+    for trial in range(60):
+        pool = VarPool()
+        ints, bools, idle_ints, idle_bools = [], [], [], []
+        for i in range(rng.randint(1, 2)):
+            ints.append(pool.new_int(f"x{i}", 0, rng.randint(1, 3)))
+            idle_ints.append(pool.new_int(f"u{i}", 0, 7))
+            bools.append(pool.new_bool(f"p{i}"))
+        idle_bools.append(pool.new_bool("q"))
+        formulas = [_rand_formula(rng, ints, bools, rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+        comp = fdsolver.Compiler(pool)
+        idle_sat = {s for u in idle_ints for s in comp.onehot[u].values()}
+        idle_sat |= {comp.bool_sat[q] for q in idle_bools}
+        decided.clear()
+        r = CdclBackend().check(pool, formulas, timeout_s=None)
+        assert not idle_sat & set(decided), f"trial {trial}"
+        assert r.status == EnumerationBackend().check(pool, formulas, timeout_s=30).status, f"trial {trial}"
+        if r.status == "sat":
+            assert all(r.model[u] == 7 for u in idle_ints)
+            assert all(r.model[q] is False for q in idle_bools)
+        statuses.add(r.status)
+    assert statuses == {"sat", "unsat"}
+
+
 def test_determinism():
     rng = random.Random(99)
     pool = VarPool()

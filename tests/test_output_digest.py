@@ -1,5 +1,6 @@
 """Same inputs, same bytes: pinned output digests of the cheapest runs of
-`scripts/output_digest.py`.
+`scripts/output_digest.py`, and of one generated `synth-front` corpus,
+where the simplifier repeats questions and checks leave symbols unnamed.
 
 A change that alters any of these outputs (transcripts, generated inputs,
 policies, blame) on purpose must update the digest here and say why.
@@ -29,8 +30,9 @@ def output_digest():
         ("pipeline", ("toys", 2), "4fa5b045e39ca8d32e122080e6948a1c708a9bda94436ae4b40c82363a536ba5"),
         ("pipeline", ("grade_sheet", 2), "1ce704ebc951599b2d032220eb04a58364e9e7af7ca01677cc9e3ec7e3ecfa6a"),
         ("broaden", (2,), "38d9cdef5556f66239b63aa1d1d9b3534071ecbbbd83b619d898db8780e50871"),
+        ("synth_front", (1,), "1baf2937b02d22aec73694b06659857bbf8fd34ccefd287146cfc1d92ccb7803"),
     ],
-    ids=["toys-b2", "grade_sheet-b2", "broaden-b2"],
+    ids=["toys-b2", "grade_sheet-b2", "broaden-b2", "synth-s1-b2"],
 )
 def test_output_digest_unchanged(output_digest, run, args, digest):
     assert getattr(output_digest, run)(*args) == digest

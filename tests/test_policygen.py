@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
+from polex import policygen
 from polex.dsl import parse_handler
 from polex.evaluate import ScalarEnv, eval_branch, eval_nf
 from polex.explorer import ExplorationConfig, explore
@@ -22,6 +24,7 @@ from polex.policygen import (
     to_conditioned_queries,
     views_from_cqs,
 )
+from polex.solver import check
 from polex.sqlparser import parse_sql
 from polex.terms import (
     BoolCol,
@@ -339,6 +342,48 @@ handler chain(BodyVal: int) {
         nf("SELECT * FROM details WHERE body = ?"),
         nf("SELECT * FROM items WHERE id = ? AND public"),
     ]
+
+
+def test_simplify_asks_each_entailment_question_once(toys_schema, toys_constraints, monkeypatch):
+    # `ds` and `owner` both follow the `item.public` branch, so asking
+    # whether it is vacuous is one question for both.
+    program = parse_handler(
+        """
+handler two_after_branch(ItemId: int) {
+  let item = query("SELECT * FROM items WHERE id = ?", ItemId);
+  abort_if_empty(item, 404);
+  if (item.public) {
+    let ds = query("SELECT * FROM details WHERE item_id = ?", item.id);
+    let owner = query("SELECT * FROM users WHERE id = ?", item.owner_id);
+    render(ds, owner);
+  }
+}
+"""
+    )
+    res = explore(program, toys_schema, toys_constraints, ExplorationConfig(table_bound=2))
+    cqs = to_conditioned_queries(res.transcripts, toys_schema)
+    params = dict(program.request_params)
+    entails = Simplifier._entails
+
+    # Reference output: every question asked by a fresh Simplifier.
+    monkeypatch.setattr(Simplifier, "_entails", lambda self, *args: entails(replace(self), *args))
+    expected = simplify(cqs, toys_schema, toys_constraints, params, timeout_s=None)
+
+    questions, checks = [], []
+
+    def recording_entails(self, cq, conditions, k):
+        questions.append((tuple(sorted(self._param_names(cq).items())), tuple(conditions[: k + 1])))
+        return entails(self, cq, conditions, k)
+
+    def counting_check(*args):
+        checks.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(Simplifier, "_entails", recording_entails)
+    monkeypatch.setattr(policygen, "check", counting_check)
+    out = simplify(cqs, toys_schema, toys_constraints, params, timeout_s=None)
+    assert len(checks) == len(set(questions)) < len(questions)
+    assert out == expected
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,13 @@ alone.  Two paths decide this:
     product of view results (each view mapped table for table onto the
     query's sources), it is computed from the views on every instance,
     so Allowed holds at every bound and value range.  No solver runs.
+    One rule, the lossless hop, widens this.  If only `R.a = S.k` joins
+    a source S, the constraint list holds `contain SELECT a FROM R in
+    SELECT k FROM S` (an `fk` line) and `unique S(k)`, and R.a is not
+    nullable, then every R row joins exactly one S row.  So S drops from
+    the query if it projects none of S's columns, and from a view to
+    form a derived view, a projection of the view's result.  Foreign
+    keys come from the (user-editable) constraint list, not the schema.
   * Solver.  Otherwise the standard two-instance formulation runs at a
     finite bound: search for two constraint-satisfying instances (within
     the table bound and value range) that share session-parameter values
@@ -24,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .constraints import Constraint, validate_instance
+from .constraints import Constraint, Containment, Unique, validate_instance
 from .evaluate import ScalarEnv, eval_nf
 from .fdsolver import land, lnot, lor
 from .instance import ConcreteInput
@@ -38,9 +45,13 @@ from .terms import (
     Cmp,
     Col,
     IntLit,
+    IsNull,
+    Not,
     NullLit,
     Predicate,
     SessionParam,
+    TRUE,
+    conjoin,
     conjuncts,
     iter_terms,
     map_terms,
@@ -162,7 +173,75 @@ def _reapplicable(q: NormalFormQuery, q_atoms: frozenset, uses: list[_Use]) -> b
     return needed <= visible
 
 
-def _has_rewriting(q: NormalFormQuery, views: list[NormalFormQuery], schema: Schema) -> bool:
+def _lossless_hops(constraints: list[Constraint], schema: Schema) -> frozenset:
+    """(R, a, S, k), column ordinals within each table, for every join
+    `R.a = S.k` that each R row passes with exactly one S row: the list
+    holds `contain SELECT a FROM R in SELECT k FROM S` (the `fk` form's
+    `a IS NOT NULL` filter allowed) and `unique S(k)`, and R.a is not
+    nullable."""
+    keys = {(c.table, c.columns) for c in constraints if isinstance(c, Unique)}
+    hops = set()
+    for c in constraints:
+        if not (isinstance(c, Containment) and isinstance(c.right, NormalFormQuery) and c.right.filter == TRUE
+                and len(c.left.sources) == len(c.right.sources) == len(c.left.projection) == 1):
+            continue
+        (r,), (a,), (s,), (k,) = c.left.sources, c.left.projection, c.right.sources, c.right.projection
+        if (c.left.filter in (TRUE, Not(IsNull(Col(a)))) and not schema.table(r).columns[a].nullable
+                and (s, (schema.table(s).columns[k].name,)) in keys):
+            hops.add((r, a, s, k))
+    return frozenset(hops)
+
+
+def _hops_dropped(v: NormalFormQuery, hops: frozenset, schema: Schema):
+    """`v` without each source that a lossless hop reaches and no other
+    conjunct mentions, with the hop and the source's columns removed."""
+    ranges = source_ranges(schema, v.sources)
+    parts = conjuncts(v.filter)
+    for j, (lo, hi) in enumerate(ranges):
+        touching = [p for p in parts if any(isinstance(t, Col) and lo <= t.index < hi for t in iter_terms(p))]
+        hop = touching[0] if len(touching) == 1 else None
+        if not (isinstance(hop, Cmp) and hop.op == "=" and isinstance(hop.left, Col) and isinstance(hop.right, Col)):
+            continue
+        a, k = sorted((hop.left.index, hop.right.index), key=lambda o: lo <= o < hi)
+        i = next(i for i, (rlo, rhi) in enumerate(ranges) if rlo <= a < rhi)
+        if i == j or (v.sources[i], a - ranges[i][0], v.sources[j], k - lo) not in hops:
+            continue
+
+        def shift(o: int) -> int:
+            return o - (hi - lo) if o >= hi else o
+
+        yield NormalFormQuery(
+            tuple(shift(c) for c in v.projection if not lo <= c < hi),
+            conjoin(map_terms(p, lambda t: Col(shift(t.index)) if isinstance(t, Col) else t)
+                    for p in parts if p is not hop),
+            v.sources[:j] + v.sources[j + 1:],
+        )
+
+
+def _has_rewriting(
+    q: NormalFormQuery, views: list[NormalFormQuery], constraints: list[Constraint], schema: Schema
+) -> bool:
+    """Whether `q`, or `q` with its lossless hops dropped, has a rewriting
+    over `views` and the views derived from them by dropping lossless hops.
+
+    Dropping a hop keeps the query equal on every instance that satisfies
+    the constraints when the query projects none of the dropped source's
+    columns; a derived view is a projection of its view's result.  `q` as
+    written is tried too: a view that is a bare product with the hop's
+    target can cover it only there.
+    """
+    hops = _lossless_hops(constraints, schema)
+    derived = list(views)
+    for v in derived:  # grows as it goes: chains drop hop by hop
+        derived += [w for w in _hops_dropped(v, hops, schema) if w not in derived]
+    reduced = q
+    while (w := next((w for w in _hops_dropped(reduced, hops, schema)
+                      if len(w.projection) == len(q.projection)), None)) is not None:
+        reduced = w
+    return any(_rewrites(x, derived, schema) for x in dict.fromkeys((q, reduced)))
+
+
+def _rewrites(q: NormalFormQuery, views: list[NormalFormQuery], schema: Schema) -> bool:
     """Whether `q` equals σ/π over a product of view uses that split its sources.
 
     The rewriting re-applies the conjuncts no use gives and `q`'s projection.
@@ -205,7 +284,7 @@ def is_allowed(
 ) -> ContainmentVerdict:
     """Determinacy check of `q` against `views`: by rewriting if one exists,
     else the bounded solver check."""
-    if _has_rewriting(q, views, schema):
+    if _has_rewriting(q, views, constraints, schema):
         return ContainmentVerdict(ALLOWED, via=REWRITING)
     return _is_allowed_by_solver(q, views, constraints, schema, bound, value_range, timeout_s)
 

@@ -66,24 +66,33 @@ class BruteForceDeterminacy:
         self.instances = enumerate_instances(schema, constraints, bound, domain)
         self._memo: dict = {}
 
-    def _eval(self, nf, idx, session):
-        key = (nf, idx, session)
-        if key not in self._memo:
-            env = ScalarEnv(session=dict(zip(("MyUserId", "Now"), session)))
-            self._memo[key] = eval_nf(nf, self.instances[idx], self.schema, env)
-        return self._memo[key]
+    def _evaluator(self, nf):
+        """Evaluates `nf` on (instance index, session), memoized per query:
+        hashing a query costs more than most evaluations."""
+        memo = self._memo.setdefault(nf, {})
+
+        def evaluate(idx, session):
+            key = (idx, session)
+            if key not in memo:
+                env = ScalarEnv(session=dict(zip(("MyUserId", "Now"), session)))
+                memo[key] = eval_nf(nf, self.instances[idx], self.schema, env)
+            return memo[key]
+
+        return evaluate
 
     def is_allowed(self, q, views):
         """Returns (allowed: bool, counterexample or None)."""
         now_values = self.domain if _uses_now([q] + list(views)) else (0,)
+        view_evals = [self._evaluator(v) for v in views]
+        q_eval = self._evaluator(q)
         for my_user in self.domain:
             for now in now_values:
                 session = (my_user, now)
                 groups: dict = {}
                 for idx in range(len(self.instances)):
-                    fp = tuple(self._eval(v, idx, session) for v in views)
+                    fp = tuple(ev(idx, session) for ev in view_evals)
                     bucket = groups.setdefault(fp, {})
-                    qres = self._eval(q, idx, session)
+                    qres = q_eval(idx, session)
                     if qres not in bucket:
                         bucket[qres] = idx
                     if len(bucket) > 1:

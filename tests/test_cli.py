@@ -228,6 +228,24 @@ def test_is_allowed_cli_with_counterexample_dump(tmp_path, capsys):
     assert (dump / "counterexample-b.json").exists()
 
 
+def test_is_allowed_reads_foreign_keys_from_the_edited_constraints(tmp_path, capsys):
+    run = make_run(tmp_path, "toys")
+    policy = tmp_path / "policy.sql"
+    policy.write_text("SELECT * FROM details, items WHERE items.id = details.item_id;\n")
+    argv = ["is-allowed", str(run), str(policy), "SELECT * FROM details", "--dump", str(tmp_path / "cex")]
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "allowed\n"
+    constraints = run / "constraints.txt"
+    lines = constraints.read_text().splitlines(keepends=True)
+    constraints.write_text("".join(l for l in lines if l != "fk details.item_id -> items.id\n"))
+    assert len(constraints.read_text().splitlines()) == len(lines) - 1
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "not allowed"
+    assert (tmp_path / "cex" / "counterexample-a.json").exists()
+    assert (tmp_path / "cex" / "counterexample-b.json").exists()
+
+
 def test_broaden_cli(tmp_path, capsys):
     run = tmp_path / "run"
     run.mkdir()

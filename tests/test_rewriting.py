@@ -8,20 +8,21 @@ cases, and against the solver on every check the corpora make.
 
 from __future__ import annotations
 
+import functools
 import random
 from pathlib import Path
 
 import pytest
 
 from polex import pruner
-from polex.constraints import expand_all, generate_constraints
+from polex.constraints import expand_all, generate_constraints, parse_constraint_line, render_constraint
 from polex.dsl import parse_handlers
 from polex.explorer import ExplorationConfig, explore
 from polex.normal import NormalFormQuery, to_normal_form
 from polex.policygen import simplify, to_conditioned_queries, views_from_cqs
 from polex.pruner import ALLOWED, NOT_ALLOWED, REWRITING, SOLVER, Policy
 from polex.rundir import load_policy_file
-from polex.schema import parse_schema
+from polex.schema import Interner, parse_schema
 from polex.sqlparser import parse_sql
 from polex.terms import (
     BoolCol,
@@ -91,10 +92,37 @@ def test_self_join_of_one_view(toys_schema, toys_constraints):
     assert (v.status, v.via) == (ALLOWED, REWRITING)
 
 
-def test_foreign_key_lossless_join_falls_back_to_solver(toys_schema, toys_constraints):
-    # Every details row joins its item, but only the constraint says so.
+def test_foreign_key_lossless_join_is_rewritten(toys_schema, toys_constraints):
+    # Every details row joins exactly one item: the fk line and items' key say so.
     v = verdict("SELECT * FROM details", [DETAILS_ITEMS], toys_schema, toys_constraints)
-    assert (v.status, v.via) == (ALLOWED, SOLVER)
+    assert (v.status, v.via) == (ALLOWED, REWRITING)
+
+
+def test_lossless_hop_chain_drops_from_the_view(toys_schema, toys_constraints):
+    v = verdict(
+        "SELECT * FROM details",
+        ["SELECT * FROM details, items, users WHERE items.id = details.item_id AND users.id = items.owner_id"],
+        toys_schema, toys_constraints,
+    )
+    assert (v.status, v.via) == (ALLOWED, REWRITING)
+
+
+def test_lossless_hop_drops_from_the_query():
+    # broaden's narrow view 3 against broader view 1: the query's people
+    # source adds no filter, and the query projects none of its columns.
+    schema = parse_schema((CORPUS / "broaden" / "schema.txt").read_text())
+    constraints = expand_all(generate_constraints(schema), schema)
+    narrow = load_policy_file(CORPUS / "broaden" / "narrow.sql", schema)
+    broader = load_policy_file(CORPUS / "broaden" / "broader.sql", schema)
+    v = pruner.is_allowed(narrow[2].nf, [broader[0].nf], constraints, schema, bound=2, value_range=(0, 3))
+    assert (v.status, v.via) == (ALLOWED, REWRITING)
+
+
+def test_lossless_hop_at_bound_5_within_the_default_timeout(toys_schema, toys_constraints):
+    # By SAT this check takes seconds at bound 5 and can run out of time.
+    v = pruner.is_allowed(nf("SELECT * FROM details", toys_schema), [nf(DETAILS_ITEMS, toys_schema)],
+                          toys_constraints, toys_schema, bound=5)
+    assert (v.status, v.via) == (ALLOWED, REWRITING)
 
 
 def test_flipped_comparison_matches(toys_schema, toys_constraints):
@@ -120,6 +148,46 @@ def test_near_misses_fall_back_to_solver(toys_schema, toys_constraints, q, views
     assert (v.status, v.via) == (NOT_ALLOWED, SOLVER)
 
 
+# The toys tables the hop joins, cut down so that the oracle runs fast.
+HOP_SCHEMA = "table items { id int unique  public bool }\ntable details { item_id int fk items.id  body int }"
+
+
+@functools.lru_cache(maxsize=None)
+def _hop_setting(edit):
+    """The schema, constraints and oracle of HOP_SCHEMA with one `edit` (or none) applied."""
+    schema = parse_schema(HOP_SCHEMA.replace("int fk", "int nullable fk") if edit == "nullable fk" else HOP_SCHEMA)
+    constraints = expand_all(generate_constraints(schema), schema)
+    deleted = {"fk deleted": "fk details.item_id -> items.id", "unique deleted": "unique items(id)",
+               "fk filtered": "fk details.item_id -> items.id"}.get(edit)
+    if deleted is not None:
+        kept = [c for c in constraints if render_constraint(c) != deleted]
+        assert len(kept) == len(constraints) - 1
+        constraints = kept
+    if edit == "fk filtered":
+        line = "contain SELECT item_id FROM details WHERE body = 1 in SELECT id FROM items"
+        constraints.append(parse_constraint_line(line, schema, Interner()))
+    return schema, constraints, BruteForceDeterminacy(schema, constraints, 2, (0, 1))
+
+
+@pytest.mark.parametrize("edit, q, view", [
+    (None, "SELECT * FROM details", DETAILS_ITEMS + " AND items.public"),
+    # items.id equals details.item_id, which the view shows, but the rule
+    # drops only sources the query projects nothing of.
+    (None, "SELECT details.*, items.id FROM details, items WHERE items.id = details.item_id",
+     "SELECT * FROM details"),
+    ("fk deleted", "SELECT * FROM details", DETAILS_ITEMS),
+    ("unique deleted", "SELECT * FROM details", DETAILS_ITEMS),
+    ("nullable fk", "SELECT * FROM details", DETAILS_ITEMS),
+    # only the details rows with body 1 have an item
+    ("fk filtered", "SELECT * FROM details", DETAILS_ITEMS),
+], ids=["extra hop conjunct", "projected hop column", "fk deleted", "unique deleted", "nullable fk", "fk filtered"])
+def test_lossless_hop_near_misses_fall_back_to_solver(edit, q, view):
+    schema, constraints, oracle = _hop_setting(edit)
+    want, _ = oracle.is_allowed(nf(q, schema), [nf(view, schema)])
+    v = verdict(q, [view], schema, constraints)
+    assert (v.status, v.via) == (ALLOWED if want else NOT_ALLOWED, SOLVER)
+
+
 # ---------------------------------------------------------------------------
 # Soundness against the exhaustive oracle on random join cases
 
@@ -129,6 +197,11 @@ JOIN_SCHEMAS = (
     "table users { id int unique }\n"
     "table items { id int unique  owner int fk users.id  pub bool }\n"
     "table notes { item int fk items.id  body int nullable }",
+)
+# A foreign key on a nullable column: a row may join nothing.
+NULLABLE_FK_SCHEMA = (
+    "table owners { id int unique  flag bool }\n"
+    "table things { owner int nullable fk owners.id  v int }"
 )
 
 
@@ -252,6 +325,45 @@ def _block_view(rng, schema, q, positions, spoil=None, hide_from=None):
     return NormalFormQuery(projection, conjoin([_reorient(rng, a) for a in given]), sources)
 
 
+def _plant_hop(rng, schema, nf, show, trap=None):
+    """`nf` with one more source S, placed anywhere, joined by a declared
+    foreign key `R.a = S.k` off one of its sources and by nothing else.
+
+    `show` projects some of S's columns.  A trap stops the hop from being
+    lossless or droppable: an "extra" conjunct on S, or a "project"ed S
+    column.
+    """
+    hops = [
+        (i, c, col.foreign_key)
+        for i, t in enumerate(nf.sources)
+        for c, col in enumerate(schema.table(t).columns)
+        if col.foreign_key is not None
+    ]
+    if not hops:
+        return nf
+    i, c, (target, key) = rng.choice(hops)
+    p = rng.randint(0, len(nf.sources))
+    sources = nf.sources[:p] + (target,) + nf.sources[p:]
+    start, width = _offsets(schema, sources)[p], schema.table(target).arity
+
+    def moved(t):
+        return Col(t.index + width) if isinstance(t, Col) and t.index >= start else t
+
+    atoms = [map_terms(a, moved) for a in conjuncts(nf.filter)]
+    a = moved(Col(_offsets(schema, nf.sources)[i] + c))
+    atoms.append(_reorient(rng, Cmp("=", a, Col(start + schema.table(target).column_index(key)))))
+    s_cols = range(start, start + width)
+    if trap == "extra":
+        local = _atom_pool(rng, schema, (target,))[1]
+        atoms.append(map_terms(rng.choice(local), lambda t: Col(t.index + start) if isinstance(t, Col) else t))
+    projection = tuple(moved(Col(o)).index for o in nf.projection)
+    projection += tuple(o for o in s_cols if show and rng.random() < 0.5)
+    if trap == "project":
+        projection += (rng.choice(s_cols),)
+    rng.shuffle(atoms)
+    return NormalFormQuery(projection, conjoin(atoms), sources)
+
+
 def random_join_case(rng, schema):
     """A query and 1-5 views.
 
@@ -290,28 +402,48 @@ def random_join_case(rng, schema):
             views.append(_block_view(rng, schema, q, block + other, "hide", block_cols(other)))
     if rng.random() < 0.3:
         views.append(_random_query(rng, schema, rng.choice([1, 2])))
+    # Lossless hops, chained at times: on the query they project nothing
+    # (but for the "project" trap); on a view anything.
+    for _ in range(rng.choice([0, 1, 1, 2])):
+        if rng.random() < 0.5:
+            q = _plant_hop(rng, schema, q, False, rng.choice([None, None, None, "extra", "project"]))
+        else:
+            k = rng.randrange(len(views))
+            views[k] = _plant_hop(rng, schema, views[k], True, rng.choice([None, None, "extra"]))
     rng.shuffle(views)
     return q, views
 
 
-def test_rewriting_never_fires_where_the_oracle_disallows():
+def _join_settings():
+    """(schema, constraints, whether lossless hops may fire) per setting:
+    the join schemas, then two where no hop is lossless: a nullable
+    foreign key, and the fk lines' containments deleted."""
     settings = []
-    for text in JOIN_SCHEMAS:
+    for text in JOIN_SCHEMAS + (NULLABLE_FK_SCHEMA,):
         schema = parse_schema(text)
-        constraints = expand_all(generate_constraints(schema), schema)
-        settings.append((schema, BruteForceDeterminacy(schema, constraints, 2, (0, 1))))
+        settings.append((schema, expand_all(generate_constraints(schema), schema), text != NULLABLE_FK_SCHEMA))
+    schema, constraints, _ = settings[1]
+    settings.append((schema, [c for c in constraints if not render_constraint(c).startswith("fk ")], False))
+    return settings
+
+
+def test_rewriting_never_fires_where_the_oracle_disallows():
+    settings = [(s, c, hops, BruteForceDeterminacy(s, c, 2, (0, 1))) for s, c, hops in _join_settings()]
     rng = random.Random(20241118)
     fired = fired_joins = 0
-    for case in range(240):
-        schema, oracle = rng.choice(settings)
+    hop_fired = {True: 0, False: 0}  # by whether hops may fire
+    for case in range(500):
+        schema, constraints, hops, oracle = rng.choice(settings)
         q, views = random_join_case(rng, schema)
-        if not pruner._has_rewriting(q, views, schema):
+        if not pruner._has_rewriting(q, views, constraints, schema):
             continue
         fired += 1
         fired_joins += len(q.sources) > 1
+        hop_fired[hops] += not pruner._has_rewriting(q, views, [], schema)
         allowed, _ = oracle.is_allowed(q, views)
         assert allowed, f"case {case}: rewriting fired but the oracle says not allowed"
     assert fired >= 40 and fired_joins >= 20, (fired, fired_joins)
+    assert hop_fired == {True: hop_fired[True], False: 0} and hop_fired[True] >= 30, hop_fired
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +466,32 @@ def _record_verdicts(monkeypatch):
     return calls
 
 
-def _assert_rewritten_checks_solver_allowed(calls, constraints, schema) -> int:
-    """Re-checks every rewriting verdict by SAT; returns how many there were."""
+def _assert_rewritten_checks_solver_allowed(calls, constraints, schema, bound=None) -> int:
+    """Re-checks every rewriting verdict by SAT, at its own bound or at
+    `bound`; returns how many there were."""
     rewritten = [c for c in calls if c[-1].via == REWRITING]
-    for q, views, bound, value_range, _ in rewritten:
-        v = pruner._is_allowed_by_solver(q, views, constraints, schema, bound, value_range, timeout_s=None)
+    for q, views, own_bound, value_range, _ in rewritten:
+        v = pruner._is_allowed_by_solver(q, views, constraints, schema, bound or own_bound, value_range,
+                                         timeout_s=None)
         assert v.status == ALLOWED
     return len(rewritten)
+
+
+def _corpus(corpus, bound):
+    """(schema, constraints, per-handler views) of a corpus at `bound`."""
+    schema = parse_schema((CORPUS / corpus / "schema.txt").read_text())
+    constraints = expand_all(generate_constraints(schema), schema)
+    handler_views = []
+    for path in sorted((CORPUS / corpus / "handlers").glob("*.hdl")):
+        for program in parse_handlers(path.read_text()):
+            config = ExplorationConfig(table_bound=bound, value_range=RANGE, solver_timeout=None)
+            res = explore(program, schema, constraints, config)
+            cqs = simplify(
+                to_conditioned_queries(res.transcripts, schema), schema, constraints,
+                dict(program.request_params), table_bound=bound, value_range=RANGE, timeout_s=None,
+            )
+            handler_views.append(views_from_cqs(cqs, schema))
+    return schema, constraints, handler_views
 
 
 # Whether the corpus's prune makes any check the rewriting path decides:
@@ -349,27 +500,31 @@ def _assert_rewritten_checks_solver_allowed(calls, constraints, schema) -> int:
 def corpus_views(request):
     """(schema, constraints, per-handler views, rewrites) of a corpus at bound 2."""
     corpus, rewrites = request.param
-    schema = parse_schema((CORPUS / corpus / "schema.txt").read_text())
-    constraints = expand_all(generate_constraints(schema), schema)
-    handler_views = []
-    for path in sorted((CORPUS / corpus / "handlers").glob("*.hdl")):
-        for program in parse_handlers(path.read_text()):
-            config = ExplorationConfig(table_bound=BOUND, value_range=RANGE, solver_timeout=None)
-            res = explore(program, schema, constraints, config)
-            cqs = simplify(
-                to_conditioned_queries(res.transcripts, schema), schema, constraints,
-                dict(program.request_params), table_bound=BOUND, value_range=RANGE, timeout_s=None,
-            )
-            handler_views.append(views_from_cqs(cqs, schema))
-    return schema, constraints, handler_views, rewrites
+    return (*_corpus(corpus, BOUND), rewrites)
 
 
-def _merged(handler_views, schema, constraints):
+def _merged(handler_views, schema, constraints, bound=BOUND):
     per_handler = [
-        pruner.prune(Policy(views, BOUND, RANGE), constraints, schema, timeout_s=None)[0]
+        pruner.prune(Policy(views, bound, RANGE), constraints, schema, timeout_s=None)[0]
         for views in handler_views
     ]
     return pruner.merge_and_prune(per_handler, constraints, schema, timeout_s=None)[0]
+
+
+def _broaden_corpus():
+    schema = parse_schema((CORPUS / "broaden" / "schema.txt").read_text())
+    constraints = expand_all(generate_constraints(schema), schema)
+    return schema, constraints
+
+
+def _broadened(bound=BOUND):
+    """broaden's narrow policy broadened at `bound`: (views, blame)."""
+    schema, constraints = _broaden_corpus()
+    narrow = load_policy_file(CORPUS / "broaden" / "narrow.sql", schema)
+    broader = load_policy_file(CORPUS / "broaden" / "broader.sql", schema)
+    policy, report = pruner.broaden(Policy(list(narrow), bound, RANGE), broader, constraints, schema,
+                                    timeout_s=None)
+    return [v.nf for v in policy.views], [(v.nf, blame) for v, blame in report.removed]
 
 
 def test_merged_policy_agrees_with_solver_only_run(corpus_views, monkeypatch):
@@ -383,24 +538,34 @@ def test_merged_policy_agrees_with_solver_only_run(corpus_views, monkeypatch):
 
 
 def test_broadened_policy_and_blame_agree_with_solver_only_run(monkeypatch):
-    schema = parse_schema((CORPUS / "broaden" / "schema.txt").read_text())
-    constraints = expand_all(generate_constraints(schema), schema)
-    narrow = load_policy_file(CORPUS / "broaden" / "narrow.sql", schema)
-    broader = load_policy_file(CORPUS / "broaden" / "broader.sql", schema)
-
-    def run():
-        policy, report = pruner.broaden(Policy(list(narrow), BOUND, RANGE), broader, constraints, schema,
-                                        timeout_s=None)
-        return [v.nf for v in policy.views], [(v.nf, blame) for v, blame in report.removed]
-
+    schema, constraints = _broaden_corpus()
     calls = _record_verdicts(monkeypatch)
-    got = run()
+    got = _broadened()
     assert _assert_rewritten_checks_solver_allowed(calls, constraints, schema)
     monkeypatch.setattr(pruner, "is_allowed", pruner._is_allowed_by_solver)
-    assert got == run()
+    assert got == _broadened()
+
+
+@pytest.mark.parametrize("corpus", ["toys", "broaden"])
+def test_every_allowed_check_at_bound_3_is_rewritten(corpus, monkeypatch):
+    # toys: each handler's prune and the merge-prune; broaden: the prune
+    # and its blame re-checks.
+    if corpus == "toys":
+        schema, constraints, handler_views = _corpus("toys", 3)
+        calls = _record_verdicts(monkeypatch)
+        _merged(handler_views, schema, constraints, bound=3)
+    else:
+        schema, constraints = _broaden_corpus()
+        calls = _record_verdicts(monkeypatch)
+        _broadened(3)
+    allowed = [v.via for *_, v in calls if v.status == ALLOWED]
+    assert allowed and set(allowed) == {REWRITING}
+    # A rewriting holds at every bound; by SAT at bound 3 the merge-prune's
+    # checks over up to 10 views take about 25 s, at bound 2 under 1 s.
+    assert _assert_rewritten_checks_solver_allowed(calls, constraints, schema, bound=BOUND) == len(allowed)
 
 
 def test_request_parameters_block_the_rewriting(toys_schema):
     # Only constants and session parameters are known to be shared.
     q = nf("SELECT * FROM items WHERE owner_id = OwnerId", toys_schema)
-    assert not pruner._has_rewriting(q, [q], toys_schema)
+    assert not pruner._has_rewriting(q, [q], [], toys_schema)

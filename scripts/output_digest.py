@@ -7,9 +7,9 @@ Every run is in-process and every solver call has no deadline
 (`timeout_s=None`), so the digests depend only on the code, never on the
 machine's speed.  The runs:
 
-- toys at bounds 2, 3 and 4 and grade_sheet at bound 2: explore,
-  policy-gen and prune per handler, then merge-prune;
-- broaden at bounds 2, 3 and 4: the narrow policy broadened by the pinned
+- toys at bounds 2 to 5 and grade_sheet at bound 2: explore, policy-gen
+  and prune per handler, then merge-prune;
+- broaden at bounds 2 to 5: the narrow policy broadened by the pinned
   broader views;
 - the generated `synth-front` corpus (`perfbench/synth.py`), seeds 1-3 at
   bound 2: explore and policy-gen per handler.
@@ -124,10 +124,12 @@ RUNS = [
     ("toys-b2", lambda: pipeline("toys", 2)),
     ("toys-b3", lambda: pipeline("toys", 3)),
     ("toys-b4", lambda: pipeline("toys", 4)),
+    ("toys-b5", lambda: pipeline("toys", 5)),
     ("grade_sheet-b2", lambda: pipeline("grade_sheet", 2)),
     ("broaden-b2", lambda: broaden(2)),
     ("broaden-b3", lambda: broaden(3)),
     ("broaden-b4", lambda: broaden(4)),
+    ("broaden-b5", lambda: broaden(5)),
     ("synth-s1-b2", lambda: synth_front(1)),
     ("synth-s2-b2", lambda: synth_front(2)),
     ("synth-s3-b2", lambda: synth_front(3)),

@@ -281,15 +281,23 @@ class Simplifier:
     def _entails(self, cq: ConditionedQuery, conditions, k: int) -> bool:
         """The constraints plus `conditions[:k]` entail that `conditions[k]`
         holds: a branch its outcome, a query a row.  A premise query also
-        returns at most one row.  Unknown counts as no.  Each distinct
-        question is asked once."""
+        returns at most one row.  A countermodel is looked for at bound 1
+        first: it is one at the full bound with the other rows absent.
+        Entailed still needs unsat at the full bound; Unknown counts as no.
+        Each distinct question is asked once."""
         params = tuple(sorted(self._param_names(cq).items()))
         key = (params, tuple(conditions[: k + 1]))
-        if key in self._verdicts:
-            return self._verdicts[key]
-        pool, (inst,), env = bounded(
-            self.schema, self.constraints, self.table_bound, self.value_range, params
-        )
+        if key not in self._verdicts:
+            self._verdicts[key] = (
+                (self.table_bound == 1 or self._countermodel(params, conditions, k, 1) != "sat")
+                and self._countermodel(params, conditions, k, self.table_bound) == "unsat"
+            )
+        return self._verdicts[key]
+
+    def _countermodel(self, params, conditions, k: int, bound: int) -> str:
+        """Solver status of `conditions[:k]` holding and `conditions[k]` not,
+        within `bound` rows per table."""
+        pool, (inst,), env = bounded(self.schema, self.constraints, bound, self.value_range, params)
         defs: list = []
         formulas: list = []
         for j, rec in enumerate(conditions[: k + 1]):
@@ -304,8 +312,7 @@ class Simplifier:
                 env.rows[rec.index] = enc.result
                 f = land(enc.non_empty, enc.at_most_one) if j < k else enc.non_empty
             formulas.append(f if j < k else lnot(f))
-        verdict = self._verdicts[key] = check(pool, defs + formulas, self.timeout_s).status == "unsat"
-        return verdict
+        return check(pool, defs + formulas, self.timeout_s).status
 
     def _remove_vacuous_branches(self, cq: ConditionedQuery) -> ConditionedQuery:
         kept = tuple(

@@ -19,7 +19,12 @@ alone.  Two paths decide this:
     the table bound and value range) that share session-parameter values
     and agree on every view's result set yet disagree on the query.  No
     such pair means Allowed (at this bound); a found pair is verified by
-    brute-force evaluation before it is reported.
+    brute-force evaluation before it is reported.  The search runs at
+    bound 1 first, and at the full bound only if it finds no pair there:
+    a bound-1 pair is a full-bound pair with the other rows absent.  So
+    a reported pair has at most one row per table whenever such a pair
+    exists (and the bound-1 search ends in time), and Allowed still
+    needs the full bound.
 
 Pruning walks views in decreasing join count (ties: longer SQL text
 first, then lexicographic) and greedily removes any view already
@@ -283,9 +288,15 @@ def is_allowed(
     timeout_s: float = 5.0,
 ) -> ContainmentVerdict:
     """Determinacy check of `q` against `views`: by rewriting if one exists,
-    else the bounded solver check."""
+    else the bounded solver check at bound 1 and, unless that finds a
+    counterexample, at `bound`, each within `timeout_s`.  Allowed needs
+    the full bound."""
     if _has_rewriting(q, views, constraints, schema):
         return ContainmentVerdict(ALLOWED, via=REWRITING)
+    if bound > 1:
+        small = _is_allowed_by_solver(q, views, constraints, schema, 1, value_range, timeout_s)
+        if small.status == NOT_ALLOWED:
+            return small
     return _is_allowed_by_solver(q, views, constraints, schema, bound, value_range, timeout_s)
 
 

@@ -201,7 +201,9 @@ def bounded(
     shared session-parameter symbols, then one per `(name, type)` request
     parameter not yet allocated; allocation order fixes the SAT variable
     numbers.  Returns (pool, instances, env), the pool's base holding the
-    instance formulas, compiled once per context (`_shared` keeps a few).
+    instance formulas, compiled once per context.  `_shared` keeps four,
+    the most a run uses: one instance and two, each at bound 1 and at
+    the full bound.
     """
     base, instances, session = _shared(
         schema, tuple(constraints), bound, tuple(value_range), tuple(prefixes)

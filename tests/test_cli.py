@@ -244,6 +244,10 @@ def test_is_allowed_reads_foreign_keys_from_the_edited_constraints(tmp_path, cap
     assert capsys.readouterr().out.splitlines()[0] == "not allowed"
     assert (tmp_path / "cex" / "counterexample-a.json").exists()
     assert (tmp_path / "cex" / "counterexample-b.json").exists()
+    # A pair with one row per table exists, so the reported pair is one.
+    for name in ("counterexample-a.json", "counterexample-b.json"):
+        tables = json.loads((tmp_path / "cex" / name).read_text())["tables"]
+        assert all(len(rows) <= 1 for rows in tables.values()), tables
 
 
 def test_broaden_cli(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Same inputs, same bytes: pinned output digests of the cheapest runs of
-`scripts/output_digest.py`, and of one generated `synth-front` corpus,
-where the simplifier repeats questions and checks leave symbols unnamed.
+`scripts/output_digest.py`, of one generated `synth-front` corpus, where
+the simplifier repeats questions and checks leave symbols unnamed, and of
+toys at bound 5, where every solver-decided prune check ends at bound 1.
 
 A change that alters any of these outputs (transcripts, generated inputs,
 policies, blame) on purpose must update the digest here and say why.
@@ -12,6 +13,8 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+
+from polex import solver
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "output_digest.py"
 
@@ -31,8 +34,18 @@ def output_digest():
         ("pipeline", ("grade_sheet", 2), "1ce704ebc951599b2d032220eb04a58364e9e7af7ca01677cc9e3ec7e3ecfa6a"),
         ("broaden", (2,), "38d9cdef5556f66239b63aa1d1d9b3534071ecbbbd83b619d898db8780e50871"),
         ("synth_front", (1,), "1baf2937b02d22aec73694b06659857bbf8fd34ccefd287146cfc1d92ccb7803"),
+        ("pipeline", ("toys", 5), "4fa5b045e39ca8d32e122080e6948a1c708a9bda94436ae4b40c82363a536ba5"),
     ],
-    ids=["toys-b2", "grade_sheet-b2", "broaden-b2", "synth-s1-b2"],
+    ids=["toys-b2", "grade_sheet-b2", "broaden-b2", "synth-s1-b2", "toys-b5"],
 )
 def test_output_digest_unchanged(output_digest, run, args, digest):
     assert getattr(output_digest, run)(*args) == digest
+
+
+def test_toys_pipeline_compiles_each_bounded_context_once(output_digest):
+    # Explore and policy-gen use one instance, prune two; policy-gen and
+    # prune compile each at bound 1 and at the full bound: four contexts at
+    # most, all kept by the memo.
+    solver._shared.cache_clear()
+    output_digest.pipeline("toys", 5)
+    assert solver._shared.cache_info().misses <= 4

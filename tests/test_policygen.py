@@ -6,9 +6,11 @@ from dataclasses import replace
 import pytest
 
 from polex import policygen
+from polex.constraints import expand_all, generate_constraints
 from polex.dsl import parse_handler
 from polex.evaluate import ScalarEnv, eval_branch, eval_nf
 from polex.explorer import ExplorationConfig, explore
+from polex.fdsolver import CheckResult
 from polex.instance import ConcreteInput
 from polex.normal import to_normal_form
 from polex.policygen import (
@@ -24,6 +26,7 @@ from polex.policygen import (
     to_conditioned_queries,
     views_from_cqs,
 )
+from polex.schema import parse_schema
 from polex.solver import check
 from polex.sqlparser import parse_sql
 from polex.terms import (
@@ -384,6 +387,108 @@ handler two_after_branch(ItemId: int) {
     out = simplify(cqs, toys_schema, toys_constraints, params, timeout_s=None)
     assert len(checks) == len(set(questions)) < len(questions)
     assert out == expected
+
+
+def two_rows_question():
+    """Rows with a = 0 and with b = 0 exist; their ids are equal.  With one
+    row per table it is the same row; with two they may differ."""
+    schema = parse_schema("table t { id int unique  a int  b int }")
+    a0 = to_normal_form(parse_sql("SELECT id FROM t WHERE a = 0"), schema)
+    b0 = to_normal_form(parse_sql("SELECT id FROM t WHERE b = 0"), schema)
+    cq = ConditionedQuery(a0, (), (
+        CondQuery(1, a0, ()),
+        CondQuery(2, b0, ()),
+        CondBranch(Cmp("=", RowCol(1, 0), RowCol(2, 0)), True),
+    ))
+    return schema, expand_all(generate_constraints(schema), schema), cq
+
+
+def _record_bounds(monkeypatch):
+    """Route `policygen.bounded` through a recorder of each context's bound."""
+    bounds = []
+    original = policygen.bounded
+
+    def recorded(schema, constraints, bound, *args, **kwargs):
+        bounds.append(bound)
+        return original(schema, constraints, bound, *args, **kwargs)
+
+    monkeypatch.setattr(policygen, "bounded", recorded)
+    return bounds
+
+
+def test_entailed_at_bound_1_is_not_entailed_at_bound_2(monkeypatch):
+    schema, constraints, cq = two_rows_question()
+    assert Simplifier(schema, constraints, table_bound=1, timeout_s=None)._entails(cq, cq.conditions, 2)
+    bounds = _record_bounds(monkeypatch)
+    assert not Simplifier(schema, constraints, table_bound=2, timeout_s=None)._entails(cq, cq.conditions, 2)
+    assert bounds == [1, 2]
+
+
+def test_unknown_at_bound_1_leaves_the_verdict_to_the_full_bound(grade_schema, grade_constraints, monkeypatch):
+    schema, constraints, not_entailed = two_rows_question()
+    vacuous = ConditionedQuery(
+        grades_nf(grade_schema),
+        (RowCol(1, 1),),
+        (
+            CondQuery(1, roles_nf(grade_schema), (SessionParam("MyUserId"), RequestParam("CourseId"))),
+            CondBranch(Cmp("=", RowCol(1, 0), SessionParam("MyUserId")), True),
+        ),
+    )
+    bounds = _record_bounds(monkeypatch)
+    monkeypatch.setattr(
+        policygen, "check", lambda *args: CheckResult("unknown") if bounds[-1] == 1 else check(*args)
+    )
+    for simplifier, cq, k, want in (
+        (Simplifier(schema, constraints, timeout_s=None), not_entailed, 2, False),
+        (Simplifier(grade_schema, grade_constraints, {"CourseId": "int"}, timeout_s=None), vacuous, 1, True),
+    ):
+        del bounds[:]
+        assert simplifier._entails(cq, cq.conditions, k) == want
+        assert bounds == [1, 2]
+
+
+def test_each_question_reaches_the_solver_once_per_bound(toys_schema, toys_constraints, monkeypatch):
+    # `maker` must return a row by the foreign key and is never used: both
+    # queries after the branch ask whether it is vacuous.
+    program = parse_handler(
+        """
+handler two_after_branch(ItemId: int) {
+  let item = query("SELECT * FROM items WHERE id = ?", ItemId);
+  abort_if_empty(item, 404);
+  let maker = query("SELECT * FROM users WHERE id = ?", item.owner_id);
+  if (item.public) {
+    let ds = query("SELECT * FROM details WHERE item_id = ?", item.id);
+    let owner = query("SELECT * FROM users WHERE id = ?", item.owner_id);
+    render(ds, owner);
+  }
+}
+"""
+    )
+    res = explore(program, toys_schema, toys_constraints, ExplorationConfig(table_bound=2))
+    cqs = to_conditioned_queries(res.transcripts, toys_schema)
+    questions, asked = [], {}
+    entails, countermodel = Simplifier._entails, Simplifier._countermodel
+
+    def recording_entails(self, cq, conditions, k):
+        questions.append((tuple(sorted(self._param_names(cq).items())), tuple(conditions[: k + 1])))
+        return entails(self, cq, conditions, k)
+
+    def recording_countermodel(self, params, conditions, k, bound):
+        status = countermodel(self, params, conditions, k, bound)
+        key = (params, tuple(conditions[: k + 1]))
+        assert (key, bound) not in asked
+        asked[key, bound] = status
+        return status
+
+    monkeypatch.setattr(Simplifier, "_entails", recording_entails)
+    monkeypatch.setattr(Simplifier, "_countermodel", recording_countermodel)
+    simplify(cqs, toys_schema, toys_constraints, dict(program.request_params), timeout_s=None)
+    assert len(set(questions)) < len(questions)
+    assert {key for key, bound in asked if bound == 1} == set(questions)
+    # The full bound is asked exactly where bound 1 found no countermodel.
+    full = {key for key, bound in asked if bound == 2}
+    assert full == {key for key, bound in asked if bound == 1 and asked[key, bound] != "sat"}
+    assert 0 < len(full) < len(set(questions))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from polex import pruner
 from polex.constraints import expand_all, generate_constraints
+from polex.fdsolver import CheckResult
 from polex.normal import to_normal_form
 from polex.policygen import View
 from polex.pruner import (
@@ -15,6 +17,7 @@ from polex.pruner import (
     is_allowed,
     merge_and_prune,
     prune,
+    _is_allowed_by_solver,
 )
 from polex.schema import parse_schema
 from polex.sqlparser import parse_sql
@@ -62,6 +65,64 @@ def test_independent_column_not_allowed_with_verified_pair():
     ca, cb = verdict.counterexample
     # the pair is pre-verified inside is_allowed; sanity-check shape here
     assert ca.tables["t"] != cb.tables["t"]
+
+
+def _two_rows_needed():
+    """`SELECT a, b FROM t` against its two projections: one row is
+    determined by them, two rows are not ({(0, 1), (1, 0)} against
+    {(0, 0), (1, 1)})."""
+    schema = parse_schema("table t { a int  b int }")
+    cons = expand_all(generate_constraints(schema), schema)
+    q = nf("SELECT a, b FROM t", schema)
+    views = [nf("SELECT a FROM t", schema), nf("SELECT b FROM t", schema)]
+    return schema, cons, q, views
+
+
+def _record_bounds(monkeypatch):
+    """Route `pruner.bounded` through a recorder of each context's bound."""
+    bounds = []
+    original = pruner.bounded
+
+    def recorded(schema, constraints, bound, *args, **kwargs):
+        bounds.append(bound)
+        return original(schema, constraints, bound, *args, **kwargs)
+
+    monkeypatch.setattr(pruner, "bounded", recorded)
+    return bounds
+
+
+def test_counterexample_needing_two_rows_comes_from_the_full_bound(monkeypatch):
+    schema, cons, q, views = _two_rows_needed()
+    for bound, allowed in ((1, True), (2, False)):
+        assert BruteForceDeterminacy(schema, cons, bound, (0, 1)).is_allowed(q, views)[0] == allowed
+    assert _is_allowed_by_solver(q, views, cons, schema, 1, (0, 1), None).status == ALLOWED
+    full = _is_allowed_by_solver(q, views, cons, schema, 2, (0, 1), None)
+    bounds = _record_bounds(monkeypatch)
+    verdict = is_allowed(q, views, cons, schema, bound=2, value_range=(0, 1), timeout_s=None)
+    assert bounds == [1, 2]
+    assert verdict.status == NOT_ALLOWED and verdict == full
+    assert max(len(ci.tables["t"]) for ci in verdict.counterexample) == 2
+
+
+def test_unknown_at_bound_1_leaves_the_verdict_to_the_full_bound(monkeypatch):
+    schema, cons, _, (a, b) = _two_rows_needed()
+    bounds = _record_bounds(monkeypatch)
+    original = pruner.check
+
+    def unknown_at_bound_1(*args, **kwargs):
+        return CheckResult("unknown") if bounds[-1] == 1 else original(*args, **kwargs)
+
+    monkeypatch.setattr(pruner, "check", unknown_at_bound_1)
+    # Not allowed at bound 1 already; allowed, as the union of two views.
+    split = parse_schema("table t { a int  f bool }")
+    split_cons = expand_all(generate_constraints(split), split)
+    union = [nf("SELECT * FROM t WHERE f", split), nf("SELECT * FROM t WHERE NOT f", split)]
+    for query, over, s, c, want in ((a, [b], schema, cons, NOT_ALLOWED),
+                                    (nf("SELECT * FROM t", split), union, split, split_cons, ALLOWED)):
+        del bounds[:]
+        verdict = is_allowed(query, over, c, s, bound=2, value_range=(0, 1), timeout_s=None)
+        assert bounds == [1, 2] and verdict.status == want
+        assert verdict == _is_allowed_by_solver(query, over, c, s, 2, (0, 1), None)
 
 
 def test_prune_removes_projection_subsumed_view():
@@ -226,3 +287,19 @@ def test_is_allowed_agrees_with_exhaustive_oracle(seed):
         got = verdict.status == ALLOWED
         assert got == want, f"case {case}: solver={verdict.status} oracle_allowed={want}"
     assert unknowns == 0
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_counterexample_has_one_row_per_table_when_bound_1_has_one(seed):
+    rng = random.Random(seed)
+    small = 0
+    for case in range(30):
+        schema, constraints, _, views, q = random_case(rng)
+        if BruteForceDeterminacy(schema, constraints, 1, (0, 1, 2)).is_allowed(q, views)[0]:
+            continue
+        small += 1
+        verdict = is_allowed(q, views, constraints, schema, bound=2, value_range=(0, 2), timeout_s=None)
+        assert verdict.status == NOT_ALLOWED, f"case {case}"
+        for ci in verdict.counterexample:
+            assert all(len(rows) <= 1 for rows in ci.tables.values()), f"case {case}: {ci.tables}"
+    assert small >= 10

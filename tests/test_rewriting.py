@@ -546,6 +546,37 @@ def test_broadened_policy_and_blame_agree_with_solver_only_run(monkeypatch):
     assert got == _broadened()
 
 
+# Bound 3: `is_allowed` looks for a counterexample at bound 1 before the
+# full bound.  A SAT-only toys run takes about 28 s here, nearly all in its
+# rewritten "allowed" checks, so the toys reference keeps the rewriting
+# (checked at bound 2 below) and decides every other check by one solver
+# call at bound 3; broaden's reference is SAT-only.
+
+
+def _one_full_bound_check(q, views, constraints, schema, bound=2, value_range=(0, 7), timeout_s=5.0):
+    if pruner._has_rewriting(q, views, constraints, schema):
+        return pruner.ContainmentVerdict(ALLOWED, via=REWRITING)
+    return pruner._is_allowed_by_solver(q, views, constraints, schema, bound, value_range, timeout_s)
+
+
+def test_merged_toys_policy_at_bound_3_agrees_with_one_full_bound_check(monkeypatch):
+    schema, constraints, handler_views = _corpus("toys", 3)
+    calls = _record_verdicts(monkeypatch)
+    merged = _merged(handler_views, schema, constraints, bound=3)
+    assert any(v.status == NOT_ALLOWED for *_, v in calls)
+    monkeypatch.setattr(pruner, "is_allowed", _one_full_bound_check)
+    reference = _merged(handler_views, schema, constraints, bound=3)
+    assert [v.nf for v in merged.views] == [v.nf for v in reference.views]
+
+
+def test_broadened_policy_and_blame_at_bound_3_agree_with_solver_only_run(monkeypatch):
+    calls = _record_verdicts(monkeypatch)
+    got = _broadened(3)
+    assert any(v.status == NOT_ALLOWED for *_, v in calls)
+    monkeypatch.setattr(pruner, "is_allowed", pruner._is_allowed_by_solver)
+    assert got == _broadened(3)
+
+
 @pytest.mark.parametrize("corpus", ["toys", "broaden"])
 def test_every_allowed_check_at_bound_3_is_rewritten(corpus, monkeypatch):
     # toys: each handler's prune and the merge-prune; broaden: the prune

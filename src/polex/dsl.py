@@ -17,6 +17,11 @@ parameters, literals, or fields of earlier bindings; anything computed
 is rejected at parse time.  Field access `x.col` is allowed only where
 `x` is statically known non-empty (after `abort_if_empty(x, _)` or under
 a `nonempty(x)` guard); this keeps every recorded value purely symbolic.
+
+The parser builds each `HandlerProgram` once, after one checking walk
+over the body that also collects the handler's int literals: query
+arguments, condition operands and SQL WHERE terms.  The interpreter's
+concretization warning treats any other branch constant as suspect.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from .lexutil import SourceError, TokenStream, tokenize, unquote
-from .sqlast import COUNT_AGGREGATE, EXISTENCE_LIMIT1, QueryAst
+from .sqlast import CountStar
 from .sqlparser import parse_sql
 from .terms import SESSION_PARAMS, BoolLit, IntLit, iter_terms, max_placeholder
 
@@ -191,9 +196,10 @@ class _Parser:
         if len({n for n, _ in params}) != len(params):
             raise DslError("duplicate parameter name", name_tok.line, name_tok.col)
         ts.expect_punct("{")
-        body = self.block()
-        program = HandlerProgram(name_tok.text, tuple(params), tuple(body), frozenset())
-        return _check_program(program)
+        body = tuple(self.block())
+        checker = _Checker(n for n, _ in params)
+        checker.block(body, _State())
+        return HandlerProgram(name_tok.text, tuple(params), body, frozenset(checker.literals))
 
     def block(self) -> list[Stmt]:
         out = []
@@ -339,7 +345,6 @@ class _Parser:
 
 @dataclass
 class _BindingInfo:
-    shape: str
     always_nonempty: bool
     has_fields: bool
 
@@ -348,16 +353,6 @@ class _BindingInfo:
 class _State:
     defined: dict[str, _BindingInfo] = field(default_factory=dict)
     nonempty: frozenset = frozenset()
-
-
-def _cond_operands(c: Cond):
-    if isinstance(c, CondEq):
-        yield c.left
-        yield c.right
-    elif isinstance(c, (CondTruthy, CondIsNull)):
-        yield c.operand
-    elif isinstance(c, CondNot):
-        yield from _cond_operands(c.inner)
 
 
 def _nonempty_guard(c: Cond) -> tuple[str, bool] | None:
@@ -371,52 +366,14 @@ def _nonempty_guard(c: Cond) -> tuple[str, bool] | None:
     return None
 
 
-def _literals_of(program_body) -> frozenset[int]:
-    out: set[int] = set()
-
-    def from_arg(a):
-        if isinstance(a, IntLit):
-            out.add(a.value)
-
-    def from_cond(c):
-        for op in _cond_operands(c):
-            from_arg(op)
-
-    def walk(stmts):
-        for s in stmts:
-            if isinstance(s, LetQuery):
-                for a in s.args:
-                    from_arg(a)
-            elif isinstance(s, IfStmt):
-                from_cond(s.cond)
-                walk(s.then)
-                walk(s.els)
-
-    walk(program_body)
-    return frozenset(out)
-
-
 class _Checker:
-    def __init__(self, program: HandlerProgram):
-        self.program = program
-        self.params = set(program.param_names()) | set(SESSION_PARAMS)
-        self.queries: dict[str, QueryAst] = {}
+    """One walk over a handler body: rejects what the DSL forbids and
+    collects the int literals of query arguments, condition operands and
+    SQL WHERE terms (render arguments are outputs, not decisions)."""
 
-    def check(self) -> HandlerProgram:
-        state = _State()
-        self.block(self.program.body, state)
-        sql_literals: set[int] = set()
-        for ast in self.queries.values():
-            for t in iter_terms(ast.where):
-                if isinstance(t, IntLit):
-                    sql_literals.add(t.value)
-        literals = _literals_of(self.program.body) | sql_literals
-        return HandlerProgram(
-            self.program.name,
-            self.program.request_params,
-            self.program.body,
-            frozenset(literals),
-        )
+    def __init__(self, params):
+        self.params = set(params) | set(SESSION_PARAMS)
+        self.literals: set[int] = set()
 
     def fail(self, msg: str, line: int, cls=DslError):
         raise cls(msg, line, 1)
@@ -463,7 +420,9 @@ class _Checker:
         if isinstance(c, (CondEq, CondTruthy)):
             operands = [c.left, c.right] if isinstance(c, CondEq) else [c.operand]
             for op in operands:
-                if isinstance(op, FieldRef):
+                if isinstance(op, IntLit):
+                    self.literals.add(op.value)
+                elif isinstance(op, FieldRef):
                     self.check_field(op, state, line)
                 elif isinstance(op, ParamRef):
                     if op.name in state.defined:
@@ -494,12 +453,12 @@ class _Checker:
                     )
                 for a in s.args:
                     self.check_arg(a, state, line, render=False)
-                self.queries[s.name] = ast
-                shape = ast.shape
+                for t in (*s.args, *iter_terms(ast.where)):
+                    if isinstance(t, IntLit):
+                        self.literals.add(t.value)
+                count = ast.select == (CountStar(),)
                 state.defined[s.name] = _BindingInfo(
-                    shape,
-                    always_nonempty=(shape == COUNT_AGGREGATE),
-                    has_fields=(shape not in (COUNT_AGGREGATE, EXISTENCE_LIMIT1)),
+                    always_nonempty=count, has_fields=not (count or ast.limit_one)
                 )
             elif isinstance(s, AbortIfEmpty):
                 if s.binding not in state.defined:
@@ -543,10 +502,6 @@ class _Checker:
     def _no_trailing(self, stmts, i, line):
         if i + 1 < len(stmts):
             self.fail("unreachable statement", stmts[i + 1].line)
-
-
-def _check_program(program: HandlerProgram) -> HandlerProgram:
-    return _Checker(program).check()
 
 
 def parse_handlers(text: str) -> list[HandlerProgram]:

@@ -13,13 +13,16 @@ a `PlainQuery`, a `LeftJoinQuery` or a `CountQuery`.
 as PSJ normal forms:
 
   * a plain query (PSJ, inner join, existence) -> itself (lossless)
-  * COUNT(*)  -> projection of the table's unique key column
+  * COUNT(*)  -> projection of the table's first row key, `Table.keys()`
                  (approximate)
   * LEFT JOIN -> the matching inner part plus the left-only part
                  (approximate; the caller duplicates the conditioned
                  query accordingly), except when the WHERE clause
                  rejects unmatched rows anyway, in which case the inner
                  part alone is lossless.
+
+`to_normal_form` is a query's single lossless variant, the form policy
+views, checked queries and `contain` constraints take.
 """
 
 from __future__ import annotations
@@ -29,15 +32,7 @@ from typing import Union
 
 from .schema import Column, Schema
 from .sqlparser import parse_sql
-from .sqlast import (
-    COUNT_AGGREGATE,
-    PSJ,
-    QueryAst,
-    SelectCol,
-    Star,
-    TableRef,
-    TableStar,
-)
+from .sqlast import CountStar, QueryAst, SelectCol, Star, TableRef, TableStar
 from .terms import (
     Col,
     NamedCol,
@@ -211,16 +206,17 @@ def non_session_scalar(nf: NormalFormQuery) -> Scalar | None:
 
 
 def session_view(sql: str, schema: Schema) -> NormalFormQuery:
-    """The normal form of a policy view or a checked query: `sql` must have
-    one lossless PSJ variant, holding no scalar but session parameters.
-    Raises NormalizeError (SourceError if `sql` does not parse)."""
-    variants = normalize_query(parse_sql(sql), schema)
-    if len(variants) != 1 or not variants[0].lossless:
-        raise NormalizeError(f"{sql!r} is not a PSJ (or existence) query")
-    bad = non_session_scalar(variants[0].nf)
+    """The normal form of a policy view or a checked query: `to_normal_form`
+    of `sql`, holding no scalar but session parameters.  Raises
+    NormalizeError (SourceError if `sql` does not parse)."""
+    try:
+        nf = to_normal_form(parse_sql(sql), schema)
+    except NormalizeError as e:
+        raise NormalizeError(f"{sql!r}: {e}") from e
+    bad = non_session_scalar(nf)
     if bad is not None:
         raise NormalizeError(f"{sql!r} uses {render_scalar(bad)}, not a session parameter")
-    return variants[0].nf
+    return nf
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +228,7 @@ def to_executable(ast: QueryAst, schema: Schema) -> ExecutableQuery:
     tables = ast.all_tables()
     space = _Space(schema, tables)
     sources = tuple(t.table for t in tables)
-    if ast.shape == COUNT_AGGREGATE:
+    if ast.select == (CountStar(),):
         return CountQuery(sources[0], space.resolve_pred(ast.where), (ResultCol("count", "int", False),))
     projection = tuple(space.select_ordinals(ast.select))
     on = conjoin([space.resolve_pred(eq) for eq in ast.join.on]) if ast.join else TRUE
@@ -256,19 +252,13 @@ def _result_cols(
 
 
 def to_normal_form(ast: QueryAst, schema: Schema) -> NormalFormQuery:
-    """The normal form of a PSJ-shaped query; other shapes go through
-    `normalize_query`."""
-    if ast.shape != PSJ:
-        raise NormalizeError(f"query shape {ast.shape!r} is not PSJ; rewrite first")
-    return to_executable(ast, schema).nf
-
-
-def _key_column(schema: Schema, table: str) -> int:
-    t = schema.table(table)
-    for i, c in enumerate(t.columns):
-        if c.unique:
-            return i
-    raise NormalizeError(f"COUNT(*) rewrite needs a unique key column on table {table!r}")
+    """The query's single lossless PSJ variant: a plain, inner-join or
+    existence query, or a LEFT JOIN whose WHERE rejects unmatched rows.
+    COUNT(*) and a LEFT JOIN that splits raise NormalizeError."""
+    variants = normalize_query(ast, schema)
+    if len(variants) != 1 or not variants[0].lossless:
+        raise NormalizeError("not a PSJ (or existence) query")
+    return variants[0].nf
 
 
 def psj_variants(exe: ExecutableQuery, schema: Schema) -> list[RewriteVariant]:
@@ -277,7 +267,12 @@ def psj_variants(exe: ExecutableQuery, schema: Schema) -> list[RewriteVariant]:
     if isinstance(exe, PlainQuery):
         return [RewriteVariant("full", exe.nf, True, tuple(range(len(exe.nf.projection))))]
     if isinstance(exe, CountQuery):
-        nf = NormalFormQuery((_key_column(schema, exe.source),), exe.filter, (exe.source,))
+        keys = schema.table(exe.source).keys()
+        if not keys:
+            raise NormalizeError(
+                f"COUNT(*) rewrite needs a non-nullable unique key column on table {exe.source!r}"
+            )
+        nf = NormalFormQuery(keys[0], exe.filter, (exe.source,))
         # The count value itself has no column in the rewrite.
         return [RewriteVariant("full", nf, False, (None,))]
     left_arity = sum(schema.table(t).arity for t in exe.left_sources)

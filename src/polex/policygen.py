@@ -244,7 +244,7 @@ class Simplifier:
     table_bound: int = 2
     value_range: tuple[int, int] = (0, 7)
     timeout_s: float = 5.0
-    # (params, conditions[:k+1]) -> `_entails` verdict, for this Simplifier's life
+    # conditions[:k+1] -> `_entails` verdict, for this Simplifier's life
     _verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def simplify(self, cqs: list[ConditionedQuery]) -> list[ConditionedQuery]:
@@ -262,32 +262,32 @@ class Simplifier:
 
     # Solver plumbing for entailment checks over a condition prefix.
 
-    def _param_names(self, cq: ConditionedQuery):
+    def _param_names(self, records):
+        """The parameters `records` name; a symbol that no formula mentions
+        is never decided, so it cannot change a verdict."""
         names = {}
         def visit(s):
             if isinstance(s, (SessionParam, RequestParam)):
                 names.setdefault(s.name, self.param_types.get(s.name, "int"))
-        for rec in cq.conditions:
+        for rec in records:
             if isinstance(rec, CondBranch):
                 for t in iter_terms(rec.pred):
                     visit(t)
             else:
                 for s in rec.params:
                     visit(s)
-        for s in cq.params:
-            visit(s)
         return names
 
-    def _entails(self, cq: ConditionedQuery, conditions, k: int) -> bool:
+    def _entails(self, conditions, k: int) -> bool:
         """The constraints plus `conditions[:k]` entail that `conditions[k]`
         holds: a branch its outcome, a query a row.  A premise query also
         returns at most one row.  A countermodel is looked for at bound 1
         first: it is one at the full bound with the other rows absent.
         Entailed still needs unsat at the full bound; Unknown counts as no.
         Each distinct question is asked once."""
-        params = tuple(sorted(self._param_names(cq).items()))
-        key = (params, tuple(conditions[: k + 1]))
+        key = tuple(conditions[: k + 1])
         if key not in self._verdicts:
+            params = tuple(sorted(self._param_names(key).items()))
             self._verdicts[key] = (
                 (self.table_bound == 1 or self._countermodel(params, conditions, k, 1) != "sat")
                 and self._countermodel(params, conditions, k, self.table_bound) == "unsat"
@@ -317,7 +317,7 @@ class Simplifier:
     def _remove_vacuous_branches(self, cq: ConditionedQuery) -> ConditionedQuery:
         kept = tuple(
             rec for k, rec in enumerate(cq.conditions)
-            if not (isinstance(rec, CondBranch) and self._entails(cq, cq.conditions, k))
+            if not (isinstance(rec, CondBranch) and self._entails(cq.conditions, k))
         )
         return cq if len(kept) == len(cq.conditions) else replace(cq, conditions=kept)
 
@@ -331,7 +331,7 @@ class Simplifier:
             if (
                 isinstance(rec, CondQuery)
                 and not self._referenced(rec.index, conditions[k + 1 :], cq.params)
-                and self._entails(cq, conditions, k)
+                and self._entails(conditions, k)
             ):
                 del conditions[k]
             else:

@@ -4,7 +4,7 @@
       schema.txt          table definitions
       constraints.txt     editable constraint config
       handlers/*.hdl      handler programs
-      intern.json         string interning table (created on demand)
+      intern.json         string interning table (written when a string is interned)
       transcripts/<inputId>.jsonl
       inputs/<inputId>.json
       policies/<handler>.sql, policies/final.sql
@@ -92,8 +92,10 @@ class RunDirectory:
 
     def load_constraints(self, schema: Schema) -> list[Constraint]:
         """The expanded constraints; a line that does not parse or expand
-        raises RunDirError naming the file and the line."""
+        raises RunDirError naming the file and the line.  `intern.json` is
+        written only when a line interns a new string."""
         interner = _load(self.intern_path, Interner.load)
+        known = len(interner.mapping)
         constraints: list[Constraint] = []
         if self.constraints_path.exists():
             text = self.constraints_path.read_text(encoding="utf-8")
@@ -102,7 +104,8 @@ class RunDirectory:
                     constraints += expand_all(parse_constraint_file(line, schema, interner), schema)
                 except (ConstraintError, SourceError, NormalizeError, SchemaError) as e:
                     raise RunDirError(f"malformed {self.constraints_path} line {n} ({line.strip()}): {e}") from e
-        interner.save(self.intern_path)
+        if len(interner.mapping) != known:
+            interner.save(self.intern_path)
         return constraints
 
     def load_handlers(self) -> dict[str, tuple[HandlerProgram, Path]]:

@@ -63,6 +63,14 @@ class Table:
     def arity(self) -> int:
         return len(self.columns)
 
+    def keys(self) -> tuple[tuple[int, ...], ...]:
+        """The column-index tuples that identify a row: each `unique` column,
+        then each composite unique, leaving out those with a nullable
+        column (rows whose key is NULL do not collide)."""
+        groups = [(i,) for i, c in enumerate(self.columns) if c.unique]
+        groups += [tuple(self.column_index(c) for c in g) for g in self.composite_uniques]
+        return tuple(g for g in groups if not any(self.columns[i].nullable for i in g))
+
 
 @dataclass(frozen=True)
 class Schema:

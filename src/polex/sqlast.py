@@ -21,14 +21,6 @@ from typing import Union
 
 from .terms import Cmp, Predicate
 
-# Query shapes, in the sense of which rewrite applies.
-PSJ = "psj"
-INNER_JOIN = "inner_join"
-LEFT_JOIN = "left_join"
-COUNT_AGGREGATE = "count"
-EXISTENCE_LIMIT1 = "exists"
-
-
 @dataclass(frozen=True)
 class Star:
     pass
@@ -79,16 +71,6 @@ class QueryAst:
     where: Predicate
     distinct: bool
     limit_one: bool
-
-    @property
-    def shape(self) -> str:
-        if any(isinstance(i, CountStar) for i in self.select):
-            return COUNT_AGGREGATE
-        if self.limit_one:
-            return EXISTENCE_LIMIT1
-        if self.join is not None:
-            return LEFT_JOIN if self.join.kind == "left" else INNER_JOIN
-        return PSJ
 
     def all_tables(self) -> tuple[TableRef, ...]:
         if self.join is None:

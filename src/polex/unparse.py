@@ -1,9 +1,10 @@
 """Rendering normal-form queries back to SQL text.
 
 View output applies three cleanups before printing: joins of two copies
-of a table on a unique key are collapsed, AND trees are kept left-deep
-(so no parenthesizing is needed), and projected column names are
-coalesced into `table.*` or `*` when they cover whole tables in order.
+of a table on a row key (`Table.keys()`) are collapsed, AND trees are
+kept left-deep (so no parenthesizing is needed), and projected column
+names are coalesced into `table.*` or `*` when they cover whole tables
+in order.
 Output is deterministic for identical input and always re-parses under
 the repo grammar.
 """
@@ -32,15 +33,7 @@ class UnparseError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Cleanup: remove self-joins on a unique key
-
-
-def _unique_groups(schema: Schema, table: str) -> list[tuple[int, ...]]:
-    t = schema.table(table)
-    groups = [(i,) for i, c in enumerate(t.columns) if c.unique]
-    for group in t.composite_uniques:
-        groups.append(tuple(t.column_index(c) for c in group))
-    return groups
+# Cleanup: remove self-joins on a row key
 
 
 def _positive_equalities(filter: Predicate) -> set[tuple[int, int]]:
@@ -86,7 +79,9 @@ def _merge_copies(nf: NormalFormQuery, schema: Schema, keep: int, drop: int) -> 
 
 
 def remove_redundant_self_joins(nf: NormalFormQuery, schema: Schema) -> NormalFormQuery:
-    """Collapse two copies of a table equated on a full unique key."""
+    """Collapse two copies of a table equated on a full row key
+    (`Table.keys()`); a nullable unique column is no key, since the
+    equality also drops the rows where it is NULL."""
     while True:
         ranges = source_ranges(schema, nf.sources)
         eqs = _positive_equalities(nf.filter)
@@ -96,7 +91,7 @@ def remove_redundant_self_joins(nf: NormalFormQuery, schema: Schema) -> NormalFo
                 if nf.sources[i] != nf.sources[j]:
                     continue
                 i_start, j_start = ranges[i][0], ranges[j][0]
-                for group in _unique_groups(schema, nf.sources[i]):
+                for group in schema.table(nf.sources[i]).keys():
                     pairs = [(i_start + c, j_start + c) for c in group]
                     if all((min(a, b), max(a, b)) in eqs for a, b in pairs):
                         nf = _merge_copies(nf, schema, i, j)

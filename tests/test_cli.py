@@ -440,3 +440,47 @@ handler probe(ItemId: int) {
     assert main(["policy-gen", str(run), "probe"]) == 0
     text = (run / "policies" / "probe.sql").read_text()
     assert text.endswith("SELECT items.id FROM items, details\nWHERE details.item_id = items.id;\n")
+
+
+def test_self_join_on_a_nullable_unique_column_is_kept(tmp_path, capsys):
+    # `k` is unique but nullable: `t_2.k = t.k` also drops the rows whose k
+    # is NULL, so collapsing the two copies would allow more than the
+    # handler reveals.
+    run = tmp_path / "run"
+    (run / "handlers").mkdir(parents=True)
+    (run / "schema.txt").write_text("table t {\n  id int unique\n  k int nullable unique\n  x int\n}\n")
+    (run / "handlers" / "h.hdl").write_text(
+        """
+handler h(P: int) {
+  let a = query("SELECT k FROM t WHERE id = ?", P);
+  abort_if_empty(a, 404);
+  let b = query("SELECT x FROM t WHERE k = ?", a.k);
+  render(b);
+}
+"""
+    )
+    assert main(["constraints-gen", str(run / "schema.txt"), "-o", str(run / "constraints.txt")]) == 0
+    assert main(["explore", str(run), "h"]) == 0
+    assert main(["policy-gen", str(run), "h"]) == 0
+    policy = run / "policies" / "h.sql"
+    assert "SELECT t.k, t_2.x, t.id FROM t, t t_2\nWHERE t_2.k = t.k;" in policy.read_text()
+    capsys.readouterr()
+    assert main(["is-allowed", str(run), str(policy), "SELECT x FROM t WHERE k IS NULL"]) == 0
+    assert capsys.readouterr().out == "not allowed\n"
+
+
+def test_intern_table_is_written_only_when_a_string_is_interned(tmp_path, capsys):
+    run = make_run(tmp_path, "toys")
+    policy = tmp_path / "policy.sql"
+    policy.write_text("SELECT * FROM users;\n")
+    commands = (["explore", str(run), "show_item"], ["is-allowed", str(run), str(policy), "SELECT * FROM users"])
+    for argv in commands:
+        assert main(argv) == 0
+    assert not (run / "intern.json").exists()
+    with (run / "constraints.txt").open("a") as f:
+        f.write("domain items.category in {'a', 'b'}\n")
+    assert main(commands[1]) == 0
+    written = (run / "intern.json").read_bytes()
+    assert json.loads(written) == {"a": 0, "b": 1}
+    assert main(commands[0]) == 0
+    assert (run / "intern.json").read_bytes() == written

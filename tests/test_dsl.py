@@ -177,3 +177,30 @@ def test_sql_and_program_literals_collected():
         'handler h(A: int) { let x = query("SELECT * FROM t WHERE a = 7"); if (A = 3) { render(x); } abort(2); }'
     )
     assert p.literals == {3, 7}
+
+
+def test_literals_of_every_query_condition_and_argument_but_not_render():
+    both = parse_handler(
+        """
+handler h(P: int) {
+  if (P = 1) {
+    let x = query("SELECT * FROM t WHERE a = 3");
+    render(x);
+  } else {
+    let x = query("SELECT * FROM t WHERE a = 5");
+    render(x);
+  }
+}
+"""
+    )
+    assert both.literals == {1, 3, 5}
+    nested = parse_handler(
+        """
+handler h(P: int) {
+  let x = query("SELECT * FROM t WHERE a = ?", 6);
+  if (!P = 4) { render(x, 9); }
+  abort(2);
+}
+"""
+    )
+    assert nested.literals == {4, 6}

@@ -1,10 +1,12 @@
 """Every name imported by the program, its tests and its scripts is used,
-and the program imports at module level only.
+every name the program defines is used, and the program imports at module
+level only.
 
 AST checks, so they need no linter: a module fails when it imports a
 name that no expression or annotation (quoted ones included) of the same
 module mentions, and a program module fails when a function body holds an
-import.
+import.  A module-level function, class or assigned name of the program
+fails when nothing but its own definition mentions it.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for d in ("src/polex", "tests", "scripts") for p in (ROOT / d).rglob("*.py"))
+PROGRAM = [p for p in FILES if p.is_relative_to(ROOT / "src")]
 
 
 def _imported(tree: ast.Module):
@@ -61,10 +64,7 @@ def test_no_unused_imports(path: Path):
     assert not unused, f"{path.relative_to(ROOT)} imports names it never uses: {unused}"
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in FILES if p.is_relative_to(ROOT / "src")],
-    ids=lambda p: str(p.relative_to(ROOT)),
-)
+@pytest.mark.parametrize("path", PROGRAM, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_function_level_imports(path: Path):
     tree = ast.parse(path.read_text(), str(path))
     inner = [
@@ -75,3 +75,49 @@ def test_no_function_level_imports(path: Path):
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert not inner, f"{path.relative_to(ROOT)} imports inside a function: {inner}"
+
+
+def _defined(tree: ast.Module):
+    """(name, definition node) for each module-level function, class and
+    assigned name, dunders aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if not name.startswith("__"):
+                yield name, node
+
+
+def _mentions(tree: ast.Module):
+    """(name, node) for each name read, attribute read, name imported and
+    string constant."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            yield node.attr, node
+        elif isinstance(node, ast.ImportFrom):
+            for a in node.names:
+                yield a.name, node
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node
+
+
+def test_every_program_definition_is_used():
+    trees = {p: ast.parse(p.read_text(), str(p)) for p in FILES + sorted((ROOT / "perfbench").rglob("*.py"))}
+    mentions: dict[str, list[tuple[Path, ast.AST]]] = {}
+    for path, tree in trees.items():
+        for name, node in _mentions(tree):
+            mentions.setdefault(name, []).append((path, node))
+    unused = []
+    for path in PROGRAM:
+        for name, definition in _defined(trees[path]):
+            own = {id(n) for n in ast.walk(definition)}
+            if all(p == path and id(n) in own for p, n in mentions.get(name, [])):
+                unused.append(f"{path.relative_to(ROOT)}:{definition.lineno} {name}")
+    assert not unused, f"defined but never used: {unused}"

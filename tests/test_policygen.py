@@ -374,9 +374,9 @@ handler two_after_branch(ItemId: int) {
 
     questions, checks = [], []
 
-    def recording_entails(self, cq, conditions, k):
-        questions.append((tuple(sorted(self._param_names(cq).items())), tuple(conditions[: k + 1])))
-        return entails(self, cq, conditions, k)
+    def recording_entails(self, conditions, k):
+        questions.append(tuple(conditions[: k + 1]))
+        return entails(self, conditions, k)
 
     def counting_check(*args):
         checks.append(args)
@@ -418,9 +418,9 @@ def _record_bounds(monkeypatch):
 
 def test_entailed_at_bound_1_is_not_entailed_at_bound_2(monkeypatch):
     schema, constraints, cq = two_rows_question()
-    assert Simplifier(schema, constraints, table_bound=1, timeout_s=None)._entails(cq, cq.conditions, 2)
+    assert Simplifier(schema, constraints, table_bound=1, timeout_s=None)._entails(cq.conditions, 2)
     bounds = _record_bounds(monkeypatch)
-    assert not Simplifier(schema, constraints, table_bound=2, timeout_s=None)._entails(cq, cq.conditions, 2)
+    assert not Simplifier(schema, constraints, table_bound=2, timeout_s=None)._entails(cq.conditions, 2)
     assert bounds == [1, 2]
 
 
@@ -443,7 +443,7 @@ def test_unknown_at_bound_1_leaves_the_verdict_to_the_full_bound(grade_schema, g
         (Simplifier(grade_schema, grade_constraints, {"CourseId": "int"}, timeout_s=None), vacuous, 1, True),
     ):
         del bounds[:]
-        assert simplifier._entails(cq, cq.conditions, k) == want
+        assert simplifier._entails(cq.conditions, k) == want
         assert bounds == [1, 2]
 
 
@@ -469,13 +469,13 @@ handler two_after_branch(ItemId: int) {
     questions, asked = [], {}
     entails, countermodel = Simplifier._entails, Simplifier._countermodel
 
-    def recording_entails(self, cq, conditions, k):
-        questions.append((tuple(sorted(self._param_names(cq).items())), tuple(conditions[: k + 1])))
-        return entails(self, cq, conditions, k)
+    def recording_entails(self, conditions, k):
+        questions.append(tuple(conditions[: k + 1]))
+        return entails(self, conditions, k)
 
     def recording_countermodel(self, params, conditions, k, bound):
         status = countermodel(self, params, conditions, k, bound)
-        key = (params, tuple(conditions[: k + 1]))
+        key = tuple(conditions[: k + 1])
         assert (key, bound) not in asked
         asked[key, bound] = status
         return status

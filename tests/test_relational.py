@@ -11,6 +11,9 @@ from polex.normal import (
     NormalizeError,
     check_nf,
     normalize_query,
+    psj_variants,
+    session_view,
+    to_executable,
     to_normal_form,
 )
 from polex.schema import parse_schema
@@ -62,7 +65,6 @@ def instance(**tables):
 
 def test_parse_roles_query_shape():
     ast = parse_sql("SELECT * FROM roles WHERE user_id = ? AND course_id = ?")
-    assert ast.shape == "psj"
     placeholders = [t for c in (ast.where,) for t in _terms(c)]
     assert sum(1 for t in placeholders if type(t).__name__ == "PlaceholderRef") == 2
 
@@ -146,9 +148,27 @@ def test_normal_form_self_join_projection():
 
 
 def test_normal_form_requires_psj():
-    ast = parse_sql("SELECT 1 FROM t LIMIT 1")
+    ast = parse_sql("SELECT COUNT(*) FROM t")
     with pytest.raises(NormalizeError):
         to_normal_form(ast, SCHEMA)
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT * FROM t INNER JOIN u ON t.a = u.a WHERE u.flag",
+        "SELECT 1 FROM t WHERE a = MyUserId LIMIT 1",
+        "SELECT 1 FROM t INNER JOIN u ON t.a = u.a LIMIT 1",
+        "SELECT t.a FROM t LEFT JOIN u ON t.a = u.a WHERE u.flag",
+    ],
+)
+def test_normal_form_is_the_single_lossless_variant(sql):
+    assert to_normal_form(parse_sql(sql), SCHEMA) == session_view(sql, SCHEMA)
+    for refused in ("SELECT COUNT(*) FROM u", "SELECT t.a FROM t LEFT JOIN u ON t.a = u.a"):
+        with pytest.raises(NormalizeError):
+            to_normal_form(parse_sql(refused), SCHEMA)
+        with pytest.raises(NormalizeError):
+            session_view(refused, SCHEMA)
 
 
 def test_unknown_column_rejected():
@@ -176,6 +196,21 @@ def test_rewrite_count_projects_key_column():
     assert not v.lossless
     assert v.nf == NormalFormQuery((0,), TRUE, ("u",))
     assert v.result_map == (None,)
+
+
+def test_rewrite_count_skips_a_nullable_unique_column():
+    # Two instances with one and two NULL-k rows agree on `SELECT k, x FROM
+    # t` but not on the count; the non-nullable key `id` tells them apart.
+    schema = parse_schema("table t { k int nullable unique  id int unique  x int }")
+    exe = to_executable(parse_sql("SELECT COUNT(*) FROM t WHERE x = ?"), schema)
+    (v,) = psj_variants(exe, schema)
+    assert v.nf.projection == (1,)
+
+
+def test_rewrite_count_projects_a_composite_key(grade_schema):
+    (v,) = normalize_query(parse_sql("SELECT COUNT(*) FROM roles WHERE is_instructor"), grade_schema)
+    assert v.nf.projection == (0, 1)
+    assert unparse_view(v.nf, grade_schema) == "SELECT user_id, course_id FROM roles\nWHERE is_instructor"
 
 
 def test_rewrite_count_needs_key():
@@ -282,6 +317,14 @@ def test_unparse_self_join_on_unique_key_collapses():
     )
     text = unparse_view(nf, SCHEMA)
     assert text == "SELECT * FROM u\nWHERE flag"
+
+
+def test_unparse_self_join_on_a_nullable_unique_column_keeps_both_copies():
+    schema = parse_schema("table t { id int unique  k int nullable unique  x int }")
+    nf = to_normal_form(parse_sql("SELECT t.k, t_2.x, t.id FROM t, t t_2 WHERE t_2.k = t.k"), schema)
+    text = unparse_view(nf, schema)
+    assert text == "SELECT t.k, t_2.x, t.id FROM t, t t_2\nWHERE t_2.k = t.k"
+    assert to_normal_form(parse_sql(text), schema) == nf
 
 
 def test_self_join_collapse_is_information_equivalent():

@@ -222,3 +222,32 @@ def test_interner_stable(tmp_path):
     again = Interner.load(path)
     assert again.intern("b") == 1
     assert again.intern("c") == 2
+
+
+def test_table_keys_are_non_nullable_uniques_in_schema_order():
+    schema = parse_schema(
+        """
+table t {
+  a int nullable unique
+  b int
+  c int unique
+  d int nullable
+  e int unique
+  unique (b, d)
+  unique (b, c)
+}
+"""
+    )
+    assert schema.table("t").keys() == ((2,), (4,), (1, 2))
+    assert SCHEMA.table("courses").keys() == ((0,),)
+    assert SCHEMA.table("roles").keys() == ((0, 1),)
+
+
+def test_contain_constraint_takes_an_inner_join():
+    (item,) = parse_constraint_file(
+        "contain SELECT roles.course_id FROM roles INNER JOIN courses ON roles.course_id = courses.id"
+        " in SELECT id FROM courses",
+        SCHEMA,
+        Interner(),
+    )
+    assert isinstance(item, Containment)

@@ -177,7 +177,6 @@ class Explorer:
             self.schema, self.constraints, cfg.table_bound, cfg.value_range,
             self.program.request_params,
         )
-        defs: list[tuple] = []
         formulas: list[tuple] = []
         seen = set()
 
@@ -194,16 +193,14 @@ class Explorer:
                 add(r, f if r.outcome else lnot(f))
                 continue
             enc = encode_query(
-                self.catalog.executable(r.sql), r.params, inst, self.schema, env,
-                pool, f"{tag}{r.index}", cfg.value_range,
+                self.catalog.executable(r.sql), r.params, inst, self.schema, env, pool, f"{tag}{r.index}"
             )
-            defs.extend(enc.defs)
             if tag == "q":  # a path condition, not only a restriction
                 add(r, lnot(enc.non_empty) if r.is_empty else enc.non_empty)
                 if not r.is_empty:
                     env.rows[r.index] = enc.result
             add(("amo", replace(r, is_empty=False)), enc.at_most_one)
-        verdict = check(pool, defs + formulas, cfg.solver_timeout)
+        verdict = check(pool, formulas, cfg.solver_timeout)
         if verdict.status == "unknown":
             return ABANDONED, None
         if verdict.status == "unsat":

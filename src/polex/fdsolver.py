@@ -8,7 +8,9 @@ finite, so instead of an external SMT engine we compile to SAT:
 
   * each int symbol becomes a one-hot vector of SAT variables over its
     domain, with exactly-one side clauses;
-  * comparison atoms become clauses over the one-hot vectors;
+  * comparison atoms become clauses over the one-hot vectors; `fcmp`
+    writes `=` and `<>` between two symbols with the lower vid first, so
+    `x = y` and `y = x` are one atom and compile to one gate;
   * the boolean structure is Tseitin-encoded with full equivalences.
 
 `check` takes one list of formulas, asserts each as a unit clause in list
@@ -127,13 +129,11 @@ def implies(a, b):
     return lor(lnot(a), b)
 
 
-def iff(a, b):
-    return land(implies(a, b), implies(b, a))
-
-
 def fcmp(op: str, t1, t2):
     if t1[0] == "c" and t2[0] == "c":
         return TRUE_F if cmp_eval(op, t1[1], t2[1]) else FALSE_F
+    if op in ("=", "<>") and t1[0] == t2[0] == "v" and t2[1] < t1[1]:
+        t1, t2 = t2, t1  # one atom, and one gate, per unordered pair
     return ("cmp", op, t1, t2)
 
 

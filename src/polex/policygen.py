@@ -298,21 +298,17 @@ class Simplifier:
         """Solver status of `conditions[:k]` holding and `conditions[k]` not,
         within `bound` rows per table."""
         pool, (inst,), env = bounded(self.schema, self.constraints, bound, self.value_range, params)
-        defs: list = []
         formulas: list = []
         for j, rec in enumerate(conditions[: k + 1]):
             if isinstance(rec, CondBranch):
                 f = encode_pred(rec.pred, {}, env)
                 f = f if rec.outcome else lnot(f)
             else:
-                enc = encode_query(
-                    rec.nf, rec.params, inst, self.schema, env, pool, f"c{j}", self.value_range
-                )
-                defs.extend(enc.defs)
+                enc = encode_query(rec.nf, rec.params, inst, self.schema, env, pool, f"c{j}")
                 env.rows[rec.index] = enc.result
                 f = land(enc.non_empty, enc.at_most_one) if j < k else enc.non_empty
             formulas.append(f if j < k else lnot(f))
-        return check(pool, defs + formulas, self.timeout_s).status
+        return check(pool, formulas, self.timeout_s).status
 
     def _remove_vacuous_branches(self, cq: ConditionedQuery) -> ConditionedQuery:
         kept = tuple(

@@ -10,9 +10,14 @@ comparisons among a bounded set of symbols matter.
 
 A query over such an instance is encoded by enumerating the combinations
 of rows its FROM product can draw: `nonEmpty` is the disjunction of the
-combination guards, result-row symbols are defined by guarded equalities,
-and `atMostOne` asserts that no two distinct combinations both match
-(the driver asserts it to keep every query at one row or none).
+combination guards, and `atMostOne` asserts that no two distinct
+combinations both match (the driver asserts it to keep every query at one
+row or none).  A result column gets no symbols of its own: it is read as
+the alternatives `(guard, term, null)` of the combinations that can
+produce it, and a predicate over it is the disjunction, over alternatives,
+of the guard and the predicate on that combination's term.  So a filter
+on a fetched foreign key and the foreign-key containment itself compare
+the same two row symbols, and the solver sees they are one fact.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .fdsolver import (
     const,
     fcmp,
     feq,
-    iff,
     implies,
     ivar,
     land,
@@ -69,8 +73,11 @@ class EncodeError(Exception):
 
 
 # A symbolic value is (term, null_formula): the term is meaningful only
-# where the null formula is false.
+# where the null formula is false.  A scalar reads as alternatives, a tuple
+# of (guard, term, null_formula): the value is the term of the one
+# alternative whose guard holds.  A plain value is ((TRUE_F, term, null),).
 SymValue = tuple
+Alts = tuple
 
 
 @dataclass
@@ -98,24 +105,24 @@ class SymEnv:
     """Scalar resolution context: parameter symbols and prior query results."""
 
     params: dict[str, int] = field(default_factory=dict)  # name -> int vid
-    rows: dict[int, tuple[SymValue, ...]] = field(default_factory=dict)
-    placeholders: tuple[SymValue, ...] = ()
+    rows: dict[int, tuple[Alts, ...]] = field(default_factory=dict)
+    placeholders: tuple[Alts, ...] = ()
 
-    def scalar(self, s: Scalar) -> SymValue:
+    def scalar(self, s: Scalar) -> Alts:
         if isinstance(s, IntLit):
-            return (const(s.value), FALSE_F)
+            return ((TRUE_F, const(s.value), FALSE_F),)
         if isinstance(s, BoolLit):
-            return (const(1 if s.value else 0), FALSE_F)
+            return ((TRUE_F, const(1 if s.value else 0), FALSE_F),)
         if isinstance(s, NullLit):
-            return (const(0), TRUE_F)
+            return ((TRUE_F, const(0), TRUE_F),)
         if isinstance(s, (SessionParam, RequestParam)):
             if s.name not in self.params:
                 raise EncodeError(f"parameter {s.name!r} has no symbol")
-            return (ivar(self.params[s.name]), FALSE_F)
+            return ((TRUE_F, ivar(self.params[s.name]), FALSE_F),)
         if isinstance(s, RowCol):
             row = self.rows.get(s.query_index)
             if row is None:
-                raise EncodeError(f"no result symbols for query {s.query_index}")
+                raise EncodeError(f"no encoded result for query {s.query_index}")
             return row[s.column_index]
         if isinstance(s, PlaceholderRef):
             if s.position > len(self.placeholders):
@@ -237,24 +244,24 @@ def matches(tup: tuple[SymValue, ...], pairs) -> list:
 
 
 def encode_pred(p: Predicate, colmap, env: SymEnv):
-    """Two-valued truth of a predicate; `colmap` maps Col ordinals to SymValues."""
+    """Two-valued truth of a predicate; `colmap` maps Col ordinals to
+    SymValues.  An atom holds on some alternative of its operands whose
+    guards hold."""
 
-    def value(term) -> SymValue:
+    def value(term) -> Alts:
         if isinstance(term, Col):
-            return colmap[term.index]
+            return ((TRUE_F, *colmap[term.index]),)
         return env.scalar(term)
 
     if isinstance(p, TruePred):
         return TRUE_F
     if isinstance(p, Cmp):
-        (ta, na), (tb, nb) = value(p.left), value(p.right)
-        return land(lnot(na), lnot(nb), fcmp(p.op, ta, tb))
+        return lor(*[land(ga, gb, lnot(na), lnot(nb), fcmp(p.op, ta, tb))
+                     for ga, ta, na in value(p.left) for gb, tb, nb in value(p.right)])
     if isinstance(p, IsNull):
-        _, n = value(p.term)
-        return n
+        return lor(*[land(g, n) for g, _, n in value(p.term)])
     if isinstance(p, BoolCol):
-        t, n = value(p.term)
-        return land(lnot(n), feq(t, const(1)))
+        return lor(*[land(g, lnot(n), feq(t, const(1))) for g, t, n in value(p.term)])
     if isinstance(p, Not):
         return lnot(encode_pred(p.inner, colmap, env))
     if isinstance(p, And):
@@ -318,8 +325,7 @@ def _leftjoin_pairs(q: LeftJoinQuery, inst: SymInstance, schema: Schema, env: Sy
 class QueryEncoding:
     non_empty: tuple
     at_most_one: tuple
-    result: tuple[SymValue, ...]  # symbols for the (unique) result row
-    defs: list[tuple]  # guarded definitions of the result symbols
+    result: tuple[Alts, ...]  # per column: each candidate row's (guard, term, null)
 
 
 def encode_query(
@@ -330,12 +336,17 @@ def encode_query(
     env: SymEnv,
     pool: VarPool,
     tag: str,
-    value_range: tuple[int, int] = (0, 7),
 ) -> QueryEncoding:
-    """Encode one query occurrence; `tag` names the fresh result symbols.
+    """Encode one query occurrence; `tag` names a COUNT's value symbol.
 
     `q` is an ExecutableQuery or a bare NormalFormQuery; placeholder
-    scalars are taken from `params`.
+    scalars are taken from `params`.  The result reads as the matched
+    row: a formula over it says "some candidate row's guard holds and the
+    formula holds of that row", which means the formula of the result
+    only where exactly one guard holds.  So a caller that reads the result
+    in a later formula (`env.rows`) must assert `non_empty` and
+    `at_most_one`; the explorer's path records and the simplifier's
+    premises do.
     """
     # The query's own params are record scalars; bind them as placeholders.
     penv = SymEnv(env.params, dict(env.rows), tuple(env.scalar(s) for s in params))
@@ -344,15 +355,13 @@ def encode_query(
         q = PlainQuery(q, ())
     if isinstance(q, PlainQuery):
         pairs = result_pairs(q.nf, inst, schema, penv)
-        result_meta = [(f"{tag}.c{i}", True) for i in range(len(q.nf.projection))]
     elif isinstance(q, LeftJoinQuery):
         pairs = _leftjoin_pairs(q, inst, schema, penv)
-        result_meta = [(f"{tag}.c{i}", True) for i in range(len(q.projection))]
     elif isinstance(q, CountQuery):
         # A count always returns exactly one row; its value is never
         # referenced (the DSL forbids it), so the symbol is unconstrained.
         v = pool.new_int(f"{tag}.count", 0, max(inst.bound, 1))
-        return QueryEncoding(TRUE_F, TRUE_F, ((ivar(v), FALSE_F),), [])
+        return QueryEncoding(TRUE_F, TRUE_F, (((TRUE_F, ivar(v), FALSE_F),),))
     else:
         raise EncodeError(f"cannot encode query {q!r}")
 
@@ -362,21 +371,8 @@ def encode_query(
         for j in range(i + 1, len(pairs)):
             amo_parts.append(lnot(land(pairs[i][0], pairs[j][0])))
     at_most_one = land(*amo_parts)
-
-    n_cols = len(result_meta)
-    result: list[SymValue] = []
-    defs: list[tuple] = []
-    for i, (name, _) in enumerate(result_meta):
-        v = pool.new_int(name, *value_range)
-        n = pool.new_bool(f"{name}.null")
-        result.append((ivar(v), bvar(n)))
-    for guard, tup in pairs:
-        for i in range(n_cols):
-            t, nf_ = tup[i]
-            rv, rn = result[i]
-            defs.append(implies(guard, iff(rn, nf_)))
-            defs.append(implies(land(guard, lnot(nf_)), feq(rv, t)))
-    return QueryEncoding(non_empty, at_most_one, tuple(result), defs)
+    result = tuple(zip(*[[(g, *v) for v in tup] for g, tup in pairs]))
+    return QueryEncoding(non_empty, at_most_one, result)
 
 
 def encode_constraint(c: Constraint, inst: SymInstance, schema: Schema):
@@ -417,9 +413,9 @@ def encode_constraint(c: Constraint, inst: SymInstance, schema: Schema):
 
 def check(pool: VarPool, formulas: list[tuple], timeout_s: float | None = 5.0) -> CheckResult:
     """Decide the conjunction of the pool's base formulas and `formulas` in
-    one CDCL search, compiling `formulas` after the base in list order
-    (callers put query definitions first): Sat models are verified against
-    every formula, timeouts surface as Unknown."""
+    one CDCL search, compiling `formulas` after the base in list order:
+    Sat models are verified against every formula, timeouts surface as
+    Unknown."""
     return CdclBackend().check(pool, formulas, timeout_s=timeout_s)
 
 

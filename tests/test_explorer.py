@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from polex import fdsolver
 from polex.constraints import expand_all, generate_constraints
 from polex.dsl import parse_handler
 from polex.explorer import (
@@ -223,6 +224,43 @@ def test_infeasible_sibling_for_count_query(toys_schema, toys_constraints):
     assert len(res.transcripts) == 1
     counts = res.tree.counts()
     assert counts[INFEASIBLE] == 1  # "the count came back empty" is impossible
+
+
+def test_empty_parent_fetch_is_refuted_in_few_conflicts(monkeypatch):
+    """The filter of a fetch through a foreign key and the containment
+    itself compare the same two row symbols, so "the parent came back
+    empty" is refuted without splitting on the key's values."""
+    schema = parse_schema(
+        "table parents { id int unique }\ntable children { id int unique  parent_id int fk parents.id }"
+    )
+    p = parse_handler(
+        """
+handler h(Id: int) {
+  let c = query("SELECT * FROM children WHERE id = ?", Id);
+  abort_if_empty(c, 404);
+  let p = query("SELECT * FROM parents WHERE id = ?", c.parent_id);
+  abort_if_empty(p, 404);
+  render(c, p);
+}
+"""
+    )
+    conflicts = []
+    solve = fdsolver._Cdcl.solve
+
+    def counted_solve(self):
+        out = solve(self)
+        conflicts.append(self.conflicts)
+        return out
+
+    monkeypatch.setattr(fdsolver._Cdcl, "solve", counted_solve)
+    constraints = expand_all(generate_constraints(schema), schema)
+    explorer = Explorer(p, schema, constraints, ExplorationConfig(table_bound=2, solver_timeout=None))
+    prefix = (
+        QueryRecord(1, "SELECT * FROM children WHERE id = ?", (RequestParam("Id"),), False),
+        QueryRecord(2, "SELECT * FROM parents WHERE id = ?", (RowCol(1, 1),), True),
+    )
+    assert explorer.generate_input(prefix) == (INFEASIBLE, None)
+    assert len(conflicts) == 1 and conflicts[0] <= 16
 
 
 def test_multi_row_repair(toys_schema, toys_constraints):

@@ -30,11 +30,11 @@ def output_digest():
 @pytest.mark.parametrize(
     "run, args, digest",
     [
-        ("pipeline", ("toys", 2), "4fa5b045e39ca8d32e122080e6948a1c708a9bda94436ae4b40c82363a536ba5"),
+        ("pipeline", ("toys", 2), "d22891abcb4e3228bcc2419107ff423b8b0d4f9b98b612dc4d056662cde3d007"),
         ("pipeline", ("grade_sheet", 2), "1ce704ebc951599b2d032220eb04a58364e9e7af7ca01677cc9e3ec7e3ecfa6a"),
         ("broaden", (2,), "38d9cdef5556f66239b63aa1d1d9b3534071ecbbbd83b619d898db8780e50871"),
         ("synth_front", (1,), "1baf2937b02d22aec73694b06659857bbf8fd34ccefd287146cfc1d92ccb7803"),
-        ("pipeline", ("toys", 5), "4fa5b045e39ca8d32e122080e6948a1c708a9bda94436ae4b40c82363a536ba5"),
+        ("pipeline", ("toys", 5), "d22891abcb4e3228bcc2419107ff423b8b0d4f9b98b612dc4d056662cde3d007"),
     ],
     ids=["toys-b2", "grade_sheet-b2", "broaden-b2", "synth-s1-b2", "toys-b5"],
 )

@@ -136,7 +136,7 @@ def test_fk_containment_models_validate():
 def test_nonempty_is_two_way_disjunction():
     pool, inst, env = fresh_context(constraints=[])
     nf = NormalFormQuery((0, 1, 2, 3), TRUE, ("roles",))
-    enc = encode_query(nf, (), inst, SCHEMA, env, pool, "q1", RANGE)
+    enc = encode_query(nf, (), inst, SCHEMA, env, pool, "q1")
     # nonEmpty holds iff some roles row is present.
     from polex.fdsolver import bvar, land
 
@@ -144,8 +144,8 @@ def test_nonempty_is_two_way_disjunction():
         lnot(bvar(inst.tables["roles"].rows[0].presence)),
         lnot(bvar(inst.tables["roles"].rows[1].presence)),
     )
-    assert check(pool, enc.defs + [enc.non_empty, none_present]).status == "unsat"
-    assert check(pool, enc.defs + [enc.non_empty]).status == "sat"
+    assert check(pool, [enc.non_empty, none_present]).status == "unsat"
+    assert check(pool, [enc.non_empty]).status == "sat"
 
 
 def test_query_over_absent_rows_unsat():
@@ -153,21 +153,21 @@ def test_query_over_absent_rows_unsat():
     from polex.fdsolver import bvar
 
     nf = NormalFormQuery((0,), TRUE, ("courses",))
-    enc = encode_query(nf, (), inst, SCHEMA, env, pool, "q1", RANGE)
-    hard = enc.defs + [lnot(bvar(r.presence)) for r in inst.tables["courses"].rows]
+    enc = encode_query(nf, (), inst, SCHEMA, env, pool, "q1")
+    hard = [lnot(bvar(r.presence)) for r in inst.tables["courses"].rows]
     assert check(pool, hard + [enc.non_empty]).status == "unsat"
 
 
 def test_tautological_filter_nonempty_iff_row_present():
     pool, inst, env = fresh_context(constraints=[])
     nf = NormalFormQuery((0,), Cmp("=", Col(0), Col(0)), ("courses",))
-    enc = encode_query(nf, (), inst, SCHEMA, env, pool, "q1", RANGE)
+    enc = encode_query(nf, (), inst, SCHEMA, env, pool, "q1")
     from polex.fdsolver import bvar, lor
 
     some_present = lor(*[bvar(r.presence) for r in inst.tables["courses"].rows])
     # nonEmpty <-> some row present: both directions unsat when negated.
-    assert check(pool, enc.defs + [enc.non_empty, lnot(some_present)]).status == "unsat"
-    assert check(pool, enc.defs + [lnot(enc.non_empty), some_present]).status == "unsat"
+    assert check(pool, [enc.non_empty, lnot(some_present)]).status == "unsat"
+    assert check(pool, [lnot(enc.non_empty), some_present]).status == "unsat"
 
 
 def test_check_examples():
@@ -220,16 +220,17 @@ def _random_nf(rng):
 
 def test_encoding_agrees_with_evaluator_on_random_queries():
     """Soundness: on every model, brute-force evaluation of the encoded query
-    agrees with the model's nonEmpty and result-row values."""
+    agrees with the model's nonEmpty and with the result row, read from the
+    one candidate row whose guard holds."""
     rng = random.Random(4242)
     checked = 0
     for _ in range(120):
         nf = _random_nf(rng)
         pool, inst, env = fresh_context()
-        enc = encode_query(nf, (), inst, SCHEMA, env, pool, "q1", RANGE)
+        enc = encode_query(nf, (), inst, SCHEMA, env, pool, "q1")
         want_nonempty = rng.random() < 0.7
         path = enc.non_empty if want_nonempty else lnot(enc.non_empty)
-        verdict = check(pool, enc.defs + [path, enc.at_most_one])
+        verdict = check(pool, [path, enc.at_most_one])
         if verdict.status != "sat":
             continue
         checked += 1
@@ -240,7 +241,10 @@ def test_encoding_agrees_with_evaluator_on_random_queries():
         assert len(rows) <= 1  # at-most-one was asserted
         if rows:
             row = next(iter(rows))
-            for i, (term, null_f) in enumerate(enc.result):
+            for i, alts in enumerate(enc.result):
+                held = [(t, n) for g, t, n in alts if eval_formula(g, verdict.model)]
+                assert len(held) == 1  # exactly one candidate row's guard holds
+                term, null_f = held[0]
                 is_null = eval_formula(null_f, verdict.model)
                 value = None if is_null else (term[1] if term[0] == "c" else verdict.model[term[1]])
                 assert row[i] == value
@@ -262,7 +266,7 @@ def test_left_join_encoding_agrees_with_evaluator():
         inst, formulas = encode_instance(schema, cons, 2, pool, RANGE)
         env = SymEnv()
         env.params["MyUserId"] = pool.new_int("MyUserId", *RANGE)
-        enc = encode_query(exe, (SessionParam("MyUserId"),), inst, schema, env, pool, "q1", RANGE)
+        enc = encode_query(exe, (SessionParam("MyUserId"),), inst, schema, env, pool, "q1")
         want = rng.random() < 0.75
         path = enc.non_empty if want else lnot(enc.non_empty)
         extra = []
@@ -270,7 +274,7 @@ def test_left_join_encoding_agrees_with_evaluator():
             from polex.fdsolver import bvar
 
             extra.append(bvar(inst.tables["b"].rows[0].presence))
-        verdict = check(pool, enc.defs + formulas + extra + [path, enc.at_most_one])
+        verdict = check(pool, formulas + extra + [path, enc.at_most_one])
         if verdict.status != "sat":
             continue
         ci = model_to_input(verdict.model, inst, schema, env, "t", "h")
@@ -282,7 +286,10 @@ def test_left_join_encoding_agrees_with_evaluator():
         if rows:
             checked_nonempty += 1
             row = next(iter(rows))
-            for i, (term, null_f) in enumerate(enc.result):
+            for i, alts in enumerate(enc.result):
+                held = [(t, n) for g, t, n in alts if eval_formula(g, verdict.model)]
+                assert len(held) == 1  # exactly one candidate row's guard holds
+                term, null_f = held[0]
                 is_null = eval_formula(null_f, verdict.model)
                 value = None if is_null else (term[1] if term[0] == "c" else verdict.model[term[1]])
                 assert row[i] == value
@@ -292,8 +299,8 @@ def test_left_join_encoding_agrees_with_evaluator():
 def test_count_query_never_empty():
     exe = to_executable(parse_sql("SELECT COUNT(*) FROM courses"), SCHEMA)
     pool, inst, env = fresh_context()
-    enc = encode_query(exe, (), inst, SCHEMA, env, pool, "q1", RANGE)
-    assert check(pool, enc.defs + [lnot(enc.non_empty)]).status == "unsat"
+    enc = encode_query(exe, (), inst, SCHEMA, env, pool, "q1")
+    assert check(pool, [lnot(enc.non_empty)]).status == "unsat"
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +312,8 @@ def _own_formulas(rng, insts, env, pool):
     asserted empty or non-empty and at most one row."""
     own = []
     for i, inst in enumerate(insts):
-        enc = encode_query(_random_nf(rng), (), inst, SCHEMA, env, pool, f"q{i}", RANGE)
-        own += enc.defs + [enc.non_empty if rng.random() < 0.7 else lnot(enc.non_empty), enc.at_most_one]
+        enc = encode_query(_random_nf(rng), (), inst, SCHEMA, env, pool, f"q{i}")
+        own += [enc.non_empty if rng.random() < 0.7 else lnot(enc.non_empty), enc.at_most_one]
     return own
 
 
@@ -348,8 +355,8 @@ def test_checks_on_one_context_leave_its_base_untouched():
 
     def run(nf, empty):
         pool, (inst,), env = bounded(SCHEMA, CONSTRAINTS, 2, RANGE)
-        enc = encode_query(nf, (), inst, SCHEMA, env, pool, "q1", RANGE)
-        return pool.base, check(pool, enc.defs + [lnot(enc.non_empty) if empty else enc.non_empty])
+        enc = encode_query(nf, (), inst, SCHEMA, env, pool, "q1")
+        return pool.base, check(pool, [lnot(enc.non_empty) if empty else enc.non_empty])
 
     base = bounded(SCHEMA, CONSTRAINTS, 2, RANGE)[0].base
     before = _base_snapshot(base)
@@ -390,7 +397,8 @@ def test_explore_encodes_each_context_once(monkeypatch):
     assert calls["encode_instance"] == 1
     (base,) = {id(p.base): p.base for p in pools}.values()
     # One exactly-one scaffold per int symbol of the base, plus one per int
-    # symbol each check adds past it (request parameters, query results).
+    # symbol each check adds past it (request parameters, a COUNT's value;
+    # other query results add none).
     past_base = sum(p.kinds.count("int") - len(base.onehot) for p in pools)
     assert calls["exactly_one"] == len(base.onehot) + past_base
 

@@ -70,7 +70,6 @@ def _config_from_args(args) -> ExplorationConfig:
         value_range=args.value_range,
         solver_timeout=args.timeout,
         max_paths=args.max_paths,
-        seed=args.seed,
     )
 
 
@@ -108,7 +107,7 @@ def cmd_explore(args) -> int:
     program, _path = _load_handler(run, args.handler)
     config = _config_from_args(args)
     result = explore(program, schema, constraints, config)
-    meta = {"config": config.to_json(), "seed": config.seed}
+    meta = {"config": config.to_json()}
     for t in result.transcripts:
         run.write_transcript(t, meta)
         run.write_input(result.inputs[t.input_id], schema)
@@ -272,7 +271,6 @@ def _add_solver_args(p, include_explore=False):
     p.add_argument("--timeout", type=_positive_float, default=5.0, help="solver timeout per check, seconds")
     if include_explore:
         p.add_argument("--max-paths", type=_positive_int, default=10000, help="path budget")
-        p.add_argument("--seed", type=int, default=0, help="run seed (recorded in metadata)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -465,12 +465,12 @@ class _Checker:
                     self.fail(f"unknown binding {s.binding!r}", line)
                 state.nonempty = state.nonempty | {s.binding}
             elif isinstance(s, AbortStmt):
-                self._no_trailing(stmts, i, line)
+                self._no_trailing(stmts, i)
                 return state, True
             elif isinstance(s, RenderStmt):
                 for a in s.args:
                     self.check_arg(a, state, line, render=True)
-                self._no_trailing(stmts, i, line)
+                self._no_trailing(stmts, i)
                 return state, True
             elif isinstance(s, IfStmt):
                 self.check_cond(s.cond, state, line)
@@ -487,7 +487,7 @@ class _Checker:
                 e_after, e_term = self.block(s.els, els_state)
                 pre_defined = set(state.defined)
                 if t_term and e_term:
-                    self._no_trailing(stmts, i, line)
+                    self._no_trailing(stmts, i)
                     return state, True
                 if t_term:
                     state.nonempty = frozenset(b for b in e_after.nonempty if b in pre_defined)
@@ -499,7 +499,7 @@ class _Checker:
                     )
         return state, False
 
-    def _no_trailing(self, stmts, i, line):
+    def _no_trailing(self, stmts, i):
         if i + 1 < len(stmts):
             self.fail("unreachable statement", stmts[i + 1].line)
 

@@ -17,7 +17,7 @@ this is the depth-first order of the tree.  Each input takes the next id
 when it is solved, a repaired input too, so the visited set and all
 emitted ids reproduce.
 
-Every pending prefix costs one solver check: sat gives the next input,
+Every pending prefix is one `solver.ask`: sat gives the next input,
 unsat marks the prefix infeasible, and a timeout marks it abandoned.
 """
 
@@ -34,7 +34,7 @@ from .instance import ConcreteInput
 from .interpreter import MultiRowResult, QueryCatalog, execute, validate_program
 from .normal import CountQuery, LeftJoinQuery, PlainQuery
 from .schema import Schema
-from .solver import bounded, check, encode_pred, encode_query, model_to_input
+from .solver import ask, encode_pred, encode_query, model_to_input
 from .terms import IntLit, iter_terms
 from .transcript import BranchRecord, QueryRecord, Transcript, TranscriptRecord
 
@@ -54,7 +54,6 @@ class ExplorationConfig:
     value_range: tuple[int, int] = (0, 7)
     solver_timeout: float = 5.0
     max_paths: int = 10000
-    seed: int = 0
 
     def __post_init__(self):
         if self.table_bound < 1:
@@ -173,34 +172,31 @@ class Explorer:
         restriction per `(index, sql, params)` of `extra_amo`; returns
         (status, input)."""
         cfg = self.config
-        pool, (inst,), env = bounded(
-            self.schema, self.constraints, cfg.table_bound, cfg.value_range,
-            self.program.request_params,
-        )
-        formulas: list[tuple] = []
-        seen = set()
-
-        def add(key, formula) -> None:  # a record asserted twice counts once
-            if key not in seen:
-                seen.add(key)
-                formulas.append(formula)
-
         steps = [(r, "q") for r in records]
         steps += [(QueryRecord(i, sql, params, False), "amoq") for i, sql, params in extra_amo]
-        for r, tag in steps:
-            if isinstance(r, BranchRecord):
-                f = encode_pred(r.cond, {}, env)
-                add(r, f if r.outcome else lnot(f))
-                continue
-            enc = encode_query(
-                self.catalog.executable(r.sql), r.params, inst, self.schema, env, pool, f"{tag}{r.index}"
-            )
-            if tag == "q":  # a path condition, not only a restriction
-                add(r, lnot(enc.non_empty) if r.is_empty else enc.non_empty)
-                if not r.is_empty:
-                    env.rows[r.index] = enc.result
-            add(("amo", replace(r, is_empty=False)), enc.at_most_one)
-        verdict = check(pool, formulas, cfg.solver_timeout)
+
+        def encode(pool, instances, env) -> list[tuple]:
+            (inst,) = instances
+            formulas: dict = {}  # by record: a record asserted twice counts once
+            for r, tag in steps:
+                if isinstance(r, BranchRecord):
+                    f = encode_pred(r.cond, {}, env)
+                    formulas.setdefault(r, f if r.outcome else lnot(f))
+                    continue
+                enc = encode_query(
+                    self.catalog.executable(r.sql), r.params, inst, self.schema, env, pool, f"{tag}{r.index}"
+                )
+                if tag == "q":  # a path condition, not only a restriction
+                    formulas.setdefault(r, lnot(enc.non_empty) if r.is_empty else enc.non_empty)
+                    if not r.is_empty:
+                        env.rows[r.index] = enc.result
+                formulas.setdefault(("amo", replace(r, is_empty=False)), enc.at_most_one)
+            return list(formulas.values())
+
+        verdict, (inst,), env = ask(
+            self.schema, self.constraints, cfg.table_bound, cfg.value_range, encode,
+            self.program.request_params, timeout_s=cfg.solver_timeout,
+        )
         if verdict.status == "unknown":
             return ABANDONED, None
         if verdict.status == "unsat":

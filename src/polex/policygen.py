@@ -22,7 +22,7 @@ from .constraints import Constraint
 from .fdsolver import land, lnot
 from .normal import CountQuery, NormalFormQuery, column_of_ordinal, psj_variants, to_executable
 from .schema import Schema
-from .solver import bounded, check, encode_pred, encode_query
+from .solver import ask, encode_pred, encode_query
 from .sqlparser import parse_sql
 from .terms import (
     BoolLit,
@@ -281,34 +281,34 @@ class Simplifier:
     def _entails(self, conditions, k: int) -> bool:
         """The constraints plus `conditions[:k]` entail that `conditions[k]`
         holds: a branch its outcome, a query a row.  A premise query also
-        returns at most one row.  A countermodel is looked for at bound 1
-        first: it is one at the full bound with the other rows absent.
-        Entailed still needs unsat at the full bound; Unknown counts as no.
-        Each distinct question is asked once."""
+        returns at most one row.  Entailed needs no countermodel within
+        the table bound (`solver.ask`); Unknown counts as no.  Each
+        distinct question is asked once."""
         key = tuple(conditions[: k + 1])
         if key not in self._verdicts:
             params = tuple(sorted(self._param_names(key).items()))
-            self._verdicts[key] = (
-                (self.table_bound == 1 or self._countermodel(params, conditions, k, 1) != "sat")
-                and self._countermodel(params, conditions, k, self.table_bound) == "unsat"
-            )
+            self._verdicts[key] = self._countermodel(params, conditions, k) == "unsat"
         return self._verdicts[key]
 
-    def _countermodel(self, params, conditions, k: int, bound: int) -> str:
-        """Solver status of `conditions[:k]` holding and `conditions[k]` not,
-        within `bound` rows per table."""
-        pool, (inst,), env = bounded(self.schema, self.constraints, bound, self.value_range, params)
-        formulas: list = []
-        for j, rec in enumerate(conditions[: k + 1]):
-            if isinstance(rec, CondBranch):
-                f = encode_pred(rec.pred, {}, env)
-                f = f if rec.outcome else lnot(f)
-            else:
-                enc = encode_query(rec.nf, rec.params, inst, self.schema, env, pool, f"c{j}")
-                env.rows[rec.index] = enc.result
-                f = land(enc.non_empty, enc.at_most_one) if j < k else enc.non_empty
-            formulas.append(f if j < k else lnot(f))
-        return check(pool, formulas, self.timeout_s).status
+    def _countermodel(self, params, conditions, k: int) -> str:
+        """Solver status of `conditions[:k]` holding and `conditions[k]` not."""
+
+        def encode(pool, instances, env) -> list:
+            (inst,) = instances
+            formulas: list = []
+            for j, rec in enumerate(conditions[: k + 1]):
+                if isinstance(rec, CondBranch):
+                    f = encode_pred(rec.pred, {}, env)
+                    f = f if rec.outcome else lnot(f)
+                else:
+                    enc = encode_query(rec.nf, rec.params, inst, self.schema, env, pool, f"c{j}")
+                    env.rows[rec.index] = enc.result
+                    f = land(enc.non_empty, enc.at_most_one) if j < k else enc.non_empty
+                formulas.append(f if j < k else lnot(f))
+            return formulas
+
+        return ask(self.schema, self.constraints, self.table_bound, self.value_range, encode,
+                   params, timeout_s=self.timeout_s)[0].status
 
     def _remove_vacuous_branches(self, cq: ConditionedQuery) -> ConditionedQuery:
         kept = tuple(

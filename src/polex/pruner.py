@@ -19,12 +19,9 @@ alone.  Two paths decide this:
     the table bound and value range) that share session-parameter values
     and agree on every view's result set yet disagree on the query.  No
     such pair means Allowed (at this bound); a found pair is verified by
-    brute-force evaluation before it is reported.  The search runs at
-    bound 1 first, and at the full bound only if it finds no pair there:
-    a bound-1 pair is a full-bound pair with the other rows absent.  So
-    a reported pair has at most one row per table whenever such a pair
-    exists (and the bound-1 search ends in time), and Allowed still
-    needs the full bound.
+    brute-force evaluation before it is reported.  The search is one
+    `solver.ask`, so a reported pair has at most one row per table
+    whenever such a pair exists (and the bound-1 search ends in time).
 
 Pruning walks views in decreasing join count (ties: longer SQL text
 first, then lexicographic) and greedily removes any view already
@@ -43,7 +40,7 @@ from .instance import ConcreteInput
 from .normal import NormalFormQuery, source_ranges
 from .policygen import View
 from .schema import Schema
-from .solver import bounded, check, matches, model_to_input, result_pairs
+from .solver import ask, matches, model_to_input, result_pairs
 from .terms import (
     SESSION_PARAMS,
     BoolLit,
@@ -288,15 +285,9 @@ def is_allowed(
     timeout_s: float = 5.0,
 ) -> ContainmentVerdict:
     """Determinacy check of `q` against `views`: by rewriting if one exists,
-    else the bounded solver check at bound 1 and, unless that finds a
-    counterexample, at `bound`, each within `timeout_s`.  Allowed needs
-    the full bound."""
+    else by the bounded solver check within `timeout_s`."""
     if _has_rewriting(q, views, constraints, schema):
         return ContainmentVerdict(ALLOWED, via=REWRITING)
-    if bound > 1:
-        small = _is_allowed_by_solver(q, views, constraints, schema, 1, value_range, timeout_s)
-        if small.status == NOT_ALLOWED:
-            return small
     return _is_allowed_by_solver(q, views, constraints, schema, bound, value_range, timeout_s)
 
 
@@ -310,18 +301,16 @@ def _is_allowed_by_solver(
     timeout_s: float = 5.0,
 ) -> ContainmentVerdict:
     """Bounded two-instance determinacy check of `q` against `views`."""
-    pool, (inst_a, inst_b), env = bounded(
-        schema, constraints, bound, value_range, prefixes=("A.", "B.")
+
+    def encode(pool, instances, env) -> list:
+        inst_a, inst_b = instances
+        formulas = [_set_eq(result_pairs(v, inst_a, env), result_pairs(v, inst_b, env)) for v in views]
+        formulas.append(_set_neq(result_pairs(q, inst_a, env), result_pairs(q, inst_b, env)))
+        return formulas
+
+    verdict, (inst_a, inst_b), env = ask(
+        schema, constraints, bound, value_range, encode, prefixes=("A.", "B."), timeout_s=timeout_s
     )
-    formulas = []
-    for v in views:
-        pa = result_pairs(v, inst_a, schema, env)
-        pb = result_pairs(v, inst_b, schema, env)
-        formulas.append(_set_eq(pa, pb))
-    qa = result_pairs(q, inst_a, schema, env)
-    qb = result_pairs(q, inst_b, schema, env)
-    formulas.append(_set_neq(qa, qb))
-    verdict = check(pool, formulas, timeout_s)
     if verdict.status == "unknown":
         return ContainmentVerdict(UNKNOWN)
     if verdict.status == "unsat":

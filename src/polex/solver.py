@@ -18,6 +18,10 @@ produce it, and a predicate over it is the disjunction, over alternatives,
 of the guard and the predicate on that combination's term.  So a filter
 on a fetched foreign key and the foreign-key containment itself compare
 the same two row symbols, and the solver sees they are one fact.
+
+Every stage asks the solver through `ask`, with one row per table first:
+a bound-1 model is a full-bound model with the other rows absent, and
+unsat or Unknown at bound 1 leaves the answer to the full bound.
 """
 
 from __future__ import annotations
@@ -95,7 +99,6 @@ class SymTable:
 
 @dataclass
 class SymInstance:
-    prefix: str
     bound: int
     tables: dict[str, SymTable]
 
@@ -163,7 +166,7 @@ def encode_instance(
                 nulls.append(pool.new_bool(f"{prefix}{t.name}.r{r}.{c.name}.null") if c.nullable else None)
             rows.append(SymRow(p, tuple(values), tuple(nulls)))
         tables[t.name] = SymTable(t.name, tuple(rows))
-    inst = SymInstance(prefix, bound, tables)
+    inst = SymInstance(bound, tables)
     formulas = []
     # Row order within a conditional table is irrelevant, so force absent
     # rows to trail present ones; this halves the symmetric search space.
@@ -269,13 +272,10 @@ def encode_pred(p: Predicate, colmap, env: SymEnv):
     raise EncodeError(f"cannot encode predicate {p!r}")
 
 
-def result_pairs(
-    nf: NormalFormQuery, inst: SymInstance, schema: Schema, env: SymEnv
-) -> list[tuple[tuple, tuple[SymValue, ...]]]:
+def result_pairs(nf: NormalFormQuery, inst: SymInstance, env: SymEnv) -> list[tuple[tuple, tuple[SymValue, ...]]]:
     """(guard, projected tuple) for every row combination of a PSJ query."""
     out = []
-    bound = inst.bound
-    for combo in itertools.product(range(bound), repeat=len(nf.sources)):
+    for combo in itertools.product(range(inst.bound), repeat=len(nf.sources)):
         colmap: list[SymValue] = []
         presences = []
         for src, ri in zip(nf.sources, combo):
@@ -354,7 +354,7 @@ def encode_query(
     if isinstance(q, NormalFormQuery):
         q = PlainQuery(q, ())
     if isinstance(q, PlainQuery):
-        pairs = result_pairs(q.nf, inst, schema, penv)
+        pairs = result_pairs(q.nf, inst, penv)
     elif isinstance(q, LeftJoinQuery):
         pairs = _leftjoin_pairs(q, inst, schema, penv)
     elif isinstance(q, CountQuery):
@@ -395,14 +395,14 @@ def encode_constraint(c: Constraint, inst: SymInstance, schema: Schema):
                 parts.append(lnot(land(bvar(rows[i].presence), bvar(rows[j].presence), key_eq)))
         return land(*parts)
     if isinstance(c, Containment):
-        left_pairs = result_pairs(c.left, inst, schema, env)
+        left_pairs = result_pairs(c.left, inst, env)
         if isinstance(c.right, LiteralRelation):
             right_pairs = [
                 (TRUE_F, tuple((const(v if v is not None else 0), TRUE_F if v is None else FALSE_F) for v in row))
                 for row in c.right.rows
             ]
         else:
-            right_pairs = result_pairs(c.right, inst, schema, env)
+            right_pairs = result_pairs(c.right, inst, env)
         return land(*[implies(g, lor(*matches(tup, right_pairs))) for g, tup in left_pairs])
     raise EncodeError(f"cannot encode constraint {c!r}")
 
@@ -417,6 +417,20 @@ def check(pool: VarPool, formulas: list[tuple], timeout_s: float | None = 5.0) -
     Sat models are verified against every formula, timeouts surface as
     Unknown."""
     return CdclBackend().check(pool, formulas, timeout_s=timeout_s)
+
+
+def ask(schema: Schema, constraints: list[Constraint], bound: int, value_range: tuple[int, int], encode,
+        params=(), prefixes=("",), timeout_s: float | None = 5.0) -> tuple[CheckResult, tuple, SymEnv]:
+    """Decide the formulas `encode(pool, instances, env)` builds over the
+    `bounded` context, at bound 1 and then, unless that is sat, at
+    `bound`.  Returns the last check's result with the instances and
+    environment its model is read through."""
+    for b in dict.fromkeys((1, bound)):
+        pool, instances, env = bounded(schema, constraints, b, value_range, params, prefixes)
+        verdict = check(pool, encode(pool, instances, env), timeout_s)
+        if verdict.status == "sat":
+            break
+    return verdict, instances, env
 
 
 def model_to_input(

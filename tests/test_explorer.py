@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from polex import fdsolver
 from polex.constraints import expand_all, generate_constraints
-from polex.dsl import parse_handler
+from polex.dsl import parse_handler, parse_handlers
 from polex.explorer import (
     ABANDONED,
     INFEASIBLE,
@@ -20,6 +22,10 @@ from polex.interpreter import MultiRowResult, execute
 from polex.schema import parse_schema
 from polex.terms import BoolCol, Cmp, IntLit, RequestParam, RowCol, SessionParam
 from polex.transcript import BranchRecord, QueryRecord, Transcript
+
+import full_bound
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def canonical_transcript():
@@ -202,8 +208,8 @@ def test_reproducible_visited_set(grade_program, grade_schema, grade_constraints
             out.add(t.records)
         return out
 
-    r1 = explore(grade_program, grade_schema, grade_constraints, ExplorationConfig(seed=1))
-    r2 = explore(grade_program, grade_schema, grade_constraints, ExplorationConfig(seed=1))
+    r1 = explore(grade_program, grade_schema, grade_constraints, ExplorationConfig())
+    r2 = explore(grade_program, grade_schema, grade_constraints, ExplorationConfig())
     assert visited_set(r1) == visited_set(r2)
 
 
@@ -260,7 +266,46 @@ handler h(Id: int) {
         QueryRecord(2, "SELECT * FROM parents WHERE id = ?", (RowCol(1, 1),), True),
     )
     assert explorer.generate_input(prefix) == (INFEASIBLE, None)
-    assert len(conflicts) == 1 and conflicts[0] <= 16
+    assert len(conflicts) == 2 and sum(conflicts) <= 16  # bound 1, then bound 2
+
+
+@pytest.mark.parametrize("corpus", ["toys-b3", "synth-front-s1"])
+def test_exploration_is_the_same_without_the_bound_1_rung(corpus, monkeypatch):
+    """Explore's inputs, transcripts and tree counts are the same when every
+    prefix is asked at the full bound alone (`full_bound.ask`)."""
+    if corpus == "toys-b3":
+        schema_text = (ROOT / "corpus" / "toys" / "schema.txt").read_text()
+        texts = [p.read_text() for p in sorted((ROOT / "corpus" / "toys" / "handlers").glob("*.hdl"))]
+        bound = 3
+    else:
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        import synth
+
+        schema_text, handlers, _ = synth.generate(1)
+        texts, bound = list(handlers.values()), 2
+    schema = parse_schema(schema_text)
+    constraints = expand_all(generate_constraints(schema), schema)
+    programs = [p for text in texts for p in parse_handlers(text)]
+    checks = []
+    backend_check = fdsolver.CdclBackend.check
+
+    def counted_check(self, *args, **kwargs):
+        checks[-1] += 1
+        return backend_check(self, *args, **kwargs)
+
+    def explored():
+        checks.append(0)
+        config = ExplorationConfig(table_bound=bound, solver_timeout=None)
+        return [
+            (r.transcripts, r.inputs, r.tree.counts(), r.reports, r.warnings)
+            for r in (explore(p, schema, constraints, config) for p in programs)
+        ]
+
+    monkeypatch.setattr(fdsolver.CdclBackend, "check", counted_check)
+    with_rung = explored()
+    full_bound.only(monkeypatch)
+    assert explored() == with_rung
+    assert checks[0] > checks[1]  # an infeasible prefix is asked at bound 1 too
 
 
 def test_multi_row_repair(toys_schema, toys_constraints):

@@ -43,9 +43,9 @@ def test_output_digest_unchanged(output_digest, run, args, digest):
 
 
 def test_toys_pipeline_compiles_each_bounded_context_once(output_digest):
-    # Explore and policy-gen use one instance, prune two; policy-gen and
-    # prune compile each at bound 1 and at the full bound: four contexts at
-    # most, all kept by the memo.
+    # Explore and policy-gen use one instance, prune two; every stage asks
+    # through `solver.ask`, which compiles each at bound 1 and at the full
+    # bound: four contexts at most, all kept by the memo.
     solver._shared.cache_clear()
     output_digest.pipeline("toys", 5)
     assert solver._shared.cache_info().misses <= 4

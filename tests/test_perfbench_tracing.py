@@ -50,3 +50,19 @@ def test_tracer_wraps_and_restores_every_binding(tracing):
             assert vars(owner)[attr] is not before[owner, attr], f"{attr} is not wrapped"
     for owner, attr in WRAPPED:
         assert vars(owner)[attr] is before[owner, attr], f"{attr} is not restored"
+
+
+def test_traced_toys_job_counts_the_same_work(tracing, tmp_path):
+    # The counters do not depend on the machine: every check runs without
+    # a deadline, and each check's search starts from the same copy of its
+    # context.  A change that moves them on purpose updates them here.
+    import workloads
+
+    wl = workloads.WORKLOADS["toys-b3"]
+    ld = workloads.load(**wl.inputs(PERFBENCH.parent, 1, tmp_path))
+    with tracing.Tracer() as tracer:
+        out = wl.job(ld, workloads.Ops())
+    assert wl.check(ld, out) == []
+    m = tracing.layer_metrics(tracer)
+    assert (m["explorer.paths"], m["explorer.infeasible"], m["fdsolver.unknown"]) == (24, 3, 0)
+    assert (m["fdsolver.check_calls"], m["fdsolver.conflicts"]) == (54, 26)

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from polex import policygen
+from polex import solver
 from polex.constraints import expand_all, generate_constraints
 from polex.dsl import parse_handler
 from polex.evaluate import ScalarEnv, eval_branch, eval_nf
@@ -383,7 +383,7 @@ handler two_after_branch(ItemId: int) {
         return check(*args)
 
     monkeypatch.setattr(Simplifier, "_entails", recording_entails)
-    monkeypatch.setattr(policygen, "check", counting_check)
+    monkeypatch.setattr(solver, "check", counting_check)
     out = simplify(cqs, toys_schema, toys_constraints, params, timeout_s=None)
     assert len(checks) == len(set(questions)) < len(questions)
     assert out == expected
@@ -404,24 +404,22 @@ def two_rows_question():
 
 
 def _record_bounds(monkeypatch):
-    """Route `policygen.bounded` through a recorder of each context's bound."""
+    """Route `solver.bounded` through a recorder of each context's bound."""
     bounds = []
-    original = policygen.bounded
+    original = solver.bounded
 
     def recorded(schema, constraints, bound, *args, **kwargs):
         bounds.append(bound)
         return original(schema, constraints, bound, *args, **kwargs)
 
-    monkeypatch.setattr(policygen, "bounded", recorded)
+    monkeypatch.setattr(solver, "bounded", recorded)
     return bounds
 
 
-def test_entailed_at_bound_1_is_not_entailed_at_bound_2(monkeypatch):
+def test_entailed_at_bound_1_is_not_entailed_at_bound_2():
     schema, constraints, cq = two_rows_question()
     assert Simplifier(schema, constraints, table_bound=1, timeout_s=None)._entails(cq.conditions, 2)
-    bounds = _record_bounds(monkeypatch)
     assert not Simplifier(schema, constraints, table_bound=2, timeout_s=None)._entails(cq.conditions, 2)
-    assert bounds == [1, 2]
 
 
 def test_unknown_at_bound_1_leaves_the_verdict_to_the_full_bound(grade_schema, grade_constraints, monkeypatch):
@@ -436,7 +434,7 @@ def test_unknown_at_bound_1_leaves_the_verdict_to_the_full_bound(grade_schema, g
     )
     bounds = _record_bounds(monkeypatch)
     monkeypatch.setattr(
-        policygen, "check", lambda *args: CheckResult("unknown") if bounds[-1] == 1 else check(*args)
+        solver, "check", lambda *args: CheckResult("unknown") if bounds[-1] == 1 else check(*args)
     )
     for simplifier, cq, k, want in (
         (Simplifier(schema, constraints, timeout_s=None), not_entailed, 2, False),
@@ -468,26 +466,28 @@ handler two_after_branch(ItemId: int) {
     cqs = to_conditioned_queries(res.transcripts, toys_schema)
     questions, asked = [], {}
     entails, countermodel = Simplifier._entails, Simplifier._countermodel
+    bounds = _record_bounds(monkeypatch)
 
     def recording_entails(self, conditions, k):
         questions.append(tuple(conditions[: k + 1]))
         return entails(self, conditions, k)
 
-    def recording_countermodel(self, params, conditions, k, bound):
-        status = countermodel(self, params, conditions, k, bound)
+    def recording_countermodel(self, params, conditions, k):
         key = tuple(conditions[: k + 1])
-        assert (key, bound) not in asked
-        asked[key, bound] = status
+        assert key not in asked
+        del bounds[:]
+        status = countermodel(self, params, conditions, k)
+        asked[key] = (tuple(bounds), status)
         return status
 
     monkeypatch.setattr(Simplifier, "_entails", recording_entails)
     monkeypatch.setattr(Simplifier, "_countermodel", recording_countermodel)
     simplify(cqs, toys_schema, toys_constraints, dict(program.request_params), timeout_s=None)
     assert len(set(questions)) < len(questions)
-    assert {key for key, bound in asked if bound == 1} == set(questions)
-    # The full bound is asked exactly where bound 1 found no countermodel.
-    full = {key for key, bound in asked if bound == 2}
-    assert full == {key for key, bound in asked if bound == 1 and asked[key, bound] != "sat"}
+    assert set(asked) == set(questions)
+    # Each question is asked at bound 1, and some at the full bound too.
+    assert {b for b, _ in asked.values()} == {(1,), (1, 2)}
+    full = {key for key, (b, _) in asked.items() if b == (1, 2)}
     assert 0 < len(full) < len(set(questions))
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from polex import pruner
+from polex import solver
 from polex.constraints import expand_all, generate_constraints
 from polex.fdsolver import CheckResult
 from polex.normal import to_normal_form
@@ -22,6 +22,7 @@ from polex.pruner import (
 from polex.schema import parse_schema
 from polex.sqlparser import parse_sql
 
+import full_bound
 from oracle import BruteForceDeterminacy
 
 
@@ -79,15 +80,15 @@ def _two_rows_needed():
 
 
 def _record_bounds(monkeypatch):
-    """Route `pruner.bounded` through a recorder of each context's bound."""
+    """Route `solver.bounded` through a recorder of each context's bound."""
     bounds = []
-    original = pruner.bounded
+    original = solver.bounded
 
     def recorded(schema, constraints, bound, *args, **kwargs):
         bounds.append(bound)
         return original(schema, constraints, bound, *args, **kwargs)
 
-    monkeypatch.setattr(pruner, "bounded", recorded)
+    monkeypatch.setattr(solver, "bounded", recorded)
     return bounds
 
 
@@ -96,10 +97,9 @@ def test_counterexample_needing_two_rows_comes_from_the_full_bound(monkeypatch):
     for bound, allowed in ((1, True), (2, False)):
         assert BruteForceDeterminacy(schema, cons, bound, (0, 1)).is_allowed(q, views)[0] == allowed
     assert _is_allowed_by_solver(q, views, cons, schema, 1, (0, 1), None).status == ALLOWED
-    full = _is_allowed_by_solver(q, views, cons, schema, 2, (0, 1), None)
-    bounds = _record_bounds(monkeypatch)
     verdict = is_allowed(q, views, cons, schema, bound=2, value_range=(0, 1), timeout_s=None)
-    assert bounds == [1, 2]
+    full_bound.only(monkeypatch)
+    full = _is_allowed_by_solver(q, views, cons, schema, 2, (0, 1), None)
     assert verdict.status == NOT_ALLOWED and verdict == full
     assert max(len(ci.tables["t"]) for ci in verdict.counterexample) == 2
 
@@ -107,12 +107,12 @@ def test_counterexample_needing_two_rows_comes_from_the_full_bound(monkeypatch):
 def test_unknown_at_bound_1_leaves_the_verdict_to_the_full_bound(monkeypatch):
     schema, cons, _, (a, b) = _two_rows_needed()
     bounds = _record_bounds(monkeypatch)
-    original = pruner.check
+    original = solver.check
 
     def unknown_at_bound_1(*args, **kwargs):
         return CheckResult("unknown") if bounds[-1] == 1 else original(*args, **kwargs)
 
-    monkeypatch.setattr(pruner, "check", unknown_at_bound_1)
+    monkeypatch.setattr(solver, "check", unknown_at_bound_1)
     # Not allowed at bound 1 already; allowed, as the union of two views.
     split = parse_schema("table t { a int  f bool }")
     split_cons = expand_all(generate_constraints(split), split)

@@ -38,6 +38,7 @@ from polex.terms import (
     map_terms,
 )
 
+import full_bound
 from oracle import BruteForceDeterminacy
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -546,17 +547,19 @@ def test_broadened_policy_and_blame_agree_with_solver_only_run(monkeypatch):
     assert got == _broadened()
 
 
-# Bound 3: `is_allowed` looks for a counterexample at bound 1 before the
+# Bound 3: `solver.ask` looks for a counterexample at bound 1 before the
 # full bound.  A SAT-only toys run takes about 28 s here, nearly all in its
 # rewritten "allowed" checks, so the toys reference keeps the rewriting
 # (checked at bound 2 below) and decides every other check by one solver
-# call at bound 3; broaden's reference is SAT-only.
+# call at bound 3; broaden's reference is SAT-only, at bound 3 alone too.
 
 
 def _one_full_bound_check(q, views, constraints, schema, bound=2, value_range=(0, 7), timeout_s=5.0):
     if pruner._has_rewriting(q, views, constraints, schema):
         return pruner.ContainmentVerdict(ALLOWED, via=REWRITING)
-    return pruner._is_allowed_by_solver(q, views, constraints, schema, bound, value_range, timeout_s)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pruner, "ask", full_bound.ask)
+        return pruner._is_allowed_by_solver(q, views, constraints, schema, bound, value_range, timeout_s)
 
 
 def test_merged_toys_policy_at_bound_3_agrees_with_one_full_bound_check(monkeypatch):
@@ -574,6 +577,7 @@ def test_broadened_policy_and_blame_at_bound_3_agree_with_solver_only_run(monkey
     got = _broadened(3)
     assert any(v.status == NOT_ALLOWED for *_, v in calls)
     monkeypatch.setattr(pruner, "is_allowed", pruner._is_allowed_by_solver)
+    full_bound.only(monkeypatch)
     assert got == _broadened(3)
 
 

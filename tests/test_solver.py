@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from polex.constraints import expand_all, generate_constraints, validate_instanc
 from polex.dsl import parse_handlers
 from polex.evaluate import ScalarEnv, eval_executable, eval_nf
 from polex.explorer import ExplorationConfig, explore
-from polex.fdsolver import VarPool, eval_formula, lnot
+from polex.fdsolver import CheckResult, VarPool, bvar, eval_formula, land, lnot, lor
 from polex.normal import NormalFormQuery, to_executable
 from polex.schema import parse_schema
 from polex.solver import (
@@ -373,7 +374,8 @@ def test_explore_encodes_each_context_once(monkeypatch):
     root = Path(__file__).resolve().parent.parent / "corpus" / "toys"
     schema = parse_schema((root / "schema.txt").read_text())
     cons = expand_all(generate_constraints(schema), schema)
-    (program,) = parse_handlers((root / "handlers" / "show_item.hdl").read_text())
+    # Two of its prefixes are infeasible, so explore asks at bound 2 too.
+    (program,) = parse_handlers((root / "handlers" / "detail_chain.hdl").read_text())
     calls = {"encode_instance": 0, "exactly_one": 0}
     pools = []
 
@@ -394,13 +396,13 @@ def test_explore_encodes_each_context_once(monkeypatch):
     solver._shared.cache_clear()
     result = explore(program, schema, cons, ExplorationConfig(table_bound=2, solver_timeout=None))
     assert len(result.transcripts) > 1 and len(pools) > 2
-    assert calls["encode_instance"] == 1
-    (base,) = {id(p.base): p.base for p in pools}.values()
-    # One exactly-one scaffold per int symbol of the base, plus one per int
+    bases = {id(p.base): p.base for p in pools}.values()
+    assert len(bases) == calls["encode_instance"] == 2  # bound 1 and bound 2
+    # One exactly-one scaffold per int symbol of each base, plus one per int
     # symbol each check adds past it (request parameters, a COUNT's value;
     # other query results add none).
-    past_base = sum(p.kinds.count("int") - len(base.onehot) for p in pools)
-    assert calls["exactly_one"] == len(base.onehot) + past_base
+    past_base = sum(p.kinds.count("int") - len(p.base.onehot) for p in pools)
+    assert calls["exactly_one"] == sum(len(b.onehot) for b in bases) + past_base
 
 
 def test_model_check_covers_the_base_formulas(monkeypatch):
@@ -409,3 +411,48 @@ def test_model_check_covers_the_base_formulas(monkeypatch):
     monkeypatch.setattr(fdsolver, "eval_formula", lambda f, model: f is not rejected)
     with pytest.raises(fdsolver.InternalSolverError, match=r"formula 1$"):
         check(pool, [])
+
+
+# ---------------------------------------------------------------------------
+# One bounded question: bound 1 first, the full bound unless bound 1 is sat
+
+
+@pytest.mark.parametrize(
+    "bound, at_1, asked",
+    [(1, "sat", [1]), (1, "unsat", [1]), (3, "sat", [1]), (3, "unsat", [1, 3]), (3, "unknown", [1, 3])],
+)
+def test_ask_goes_on_to_the_full_bound_unless_bound_1_is_sat(bound, at_1, asked, monkeypatch):
+    encoded, results = [], []
+
+    def encode(pool, instances, env):
+        (inst,) = instances
+        encoded.append(inst.bound)
+        return [("encoded at", inst.bound)]
+
+    def scripted_check(pool, formulas, timeout_s):
+        assert formulas == [("encoded at", encoded[-1])] and timeout_s == 0.5
+        results.append(CheckResult(at_1 if not results else "sat"))
+        return results[-1]
+
+    monkeypatch.setattr(solver, "check", scripted_check)
+    verdict, (inst,), _ = solver.ask(SCHEMA, CONSTRAINTS, bound, RANGE, encode, timeout_s=0.5)
+    assert encoded == asked
+    assert verdict is results[-1] and inst.bound == asked[-1]
+
+
+def test_ask_reads_the_model_through_the_context_it_was_found_in():
+    def some_course(pool, instances, env):
+        (inst,) = instances
+        return [bvar(inst.tables["courses"].rows[0].presence)]
+
+    def two_courses(pool, instances, env):
+        (inst,) = instances
+        rows = inst.tables["courses"].rows
+        return [lor(*[land(bvar(a.presence), bvar(b.presence)) for a, b in itertools.combinations(rows, 2)])]
+
+    for encode, bound, rows in ((some_course, 1, 1), (two_courses, 3, 2)):
+        verdict, (inst,), env = solver.ask(SCHEMA, CONSTRAINTS, 3, RANGE, encode, timeout_s=None)
+        assert verdict.status == "sat" and inst.bound == bound
+        ci = model_to_input(verdict.model, inst, SCHEMA, env)
+        assert len(ci.tables["courses"]) >= rows
+        assert validate_instance(ci, CONSTRAINTS, SCHEMA)[0]

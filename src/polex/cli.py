@@ -268,7 +268,8 @@ def _add_solver_args(p, include_explore=False):
     p.add_argument("--bound", type=_positive_int, default=2, help="symbolic rows per table (default 2)")
     p.add_argument("--value-range", type=_value_range, default=(0, 7), metavar="LO:HI",
                    help="database value range (default 0:7)")
-    p.add_argument("--timeout", type=_positive_float, default=5.0, help="solver timeout per check, seconds")
+    p.add_argument("--timeout", type=_positive_float, default=5.0,
+                   help="solver timeout per check, seconds (a question asks at most two)")
     if include_explore:
         p.add_argument("--max-paths", type=_positive_int, default=10000, help="path budget")
 

@@ -122,7 +122,9 @@ def test_unknown_at_bound_1_leaves_the_verdict_to_the_full_bound(monkeypatch):
         del bounds[:]
         verdict = is_allowed(query, over, c, s, bound=2, value_range=(0, 1), timeout_s=None)
         assert bounds == [1, 2] and verdict.status == want
-        assert verdict == _is_allowed_by_solver(query, over, c, s, 2, (0, 1), None)
+        with pytest.MonkeyPatch.context() as mp:
+            full_bound.only(mp)
+            assert verdict == _is_allowed_by_solver(query, over, c, s, 2, (0, 1), None)
 
 
 def test_prune_removes_projection_subsumed_view():

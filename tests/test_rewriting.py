@@ -471,10 +471,12 @@ def _assert_rewritten_checks_solver_allowed(calls, constraints, schema, bound=No
     """Re-checks every rewriting verdict by SAT, at its own bound or at
     `bound`; returns how many there were."""
     rewritten = [c for c in calls if c[-1].via == REWRITING]
-    for q, views, own_bound, value_range, _ in rewritten:
-        v = pruner._is_allowed_by_solver(q, views, constraints, schema, bound or own_bound, value_range,
-                                         timeout_s=None)
-        assert v.status == ALLOWED
+    with pytest.MonkeyPatch.context() as mp:
+        full_bound.only(mp)
+        for q, views, own_bound, value_range, _ in rewritten:
+            v = pruner._is_allowed_by_solver(q, views, constraints, schema, bound or own_bound, value_range,
+                                             timeout_s=None)
+            assert v.status == ALLOWED
     return len(rewritten)
 
 
@@ -534,6 +536,7 @@ def test_merged_policy_agrees_with_solver_only_run(corpus_views, monkeypatch):
     merged = _merged(handler_views, schema, constraints)
     assert bool(_assert_rewritten_checks_solver_allowed(calls, constraints, schema)) == rewrites
     monkeypatch.setattr(pruner, "is_allowed", pruner._is_allowed_by_solver)
+    full_bound.only(monkeypatch)
     solver_only = _merged(handler_views, schema, constraints)
     assert [v.nf for v in merged.views] == [v.nf for v in solver_only.views]
 
@@ -544,6 +547,7 @@ def test_broadened_policy_and_blame_agree_with_solver_only_run(monkeypatch):
     got = _broadened()
     assert _assert_rewritten_checks_solver_allowed(calls, constraints, schema)
     monkeypatch.setattr(pruner, "is_allowed", pruner._is_allowed_by_solver)
+    full_bound.only(monkeypatch)
     assert got == _broadened()
 
 
@@ -558,7 +562,7 @@ def _one_full_bound_check(q, views, constraints, schema, bound=2, value_range=(0
     if pruner._has_rewriting(q, views, constraints, schema):
         return pruner.ContainmentVerdict(ALLOWED, via=REWRITING)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pruner, "ask", full_bound.ask)
+        full_bound.only(mp)
         return pruner._is_allowed_by_solver(q, views, constraints, schema, bound, value_range, timeout_s)
 
 

@@ -12,7 +12,9 @@ machine's speed.  The runs:
 - broaden at bounds 2 to 5: the narrow policy broadened by the pinned
   broader views;
 - the generated `synth-front` corpus (`perfbench/synth.py`), seeds 1-3 at
-  bound 2: explore and policy-gen per handler.
+  bound 2: explore and policy-gen per handler;
+- toys at bound 3 and `synth-front` seed 1 at bound 2 again, with value
+  range 0:15 instead of 0:7 (the `-r15` runs).
 
 A digest covers the transcript lines, the generated inputs, the prefix-tree
 counts, the warnings and reports, the per-handler views with their witness
@@ -55,11 +57,11 @@ def _load(schema_text: str):
     return s, constraints.expand_all(constraints.generate_constraints(s), s)
 
 
-def _handler_views(d: Digest, program, s, cons, bound: int):
+def _handler_views(d: Digest, program, s, cons, bound: int, value_range: tuple[int, int]):
     """Explore and policy-gen one handler; digest everything it produced."""
     result = explorer.explore(
         program, s, cons,
-        explorer.ExplorationConfig(table_bound=bound, value_range=VALUE_RANGE, solver_timeout=None),
+        explorer.ExplorationConfig(table_bound=bound, value_range=value_range, solver_timeout=None),
     )
     d.add(f"handler {program.name} complete={result.complete}",
           json.dumps(result.tree.counts(), sort_keys=True))
@@ -71,14 +73,14 @@ def _handler_views(d: Digest, program, s, cons, bound: int):
     cqs = policygen.to_conditioned_queries(result.transcripts, s)
     simplified = policygen.simplify(
         cqs, s, cons, dict(program.request_params),
-        table_bound=bound, value_range=VALUE_RANGE, timeout_s=None,
+        table_bound=bound, value_range=value_range, timeout_s=None,
     )
     views = policygen.views_from_cqs(simplified, s)
     d.add(f"condqs {len(cqs)} -> {len(simplified)}", rundir.render_policy(views, s))
     return views
 
 
-def pipeline(corpus: str, bound: int) -> str:
+def pipeline(corpus: str, bound: int, value_range: tuple[int, int] = VALUE_RANGE) -> str:
     """Per-handler explore, policy-gen and prune, then merge-prune."""
     d = Digest()
     root = ROOT / "corpus" / corpus
@@ -86,8 +88,8 @@ def pipeline(corpus: str, bound: int) -> str:
     policies = []
     for path in sorted((root / "handlers").glob("*.hdl")):
         for program in dsl.parse_handlers(path.read_text(encoding="utf-8")):
-            views = _handler_views(d, program, s, cons, bound)
-            pruned, _ = pruner.prune(pruner.Policy(views, bound, VALUE_RANGE), cons, s, timeout_s=None)
+            views = _handler_views(d, program, s, cons, bound, value_range)
+            pruned, _ = pruner.prune(pruner.Policy(views, bound, value_range), cons, s, timeout_s=None)
             d.add(f"pruned {program.name}", rundir.render_policy(pruned.views, s))
             policies.append(pruned)
     merged, removed = pruner.merge_and_prune(policies, cons, s, timeout_s=None)
@@ -110,13 +112,13 @@ def broaden(bound: int) -> str:
     return d.hexdigest()
 
 
-def synth_front(seed: int, bound: int = 2) -> str:
+def synth_front(seed: int, bound: int = 2, value_range: tuple[int, int] = VALUE_RANGE) -> str:
     d = Digest()
     schema_text, handlers, _expected = synth.generate(seed)
     s, cons = _load(schema_text)
     for name in sorted(handlers):
         for program in dsl.parse_handlers(handlers[name]):
-            _handler_views(d, program, s, cons, bound)
+            _handler_views(d, program, s, cons, bound, value_range)
     return d.hexdigest()
 
 
@@ -133,6 +135,8 @@ RUNS = [
     ("synth-s1-b2", lambda: synth_front(1)),
     ("synth-s2-b2", lambda: synth_front(2)),
     ("synth-s3-b2", lambda: synth_front(3)),
+    ("toys-b3-r15", lambda: pipeline("toys", 3, (0, 15))),
+    ("synth-s1-b2-r15", lambda: synth_front(1, value_range=(0, 15))),
 ]
 
 

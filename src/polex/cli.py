@@ -42,26 +42,24 @@ class CliError(Exception):
 INPUT_ERRORS = (CliError, RunDirError, SchemaError, SourceError, NormalizeError, ExecutionError, OSError)
 
 
-def _value_range(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition(":")
-    lo, hi = int(lo), int(hi)
-    if lo > hi:
-        raise argparse.ArgumentTypeError(f"empty range {text!r}: LO must be <= HI")
-    return (lo, hi)
+def _arg_type(parse, valid, expected: str):
+    """An argparse type: `parse(text)` when it is `valid`, else an error
+    that says what was `expected`."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+            if valid(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return convert
 
 
-def _positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not >= 1")
-    return n
-
-
-def _positive_float(text: str) -> float:
-    x = float(text)
-    if not x > 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not > 0")
-    return x
+_value_range = _arg_type(lambda t: tuple(map(int, t.split(":"))), lambda r: len(r) == 2 and r[0] <= r[1],
+                         "LO:HI with LO <= HI")
+_positive_int = _arg_type(int, lambda n: n >= 1, "an integer >= 1")
+_positive_float = _arg_type(float, lambda x: x > 0, "a number > 0")
 
 
 def _config_from_args(args) -> ExplorationConfig:

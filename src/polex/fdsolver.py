@@ -6,11 +6,14 @@ bounded domains (database values are restricted to a configurable range,
 [0, 7] by default) plus free boolean symbols.  That makes the problems
 finite, so instead of an external SMT engine we compile to SAT:
 
-  * each int symbol becomes a one-hot vector of SAT variables over its
-    domain, with exactly-one side clauses;
-  * comparison atoms become clauses over the one-hot vectors; `fcmp`
-    writes `=` and `<>` between two symbols with the lower vid first, so
-    `x = y` and `y = x` are one atom and compile to one gate;
+  * each int symbol x over lo..hi is order-encoded (Crawford & Baker
+    1994; Tamura et al. 2009): one SAT variable [x >= v] for each v in
+    lo+1..hi, tied by the ladder [x >= v+1] -> [x >= v];
+  * `x < c` is one threshold literal and `x = c` at most a 3-clause gate;
+    between two symbols `x < y` takes 2d-1 clauses and `x = y` 3d-2.
+    `<>`, `<=`, `>` and `>=` compile as `=` or `<`.  `fcmp` writes `=`
+    and `<>` between two symbols with the lower vid first, so `x = y` and
+    `y = x` are one atom and compile to one gate;
   * the boolean structure is Tseitin-encoded with full equivalences.
 
 `check` takes one list of formulas, asserts each as a unit clause in list
@@ -20,13 +23,11 @@ heuristics are deterministic, so identical inputs give identical models.
 
 The search decides only gate variables and the SAT variables of symbols
 some compiled formula mentions (`Compiler.mentioned`; MiniSat's
-`setDecisionVar`).  An unmentioned symbol's exactly-one clauses stay in
-the CNF but only propagate inside its one-hot group and never take part
-in a conflict, so the other variables see the same decisions, conflicts
-and learnt clauses (only a restart due while such decisions alone stand
-waits for the next level).  Its model value is the one deciding it would
-force: False, or its domain's upper value, since its one-hot variables
-decided false in index order leave the at-least-one clause the last.
+`setDecisionVar`).  An unmentioned symbol's ladder stays in the CNF but
+never propagates or takes part in a conflict, so the other variables see
+the same decisions, conflicts and learnt clauses.  Its model value is
+the one deciding it would give: False, or its domain's lower value, all
+its thresholds false.
 
 A Compiler that has compiled and attached a pool's shared formulas once
 can be the `base` of pools that extend that pool.  A check on such a
@@ -37,8 +38,9 @@ empty case.  Models are verified against every formula, the base's too.
 Only the long clause of an `and`/`or` gate goes through `_Cnf.add`, which
 drops a tautology and repeated literals: its literals come from arbitrary
 subformulas, so two may coincide or be complementary.  Every other clause
-is appended as built.  The exactly-one scaffold, the comparison and
-value-set gates and the binary gate clauses each name distinct one-hot
+is appended as built, the comparison gates' with the constant thresholds
+[x >= lo] and [x >= hi+1] (`_T`, `_F`) folded out.  The ladder, the
+comparison gates and the binary gate clauses each name distinct threshold
 variables or a fresh gate variable, and a unit clause has one literal, so
 none can hold a repeat or a complementary pair.  The search keeps each
 literal's value in an array indexed by literal (`_Cdcl.lval`), so
@@ -47,7 +49,6 @@ propagation reads a value with one list lookup.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass, field
 from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappush
@@ -217,28 +218,20 @@ class _Cnf:
 
 
 _NO_BASE = SimpleNamespace(  # what a Compiler over a pool without a base copies
-    cnf=_Cnf(), cache={}, bool_sat={}, onehot={}, mentioned=set(), _true_lit=None, formulas=[], watches=[], units=[],
+    cnf=_Cnf(), cache={}, bool_sat={}, order={}, mentioned=set(), _true_lit=None, formulas=[], watches=[], units=[],
     attached=0,
 )
 
-
-@functools.cache
-def _exactly_one(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """Exactly-one over SAT variables 0..n-1: the at-least-one clause and
-    the at-most-one pairs, in order."""
-    return (
-        tuple(2 * i for i in range(n)),
-        tuple((2 * i + 1, 2 * j + 1) for i in range(n) for j in range(i + 1, n)),
-    )
+_T, _F = -1, -2  # TRUE and FALSE folded into literals: _T ^ 1 == _F
 
 
 class Compiler:
     """Compile formula IR over a VarPool into CNF.
 
     A Compiler starts as a copy of `pool.base` (`_NO_BASE` when it is
-    None) and adds the one-hot scaffold of the symbols past it.  `_Cdcl`
-    takes over `cnf.clauses`, `watches` and `units` and rewrites them in
-    place, so a Compiler feeds exactly one search, and a base none."""
+    None) and adds the ladder of the int symbols past it.  `_Cdcl` takes
+    over `cnf.clauses`, `watches` and `units` and rewrites them in place,
+    so a Compiler feeds exactly one search, and a base none."""
 
     def __init__(self, pool: VarPool):
         base = pool.base or _NO_BASE
@@ -248,26 +241,22 @@ class Compiler:
         self.cnf.clauses = list(map(list.copy, base.cnf.clauses))
         self.cache: dict = dict(base.cache)
         self.bool_sat: dict[int, int] = dict(base.bool_sat)
-        self.onehot: dict[int, dict[int, int]] = dict(base.onehot)  # vid -> value -> sat var
+        self.order: dict[int, int] = dict(base.order)  # vid -> sat var of [vid >= lo + 1]
         self.mentioned: set[int] = set(base.mentioned)  # vids some compiled formula names
         self._true_lit: int | None = base._true_lit
         self.formulas: list[tuple] = base.formulas[:]  # asserted, in order
         self.watches: list[list[int]] = list(map(list.copy, base.watches))  # lit -> clauses watching it
         self.units: list[int] = base.units[:]  # the unit clauses' literals
         self.attached = base.attached  # clauses[:attached] are in watches or units
-        clauses = self.cnf.clauses
-        for vid in range(len(self.bool_sat) + len(self.onehot), len(pool)):
+        for vid in range(len(self.bool_sat) + len(self.order), len(pool)):
             if pool.kinds[vid] == "bool":
                 self.bool_sat[vid] = self.cnf.new_var()
                 continue
             lo, hi = pool.domains[vid]
-            first, n = self.cnf.nvars, hi - lo + 1
-            self.cnf.nvars += n
-            self.onehot[vid] = dict(zip(range(lo, hi + 1), range(first, first + n)))
-            at_least, at_most = _exactly_one(n)
-            off = 2 * first
-            clauses.append([l + off for l in at_least])
-            clauses.extend([[a + off, b + off] for a, b in at_most])
+            first = self.order[vid] = self.cnf.nvars
+            self.cnf.nvars += hi - lo
+            # the ladder: [vid >= v + 1] -> [vid >= v]
+            self.cnf.clauses.extend([[2 * s + 3, 2 * s] for s in range(first, first + hi - lo - 1)])
 
     def add(self, formulas: list[tuple]) -> None:
         """Assert each formula as a unit clause, in list order, then attach
@@ -293,9 +282,6 @@ class Compiler:
             self._true_lit = 2 * v
         return self._true_lit
 
-    def _aux(self) -> int:
-        return self.cnf.new_var()
-
     def lit(self, f) -> int:
         """SAT literal equivalent to formula `f` (adds defining clauses)."""
         out = self.cache.get(f)
@@ -316,13 +302,13 @@ class Compiler:
             return self.lit(f[1]) ^ 1
         if op == "and":
             lits = [self.lit(g) for g in f[1]]
-            gl = 2 * self._aux()
+            gl = 2 * self.cnf.new_var()
             self.cnf.clauses.extend([[gl ^ 1, l] for l in lits])
             self.cnf.add([gl] + [l ^ 1 for l in lits])
             return gl
         if op == "or":
             lits = [self.lit(g) for g in f[1]]
-            gl = 2 * self._aux()
+            gl = 2 * self.cnf.new_var()
             self.cnf.add([gl ^ 1] + lits)
             self.cnf.clauses.extend([[gl, l ^ 1] for l in lits])
             return gl
@@ -330,80 +316,104 @@ class Compiler:
             return self._compile_cmp(f)
         raise ValueError(f"bad formula node {f!r}")
 
-    def _value_set_lit(self, vid: int, values: list[int]) -> int:
-        """Literal for "vid takes a value in `values`" given exactly-one."""
-        hot = self.onehot[vid]
-        domain = list(hot.keys())
-        inside = [v for v in domain if v in values]
-        if not inside:
-            return self.true_lit() ^ 1
-        if len(inside) == len(domain):
-            return self.true_lit()
-        if len(inside) == 1:
-            return 2 * hot[inside[0]]
-        if len(inside) == len(domain) - 1:
-            (only,) = [v for v in domain if v not in values]
-            return 2 * hot[only] + 1
-        gl = 2 * self._aux()
-        self.cnf.clauses.append([gl ^ 1] + [2 * hot[v] for v in inside])
-        self.cnf.clauses.extend([[gl, 2 * hot[v] + 1] for v in inside])
-        return gl
-
     def _compile_cmp(self, f) -> int:
+        """`<>` is compiled as `not =`, and `<=`, `>`, `>=` as `<` or its
+        negation with the terms swapped, each through the cache."""
         _, op, t1, t2 = f
-        if t1[0] == "c" and t2[0] == "c":
-            return self.true_lit() if cmp_eval(op, t1[1], t2[1]) else self.true_lit() ^ 1
-        self.mentioned.update(t[1] for t in (t1, t2) if t[0] == "v")
-        if t1[0] == "c":
-            vid = t2[1]
-            values = [v for v in self.onehot[vid] if cmp_eval(op, t1[1], v)]
-            return self._value_set_lit(vid, values)
-        if t2[0] == "c":
-            vid = t1[1]
-            values = [v for v in self.onehot[vid] if cmp_eval(op, v, t2[1])]
-            return self._value_set_lit(vid, values)
-        x, y = t1[1], t2[1]
-        if x == y:
-            values = [v for v in self.onehot[x] if cmp_eval(op, v, v)]
-            return self._value_set_lit(x, values)
         if op == "<>":
             return self.lit(("cmp", "=", t1, t2)) ^ 1
-        hx, hy = self.onehot[x], self.onehot[y]
-        gl = 2 * self._aux()
-        add = self.cnf.clauses.append
-        if op == "=":
-            # g <-> (x == y), exploiting the shared domain values.
-            for u, su in hx.items():
-                sw = hy.get(u)
-                if sw is None:
-                    add([gl ^ 1, 2 * su + 1])  # value unavailable on y
-                    continue
-                add([gl ^ 1, 2 * su + 1, 2 * sw])
-                add([gl ^ 1, 2 * sw + 1, 2 * su])
-                add([gl, 2 * su + 1, 2 * sw + 1])
-            for w, sw in hy.items():
-                if w not in hx:
-                    add([gl ^ 1, 2 * sw + 1])
-            return gl
-        for u, su in hx.items():
-            for w, sw in hy.items():
-                add([2 * su + 1, 2 * sw + 1, gl if cmp_eval(op, u, w) else gl ^ 1])
+        if op in ("<=", ">"):
+            return self.lit(("cmp", "<", t2, t1)) ^ (op == "<=")
+        if op == ">=":
+            return self.lit(("cmp", "<", t1, t2)) ^ 1
+        self.mentioned.update(t[1] for t in (t1, t2) if t[0] == "v")
+        if op == "<":
+            out = self._lt(t1, t2)
+        elif op != "=":
+            raise ValueError(f"bad formula node {f!r}")
+        elif t1[0] == t2[0] == "v" and t1 != t2:
+            out = self._eq(t1[1], t2[1])
+        else:  # against a constant or itself: neither term is below the other
+            out = self._and(self._lt(t1, t2) ^ 1, self._lt(t2, t1) ^ 1)
+        return out if out >= 0 else self.true_lit() ^ (out == _F)
+
+    def _ge(self, vid: int, c: int) -> int:
+        """[vid >= c]: a threshold variable's literal, or _T / _F outside lo+1..hi."""
+        lo, hi = self.pool.domains[vid]
+        return _T if c <= lo else _F if c > hi else 2 * (self.order[vid] + c - lo - 1)
+
+    def _ge_lits(self, vid: int) -> list[int]:
+        """[vid >= v] for v in lo..hi+1, at index v - lo."""
+        t = self._thresholds(vid)
+        return [_T, *range(2 * t.start, 2 * t.stop, 2), _F]
+
+    def _and(self, a: int, b: int) -> int:
+        """a and b, folded; else a gate over two literals of distinct variables."""
+        if a == _F or b == _F:
+            return _F
+        if a == _T or b == _T:
+            return b if a == _T else a
+        gl = 2 * self.cnf.new_var()
+        self.cnf.clauses.extend([[gl ^ 1, a], [gl ^ 1, b], [gl, a ^ 1, b ^ 1]])
         return gl
+
+    def _lt(self, t1, t2) -> int:
+        """t1 < t2, folded; between two symbols a gate of 2d-1 clauses.  Its
+        symbols' domains overlap, which keeps _T out of every clause, so
+        only _F literals are dropped; the same holds in `_eq`."""
+        if t1[0] == "c" and t2[0] == "c":
+            return _T if t1[1] < t2[1] else _F
+        if t1 == t2:
+            return _F
+        if t2[0] == "c":
+            return self._ge(t1[1], t2[1]) ^ 1
+        if t1[0] == "c":
+            return self._ge(t2[1], t1[1] + 1)
+        (lx, hx), (ly, hy) = self.pool.domains[t1[1]], self.pool.domains[t2[1]]
+        if hx < ly:
+            return _T
+        if lx >= hy:
+            return _F
+        gl, X, Y, add = 2 * self.cnf.new_var(), self._ge_lits(t1[1]), self._ge_lits(t2[1]), self.cnf.clauses.append
+        for v in range(max(lx, ly), min(hx, hy) + 1):  # gl -> ([x >= v] -> [y >= v + 1])
+            add([l for l in (gl ^ 1, X[v - lx] ^ 1, Y[v + 1 - ly]) if l != _F])
+        for v in range(max(lx + 1, ly), min(hx + 1, hy) + 1):  # not gl -> ([y >= v] -> [x >= v])
+            add([l for l in (gl, Y[v - ly] ^ 1, X[v - lx]) if l != _F])
+        return gl
+
+    def _eq(self, x: int, y: int) -> int:
+        """x = y between two symbols, folded; else a gate of 3d-2 clauses."""
+        (lx, hx), (ly, hy) = self.pool.domains[x], self.pool.domains[y]
+        if hx < ly or hy < lx:
+            return _F
+        gl, X, Y, add = 2 * self.cnf.new_var(), self._ge_lits(x), self._ge_lits(y), self.cnf.clauses.append
+        for v in range(max(lx, ly + 1), min(hx, hy + 1) + 1):  # gl -> ([x >= v] -> [y >= v])
+            add([l for l in (gl ^ 1, X[v - lx] ^ 1, Y[v - ly]) if l != _F])
+        for v in range(max(lx + 1, ly), min(hx + 1, hy) + 1):  # gl -> ([y >= v] -> [x >= v])
+            add([l for l in (gl ^ 1, Y[v - ly] ^ 1, X[v - lx]) if l != _F])
+        for v in range(max(lx, ly), min(hx, hy) + 1):  # not gl -> not (x = v and y = v)
+            add([l for l in (gl, X[v - lx] ^ 1, X[v + 1 - lx], Y[v - ly] ^ 1, Y[v + 1 - ly]) if l != _F])
+        return gl
+
+    def _thresholds(self, vid: int) -> range:
+        lo, hi = self.pool.domains[vid]
+        return range(self.order[vid], self.order[vid] + hi - lo)
 
     def decision_vars(self) -> list[int]:
         """The SAT variables a search decides, ascending: all but those of unmentioned symbols."""
         skip = {s for vid in range(len(self.pool)) if vid not in self.mentioned
-                for s in (self.onehot[vid].values() if vid in self.onehot else (self.bool_sat[vid],))}
+                for s in (self._thresholds(vid) if vid in self.order else (self.bool_sat[vid],))}
         return [v for v in range(self.cnf.nvars) if v not in skip]
 
     def model_from_sat(self, assigns: list) -> dict:
+        """An int symbol's value is lo plus the number of its true thresholds."""
         model: dict = {}
         for vid in range(len(self.pool)):
             if self.pool.kinds[vid] == "bool":
                 model[vid] = assigns[self.bool_sat[vid]] is True
             else:
-                hot = self.onehot[vid]
-                model[vid] = next((v for v, s in hot.items() if assigns[s]), self.pool.domains[vid][1])
+                t = self._thresholds(vid)
+                model[vid] = self.pool.domains[vid][0] + assigns[t.start:t.stop].count(True)
         return model
 
 

@@ -66,10 +66,14 @@ def test_explore_unknown_handler_exits_2(tmp_path, capsys):
         ["explore", "RUN", "show_item", "--bound", "0"],
         ["explore", "RUN", "show_item", "--max-paths", "0"],
         ["explore", "RUN", "show_item", "--value-range", "5:3"],
+        ["explore", "RUN", "show_item", "--value-range", "7"],
         ["explore", "RUN", "show_item", "--timeout", "-1"],
+        ["explore", "RUN", "show_item", "--bound", "x"],
+        ["explore", "RUN", "show_item", "--timeout", "x"],
         ["policy-gen", "RUN", "show_item", "--bound", "0"],
     ],
-    ids=["bound", "max-paths", "value-range", "timeout", "policy-gen-bound"],
+    ids=["bound", "max-paths", "value-range", "value-range-malformed", "timeout", "bound-malformed",
+         "timeout-malformed", "policy-gen-bound"],
 )
 def test_out_of_range_numbers_exit_2(tmp_path, capsys, argv):
     run = make_run(tmp_path, "toys")
@@ -78,7 +82,8 @@ def test_out_of_range_numbers_exit_2(tmp_path, capsys, argv):
         main([str(run) if a == "RUN" else a for a in argv])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"error: argument {argv[3]}" in err
+    # The message says what the argument takes, never which function parsed it.
+    assert f"error: argument {argv[3]}: expected " in err and f"got {argv[4]!r}" in err
     assert "Traceback" not in err
 
 
@@ -200,13 +205,16 @@ def test_replay_of_edited_handler_exits_2(tmp_path, capsys):
 def test_replay_of_input_with_a_second_row_exits_2(tmp_path, capsys):
     run = make_run(tmp_path, "grade_sheet")
     assert main(["explore", str(run), "view_grade_sheet"]) == 0
-    path = run / "inputs" / "view_grade_sheet-0003.json"
-    data = json.loads(path.read_text())
-    data["tables"]["grades"].append({"user_id": 6, "course_id": 7, "grade": 5})
+    # The one input whose `all_grades` matched a row; a copy of that row for
+    # another user matches too.
+    (path, data), = [(p, d) for p in sorted((run / "inputs").glob("*.json"))
+                     if (d := json.loads(p.read_text()))["tables"]["grades"]]
+    row = data["tables"]["grades"][0]
+    data["tables"]["grades"].append(dict(row, user_id=row["user_id"] + 1))
     path.write_text(json.dumps(data))
     capsys.readouterr()
     # `all_grades` now matches two rows, which no stored transcript records.
-    assert main(["replay", str(run), "view_grade_sheet-0003"]) == 2
+    assert main(["replay", str(run), path.stem]) == 2
     assert capsys.readouterr().err == "error: replay diverged from the stored transcript\n"
 
 

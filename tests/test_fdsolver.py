@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from polex import fdsolver
@@ -29,8 +30,10 @@ from polex.fdsolver import (
 from polex.constraints import Unique
 from polex.schema import parse_schema
 from polex.solver import bounded
+from polex.terms import cmp_eval
 
 from enumeration import EnumerationBackend
+from onehot import OneHotBackend
 
 
 def test_conflicting_equalities_unsat_with_full_core():
@@ -146,10 +149,78 @@ def test_sat_models_verified_against_formulas():
                 assert eval_formula(f, r.model)
 
 
+# A single value, two values, a negative lower bound, and domains that
+# overlap in part, in one value or not at all.
+DOMAINS = [(3, 3), (0, 1), (-2, 1), (0, 7), (1, 3), (5, 7)]
+OPS = ["=", "<>", "<", "<=", ">", ">="]
+
+
+@st.composite
+def _checks(draw):
+    pool = VarPool()
+    domains = draw(st.lists(st.sampled_from(DOMAINS), min_size=1, max_size=3))
+    ints = [pool.new_int(f"x{i}", *d) for i, d in enumerate(domains)]
+    p = pool.new_bool("p")
+    sym = st.sampled_from(ints).map(ivar)
+    # Constants reach past every domain on both sides.
+    term = st.one_of(sym, st.integers(-4, 9).map(const))
+    atom = st.one_of(
+        st.builds(fcmp, st.sampled_from(OPS), sym, sym),  # the same symbol too
+        st.builds(fcmp, st.sampled_from(OPS), term, term),
+        st.just(bvar(p)),
+    )
+    formula = st.recursive(atom, lambda sub: st.one_of(
+        sub.map(lnot),
+        st.lists(sub, min_size=2, max_size=3).map(lambda fs: land(*fs)),
+        st.lists(sub, min_size=2, max_size=3).map(lambda fs: lor(*fs)),
+    ), max_leaves=4)
+    return pool, draw(st.lists(formula, min_size=1, max_size=4))
+
+
+@settings(max_examples=250, deadline=None)
+@given(_checks())
+def test_order_encoding_agrees_with_one_hot_and_enumeration(check):
+    pool, formulas = check
+    r = CdclBackend().check(pool, formulas, timeout_s=None)
+    assert r.status == OneHotBackend().check(pool, formulas).status
+    assert r.status == EnumerationBackend().check(pool, formulas, timeout_s=None).status
+    event(r.status)
+    if r.status == "sat":
+        assert all(eval_formula(f, r.model) for f in formulas)
+        assert all(d[0] <= r.model[x] <= d[1] for x, d in enumerate(pool.domains) if d is not None)
+
+
+def test_every_comparison_matches_its_truth_table():
+    # Each atom between two symbols, a symbol and itself, and a symbol and
+    # a constant (inside or outside its domain), asserted and negated, with
+    # both symbols pinned to every pair of values.
+    for dx, dy in itertools.product(DOMAINS, repeat=2):
+        pool = VarPool()
+        x, y = pool.new_int("x", *dx), pool.new_int("y", *dy)
+        for a, b in itertools.product(range(dx[0], dx[1] + 1), range(dy[0], dy[1] + 1)):
+            pins = [feq(ivar(x), const(a)), feq(ivar(y), const(b))]
+            pairs = [(ivar(x), ivar(y), a, b), (ivar(x), ivar(x), a, a),
+                     (ivar(x), const(b), a, b), (const(a), ivar(y), a, b)]
+            for op, (t1, t2, u, w) in itertools.product(OPS, pairs):
+                holds = cmp_eval(op, u, w)
+                for f, want in ((fcmp(op, t1, t2), holds), (lnot(fcmp(op, t1, t2)), not holds)):
+                    status = CdclBackend().check(pool, [*pins, f]).status
+                    assert status == ("sat" if want else "unsat"), (dx, dy, a, b, f)
+
+
+def test_unknown_comparison_is_rejected():
+    pool = VarPool()
+    x, y = pool.new_int("x", 0, 3), pool.new_int("y", 0, 3)
+    for terms in ((ivar(x), ivar(y)), (ivar(x), const(1))):
+        with pytest.raises(ValueError, match="bad formula node"):
+            CdclBackend().check(pool, [("cmp", "!=", *terms)])
+
+
 def test_unmentioned_symbols_are_never_decided(monkeypatch):
-    # Symbols no formula names sit between the named ones; their one-hot
+    # Symbols no formula names sit between the named ones; their threshold
     # and bool SAT variables are never decided, and the model gives them
-    # what a search deciding them would force.
+    # what a search deciding them false would: the domain's lower value,
+    # or False.
     decided = []
     decide_var = fdsolver._Cdcl.decide_var
 
@@ -171,14 +242,14 @@ def test_unmentioned_symbols_are_never_decided(monkeypatch):
         idle_bools.append(pool.new_bool("q"))
         formulas = [_rand_formula(rng, ints, bools, rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
         comp = fdsolver.Compiler(pool)
-        idle_sat = {s for u in idle_ints for s in comp.onehot[u].values()}
+        idle_sat = {s for u in idle_ints for s in comp._thresholds(u)}
         idle_sat |= {comp.bool_sat[q] for q in idle_bools}
         decided.clear()
         r = CdclBackend().check(pool, formulas, timeout_s=None)
         assert not idle_sat & set(decided), f"trial {trial}"
         assert r.status == EnumerationBackend().check(pool, formulas, timeout_s=30).status, f"trial {trial}"
         if r.status == "sat":
-            assert all(r.model[u] == 7 for u in idle_ints)
+            assert all(r.model[u] == 0 for u in idle_ints)
             assert all(r.model[q] is False for q in idle_bools)
         statuses.add(r.status)
     assert statuses == {"sat", "unsat"}
@@ -260,21 +331,23 @@ def test_cnf_add_matches_reference_loop():
         assert cnf.clauses == ([] if want is None else [want]), lits
 
 
-def test_onehot_scaffold_is_pairwise_exactly_one():
+def test_order_scaffold_is_a_ladder():
     pool = VarPool()
     pool.new_int("a", 3, 3)
     pool.new_bool("p")
     pool.new_int("b", 0, 1)
     pool.new_int("c", 0, 7)
-    want = []
-    for base, n in ((0, 1), (2, 2), (4, 8)):
-        hot = range(base, base + n)
-        want.append([2 * s for s in hot])
-        want.extend([2 * s + 1, 2 * t + 1] for i, s in enumerate(hot) for t in hot[i + 1:])
+    pool.new_int("d", -2, 1)
     comp = fdsolver.Compiler(pool)
+    # One variable per threshold [x >= v], v in lo+1..hi: none for `a`.
+    assert comp.order == {0: 0, 2: 1, 3: 2, 4: 9}
+    assert comp.bool_sat == {1: 0}
     assert comp.cnf.nvars == 12
-    assert comp.cnf.clauses == want
-    assert comp.onehot == {0: {3: 0}, 2: {0: 2, 1: 3}, 3: {v: 4 + v for v in range(8)}}
+    # [x >= v+1] -> [x >= v] for each pair of neighbouring thresholds.
+    assert comp.cnf.clauses == [[2 * s + 3, 2 * s] for s in (*range(2, 8), 9, 10)]
+    # A value is lo plus the number of true thresholds.
+    assigns = [False, True, True, True, True, False, False, False, False, False, False, False]
+    assert comp.model_from_sat(assigns) == {0: 3, 1: False, 2: 1, 3: 3, 4: -2}
 
 
 def _rand_clause_set(rng):
@@ -301,7 +374,7 @@ def _rand_clause_set(rng):
 # SHA-256 over every check's CNF, verdict, model and conflict count below.
 # A change to the compiled clauses, their order or the search heuristics
 # changes it; such a change must be deliberate and say so.
-TRAJECTORY_SHA256 = "c7b6a281c74524af48b6cf2c347be4afce84ffe236cae06c2239ef08a4c1195d"
+TRAJECTORY_SHA256 = "86147773ad7d66e08f06f0c6998942ce6132e967967e41c9ad14e230c70f72a4"
 
 
 def test_pinned_compile_and_search_trajectory(monkeypatch):

@@ -370,13 +370,24 @@ def test_checks_on_one_context_leave_its_base_untouched():
     assert results[0] == results[-1] and results[0][0] == "sat"
 
 
+@pytest.mark.parametrize("bound", [1, 3])
+def test_base_grows_linearly_with_the_value_range(bound):
+    # A range 9 times as wide may cost at most 9 times the clauses: the
+    # encoding of integers stays linear in the domain size.
+    root = Path(__file__).resolve().parent.parent / "corpus" / "toys"
+    schema = parse_schema((root / "schema.txt").read_text())
+    cons = expand_all(generate_constraints(schema), schema)
+    clauses = {hi: len(bounded(schema, cons, bound, (0, hi))[0].base.cnf.clauses) for hi in (7, 63)}
+    assert clauses[63] <= clauses[7] * 63 / 7, clauses
+
+
 def test_explore_encodes_each_context_once(monkeypatch):
     root = Path(__file__).resolve().parent.parent / "corpus" / "toys"
     schema = parse_schema((root / "schema.txt").read_text())
     cons = expand_all(generate_constraints(schema), schema)
     # Two of its prefixes are infeasible, so explore asks at bound 2 too.
     (program,) = parse_handlers((root / "handlers" / "detail_chain.hdl").read_text())
-    calls = {"encode_instance": 0, "exactly_one": 0}
+    calls = {"encode_instance": 0, "ladders": 0}
     pools = []
 
     def counted(name, fn):
@@ -389,20 +400,24 @@ def test_explore_encodes_each_context_once(monkeypatch):
         pools.append(pool)
         return backend_check(self, pool, formulas, timeout_s)
 
-    backend_check = fdsolver.CdclBackend.check
+    def counting_init(self, pool):
+        compiler_init(self, pool)
+        calls["ladders"] += len(self.order) - len((pool.base or fdsolver._NO_BASE).order)
+
+    backend_check, compiler_init = fdsolver.CdclBackend.check, fdsolver.Compiler.__init__
     monkeypatch.setattr(solver, "encode_instance", counted("encode_instance", solver.encode_instance))
-    monkeypatch.setattr(fdsolver, "_exactly_one", counted("exactly_one", fdsolver._exactly_one))
+    monkeypatch.setattr(fdsolver.Compiler, "__init__", counting_init)
     monkeypatch.setattr(fdsolver.CdclBackend, "check", recording_check)
     solver._shared.cache_clear()
     result = explore(program, schema, cons, ExplorationConfig(table_bound=2, solver_timeout=None))
     assert len(result.transcripts) > 1 and len(pools) > 2
     bases = {id(p.base): p.base for p in pools}.values()
     assert len(bases) == calls["encode_instance"] == 2  # bound 1 and bound 2
-    # One exactly-one scaffold per int symbol of each base, plus one per int
-    # symbol each check adds past it (request parameters, a COUNT's value;
-    # other query results add none).
-    past_base = sum(p.kinds.count("int") - len(p.base.onehot) for p in pools)
-    assert calls["exactly_one"] == sum(len(b.onehot) for b in bases) + past_base
+    # One ladder per int symbol of each base, plus one per int symbol each
+    # check adds past it (request parameters, a COUNT's value; other query
+    # results add none).
+    past_base = sum(p.kinds.count("int") - len(p.base.order) for p in pools)
+    assert calls["ladders"] == sum(len(b.order) for b in bases) + past_base
 
 
 def test_model_check_covers_the_base_formulas(monkeypatch):

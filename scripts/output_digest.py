@@ -14,7 +14,10 @@ machine's speed.  The runs:
 - the generated `synth-front` corpus (`perfbench/synth.py`), seeds 1-3 at
   bound 2: explore and policy-gen per handler;
 - toys at bound 3 and `synth-front` seed 1 at bound 2 again, with value
-  range 0:15 instead of 0:7 (the `-r15` runs).
+  range 0:15 instead of 0:7 (the `-r15` runs);
+- the `ranges` corpus at bound 2 and value range 0:15: its handlers filter
+  with `<>`, `<`, `<=`, `>` and `>=`, between two columns and against
+  constants above 7, so its inputs hold values a 0:7 run cannot.
 
 A digest covers the transcript lines, the generated inputs, the prefix-tree
 counts, the warnings and reports, the per-handler views with their witness
@@ -137,6 +140,7 @@ RUNS = [
     ("synth-s3-b2", lambda: synth_front(3)),
     ("toys-b3-r15", lambda: pipeline("toys", 3, (0, 15))),
     ("synth-s1-b2-r15", lambda: synth_front(1, value_range=(0, 15))),
+    ("ranges-b2-r15", lambda: pipeline("ranges", 2, (0, 15))),
 ]
 
 

@@ -289,13 +289,10 @@ def _split_contain(text: str) -> tuple[str, str]:
 
 
 def parse_constraint_file(text: str, schema: Schema, interner: Interner) -> list:
-    items = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        items.append(parse_constraint_line(line, schema, interner))
-    return items
+    """One item per line; the tokenizer skips `#` and `--` comments outside
+    quoted values, and a line of only a comment or blanks holds no item."""
+    return [parse_constraint_line(line, schema, interner)
+            for line in text.splitlines() if tokenize(line)[0].kind != "eof"]
 
 
 # ---------------------------------------------------------------------------

@@ -172,21 +172,19 @@ class Explorer:
         restriction per `(index, sql, params)` of `extra_amo`; returns
         (status, input)."""
         cfg = self.config
-        steps = [(r, "q") for r in records]
-        steps += [(QueryRecord(i, sql, params, False), "amoq") for i, sql, params in extra_amo]
+        steps = [(r, True) for r in records]
+        steps += [(QueryRecord(i, sql, params, False), False) for i, sql, params in extra_amo]
 
         def encode(pool, instances, env) -> list[tuple]:
             (inst,) = instances
             formulas: dict = {}  # by record: a record asserted twice counts once
-            for r, tag in steps:
+            for r, on_path in steps:
                 if isinstance(r, BranchRecord):
                     f = encode_pred(r.cond, {}, env)
                     formulas.setdefault(r, f if r.outcome else lnot(f))
                     continue
-                enc = encode_query(
-                    self.catalog.executable(r.sql), r.params, inst, self.schema, env, pool, f"{tag}{r.index}"
-                )
-                if tag == "q":  # a path condition, not only a restriction
+                enc = encode_query(self.catalog.executable(r.sql), r.params, inst, self.schema, env, pool)
+                if on_path:  # a path condition, not only a restriction
                     formulas.setdefault(r, lnot(enc.non_empty) if r.is_empty else enc.non_empty)
                     if not r.is_empty:
                         env.rows[r.index] = enc.result

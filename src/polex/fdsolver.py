@@ -16,6 +16,10 @@ finite, so instead of an external SMT engine we compile to SAT:
     `y = x` are one atom and compile to one gate;
   * the boolean structure is Tseitin-encoded with full equivalences.
 
+A symbol is its index in a `VarPool` and its domain, None for a bool;
+nothing names it, because what a person reads is policies and verified
+counterexamples, never a CNF.
+
 `check` takes one list of formulas, asserts each as a unit clause in list
 order and runs one search of a small CDCL (two-watched literals, 1UIP
 learning, VSIDS-ish activities, phase saving, Luby restarts).  All
@@ -144,32 +148,27 @@ def feq(t1, t2):
 
 @dataclass
 class VarPool:
-    """Symbol registry: boolean symbols and bounded integer symbols.
+    """Symbol registry: a symbol is its index into `domains`, which holds
+    an int symbol's (lo, hi) and None for a bool symbol.
 
     `base`, when set, is a compiled `Compiler` over the pool's first
     symbols and the formulas every check on the pool also asserts."""
 
-    names: list[str] = field(default_factory=list)
-    kinds: list[str] = field(default_factory=list)  # "bool" | "int"
     domains: list[tuple[int, int] | None] = field(default_factory=list)
     base: Compiler | None = None
 
-    def new_bool(self, name: str) -> int:
-        self.names.append(name)
-        self.kinds.append("bool")
+    def new_bool(self) -> int:
         self.domains.append(None)
-        return len(self.names) - 1
+        return len(self.domains) - 1
 
-    def new_int(self, name: str, lo: int, hi: int) -> int:
+    def new_int(self, lo: int, hi: int) -> int:
         if hi < lo:
             raise ValueError("empty domain")
-        self.names.append(name)
-        self.kinds.append("int")
         self.domains.append((lo, hi))
-        return len(self.names) - 1
+        return len(self.domains) - 1
 
     def __len__(self) -> int:
-        return len(self.names)
+        return len(self.domains)
 
 
 def eval_formula(f, model: dict) -> bool:
@@ -218,7 +217,7 @@ class _Cnf:
 
 
 _NO_BASE = SimpleNamespace(  # what a Compiler over a pool without a base copies
-    cnf=_Cnf(), cache={}, bool_sat={}, order={}, mentioned=set(), _true_lit=None, formulas=[], watches=[], units=[],
+    cnf=_Cnf(), cache={}, first=[], mentioned=set(), _true_lit=None, formulas=[], watches=[], units=[],
     attached=0,
 )
 
@@ -240,23 +239,22 @@ class Compiler:
         self.cnf.nvars = base.cnf.nvars
         self.cnf.clauses = list(map(list.copy, base.cnf.clauses))
         self.cache: dict = dict(base.cache)
-        self.bool_sat: dict[int, int] = dict(base.bool_sat)
-        self.order: dict[int, int] = dict(base.order)  # vid -> sat var of [vid >= lo + 1]
+        self.first: list[int] = base.first[:]  # vid -> a bool's sat var, or an int's [vid >= lo + 1]
         self.mentioned: set[int] = set(base.mentioned)  # vids some compiled formula names
         self._true_lit: int | None = base._true_lit
         self.formulas: list[tuple] = base.formulas[:]  # asserted, in order
         self.watches: list[list[int]] = list(map(list.copy, base.watches))  # lit -> clauses watching it
         self.units: list[int] = base.units[:]  # the unit clauses' literals
         self.attached = base.attached  # clauses[:attached] are in watches or units
-        for vid in range(len(self.bool_sat) + len(self.order), len(pool)):
-            if pool.kinds[vid] == "bool":
-                self.bool_sat[vid] = self.cnf.new_var()
+        for d in pool.domains[len(self.first):]:
+            first = self.cnf.nvars
+            self.first.append(first)
+            if d is None:
+                self.cnf.nvars += 1
                 continue
-            lo, hi = pool.domains[vid]
-            first = self.order[vid] = self.cnf.nvars
-            self.cnf.nvars += hi - lo
+            self.cnf.nvars += d[1] - d[0]
             # the ladder: [vid >= v + 1] -> [vid >= v]
-            self.cnf.clauses.extend([[2 * s + 3, 2 * s] for s in range(first, first + hi - lo - 1)])
+            self.cnf.clauses.extend([[2 * s + 3, 2 * s] for s in range(first, self.cnf.nvars - 1)])
 
     def add(self, formulas: list[tuple]) -> None:
         """Assert each formula as a unit clause, in list order, then attach
@@ -297,7 +295,7 @@ class Compiler:
             return self.true_lit() ^ 1
         if op == "bv":
             self.mentioned.add(f[1])
-            return 2 * self.bool_sat[f[1]]
+            return 2 * self.first[f[1]]
         if op == "not":
             return self.lit(f[1]) ^ 1
         if op == "and":
@@ -340,11 +338,11 @@ class Compiler:
     def _ge(self, vid: int, c: int) -> int:
         """[vid >= c]: a threshold variable's literal, or _T / _F outside lo+1..hi."""
         lo, hi = self.pool.domains[vid]
-        return _T if c <= lo else _F if c > hi else 2 * (self.order[vid] + c - lo - 1)
+        return _T if c <= lo else _F if c > hi else 2 * (self.first[vid] + c - lo - 1)
 
     def _ge_lits(self, vid: int) -> list[int]:
         """[vid >= v] for v in lo..hi+1, at index v - lo."""
-        t = self._thresholds(vid)
+        t = self._sat_vars(vid)
         return [_T, *range(2 * t.start, 2 * t.stop, 2), _F]
 
     def _and(self, a: int, b: int) -> int:
@@ -395,25 +393,25 @@ class Compiler:
             add([l for l in (gl, X[v - lx] ^ 1, X[v + 1 - lx], Y[v - ly] ^ 1, Y[v + 1 - ly]) if l != _F])
         return gl
 
-    def _thresholds(self, vid: int) -> range:
-        lo, hi = self.pool.domains[vid]
-        return range(self.order[vid], self.order[vid] + hi - lo)
+    def _sat_vars(self, vid: int) -> range:
+        """A bool symbol's SAT variable, or an int symbol's thresholds [vid >= lo+1..hi]."""
+        d = self.pool.domains[vid]
+        return range(self.first[vid], self.first[vid] + (1 if d is None else d[1] - d[0]))
 
     def decision_vars(self) -> list[int]:
         """The SAT variables a search decides, ascending: all but those of unmentioned symbols."""
-        skip = {s for vid in range(len(self.pool)) if vid not in self.mentioned
-                for s in (self._thresholds(vid) if vid in self.order else (self.bool_sat[vid],))}
+        skip = {s for vid in range(len(self.pool)) if vid not in self.mentioned for s in self._sat_vars(vid)}
         return [v for v in range(self.cnf.nvars) if v not in skip]
 
     def model_from_sat(self, assigns: list) -> dict:
         """An int symbol's value is lo plus the number of its true thresholds."""
         model: dict = {}
-        for vid in range(len(self.pool)):
-            if self.pool.kinds[vid] == "bool":
-                model[vid] = assigns[self.bool_sat[vid]] is True
+        for vid, d in enumerate(self.pool.domains):
+            if d is None:
+                model[vid] = assigns[self.first[vid]] is True
             else:
-                t = self._thresholds(vid)
-                model[vid] = self.pool.domains[vid][0] + assigns[t.start:t.stop].count(True)
+                t = self._sat_vars(vid)
+                model[vid] = d[0] + assigns[t.start:t.stop].count(True)
         return model
 
 
@@ -695,55 +693,3 @@ class CdclBackend:
             if not eval_formula(f, model):
                 raise InternalSolverError(f"model does not satisfy formula {i}")
         return CheckResult("sat", model=model)
-
-
-# ---------------------------------------------------------------------------
-# Debug dump
-
-
-def _smt_term(pool: VarPool, t) -> str:
-    if t[0] == "c":
-        return str(t[1])
-    return f"|{pool.names[t[1]]}|"
-
-
-def _smt_formula(pool: VarPool, f) -> str:
-    op = f[0]
-    if op == "true":
-        return "true"
-    if op == "false":
-        return "false"
-    if op == "bv":
-        return f"|{pool.names[f[1]]}|"
-    if op == "not":
-        return f"(not {_smt_formula(pool, f[1])})"
-    if op == "and":
-        return "(and " + " ".join(_smt_formula(pool, g) for g in f[1]) + ")"
-    if op == "or":
-        return "(or " + " ".join(_smt_formula(pool, g) for g in f[1]) + ")"
-    if op == "cmp":
-        a, b = _smt_term(pool, f[2]), _smt_term(pool, f[3])
-        if f[1] == "=":
-            return f"(= {a} {b})"
-        if f[1] == "<>":
-            return f"(distinct {a} {b})"
-        return f"({f[1]} {a} {b})"
-    raise ValueError(f"bad formula node {f!r}")
-
-
-def to_smtlib(pool: VarPool, formulas: list[tuple]) -> str:
-    """Render the problem, the pool's base formulas included, as SMT-LIB2
-    text for offline inspection."""
-    lines = ["(set-logic QF_LIA)"]
-    for vid in range(len(pool)):
-        name = pool.names[vid]
-        if pool.kinds[vid] == "bool":
-            lines.append(f"(declare-fun |{name}| () Bool)")
-        else:
-            lo, hi = pool.domains[vid]
-            lines.append(f"(declare-fun |{name}| () Int)")
-            lines.append(f"(assert (and (<= {lo} |{name}|) (<= |{name}| {hi})))")
-    for f in (pool.base or _NO_BASE).formulas + formulas:
-        lines.append(f"(assert {_smt_formula(pool, f)})")
-    lines.append("(check-sat)")
-    return "\n".join(lines) + "\n"

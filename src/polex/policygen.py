@@ -301,7 +301,7 @@ class Simplifier:
                     f = encode_pred(rec.pred, {}, env)
                     f = f if rec.outcome else lnot(f)
                 else:
-                    enc = encode_query(rec.nf, rec.params, inst, self.schema, env, pool, f"c{j}")
+                    enc = encode_query(rec.nf, rec.params, inst, self.schema, env, pool)
                     env.rows[rec.index] = enc.result
                     f = land(enc.non_empty, enc.at_most_one) if j < k else enc.non_empty
                 formulas.append(f if j < k else lnot(f))

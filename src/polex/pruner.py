@@ -308,9 +308,7 @@ def _is_allowed_by_solver(
         formulas.append(_set_neq(result_pairs(q, inst_a, env), result_pairs(q, inst_b, env)))
         return formulas
 
-    verdict, (inst_a, inst_b), env = ask(
-        schema, constraints, bound, value_range, encode, prefixes=("A.", "B."), timeout_s=timeout_s
-    )
+    verdict, (inst_a, inst_b), env = ask(schema, constraints, bound, value_range, encode, copies=2, timeout_s=timeout_s)
     if verdict.status == "unknown":
         return ContainmentVerdict(UNKNOWN)
     if verdict.status == "unsat":

@@ -92,15 +92,9 @@ class SymRow:
 
 
 @dataclass
-class SymTable:
-    name: str
-    rows: tuple[SymRow, ...]
-
-
-@dataclass
 class SymInstance:
     bound: int
-    tables: dict[str, SymTable]
+    tables: dict[str, tuple[SymRow, ...]]  # table name -> its rows
 
 
 @dataclass
@@ -146,7 +140,6 @@ def encode_instance(
     bound: int,
     pool: VarPool,
     value_range: tuple[int, int] = (0, 7),
-    prefix: str = "",
 ) -> tuple[SymInstance, list[tuple]]:
     """Allocate a bounded symbolic instance; returns it with its formulas:
     one row-order formula per table (for bounds above 1), then one per
@@ -157,21 +150,21 @@ def encode_instance(
     for t in schema.tables:
         rows = []
         for r in range(bound):
-            p = pool.new_bool(f"{prefix}{t.name}.r{r}.present")
+            p = pool.new_bool()
             values = []
             nulls: list[int | None] = []
             for c in t.columns:
                 lo, hi = _col_domain(value_range, c.type)
-                values.append(pool.new_int(f"{prefix}{t.name}.r{r}.{c.name}", lo, hi))
-                nulls.append(pool.new_bool(f"{prefix}{t.name}.r{r}.{c.name}.null") if c.nullable else None)
+                values.append(pool.new_int(lo, hi))
+                nulls.append(pool.new_bool() if c.nullable else None)
             rows.append(SymRow(p, tuple(values), tuple(nulls)))
-        tables[t.name] = SymTable(t.name, tuple(rows))
+        tables[t.name] = tuple(rows)
     inst = SymInstance(bound, tables)
     formulas = []
     # Row order within a conditional table is irrelevant, so force absent
     # rows to trail present ones; this halves the symmetric search space.
     for t in schema.tables:
-        rows = tables[t.name].rows
+        rows = tables[t.name]
         order = land(
             *[implies(bvar(rows[r + 1].presence), bvar(rows[r].presence)) for r in range(bound - 1)]
         )
@@ -183,17 +176,17 @@ def encode_instance(
 
 
 @functools.lru_cache(maxsize=4)
-def _shared(schema, constraints, bound, value_range, prefixes):
-    """The compiled part of every check on one bounded context: one
-    instance per prefix, then the session-parameter symbols, with every
-    instance's `encode_instance` formulas in prefix order."""
+def _shared(schema, constraints, bound, value_range, copies):
+    """The compiled part of every check on one bounded context: `copies`
+    instances, then the session-parameter symbols, with every instance's
+    `encode_instance` formulas in instance order."""
     pool = VarPool()
     instances, formulas = [], []
-    for prefix in prefixes:
-        inst, own = encode_instance(schema, constraints, bound, pool, value_range, prefix)
+    for _ in range(copies):
+        inst, own = encode_instance(schema, constraints, bound, pool, value_range)
         instances.append(inst)
         formulas.extend(own)
-    session = {name: pool.new_int(name, *value_range) for name in SESSION_PARAMS}
+    session = {name: pool.new_int(*value_range) for name in SESSION_PARAMS}
     base = Compiler(pool)
     base.add(formulas)
     return base, tuple(instances), session
@@ -205,29 +198,27 @@ def bounded(
     bound: int,
     value_range: tuple[int, int],
     params=(),
-    prefixes: tuple[str, ...] = ("",),
+    copies: int = 1,
 ) -> tuple[VarPool, tuple[SymInstance, ...], SymEnv]:
-    """The symbols every check starts from: one instance per prefix, then
-    shared session-parameter symbols, then one per `(name, type)` request
-    parameter not yet allocated; allocation order fixes the SAT variable
-    numbers.  Returns (pool, instances, env), the pool's base holding the
-    instance formulas, compiled once per context.  `_shared` keeps four,
-    the most a run uses: one instance and two, each at bound 1 and at
-    the full bound.
+    """The symbols every check starts from: `copies` instances (the pruner
+    compares two), then shared session-parameter symbols, then one per
+    `(name, type)` request parameter not yet allocated; allocation order
+    fixes the SAT variable numbers.  Returns (pool, instances, env), the
+    pool's base holding the instance formulas, compiled once per context.
+    `_shared` keeps four, the most a run uses: one instance and two, each
+    at bound 1 and at the full bound.
     """
-    base, instances, session = _shared(
-        schema, tuple(constraints), bound, tuple(value_range), tuple(prefixes)
-    )
-    pool = VarPool(base.pool.names[:], base.pool.kinds[:], base.pool.domains[:], base)
+    base, instances, session = _shared(schema, tuple(constraints), bound, tuple(value_range), copies)
+    pool = VarPool(base.pool.domains[:], base)
     env = SymEnv(dict(session))
     for name, ptype in params:
         if name not in env.params:
-            env.params[name] = pool.new_int(name, *_col_domain(value_range, ptype))
+            env.params[name] = pool.new_int(*_col_domain(value_range, ptype))
     return pool, instances, env
 
 
 def _row_values(inst: SymInstance, table: str, row_idx: int) -> tuple[SymValue, ...]:
-    row = inst.tables[table].rows[row_idx]
+    row = inst.tables[table][row_idx]
     out = []
     for v, n in zip(row.values, row.nulls):
         out.append((ivar(v), FALSE_F if n is None else bvar(n)))
@@ -279,7 +270,7 @@ def result_pairs(nf: NormalFormQuery, inst: SymInstance, env: SymEnv) -> list[tu
         colmap: list[SymValue] = []
         presences = []
         for src, ri in zip(nf.sources, combo):
-            presences.append(bvar(inst.tables[src].rows[ri].presence))
+            presences.append(bvar(inst.tables[src][ri].presence))
             colmap.extend(_row_values(inst, src, ri))
         guard = land(*presences, encode_pred(nf.filter, colmap, env))
         tup = tuple(colmap[j] for j in nf.projection)
@@ -296,14 +287,14 @@ def _leftjoin_pairs(q: LeftJoinQuery, inst: SymInstance, schema: Schema, env: Sy
         left_cols: list[SymValue] = []
         left_pres = []
         for src, ri in zip(q.left_sources, combo):
-            left_pres.append(bvar(inst.tables[src].rows[ri].presence))
+            left_pres.append(bvar(inst.tables[src][ri].presence))
             left_cols.extend(_row_values(inst, src, ri))
         match_guards = []
         for rj in range(bound):
             right_cols = list(_row_values(inst, q.right_source, rj))
             colmap = left_cols + right_cols
             m = land(
-                bvar(inst.tables[q.right_source].rows[rj].presence),
+                bvar(inst.tables[q.right_source][rj].presence),
                 encode_pred(q.on, colmap, env),
             )
             match_guards.append(m)
@@ -335,9 +326,8 @@ def encode_query(
     schema: Schema,
     env: SymEnv,
     pool: VarPool,
-    tag: str,
 ) -> QueryEncoding:
-    """Encode one query occurrence; `tag` names a COUNT's value symbol.
+    """Encode one query occurrence; a COUNT's value symbol joins `pool`.
 
     `q` is an ExecutableQuery or a bare NormalFormQuery; placeholder
     scalars are taken from `params`.  The result reads as the matched
@@ -360,7 +350,7 @@ def encode_query(
     elif isinstance(q, CountQuery):
         # A count always returns exactly one row; its value is never
         # referenced (the DSL forbids it), so the symbol is unconstrained.
-        v = pool.new_int(f"{tag}.count", 0, max(inst.bound, 1))
+        v = pool.new_int(0, max(inst.bound, 1))
         return QueryEncoding(TRUE_F, TRUE_F, (((TRUE_F, ivar(v), FALSE_F),),))
     else:
         raise EncodeError(f"cannot encode query {q!r}")
@@ -380,7 +370,7 @@ def encode_constraint(c: Constraint, inst: SymInstance, schema: Schema):
     if isinstance(c, Unique):
         t = schema.table(c.table)
         idxs = [t.column_index(name) for name in c.columns]
-        rows = inst.tables[c.table].rows
+        rows = inst.tables[c.table]
         parts = []
         for i in range(len(rows)):
             for j in range(i + 1, len(rows)):
@@ -420,13 +410,13 @@ def check(pool: VarPool, formulas: list[tuple], timeout_s: float | None = 5.0) -
 
 
 def ask(schema: Schema, constraints: list[Constraint], bound: int, value_range: tuple[int, int], encode,
-        params=(), prefixes=("",), timeout_s: float | None = 5.0) -> tuple[CheckResult, tuple, SymEnv]:
+        params=(), copies: int = 1, timeout_s: float | None = 5.0) -> tuple[CheckResult, tuple, SymEnv]:
     """Decide the formulas `encode(pool, instances, env)` builds over the
     `bounded` context, at bound 1 and then, unless that is sat, at
     `bound`.  Returns the last check's result with the instances and
     environment its model is read through."""
     for b in dict.fromkeys((1, bound)):
-        pool, instances, env = bounded(schema, constraints, b, value_range, params, prefixes)
+        pool, instances, env = bounded(schema, constraints, b, value_range, params, copies)
         verdict = check(pool, encode(pool, instances, env), timeout_s)
         if verdict.status == "sat":
             break
@@ -446,7 +436,7 @@ def model_to_input(
     tables = {}
     for t in schema.tables:
         rows = []
-        for row in inst.tables[t.name].rows:
+        for row in inst.tables[t.name]:
             if not model[row.presence]:
                 continue
             vals = []
@@ -457,8 +447,6 @@ def model_to_input(
                     vals.append(model[v])
             rows.append(tuple(vals))
         tables[t.name] = tuple(rows)
-    session = {name: model[env.params[name]] for name in ("MyUserId", "Now") if name in env.params}
-    session.setdefault("MyUserId", 0)
-    session.setdefault("Now", 0)
+    session = {name: model[env.params[name]] for name in SESSION_PARAMS}
     request = {name: model[env.params[name]] for name in request_params}
     return ConcreteInput(input_id, handler, tables, session, request)

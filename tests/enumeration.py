@@ -20,12 +20,11 @@ class EnumerationBackend:
     def check(self, pool: VarPool, formulas: list[tuple], timeout_s: float | None = 5.0) -> CheckResult:
         deadline = None if timeout_s is None else time.monotonic() + timeout_s
         spaces = []
-        for vid in range(len(pool)):
-            if pool.kinds[vid] == "bool":
+        for d in pool.domains:
+            if d is None:
                 spaces.append((False, True))
             else:
-                lo, hi = pool.domains[vid]
-                spaces.append(tuple(range(lo, hi + 1)))
+                spaces.append(tuple(range(d[0], d[1] + 1)))
 
         for combo in itertools.product(*spaces):
             if deadline is not None and time.monotonic() > deadline:

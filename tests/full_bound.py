@@ -13,9 +13,9 @@ from polex import explorer, policygen, pruner
 from polex.solver import bounded, check
 
 
-def ask(schema, constraints, bound, value_range, encode, params=(), prefixes=("",), timeout_s=5.0):
+def ask(schema, constraints, bound, value_range, encode, params=(), copies=1, timeout_s=5.0):
     """`solver.ask` as one check at `bound`."""
-    pool, instances, env = bounded(schema, constraints, bound, value_range, params, prefixes)
+    pool, instances, env = bounded(schema, constraints, bound, value_range, params, copies)
     return check(pool, encode(pool, instances, env), timeout_s), instances, env
 
 

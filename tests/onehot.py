@@ -20,11 +20,12 @@ class OneHotCompiler(Compiler):
         super().__init__(VarPool())
         self.pool = pool
         self.onehot: dict[int, dict[int, int]] = {}  # vid -> value -> sat var
-        for vid in range(len(pool)):
-            if pool.kinds[vid] == "bool":
-                self.bool_sat[vid] = self.cnf.new_var()
+        for vid, d in enumerate(pool.domains):
+            self.first.append(self.cnf.nvars)  # a bool's sat var; unread for an int
+            if d is None:
+                self.cnf.new_var()
                 continue
-            lo, hi = pool.domains[vid]
+            lo, hi = d
             hot = self.onehot[vid] = {v: self.cnf.new_var() for v in range(lo, hi + 1)}
             sats = list(hot.values())
             self.cnf.clauses.append([2 * s for s in sats])
@@ -69,9 +70,9 @@ class OneHotCompiler(Compiler):
 
     def model_from_sat(self, assigns: list) -> dict:
         model: dict = {}
-        for vid in range(len(self.pool)):
-            if self.pool.kinds[vid] == "bool":
-                model[vid] = assigns[self.bool_sat[vid]] is True
+        for vid, d in enumerate(self.pool.domains):
+            if d is None:
+                model[vid] = assigns[self.first[vid]] is True
             else:
                 model[vid] = next(v for v, s in self.onehot[vid].items() if assigns[s])
         return model

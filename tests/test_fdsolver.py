@@ -24,12 +24,8 @@ from polex.fdsolver import (
     land,
     lnot,
     lor,
-    to_smtlib,
 )
 
-from polex.constraints import Unique
-from polex.schema import parse_schema
-from polex.solver import bounded
 from polex.terms import cmp_eval
 
 from enumeration import EnumerationBackend
@@ -38,14 +34,14 @@ from onehot import OneHotBackend
 
 def test_conflicting_equalities_unsat_with_full_core():
     pool = VarPool()
-    x = pool.new_int("x", 0, 7)
+    x = pool.new_int(0, 7)
     r = CdclBackend().check(pool, [fcmp("=", ivar(x), const(1)), fcmp("=", ivar(x), const(2))])
     assert r.status == "unsat"
 
 
 def test_single_equality_sat():
     pool = VarPool()
-    x = pool.new_int("x", 0, 7)
+    x = pool.new_int(0, 7)
     r = CdclBackend().check(pool, [fcmp("=", ivar(x), const(1))])
     assert r.status == "sat"
     assert r.model[x] == 1
@@ -53,14 +49,14 @@ def test_single_equality_sat():
 
 def test_hard_formulas_participate():
     pool = VarPool()
-    x = pool.new_int("x", 0, 3)
+    x = pool.new_int(0, 3)
     r = CdclBackend().check(pool, [fcmp("<", ivar(x), const(2)), feq(ivar(x), const(2))])
     assert r.status == "unsat"
 
 
 def test_model_check_names_a_failing_formula_by_index(monkeypatch):
     pool = VarPool()
-    x = pool.new_int("x", 0, 3)
+    x = pool.new_int(0, 3)
     formulas = [feq(ivar(x), const(1)), fcmp("<", ivar(x), const(2))]
     # Re-evaluation rejects the second formula, as it would after a
     # compilation bug.
@@ -71,8 +67,8 @@ def test_model_check_names_a_failing_formula_by_index(monkeypatch):
 
 def test_bool_vars():
     pool = VarPool()
-    p = pool.new_bool("p")
-    q = pool.new_bool("q")
+    p = pool.new_bool()
+    q = pool.new_bool()
     r = CdclBackend().check(pool, [land(bvar(p), lnot(bvar(q)))])
     assert r.status == "sat"
     assert r.model[p] is True and r.model[q] is False
@@ -82,7 +78,7 @@ def _pigeonhole(n: int):
     """n symbols over an (n-1)-value domain, pairwise distinct: unsat and
     exponentially hard for clause learning, so it exercises timeouts."""
     pool = VarPool()
-    xs = [pool.new_int(f"x{i}", 0, n - 2) for i in range(n)]
+    xs = [pool.new_int(0, n - 2) for _ in range(n)]
     formulas = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -126,8 +122,8 @@ def test_cdcl_agrees_with_enumeration_on_random_formulas():
     rng = random.Random(20260810)
     for trial in range(250):
         pool = VarPool()
-        ints = [pool.new_int(f"x{i}", 0, rng.randint(1, 3)) for i in range(rng.randint(1, 3))]
-        bools = [pool.new_bool(f"p{i}") for i in range(rng.randint(1, 2))]
+        ints = [pool.new_int(0, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        bools = [pool.new_bool() for _ in range(rng.randint(1, 2))]
         formulas = [_rand_formula(rng, ints, bools, rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
         r1 = CdclBackend().check(pool, formulas)
         r2 = EnumerationBackend().check(pool, formulas, timeout_s=30)
@@ -140,8 +136,8 @@ def test_sat_models_verified_against_formulas():
     rng = random.Random(7)
     for _ in range(80):
         pool = VarPool()
-        ints = [pool.new_int(f"x{i}", 0, 2) for i in range(3)]
-        bools = [pool.new_bool(f"p{i}") for i in range(2)]
+        ints = [pool.new_int(0, 2) for _ in range(3)]
+        bools = [pool.new_bool() for _ in range(2)]
         formulas = [_rand_formula(rng, ints, bools, 3) for _ in range(3)]
         r = CdclBackend().check(pool, formulas)
         if r.status == "sat":
@@ -159,8 +155,8 @@ OPS = ["=", "<>", "<", "<=", ">", ">="]
 def _checks(draw):
     pool = VarPool()
     domains = draw(st.lists(st.sampled_from(DOMAINS), min_size=1, max_size=3))
-    ints = [pool.new_int(f"x{i}", *d) for i, d in enumerate(domains)]
-    p = pool.new_bool("p")
+    ints = [pool.new_int(*d) for d in domains]
+    p = pool.new_bool()
     sym = st.sampled_from(ints).map(ivar)
     # Constants reach past every domain on both sides.
     term = st.one_of(sym, st.integers(-4, 9).map(const))
@@ -196,7 +192,7 @@ def test_every_comparison_matches_its_truth_table():
     # both symbols pinned to every pair of values.
     for dx, dy in itertools.product(DOMAINS, repeat=2):
         pool = VarPool()
-        x, y = pool.new_int("x", *dx), pool.new_int("y", *dy)
+        x, y = pool.new_int(*dx), pool.new_int(*dy)
         for a, b in itertools.product(range(dx[0], dx[1] + 1), range(dy[0], dy[1] + 1)):
             pins = [feq(ivar(x), const(a)), feq(ivar(y), const(b))]
             pairs = [(ivar(x), ivar(y), a, b), (ivar(x), ivar(x), a, a),
@@ -210,7 +206,7 @@ def test_every_comparison_matches_its_truth_table():
 
 def test_unknown_comparison_is_rejected():
     pool = VarPool()
-    x, y = pool.new_int("x", 0, 3), pool.new_int("y", 0, 3)
+    x, y = pool.new_int(0, 3), pool.new_int(0, 3)
     for terms in ((ivar(x), ivar(y)), (ivar(x), const(1))):
         with pytest.raises(ValueError, match="bad formula node"):
             CdclBackend().check(pool, [("cmp", "!=", *terms)])
@@ -235,15 +231,14 @@ def test_unmentioned_symbols_are_never_decided(monkeypatch):
     for trial in range(60):
         pool = VarPool()
         ints, bools, idle_ints, idle_bools = [], [], [], []
-        for i in range(rng.randint(1, 2)):
-            ints.append(pool.new_int(f"x{i}", 0, rng.randint(1, 3)))
-            idle_ints.append(pool.new_int(f"u{i}", 0, 7))
-            bools.append(pool.new_bool(f"p{i}"))
-        idle_bools.append(pool.new_bool("q"))
+        for _ in range(rng.randint(1, 2)):
+            ints.append(pool.new_int(0, rng.randint(1, 3)))
+            idle_ints.append(pool.new_int(0, 7))
+            bools.append(pool.new_bool())
+        idle_bools.append(pool.new_bool())
         formulas = [_rand_formula(rng, ints, bools, rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
         comp = fdsolver.Compiler(pool)
-        idle_sat = {s for u in idle_ints for s in comp._thresholds(u)}
-        idle_sat |= {comp.bool_sat[q] for q in idle_bools}
+        idle_sat = {s for u in idle_ints + idle_bools for s in comp._sat_vars(u)}
         decided.clear()
         r = CdclBackend().check(pool, formulas, timeout_s=None)
         assert not idle_sat & set(decided), f"trial {trial}"
@@ -258,8 +253,8 @@ def test_unmentioned_symbols_are_never_decided(monkeypatch):
 def test_determinism():
     rng = random.Random(99)
     pool = VarPool()
-    ints = [pool.new_int(f"x{i}", 0, 3) for i in range(4)]
-    bools = [pool.new_bool(f"p{i}") for i in range(3)]
+    ints = [pool.new_int(0, 3) for _ in range(4)]
+    bools = [pool.new_bool() for _ in range(3)]
     formulas = [_rand_formula(rng, ints, bools, 4) for _ in range(5)]
     first = CdclBackend().check(pool, formulas)
     for _ in range(3):
@@ -289,24 +284,6 @@ def test_symbol_equalities_have_one_order():
     assert fcmp("=", ivar(2), const(3)) == ("cmp", "=", ivar(2), const(3))
 
 
-def test_smtlib_dump():
-    pool = VarPool()
-    x = pool.new_int("table.r0.col", 0, 7)
-    p = pool.new_bool("table.r0.present")
-    text = to_smtlib(pool, [land(bvar(p), feq(ivar(x), const(3)))])
-    assert "(declare-fun |table.r0.col| () Int)" in text
-    assert "(declare-fun |table.r0.present| () Bool)" in text
-    assert "(assert (and |table.r0.present| (= |table.r0.col| 3)))" in text
-    assert text.strip().endswith("(check-sat)")
-    # A bounded check's dump also asserts the instance and constraint
-    # formulas that its pool's compiled base holds.
-    pool, (inst,), env = bounded(parse_schema("table t { a int }"), [Unique("t", ("a",))], 2, (0, 3))
-    text = to_smtlib(pool, [bvar(inst.tables["t"].rows[0].presence)])
-    assert "(assert (or (not |t.r1.present|) |t.r0.present|))" in text
-    assert "(assert (not (and |t.r0.present| |t.r1.present| (= |t.r0.a| |t.r1.a|))))" in text
-    assert "(assert |t.r0.present|)" in text
-
-
 def _add_reference(lits):
     """What `_Cnf.add` must append: None for a tautology, else the literals
     with repeats dropped, first occurrences kept in order."""
@@ -333,15 +310,14 @@ def test_cnf_add_matches_reference_loop():
 
 def test_order_scaffold_is_a_ladder():
     pool = VarPool()
-    pool.new_int("a", 3, 3)
-    pool.new_bool("p")
-    pool.new_int("b", 0, 1)
-    pool.new_int("c", 0, 7)
-    pool.new_int("d", -2, 1)
+    pool.new_int(3, 3)
+    pool.new_bool()
+    pool.new_int(0, 1)
+    pool.new_int(0, 7)
+    pool.new_int(-2, 1)
     comp = fdsolver.Compiler(pool)
     # One variable per threshold [x >= v], v in lo+1..hi: none for `a`.
-    assert comp.order == {0: 0, 2: 1, 3: 2, 4: 9}
-    assert comp.bool_sat == {1: 0}
+    assert comp.first == [0, 0, 1, 2, 9]
     assert comp.cnf.nvars == 12
     # [x >= v+1] -> [x >= v] for each pair of neighbouring thresholds.
     assert comp.cnf.clauses == [[2 * s + 3, 2 * s] for s in (*range(2, 8), 9, 10)]
@@ -354,8 +330,8 @@ def _rand_clause_set(rng):
     """A conjunction of random three-atom disjunctions over comparisons and
     bool symbols: sat and unsat both occur, and most need conflicts."""
     pool = VarPool()
-    xs = [pool.new_int(f"x{i}", 0, rng.randint(2, 7)) for i in range(rng.randint(4, 8))]
-    ps = [pool.new_bool(f"p{i}") for i in range(2)]
+    xs = [pool.new_int(0, rng.randint(2, 7)) for _ in range(rng.randint(4, 8))]
+    ps = [pool.new_bool() for _ in range(2)]
     formulas = []
     for _ in range(rng.randint(40, 90)):
         atoms = []
@@ -392,8 +368,8 @@ def test_pinned_compile_and_search_trajectory(monkeypatch):
     checks = [_pigeonhole(5), _pigeonhole(6)]
     for _ in range(16):
         pool = VarPool()
-        ints = [pool.new_int(f"x{i}", 0, rng.randint(0, 7)) for i in range(rng.randint(2, 6))]
-        bools = [pool.new_bool(f"p{i}") for i in range(rng.randint(1, 3))]
+        ints = [pool.new_int(0, rng.randint(0, 7)) for _ in range(rng.randint(2, 6))]
+        bools = [pool.new_bool() for _ in range(rng.randint(1, 3))]
         checks.append((pool, [_rand_formula(rng, ints, bools, rng.randint(1, 4)) for _ in range(rng.randint(2, 6))]))
     checks.extend(_rand_clause_set(rng) for _ in range(32))
     h = hashlib.sha256()

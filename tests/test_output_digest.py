@@ -1,10 +1,11 @@
-"""Same inputs, same bytes: pinned output digests of the cheapest runs of
-`scripts/output_digest.py`, of one generated `synth-front` corpus, where
-the simplifier repeats questions and checks leave symbols unnamed, of
-toys at bound 5, where every solver-decided prune check ends at bound 1,
-and of toys and that corpus at value range 0:15, which must keep their
-policies.  Models take the lowest values their formulas allow, so the
-0:15 runs print the same bytes as their 0:7 runs.
+"""Same inputs, same bytes: one pinned output digest per run of
+`scripts/output_digest.py`, so a run added there cannot stay unpinned.
+
+Toys prints the same bytes at bounds 2 to 5, where every solver-decided
+prune check ends at bound 1, and broaden at bounds 2 to 5.  Models take
+the lowest values their formulas allow, so the toys and `synth-front`
+runs at value range 0:15 print the same bytes as their 0:7 runs; the
+`ranges` corpus is the run whose inputs need values above 7.
 
 A change that alters any of these outputs (transcripts, generated inputs,
 policies, blame) on purpose must update the digest here and say why.
@@ -17,37 +18,54 @@ from pathlib import Path
 
 import pytest
 
-from polex import solver
+from polex import dsl, explorer, solver
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "output_digest.py"
+_spec = importlib.util.spec_from_file_location("output_digest", SCRIPT)
+output_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(output_digest)
+
+TOYS = "9a91070e9465cd2d07f6c7d4be1f6acba1c31113e6ca75edb09541493b171cb6"
+BROADEN = "38d9cdef5556f66239b63aa1d1d9b3534071ecbbbd83b619d898db8780e50871"
+SYNTH_S1 = "36f4f69db2c161abc5fd89757537254fdb3c6c4428f4fce999b3b301657b4288"
+PINNED = {
+    "toys-b2": TOYS,
+    "toys-b3": TOYS,
+    "toys-b4": TOYS,
+    "toys-b5": TOYS,
+    "grade_sheet-b2": "ded4d72afd8701624dbc81215e7c4997dc08faf3faa19506e438519a0572cea9",
+    "broaden-b2": BROADEN,
+    "broaden-b3": BROADEN,
+    "broaden-b4": BROADEN,
+    "broaden-b5": BROADEN,
+    "synth-s1-b2": SYNTH_S1,
+    "synth-s2-b2": "fef6c97de5e9177747624330aaa78eb9595d07e555799a8bab2039a766c7c945",
+    "synth-s3-b2": "c117379598c2531d331acd099cbc2b76648ef064417d54c94b69b25ca4002d04",
+    "toys-b3-r15": TOYS,
+    "synth-s1-b2-r15": SYNTH_S1,
+    "ranges-b2-r15": "eca6fbeadffb63b64e96e0475d90e67bf4f0a2bef9ae055c3620a912e97aac71",
+}
 
 
-@pytest.fixture(scope="module")
-def output_digest():
-    spec = importlib.util.spec_from_file_location("output_digest", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def test_every_run_is_pinned():
+    assert [name for name, _ in output_digest.RUNS] == list(PINNED)
 
 
-@pytest.mark.parametrize(
-    "run, args, digest",
-    [
-        ("pipeline", ("toys", 2), "9a91070e9465cd2d07f6c7d4be1f6acba1c31113e6ca75edb09541493b171cb6"),
-        ("pipeline", ("grade_sheet", 2), "ded4d72afd8701624dbc81215e7c4997dc08faf3faa19506e438519a0572cea9"),
-        ("broaden", (2,), "38d9cdef5556f66239b63aa1d1d9b3534071ecbbbd83b619d898db8780e50871"),
-        ("synth_front", (1,), "36f4f69db2c161abc5fd89757537254fdb3c6c4428f4fce999b3b301657b4288"),
-        ("pipeline", ("toys", 5), "9a91070e9465cd2d07f6c7d4be1f6acba1c31113e6ca75edb09541493b171cb6"),
-        ("pipeline", ("toys", 3, (0, 15)), "9a91070e9465cd2d07f6c7d4be1f6acba1c31113e6ca75edb09541493b171cb6"),
-        ("synth_front", (1, 2, (0, 15)), "36f4f69db2c161abc5fd89757537254fdb3c6c4428f4fce999b3b301657b4288"),
-    ],
-    ids=["toys-b2", "grade_sheet-b2", "broaden-b2", "synth-s1-b2", "toys-b5", "toys-b3-r15", "synth-s1-b2-r15"],
-)
-def test_output_digest_unchanged(output_digest, run, args, digest):
-    assert getattr(output_digest, run)(*args) == digest
+@pytest.mark.parametrize("name, run", output_digest.RUNS, ids=[name for name, _ in output_digest.RUNS])
+def test_output_digest_unchanged(name, run):
+    assert run() == PINNED[name]
 
 
-def test_toys_pipeline_compiles_each_bounded_context_once(output_digest):
+def test_ranges_inputs_hold_values_above_7():
+    root = output_digest.ROOT / "corpus" / "ranges"
+    s, cons = output_digest._load((root / "schema.txt").read_text(encoding="utf-8"))
+    (program,) = dsl.parse_handlers((root / "handlers" / "high_bids.hdl").read_text(encoding="utf-8"))
+    config = explorer.ExplorationConfig(table_bound=2, value_range=(0, 15), solver_timeout=None)
+    inputs = explorer.explore(program, s, cons, config).inputs.values()
+    assert max(v for ci in inputs for rows in ci.tables.values() for row in rows for v in row) > 7
+
+
+def test_toys_pipeline_compiles_each_bounded_context_once():
     # Explore and policy-gen use one instance, prune two; every stage asks
     # through `solver.ask`, which compiles each at bound 1 and at the full
     # bound: four contexts at most, all kept by the memo.

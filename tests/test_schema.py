@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from polex.constraints import (
@@ -201,6 +203,16 @@ contain SELECT course_id FROM roles in SELECT id FROM courses
     contain = items[-1]
     assert isinstance(contain, Containment)
     assert len(contain.left.projection) == 1
+
+
+def test_hash_inside_a_quoted_value_is_not_a_comment():
+    toys = parse_schema((Path(__file__).resolve().parent.parent / "corpus" / "toys" / "schema.txt").read_text())
+    interner = Interner()
+    text = "domain items.category in {'#ff0000', 'blue'}\nfixed items.category = 'a#b'  # note\n"
+    domain, fixed = parse_constraint_file(text, toys, interner)
+    assert domain == DomainConstraint("items", "category", (0, 1))
+    assert fixed == FixedValue("items", "category", interner.intern("a#b"))
+    assert interner.mapping == {"#ff0000": 0, "blue": 1, "a#b": 2}
 
 
 def test_contain_arity_mismatch():

@@ -48,8 +48,8 @@ def fresh_context(constraints=CONSTRAINTS, bound=2):
 def _row_symbols(inst) -> set[int]:
     return {
         v
-        for table in inst.tables.values()
-        for row in table.rows
+        for rows in inst.tables.values()
+        for row in rows
         for v in (row.presence, *row.values, *row.nulls)
         if v is not None
     }
@@ -69,22 +69,23 @@ def _vids(f) -> set[int]:
 
 def test_bounded_instances_share_session_and_request_symbols():
     params = [("Flag", "bool"), ("MyUserId", "int"), ("CourseId", "int")]
-    pool, (a, b), env = bounded(SCHEMA, CONSTRAINTS, 2, RANGE, params, prefixes=("A.", "B."))
+    pool, (a, b), env = bounded(SCHEMA, CONSTRAINTS, 2, RANGE, params, copies=2)
     rows_a, rows_b = _row_symbols(a), _row_symbols(b)
     assert rows_a and rows_b and not rows_a & rows_b
-    assert pool.names.count("MyUserId") == 1 and pool.names.count("Now") == 1
+    # Every symbol is a row's or one parameter's: MyUserId and Now have one each.
+    assert len(pool) == len(rows_a) + len(rows_b) + len(env.params)
     assert list(env.params) == ["MyUserId", "Now", "Flag", "CourseId"]
     assert pool.domains[env.params["Flag"]] == (0, 1)
     assert pool.domains[env.params["CourseId"]] == RANGE
     # Instances first, then parameters: the explorer's variable numbering.
     assert max(rows_a | rows_b) < min(env.params.values())
     assert sorted(env.params.values()) == list(range(len(pool) - 4, len(pool)))
-    # The base asserts one instance's formulas per prefix, in prefix order,
-    # each over its own instance's symbols only.
+    # The base asserts each instance's formulas, in instance order, each
+    # over its own instance's symbols only.
     formulas = pool.base.formulas
     shared = VarPool()
-    one_a = encode_instance(SCHEMA, CONSTRAINTS, 2, shared, RANGE, "A.")[1]
-    one_b = encode_instance(SCHEMA, CONSTRAINTS, 2, shared, RANGE, "B.")[1]
+    one_a = encode_instance(SCHEMA, CONSTRAINTS, 2, shared, RANGE)[1]
+    one_b = encode_instance(SCHEMA, CONSTRAINTS, 2, shared, RANGE)[1]
     assert len(one_a) == len(one_b) == len(CONSTRAINTS) + len(SCHEMA.tables)
     assert formulas == one_a + one_b
     assert all(_vids(f) <= rows_a for f in formulas[: len(one_a)])
@@ -95,7 +96,7 @@ def test_symbol_counts():
     pool = VarPool()
     schema = parse_schema("table t { a int  b int }")
     inst, _ = encode_instance(schema, [], 2, pool, RANGE)
-    rows = inst.tables["t"].rows
+    rows = inst.tables["t"]
     assert len(rows) == 2
     assert len([v for r in rows for v in r.values]) == 4
     assert all(n is None for r in rows for n in r.nulls)
@@ -104,8 +105,8 @@ def test_symbol_counts():
 def test_unique_constraint_formula():
     pool, inst, env = fresh_context()
     # courses.id is unique: no model may present two rows with equal ids.
-    id0 = inst.tables["courses"].rows[0]
-    id1 = inst.tables["courses"].rows[1]
+    id0 = inst.tables["courses"][0]
+    id1 = inst.tables["courses"][1]
     from polex.fdsolver import bvar, feq, ivar, land
 
     both_equal = land(
@@ -122,7 +123,7 @@ def test_fk_containment_models_validate():
     from polex.fdsolver import bvar
 
     formulas = []
-    roles_present = bvar(inst.tables["roles"].rows[0].presence)
+    roles_present = bvar(inst.tables["roles"][0].presence)
     for extra in range(4):
         verdict = check(pool, formulas + [roles_present])
         assert verdict.status == "sat"
@@ -130,20 +131,20 @@ def test_fk_containment_models_validate():
         ok, why = validate_instance(ci, CONSTRAINTS, SCHEMA)
         assert ok, why
         # ban this exact model's course ids to get a different one next time
-        row = inst.tables["courses"].rows[0]
+        row = inst.tables["courses"][0]
         formulas.append(lnot(("cmp", "=", ("v", row.values[0]), ("c", verdict.model[row.values[0]]))))
 
 
 def test_nonempty_is_two_way_disjunction():
     pool, inst, env = fresh_context(constraints=[])
     nf = NormalFormQuery((0, 1, 2, 3), TRUE, ("roles",))
-    enc = encode_query(nf, (), inst, SCHEMA, env, pool, "q1")
+    enc = encode_query(nf, (), inst, SCHEMA, env, pool)
     # nonEmpty holds iff some roles row is present.
     from polex.fdsolver import bvar, land
 
     none_present = land(
-        lnot(bvar(inst.tables["roles"].rows[0].presence)),
-        lnot(bvar(inst.tables["roles"].rows[1].presence)),
+        lnot(bvar(inst.tables["roles"][0].presence)),
+        lnot(bvar(inst.tables["roles"][1].presence)),
     )
     assert check(pool, [enc.non_empty, none_present]).status == "unsat"
     assert check(pool, [enc.non_empty]).status == "sat"
@@ -154,18 +155,18 @@ def test_query_over_absent_rows_unsat():
     from polex.fdsolver import bvar
 
     nf = NormalFormQuery((0,), TRUE, ("courses",))
-    enc = encode_query(nf, (), inst, SCHEMA, env, pool, "q1")
-    hard = [lnot(bvar(r.presence)) for r in inst.tables["courses"].rows]
+    enc = encode_query(nf, (), inst, SCHEMA, env, pool)
+    hard = [lnot(bvar(r.presence)) for r in inst.tables["courses"]]
     assert check(pool, hard + [enc.non_empty]).status == "unsat"
 
 
 def test_tautological_filter_nonempty_iff_row_present():
     pool, inst, env = fresh_context(constraints=[])
     nf = NormalFormQuery((0,), Cmp("=", Col(0), Col(0)), ("courses",))
-    enc = encode_query(nf, (), inst, SCHEMA, env, pool, "q1")
+    enc = encode_query(nf, (), inst, SCHEMA, env, pool)
     from polex.fdsolver import bvar, lor
 
-    some_present = lor(*[bvar(r.presence) for r in inst.tables["courses"].rows])
+    some_present = lor(*[bvar(r.presence) for r in inst.tables["courses"]])
     # nonEmpty <-> some row present: both directions unsat when negated.
     assert check(pool, [enc.non_empty, lnot(some_present)]).status == "unsat"
     assert check(pool, [lnot(enc.non_empty), some_present]).status == "unsat"
@@ -173,7 +174,7 @@ def test_tautological_filter_nonempty_iff_row_present():
 
 def test_check_examples():
     pool = VarPool()
-    x = pool.new_int("x", 0, 7)
+    x = pool.new_int(0, 7)
     from polex.fdsolver import feq, ivar, const
 
     v = check(pool, [feq(ivar(x), const(1)), feq(ivar(x), const(2))])
@@ -187,14 +188,14 @@ def test_model_to_input_empty_and_nulls():
     from polex.fdsolver import bvar
 
     # all rows absent -> empty database
-    hard = [lnot(bvar(r.presence)) for t in inst.tables.values() for r in t.rows]
+    hard = [lnot(bvar(r.presence)) for rows in inst.tables.values() for r in rows]
     v = check(pool, hard)
     ci = model_to_input(v.model, inst, SCHEMA, env, "m", "h")
     assert all(rows == () for rows in ci.tables.values())
 
     # force a roles row with a null note
     pool, inst, env = fresh_context(constraints=[])
-    row = inst.tables["roles"].rows[0]
+    row = inst.tables["roles"][0]
     hard = [bvar(row.presence), bvar(row.nulls[3])]
     v = check(pool, hard)
     ci = model_to_input(v.model, inst, SCHEMA, env, "m", "h")
@@ -228,7 +229,7 @@ def test_encoding_agrees_with_evaluator_on_random_queries():
     for _ in range(120):
         nf = _random_nf(rng)
         pool, inst, env = fresh_context()
-        enc = encode_query(nf, (), inst, SCHEMA, env, pool, "q1")
+        enc = encode_query(nf, (), inst, SCHEMA, env, pool)
         want_nonempty = rng.random() < 0.7
         path = enc.non_empty if want_nonempty else lnot(enc.non_empty)
         verdict = check(pool, [path, enc.at_most_one])
@@ -265,16 +266,15 @@ def test_left_join_encoding_agrees_with_evaluator():
     for trial in range(60):
         pool = VarPool()
         inst, formulas = encode_instance(schema, cons, 2, pool, RANGE)
-        env = SymEnv()
-        env.params["MyUserId"] = pool.new_int("MyUserId", *RANGE)
-        enc = encode_query(exe, (SessionParam("MyUserId"),), inst, schema, env, pool, "q1")
+        env = SymEnv({name: pool.new_int(*RANGE) for name in ("MyUserId", "Now")})
+        enc = encode_query(exe, (SessionParam("MyUserId"),), inst, schema, env, pool)
         want = rng.random() < 0.75
         path = enc.non_empty if want else lnot(enc.non_empty)
         extra = []
         if rng.random() < 0.5:
             from polex.fdsolver import bvar
 
-            extra.append(bvar(inst.tables["b"].rows[0].presence))
+            extra.append(bvar(inst.tables["b"][0].presence))
         verdict = check(pool, formulas + extra + [path, enc.at_most_one])
         if verdict.status != "sat":
             continue
@@ -300,7 +300,7 @@ def test_left_join_encoding_agrees_with_evaluator():
 def test_count_query_never_empty():
     exe = to_executable(parse_sql("SELECT COUNT(*) FROM courses"), SCHEMA)
     pool, inst, env = fresh_context()
-    enc = encode_query(exe, (), inst, SCHEMA, env, pool, "q1")
+    enc = encode_query(exe, (), inst, SCHEMA, env, pool)
     assert check(pool, [lnot(enc.non_empty)]).status == "unsat"
 
 
@@ -312,8 +312,8 @@ def _own_formulas(rng, insts, env, pool):
     """A seeded check's own formulas: one random query per instance, each
     asserted empty or non-empty and at most one row."""
     own = []
-    for i, inst in enumerate(insts):
-        enc = encode_query(_random_nf(rng), (), inst, SCHEMA, env, pool, f"q{i}")
+    for inst in insts:
+        enc = encode_query(_random_nf(rng), (), inst, SCHEMA, env, pool)
         own += [enc.non_empty if rng.random() < 0.7 else lnot(enc.non_empty), enc.at_most_one]
     return own
 
@@ -322,13 +322,13 @@ def test_forked_checks_agree_with_a_fresh_full_compile():
     rng = random.Random(909)
     statuses = []
     for bound in (1, 2, 3):
-        for prefixes in (("",), ("A.", "B.")):
+        for copies in (1, 2):
             for _ in range(6):
-                pool, insts, env = bounded(SCHEMA, CONSTRAINTS, bound, RANGE, prefixes=prefixes)
+                pool, insts, env = bounded(SCHEMA, CONSTRAINTS, bound, RANGE, copies=copies)
                 own = _own_formulas(rng, insts, env, pool)
                 shared = pool.base.formulas
-                assert len(shared) == len(prefixes) * (len(CONSTRAINTS) + (bound > 1) * len(SCHEMA.tables))
-                fresh = check(VarPool(pool.names[:], pool.kinds[:], pool.domains[:]), shared + own, None)
+                assert len(shared) == copies * (len(CONSTRAINTS) + (bound > 1) * len(SCHEMA.tables))
+                fresh = check(VarPool(pool.domains[:]), shared + own, None)
                 forked = check(pool, own, None)
                 assert forked.status == fresh.status
                 statuses.append(forked.status)
@@ -356,7 +356,7 @@ def test_checks_on_one_context_leave_its_base_untouched():
 
     def run(nf, empty):
         pool, (inst,), env = bounded(SCHEMA, CONSTRAINTS, 2, RANGE)
-        enc = encode_query(nf, (), inst, SCHEMA, env, pool, "q1")
+        enc = encode_query(nf, (), inst, SCHEMA, env, pool)
         return pool.base, check(pool, [lnot(enc.non_empty) if empty else enc.non_empty])
 
     base = bounded(SCHEMA, CONSTRAINTS, 2, RANGE)[0].base
@@ -400,9 +400,12 @@ def test_explore_encodes_each_context_once(monkeypatch):
         pools.append(pool)
         return backend_check(self, pool, formulas, timeout_s)
 
+    def ints(domains):
+        return sum(d is not None for d in domains)
+
     def counting_init(self, pool):
         compiler_init(self, pool)
-        calls["ladders"] += len(self.order) - len((pool.base or fdsolver._NO_BASE).order)
+        calls["ladders"] += ints(pool.domains[len((pool.base or fdsolver._NO_BASE).first):])
 
     backend_check, compiler_init = fdsolver.CdclBackend.check, fdsolver.Compiler.__init__
     monkeypatch.setattr(solver, "encode_instance", counted("encode_instance", solver.encode_instance))
@@ -416,8 +419,8 @@ def test_explore_encodes_each_context_once(monkeypatch):
     # One ladder per int symbol of each base, plus one per int symbol each
     # check adds past it (request parameters, a COUNT's value; other query
     # results add none).
-    past_base = sum(p.kinds.count("int") - len(p.base.order) for p in pools)
-    assert calls["ladders"] == sum(len(b.order) for b in bases) + past_base
+    past_base = sum(ints(p.domains[len(p.base.first):]) for p in pools)
+    assert calls["ladders"] == sum(ints(b.pool.domains) for b in bases) + past_base
 
 
 def test_model_check_covers_the_base_formulas(monkeypatch):
@@ -458,11 +461,11 @@ def test_ask_goes_on_to_the_full_bound_unless_bound_1_is_sat(bound, at_1, asked,
 def test_ask_reads_the_model_through_the_context_it_was_found_in():
     def some_course(pool, instances, env):
         (inst,) = instances
-        return [bvar(inst.tables["courses"].rows[0].presence)]
+        return [bvar(inst.tables["courses"][0].presence)]
 
     def two_courses(pool, instances, env):
         (inst,) = instances
-        rows = inst.tables["courses"].rows
+        rows = inst.tables["courses"]
         return [lor(*[land(bvar(a.presence), bvar(b.presence)) for a, b in itertools.combinations(rows, 2)])]
 
     for encode, bound, rows in ((some_course, 1, 1), (two_courses, 3, 2)):

@@ -17,7 +17,10 @@ machine's speed.  The runs:
   range 0:15 instead of 0:7 (the `-r15` runs);
 - the `ranges` corpus at bound 2 and value range 0:15: its handlers filter
   with `<>`, `<`, `<=`, `>` and `>=`, between two columns and against
-  constants above 7, so its inputs hold values a 0:7 run cannot.
+  constants above 7, so its inputs hold values a 0:7 run cannot;
+- toys at bound 2 with `DOMAIN` added, which interns three category
+  names (ids 0-2): the one run whose constraints hold a literal relation
+  with more than the empty `nonnull` one.
 
 A digest covers the transcript lines, the generated inputs, the prefix-tree
 counts, the warnings and reports, the per-handler views with their witness
@@ -38,6 +41,7 @@ from polex.transcript import record_line
 
 ROOT = Path(__file__).resolve().parent.parent
 VALUE_RANGE = (0, 7)
+DOMAIN = "domain items.category in {'red', 'green', 'blue'}"
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 import synth  # noqa: E402  (the synth-front corpus generator)
@@ -55,9 +59,11 @@ class Digest:
         return self._h.hexdigest()
 
 
-def _load(schema_text: str):
+def _load(schema_text: str, extra: str = ""):
+    """The schema's generated constraints, then the constraint lines `extra`."""
     s = schema.parse_schema(schema_text)
-    return s, constraints.expand_all(constraints.generate_constraints(s), s)
+    items = constraints.generate_constraints(s) + constraints.parse_constraint_file(extra, s, schema.Interner())
+    return s, constraints.expand_all(items, s)
 
 
 def _handler_views(d: Digest, program, s, cons, bound: int, value_range: tuple[int, int]):
@@ -83,11 +89,12 @@ def _handler_views(d: Digest, program, s, cons, bound: int, value_range: tuple[i
     return views
 
 
-def pipeline(corpus: str, bound: int, value_range: tuple[int, int] = VALUE_RANGE) -> str:
-    """Per-handler explore, policy-gen and prune, then merge-prune."""
+def pipeline(corpus: str, bound: int, value_range: tuple[int, int] = VALUE_RANGE, extra: str = "") -> str:
+    """Per-handler explore, policy-gen and prune, then merge-prune, with the
+    constraint lines `extra` added."""
     d = Digest()
     root = ROOT / "corpus" / corpus
-    s, cons = _load((root / "schema.txt").read_text(encoding="utf-8"))
+    s, cons = _load((root / "schema.txt").read_text(encoding="utf-8"), extra)
     policies = []
     for path in sorted((root / "handlers").glob("*.hdl")):
         for program in dsl.parse_handlers(path.read_text(encoding="utf-8")):
@@ -141,6 +148,7 @@ RUNS = [
     ("toys-b3-r15", lambda: pipeline("toys", 3, (0, 15))),
     ("synth-s1-b2-r15", lambda: synth_front(1, value_range=(0, 15))),
     ("ranges-b2-r15", lambda: pipeline("ranges", 2, (0, 15))),
+    ("toys-b2-domain", lambda: pipeline("toys", 2, extra=DOMAIN)),
 ]
 
 

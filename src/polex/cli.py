@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .constraints import generate_constraints, render_constraint_file
+from .constraints import RangeError, check_range, generate_constraints, render_constraint_file
 from .explorer import ExplorationConfig, explore
 from .interpreter import ExecutionError, MultiRowResult, execute
 from .lexutil import SourceError
@@ -39,7 +39,7 @@ class CliError(Exception):
 
 
 # A malformed or missing input, or an unwritable output path: exit 2.
-INPUT_ERRORS = (CliError, RunDirError, SchemaError, SourceError, NormalizeError, ExecutionError, OSError)
+INPUT_ERRORS = (CliError, RunDirError, SchemaError, SourceError, NormalizeError, ExecutionError, RangeError, OSError)
 
 
 def _arg_type(parse, valid, expected: str):
@@ -62,17 +62,13 @@ _positive_int = _arg_type(int, lambda n: n >= 1, "an integer >= 1")
 _positive_float = _arg_type(float, lambda x: x > 0, "a number > 0")
 
 
-def _config_from_args(args) -> ExplorationConfig:
-    return ExplorationConfig(
-        table_bound=args.bound,
-        value_range=args.value_range,
-        solver_timeout=args.timeout,
-        max_paths=args.max_paths,
-    )
-
-
-def _policy_settings(args) -> dict:
-    return {"bound": args.bound, "value_range": args.value_range, "timeout": args.timeout}
+def _load(run: RunDirectory, args, program=None):
+    """The run's schema and constraints, their constants and `program`'s
+    literals checked against `--value-range`."""
+    schema = run.load_schema()
+    constraints = run.load_constraints(schema)
+    check_range(schema, constraints, args.value_range, program)
+    return schema, constraints
 
 
 def _load_handler(run: RunDirectory, name: str):
@@ -100,10 +96,9 @@ def cmd_constraints_gen(args) -> int:
 
 def cmd_explore(args) -> int:
     run = RunDirectory(args.rundir)
-    schema = run.load_schema()
-    constraints = run.load_constraints(schema)
     program, _path = _load_handler(run, args.handler)
-    config = _config_from_args(args)
+    schema, constraints = _load(run, args, program)
+    config = ExplorationConfig(args.bound, args.value_range, args.timeout, args.max_paths)
     result = explore(program, schema, constraints, config)
     meta = {"config": config.to_json()}
     for t in result.transcripts:
@@ -126,31 +121,22 @@ def cmd_explore(args) -> int:
 
 def cmd_policy_gen(args) -> int:
     run = RunDirectory(args.rundir)
-    settings = _policy_settings(args)
-    schema = run.load_schema()
-    constraints = run.load_constraints(schema)
+    program, _ = _load_handler(run, args.handler)
+    schema, constraints = _load(run, args, program)
     ids = run.transcript_ids(args.handler)
     if not ids:
         raise CliError(f"no transcripts for handler {args.handler!r}; run explore first")
     transcripts = [run.read_transcript(i)[1] for i in ids]
-    program, _ = _load_handler(run, args.handler)
     try:
         cqs = to_conditioned_queries(transcripts, schema)
-        simplified = simplify(
-            cqs,
-            schema,
-            constraints,
-            dict(program.request_params),
-            table_bound=settings["bound"],
-            value_range=settings["value_range"],
-            timeout_s=settings["timeout"],
-        )
+        simplified = simplify(cqs, schema, constraints, dict(program.request_params),
+                              table_bound=args.bound, value_range=args.value_range, timeout_s=args.timeout)
         views = views_from_cqs(simplified, schema)
     except (ViewGenError, NormalizeError) as e:
         print(f"policy generation refused: {e}", file=sys.stderr)
         return REFUSED
-    policy = Policy(views, settings["bound"], settings["value_range"])
-    pruned, _removed = prune(policy, constraints, schema, settings["timeout"])
+    policy = Policy(views, args.bound, args.value_range)
+    pruned, _removed = prune(policy, constraints, schema, args.timeout)
     path = run.write_policy(args.handler, pruned.views, schema)
     print(
         f"{args.handler}: paths={len(transcripts)} "
@@ -170,14 +156,12 @@ def cmd_policy_gen(args) -> int:
 
 def cmd_policy_merge_prune(args) -> int:
     run = RunDirectory(args.rundir)
-    settings = _policy_settings(args)
-    schema = run.load_schema()
-    constraints = run.load_constraints(schema)
+    schema, constraints = _load(run, args)
     policies = []
     for name in args.handlers:
         views = load_policy_file(run.policy_path(name), schema)
-        policies.append(Policy(views, settings["bound"], settings["value_range"]))
-    merged, removed = merge_and_prune(policies, constraints, schema, settings["timeout"])
+        policies.append(Policy(views, args.bound, args.value_range))
+    merged, removed = merge_and_prune(policies, constraints, schema, args.timeout)
     run.policies_dir.mkdir(parents=True, exist_ok=True)
     out = Path(args.output) if args.output else run.policies_dir / "final.sql"
     out.write_text(render_policy(merged.views, schema), encoding="utf-8")
@@ -189,13 +173,11 @@ def cmd_policy_merge_prune(args) -> int:
 
 def cmd_broaden(args) -> int:
     run = RunDirectory(args.rundir)
-    settings = _policy_settings(args)
-    schema = run.load_schema()
-    constraints = run.load_constraints(schema)
+    schema, constraints = _load(run, args)
     base_views = load_policy_file(args.policy, schema)
     user_views = load_policy_file(args.added, schema)
-    policy = Policy(base_views, settings["bound"], settings["value_range"])
-    broadened, report = broaden(policy, user_views, constraints, schema, settings["timeout"])
+    policy = Policy(base_views, args.bound, args.value_range)
+    broadened, report = broaden(policy, user_views, constraints, schema, args.timeout)
     out = Path(args.output) if args.output else Path(args.policy).with_suffix(".broadened.sql")
     out.write_text(render_policy(broadened.views, schema), encoding="utf-8")
     run.reports_dir.mkdir(parents=True, exist_ok=True)
@@ -239,8 +221,7 @@ def cmd_replay(args) -> int:
 
 def cmd_is_allowed(args) -> int:
     run = RunDirectory(args.rundir)
-    schema = run.load_schema()
-    constraints = run.load_constraints(schema)
+    schema, constraints = _load(run, args)
     views = load_policy_file(args.policy, schema)
     q = session_view(args.query, schema)
     verdict = is_allowed(

@@ -23,11 +23,12 @@ from typing import Union
 from .evaluate import eval_nf
 from .instance import ConcreteInput
 from .lexutil import SourceError, TokenStream, tokenize, unquote
-from .normal import NormalFormQuery, to_normal_form
+from .normal import NormalFormQuery, column_of_ordinal, to_normal_form
 from .schema import Interner, Schema, SchemaError
 from .sqlparser import parse_sql
 from .terms import (
     Col,
+    IntLit,
     IsNull,
     Not,
     PlaceholderRef,
@@ -40,6 +41,10 @@ from .terms import (
 
 class ConstraintError(Exception):
     pass
+
+
+class RangeError(ValueError):
+    """A constant that no symbol of its column can take."""
 
 
 @dataclass(frozen=True)
@@ -293,6 +298,34 @@ def parse_constraint_file(text: str, schema: Schema, interner: Interner) -> list
     quoted values, and a line of only a comment or blanks holds no item."""
     return [parse_constraint_line(line, schema, interner)
             for line in text.splitlines() if tokenize(line)[0].kind != "eof"]
+
+
+# ---------------------------------------------------------------------------
+# Value domains
+
+
+def column_domain(value_range: tuple[int, int], col_type: str) -> tuple[int, int]:
+    if col_type == "bool":
+        return (0, 1)
+    return value_range
+
+
+def check_range(schema: Schema, constraints: list[Constraint], value_range: tuple[int, int], program=None) -> None:
+    """Raise RangeError for a literal of `program` outside `value_range`, or
+    a constraint constant outside its column's domain (the range for the
+    constants of a `contain` filter): a row never takes such a value, so
+    the paths that need one would drop silently."""
+    found = [(v, value_range, f"handler {program.name}") for v in sorted(program.literals)] if program else []
+    for c in constraints:
+        if isinstance(c, Containment):
+            where = f"constraint {c.label!r}"
+            found += [(t.value, value_range, where) for nf in (c.left, c.right) if isinstance(nf, NormalFormQuery)
+                      for t in iter_terms(nf.filter) if isinstance(t, IntLit)]
+            found += [(v, column_domain(value_range, column_of_ordinal(schema, c.left.sources, j)[1].type), where)
+                      for row in getattr(c.right, "rows", ()) for v, j in zip(row, c.left.projection) if v is not None]
+    for v, (lo, hi), where in found:
+        if not lo <= v <= hi:
+            raise RangeError(f"value {v} in {where} lies outside the value range {lo}:{hi}")
 
 
 # ---------------------------------------------------------------------------

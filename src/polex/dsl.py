@@ -150,9 +150,6 @@ class HandlerProgram:
     body: tuple[Stmt, ...]
     literals: frozenset[int]  # int literals appearing in the source
 
-    def param_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.request_params)
-
 
 # ---------------------------------------------------------------------------
 # Parser

@@ -18,7 +18,8 @@ when it is solved, a repaired input too, so the visited set and all
 emitted ids reproduce.
 
 Every pending prefix is one `solver.ask`: sat gives the next input,
-unsat marks the prefix infeasible, and a timeout marks it abandoned.
+already checked against the constraints, unsat marks the prefix
+infeasible, and a timeout marks it abandoned.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 
-from .constraints import Constraint, validate_instance
+from .constraints import Constraint, check_range
 from .dsl import HandlerProgram
 from .evaluate import ScalarEnv, eval_branch, eval_executable
 from .fdsolver import lnot
@@ -34,7 +35,7 @@ from .instance import ConcreteInput
 from .interpreter import MultiRowResult, QueryCatalog, execute, validate_program
 from .normal import CountQuery, LeftJoinQuery, PlainQuery
 from .schema import Schema
-from .solver import ask, encode_pred, encode_query, model_to_input
+from .solver import ask, encode_pred, encode_query
 from .terms import IntLit, iter_terms
 from .transcript import BranchRecord, QueryRecord, Transcript, TranscriptRecord
 
@@ -151,6 +152,7 @@ class Explorer:
     def __init__(self, program: HandlerProgram, schema: Schema,
                  constraints: list[Constraint], config: ExplorationConfig):
         validate_program(program, schema)
+        check_range(schema, constraints, config.value_range, program)
         self.program = program
         self.schema = schema
         self.constraints = constraints
@@ -175,7 +177,7 @@ class Explorer:
         steps = [(r, True) for r in records]
         steps += [(QueryRecord(i, sql, params, False), False) for i, sql, params in extra_amo]
 
-        def encode(pool, instances, env) -> list[tuple]:
+        def encode(instances, env) -> list[tuple]:
             (inst,) = instances
             formulas: dict = {}  # by record: a record asserted twice counts once
             for r, on_path in steps:
@@ -183,7 +185,7 @@ class Explorer:
                     f = encode_pred(r.cond, {}, env)
                     formulas.setdefault(r, f if r.outcome else lnot(f))
                     continue
-                enc = encode_query(self.catalog.executable(r.sql), r.params, inst, self.schema, env, pool)
+                enc = encode_query(self.catalog.executable(r.sql), r.params, inst, self.schema, env)
                 if on_path:  # a path condition, not only a restriction
                     formulas.setdefault(r, lnot(enc.non_empty) if r.is_empty else enc.non_empty)
                     if not r.is_empty:
@@ -191,26 +193,19 @@ class Explorer:
                 formulas.setdefault(("amo", replace(r, is_empty=False)), enc.at_most_one)
             return list(formulas.values())
 
-        verdict, (inst,), env = ask(
+        status, inputs = ask(
             self.schema, self.constraints, cfg.table_bound, cfg.value_range, encode,
             self.program.request_params, timeout_s=cfg.solver_timeout,
         )
-        if verdict.status == "unknown":
+        if status == "unknown":
             return ABANDONED, None
-        if verdict.status == "unsat":
+        if status == "unsat":
             if not records and not extra_amo:
                 raise RuntimeError("database constraints alone are unsatisfiable")
             return INFEASIBLE, None
         self.input_seq += 1
         input_id = f"{self.program.name}-{self.input_seq:04d}"
-        ci = model_to_input(
-            verdict.model, inst, self.schema, env,
-            input_id, self.program.name, self.program.param_names(),
-        )
-        ok, viol = validate_instance(ci, self.constraints, self.schema)
-        if not ok:
-            raise RuntimeError(f"generated input violates constraints: {viol}")
-        return "sat", ci
+        return "sat", replace(inputs[0], input_id=input_id, handler=self.program.name)
 
     # -- execution with multi-row repair ------------------------------------
 

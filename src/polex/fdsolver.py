@@ -612,13 +612,13 @@ class _Cdcl:
                 raise _Timeout()
 
     def decide_var(self) -> int | None:
+        """Invariant: each unassigned decision variable has a heap entry
+        with its current activity (`cancel_until` pushes what it unassigns,
+        `bump` pushes unassigned variables and a rescale rebuilds)."""
         heap = self.heap
         while heap:
             act, v = _heappop(heap)
             if self.lval[2 * v] is None and -act == self.activity[v]:
-                return v
-        for v in self.decision:  # heap may be stale after rescaling
-            if self.lval[2 * v] is None:
                 return v
         return None
 

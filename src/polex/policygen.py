@@ -293,7 +293,7 @@ class Simplifier:
     def _countermodel(self, params, conditions, k: int) -> str:
         """Solver status of `conditions[:k]` holding and `conditions[k]` not."""
 
-        def encode(pool, instances, env) -> list:
+        def encode(instances, env) -> list:
             (inst,) = instances
             formulas: list = []
             for j, rec in enumerate(conditions[: k + 1]):
@@ -301,14 +301,14 @@ class Simplifier:
                     f = encode_pred(rec.pred, {}, env)
                     f = f if rec.outcome else lnot(f)
                 else:
-                    enc = encode_query(rec.nf, rec.params, inst, self.schema, env, pool)
+                    enc = encode_query(rec.nf, rec.params, inst, self.schema, env)
                     env.rows[rec.index] = enc.result
                     f = land(enc.non_empty, enc.at_most_one) if j < k else enc.non_empty
                 formulas.append(f if j < k else lnot(f))
             return formulas
 
         return ask(self.schema, self.constraints, self.table_bound, self.value_range, encode,
-                   params, timeout_s=self.timeout_s)[0].status
+                   params, timeout_s=self.timeout_s)[0]
 
     def _remove_vacuous_branches(self, cq: ConditionedQuery) -> ConditionedQuery:
         kept = tuple(

@@ -18,7 +18,8 @@ alone.  Two paths decide this:
     finite bound: search for two constraint-satisfying instances (within
     the table bound and value range) that share session-parameter values
     and agree on every view's result set yet disagree on the query.  No
-    such pair means Allowed (at this bound); a found pair is verified by
+    such pair means Allowed (at this bound); a found pair (each instance
+    checked against the constraints by `solver.ask`) is verified by
     brute-force evaluation before it is reported.  The search is one
     `solver.ask`, so a reported pair has at most one row per table
     whenever such a pair exists (and the bound-1 search ends in time).
@@ -31,16 +32,16 @@ answerable from the rest; Unknown verdicts never remove a view.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .constraints import Constraint, Containment, Unique, validate_instance
+from .constraints import Constraint, Containment, Unique
 from .evaluate import ScalarEnv, eval_nf
 from .fdsolver import land, lnot, lor
 from .instance import ConcreteInput
 from .normal import NormalFormQuery, source_ranges
 from .policygen import View
 from .schema import Schema
-from .solver import ask, matches, model_to_input, result_pairs
+from .solver import ask, matches, result_pairs
 from .terms import (
     SESSION_PARAMS,
     BoolLit,
@@ -302,30 +303,25 @@ def _is_allowed_by_solver(
 ) -> ContainmentVerdict:
     """Bounded two-instance determinacy check of `q` against `views`."""
 
-    def encode(pool, instances, env) -> list:
+    def encode(instances, env) -> list:
         inst_a, inst_b = instances
         formulas = [_set_eq(result_pairs(v, inst_a, env), result_pairs(v, inst_b, env)) for v in views]
         formulas.append(_set_neq(result_pairs(q, inst_a, env), result_pairs(q, inst_b, env)))
         return formulas
 
-    verdict, (inst_a, inst_b), env = ask(schema, constraints, bound, value_range, encode, copies=2, timeout_s=timeout_s)
-    if verdict.status == "unknown":
+    status, inputs = ask(schema, constraints, bound, value_range, encode, copies=2, timeout_s=timeout_s)
+    if status == "unknown":
         return ContainmentVerdict(UNKNOWN)
-    if verdict.status == "unsat":
+    if status == "unsat":
         return ContainmentVerdict(ALLOWED)
-    model = verdict.model
-    ca = model_to_input(model, inst_a, schema, env, "counterexample-a", "")
-    cb = model_to_input(model, inst_b, schema, env, "counterexample-b", "")
-    _verify_counterexample(q, views, constraints, schema, ca, cb)
+    ca, cb = (replace(ci, input_id=f"counterexample-{side}") for ci, side in zip(inputs, "ab"))
+    _verify_counterexample(q, views, schema, ca, cb)
     return ContainmentVerdict(NOT_ALLOWED, (ca, cb))
 
 
-def _verify_counterexample(q, views, constraints, schema, ca, cb) -> None:
-    """A NotAllowed verdict must hold under brute-force evaluation."""
-    for ci in (ca, cb):
-        ok, viol = validate_instance(ci, constraints, schema)
-        if not ok:
-            raise PrunerError(f"counterexample violates constraints: {viol}")
+def _verify_counterexample(q, views, schema, ca, cb) -> None:
+    """A NotAllowed verdict must hold under brute-force evaluation; `ask`
+    has checked both instances against the constraints."""
     if ca.session != cb.session:
         raise PrunerError("counterexample instances disagree on session parameters")
     env_a = ScalarEnv(session=dict(ca.session))

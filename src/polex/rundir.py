@@ -22,7 +22,7 @@ from pathlib import Path
 from .constraints import Constraint, ConstraintError, expand_all, parse_constraint_file
 from .dsl import HandlerProgram, parse_handlers
 from .instance import ConcreteInput
-from .lexutil import SourceError
+from .lexutil import SourceError, tokenize
 from .normal import NormalizeError, session_view
 from .policygen import View
 from .schema import Interner, Schema, SchemaError, load_schema
@@ -181,9 +181,10 @@ _HEADER_RE = re.compile(r"--\s*view\s+\d+(?:\s+handler=(?P<handler>\S+))?(?:\s+w
 
 
 def parse_policy_text(text: str, schema: Schema) -> list[View]:
-    """Parse a policy file: `;`-terminated view statements with optional
-    `-- view k handler=... witness=...` headers.  Each view must pass
-    `session_view`, which raises NormalizeError otherwise."""
+    """Parse a policy file: `;`-terminated view statements (a comment may
+    follow the `;`) with optional `-- view k handler=... witness=...`
+    headers.  Each view must pass `session_view`, which raises
+    NormalizeError otherwise."""
     views: list[View] = []
     handler = witness = ""
     statement_lines: list[str] = []
@@ -204,10 +205,14 @@ def parse_policy_text(text: str, schema: Schema) -> list[View]:
             handler = m.group("handler") or ""
             witness = m.group("witness") or ""
             continue
-        if line.strip().startswith("--") or not line.strip():
+        stripped = line.strip()
+        if stripped.startswith("--") or not stripped:
             continue
-        if line.strip().endswith(";"):
-            statement_lines.append(line.strip()[:-1])
+        if ";" in stripped and not stripped.endswith(";"):
+            last = tokenize(stripped)[-2]  # the tokenizer skips comments outside quotes
+            stripped = stripped[: last.col] if last.text == ";" else stripped
+        if stripped.endswith(";"):
+            statement_lines.append(stripped[:-1])
             flush()
         else:
             statement_lines.append(line)

@@ -19,9 +19,9 @@ of the guard and the predicate on that combination's term.  So a filter
 on a fetched foreign key and the foreign-key containment itself compare
 the same two row symbols, and the solver sees they are one fact.
 
-Every stage asks the solver through `ask`, with one row per table first:
-a bound-1 model is a full-bound model with the other rows absent, and
-unsat or Unknown at bound 1 leaves the answer to the full bound.
+Every stage asks the solver through `ask`, bound 1 first (a bound-1 model
+is a full-bound model with the other rows absent), and a sat answer comes
+back as one input per instance, checked against the constraints.
 """
 
 from __future__ import annotations
@@ -30,13 +30,13 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .constraints import Constraint, Containment, LiteralRelation, Unique
+from .constraints import Constraint, Containment, LiteralRelation, Unique, check_range, column_domain, validate_instance
 from .fdsolver import (
     FALSE_F,
     TRUE_F,
     CdclBackend,
-    CheckResult,
     Compiler,
+    InternalSolverError,
     VarPool,
     bvar,
     const,
@@ -128,12 +128,6 @@ class SymEnv:
         raise EncodeError(f"cannot encode scalar {s!r}")
 
 
-def _col_domain(value_range: tuple[int, int], col_type: str) -> tuple[int, int]:
-    if col_type == "bool":
-        return (0, 1)
-    return value_range
-
-
 def encode_instance(
     schema: Schema,
     constraints: list[Constraint],
@@ -154,7 +148,7 @@ def encode_instance(
             values = []
             nulls: list[int | None] = []
             for c in t.columns:
-                lo, hi = _col_domain(value_range, c.type)
+                lo, hi = column_domain(value_range, c.type)
                 values.append(pool.new_int(lo, hi))
                 nulls.append(pool.new_bool() if c.nullable else None)
             rows.append(SymRow(p, tuple(values), tuple(nulls)))
@@ -179,7 +173,9 @@ def encode_instance(
 def _shared(schema, constraints, bound, value_range, copies):
     """The compiled part of every check on one bounded context: `copies`
     instances, then the session-parameter symbols, with every instance's
-    `encode_instance` formulas in instance order."""
+    `encode_instance` formulas in instance order.  A constraint constant
+    outside its column's domain raises RangeError."""
+    check_range(schema, constraints, value_range)
     pool = VarPool()
     instances, formulas = [], []
     for _ in range(copies):
@@ -213,7 +209,7 @@ def bounded(
     env = SymEnv(dict(session))
     for name, ptype in params:
         if name not in env.params:
-            env.params[name] = pool.new_int(*_col_domain(value_range, ptype))
+            env.params[name] = pool.new_int(*column_domain(value_range, ptype))
     return pool, instances, env
 
 
@@ -325,9 +321,8 @@ def encode_query(
     inst: SymInstance,
     schema: Schema,
     env: SymEnv,
-    pool: VarPool,
 ) -> QueryEncoding:
-    """Encode one query occurrence; a COUNT's value symbol joins `pool`.
+    """Encode one query occurrence.
 
     `q` is an ExecutableQuery or a bare NormalFormQuery; placeholder
     scalars are taken from `params`.  The result reads as the matched
@@ -348,10 +343,9 @@ def encode_query(
     elif isinstance(q, LeftJoinQuery):
         pairs = _leftjoin_pairs(q, inst, schema, penv)
     elif isinstance(q, CountQuery):
-        # A count always returns exactly one row; its value is never
-        # referenced (the DSL forbids it), so the symbol is unconstrained.
-        v = pool.new_int(0, max(inst.bound, 1))
-        return QueryEncoding(TRUE_F, TRUE_F, (((TRUE_F, ivar(v), FALSE_F),),))
+        # A count always returns exactly one row; the DSL forbids reading
+        # its value, so it has no result column.
+        return QueryEncoding(TRUE_F, TRUE_F, ())
     else:
         raise EncodeError(f"cannot encode query {q!r}")
 
@@ -401,37 +395,28 @@ def encode_constraint(c: Constraint, inst: SymInstance, schema: Schema):
 # Solving and model extraction
 
 
-def check(pool: VarPool, formulas: list[tuple], timeout_s: float | None = 5.0) -> CheckResult:
-    """Decide the conjunction of the pool's base formulas and `formulas` in
-    one CDCL search, compiling `formulas` after the base in list order:
-    Sat models are verified against every formula, timeouts surface as
-    Unknown."""
-    return CdclBackend().check(pool, formulas, timeout_s=timeout_s)
-
-
 def ask(schema: Schema, constraints: list[Constraint], bound: int, value_range: tuple[int, int], encode,
-        params=(), copies: int = 1, timeout_s: float | None = 5.0) -> tuple[CheckResult, tuple, SymEnv]:
-    """Decide the formulas `encode(pool, instances, env)` builds over the
+        params=(), copies: int = 1, timeout_s: float | None = 5.0) -> tuple[str, tuple[ConcreteInput, ...]]:
+    """Decide the formulas `encode(instances, env)` builds over the
     `bounded` context, at bound 1 and then, unless that is sat, at
-    `bound`.  Returns the last check's result with the instances and
-    environment its model is read through."""
+    `bound`.  Returns the last check's status and, when it is sat, one
+    input per instance, its request holding `params`.  An input that
+    breaks a constraint raises InternalSolverError."""
     for b in dict.fromkeys((1, bound)):
         pool, instances, env = bounded(schema, constraints, b, value_range, params, copies)
-        verdict = check(pool, encode(pool, instances, env), timeout_s)
-        if verdict.status == "sat":
-            break
-    return verdict, instances, env
+        verdict = CdclBackend().check(pool, encode(instances, env), timeout_s)
+        if verdict.status != "sat":
+            continue
+        inputs = tuple(model_to_input(verdict.model, inst, schema, env, [n for n, _ in params]) for inst in instances)
+        for ci in inputs:
+            ok, viol = validate_instance(ci, constraints, schema)
+            if not ok:
+                raise InternalSolverError(f"model breaks a constraint: {viol}")
+        return "sat", inputs
+    return verdict.status, ()
 
 
-def model_to_input(
-    model: dict,
-    inst: SymInstance,
-    schema: Schema,
-    env: SymEnv,
-    input_id: str = "",
-    handler: str = "",
-    request_params: tuple[str, ...] = (),
-) -> ConcreteInput:
+def model_to_input(model: dict, inst: SymInstance, schema: Schema, env: SymEnv, request_params=()) -> ConcreteInput:
     """Materialize present rows and parameter values from a Sat model."""
     tables = {}
     for t in schema.tables:
@@ -449,4 +434,4 @@ def model_to_input(
         tables[t.name] = tuple(rows)
     session = {name: model[env.params[name]] for name in SESSION_PARAMS}
     request = {name: model[env.params[name]] for name in request_params}
-    return ConcreteInput(input_id, handler, tables, session, request)
+    return ConcreteInput("", "", tables, session, request)

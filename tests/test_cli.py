@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from polex.cli import main
+from polex.rundir import parse_policy_text
+from polex.schema import load_schema
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -85,6 +87,50 @@ def test_out_of_range_numbers_exit_2(tmp_path, capsys, argv):
     # The message says what the argument takes, never which function parsed it.
     assert f"error: argument {argv[3]}: expected " in err and f"got {argv[4]!r}" in err
     assert "Traceback" not in err
+
+
+HIGH_CATEGORY = """
+handler high_category(ItemId: int) {
+  let item = query("SELECT * FROM items WHERE id = ? AND category = 12", ItemId);
+  render(item);
+}
+"""
+NINE_CATEGORIES = "domain items.category in {" + ", ".join(f"'c{i}'" for i in range(9)) + "}"
+
+
+@pytest.mark.parametrize("case, handler, where", [
+    ("literal", "high_category", "value 12 in handler high_category"),
+    ("fixed", "show_item", "value 9 in constraint 'domain items.category in {9}'"),
+    ("interned", "show_item", "value 8 in constraint 'domain items.category in {0, 1, 2, 3, 4, 5, 6, 7, 8}'"),
+], ids=["literal", "fixed", "interned"])
+def test_a_constant_outside_the_value_range_exits_2_and_runs_at_0_15(tmp_path, capsys, case, handler, where):
+    run = make_run(tmp_path, "toys")
+    (run / "handlers" / "high_category.hdl").write_text(HIGH_CATEGORY)
+    with (run / "constraints.txt").open("a") as f:
+        f.write({"literal": "", "fixed": "fixed items.category = 9\n", "interned": NINE_CATEGORIES + "\n"}[case])
+    (run / "policies").mkdir()
+    (run / "policies" / "p.sql").write_text("SELECT * FROM users;\n")
+    policy, r = str(run / "policies" / "p.sql"), str(run)
+    commands = [["explore", r, handler], ["policy-gen", r, handler]]
+    if case != "literal":
+        commands += [["policy-merge-prune", r, "p"], ["broaden", r, policy, policy],
+                     ["is-allowed", r, policy, "SELECT * FROM users"]]
+    capsys.readouterr()
+    for argv in commands:
+        assert main(argv + ["--value-range", "0:7"]) == 2, argv
+        assert capsys.readouterr().err == f"error: {where} lies outside the value range 0:7\n"
+    assert main(["explore", r, handler, "--value-range", "0:15"]) == 0
+    assert main(["policy-gen", r, handler, "--value-range", "0:15"]) == 0
+    paths = capsys.readouterr().out.split("paths=")[1].split()[0]
+    assert int(paths) == {"literal": 2, "fixed": 6, "interned": 6}[case]
+
+
+def test_a_comment_after_the_semicolon_ends_the_view():
+    schema = load_schema(CORPUS / "toys" / "schema.txt")
+    text = "-- view 1  handler=h\nSELECT * FROM users; -- note\nSELECT id\nFROM items;  # and ';'\n"
+    views = parse_policy_text(text, schema)
+    assert views == parse_policy_text("-- view 1  handler=h\nSELECT * FROM users;\nSELECT id FROM items;\n", schema)
+    assert [v.handler for v in views] == ["h", ""]
 
 
 def test_explore_path_budget_exits_3(tmp_path, capsys):

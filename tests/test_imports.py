@@ -121,3 +121,23 @@ def test_every_program_definition_is_used():
             if all(p == path and id(n) in own for p, n in mentions.get(name, [])):
                 unused.append(f"{path.relative_to(ROOT)}:{definition.lineno} {name}")
     assert not unused, f"defined but never used: {unused}"
+
+
+# The stages reach the solver through `ask` and the formula builders only.
+STAGE_IMPORTS = {
+    "solver": {"ask", "encode_pred", "encode_query", "result_pairs", "matches"},
+    "fdsolver": {"land", "lor", "lnot"},
+}
+
+
+@pytest.mark.parametrize("stage", ["explorer", "policygen", "pruner"])
+def test_stages_import_only_the_narrow_solver_interface(stage: str):
+    tree = ast.parse((ROOT / "src" / "polex" / f"{stage}.py").read_text())
+    extra = [
+        f"{node.module}.{a.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in STAGE_IMPORTS
+        for a in node.names
+        if a.name not in STAGE_IMPORTS[node.module]
+    ]
+    assert not extra, f"{stage} imports solver internals: {extra}"

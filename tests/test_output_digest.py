@@ -5,7 +5,9 @@ Toys prints the same bytes at bounds 2 to 5, where every solver-decided
 prune check ends at bound 1, and broaden at bounds 2 to 5.  Models take
 the lowest values their formulas allow, so the toys and `synth-front`
 runs at value range 0:15 print the same bytes as their 0:7 runs; the
-`ranges` corpus is the run whose inputs need values above 7.
+`ranges` corpus is the run whose inputs need values above 7.  For the
+same reason toys with item categories limited to three interned names
+prints the toys bytes: every input's category is 0, the id of 'red'.
 
 A change that alters any of these outputs (transcripts, generated inputs,
 policies, blame) on purpose must update the digest here and say why.
@@ -44,6 +46,7 @@ PINNED = {
     "toys-b3-r15": TOYS,
     "synth-s1-b2-r15": SYNTH_S1,
     "ranges-b2-r15": "eca6fbeadffb63b64e96e0475d90e67bf4f0a2bef9ae055c3620a912e97aac71",
+    "toys-b2-domain": TOYS,
 }
 
 

@@ -10,7 +10,7 @@ from polex.constraints import expand_all, generate_constraints
 from polex.dsl import parse_handler
 from polex.evaluate import ScalarEnv, eval_branch, eval_nf
 from polex.explorer import ExplorationConfig, explore
-from polex.fdsolver import CheckResult
+from polex.fdsolver import CdclBackend, CheckResult
 from polex.instance import ConcreteInput
 from polex.normal import to_normal_form
 from polex.policygen import (
@@ -27,7 +27,6 @@ from polex.policygen import (
     views_from_cqs,
 )
 from polex.schema import parse_schema
-from polex.solver import check
 from polex.sqlparser import parse_sql
 from polex.terms import (
     BoolCol,
@@ -378,12 +377,13 @@ handler two_after_branch(ItemId: int) {
         questions.append(tuple(conditions[: k + 1]))
         return entails(self, conditions, k)
 
-    def counting_check(*args):
+    def counting_check(self, *args):
         checks.append(args)
-        return check(*args)
+        return backend_check(self, *args)
 
+    backend_check = CdclBackend.check
     monkeypatch.setattr(Simplifier, "_entails", recording_entails)
-    monkeypatch.setattr(solver, "check", counting_check)
+    monkeypatch.setattr(CdclBackend, "check", counting_check)
     out = simplify(cqs, toys_schema, toys_constraints, params, timeout_s=None)
     assert len(checks) == len(set(questions)) < len(questions)
     assert out == expected
@@ -433,8 +433,9 @@ def test_unknown_at_bound_1_leaves_the_verdict_to_the_full_bound(grade_schema, g
         ),
     )
     bounds = _record_bounds(monkeypatch)
+    backend_check = CdclBackend.check
     monkeypatch.setattr(
-        solver, "check", lambda *args: CheckResult("unknown") if bounds[-1] == 1 else check(*args)
+        CdclBackend, "check", lambda *args: CheckResult("unknown") if bounds[-1] == 1 else backend_check(*args)
     )
     for simplifier, cq, k, want in (
         (Simplifier(schema, constraints, timeout_s=None), not_entailed, 2, False),

@@ -6,7 +6,7 @@ import pytest
 
 from polex import solver
 from polex.constraints import expand_all, generate_constraints
-from polex.fdsolver import CheckResult
+from polex.fdsolver import CdclBackend, CheckResult
 from polex.normal import to_normal_form
 from polex.policygen import View
 from polex.pruner import (
@@ -107,12 +107,12 @@ def test_counterexample_needing_two_rows_comes_from_the_full_bound(monkeypatch):
 def test_unknown_at_bound_1_leaves_the_verdict_to_the_full_bound(monkeypatch):
     schema, cons, _, (a, b) = _two_rows_needed()
     bounds = _record_bounds(monkeypatch)
-    original = solver.check
+    original = CdclBackend.check
 
     def unknown_at_bound_1(*args, **kwargs):
         return CheckResult("unknown") if bounds[-1] == 1 else original(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "check", unknown_at_bound_1)
+    monkeypatch.setattr(CdclBackend, "check", unknown_at_bound_1)
     # Not allowed at bound 1 already; allowed, as the union of two views.
     split = parse_schema("table t { a int  f bool }")
     split_cons = expand_all(generate_constraints(split), split)

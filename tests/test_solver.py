@@ -2,22 +2,22 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from pathlib import Path
 
 import pytest
 
 from polex import fdsolver, solver
-from polex.constraints import expand_all, generate_constraints, validate_instance
+from polex.constraints import FixedValue, RangeError, expand_all, generate_constraints, validate_instance
 from polex.dsl import parse_handlers
 from polex.evaluate import ScalarEnv, eval_executable, eval_nf
 from polex.explorer import ExplorationConfig, explore
-from polex.fdsolver import CheckResult, VarPool, bvar, eval_formula, land, lnot, lor
+from polex.fdsolver import CdclBackend, CheckResult, VarPool, bvar, eval_formula, land, lnot, lor
 from polex.normal import NormalFormQuery, to_executable
 from polex.schema import parse_schema
 from polex.solver import (
     SymEnv,
     bounded,
-    check,
     encode_instance,
     encode_query,
     model_to_input,
@@ -38,6 +38,7 @@ table roles {
 )
 CONSTRAINTS = expand_all(generate_constraints(SCHEMA), SCHEMA)
 RANGE = (0, 3)
+check = CdclBackend().check
 
 
 def fresh_context(constraints=CONSTRAINTS, bound=2):
@@ -127,7 +128,7 @@ def test_fk_containment_models_validate():
     for extra in range(4):
         verdict = check(pool, formulas + [roles_present])
         assert verdict.status == "sat"
-        ci = model_to_input(verdict.model, inst, SCHEMA, env, "m", "h")
+        ci = model_to_input(verdict.model, inst, SCHEMA, env)
         ok, why = validate_instance(ci, CONSTRAINTS, SCHEMA)
         assert ok, why
         # ban this exact model's course ids to get a different one next time
@@ -138,7 +139,7 @@ def test_fk_containment_models_validate():
 def test_nonempty_is_two_way_disjunction():
     pool, inst, env = fresh_context(constraints=[])
     nf = NormalFormQuery((0, 1, 2, 3), TRUE, ("roles",))
-    enc = encode_query(nf, (), inst, SCHEMA, env, pool)
+    enc = encode_query(nf, (), inst, SCHEMA, env)
     # nonEmpty holds iff some roles row is present.
     from polex.fdsolver import bvar, land
 
@@ -155,7 +156,7 @@ def test_query_over_absent_rows_unsat():
     from polex.fdsolver import bvar
 
     nf = NormalFormQuery((0,), TRUE, ("courses",))
-    enc = encode_query(nf, (), inst, SCHEMA, env, pool)
+    enc = encode_query(nf, (), inst, SCHEMA, env)
     hard = [lnot(bvar(r.presence)) for r in inst.tables["courses"]]
     assert check(pool, hard + [enc.non_empty]).status == "unsat"
 
@@ -163,7 +164,7 @@ def test_query_over_absent_rows_unsat():
 def test_tautological_filter_nonempty_iff_row_present():
     pool, inst, env = fresh_context(constraints=[])
     nf = NormalFormQuery((0,), Cmp("=", Col(0), Col(0)), ("courses",))
-    enc = encode_query(nf, (), inst, SCHEMA, env, pool)
+    enc = encode_query(nf, (), inst, SCHEMA, env)
     from polex.fdsolver import bvar, lor
 
     some_present = lor(*[bvar(r.presence) for r in inst.tables["courses"]])
@@ -190,7 +191,7 @@ def test_model_to_input_empty_and_nulls():
     # all rows absent -> empty database
     hard = [lnot(bvar(r.presence)) for rows in inst.tables.values() for r in rows]
     v = check(pool, hard)
-    ci = model_to_input(v.model, inst, SCHEMA, env, "m", "h")
+    ci = model_to_input(v.model, inst, SCHEMA, env)
     assert all(rows == () for rows in ci.tables.values())
 
     # force a roles row with a null note
@@ -198,7 +199,7 @@ def test_model_to_input_empty_and_nulls():
     row = inst.tables["roles"][0]
     hard = [bvar(row.presence), bvar(row.nulls[3])]
     v = check(pool, hard)
-    ci = model_to_input(v.model, inst, SCHEMA, env, "m", "h")
+    ci = model_to_input(v.model, inst, SCHEMA, env)
     assert ci.tables["roles"][0][3] is None
 
 
@@ -229,14 +230,14 @@ def test_encoding_agrees_with_evaluator_on_random_queries():
     for _ in range(120):
         nf = _random_nf(rng)
         pool, inst, env = fresh_context()
-        enc = encode_query(nf, (), inst, SCHEMA, env, pool)
+        enc = encode_query(nf, (), inst, SCHEMA, env)
         want_nonempty = rng.random() < 0.7
         path = enc.non_empty if want_nonempty else lnot(enc.non_empty)
         verdict = check(pool, [path, enc.at_most_one])
         if verdict.status != "sat":
             continue
         checked += 1
-        ci = model_to_input(verdict.model, inst, SCHEMA, env, "t", "h")
+        ci = model_to_input(verdict.model, inst, SCHEMA, env)
         senv = ScalarEnv(session=ci.session, request=ci.request)
         rows = eval_nf(nf, ci, SCHEMA, senv)
         assert (len(rows) > 0) == want_nonempty
@@ -267,7 +268,7 @@ def test_left_join_encoding_agrees_with_evaluator():
         pool = VarPool()
         inst, formulas = encode_instance(schema, cons, 2, pool, RANGE)
         env = SymEnv({name: pool.new_int(*RANGE) for name in ("MyUserId", "Now")})
-        enc = encode_query(exe, (SessionParam("MyUserId"),), inst, schema, env, pool)
+        enc = encode_query(exe, (SessionParam("MyUserId"),), inst, schema, env)
         want = rng.random() < 0.75
         path = enc.non_empty if want else lnot(enc.non_empty)
         extra = []
@@ -278,7 +279,7 @@ def test_left_join_encoding_agrees_with_evaluator():
         verdict = check(pool, formulas + extra + [path, enc.at_most_one])
         if verdict.status != "sat":
             continue
-        ci = model_to_input(verdict.model, inst, schema, env, "t", "h")
+        ci = model_to_input(verdict.model, inst, schema, env)
         senv = ScalarEnv(session=ci.session)
         senv.placeholders = (ci.session["MyUserId"],)
         rows = eval_executable(exe, ci, schema, senv)
@@ -300,7 +301,7 @@ def test_left_join_encoding_agrees_with_evaluator():
 def test_count_query_never_empty():
     exe = to_executable(parse_sql("SELECT COUNT(*) FROM courses"), SCHEMA)
     pool, inst, env = fresh_context()
-    enc = encode_query(exe, (), inst, SCHEMA, env, pool)
+    enc = encode_query(exe, (), inst, SCHEMA, env)
     assert check(pool, [lnot(enc.non_empty)]).status == "unsat"
 
 
@@ -308,12 +309,12 @@ def test_count_query_never_empty():
 # The compiled base of a bounded context
 
 
-def _own_formulas(rng, insts, env, pool):
+def _own_formulas(rng, insts, env):
     """A seeded check's own formulas: one random query per instance, each
     asserted empty or non-empty and at most one row."""
     own = []
     for inst in insts:
-        enc = encode_query(_random_nf(rng), (), inst, SCHEMA, env, pool)
+        enc = encode_query(_random_nf(rng), (), inst, SCHEMA, env)
         own += [enc.non_empty if rng.random() < 0.7 else lnot(enc.non_empty), enc.at_most_one]
     return own
 
@@ -325,7 +326,7 @@ def test_forked_checks_agree_with_a_fresh_full_compile():
         for copies in (1, 2):
             for _ in range(6):
                 pool, insts, env = bounded(SCHEMA, CONSTRAINTS, bound, RANGE, copies=copies)
-                own = _own_formulas(rng, insts, env, pool)
+                own = _own_formulas(rng, insts, env)
                 shared = pool.base.formulas
                 assert len(shared) == copies * (len(CONSTRAINTS) + (bound > 1) * len(SCHEMA.tables))
                 fresh = check(VarPool(pool.domains[:]), shared + own, None)
@@ -356,7 +357,7 @@ def test_checks_on_one_context_leave_its_base_untouched():
 
     def run(nf, empty):
         pool, (inst,), env = bounded(SCHEMA, CONSTRAINTS, 2, RANGE)
-        enc = encode_query(nf, (), inst, SCHEMA, env, pool)
+        enc = encode_query(nf, (), inst, SCHEMA, env)
         return pool.base, check(pool, [lnot(enc.non_empty) if empty else enc.non_empty])
 
     base = bounded(SCHEMA, CONSTRAINTS, 2, RANGE)[0].base
@@ -417,8 +418,7 @@ def test_explore_encodes_each_context_once(monkeypatch):
     bases = {id(p.base): p.base for p in pools}.values()
     assert len(bases) == calls["encode_instance"] == 2  # bound 1 and bound 2
     # One ladder per int symbol of each base, plus one per int symbol each
-    # check adds past it (request parameters, a COUNT's value; other query
-    # results add none).
+    # check adds past it (request parameters; query results add none).
     past_base = sum(ints(p.domains[len(p.base.first):]) for p in pools)
     assert calls["ladders"] == sum(ints(b.pool.domains) for b in bases) + past_base
 
@@ -442,35 +442,66 @@ def test_model_check_covers_the_base_formulas(monkeypatch):
 def test_ask_goes_on_to_the_full_bound_unless_bound_1_is_sat(bound, at_1, asked, monkeypatch):
     encoded, results = [], []
 
-    def encode(pool, instances, env):
+    def encode(instances, env):
         (inst,) = instances
         encoded.append(inst.bound)
         return [("encoded at", inst.bound)]
 
-    def scripted_check(pool, formulas, timeout_s):
+    def scripted_check(self, pool, formulas, timeout_s):
         assert formulas == [("encoded at", encoded[-1])] and timeout_s == 0.5
-        results.append(CheckResult(at_1 if not results else "sat"))
+        status = at_1 if not results else "sat"
+        results.append(backend_check(self, pool, [], None) if status == "sat" else CheckResult(status))
         return results[-1]
 
-    monkeypatch.setattr(solver, "check", scripted_check)
-    verdict, (inst,), _ = solver.ask(SCHEMA, CONSTRAINTS, bound, RANGE, encode, timeout_s=0.5)
+    backend_check = fdsolver.CdclBackend.check
+    monkeypatch.setattr(fdsolver.CdclBackend, "check", scripted_check)
+    status, inputs = solver.ask(SCHEMA, CONSTRAINTS, bound, RANGE, encode, timeout_s=0.5)
     assert encoded == asked
-    assert verdict is results[-1] and inst.bound == asked[-1]
+    assert status == results[-1].status and len(inputs) == (status == "sat")
 
 
 def test_ask_reads_the_model_through_the_context_it_was_found_in():
-    def some_course(pool, instances, env):
+    def some_course(instances, env):
         (inst,) = instances
         return [bvar(inst.tables["courses"][0].presence)]
 
-    def two_courses(pool, instances, env):
+    def two_courses(instances, env):
         (inst,) = instances
         rows = inst.tables["courses"]
         return [lor(*[land(bvar(a.presence), bvar(b.presence)) for a, b in itertools.combinations(rows, 2)])]
 
+    # A bound-1 input holds one row per table at most.
     for encode, bound, rows in ((some_course, 1, 1), (two_courses, 3, 2)):
-        verdict, (inst,), env = solver.ask(SCHEMA, CONSTRAINTS, 3, RANGE, encode, timeout_s=None)
-        assert verdict.status == "sat" and inst.bound == bound
-        ci = model_to_input(verdict.model, inst, SCHEMA, env)
-        assert len(ci.tables["courses"]) >= rows
+        status, (ci,) = solver.ask(SCHEMA, CONSTRAINTS, 3, RANGE, encode, [("CourseId", "int")], timeout_s=None)
+        assert status == "sat" and rows <= len(ci.tables["courses"]) <= bound
+        assert list(ci.request) == ["CourseId"] and (ci.input_id, ci.handler) == ("", "")
         assert validate_instance(ci, CONSTRAINTS, SCHEMA)[0]
+
+
+def test_ask_rejects_a_model_that_breaks_a_constraint(monkeypatch):
+    # Without its constraint formulas the context admits a role whose
+    # course is missing; `ask` checks each answer against the constraints.
+    def dangling_role(instances, env):
+        (inst,) = instances
+        return [bvar(inst.tables["roles"][0].presence), lnot(bvar(inst.tables["courses"][0].presence))]
+
+    monkeypatch.setattr(solver, "encode_constraint", lambda c, inst, schema: fdsolver.TRUE_F)
+    solver._shared.cache_clear()
+    try:
+        with pytest.raises(fdsolver.InternalSolverError, match="fk roles.course_id -> courses.id"):
+            solver.ask(SCHEMA, CONSTRAINTS, 2, RANGE, dangling_role, timeout_s=None)
+    finally:
+        solver._shared.cache_clear()
+
+
+def test_a_constant_outside_its_domain_raises_in_every_stage():
+    # RANGE is 0:3 and a bool column's domain 0:1.
+    for column, value, domain in (("note", 5, "0:3"), ("is_instructor", 2, "0:1")):
+        fixed = expand_all([FixedValue("roles", column, value)], SCHEMA)
+        message = f"value {value} in constraint 'domain roles.{column} in {{{value}}}' lies outside the value range {domain}"
+        with pytest.raises(RangeError, match=re.escape(message)):
+            solver.ask(SCHEMA, CONSTRAINTS + fixed, 2, RANGE, lambda instances, env: [], timeout_s=None)
+    (program,) = parse_handlers('handler h() { let c = query("SELECT * FROM courses WHERE id = 4"); render(c); }')
+    with pytest.raises(RangeError, match="value 4 in handler h lies outside the value range 0:3"):
+        explore(program, SCHEMA, CONSTRAINTS, ExplorationConfig(value_range=RANGE))
+    assert explore(program, SCHEMA, CONSTRAINTS, ExplorationConfig(value_range=(0, 4), solver_timeout=None)).complete

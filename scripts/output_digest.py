@@ -20,7 +20,10 @@ machine's speed.  The runs:
   constants above 7, so its inputs hold values a 0:7 run cannot;
 - toys at bound 2 with `DOMAIN` added, which interns three category
   names (ids 0-2): the one run whose constraints hold a literal relation
-  with more than the empty `nonnull` one.
+  with more than the empty `nonnull` one;
+- toys at bound 2 with `DOMAIN_NO_0` added instead: 0, the value every
+  model tries first, is not a category, so these searches must leave it
+  and their inputs hold category 3.
 
 A digest covers the transcript lines, the generated inputs, the prefix-tree
 counts, the warnings and reports, the per-handler views with their witness
@@ -42,6 +45,7 @@ from polex.transcript import record_line
 ROOT = Path(__file__).resolve().parent.parent
 VALUE_RANGE = (0, 7)
 DOMAIN = "domain items.category in {'red', 'green', 'blue'}"
+DOMAIN_NO_0 = "domain items.category in {3, 5}"
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 import synth  # noqa: E402  (the synth-front corpus generator)
@@ -149,6 +153,7 @@ RUNS = [
     ("synth-s1-b2-r15", lambda: synth_front(1, value_range=(0, 15))),
     ("ranges-b2-r15", lambda: pipeline("ranges", 2, (0, 15))),
     ("toys-b2-domain", lambda: pipeline("toys", 2, extra=DOMAIN)),
+    ("toys-b2-domain-no-0", lambda: pipeline("toys", 2, extra=DOMAIN_NO_0)),
 ]
 
 

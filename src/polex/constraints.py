@@ -137,13 +137,12 @@ def expand_shorthand(s: ConstraintShorthand, schema: Schema) -> list[Constraint]
             left = NormalFormQuery((ci,), Not(IsNull(Col(ci))), (s.table,))
             right = NormalFormQuery((rci,), TRUE, (s.ref_table,))
             return [make_containment(left, right, render_constraint(s))]
-        if isinstance(s, DomainConstraint):
+        if isinstance(s, (DomainConstraint, FixedValue)):  # a fixed value is a one-value domain, labelled as written
+            values = s.values if isinstance(s, DomainConstraint) else (s.value,)
             ci = schema.table(s.table).column_index(s.column)
             left = NormalFormQuery((ci,), TRUE, (s.table,))
-            rows = tuple((v,) for v in s.values)
+            rows = tuple((v,) for v in values)
             return [make_containment(left, LiteralRelation(1, rows), render_constraint(s))]
-        if isinstance(s, FixedValue):
-            return expand_shorthand(DomainConstraint(s.table, s.column, (s.value,)), schema)
     except SchemaError as e:
         raise ConstraintError(str(e)) from e
     raise ConstraintError(f"not a shorthand: {s!r}")

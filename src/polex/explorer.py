@@ -17,9 +17,10 @@ this is the depth-first order of the tree.  Each input takes the next id
 when it is solved, a repaired input too, so the visited set and all
 emitted ids reproduce.
 
-Every pending prefix is one `solver.ask`: sat gives the next input,
-already checked against the constraints, unsat marks the prefix
-infeasible, and a timeout marks it abandoned.
+Every pending prefix is one question on the explore call's
+`solver.Question`, so sibling prefixes share one search per rung: sat
+gives the next input, already checked against the constraints, unsat
+marks the prefix infeasible, and a timeout marks it abandoned.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .instance import ConcreteInput
 from .interpreter import MultiRowResult, QueryCatalog, execute, validate_program
 from .normal import CountQuery, LeftJoinQuery, PlainQuery
 from .schema import Schema
-from .solver import ask, encode_pred, encode_query
+from .solver import Question, encode_pred, encode_query
 from .terms import IntLit, iter_terms
 from .transcript import BranchRecord, QueryRecord, Transcript, TranscriptRecord
 
@@ -157,6 +158,8 @@ class Explorer:
         self.schema = schema
         self.constraints = constraints
         self.config = config
+        self.question = Question(schema, constraints, config.table_bound, config.value_range,
+                                 program.request_params, timeout_s=config.solver_timeout)
         self.catalog = QueryCatalog(schema)
         self.tree = PrefixTree()
         self.transcripts: list[Transcript] = []
@@ -173,7 +176,6 @@ class Explorer:
         """Solve the path conditions of `records`, with an at-most-one-row
         restriction per `(index, sql, params)` of `extra_amo`; returns
         (status, input)."""
-        cfg = self.config
         steps = [(r, True) for r in records]
         steps += [(QueryRecord(i, sql, params, False), False) for i, sql, params in extra_amo]
 
@@ -193,10 +195,7 @@ class Explorer:
                 formulas.setdefault(("amo", replace(r, is_empty=False)), enc.at_most_one)
             return list(formulas.values())
 
-        status, inputs = ask(
-            self.schema, self.constraints, cfg.table_bound, cfg.value_range, encode,
-            self.program.request_params, timeout_s=cfg.solver_timeout,
-        )
+        status, inputs = self.question.ask(encode)
         if status == "unknown":
             return ABANDONED, None
         if status == "unsat":

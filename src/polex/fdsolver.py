@@ -20,10 +20,14 @@ A symbol is its index in a `VarPool` and its domain, None for a bool;
 nothing names it, because what a person reads is policies and verified
 counterexamples, never a CNF.
 
-`check` takes one list of formulas, asserts each as a unit clause in list
-order and runs one search of a small CDCL (two-watched literals, 1UIP
-learning, VSIDS-ish activities, phase saving, Luby restarts).  All
-heuristics are deterministic, so identical inputs give identical models.
+A `CdclBackend` is one incremental search over one pool, a small CDCL
+(two-watched literals, 1UIP learning, VSIDS-ish activities, phase saving,
+Luby restarts).  Each `check` compiles its formulas into the same CNF,
+where Tseitin definitions only add, and asserts them as assumptions, one
+decision level each in list order (Een & Sorensson, SAT 2003); learnt
+clauses are kept.  Activities, phases and the conflict count start afresh
+per check, so a search without conflicts finds the model a fresh one
+would.  All heuristics are deterministic: same inputs, same models.
 
 The search decides only gate variables and the SAT variables of symbols
 some compiled formula mentions (`Compiler.mentioned`; MiniSat's
@@ -33,11 +37,9 @@ the same decisions, conflicts and learnt clauses.  Its model value is
 the one deciding it would give: False, or its domain's lower value, all
 its thresholds false.
 
-A Compiler that has compiled and attached a pool's shared formulas once
-can be the `base` of pools that extend that pool.  A check on such a
-pool copies the base's clauses, compile cache and watch lists, then
-compiles and attaches only what it adds; a pool without a base is the
-empty case.  Models are verified against every formula, the base's too.
+A search over a pool whose `base` is set starts as a copy of that base
+search, which holds its formulas as unit clauses propagated at level 0.
+Models are verified against every formula, the base's too.
 
 Only the long clause of an `and`/`or` gate goes through `_Cnf.add`, which
 drops a tautology and repeated literals: its literals come from arbitrary
@@ -151,11 +153,12 @@ class VarPool:
     """Symbol registry: a symbol is its index into `domains`, which holds
     an int symbol's (lo, hi) and None for a bool symbol.
 
-    `base`, when set, is a compiled `Compiler` over the pool's first
-    symbols and the formulas every check on the pool also asserts."""
+    `base`, when set, is a search over the pool's first symbols that
+    holds the formulas every check on the pool also asserts; a search
+    over the pool starts as its copy and never changes it."""
 
     domains: list[tuple[int, int] | None] = field(default_factory=list)
-    base: Compiler | None = None
+    base: CdclBackend | None = None
 
     def new_bool(self) -> int:
         self.domains.append(None)
@@ -216,9 +219,9 @@ class _Cnf:
         self.clauses.append(lits if len(seen) == len(lits) else list(dict.fromkeys(lits)))
 
 
-_NO_BASE = SimpleNamespace(  # what a Compiler over a pool without a base copies
-    cnf=_Cnf(), cache={}, first=[], mentioned=set(), _true_lit=None, formulas=[], watches=[], units=[],
-    attached=0,
+_NO_BASE = SimpleNamespace(  # what a search over a pool without a base copies
+    comp=SimpleNamespace(cnf=_Cnf(), cache={}, first=[], mentioned=set(), _true_lit=None, formulas=[]),
+    search=SimpleNamespace(nvars=0, clauses=[], watches=[], lval=[], trail=[], ok=True),
 )
 
 _T, _F = -1, -2  # TRUE and FALSE folded into literals: _T ^ 1 == _F
@@ -227,25 +230,20 @@ _T, _F = -1, -2  # TRUE and FALSE folded into literals: _T ^ 1 == _F
 class Compiler:
     """Compile formula IR over a VarPool into CNF.
 
-    A Compiler starts as a copy of `pool.base` (`_NO_BASE` when it is
-    None) and adds the ladder of the int symbols past it.  `_Cdcl` takes
-    over `cnf.clauses`, `watches` and `units` and rewrites them in place,
-    so a Compiler feeds exactly one search, and a base none."""
+    A Compiler starts as a copy of `pool.base`'s (`_NO_BASE` when it is
+    None) and lays the ladder of the int symbols past it.  `cnf.clauses`
+    holds the clauses a search has not yet taken (`_Cdcl.attach`)."""
 
     def __init__(self, pool: VarPool):
-        base = pool.base or _NO_BASE
+        base = (pool.base or _NO_BASE).comp
         self.pool = pool
         self.cnf = _Cnf()
         self.cnf.nvars = base.cnf.nvars
-        self.cnf.clauses = list(map(list.copy, base.cnf.clauses))
         self.cache: dict = dict(base.cache)
         self.first: list[int] = base.first[:]  # vid -> a bool's sat var, or an int's [vid >= lo + 1]
         self.mentioned: set[int] = set(base.mentioned)  # vids some compiled formula names
         self._true_lit: int | None = base._true_lit
-        self.formulas: list[tuple] = base.formulas[:]  # asserted, in order
-        self.watches: list[list[int]] = list(map(list.copy, base.watches))  # lit -> clauses watching it
-        self.units: list[int] = base.units[:]  # the unit clauses' literals
-        self.attached = base.attached  # clauses[:attached] are in watches or units
+        self.formulas: list[tuple] = base.formulas[:]  # asserted for good, in order
         for d in pool.domains[len(self.first):]:
             first = self.cnf.nvars
             self.first.append(first)
@@ -257,21 +255,10 @@ class Compiler:
             self.cnf.clauses.extend([[2 * s + 3, 2 * s] for s in range(first, self.cnf.nvars - 1)])
 
     def add(self, formulas: list[tuple]) -> None:
-        """Assert each formula as a unit clause, in list order, then attach
-        every new clause: watch its first two literals, or record a unit."""
-        clauses, watches, units = self.cnf.clauses, self.watches, self.units
+        """Assert each formula for good, as a unit clause, in list order."""
         for f in formulas:
-            clauses.append([self.lit(f)])
+            self.cnf.clauses.append([self.lit(f)])
         self.formulas += formulas
-        watches.extend([] for _ in range(2 * self.cnf.nvars - len(watches)))
-        for ci in range(self.attached, len(clauses)):
-            clause = clauses[ci]
-            if len(clause) > 1:
-                watches[clause[0]].append(ci)
-                watches[clause[1]].append(ci)
-            else:
-                units.append(clause[0])
-        self.attached = len(clauses)
 
     def true_lit(self) -> int:
         if self._true_lit is None:
@@ -437,31 +424,61 @@ def _luby(x: int) -> int:
 
 
 class _Cdcl:
-    """Minisat-style solver over a fixed clause database.
+    """Minisat-style solver over a growing clause database, starting as a
+    copy of `base`'s clauses, watch lists and level-0 trail.  `lval[lit]`
+    is True, False or None (unset).  A search decides only `decision`
+    (ascending) and is sat once those are all set."""
 
-    Takes over a Compiler's attached `clauses`, `watches` and `units`: it
-    reorders literals inside clauses, moves watches and appends learnt
-    clauses.  `lval[lit]` is True, False or None (unset).  It decides
-    only `decision` (ascending) and is sat once those are all set."""
-
-    def __init__(self, comp: Compiler, deadline: float | None):
-        nvars = self.nvars = comp.cnf.nvars
-        self.decision = comp.decision_vars()
-        self.clauses = comp.cnf.clauses
-        self.deadline = deadline
-        self.lval: list = [None] * (2 * nvars)
-        self.level = [0] * nvars
-        self.reason: list = [None] * nvars
-        self.trail: list[int] = []
+    def __init__(self, base):
+        self.nvars = base.nvars
+        self.clauses = list(map(list.copy, base.clauses))
+        self.watches = list(map(list.copy, base.watches))  # lit -> clauses watching it
+        self.lval: list = base.lval[:]
+        self.level = [0] * self.nvars
+        self.reason: list = [None] * self.nvars
+        self.trail: list[int] = base.trail[:]
         self.trail_lim: list[int] = []
-        self.qhead = 0
-        self.watches = comp.watches
-        self.activity = [0.0] * nvars
-        self.var_inc = 1.0
-        self.phase = [0] * nvars
-        self.heap: list[tuple[float, int]] = [(0.0, v) for v in self.decision]
-        self.conflicts = 0
-        self.ok = all(self.enqueue(lit, None) for lit in comp.units)
+        self.qhead = len(self.trail)
+        self.ok = base.ok  # False once level 0 holds a conflict
+
+    def attach(self, comp: Compiler) -> None:
+        """Take the clauses `comp` compiled since the last call, at level 0:
+        undo the last search's levels, then watch each clause's first two
+        literals.  A clause with fewer than two, or a watch that level 0
+        falsifies, is simplified first: dropped if a level-0 literal
+        satisfies it, else stripped of the literals level 0 falsifies, and
+        a single literal left is enqueued.  Then propagate."""
+        lval, clauses, watches = self.lval, self.clauses, self.watches
+        if self.trail_lim:
+            for lit in self.trail[self.trail_lim[0]:]:
+                lval[lit] = lval[lit ^ 1] = None
+            del self.trail[self.trail_lim[0]:]
+            self.trail_lim.clear()
+            self.qhead = len(self.trail)
+        grow = comp.cnf.nvars - self.nvars
+        self.nvars += grow
+        lval += [None] * (2 * grow)
+        self.level += [0] * grow
+        self.reason += [None] * grow
+        watches += [[] for _ in range(2 * grow)]
+        start = len(clauses)
+        clauses += comp.cnf.clauses
+        comp.cnf.clauses.clear()
+        for ci in range(start, len(clauses)):
+            clause = clauses[ci]
+            if len(clause) < 2 or lval[clause[0]] is False or lval[clause[1]] is False:
+                if True in map(lval.__getitem__, clause):
+                    continue  # left unwatched
+                clause = clauses[ci] = [l for l in clause if lval[l] is None]
+                if len(clause) < 2:
+                    if clause:
+                        self.enqueue(clause[0], None)
+                    else:
+                        self.ok = False
+                    continue
+            watches[clause[0]].append(ci)
+            watches[clause[1]].append(ci)
+        self.ok = self.ok and self.propagate() is None
 
     def enqueue(self, lit: int, reason) -> bool:
         a = self.lval[lit]
@@ -622,19 +639,34 @@ class _Cdcl:
                 return v
         return None
 
-    def solve(self):
-        """Returns ("sat", assigns) | ("unsat", None); assigns[v] is v's bool."""
-        if not self.ok or self.propagate() is not None:
+    def solve(self, assumptions: list[int], decision: list[int], deadline: float | None):
+        """Search, from level 0, for a model in which every literal of
+        `assumptions` holds; level i + 1 decides assumptions[i].  Returns
+        ("sat", assigns) | ("unsat", None); assigns[v] is v's bool.  A
+        conflict on the assumption levels refutes them; like a conflict at
+        level 0 of a search that held them as unit clauses, it counts only
+        after other conflicts."""
+        nvars, n, trail_lim = self.nvars, len(assumptions), self.trail_lim
+        self.decision, self.deadline = decision, deadline
+        self.activity = [0.0] * nvars
+        self.var_inc = 1.0
+        self.phase = [0] * nvars
+        self.heap: list[tuple[float, int]] = [(0.0, v) for v in decision]
+        self.conflicts = 0
+        if not self.ok:
             return "unsat", None
         restart_count = 0
         conflicts_left = 64 * _luby(restart_count)
         while True:
             confl = self.propagate()
             if confl is not None:
+                refuted = self.decision_level() <= n  # the clauses refute the assumptions
+                if refuted and not self.conflicts:
+                    return "unsat", None
                 self.conflicts += 1
                 conflicts_left -= 1
                 self._check_time()
-                if self.decision_level() == 0:
+                if refuted:
                     return "unsat", None
                 learnt, bt = self.analyze(confl)
                 self.cancel_until(bt)
@@ -648,10 +680,17 @@ class _Cdcl:
                     self.enqueue(learnt[0], ci)
                 self.var_inc /= 0.95
                 continue
-            if conflicts_left <= 0 and self.decision_level() > 0:
+            if conflicts_left <= 0 and self.decision_level() > n:
                 restart_count += 1
                 conflicts_left = 64 * _luby(restart_count)
-                self.cancel_until(0)
+                self.cancel_until(n)
+                continue
+            if len(trail_lim) < n:
+                lit = assumptions[len(trail_lim)]
+                if self.lval[lit] is False:
+                    return "unsat", None
+                trail_lim.append(len(self.trail))
+                self.enqueue(lit, None)  # a no-op when it already holds
                 continue
             v = self.decide_var()
             if v is None:
@@ -675,21 +714,28 @@ class InternalSolverError(Exception):
 
 
 class CdclBackend:
-    """Compile every formula past the pool's base as a unit clause and run
-    one CDCL search."""
+    """One incremental search over `pool` that holds `formulas` for good;
+    used for one check, it is a one-shot check."""
 
-    def check(self, pool: VarPool, formulas: list[tuple], timeout_s: float | None = 5.0) -> CheckResult:
+    def __init__(self, pool: VarPool, formulas: list[tuple] = ()):
+        self.comp = Compiler(pool)
+        self.search = _Cdcl((pool.base or _NO_BASE).search)
+        self.comp.add(list(formulas))
+        self.search.attach(self.comp)
+
+    def check(self, formulas: list[tuple], timeout_s: float | None = 5.0) -> CheckResult:
         deadline = None if timeout_s is None else time.monotonic() + timeout_s
-        comp = Compiler(pool)
-        comp.add(formulas)
+        comp = self.comp
+        assumptions = [comp.lit(f) for f in formulas]
+        self.search.attach(comp)
         try:
-            status, assigns = _Cdcl(comp, deadline).solve()
+            status, assigns = self.search.solve(assumptions, comp.decision_vars(), deadline)
         except _Timeout:
             return CheckResult("unknown")
         if status == "unsat":
             return CheckResult("unsat")
         model = comp.model_from_sat(assigns)
-        for i, f in enumerate(comp.formulas):
+        for i, f in enumerate([*comp.formulas, *formulas]):
             if not eval_formula(f, model):
                 raise InternalSolverError(f"model does not satisfy formula {i}")
         return CheckResult("sat", model=model)

@@ -22,7 +22,7 @@ from .constraints import Constraint
 from .fdsolver import land, lnot
 from .normal import CountQuery, NormalFormQuery, column_of_ordinal, psj_variants, to_executable
 from .schema import Schema
-from .solver import ask, encode_pred, encode_query
+from .solver import Question, encode_pred, encode_query
 from .sqlparser import parse_sql
 from .terms import (
     BoolLit,
@@ -246,6 +246,11 @@ class Simplifier:
     timeout_s: float = 5.0
     # conditions[:k+1] -> `_entails` verdict, for this Simplifier's life
     _verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _question: Question = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):  # every parameter once: one no formula names is never decided
+        self._question = Question(self.schema, self.constraints, self.table_bound, self.value_range,
+                                  tuple(self.param_types.items()), timeout_s=self.timeout_s)
 
     def simplify(self, cqs: list[ConditionedQuery]) -> list[ConditionedQuery]:
         cqs = _dedup(cqs)
@@ -262,35 +267,18 @@ class Simplifier:
 
     # Solver plumbing for entailment checks over a condition prefix.
 
-    def _param_names(self, records):
-        """The parameters `records` name; a symbol that no formula mentions
-        is never decided, so it cannot change a verdict."""
-        names = {}
-        def visit(s):
-            if isinstance(s, (SessionParam, RequestParam)):
-                names.setdefault(s.name, self.param_types.get(s.name, "int"))
-        for rec in records:
-            if isinstance(rec, CondBranch):
-                for t in iter_terms(rec.pred):
-                    visit(t)
-            else:
-                for s in rec.params:
-                    visit(s)
-        return names
-
     def _entails(self, conditions, k: int) -> bool:
         """The constraints plus `conditions[:k]` entail that `conditions[k]`
         holds: a branch its outcome, a query a row.  A premise query also
         returns at most one row.  Entailed needs no countermodel within
-        the table bound (`solver.ask`); Unknown counts as no.  Each
+        the table bound (`solver.Question.ask`); Unknown counts as no.  Each
         distinct question is asked once."""
         key = tuple(conditions[: k + 1])
         if key not in self._verdicts:
-            params = tuple(sorted(self._param_names(key).items()))
-            self._verdicts[key] = self._countermodel(params, conditions, k) == "unsat"
+            self._verdicts[key] = self._countermodel(conditions, k) == "unsat"
         return self._verdicts[key]
 
-    def _countermodel(self, params, conditions, k: int) -> str:
+    def _countermodel(self, conditions, k: int) -> str:
         """Solver status of `conditions[:k]` holding and `conditions[k]` not."""
 
         def encode(instances, env) -> list:
@@ -307,8 +295,7 @@ class Simplifier:
                 formulas.append(f if j < k else lnot(f))
             return formulas
 
-        return ask(self.schema, self.constraints, self.table_bound, self.value_range, encode,
-                   params, timeout_s=self.timeout_s)[0]
+        return self._question.ask(encode)[0]
 
     def _remove_vacuous_branches(self, cq: ConditionedQuery) -> ConditionedQuery:
         kept = tuple(

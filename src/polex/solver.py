@@ -19,9 +19,12 @@ of the guard and the predicate on that combination's term.  So a filter
 on a fetched foreign key and the foreign-key containment itself compare
 the same two row symbols, and the solver sees they are one fact.
 
-Every stage asks the solver through `ask`, bound 1 first (a bound-1 model
-is a full-bound model with the other rows absent), and a sat answer comes
-back as one input per instance, checked against the constraints.
+Every stage asks the solver through a `Question`, bound 1 first (a bound-1
+model is a full-bound model with the other rows absent), and a sat answer
+comes back as one input per instance, checked against the constraints.
+Explore and policy-gen keep one `Question` for a stage call, so all its
+questions on a rung go to one incremental search; the pruner asks each
+question on its own (`ask`).
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .fdsolver import (
     FALSE_F,
     TRUE_F,
     CdclBackend,
-    Compiler,
     InternalSolverError,
     VarPool,
     bvar,
@@ -171,10 +173,11 @@ def encode_instance(
 
 @functools.lru_cache(maxsize=4)
 def _shared(schema, constraints, bound, value_range, copies):
-    """The compiled part of every check on one bounded context: `copies`
-    instances, then the session-parameter symbols, with every instance's
-    `encode_instance` formulas in instance order.  A constraint constant
-    outside its column's domain raises RangeError."""
+    """The base search of one bounded context: `copies` instances, then
+    the session-parameter symbols, holding every instance's
+    `encode_instance` formulas in instance order, propagated at level 0.
+    Nothing changes it; each search over the context starts as its copy.
+    A constraint constant outside its column's domain raises RangeError."""
     check_range(schema, constraints, value_range)
     pool = VarPool()
     instances, formulas = [], []
@@ -183,9 +186,7 @@ def _shared(schema, constraints, bound, value_range, copies):
         instances.append(inst)
         formulas.extend(own)
     session = {name: pool.new_int(*value_range) for name in SESSION_PARAMS}
-    base = Compiler(pool)
-    base.add(formulas)
-    return base, tuple(instances), session
+    return CdclBackend(pool, formulas), tuple(instances), session
 
 
 def bounded(
@@ -205,7 +206,7 @@ def bounded(
     at bound 1 and at the full bound.
     """
     base, instances, session = _shared(schema, tuple(constraints), bound, tuple(value_range), copies)
-    pool = VarPool(base.pool.domains[:], base)
+    pool = VarPool(base.comp.pool.domains[:], base)
     env = SymEnv(dict(session))
     for name, ptype in params:
         if name not in env.params:
@@ -395,25 +396,51 @@ def encode_constraint(c: Constraint, inst: SymInstance, schema: Schema):
 # Solving and model extraction
 
 
+@dataclass
+class Question:
+    """Bounded questions over one context, for the life of one stage call:
+    each rung (bound 1, and `bound`) gets one incremental search at its
+    first question, and every later question on that rung reuses it."""
+
+    schema: Schema
+    constraints: list[Constraint]
+    bound: int
+    value_range: tuple[int, int]
+    params: tuple = ()
+    copies: int = 1
+    timeout_s: float | None = 5.0
+    _rungs: dict = field(default_factory=dict, init=False, repr=False)  # bound -> (search, instances, params)
+
+    def ask(self, encode) -> tuple[str, tuple[ConcreteInput, ...]]:
+        """Decide the formulas `encode(instances, env)` builds over the
+        `bounded` context, at bound 1 and then, unless that is sat, at
+        `bound`.  Returns the last check's status and, when it is sat, one
+        input per instance, its request holding `params`.  An input that
+        breaks a constraint raises InternalSolverError."""
+        for b in dict.fromkeys((1, self.bound)):
+            if b not in self._rungs:
+                pool, instances, env = bounded(self.schema, self.constraints, b, self.value_range, self.params,
+                                               self.copies)
+                self._rungs[b] = CdclBackend(pool), instances, env.params
+            search, instances, params = self._rungs[b]
+            env = SymEnv(dict(params))
+            verdict = search.check(encode(instances, env), self.timeout_s)
+            if verdict.status != "sat":
+                continue
+            inputs = tuple(model_to_input(verdict.model, inst, self.schema, env, [n for n, _ in self.params])
+                           for inst in instances)
+            for ci in inputs:
+                ok, viol = validate_instance(ci, self.constraints, self.schema)
+                if not ok:
+                    raise InternalSolverError(f"model breaks a constraint: {viol}")
+            return "sat", inputs
+        return verdict.status, ()
+
+
 def ask(schema: Schema, constraints: list[Constraint], bound: int, value_range: tuple[int, int], encode,
         params=(), copies: int = 1, timeout_s: float | None = 5.0) -> tuple[str, tuple[ConcreteInput, ...]]:
-    """Decide the formulas `encode(instances, env)` builds over the
-    `bounded` context, at bound 1 and then, unless that is sat, at
-    `bound`.  Returns the last check's status and, when it is sat, one
-    input per instance, its request holding `params`.  An input that
-    breaks a constraint raises InternalSolverError."""
-    for b in dict.fromkeys((1, bound)):
-        pool, instances, env = bounded(schema, constraints, b, value_range, params, copies)
-        verdict = CdclBackend().check(pool, encode(instances, env), timeout_s)
-        if verdict.status != "sat":
-            continue
-        inputs = tuple(model_to_input(verdict.model, inst, schema, env, [n for n, _ in params]) for inst in instances)
-        for ci in inputs:
-            ok, viol = validate_instance(ci, constraints, schema)
-            if not ok:
-                raise InternalSolverError(f"model breaks a constraint: {viol}")
-        return "sat", inputs
-    return verdict.status, ()
+    """One question on a `Question` of its own."""
+    return Question(schema, constraints, bound, value_range, params, copies, timeout_s).ask(encode)
 
 
 def model_to_input(model: dict, inst: SymInstance, schema: Schema, env: SymEnv, request_params=()) -> ConcreteInput:

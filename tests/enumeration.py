@@ -17,10 +17,13 @@ from polex.fdsolver import CheckResult, VarPool, eval_formula
 class EnumerationBackend:
     """Reference backend: enumerate all assignments (tiny problems only)."""
 
-    def check(self, pool: VarPool, formulas: list[tuple], timeout_s: float | None = 5.0) -> CheckResult:
+    def __init__(self, pool: VarPool):
+        self.pool = pool
+
+    def check(self, formulas: list[tuple], timeout_s: float | None = 5.0) -> CheckResult:
         deadline = None if timeout_s is None else time.monotonic() + timeout_s
         spaces = []
-        for d in pool.domains:
+        for d in self.pool.domains:
             if d is None:
                 spaces.append((False, True))
             else:

@@ -1,36 +1,40 @@
-"""Reference for `solver.ask` without its bound-1 rung.
+"""Reference for `solver.Question.ask` without its bound-1 rung and
+without a search shared between questions.
 
-`solver.ask` decides a question with one row per table first and at the
-full bound only if that finds no model.  A bound-1 model is a full-bound
-model with the other rows absent, so the rung must never change a verdict.
-This module asks the same question by one check at the full bound, so
-tests can compare the stages' outputs against it.
+`solver.Question` decides a question with one row per table first and at
+the full bound only if that finds no model, each rung on one incremental
+search that every question of the stage call reuses.  A bound-1 model is
+a full-bound model with the other rows absent, so the rung must never
+change a verdict, and what a search learnt from earlier questions must
+never change an answer.  This module asks each question by one check at
+the full bound on a search of its own, so tests can compare the stages'
+outputs against it.
 """
 
 from __future__ import annotations
 
-from polex import explorer, policygen, pruner
+from polex import solver
 from polex.constraints import validate_instance
 from polex.fdsolver import CdclBackend, InternalSolverError
 from polex.solver import bounded, model_to_input
 
 
-def ask(schema, constraints, bound, value_range, encode, params=(), copies=1, timeout_s=5.0):
-    """`solver.ask` as one check at `bound`."""
-    pool, instances, env = bounded(schema, constraints, bound, value_range, params, copies)
-    verdict = CdclBackend().check(pool, encode(instances, env), timeout_s)
+def ask(question: solver.Question, encode):
+    """`solver.Question.ask` as one check at the full bound."""
+    q = question
+    pool, instances, env = bounded(q.schema, q.constraints, q.bound, q.value_range, q.params, q.copies)
+    verdict = CdclBackend(pool).check(encode(instances, env), q.timeout_s)
     if verdict.status != "sat":
         return verdict.status, ()
-    inputs = tuple(model_to_input(verdict.model, inst, schema, env, [n for n, _ in params]) for inst in instances)
+    inputs = tuple(model_to_input(verdict.model, inst, q.schema, env, [n for n, _ in q.params]) for inst in instances)
     for ci in inputs:
-        ok, viol = validate_instance(ci, constraints, schema)
+        ok, viol = validate_instance(ci, q.constraints, q.schema)
         if not ok:
             raise InternalSolverError(f"model breaks a constraint: {viol}")
     return "sat", inputs
 
 
 def only(monkeypatch) -> None:
-    """Route explore, policy-gen and prune through `ask` above while the
-    test runs."""
-    for module in (explorer, policygen, pruner):
-        monkeypatch.setattr(module, "ask", ask)
+    """Route every question of explore, policy-gen and prune through `ask`
+    above while the test runs."""
+    monkeypatch.setattr(solver.Question, "ask", ask)

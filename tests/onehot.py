@@ -10,7 +10,7 @@ takes pools without a base only.
 
 from __future__ import annotations
 
-from polex.fdsolver import CheckResult, Compiler, VarPool, _Cdcl, eval_formula
+from polex.fdsolver import _NO_BASE, CdclBackend, Compiler, VarPool, _Cdcl
 from polex.terms import cmp_eval
 
 
@@ -78,15 +78,10 @@ class OneHotCompiler(Compiler):
         return model
 
 
-class OneHotBackend:
+class OneHotBackend(CdclBackend):
     """Reference backend: the one-hot compiler and the same CDCL search."""
 
-    def check(self, pool: VarPool, formulas: list[tuple], timeout_s: float | None = None) -> CheckResult:
-        comp = OneHotCompiler(pool)
-        comp.add(formulas)
-        status, assigns = _Cdcl(comp, None).solve()
-        if status == "unsat":
-            return CheckResult("unsat")
-        model = comp.model_from_sat(assigns)
-        assert all(eval_formula(f, model) for f in comp.formulas)
-        return CheckResult("sat", model=model)
+    def __init__(self, pool: VarPool):
+        self.comp = OneHotCompiler(pool)
+        self.search = _Cdcl(_NO_BASE.search)
+        self.search.attach(self.comp)

@@ -100,7 +100,7 @@ NINE_CATEGORIES = "domain items.category in {" + ", ".join(f"'c{i}'" for i in ra
 
 @pytest.mark.parametrize("case, handler, where", [
     ("literal", "high_category", "value 12 in handler high_category"),
-    ("fixed", "show_item", "value 9 in constraint 'domain items.category in {9}'"),
+    ("fixed", "show_item", "value 9 in constraint 'fixed items.category = 9'"),
     ("interned", "show_item", "value 8 in constraint 'domain items.category in {0, 1, 2, 3, 4, 5, 6, 7, 8}'"),
 ], ids=["literal", "fixed", "interned"])
 def test_a_constant_outside_the_value_range_exits_2_and_runs_at_0_15(tmp_path, capsys, case, handler, where):

@@ -253,8 +253,8 @@ handler h(Id: int) {
     conflicts = []
     solve = fdsolver._Cdcl.solve
 
-    def counted_solve(self):
-        out = solve(self)
+    def counted_solve(self, *args):
+        out = solve(self, *args)
         conflicts.append(self.conflicts)
         return out
 

@@ -35,14 +35,14 @@ from onehot import OneHotBackend
 def test_conflicting_equalities_unsat_with_full_core():
     pool = VarPool()
     x = pool.new_int(0, 7)
-    r = CdclBackend().check(pool, [fcmp("=", ivar(x), const(1)), fcmp("=", ivar(x), const(2))])
+    r = CdclBackend(pool).check([fcmp("=", ivar(x), const(1)), fcmp("=", ivar(x), const(2))])
     assert r.status == "unsat"
 
 
 def test_single_equality_sat():
     pool = VarPool()
     x = pool.new_int(0, 7)
-    r = CdclBackend().check(pool, [fcmp("=", ivar(x), const(1))])
+    r = CdclBackend(pool).check([fcmp("=", ivar(x), const(1))])
     assert r.status == "sat"
     assert r.model[x] == 1
 
@@ -50,7 +50,7 @@ def test_single_equality_sat():
 def test_hard_formulas_participate():
     pool = VarPool()
     x = pool.new_int(0, 3)
-    r = CdclBackend().check(pool, [fcmp("<", ivar(x), const(2)), feq(ivar(x), const(2))])
+    r = CdclBackend(pool).check([fcmp("<", ivar(x), const(2)), feq(ivar(x), const(2))])
     assert r.status == "unsat"
 
 
@@ -62,14 +62,14 @@ def test_model_check_names_a_failing_formula_by_index(monkeypatch):
     # compilation bug.
     monkeypatch.setattr(fdsolver, "eval_formula", lambda f, model: f is not formulas[1])
     with pytest.raises(InternalSolverError, match=r"formula 1$"):
-        CdclBackend().check(pool, formulas)
+        CdclBackend(pool).check(formulas)
 
 
 def test_bool_vars():
     pool = VarPool()
     p = pool.new_bool()
     q = pool.new_bool()
-    r = CdclBackend().check(pool, [land(bvar(p), lnot(bvar(q)))])
+    r = CdclBackend(pool).check([land(bvar(p), lnot(bvar(q)))])
     assert r.status == "sat"
     assert r.model[p] is True and r.model[q] is False
 
@@ -88,13 +88,13 @@ def _pigeonhole(n: int):
 
 def test_timeout_returns_unknown():
     pool, formulas = _pigeonhole(9)
-    r = CdclBackend().check(pool, formulas, timeout_s=0.01)
+    r = CdclBackend(pool).check(formulas, timeout_s=0.01)
     assert r.status == "unknown"
 
 
 def test_small_pigeonhole_unsat():
     pool, formulas = _pigeonhole(5)
-    r = CdclBackend().check(pool, formulas, timeout_s=30.0)
+    r = CdclBackend(pool).check(formulas, timeout_s=30.0)
     assert r.status == "unsat"
 
 
@@ -125,8 +125,8 @@ def test_cdcl_agrees_with_enumeration_on_random_formulas():
         ints = [pool.new_int(0, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
         bools = [pool.new_bool() for _ in range(rng.randint(1, 2))]
         formulas = [_rand_formula(rng, ints, bools, rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
-        r1 = CdclBackend().check(pool, formulas)
-        r2 = EnumerationBackend().check(pool, formulas, timeout_s=30)
+        r1 = CdclBackend(pool).check(formulas)
+        r2 = EnumerationBackend(pool).check(formulas, timeout_s=30)
         assert r1.status == r2.status, f"trial {trial}: {formulas}"
 
 
@@ -139,7 +139,7 @@ def test_sat_models_verified_against_formulas():
         ints = [pool.new_int(0, 2) for _ in range(3)]
         bools = [pool.new_bool() for _ in range(2)]
         formulas = [_rand_formula(rng, ints, bools, 3) for _ in range(3)]
-        r = CdclBackend().check(pool, formulas)
+        r = CdclBackend(pool).check(formulas)
         if r.status == "sat":
             for f in formulas:
                 assert eval_formula(f, r.model)
@@ -151,12 +151,8 @@ DOMAINS = [(3, 3), (0, 1), (-2, 1), (0, 7), (1, 3), (5, 7)]
 OPS = ["=", "<>", "<", "<=", ">", ">="]
 
 
-@st.composite
-def _checks(draw):
-    pool = VarPool()
-    domains = draw(st.lists(st.sampled_from(DOMAINS), min_size=1, max_size=3))
-    ints = [pool.new_int(*d) for d in domains]
-    p = pool.new_bool()
+def _formulas(ints, p):
+    """Formulas over the int symbols `ints` and the bool symbol `p`."""
     sym = st.sampled_from(ints).map(ivar)
     # Constants reach past every domain on both sides.
     term = st.one_of(sym, st.integers(-4, 9).map(const))
@@ -165,25 +161,86 @@ def _checks(draw):
         st.builds(fcmp, st.sampled_from(OPS), term, term),
         st.just(bvar(p)),
     )
-    formula = st.recursive(atom, lambda sub: st.one_of(
+    return st.recursive(atom, lambda sub: st.one_of(
         sub.map(lnot),
         st.lists(sub, min_size=2, max_size=3).map(lambda fs: land(*fs)),
         st.lists(sub, min_size=2, max_size=3).map(lambda fs: lor(*fs)),
     ), max_leaves=4)
-    return pool, draw(st.lists(formula, min_size=1, max_size=4))
+
+
+@st.composite
+def _checks(draw):
+    pool = VarPool()
+    domains = draw(st.lists(st.sampled_from(DOMAINS), min_size=1, max_size=3))
+    ints = [pool.new_int(*d) for d in domains]
+    p = pool.new_bool()
+    return pool, draw(st.lists(_formulas(ints, p), min_size=1, max_size=4))
 
 
 @settings(max_examples=250, deadline=None)
 @given(_checks())
 def test_order_encoding_agrees_with_one_hot_and_enumeration(check):
     pool, formulas = check
-    r = CdclBackend().check(pool, formulas, timeout_s=None)
-    assert r.status == OneHotBackend().check(pool, formulas).status
-    assert r.status == EnumerationBackend().check(pool, formulas, timeout_s=None).status
+    r = CdclBackend(pool).check(formulas, timeout_s=None)
+    assert r.status == OneHotBackend(pool).check(formulas).status
+    assert r.status == EnumerationBackend(pool).check(formulas, timeout_s=None).status
     event(r.status)
     if r.status == "sat":
         assert all(eval_formula(f, r.model) for f in formulas)
         assert all(d[0] <= r.model[x] <= d[1] for x, d in enumerate(pool.domains) if d is not None)
+
+
+@st.composite
+def _sessions(draw):
+    """A pool with a base, symbols past it, and a sequence of checks that
+    share formulas; checks that keep four pigeons in three holes apart
+    need conflicts.  Also the pigeonhole formulas of five other symbols in
+    four holes, and the index of the check before which they time out."""
+    shared = VarPool()
+    ints = [shared.new_int(*d) for d in draw(st.lists(st.sampled_from(DOMAINS), min_size=1, max_size=3))]
+    p = shared.new_bool()
+    base = CdclBackend(shared, draw(st.lists(_formulas(ints, p), max_size=2)))
+    pool = VarPool(shared.domains[:], base)
+    ints.append(pool.new_int(*draw(st.sampled_from(DOMAINS))))
+    pigeons = [pool.new_int(0, 2) for _ in range(4)]
+    trapped = [fcmp("<>", ivar(a), ivar(b)) for a, b in itertools.combinations([pool.new_int(0, 3) for _ in range(5)], 2)]
+    apart = [fcmp("<>", ivar(a), ivar(b)) for a, b in itertools.combinations(pigeons, 2)]
+    pins = st.builds(fcmp, st.sampled_from(OPS), st.sampled_from(pigeons).map(ivar), st.integers(0, 2).map(const))
+    formulas = draw(st.lists(st.one_of(_formulas(ints + pigeons, p), pins), min_size=2, max_size=8))
+    some_apart = st.one_of(st.just(apart), st.lists(st.sampled_from(apart), max_size=6))
+    check = st.tuples(some_apart, st.lists(st.sampled_from(formulas), max_size=4))
+    checks = [a + b for a, b in draw(st.lists(check, min_size=2, max_size=6))]
+    return pool, trapped, checks, draw(st.integers(0, len(checks) - 1))
+
+
+def _time_out(self):
+    raise fdsolver._Timeout()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sessions())
+def test_one_search_answers_a_check_sequence_like_fresh_searches(case):
+    # One search answers every check as a search of its own would: the
+    # same status, a verified model, and the same model where the fresh
+    # search met no conflict.  A check that times out at its first
+    # conflict midway leaves it answering the same way.
+    pool, pigeonhole, checks, timeout_at = case
+    session = CdclBackend(pool)
+    for i, formulas in enumerate(checks):
+        if i == timeout_at:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fdsolver._Cdcl, "_check_time", _time_out)
+                status = session.check(pigeonhole, timeout_s=None).status
+            assert status == ("unknown" if session.search.ok else "unsat")
+        fresh = CdclBackend(pool)
+        want = fresh.check(formulas, timeout_s=None)
+        got = session.check(formulas, timeout_s=None)
+        assert got.status == want.status, i
+        event(f"{got.status}{', conflicts' if fresh.search.conflicts else ''}")
+        if got.status == "sat":
+            assert all(eval_formula(f, got.model) for f in pool.base.comp.formulas + formulas)
+            if not fresh.search.conflicts:
+                assert got.model == want.model, i
 
 
 def test_every_comparison_matches_its_truth_table():
@@ -200,7 +257,7 @@ def test_every_comparison_matches_its_truth_table():
             for op, (t1, t2, u, w) in itertools.product(OPS, pairs):
                 holds = cmp_eval(op, u, w)
                 for f, want in ((fcmp(op, t1, t2), holds), (lnot(fcmp(op, t1, t2)), not holds)):
-                    status = CdclBackend().check(pool, [*pins, f]).status
+                    status = CdclBackend(pool).check([*pins, f]).status
                     assert status == ("sat" if want else "unsat"), (dx, dy, a, b, f)
 
 
@@ -209,7 +266,7 @@ def test_unknown_comparison_is_rejected():
     x, y = pool.new_int(0, 3), pool.new_int(0, 3)
     for terms in ((ivar(x), ivar(y)), (ivar(x), const(1))):
         with pytest.raises(ValueError, match="bad formula node"):
-            CdclBackend().check(pool, [("cmp", "!=", *terms)])
+            CdclBackend(pool).check([("cmp", "!=", *terms)])
 
 
 def test_unmentioned_symbols_are_never_decided(monkeypatch):
@@ -240,9 +297,9 @@ def test_unmentioned_symbols_are_never_decided(monkeypatch):
         comp = fdsolver.Compiler(pool)
         idle_sat = {s for u in idle_ints + idle_bools for s in comp._sat_vars(u)}
         decided.clear()
-        r = CdclBackend().check(pool, formulas, timeout_s=None)
+        r = CdclBackend(pool).check(formulas, timeout_s=None)
         assert not idle_sat & set(decided), f"trial {trial}"
-        assert r.status == EnumerationBackend().check(pool, formulas, timeout_s=30).status, f"trial {trial}"
+        assert r.status == EnumerationBackend(pool).check(formulas, timeout_s=30).status, f"trial {trial}"
         if r.status == "sat":
             assert all(r.model[u] == 0 for u in idle_ints)
             assert all(r.model[q] is False for q in idle_bools)
@@ -256,9 +313,9 @@ def test_determinism():
     ints = [pool.new_int(0, 3) for _ in range(4)]
     bools = [pool.new_bool() for _ in range(3)]
     formulas = [_rand_formula(rng, ints, bools, 4) for _ in range(5)]
-    first = CdclBackend().check(pool, formulas)
+    first = CdclBackend(pool).check(formulas)
     for _ in range(3):
-        again = CdclBackend().check(pool, formulas)
+        again = CdclBackend(pool).check(formulas)
         assert again.status == first.status
         assert again.model == first.model
 
@@ -350,16 +407,16 @@ def _rand_clause_set(rng):
 # SHA-256 over every check's CNF, verdict, model and conflict count below.
 # A change to the compiled clauses, their order or the search heuristics
 # changes it; such a change must be deliberate and say so.
-TRAJECTORY_SHA256 = "86147773ad7d66e08f06f0c6998942ce6132e967967e41c9ad14e230c70f72a4"
+TRAJECTORY_SHA256 = "ee7d11d3bfaeb25f611c84827c2313d1e88d8bf4d69a8d4f4f0f3581bf2ab5c4"
 
 
 def test_pinned_compile_and_search_trajectory(monkeypatch):
     seen = []
     solve = fdsolver._Cdcl.solve
 
-    def traced_solve(self):
+    def traced_solve(self, *args):
         cnf = [list(c) for c in self.clauses]
-        out = solve(self)
+        out = solve(self, *args)
         seen.append((self.nvars, cnf, self.conflicts))
         return out
 
@@ -374,7 +431,7 @@ def test_pinned_compile_and_search_trajectory(monkeypatch):
     checks.extend(_rand_clause_set(rng) for _ in range(32))
     h = hashlib.sha256()
     for pool, formulas in checks:
-        r = CdclBackend().check(pool, formulas, timeout_s=None)
+        r = CdclBackend(pool).check(formulas, timeout_s=None)
         nvars, cnf, conflicts = seen.pop()
         model = sorted(r.model.items()) if r.model else None
         h.update(repr((nvars, cnf, r.status, model, conflicts)).encode())

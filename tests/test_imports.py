@@ -123,9 +123,11 @@ def test_every_program_definition_is_used():
     assert not unused, f"defined but never used: {unused}"
 
 
-# The stages reach the solver through `ask` and the formula builders only.
+# The stages reach the solver through `Question` (explore and policy-gen,
+# one per stage call), `ask` (prune, one question each) and the formula
+# builders only.
 STAGE_IMPORTS = {
-    "solver": {"ask", "encode_pred", "encode_query", "result_pairs", "matches"},
+    "solver": {"Question", "ask", "encode_pred", "encode_query", "result_pairs", "matches"},
     "fdsolver": {"land", "lor", "lnot"},
 }
 

@@ -8,6 +8,8 @@ runs at value range 0:15 print the same bytes as their 0:7 runs; the
 `ranges` corpus is the run whose inputs need values above 7.  For the
 same reason toys with item categories limited to three interned names
 prints the toys bytes: every input's category is 0, the id of 'red'.
+Limited to 3 and 5 instead, every input's category is 3, so that run
+prints bytes of its own.
 
 A change that alters any of these outputs (transcripts, generated inputs,
 policies, blame) on purpose must update the digest here and say why.
@@ -47,6 +49,7 @@ PINNED = {
     "synth-s1-b2-r15": SYNTH_S1,
     "ranges-b2-r15": "eca6fbeadffb63b64e96e0475d90e67bf4f0a2bef9ae055c3620a912e97aac71",
     "toys-b2-domain": TOYS,
+    "toys-b2-domain-no-0": "d1c3ef5fc8bab2fa18b3113d087c71aacc4b5f30f5cb97c075a3621c30a0069f",
 }
 
 
@@ -68,10 +71,20 @@ def test_ranges_inputs_hold_values_above_7():
     assert max(v for ci in inputs for rows in ci.tables.values() for row in rows for v in row) > 7
 
 
+def test_domain_without_0_moves_every_category_off_0():
+    root = output_digest.ROOT / "corpus" / "toys"
+    s, cons = output_digest._load((root / "schema.txt").read_text(encoding="utf-8"), output_digest.DOMAIN_NO_0)
+    (program,) = dsl.parse_handlers((root / "handlers" / "show_item.hdl").read_text(encoding="utf-8"))
+    config = explorer.ExplorationConfig(table_bound=2, solver_timeout=None)
+    inputs = explorer.explore(program, s, cons, config).inputs.values()
+    ci = s.table("items").column_index("category")
+    assert {row[ci] for i in inputs for row in i.tables["items"]} == {3}
+
+
 def test_toys_pipeline_compiles_each_bounded_context_once():
     # Explore and policy-gen use one instance, prune two; every stage asks
-    # through `solver.ask`, which compiles each at bound 1 and at the full
-    # bound: four contexts at most, all kept by the memo.
+    # through a `solver.Question`, which compiles each at bound 1 and at
+    # the full bound: four contexts at most, all kept by the memo.
     solver._shared.cache_clear()
     output_digest.pipeline("toys", 5)
     assert solver._shared.cache_info().misses <= 4

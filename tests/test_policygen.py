@@ -404,15 +404,22 @@ def two_rows_question():
 
 
 def _record_bounds(monkeypatch):
-    """Route `solver.bounded` through a recorder of each context's bound."""
-    bounds = []
-    original = solver.bounded
+    """Record the bound of each check's context, in check order: a search
+    is made over a `solver.bounded` pool and answers many checks."""
+    bounds, pools = [], {}
+    original, backend_check = solver.bounded, CdclBackend.check
 
     def recorded(schema, constraints, bound, *args, **kwargs):
-        bounds.append(bound)
-        return original(schema, constraints, bound, *args, **kwargs)
+        out = original(schema, constraints, bound, *args, **kwargs)
+        pools[id(out[0])] = out[0], bound
+        return out
+
+    def recorded_check(self, *args):
+        bounds.append(pools[id(self.comp.pool)][1])
+        return backend_check(self, *args)
 
     monkeypatch.setattr(solver, "bounded", recorded)
+    monkeypatch.setattr(CdclBackend, "check", recorded_check)
     return bounds
 
 
@@ -434,9 +441,12 @@ def test_unknown_at_bound_1_leaves_the_verdict_to_the_full_bound(grade_schema, g
     )
     bounds = _record_bounds(monkeypatch)
     backend_check = CdclBackend.check
-    monkeypatch.setattr(
-        CdclBackend, "check", lambda *args: CheckResult("unknown") if bounds[-1] == 1 else backend_check(*args)
-    )
+
+    def unknown_at_bound_1(*args):
+        verdict = backend_check(*args)
+        return CheckResult("unknown") if bounds[-1] == 1 else verdict
+
+    monkeypatch.setattr(CdclBackend, "check", unknown_at_bound_1)
     for simplifier, cq, k, want in (
         (Simplifier(schema, constraints, timeout_s=None), not_entailed, 2, False),
         (Simplifier(grade_schema, grade_constraints, {"CourseId": "int"}, timeout_s=None), vacuous, 1, True),
@@ -473,11 +483,11 @@ handler two_after_branch(ItemId: int) {
         questions.append(tuple(conditions[: k + 1]))
         return entails(self, conditions, k)
 
-    def recording_countermodel(self, params, conditions, k):
+    def recording_countermodel(self, conditions, k):
         key = tuple(conditions[: k + 1])
         assert key not in asked
         del bounds[:]
-        status = countermodel(self, params, conditions, k)
+        status = countermodel(self, conditions, k)
         asked[key] = (tuple(bounds), status)
         return status
 

@@ -100,6 +100,7 @@ def test_domain_expansion_with_interned_string():
 
 def test_fixed_is_single_value_domain():
     (c,) = expand_shorthand(FixedValue("courses", "id", 3), SCHEMA)
+    assert c.label == "fixed courses.id = 3"  # the line as written, for error messages
     ok, _ = validate_instance(make_input(courses=((3,),)), [c], SCHEMA)
     assert ok
     ok, _ = validate_instance(make_input(courses=((1,),)), [c], SCHEMA)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import weakref
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from polex.evaluate import ScalarEnv, eval_executable, eval_nf
 from polex.explorer import ExplorationConfig, explore
 from polex.fdsolver import CdclBackend, CheckResult, VarPool, bvar, eval_formula, land, lnot, lor
 from polex.normal import NormalFormQuery, to_executable
+from polex.policygen import simplify, to_conditioned_queries
 from polex.schema import parse_schema
 from polex.solver import (
     SymEnv,
@@ -38,7 +40,11 @@ table roles {
 )
 CONSTRAINTS = expand_all(generate_constraints(SCHEMA), SCHEMA)
 RANGE = (0, 3)
-check = CdclBackend().check
+
+
+def check(pool, formulas, timeout_s=5.0):
+    """One check on a search of its own."""
+    return CdclBackend(pool).check(formulas, timeout_s)
 
 
 def fresh_context(constraints=CONSTRAINTS, bound=2):
@@ -83,7 +89,7 @@ def test_bounded_instances_share_session_and_request_symbols():
     assert sorted(env.params.values()) == list(range(len(pool) - 4, len(pool)))
     # The base asserts each instance's formulas, in instance order, each
     # over its own instance's symbols only.
-    formulas = pool.base.formulas
+    formulas = pool.base.comp.formulas
     shared = VarPool()
     one_a = encode_instance(SCHEMA, CONSTRAINTS, 2, shared, RANGE)[1]
     one_b = encode_instance(SCHEMA, CONSTRAINTS, 2, shared, RANGE)[1]
@@ -327,7 +333,7 @@ def test_forked_checks_agree_with_a_fresh_full_compile():
             for _ in range(6):
                 pool, insts, env = bounded(SCHEMA, CONSTRAINTS, bound, RANGE, copies=copies)
                 own = _own_formulas(rng, insts, env)
-                shared = pool.base.formulas
+                shared = pool.base.comp.formulas
                 assert len(shared) == copies * (len(CONSTRAINTS) + (bound > 1) * len(SCHEMA.tables))
                 fresh = check(VarPool(pool.domains[:]), shared + own, None)
                 forked = check(pool, own, None)
@@ -342,15 +348,16 @@ def test_forked_checks_agree_with_a_fresh_full_compile():
 
 def _base_snapshot(base):
     return (
-        [c[:] for c in base.cnf.clauses],
-        dict(base.cache),
-        [w[:] for w in base.watches],
-        base.units[:],
-        base.cnf.nvars,
+        [c[:] for c in base.search.clauses],
+        dict(base.comp.cache),
+        [w[:] for w in base.search.watches],
+        base.search.trail[:],  # the level-0 literals, in order
+        base.search.lval[:],
+        base.comp.cnf.nvars,
     )
 
 
-def test_checks_on_one_context_leave_its_base_untouched():
+def test_checks_on_one_context_leave_its_base_untouched(monkeypatch):
     courses = NormalFormQuery((0,), Cmp("=", Col(0), SessionParam("MyUserId")), ("courses",))
     roles = NormalFormQuery((0, 3), Not(IsNull(Col(3))), ("roles",))
     join = NormalFormQuery((0,), Cmp("=", Col(0), Col(2)), ("courses", "roles"))
@@ -370,6 +377,39 @@ def test_checks_on_one_context_leave_its_base_untouched():
         results.append((verdict.status, verdict.model))
     assert results[0] == results[-1] and results[0][0] == "sat"
 
+    # Explore and simplify every synth-front handler: each base is as it
+    # was built, and every search a stage call made is garbage once the
+    # call returns.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import synth
+
+    schema_text, handlers, _ = synth.generate(1)
+    schema = parse_schema(schema_text)
+    cons = expand_all(generate_constraints(schema), schema)
+    bases, searches = {}, []
+    shared, init = solver._shared, fdsolver.CdclBackend.__init__
+
+    def recorded_shared(*args):
+        out = shared(*args)
+        bases.setdefault(id(out[0]), (out[0], _base_snapshot(out[0])))
+        return out
+
+    def recorded_init(self, *args):
+        init(self, *args)
+        searches.append(weakref.ref(self))
+
+    monkeypatch.setattr(solver, "_shared", recorded_shared)
+    monkeypatch.setattr(fdsolver.CdclBackend, "__init__", recorded_init)
+    config = ExplorationConfig(table_bound=2, solver_timeout=None)
+    for program in (p for name in sorted(handlers) for p in parse_handlers(handlers[name])):
+        result = explore(program, schema, cons, config)
+        cqs = to_conditioned_queries(result.transcripts, schema)
+        simplify(cqs, schema, cons, dict(program.request_params), table_bound=2, timeout_s=None)
+        assert {id(ref()) for ref in searches if ref() is not None} <= set(bases)
+    assert len(bases) == 2 and len(searches) > 2 * len(handlers)  # bound 1 and bound 2
+    for base, before in bases.values():
+        assert _base_snapshot(base) == before
+
 
 @pytest.mark.parametrize("bound", [1, 3])
 def test_base_grows_linearly_with_the_value_range(bound):
@@ -378,7 +418,7 @@ def test_base_grows_linearly_with_the_value_range(bound):
     root = Path(__file__).resolve().parent.parent / "corpus" / "toys"
     schema = parse_schema((root / "schema.txt").read_text())
     cons = expand_all(generate_constraints(schema), schema)
-    clauses = {hi: len(bounded(schema, cons, bound, (0, hi))[0].base.cnf.clauses) for hi in (7, 63)}
+    clauses = {hi: len(bounded(schema, cons, bound, (0, hi))[0].base.search.clauses) for hi in (7, 63)}
     assert clauses[63] <= clauses[7] * 63 / 7, clauses
 
 
@@ -397,16 +437,16 @@ def test_explore_encodes_each_context_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    def recording_check(self, pool, formulas, timeout_s=5.0):
-        pools.append(pool)
-        return backend_check(self, pool, formulas, timeout_s)
+    def recording_check(self, formulas, timeout_s=5.0):
+        pools.append(self.comp.pool)
+        return backend_check(self, formulas, timeout_s)
 
     def ints(domains):
         return sum(d is not None for d in domains)
 
     def counting_init(self, pool):
         compiler_init(self, pool)
-        calls["ladders"] += ints(pool.domains[len((pool.base or fdsolver._NO_BASE).first):])
+        calls["ladders"] += ints(pool.domains[len((pool.base or fdsolver._NO_BASE).comp.first):])
 
     backend_check, compiler_init = fdsolver.CdclBackend.check, fdsolver.Compiler.__init__
     monkeypatch.setattr(solver, "encode_instance", counted("encode_instance", solver.encode_instance))
@@ -418,14 +458,17 @@ def test_explore_encodes_each_context_once(monkeypatch):
     bases = {id(p.base): p.base for p in pools}.values()
     assert len(bases) == calls["encode_instance"] == 2  # bound 1 and bound 2
     # One ladder per int symbol of each base, plus one per int symbol each
-    # check adds past it (request parameters; query results add none).
-    past_base = sum(ints(p.domains[len(p.base.first):]) for p in pools)
-    assert calls["ladders"] == sum(ints(b.pool.domains) for b in bases) + past_base
+    # search adds past it (request parameters; query results add none):
+    # explore keeps one search per bound for all its checks.
+    searches = {id(p): p for p in pools}.values()
+    assert len(searches) == 2
+    past_base = sum(ints(p.domains[len(p.base.comp.first):]) for p in searches)
+    assert calls["ladders"] == sum(ints(b.comp.pool.domains) for b in bases) + past_base
 
 
 def test_model_check_covers_the_base_formulas(monkeypatch):
     pool, _, _ = bounded(SCHEMA, CONSTRAINTS, 2, RANGE)
-    rejected = pool.base.formulas[1]
+    rejected = pool.base.comp.formulas[1]
     monkeypatch.setattr(fdsolver, "eval_formula", lambda f, model: f is not rejected)
     with pytest.raises(fdsolver.InternalSolverError, match=r"formula 1$"):
         check(pool, [])
@@ -447,10 +490,10 @@ def test_ask_goes_on_to_the_full_bound_unless_bound_1_is_sat(bound, at_1, asked,
         encoded.append(inst.bound)
         return [("encoded at", inst.bound)]
 
-    def scripted_check(self, pool, formulas, timeout_s):
+    def scripted_check(self, formulas, timeout_s):
         assert formulas == [("encoded at", encoded[-1])] and timeout_s == 0.5
         status = at_1 if not results else "sat"
-        results.append(backend_check(self, pool, [], None) if status == "sat" else CheckResult(status))
+        results.append(backend_check(self, [], None) if status == "sat" else CheckResult(status))
         return results[-1]
 
     backend_check = fdsolver.CdclBackend.check
@@ -498,7 +541,7 @@ def test_a_constant_outside_its_domain_raises_in_every_stage():
     # RANGE is 0:3 and a bool column's domain 0:1.
     for column, value, domain in (("note", 5, "0:3"), ("is_instructor", 2, "0:1")):
         fixed = expand_all([FixedValue("roles", column, value)], SCHEMA)
-        message = f"value {value} in constraint 'domain roles.{column} in {{{value}}}' lies outside the value range {domain}"
+        message = f"value {value} in constraint 'fixed roles.{column} = {value}' lies outside the value range {domain}"
         with pytest.raises(RangeError, match=re.escape(message)):
             solver.ask(SCHEMA, CONSTRAINTS + fixed, 2, RANGE, lambda instances, env: [], timeout_s=None)
     (program,) = parse_handlers('handler h() { let c = query("SELECT * FROM courses WHERE id = 4"); render(c); }')

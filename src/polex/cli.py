@@ -21,7 +21,7 @@ from .policygen import (
     to_conditioned_queries,
     views_from_cqs,
 )
-from .pruner import Policy, broaden, is_allowed, merge_and_prune, prune
+from .pruner import Policy, broaden, determinacy_question, is_allowed, merge_and_prune, prune
 from .rundir import RunDirectory, RunDirError, load_policy_file, render_policy
 from .schema import SchemaError, load_schema
 from .normal import NormalizeError, session_view
@@ -101,6 +101,7 @@ def cmd_explore(args) -> int:
     config = ExplorationConfig(args.bound, args.value_range, args.timeout, args.max_paths)
     result = explore(program, schema, constraints, config)
     meta = {"config": config.to_json()}
+    run.remove_runs(args.handler)
     for t in result.transcripts:
         run.write_transcript(t, meta)
         run.write_input(result.inputs[t.input_id], schema)
@@ -224,10 +225,8 @@ def cmd_is_allowed(args) -> int:
     schema, constraints = _load(run, args)
     views = load_policy_file(args.policy, schema)
     q = session_view(args.query, schema)
-    verdict = is_allowed(
-        q, [v.nf for v in views], constraints, schema,
-        bound=args.bound, value_range=args.value_range, timeout_s=args.timeout,
-    )
+    question = determinacy_question(schema, constraints, args.bound, args.value_range, args.timeout)
+    verdict = is_allowed(q, [v.nf for v in views], question)
     print(verdict.status.replace("_", " "))
     if verdict.counterexample and args.dump:
         dump = Path(args.dump)

@@ -19,10 +19,12 @@ alone.  Two paths decide this:
     the table bound and value range) that share session-parameter values
     and agree on every view's result set yet disagree on the query.  No
     such pair means Allowed (at this bound); a found pair (each instance
-    checked against the constraints by `solver.ask`) is verified by
-    brute-force evaluation before it is reported.  The search is one
-    `solver.ask`, so a reported pair has at most one row per table
-    whenever such a pair exists (and the bound-1 search ends in time).
+    checked against the constraints by `solver.Question.ask`) is verified
+    by brute-force evaluation before it is reported.  The question goes to
+    a two-instance `solver.Question` that a prune pass keeps for all its
+    checks, bound 1 first, so a reported pair has at most one row per
+    table whenever such a pair exists (and the bound-1 search ends in
+    time).
 
 Pruning walks views in decreasing join count (ties: longer SQL text
 first, then lexicographic) and greedily removes any view already
@@ -41,7 +43,7 @@ from .instance import ConcreteInput
 from .normal import NormalFormQuery, source_ranges
 from .policygen import View
 from .schema import Schema
-from .solver import ask, matches, result_pairs
+from .solver import Question, matches, result_pairs
 from .terms import (
     SESSION_PARAMS,
     BoolLit,
@@ -276,31 +278,22 @@ def _rewrites(q: NormalFormQuery, views: list[NormalFormQuery], schema: Schema) 
 # Determinacy
 
 
-def is_allowed(
-    q: NormalFormQuery,
-    views: list[NormalFormQuery],
-    constraints: list[Constraint],
-    schema: Schema,
-    bound: int = 2,
-    value_range: tuple[int, int] = (0, 7),
-    timeout_s: float = 5.0,
-) -> ContainmentVerdict:
-    """Determinacy check of `q` against `views`: by rewriting if one exists,
-    else by the bounded solver check within `timeout_s`."""
-    if _has_rewriting(q, views, constraints, schema):
+def determinacy_question(schema: Schema, constraints: list[Constraint], bound: int, value_range: tuple[int, int],
+                         timeout_s: float | None) -> Question:
+    """The two-instance context that `is_allowed` asks its questions on."""
+    return Question(schema, constraints, bound, value_range, copies=2, timeout_s=timeout_s)
+
+
+def is_allowed(q: NormalFormQuery, views: list[NormalFormQuery], question: Question) -> ContainmentVerdict:
+    """Determinacy check of `q` against `views` under `question`'s schema
+    and constraints: by rewriting if one exists, else by the bounded
+    solver check on `question`, a `determinacy_question`."""
+    if _has_rewriting(q, views, question.constraints, question.schema):
         return ContainmentVerdict(ALLOWED, via=REWRITING)
-    return _is_allowed_by_solver(q, views, constraints, schema, bound, value_range, timeout_s)
+    return _is_allowed_by_solver(q, views, question)
 
 
-def _is_allowed_by_solver(
-    q: NormalFormQuery,
-    views: list[NormalFormQuery],
-    constraints: list[Constraint],
-    schema: Schema,
-    bound: int = 2,
-    value_range: tuple[int, int] = (0, 7),
-    timeout_s: float = 5.0,
-) -> ContainmentVerdict:
+def _is_allowed_by_solver(q: NormalFormQuery, views: list[NormalFormQuery], question: Question) -> ContainmentVerdict:
     """Bounded two-instance determinacy check of `q` against `views`."""
 
     def encode(instances, env) -> list:
@@ -309,19 +302,20 @@ def _is_allowed_by_solver(
         formulas.append(_set_neq(result_pairs(q, inst_a, env), result_pairs(q, inst_b, env)))
         return formulas
 
-    status, inputs = ask(schema, constraints, bound, value_range, encode, copies=2, timeout_s=timeout_s)
+    status, inputs = question.ask(encode)
     if status == "unknown":
         return ContainmentVerdict(UNKNOWN)
     if status == "unsat":
         return ContainmentVerdict(ALLOWED)
     ca, cb = (replace(ci, input_id=f"counterexample-{side}") for ci, side in zip(inputs, "ab"))
-    _verify_counterexample(q, views, schema, ca, cb)
+    _verify_counterexample(q, views, question.schema, ca, cb)
     return ContainmentVerdict(NOT_ALLOWED, (ca, cb))
 
 
 def _verify_counterexample(q, views, schema, ca, cb) -> None:
-    """A NotAllowed verdict must hold under brute-force evaluation; `ask`
-    has checked both instances against the constraints."""
+    """A NotAllowed verdict must hold under brute-force evaluation;
+    `solver.Question.ask` has checked both instances against the
+    constraints."""
     if ca.session != cb.session:
         raise PrunerError("counterexample instances disagree on session parameters")
     env_a = ScalarEnv(session=dict(ca.session))
@@ -353,16 +347,14 @@ def prune(
 
     Views whose normal form is in `pinned` are never removed.
     """
+    question = determinacy_question(schema, constraints, policy.bound, policy.value_range, timeout_s)
     current = list(policy.views)
     removed: list[View] = []
     for v in _prune_order(policy.views, schema):
         if v.nf in pinned or v not in current:
             continue
         rest = [w.nf for w in current if w is not v]
-        verdict = is_allowed(
-            v.nf, rest, constraints, schema, policy.bound, policy.value_range, timeout_s
-        )
-        if verdict.allowed:
+        if is_allowed(v.nf, rest, question).allowed:
             current = [w for w in current if w is not v]
             removed.append(v)
     return Policy(current, policy.bound, policy.value_range), removed
@@ -412,14 +404,9 @@ def broaden(
     pinned = frozenset(v.nf for v in user_views)
     pruned, removed = prune(combined, constraints, schema, timeout_s, pinned=pinned)
     report = BroadenReport()
+    question = determinacy_question(schema, constraints, policy.bound, policy.value_range, timeout_s)
     base = [v.nf for v in pruned.views if v.nf not in pinned]
     for v in removed:
-        blame: list[int] = []
-        for i, u in enumerate(user_views):
-            verdict = is_allowed(
-                v.nf, base + [u.nf], constraints, schema, policy.bound, policy.value_range, timeout_s
-            )
-            if verdict.allowed:
-                blame.append(i)
+        blame = [i for i, u in enumerate(user_views) if is_allowed(v.nf, base + [u.nf], question).allowed]
         report.removed.append((v, blame))
     return pruned, report

@@ -141,6 +141,14 @@ class RunDirectory:
             ids = [i for i in ids if i.rsplit("-", 1)[0] == handler]
         return ids
 
+    def remove_runs(self, handler: str) -> None:
+        """Delete `handler`'s transcripts and inputs, matched by id as
+        `transcript_ids` matches them, so no other handler's are touched."""
+        for directory, suffix in ((self.transcripts_dir, ".jsonl"), (self.inputs_dir, ".json")):
+            for path in directory.glob(f"*{suffix}"):
+                if path.stem.rsplit("-", 1)[0] == handler:
+                    path.unlink()
+
     def write_input(self, ci: ConcreteInput, schema: Schema) -> Path:
         self.inputs_dir.mkdir(parents=True, exist_ok=True)
         path = self.inputs_dir / f"{ci.input_id}.json"

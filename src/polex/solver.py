@@ -22,9 +22,9 @@ the same two row symbols, and the solver sees they are one fact.
 Every stage asks the solver through a `Question`, bound 1 first (a bound-1
 model is a full-bound model with the other rows absent), and a sat answer
 comes back as one input per instance, checked against the constraints.
-Explore and policy-gen keep one `Question` for a stage call, so all its
-questions on a rung go to one incremental search; the pruner asks each
-question on its own (`ask`).
+Explore and policy-gen keep one `Question` for a stage call and the pruner
+one for a prune pass, so all its questions on a rung go to one incremental
+search.
 """
 
 from __future__ import annotations
@@ -398,9 +398,10 @@ def encode_constraint(c: Constraint, inst: SymInstance, schema: Schema):
 
 @dataclass
 class Question:
-    """Bounded questions over one context, for the life of one stage call:
-    each rung (bound 1, and `bound`) gets one incremental search at its
-    first question, and every later question on that rung reuses it."""
+    """Bounded questions over one context, for the life of one stage call
+    or prune pass: each rung (bound 1, and `bound`) gets one incremental
+    search at its first question, and every later question on that rung
+    reuses it."""
 
     schema: Schema
     constraints: list[Constraint]
@@ -435,12 +436,6 @@ class Question:
                     raise InternalSolverError(f"model breaks a constraint: {viol}")
             return "sat", inputs
         return verdict.status, ()
-
-
-def ask(schema: Schema, constraints: list[Constraint], bound: int, value_range: tuple[int, int], encode,
-        params=(), copies: int = 1, timeout_s: float | None = 5.0) -> tuple[str, tuple[ConcreteInput, ...]]:
-    """One question on a `Question` of its own."""
-    return Question(schema, constraints, bound, value_range, params, copies, timeout_s).ask(encode)
 
 
 def model_to_input(model: dict, inst: SymInstance, schema: Schema, env: SymEnv, request_params=()) -> ConcreteInput:

@@ -6,7 +6,9 @@ import pytest
 
 from polex.constraints import expand_all, generate_constraints
 from polex.dsl import parse_handler
+from polex.pruner import determinacy_question
 from polex.schema import parse_schema
+from polex.solver import Question
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -15,6 +17,11 @@ _ACCEPTANCE_LINES: list[str] = []
 
 def record_acceptance(line: str) -> None:
     _ACCEPTANCE_LINES.append(line)
+
+
+def determinacy(schema, constraints, bound=2, value_range=(0, 7), timeout_s=5.0) -> Question:
+    """`pruner.determinacy_question` at the CLI's defaults."""
+    return determinacy_question(schema, constraints, bound, value_range, timeout_s)
 
 
 def pytest_terminal_summary(terminalreporter):

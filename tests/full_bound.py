@@ -3,7 +3,7 @@ without a search shared between questions.
 
 `solver.Question` decides a question with one row per table first and at
 the full bound only if that finds no model, each rung on one incremental
-search that every question of the stage call reuses.  A bound-1 model is
+search that every question of the stage call or prune pass reuses.  A bound-1 model is
 a full-bound model with the other rows absent, so the rung must never
 change a verdict, and what a search learnt from earlier questions must
 never change an answer.  This module asks each question by one check at

@@ -35,7 +35,7 @@ from polex.terms import Col
 from polex.transcript import QueryRecord
 from polex.unparse import unparse_view
 
-from conftest import record_acceptance
+from conftest import determinacy, record_acceptance
 from oracle import BruteForceDeterminacy
 from test_pruner import random_case
 
@@ -128,9 +128,9 @@ def test_criterion_1_golden_end_to_end(tmp_path):
     ]
     extracted = [v.nf for v in views]
     for q in extracted:
-        assert is_allowed(q, handwritten, constraints, schema, bound=2).status == ALLOWED
+        assert is_allowed(q, handwritten, determinacy(schema, constraints)).status == ALLOWED
     for q in handwritten:
-        assert is_allowed(q, extracted, constraints, schema, bound=2).status == ALLOWED
+        assert is_allowed(q, extracted, determinacy(schema, constraints)).status == ALLOWED
 
     elapsed = time.monotonic() - started
     assert elapsed < 60.0
@@ -265,8 +265,7 @@ def test_criterion_3_completeness(toys_schema, toys_constraints, toy_pipeline):
         views = views_from_cqs(cqs, toys_schema)
         for v in views:
             total += 1
-            verdict = is_allowed(v.nf, policy_nfs, toys_constraints, toys_schema,
-                                 bound=2, value_range=(0, 3))
+            verdict = is_allowed(v.nf, policy_nfs, determinacy(toys_schema, toys_constraints, 2, (0, 3)))
             if verdict.status != ALLOWED:
                 violations.append((name, unparse_view(v.nf, toys_schema)))
     assert not violations, violations
@@ -298,10 +297,10 @@ def test_criterion_5_simplification_soundness(toys_schema, toys_constraints, toy
             _, ablated = _corpus_policy(toys_schema, toys_constraints, toy_pipeline)
         ablated_nfs = [v.nf for v in ablated.views]
         for q in full_nfs:
-            verdict = is_allowed(q, ablated_nfs, toys_constraints, toys_schema, 2, (0, 3))
+            verdict = is_allowed(q, ablated_nfs, determinacy(toys_schema, toys_constraints, 2, (0, 3)))
             assert verdict.status == ALLOWED, f"step {step}: full view not allowed by ablated policy"
         for q in ablated_nfs:
-            verdict = is_allowed(q, full_nfs, toys_constraints, toys_schema, 2, (0, 3))
+            verdict = is_allowed(q, full_nfs, determinacy(toys_schema, toys_constraints, 2, (0, 3)))
             assert verdict.status == ALLOWED, f"step {step}: ablated view not allowed by full policy"
 
     # The merge-branches unit case reduces the count by exactly one.
@@ -332,8 +331,7 @@ def test_criterion_4_oracle_equivalence():
         cases += 1
         oracle = BruteForceDeterminacy(schema, constraints, bound, (0, 1, 2))
         want, _ = oracle.is_allowed(q, views)
-        verdict = is_allowed(q, views, constraints, schema,
-                             bound=bound, value_range=(0, 2), timeout_s=5.0)
+        verdict = is_allowed(q, views, determinacy(schema, constraints, bound, (0, 2), 5.0))
         if verdict.status == "unknown":
             unknowns += 1
             continue

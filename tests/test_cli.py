@@ -139,6 +139,24 @@ def test_explore_path_budget_exits_3(tmp_path, capsys):
     assert len(list((run / "transcripts").glob("*.jsonl"))) == 1
 
 
+def test_explore_again_replaces_only_the_handlers_transcripts_and_inputs(tmp_path, capsys):
+    # A re-run under a smaller budget leaves its own paths alone, so
+    # policy-gen reads that run; a handler whose name extends this one's
+    # keeps its files.
+    run = make_run(tmp_path, "grade_sheet")
+    assert main(["explore", str(run), "view_grade_sheet"]) == 0
+    other = "view_grade_sheet_v2-0003"
+    shutil.copy(run / "transcripts" / "view_grade_sheet-0003.jsonl", run / "transcripts" / f"{other}.jsonl")
+    shutil.copy(run / "inputs" / "view_grade_sheet-0003.json", run / "inputs" / f"{other}.json")
+    assert main(["explore", str(run), "view_grade_sheet", "--max-paths", "1"]) == 3
+    for kind, suffix in (("transcripts", ".jsonl"), ("inputs", ".json")):
+        names = sorted(p.name for p in (run / kind).iterdir())
+        assert names == [f"view_grade_sheet-0001{suffix}", f"{other}{suffix}"]
+    capsys.readouterr()
+    assert main(["policy-gen", str(run), "view_grade_sheet"]) == 0
+    assert "paths=1 " in capsys.readouterr().out
+
+
 def test_policy_gen_grade_sheet(tmp_path, capsys):
     run = make_run(tmp_path, "grade_sheet")
     main(["explore", str(run), "view_grade_sheet"])

@@ -18,11 +18,13 @@ from polex.pruner import (
     merge_and_prune,
     prune,
     _is_allowed_by_solver,
+    _verify_counterexample,
 )
 from polex.schema import parse_schema
 from polex.sqlparser import parse_sql
 
 import full_bound
+from conftest import determinacy
 from oracle import BruteForceDeterminacy
 
 
@@ -48,12 +50,12 @@ def listing_policy(grade_schema):
 
 def test_extracted_view_allowed_under_handwritten_policy(grade_schema, grade_constraints, listing_policy):
     v1, v2, vstar = listing_policy
-    assert is_allowed(vstar, [v1, v2], grade_constraints, grade_schema).status == ALLOWED
+    assert is_allowed(vstar, [v1, v2], determinacy(grade_schema, grade_constraints)).status == ALLOWED
 
 
 def test_identity_is_allowed(grade_schema, grade_constraints, listing_policy):
     v1, _, _ = listing_policy
-    assert is_allowed(v1, [v1], grade_constraints, grade_schema).status == ALLOWED
+    assert is_allowed(v1, [v1], determinacy(grade_schema, grade_constraints)).status == ALLOWED
 
 
 def test_independent_column_not_allowed_with_verified_pair():
@@ -61,7 +63,7 @@ def test_independent_column_not_allowed_with_verified_pair():
     cons = expand_all(generate_constraints(schema), schema)
     qa = nf("SELECT a FROM t", schema)
     qb = nf("SELECT b FROM t", schema)
-    verdict = is_allowed(qa, [qb], cons, schema, bound=1, value_range=(0, 1))
+    verdict = is_allowed(qa, [qb], determinacy(schema, cons, bound=1, value_range=(0, 1)))
     assert verdict.status == NOT_ALLOWED
     ca, cb = verdict.counterexample
     # the pair is pre-verified inside is_allowed; sanity-check shape here
@@ -96,10 +98,10 @@ def test_counterexample_needing_two_rows_comes_from_the_full_bound(monkeypatch):
     schema, cons, q, views = _two_rows_needed()
     for bound, allowed in ((1, True), (2, False)):
         assert BruteForceDeterminacy(schema, cons, bound, (0, 1)).is_allowed(q, views)[0] == allowed
-    assert _is_allowed_by_solver(q, views, cons, schema, 1, (0, 1), None).status == ALLOWED
-    verdict = is_allowed(q, views, cons, schema, bound=2, value_range=(0, 1), timeout_s=None)
+    assert _is_allowed_by_solver(q, views, determinacy(schema, cons, 1, (0, 1), None)).status == ALLOWED
+    verdict = is_allowed(q, views, determinacy(schema, cons, 2, (0, 1), None))
     full_bound.only(monkeypatch)
-    full = _is_allowed_by_solver(q, views, cons, schema, 2, (0, 1), None)
+    full = _is_allowed_by_solver(q, views, determinacy(schema, cons, 2, (0, 1), None))
     assert verdict.status == NOT_ALLOWED and verdict == full
     assert max(len(ci.tables["t"]) for ci in verdict.counterexample) == 2
 
@@ -120,11 +122,11 @@ def test_unknown_at_bound_1_leaves_the_verdict_to_the_full_bound(monkeypatch):
     for query, over, s, c, want in ((a, [b], schema, cons, NOT_ALLOWED),
                                     (nf("SELECT * FROM t", split), union, split, split_cons, ALLOWED)):
         del bounds[:]
-        verdict = is_allowed(query, over, c, s, bound=2, value_range=(0, 1), timeout_s=None)
+        verdict = is_allowed(query, over, determinacy(s, c, 2, (0, 1), None))
         assert bounds == [1, 2] and verdict.status == want
         with pytest.MonkeyPatch.context() as mp:
             full_bound.only(mp)
-            assert verdict == _is_allowed_by_solver(query, over, c, s, 2, (0, 1), None)
+            assert verdict == _is_allowed_by_solver(query, over, determinacy(s, c, 2, (0, 1), None))
 
 
 def test_prune_removes_projection_subsumed_view():
@@ -151,8 +153,8 @@ def test_prune_soundness(grade_schema, grade_constraints, listing_policy):
     pruned, removed = prune(policy, grade_constraints, grade_schema)
     for v in removed:
         verdict = is_allowed(
-            v.nf, [w.nf for w in pruned.views], grade_constraints, grade_schema,
-            bound=policy.bound, value_range=policy.value_range,
+            v.nf, [w.nf for w in pruned.views],
+            determinacy(grade_schema, grade_constraints, policy.bound, policy.value_range),
         )
         assert verdict.status == ALLOWED
 
@@ -221,8 +223,7 @@ def test_broaden_monotonicity(grade_schema, grade_constraints, listing_policy):
     wide = View(nf("SELECT * FROM grades", grade_schema))
     out, _ = broaden(base, [wide], grade_constraints, grade_schema)
     for v in (v1, vstar):
-        verdict = is_allowed(v, [w.nf for w in out.views], grade_constraints, grade_schema,
-                             bound=2, value_range=(0, 3))
+        verdict = is_allowed(v, [w.nf for w in out.views], determinacy(grade_schema, grade_constraints, 2, (0, 3)))
         assert verdict.status == ALLOWED
 
 
@@ -230,7 +231,8 @@ def test_broaden_monotonicity(grade_schema, grade_constraints, listing_policy):
 # Randomized agreement with the exhaustive oracle
 
 
-def random_case(rng: random.Random):
+def random_schema(rng: random.Random):
+    """A schema of one to three small tables, and the bound to check it at."""
     n_tables = rng.choice([1, 1, 1, 2, 2, 3])
     bound = 1 if n_tables == 3 else rng.choice([1, 2])
     lines = []
@@ -245,31 +247,35 @@ def random_case(rng: random.Random):
                 attrs = " nullable"
             cols.append(f"c{j} {ctype}{attrs}")
         lines.append(f"table t{i} {{ {'  '.join(cols)} }}")
-    schema = parse_schema("\n".join(lines))
+    return parse_schema("\n".join(lines)), bound
 
-    def random_query():
-        t = rng.choice(schema.tables)
-        arity = t.arity
-        proj = tuple(sorted(rng.sample(range(arity), rng.randint(1, arity))))
-        atoms = []
-        for j, col in enumerate(t.columns):
-            r = rng.random()
-            if r < 0.18 and col.type == "int":
-                atoms.append(f"c{j} = MyUserId")
-            elif r < 0.28 and col.type == "int":
-                atoms.append(f"c{j} = {rng.randint(0, 2)}")
-            elif r < 0.36 and col.type == "bool":
-                atoms.append(f"c{j}")
-            elif r < 0.42 and col.nullable:
-                atoms.append(f"c{j} IS NULL")
-        sql = "SELECT " + ", ".join(f"c{k}" for k in proj) + f" FROM {t.name}"
-        if atoms:
-            sql += " WHERE " + " AND ".join(atoms)
-        return nf(sql, schema)
 
+def random_query(rng: random.Random, schema):
+    t = rng.choice(schema.tables)
+    arity = t.arity
+    proj = tuple(sorted(rng.sample(range(arity), rng.randint(1, arity))))
+    atoms = []
+    for j, col in enumerate(t.columns):
+        r = rng.random()
+        if r < 0.18 and col.type == "int":
+            atoms.append(f"c{j} = MyUserId")
+        elif r < 0.28 and col.type == "int":
+            atoms.append(f"c{j} = {rng.randint(0, 2)}")
+        elif r < 0.36 and col.type == "bool":
+            atoms.append(f"c{j}")
+        elif r < 0.42 and col.nullable:
+            atoms.append(f"c{j} IS NULL")
+    sql = "SELECT " + ", ".join(f"c{k}" for k in proj) + f" FROM {t.name}"
+    if atoms:
+        sql += " WHERE " + " AND ".join(atoms)
+    return nf(sql, schema)
+
+
+def random_case(rng: random.Random):
+    schema, bound = random_schema(rng)
     constraints = expand_all(generate_constraints(schema), schema)
-    views = [random_query() for _ in range(rng.randint(0, 2))]
-    q = random_query()
+    views = [random_query(rng, schema) for _ in range(rng.randint(0, 2))]
+    q = random_query(rng, schema)
     return schema, constraints, bound, views, q
 
 
@@ -282,7 +288,7 @@ def test_is_allowed_agrees_with_exhaustive_oracle(seed):
         schema, constraints, bound, views, q = random_case(rng)
         oracle = BruteForceDeterminacy(schema, constraints, bound, domain)
         want, _ = oracle.is_allowed(q, views)
-        verdict = is_allowed(q, views, constraints, schema, bound=bound, value_range=(0, 2))
+        verdict = is_allowed(q, views, determinacy(schema, constraints, bound, (0, 2)))
         if verdict.status == "unknown":
             unknowns += 1
             continue
@@ -300,8 +306,31 @@ def test_counterexample_has_one_row_per_table_when_bound_1_has_one(seed):
         if BruteForceDeterminacy(schema, constraints, 1, (0, 1, 2)).is_allowed(q, views)[0]:
             continue
         small += 1
-        verdict = is_allowed(q, views, constraints, schema, bound=2, value_range=(0, 2), timeout_s=None)
+        verdict = is_allowed(q, views, determinacy(schema, constraints, 2, (0, 2), None))
         assert verdict.status == NOT_ALLOWED, f"case {case}"
         for ci in verdict.counterexample:
             assert all(len(rows) <= 1 for rows in ci.tables.values()), f"case {case}: {ci.tables}"
     assert small >= 10
+
+
+def test_one_determinacy_search_answers_many_pairs_like_the_oracle():
+    # A prune pass asks all its questions on one two-copy `Question`: what
+    # its searches learnt from earlier pairs must never change an answer.
+    rng = random.Random(31)
+    statuses = []
+    for _ in range(8):
+        schema, bound = random_schema(rng)
+        constraints = expand_all(generate_constraints(schema), schema)
+        oracle = BruteForceDeterminacy(schema, constraints, bound, (0, 1, 2))
+        shared = determinacy(schema, constraints, bound, (0, 2), None)
+        for _ in range(6):
+            q = random_query(rng, schema)
+            views = [random_query(rng, schema) for _ in range(rng.randint(0, 3))]
+            verdict = _is_allowed_by_solver(q, views, shared)
+            assert (verdict.status == ALLOWED) == oracle.is_allowed(q, views)[0]
+            fresh = _is_allowed_by_solver(q, views, determinacy(schema, constraints, bound, (0, 2), None))
+            assert verdict.status == fresh.status
+            if verdict.status == NOT_ALLOWED:
+                _verify_counterexample(q, views, schema, *verdict.counterexample)
+            statuses.append(verdict.status)
+    assert statuses.count(ALLOWED) >= 10 and statuses.count(NOT_ALLOWED) >= 10, statuses

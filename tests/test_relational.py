@@ -34,6 +34,8 @@ from polex.terms import (
 )
 from polex.unparse import unparse_nf, unparse_view
 
+from conftest import determinacy
+
 SCHEMA = parse_schema(
     """
 table t {
@@ -339,8 +341,8 @@ def test_self_join_collapse_is_information_equivalent():
     from polex.constraints import expand_all, generate_constraints
 
     cons = expand_all(generate_constraints(SCHEMA), SCHEMA)
-    assert is_allowed(nf, [collapsed], cons, SCHEMA, value_range=(0, 2)).allowed
-    assert is_allowed(collapsed, [nf], cons, SCHEMA, value_range=(0, 2)).allowed
+    assert is_allowed(nf, [collapsed], determinacy(SCHEMA, cons, value_range=(0, 2))).allowed
+    assert is_allowed(collapsed, [nf], determinacy(SCHEMA, cons, value_range=(0, 2))).allowed
 
 
 def test_unparse_reparses():
@@ -461,5 +463,5 @@ def test_composite_unique_key_self_join_collapses(grade_schema):
 
     cons = expand_all(generate_constraints(grade_schema), grade_schema)
     collapsed = to_normal_form(parse_sql(text), grade_schema)
-    assert is_allowed(nf, [collapsed], cons, grade_schema, value_range=(0, 2)).allowed
-    assert is_allowed(collapsed, [nf], cons, grade_schema, value_range=(0, 2)).allowed
+    assert is_allowed(nf, [collapsed], determinacy(grade_schema, cons, value_range=(0, 2))).allowed
+    assert is_allowed(collapsed, [nf], determinacy(grade_schema, cons, value_range=(0, 2))).allowed

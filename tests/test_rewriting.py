@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from polex import pruner
+from polex import fdsolver, pruner, solver
 from polex.constraints import expand_all, generate_constraints, parse_constraint_line, render_constraint
 from polex.dsl import parse_handlers
 from polex.explorer import ExplorationConfig, explore
@@ -39,6 +39,7 @@ from polex.terms import (
 )
 
 import full_bound
+from conftest import determinacy
 from oracle import BruteForceDeterminacy
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -49,8 +50,8 @@ def nf(sql, schema):
 
 
 def verdict(q, views, schema, constraints):
-    return pruner.is_allowed(nf(q, schema), [nf(v, schema) for v in views], constraints, schema,
-                             bound=2, value_range=(0, 3))
+    return pruner.is_allowed(nf(q, schema), [nf(v, schema) for v in views],
+                             determinacy(schema, constraints, 2, (0, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -115,14 +116,14 @@ def test_lossless_hop_drops_from_the_query():
     constraints = expand_all(generate_constraints(schema), schema)
     narrow = load_policy_file(CORPUS / "broaden" / "narrow.sql", schema)
     broader = load_policy_file(CORPUS / "broaden" / "broader.sql", schema)
-    v = pruner.is_allowed(narrow[2].nf, [broader[0].nf], constraints, schema, bound=2, value_range=(0, 3))
+    v = pruner.is_allowed(narrow[2].nf, [broader[0].nf], determinacy(schema, constraints, 2, (0, 3)))
     assert (v.status, v.via) == (ALLOWED, REWRITING)
 
 
 def test_lossless_hop_at_bound_5_within_the_default_timeout(toys_schema, toys_constraints):
     # By SAT this check takes seconds at bound 5 and can run out of time.
     v = pruner.is_allowed(nf("SELECT * FROM details", toys_schema), [nf(DETAILS_ITEMS, toys_schema)],
-                          toys_constraints, toys_schema, bound=5)
+                          determinacy(toys_schema, toys_constraints, bound=5))
     assert (v.status, v.via) == (ALLOWED, REWRITING)
 
 
@@ -458,9 +459,9 @@ def _record_verdicts(monkeypatch):
     calls = []
     original = pruner.is_allowed
 
-    def recorded(q, views, constraints, schema, bound=2, value_range=(0, 7), timeout_s=5.0):
-        v = original(q, views, constraints, schema, bound, value_range, timeout_s)
-        calls.append((q, list(views), bound, value_range, v))
+    def recorded(q, views, question):
+        v = original(q, views, question)
+        calls.append((q, list(views), question.bound, question.value_range, v))
         return v
 
     monkeypatch.setattr(pruner, "is_allowed", recorded)
@@ -474,8 +475,8 @@ def _assert_rewritten_checks_solver_allowed(calls, constraints, schema, bound=No
     with pytest.MonkeyPatch.context() as mp:
         full_bound.only(mp)
         for q, views, own_bound, value_range, _ in rewritten:
-            v = pruner._is_allowed_by_solver(q, views, constraints, schema, bound or own_bound, value_range,
-                                             timeout_s=None)
+            v = pruner._is_allowed_by_solver(q, views, determinacy(schema, constraints, bound or own_bound,
+                                                                   value_range, None))
             assert v.status == ALLOWED
     return len(rewritten)
 
@@ -551,19 +552,19 @@ def test_broadened_policy_and_blame_agree_with_solver_only_run(monkeypatch):
     assert got == _broadened()
 
 
-# Bound 3: `solver.ask` looks for a counterexample at bound 1 before the
+# Bound 3: `solver.Question` looks for a counterexample at bound 1 before the
 # full bound.  A SAT-only toys run takes about 28 s here, nearly all in its
 # rewritten "allowed" checks, so the toys reference keeps the rewriting
 # (checked at bound 2 below) and decides every other check by one solver
 # call at bound 3; broaden's reference is SAT-only, at bound 3 alone too.
 
 
-def _one_full_bound_check(q, views, constraints, schema, bound=2, value_range=(0, 7), timeout_s=5.0):
-    if pruner._has_rewriting(q, views, constraints, schema):
+def _one_full_bound_check(q, views, question):
+    if pruner._has_rewriting(q, views, question.constraints, question.schema):
         return pruner.ContainmentVerdict(ALLOWED, via=REWRITING)
     with pytest.MonkeyPatch.context() as mp:
         full_bound.only(mp)
-        return pruner._is_allowed_by_solver(q, views, constraints, schema, bound, value_range, timeout_s)
+        return pruner._is_allowed_by_solver(q, views, question)
 
 
 def test_merged_toys_policy_at_bound_3_agrees_with_one_full_bound_check(monkeypatch):
@@ -602,6 +603,59 @@ def test_every_allowed_check_at_bound_3_is_rewritten(corpus, monkeypatch):
     # A rewriting holds at every bound; by SAT at bound 3 the merge-prune's
     # checks over up to 10 views take about 25 s, at bound 2 under 1 s.
     assert _assert_rewritten_checks_solver_allowed(calls, constraints, schema, bound=BOUND) == len(allowed)
+
+
+def _record_searches(monkeypatch):
+    """Record each `solver.Question` made, each question it is asked and,
+    for each search made over a pool with a base (one per rung a question
+    reaches), the `Question` asking and the base."""
+    record = {"questions": [], "asked": [], "searches": []}
+    asking = []
+    init, ask, search_init = solver.Question.__init__, solver.Question.ask, fdsolver.CdclBackend.__init__
+
+    def recorded_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        record["questions"].append(self)
+
+    def recorded_ask(self, encode):
+        record["asked"].append(self)
+        asking.append(self)
+        try:
+            return ask(self, encode)
+        finally:
+            asking.pop()
+
+    def recorded_search(self, pool, *args):
+        search_init(self, pool, *args)
+        if pool.base is not None:
+            record["searches"].append((asking[-1], pool.base))
+
+    monkeypatch.setattr(solver.Question, "__init__", recorded_init)
+    monkeypatch.setattr(solver.Question, "ask", recorded_ask)
+    monkeypatch.setattr(fdsolver.CdclBackend, "__init__", recorded_search)
+    return record
+
+
+@pytest.mark.parametrize("corpus", ["toys", "broaden"])
+def test_a_prune_pass_makes_one_search_per_rung(corpus, monkeypatch):
+    # toys: the merge-prune, one pass; broaden: its prune pass and its
+    # blame loop.  Every question of a pass goes to that pass's searches.
+    if corpus == "toys":
+        schema, constraints, handler_views = _corpus("toys", 3)
+        per_handler = [pruner.prune(Policy(views, 3, RANGE), constraints, schema, timeout_s=None)[0]
+                       for views in handler_views]
+        record = _record_searches(monkeypatch)
+        pruner.merge_and_prune(per_handler, constraints, schema, timeout_s=None)
+        passes = 1
+    else:
+        record = _record_searches(monkeypatch)
+        _broadened(3)
+        passes = 2
+    questions, searches = record["questions"], record["searches"]
+    assert len(questions) == passes and all(q.copies == 2 and q.bound == 3 for q in questions)
+    rungs = [(id(q), id(base)) for q, base in searches]
+    assert len(rungs) == len(set(rungs)) <= 2 * passes
+    assert len(record["asked"]) > len(searches)
 
 
 def test_request_parameters_block_the_rewriting(toys_schema):

@@ -15,7 +15,9 @@ from polex.evaluate import ScalarEnv, eval_executable, eval_nf
 from polex.explorer import ExplorationConfig, explore
 from polex.fdsolver import CdclBackend, CheckResult, VarPool, bvar, eval_formula, land, lnot, lor
 from polex.normal import NormalFormQuery, to_executable
-from polex.policygen import simplify, to_conditioned_queries
+from polex.policygen import simplify, to_conditioned_queries, views_from_cqs
+from polex.pruner import Policy, broaden, prune
+from polex.rundir import load_policy_file
 from polex.schema import parse_schema
 from polex.solver import (
     SymEnv,
@@ -377,22 +379,27 @@ def test_checks_on_one_context_leave_its_base_untouched(monkeypatch):
         results.append((verdict.status, verdict.model))
     assert results[0] == results[-1] and results[0][0] == "sat"
 
-    # Explore and simplify every synth-front handler: each base is as it
-    # was built, and every search a stage call made is garbage once the
-    # call returns.
+    # Explore and simplify every synth-front handler, then prune its views
+    # and broaden corpus/broaden's narrow policy: each base, one instance
+    # or two, is as it was built, and every search a stage call or prune
+    # pass made is garbage once the call returns.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import synth
 
     schema_text, handlers, _ = synth.generate(1)
     schema = parse_schema(schema_text)
     cons = expand_all(generate_constraints(schema), schema)
-    bases, searches = {}, []
+    bases, searches, copies = {}, [], {}
     shared, init = solver._shared, fdsolver.CdclBackend.__init__
 
     def recorded_shared(*args):
         out = shared(*args)
         bases.setdefault(id(out[0]), (out[0], _base_snapshot(out[0])))
+        copies[id(out[0])] = args[-1]
         return out
+
+    def only_bases_live():
+        return {id(ref()) for ref in searches if ref() is not None} <= set(bases)
 
     def recorded_init(self, *args):
         init(self, *args)
@@ -401,12 +408,28 @@ def test_checks_on_one_context_leave_its_base_untouched(monkeypatch):
     monkeypatch.setattr(solver, "_shared", recorded_shared)
     monkeypatch.setattr(fdsolver.CdclBackend, "__init__", recorded_init)
     config = ExplorationConfig(table_bound=2, solver_timeout=None)
+    handler_views = []
     for program in (p for name in sorted(handlers) for p in parse_handlers(handlers[name])):
         result = explore(program, schema, cons, config)
         cqs = to_conditioned_queries(result.transcripts, schema)
-        simplify(cqs, schema, cons, dict(program.request_params), table_bound=2, timeout_s=None)
-        assert {id(ref()) for ref in searches if ref() is not None} <= set(bases)
+        simplified = simplify(cqs, schema, cons, dict(program.request_params), table_bound=2, timeout_s=None)
+        handler_views.append(views_from_cqs(simplified, schema))
+        assert only_bases_live()
     assert len(bases) == 2 and len(searches) > 2 * len(handlers)  # bound 1 and bound 2
+    for base, before in bases.values():
+        assert _base_snapshot(base) == before
+
+    made = len(searches)
+    for views in handler_views:
+        prune(Policy(views, 2), cons, schema, timeout_s=None)
+        assert only_bases_live()
+    root = Path(__file__).resolve().parent.parent / "corpus" / "broaden"
+    broaden_schema = parse_schema((root / "schema.txt").read_text())
+    broaden_cons = expand_all(generate_constraints(broaden_schema), broaden_schema)
+    narrow, broader = (load_policy_file(root / f"{name}.sql", broaden_schema) for name in ("narrow", "broader"))
+    broaden(Policy(narrow, 2), broader, broaden_cons, broaden_schema, timeout_s=None)
+    assert only_bases_live()
+    assert sorted(copies.values()) == [1, 1, 2, 2] and len(searches) > made  # a two-instance base per schema
     for base, before in bases.values():
         assert _base_snapshot(base) == before
 
@@ -498,7 +521,7 @@ def test_ask_goes_on_to_the_full_bound_unless_bound_1_is_sat(bound, at_1, asked,
 
     backend_check = fdsolver.CdclBackend.check
     monkeypatch.setattr(fdsolver.CdclBackend, "check", scripted_check)
-    status, inputs = solver.ask(SCHEMA, CONSTRAINTS, bound, RANGE, encode, timeout_s=0.5)
+    status, inputs = solver.Question(SCHEMA, CONSTRAINTS, bound, RANGE, timeout_s=0.5).ask(encode)
     assert encoded == asked
     assert status == results[-1].status and len(inputs) == (status == "sat")
 
@@ -515,7 +538,8 @@ def test_ask_reads_the_model_through_the_context_it_was_found_in():
 
     # A bound-1 input holds one row per table at most.
     for encode, bound, rows in ((some_course, 1, 1), (two_courses, 3, 2)):
-        status, (ci,) = solver.ask(SCHEMA, CONSTRAINTS, 3, RANGE, encode, [("CourseId", "int")], timeout_s=None)
+        question = solver.Question(SCHEMA, CONSTRAINTS, 3, RANGE, [("CourseId", "int")], timeout_s=None)
+        status, (ci,) = question.ask(encode)
         assert status == "sat" and rows <= len(ci.tables["courses"]) <= bound
         assert list(ci.request) == ["CourseId"] and (ci.input_id, ci.handler) == ("", "")
         assert validate_instance(ci, CONSTRAINTS, SCHEMA)[0]
@@ -523,7 +547,8 @@ def test_ask_reads_the_model_through_the_context_it_was_found_in():
 
 def test_ask_rejects_a_model_that_breaks_a_constraint(monkeypatch):
     # Without its constraint formulas the context admits a role whose
-    # course is missing; `ask` checks each answer against the constraints.
+    # course is missing; `Question.ask` checks each answer against the
+    # constraints.
     def dangling_role(instances, env):
         (inst,) = instances
         return [bvar(inst.tables["roles"][0].presence), lnot(bvar(inst.tables["courses"][0].presence))]
@@ -532,7 +557,7 @@ def test_ask_rejects_a_model_that_breaks_a_constraint(monkeypatch):
     solver._shared.cache_clear()
     try:
         with pytest.raises(fdsolver.InternalSolverError, match="fk roles.course_id -> courses.id"):
-            solver.ask(SCHEMA, CONSTRAINTS, 2, RANGE, dangling_role, timeout_s=None)
+            solver.Question(SCHEMA, CONSTRAINTS, 2, RANGE, timeout_s=None).ask(dangling_role)
     finally:
         solver._shared.cache_clear()
 
@@ -543,7 +568,7 @@ def test_a_constant_outside_its_domain_raises_in_every_stage():
         fixed = expand_all([FixedValue("roles", column, value)], SCHEMA)
         message = f"value {value} in constraint 'fixed roles.{column} = {value}' lies outside the value range {domain}"
         with pytest.raises(RangeError, match=re.escape(message)):
-            solver.ask(SCHEMA, CONSTRAINTS + fixed, 2, RANGE, lambda instances, env: [], timeout_s=None)
+            solver.Question(SCHEMA, CONSTRAINTS + fixed, 2, RANGE, timeout_s=None).ask(lambda instances, env: [])
     (program,) = parse_handlers('handler h() { let c = query("SELECT * FROM courses WHERE id = 4"); render(c); }')
     with pytest.raises(RangeError, match="value 4 in handler h lies outside the value range 0:3"):
         explore(program, SCHEMA, CONSTRAINTS, ExplorationConfig(value_range=RANGE))

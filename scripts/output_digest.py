@@ -12,7 +12,8 @@ machine's speed.  The runs:
 - broaden at bounds 2 to 5: the narrow policy broadened by the pinned
   broader views;
 - the generated `synth-front` corpus (`perfbench/synth.py`), seeds 1-3 at
-  bound 2: explore and policy-gen per handler;
+  bound 2 and seed 1 at bounds 4 and 6: explore and policy-gen per
+  handler;
 - toys at bound 3 and `synth-front` seed 1 at bound 2 again, with value
   range 0:15 instead of 0:7 (the `-r15` runs);
 - the `ranges` corpus at bound 2 and value range 0:15: its handlers filter
@@ -149,6 +150,8 @@ RUNS = [
     ("synth-s1-b2", lambda: synth_front(1)),
     ("synth-s2-b2", lambda: synth_front(2)),
     ("synth-s3-b2", lambda: synth_front(3)),
+    ("synth-s1-b4", lambda: synth_front(1, bound=4)),
+    ("synth-s1-b6", lambda: synth_front(1, bound=6)),
     ("toys-b3-r15", lambda: pipeline("toys", 3, (0, 15))),
     ("synth-s1-b2-r15", lambda: synth_front(1, value_range=(0, 15))),
     ("ranges-b2-r15", lambda: pipeline("ranges", 2, (0, 15))),

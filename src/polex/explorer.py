@@ -36,7 +36,7 @@ from .instance import ConcreteInput
 from .interpreter import MultiRowResult, QueryCatalog, execute, validate_program
 from .normal import CountQuery, LeftJoinQuery, PlainQuery
 from .schema import Schema
-from .solver import Question, encode_pred, encode_query
+from .solver import Question, encode_pred, encode_query, row_bounds
 from .terms import IntLit, iter_terms
 from .transcript import BranchRecord, QueryRecord, Transcript, TranscriptRecord
 
@@ -195,7 +195,10 @@ class Explorer:
                 formulas.setdefault(("amo", replace(r, is_empty=False)), enc.at_most_one)
             return list(formulas.values())
 
-        status, inputs = self.question.ask(encode)
+        rows = row_bounds(self.schema, self.constraints, [
+            (r.index, self.catalog.executable(r.sql), r.params, on_path and not r.is_empty)
+            for r, on_path in steps if isinstance(r, QueryRecord)])
+        status, inputs = self.question.ask(encode, rows)
         if status == "unknown":
             return ABANDONED, None
         if status == "unsat":

@@ -348,6 +348,12 @@ def prune(
     Views whose normal form is in `pinned` are never removed.
     """
     question = determinacy_question(schema, constraints, policy.bound, policy.value_range, timeout_s)
+    return _prune_pass(policy, question, pinned)
+
+
+def _prune_pass(policy: Policy, question: Question, pinned: frozenset) -> tuple[Policy, list[View]]:
+    """`prune`'s pass, asking on `question`."""
+    schema = question.schema
     current = list(policy.views)
     removed: list[View] = []
     for v in _prune_order(policy.views, schema):
@@ -402,9 +408,9 @@ def broaden(
     added = [v for v in user_views if v.nf not in seen]
     combined = Policy(policy.views + added, policy.bound, policy.value_range)
     pinned = frozenset(v.nf for v in user_views)
-    pruned, removed = prune(combined, constraints, schema, timeout_s, pinned=pinned)
-    report = BroadenReport()
     question = determinacy_question(schema, constraints, policy.bound, policy.value_range, timeout_s)
+    pruned, removed = _prune_pass(combined, question, pinned)
+    report = BroadenReport()
     base = [v.nf for v in pruned.views if v.nf not in pinned]
     for v in removed:
         blame = [i for i, u in enumerate(user_views) if is_allowed(v.nf, base + [u.nf], question).allowed]

@@ -25,11 +25,26 @@ comes back as one input per instance, checked against the constraints.
 Explore and policy-gen keep one `Question` for a stage call and the pruner
 one for a prune pass, so all its questions on a rung go to one incremental
 search.
+
+An unsat answer needs only the rows of a countermodel's witness closure:
+the rows its non-empty query records matched, and the rows the `contain`
+lines chase from those.  Deleting every other row keeps a countermodel
+one, since emptiness, at-most-one, `unique`, row order and literal
+relations survive deletion and the chase keeps every containment (Johnson
+& Klug, JCSS 1984).  So each table gets its own row bound, as in Kodkod
+(Torlak & Jackson, TACAS 2007): `row_bounds` counts the closure, and
+`Question.ask` caps the full-bound rung at it.  A witness row whose column
+a top-level `k = ?` of another non-empty record fixes, `k` a `unique` key,
+is chased to that record's row, which the count already holds.  A LEFT
+JOIN record (a deleted right row can make an unmatched-left row), a cyclic
+`contain` graph and a `contain` left side with more than one source get
+no count.
 """
 
 from __future__ import annotations
 
 import functools
+import graphlib
 import itertools
 from dataclasses import dataclass, field
 
@@ -51,7 +66,7 @@ from .fdsolver import (
     lor,
 )
 from .instance import ConcreteInput
-from .normal import CountQuery, LeftJoinQuery, NormalFormQuery, PlainQuery
+from .normal import CountQuery, LeftJoinQuery, NormalFormQuery, PlainQuery, source_ranges
 from .schema import Schema
 from .terms import (
     SESSION_PARAMS,
@@ -71,6 +86,7 @@ from .terms import (
     Scalar,
     SessionParam,
     TruePred,
+    conjuncts,
 )
 
 
@@ -393,6 +409,79 @@ def encode_constraint(c: Constraint, inst: SymInstance, schema: Schema):
 
 
 # ---------------------------------------------------------------------------
+# Witness-closure row bounds
+
+
+def row_bounds(schema: Schema, constraints: list[Constraint], records) -> dict[str, int] | None:
+    """The witness closure's rows per table (see the module docstring), or
+    None where it has no count.
+
+    `records` holds `(index, query, params, non_empty)` per query the
+    question encodes, `non_empty` where it asserts a row.  Each non-empty
+    PSJ record adds one row per source occurrence.  Then, in topological
+    order of the query-sided `contain` lines, each row of a line's left
+    table adds one row per right-side source, unless it is pinned: a
+    witness row of record `a` needs no chased row for `T.c ⊆ U.k` (one
+    column a side, one right source, `unique U(k)`) when a non-empty
+    single-source record on U has a top-level conjunct `k = ?p` whose
+    parameter is the `a` result column read from the row's `c`.  The
+    conjunct holds, so `c` is non-null and equals that record's key, and by
+    uniqueness only that record's own row can match it."""
+    chases = [c for c in constraints if isinstance(c, Containment) and isinstance(c.right, NormalFormQuery)]
+    if any(isinstance(q, LeftJoinQuery) for _, q, _, _ in records) or any(len(c.left.sources) != 1 for c in chases):
+        return None
+    graph = {t.name: set() for t in schema.tables}
+    for c in chases:
+        for u in c.right.sources:
+            graph[u].add(c.left.sources[0])
+    try:
+        order = list(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError:
+        return None
+    witnesses: dict[int, tuple] = {}  # index -> (nf, params) of each non-empty PSJ record
+    for index, q, params, non_empty in records:
+        nf = q.nf if isinstance(q, PlainQuery) else q
+        if non_empty and isinstance(nf, NormalFormQuery) and witnesses.setdefault(index, (nf, params)) != (nf, params):
+            return None  # two records on one index: a result column names neither for sure
+    rows = dict.fromkeys(order, 0)
+    for nf, _ in witnesses.values():
+        for t in nf.sources:
+            rows[t] += 1
+    keys = {(c.table, c.columns) for c in constraints if isinstance(c, Unique)}
+    for t in order:
+        for c in chases:
+            if c.left.sources == (t,):
+                chased = rows[t] - _pinned(c, witnesses, keys, schema)
+                for u in c.right.sources:
+                    rows[u] += chased
+    return rows
+
+
+def _pinned(c: Containment, witnesses: dict, keys: set, schema: Schema) -> int:
+    """How many witness rows of `c`'s left table need no row chased for
+    `c` (see `row_bounds`)."""
+    if not (len(c.left.projection) == len(c.right.sources) == 1):  # the sides' arities are equal
+        return 0
+    (t,), (col,), (u,), (k,) = c.left.sources, c.left.projection, c.right.sources, c.right.projection
+    if (u, (schema.table(u).columns[k].name,)) not in keys:
+        return 0
+    keyed = set()  # the parameters a non-empty record on U equates its key to
+    for nf, params in witnesses.values():
+        if nf.sources == (u,):
+            for atom in conjuncts(nf.filter):
+                if isinstance(atom, Cmp) and atom.op == "=":
+                    for key, p in ((atom.left, atom.right), (atom.right, atom.left)):
+                        if key == Col(k) and isinstance(p, PlaceholderRef):
+                            keyed.add(params[p.position - 1])
+    return sum(
+        1
+        for index, (nf, _) in witnesses.items()
+        for src, (lo, _) in zip(nf.sources, source_ranges(schema, nf.sources))
+        if src == t and any(RowCol(index, j) in keyed for j, o in enumerate(nf.projection) if o == lo + col)
+    )
+
+
+# ---------------------------------------------------------------------------
 # Solving and model extraction
 
 
@@ -401,7 +490,10 @@ class Question:
     """Bounded questions over one context, for the life of one stage call
     or prune pass: each rung (bound 1, and `bound`) gets one incremental
     search at its first question, and every later question on that rung
-    reuses it."""
+    reuses it.  Explore's prefixes and the simplifier's entailment
+    questions pass their `row_bounds` r_T: a countermodel within `bound`
+    rows has one within min(bound, r_T) rows of each table T.  The
+    pruner's two-instance questions pass none and keep the full bound."""
 
     schema: Schema
     constraints: list[Constraint]
@@ -412,20 +504,30 @@ class Question:
     timeout_s: float | None = 5.0
     _rungs: dict = field(default_factory=dict, init=False, repr=False)  # bound -> (search, instances, params)
 
-    def ask(self, encode) -> tuple[str, tuple[ConcreteInput, ...]]:
+    def ask(self, encode, rows: dict[str, int] | None = None) -> tuple[str, tuple[ConcreteInput, ...]]:
         """Decide the formulas `encode(instances, env)` builds over the
         `bounded` context, at bound 1 and then, unless that is sat, at
         `bound`.  Returns the last check's status and, when it is sat, one
         input per instance, its request holding `params`.  An input that
-        breaks a constraint raises InternalSolverError."""
+        breaks a constraint raises InternalSolverError.
+
+        With `rows`, the full-bound rung is unsat without a search when
+        bound 1 was unsat (not unknown) and no r_T exceeds 1; otherwise it
+        assumes row r_T of each T absent, so row order drops the rest."""
         for b in dict.fromkeys((1, self.bound)):
+            if b > 1 and rows is not None and verdict.status == "unsat" and max(rows.values()) <= 1:
+                break
             if b not in self._rungs:
                 pool, instances, env = bounded(self.schema, self.constraints, b, self.value_range, self.params,
                                                self.copies)
                 self._rungs[b] = CdclBackend(pool), instances, env.params
             search, instances, params = self._rungs[b]
             env = SymEnv(dict(params))
-            verdict = search.check(encode(instances, env), self.timeout_s)
+            formulas = encode(instances, env)
+            if b > 1 and rows is not None:
+                formulas += [lnot(bvar(inst.tables[t][r].presence)) for inst in instances for t, r in rows.items()
+                             if r < b]
+            verdict = search.check(formulas, self.timeout_s)
             if verdict.status != "sat":
                 continue
             inputs = tuple(model_to_input(verdict.model, inst, self.schema, env, [n for n, _ in self.params])

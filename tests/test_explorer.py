@@ -266,7 +266,12 @@ handler h(Id: int) {
         QueryRecord(2, "SELECT * FROM parents WHERE id = ?", (RowCol(1, 1),), True),
     )
     assert explorer.generate_input(prefix) == (INFEASIBLE, None)
-    assert len(conflicts) == 2 and sum(conflicts) <= 16  # bound 1, then bound 2
+    # Bound 1 only: the prefix's witness closure is one row of each table,
+    # so its row bounds answer bound 2 without a search.
+    assert len(conflicts) == 1 and sum(conflicts) <= 16
+    full_bound.only(monkeypatch)
+    assert explorer.generate_input(prefix) == (INFEASIBLE, None)
+    assert len(conflicts) == 2 and conflicts[1] <= 16  # one fresh search at bound 2
 
 
 @pytest.mark.parametrize("corpus", ["toys-b3", "synth-front-s1"])
@@ -305,7 +310,10 @@ def test_exploration_is_the_same_without_the_bound_1_rung(corpus, monkeypatch):
     with_rung = explored()
     full_bound.only(monkeypatch)
     assert explored() == with_rung
-    assert checks[0] > checks[1]  # an infeasible prefix is asked at bound 1 too
+    if corpus == "toys-b3":  # every infeasible prefix's closure fits in one row per table
+        assert checks[0] == checks[1]
+    else:  # an infeasible prefix is asked at bound 1 too
+        assert checks[0] > checks[1]
 
 
 def test_multi_row_repair(toys_schema, toys_constraints):

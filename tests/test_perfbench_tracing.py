@@ -65,4 +65,4 @@ def test_traced_toys_job_counts_the_same_work(tracing, tmp_path):
     assert wl.check(ld, out) == []
     m = tracing.layer_metrics(tracer)
     assert (m["explorer.paths"], m["explorer.infeasible"], m["fdsolver.unknown"]) == (24, 3, 0)
-    assert (m["fdsolver.check_calls"], m["fdsolver.conflicts"]) == (54, 28)
+    assert (m["fdsolver.check_calls"], m["fdsolver.conflicts"]) == (50, 1)

@@ -458,7 +458,10 @@ def test_unknown_at_bound_1_leaves_the_verdict_to_the_full_bound(grade_schema, g
 
 def test_each_question_reaches_the_solver_once_per_bound(toys_schema, toys_constraints, monkeypatch):
     # `maker` must return a row by the foreign key and is never used: both
-    # queries after the branch ask whether it is vacuous.
+    # queries after the branch ask whether it is vacuous.  So must `parent`,
+    # and asking that has `other` among the premises, a details row whose
+    # item the witness closure chases as a second items row: that question
+    # reaches the full bound.
     program = parse_handler(
         """
 handler two_after_branch(ItemId: int) {
@@ -467,6 +470,10 @@ handler two_after_branch(ItemId: int) {
   let maker = query("SELECT * FROM users WHERE id = ?", item.owner_id);
   if (item.public) {
     let ds = query("SELECT * FROM details WHERE item_id = ?", item.id);
+    let other = query("SELECT * FROM details WHERE body = ?", item.category);
+    if (nonempty(other)) {
+      let parent = query("SELECT * FROM items WHERE id = ?", other.item_id);
+    }
     let owner = query("SELECT * FROM users WHERE id = ?", item.owner_id);
     render(ds, owner);
   }

@@ -639,7 +639,8 @@ def _record_searches(monkeypatch):
 @pytest.mark.parametrize("corpus", ["toys", "broaden"])
 def test_a_prune_pass_makes_one_search_per_rung(corpus, monkeypatch):
     # toys: the merge-prune, one pass; broaden: its prune pass and its
-    # blame loop.  Every question of a pass goes to that pass's searches.
+    # blame loop, which share one `Question`.  Every question of a pass
+    # goes to that pass's searches.
     if corpus == "toys":
         schema, constraints, handler_views = _corpus("toys", 3)
         per_handler = [pruner.prune(Policy(views, 3, RANGE), constraints, schema, timeout_s=None)[0]
@@ -650,7 +651,7 @@ def test_a_prune_pass_makes_one_search_per_rung(corpus, monkeypatch):
     else:
         record = _record_searches(monkeypatch)
         _broadened(3)
-        passes = 2
+        passes = 1
     questions, searches = record["questions"], record["searches"]
     assert len(questions) == passes and all(q.copies == 2 and q.bound == 3 for q in questions)
     rungs = [(id(q), id(base)) for q, base in searches]

@@ -449,8 +449,20 @@ def test_explore_encodes_each_context_once(monkeypatch):
     root = Path(__file__).resolve().parent.parent / "corpus" / "toys"
     schema = parse_schema((root / "schema.txt").read_text())
     cons = expand_all(generate_constraints(schema), schema)
-    # Two of its prefixes are infeasible, so explore asks at bound 2 too.
-    (program,) = parse_handlers((root / "handlers" / "detail_chain.hdl").read_text())
+    # detail_chain with a second items row fetched first: "the parent came
+    # back empty" is infeasible, and its witness closure needs two items
+    # rows (`i` and the one `d` points to), so explore asks at bound 2 too.
+    (program,) = parse_handlers("""
+handler detail_chain2(BodyVal: int, ItemId: int) {
+  let d = query("SELECT * FROM details WHERE body = ?", BodyVal);
+  abort_if_empty(d, 404);
+  let i = query("SELECT * FROM items WHERE id = ?", ItemId);
+  abort_if_empty(i, 404);
+  let parent = query("SELECT * FROM items WHERE id = ?", d.item_id);
+  let siblings = query("SELECT * FROM details WHERE item_id = ?", d.item_id);
+  render(d, i, siblings);
+}
+""")
     calls = {"encode_instance": 0, "ladders": 0}
     pools = []
 

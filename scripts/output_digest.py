@@ -12,7 +12,7 @@ machine's speed.  The runs:
 - broaden at bounds 2 to 5: the narrow policy broadened by the pinned
   broader views;
 - the generated `synth-front` corpus (`perfbench/synth.py`), seeds 1-3 at
-  bound 2 and seed 1 at bounds 4 and 6: explore and policy-gen per
+  bound 2 and seed 1 at bounds 4, 6 and 8: explore and policy-gen per
   handler;
 - toys at bound 3 and `synth-front` seed 1 at bound 2 again, with value
   range 0:15 instead of 0:7 (the `-r15` runs);
@@ -152,6 +152,7 @@ RUNS = [
     ("synth-s3-b2", lambda: synth_front(3)),
     ("synth-s1-b4", lambda: synth_front(1, bound=4)),
     ("synth-s1-b6", lambda: synth_front(1, bound=6)),
+    ("synth-s1-b8", lambda: synth_front(1, bound=8)),
     ("toys-b3-r15", lambda: pipeline("toys", 3, (0, 15))),
     ("synth-s1-b2-r15", lambda: synth_front(1, value_range=(0, 15))),
     ("ranges-b2-r15", lambda: pipeline("ranges", 2, (0, 15))),

@@ -36,7 +36,7 @@ from .instance import ConcreteInput
 from .interpreter import MultiRowResult, QueryCatalog, execute, validate_program
 from .normal import CountQuery, LeftJoinQuery, PlainQuery
 from .schema import Schema
-from .solver import Question, encode_pred, encode_query, row_bounds
+from .solver import Question, encode_pred, encode_query
 from .terms import IntLit, iter_terms
 from .transcript import BranchRecord, QueryRecord, Transcript, TranscriptRecord
 
@@ -152,7 +152,8 @@ class ExplorationResult:
 class Explorer:
     def __init__(self, program: HandlerProgram, schema: Schema,
                  constraints: list[Constraint], config: ExplorationConfig):
-        validate_program(program, schema)
+        self.catalog = QueryCatalog(schema)
+        validate_program(program, self.catalog)
         check_range(schema, constraints, config.value_range, program)
         self.program = program
         self.schema = schema
@@ -160,7 +161,6 @@ class Explorer:
         self.config = config
         self.question = Question(schema, constraints, config.table_bound, config.value_range,
                                  program.request_params, timeout_s=config.solver_timeout)
-        self.catalog = QueryCatalog(schema)
         self.tree = PrefixTree()
         self.transcripts: list[Transcript] = []
         self.inputs: dict[str, ConcreteInput] = {}
@@ -195,10 +195,9 @@ class Explorer:
                 formulas.setdefault(("amo", replace(r, is_empty=False)), enc.at_most_one)
             return list(formulas.values())
 
-        rows = row_bounds(self.schema, self.constraints, [
+        status, inputs = self.question.ask(encode, [
             (r.index, self.catalog.executable(r.sql), r.params, on_path and not r.is_empty)
             for r, on_path in steps if isinstance(r, QueryRecord)])
-        status, inputs = self.question.ask(encode, rows)
         if status == "unknown":
             return ABANDONED, None
         if status == "unsat":

@@ -84,10 +84,10 @@ class QueryCatalog:
         return self._cache[sql]
 
 
-def validate_program(program: HandlerProgram, schema: Schema) -> None:
-    """Schema-aware static checks: queries resolve, field refs exist and are
-    unambiguous, truthiness tests are on bool-typed operands."""
-    catalog = QueryCatalog(schema)
+def validate_program(program: HandlerProgram, catalog: QueryCatalog) -> None:
+    """Schema-aware static checks, parsing through `catalog`: queries
+    resolve, field refs exist and are unambiguous, truthiness tests are on
+    bool-typed operands."""
     executables: dict[str, ExecutableQuery] = {}
     param_types = dict(program.request_params)
 

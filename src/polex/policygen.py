@@ -22,7 +22,7 @@ from .constraints import Constraint
 from .fdsolver import land, lnot
 from .normal import CountQuery, NormalFormQuery, column_of_ordinal, psj_variants, to_executable
 from .schema import Schema
-from .solver import Question, encode_pred, encode_query, row_bounds
+from .solver import Question, encode_pred, encode_query
 from .sqlparser import parse_sql
 from .terms import (
     BoolLit,
@@ -295,10 +295,9 @@ class Simplifier:
                 formulas.append(f if j < k else lnot(f))
             return formulas
 
-        rows = row_bounds(self.schema, self.constraints, [
+        return self._question.ask(encode, [
             (rec.index, rec.nf, rec.params, j < k) for j, rec in enumerate(conditions[: k + 1])
-            if isinstance(rec, CondQuery)])
-        return self._question.ask(encode, rows)[0]
+            if isinstance(rec, CondQuery)])[0]
 
     def _remove_vacuous_branches(self, cq: ConditionedQuery) -> ConditionedQuery:
         kept = tuple(

@@ -32,10 +32,12 @@ lines chase from those.  Deleting every other row keeps a countermodel
 one, since emptiness, at-most-one, `unique`, row order and literal
 relations survive deletion and the chase keeps every containment (Johnson
 & Klug, JCSS 1984).  So each table gets its own row bound, as in Kodkod
-(Torlak & Jackson, TACAS 2007): `row_bounds` counts the closure, and
-`Question.ask` caps the full-bound rung at it.  A witness row whose column
-a top-level `k = ?` of another non-empty record fixes, `k` a `unique` key,
-is chased to that record's row, which the count already holds.  A LEFT
+(Torlak & Jackson, TACAS 2007): once bound 1 is unsat, `Question.ask`
+counts the closure (`Question.row_bounds`) and caps the full-bound rung
+at it.  Two non-empty single-source records that a top-level `k = ?`
+fixes to the same term, `k` a `unique` key, match one row, counted once;
+a witness row whose column such a conjunct of another record fixes is
+chased to that record's row, which the count already holds.  A LEFT
 JOIN record (a deleted right row can make an unmatched-left row), a cyclic
 `contain` graph and a `contain` left side with more than one source get
 no count.
@@ -409,80 +411,16 @@ def encode_constraint(c: Constraint, inst: SymInstance, schema: Schema):
 
 
 # ---------------------------------------------------------------------------
-# Witness-closure row bounds
-
-
-def row_bounds(schema: Schema, constraints: list[Constraint], records) -> dict[str, int] | None:
-    """The witness closure's rows per table (see the module docstring), or
-    None where it has no count.
-
-    `records` holds `(index, query, params, non_empty)` per query the
-    question encodes, `non_empty` where it asserts a row.  Each non-empty
-    PSJ record adds one row per source occurrence.  Then, in topological
-    order of the query-sided `contain` lines, each row of a line's left
-    table adds one row per right-side source, unless it is pinned: a
-    witness row of record `a` needs no chased row for `T.c ⊆ U.k` (one
-    column a side, one right source, `unique U(k)`) when a non-empty
-    single-source record on U has a top-level conjunct `k = ?p` whose
-    parameter is the `a` result column read from the row's `c`.  The
-    conjunct holds, so `c` is non-null and equals that record's key, and by
-    uniqueness only that record's own row can match it."""
-    chases = [c for c in constraints if isinstance(c, Containment) and isinstance(c.right, NormalFormQuery)]
-    if any(isinstance(q, LeftJoinQuery) for _, q, _, _ in records) or any(len(c.left.sources) != 1 for c in chases):
-        return None
-    graph = {t.name: set() for t in schema.tables}
-    for c in chases:
-        for u in c.right.sources:
-            graph[u].add(c.left.sources[0])
-    try:
-        order = list(graphlib.TopologicalSorter(graph).static_order())
-    except graphlib.CycleError:
-        return None
-    witnesses: dict[int, tuple] = {}  # index -> (nf, params) of each non-empty PSJ record
-    for index, q, params, non_empty in records:
-        nf = q.nf if isinstance(q, PlainQuery) else q
-        if non_empty and isinstance(nf, NormalFormQuery) and witnesses.setdefault(index, (nf, params)) != (nf, params):
-            return None  # two records on one index: a result column names neither for sure
-    rows = dict.fromkeys(order, 0)
-    for nf, _ in witnesses.values():
-        for t in nf.sources:
-            rows[t] += 1
-    keys = {(c.table, c.columns) for c in constraints if isinstance(c, Unique)}
-    for t in order:
-        for c in chases:
-            if c.left.sources == (t,):
-                chased = rows[t] - _pinned(c, witnesses, keys, schema)
-                for u in c.right.sources:
-                    rows[u] += chased
-    return rows
-
-
-def _pinned(c: Containment, witnesses: dict, keys: set, schema: Schema) -> int:
-    """How many witness rows of `c`'s left table need no row chased for
-    `c` (see `row_bounds`)."""
-    if not (len(c.left.projection) == len(c.right.sources) == 1):  # the sides' arities are equal
-        return 0
-    (t,), (col,), (u,), (k,) = c.left.sources, c.left.projection, c.right.sources, c.right.projection
-    if (u, (schema.table(u).columns[k].name,)) not in keys:
-        return 0
-    keyed = set()  # the parameters a non-empty record on U equates its key to
-    for nf, params in witnesses.values():
-        if nf.sources == (u,):
-            for atom in conjuncts(nf.filter):
-                if isinstance(atom, Cmp) and atom.op == "=":
-                    for key, p in ((atom.left, atom.right), (atom.right, atom.left)):
-                        if key == Col(k) and isinstance(p, PlaceholderRef):
-                            keyed.add(params[p.position - 1])
-    return sum(
-        1
-        for index, (nf, _) in witnesses.items()
-        for src, (lo, _) in zip(nf.sources, source_ranges(schema, nf.sources))
-        if src == t and any(RowCol(index, j) in keyed for j, o in enumerate(nf.projection) if o == lo + col)
-    )
-
-
-# ---------------------------------------------------------------------------
 # Solving and model extraction
+
+
+def _key_equalities(nf: NormalFormQuery) -> list[tuple[int, PlaceholderRef]]:
+    """(k, ?p) per top-level conjunct `k = ?p` of a single-source query."""
+    if len(nf.sources) != 1:
+        return []
+    return [(key.index, p) for atom in conjuncts(nf.filter) if isinstance(atom, Cmp) and atom.op == "="
+            for key, p in ((atom.left, atom.right), (atom.right, atom.left))
+            if isinstance(key, Col) and isinstance(p, PlaceholderRef)]
 
 
 @dataclass
@@ -491,9 +429,10 @@ class Question:
     or prune pass: each rung (bound 1, and `bound`) gets one incremental
     search at its first question, and every later question on that rung
     reuses it.  Explore's prefixes and the simplifier's entailment
-    questions pass their `row_bounds` r_T: a countermodel within `bound`
-    rows has one within min(bound, r_T) rows of each table T.  The
-    pruner's two-instance questions pass none and keep the full bound."""
+    questions pass their query records, whose witness closure
+    (`row_bounds`) gives each table T a bound r_T: a countermodel within
+    `bound` rows has one within min(bound, r_T) rows of T.  The pruner's
+    two-instance questions pass none and keep the full bound."""
 
     schema: Schema
     constraints: list[Constraint]
@@ -504,18 +443,20 @@ class Question:
     timeout_s: float | None = 5.0
     _rungs: dict = field(default_factory=dict, init=False, repr=False)  # bound -> (search, instances, params)
 
-    def ask(self, encode, rows: dict[str, int] | None = None) -> tuple[str, tuple[ConcreteInput, ...]]:
+    def ask(self, encode, records=None) -> tuple[str, tuple[ConcreteInput, ...]]:
         """Decide the formulas `encode(instances, env)` builds over the
         `bounded` context, at bound 1 and then, unless that is sat, at
         `bound`.  Returns the last check's status and, when it is sat, one
         input per instance, its request holding `params`.  An input that
         breaks a constraint raises InternalSolverError.
 
-        With `rows`, the full-bound rung is unsat without a search when
-        bound 1 was unsat (not unknown) and no r_T exceeds 1; otherwise it
+        With `records` (see `row_bounds`), the closure is counted only
+        once bound 1 is unsat (not unknown): the full-bound rung is then
+        unsat without a search when no r_T exceeds 1, and otherwise it
         assumes row r_T of each T absent, so row order drops the rest."""
         for b in dict.fromkeys((1, self.bound)):
-            if b > 1 and rows is not None and verdict.status == "unsat" and max(rows.values()) <= 1:
+            rows = self.row_bounds(records) if b > 1 and records is not None and verdict.status == "unsat" else None
+            if rows is not None and max(rows.values()) <= 1:
                 break
             if b not in self._rungs:
                 pool, instances, env = bounded(self.schema, self.constraints, b, self.value_range, self.params,
@@ -524,7 +465,7 @@ class Question:
             search, instances, params = self._rungs[b]
             env = SymEnv(dict(params))
             formulas = encode(instances, env)
-            if b > 1 and rows is not None:
+            if rows is not None:
                 formulas += [lnot(bvar(inst.tables[t][r].presence)) for inst in instances for t, r in rows.items()
                              if r < b]
             verdict = search.check(formulas, self.timeout_s)
@@ -538,6 +479,88 @@ class Question:
                     raise InternalSolverError(f"model breaks a constraint: {viol}")
             return "sat", inputs
         return verdict.status, ()
+
+    @functools.cached_property
+    def _links(self) -> tuple | None:
+        """The schema-level part of `row_bounds`: the tables in topological
+        order of the query-sided `contain` lines, those lines in the order
+        of their left table, and the single-column `unique` keys as
+        (table, ordinal); None for a cycle or a multi-source left side."""
+        chases = [c for c in self.constraints if isinstance(c, Containment) and isinstance(c.right, NormalFormQuery)]
+        if any(len(c.left.sources) != 1 for c in chases):
+            return None
+        graph = {t.name: set() for t in self.schema.tables}
+        for c in chases:
+            for u in c.right.sources:
+                graph[u].add(c.left.sources[0])
+        try:
+            order = list(graphlib.TopologicalSorter(graph).static_order())
+        except graphlib.CycleError:
+            return None
+        keys = {(c.table, self.schema.table(c.table).column_index(c.columns[0]))
+                for c in self.constraints if isinstance(c, Unique) and len(c.columns) == 1}
+        return order, sorted(chases, key=lambda c: order.index(c.left.sources[0])), keys
+
+    def row_bounds(self, records) -> dict[str, int] | None:
+        """The witness closure's rows per table (see the module docstring),
+        or None where it has no count.
+
+        `records` holds `(index, query, params, non_empty)` per query the
+        question encodes, `non_empty` where it asserts a row.  Each non-empty
+        PSJ record adds one row per source occurrence, but single-source
+        records on U that a top-level conjunct `k = ?p` fixes to the same
+        term, `unique U(k)`, share one row: both witnesses hold that
+        non-null key, so by uniqueness they are one row.  Then, in
+        topological order of the query-sided `contain` lines, each row of a
+        line's left table adds one row per right-side source, unless it is
+        pinned: a row needs no chased row for `T.c ⊆ U.k` (one column a
+        side, one right source, `unique U(k)`) when a non-empty
+        single-source record on U has a top-level conjunct `k = ?p` whose
+        parameter is a result column that any of the row's records reads
+        from its `c`.  The conjunct holds, so `c` is non-null and equals
+        that record's key, and by uniqueness only that record's own row can
+        match it."""
+        if self._links is None or any(isinstance(q, LeftJoinQuery) for _, q, _, _ in records):
+            return None
+        order, chases, keys = self._links
+        witnesses: dict[int, tuple] = {}  # index -> (nf, params) of each non-empty PSJ record
+        for index, q, params, non_empty in records:
+            nf = q.nf if isinstance(q, PlainQuery) else q
+            if non_empty and isinstance(nf, NormalFormQuery) and witnesses.setdefault(index, (nf, params)) != (nf, params):
+                return None  # two records on one index: a result column names neither for sure
+        keyed: dict[tuple, int] = {}  # (U, k, term) a witness fixes -> the first witness of that row
+        row: dict[int, int] = {}  # index -> the first witness of its row
+        for index, (nf, params) in witnesses.items():
+            facts = [(nf.sources[0], k, params[p.position - 1]) for k, p in _key_equalities(nf)
+                     if (nf.sources[0], k) in keys]
+            row[index] = next((keyed[f] for f in facts if f in keyed), index)
+            for f in facts:
+                keyed.setdefault(f, row[index])
+        rows = dict.fromkeys(order, 0)
+        for index, (nf, _) in witnesses.items():
+            if row[index] == index:
+                for t in nf.sources:
+                    rows[t] += 1
+        for c in chases:
+            t = c.left.sources[0]
+            chased = rows[t] - self._pinned(c, witnesses, row, keyed) if rows[t] else 0
+            for u in c.right.sources:
+                rows[u] += chased
+        return rows
+
+    def _pinned(self, c: Containment, witnesses: dict, row: dict, keyed: dict) -> int:
+        """How many witness rows of `c`'s left table need no row chased
+        for `c` (see `row_bounds`)."""
+        if not (len(c.left.projection) == len(c.right.sources) == 1):  # the sides' arities are equal
+            return 0
+        (t,), (col,), (u,), (k,) = c.left.sources, c.left.projection, c.right.sources, c.right.projection
+        terms = {term for v, j, term in keyed if (v, j) == (u, k)}  # the parameters U's key is fixed to
+        return len({
+            (row[index], lo)
+            for index, (nf, _) in witnesses.items()
+            for src, (lo, _) in zip(nf.sources, source_ranges(self.schema, nf.sources))
+            if src == t and any(RowCol(index, j) in terms for j, o in enumerate(nf.projection) if o == lo + col)
+        })
 
 
 def model_to_input(model: dict, inst: SymInstance, schema: Schema, env: SymEnv, request_params=()) -> ConcreteInput:

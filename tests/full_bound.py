@@ -6,10 +6,10 @@ the full bound only if that finds no model, each rung on one incremental
 search that every question of the stage call or prune pass reuses.  A bound-1 model is
 a full-bound model with the other rows absent, so the rung must never
 change a verdict, and what a search learnt from earlier questions must
-never change an answer.  Nor may a question's `solver.row_bounds`, which
-skip or cap its full-bound rung.  This module asks each question by one
-check at the full bound on a search of its own, so tests can compare the
-stages' outputs against it.
+never change an answer.  Nor may a question's witness closure
+(`solver.Question.row_bounds`), which skips or caps its full-bound rung.
+This module asks each question by one check at the full bound on a search
+of its own, so tests can compare the stages' outputs against it.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from polex.fdsolver import CdclBackend, InternalSolverError
 from polex.solver import bounded, model_to_input
 
 
-def ask(question: solver.Question, encode, rows=None):
+def ask(question: solver.Question, encode, records=None):
     """`solver.Question.ask` as one check at the full bound, with no row
-    cap: `rows` is ignored."""
+    cap: `records` is ignored."""
     q = question
     pool, instances, env = bounded(q.schema, q.constraints, q.bound, q.value_range, q.params, q.copies)
     verdict = CdclBackend(pool).check(encode(instances, env), q.timeout_s)

@@ -126,7 +126,7 @@ def test_every_program_definition_is_used():
 # The stages reach the solver through `Question` (explore and policy-gen,
 # one per stage call; prune, one per pass) and the formula builders only.
 STAGE_IMPORTS = {
-    "solver": {"Question", "encode_pred", "encode_query", "result_pairs", "matches", "row_bounds"},
+    "solver": {"Question", "encode_pred", "encode_query", "result_pairs", "matches"},
     "fdsolver": {"land", "lor", "lnot"},
 }
 

@@ -7,7 +7,7 @@ import pytest
 from polex.dsl import parse_handler
 from polex.evaluate import ScalarEnv, eval_branch
 from polex.instance import ConcreteInput
-from polex.interpreter import ExecutionError, MultiRowResult, execute, validate_program
+from polex.interpreter import ExecutionError, MultiRowResult, QueryCatalog, execute, validate_program
 from polex.terms import BoolCol, IntLit, RequestParam, RowCol, SessionParam
 from polex.transcript import BranchRecord, QueryRecord, record_line
 
@@ -139,7 +139,7 @@ handler h() {
 """
     )
     with pytest.raises(ExecutionError):
-        validate_program(p, grade_schema)
+        validate_program(p, QueryCatalog(grade_schema))
 
 
 def test_validate_program_truthiness_needs_bool(grade_schema):
@@ -154,4 +154,4 @@ handler h() {
 """
     )
     with pytest.raises(ExecutionError):
-        validate_program(p, grade_schema)
+        validate_program(p, QueryCatalog(grade_schema))

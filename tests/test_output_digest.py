@@ -3,8 +3,9 @@
 
 Toys prints the same bytes at bounds 2 to 5, where every solver-decided
 prune check ends at bound 1, and broaden at bounds 2 to 5.  `synth-front`
-seed 1 prints the same bytes at bounds 2, 4 and 6: its sat questions all
-end at bound 1, and every full-bound one is unsat.  Models take
+seed 1 prints the same bytes at bounds 2, 4, 6 and 8: its sat questions
+all end at bound 1, and the witness closure of every unsat one is one row
+per table, so none reaches the full bound.  Models take
 the lowest values their formulas allow, so the toys and `synth-front`
 runs at value range 0:15 print the same bytes as their 0:7 runs; the
 `ranges` corpus is the run whose inputs need values above 7.  For the
@@ -49,6 +50,7 @@ PINNED = {
     "synth-s3-b2": "c117379598c2531d331acd099cbc2b76648ef064417d54c94b69b25ca4002d04",
     "synth-s1-b4": SYNTH_S1,
     "synth-s1-b6": SYNTH_S1,
+    "synth-s1-b8": SYNTH_S1,
     "toys-b3-r15": TOYS,
     "synth-s1-b2-r15": SYNTH_S1,
     "ranges-b2-r15": "eca6fbeadffb63b64e96e0475d90e67bf4f0a2bef9ae055c3620a912e97aac71",

@@ -1,12 +1,13 @@
-"""Witness-closure row bounds (`solver.row_bounds`) never change a verdict.
+"""Witness-closure row bounds (`solver.Question.row_bounds`) never change a
+verdict.
 
 `solver.Question.ask` answers a question's full-bound rung as unsat without
 a search, or searches it with rows above r_T assumed absent, when the
-question carries row bounds.  Every such unsat answer must also be the
-answer of one fresh, uncapped search at the full bound
-(`full_bound.ask`).  The runs below cover generated `synth-front` corpora
-and random explore prefixes and entailment questions over random small
-schemas, at bounds 2 and 3.
+question carries query records and bound 1 was unsat.  Every such unsat
+answer must also be the answer of one fresh, uncapped search at the full
+bound (`full_bound.ask`).  The runs below cover generated `synth-front`
+corpora and random explore prefixes and entailment questions over random
+small schemas, at bounds 2 and 3.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from polex import solver
+from polex import fdsolver, solver
 from polex.constraints import Containment, expand_all, generate_constraints, parse_constraint_file
 from polex.dsl import parse_handler, parse_handlers
 from polex.explorer import INFEASIBLE, ExplorationConfig, Explorer, explore
@@ -35,12 +36,14 @@ def _checked(monkeypatch) -> dict:
     """Route `Question.ask` through a check that each unsat answer whose
     full-bound rung the row bounds skipped or capped is unsat on a fresh
     uncapped search too; returns counts of the questions checked."""
-    ask = solver.Question.ask
-    seen = {"skipped": 0, "capped": 0}
+    ask, row_bounds = solver.Question.ask, solver.Question.row_bounds
+    seen = {"unsat": 0, "skipped": 0, "capped": 0}
 
-    def checked(self, encode, rows=None):
-        status, inputs = ask(self, encode, rows)
-        if status == "unsat" and rows is not None and self.bound > 1 and min(rows.values()) < self.bound:
+    def checked(self, encode, records=None):
+        status, inputs = ask(self, encode, records)
+        seen["unsat"] += status == "unsat"
+        rows = row_bounds(self, records) if status == "unsat" and records is not None and self.bound > 1 else None
+        if rows is not None and min(rows.values()) < self.bound:
             seen["skipped" if max(rows.values()) <= 1 else "capped"] += 1
             assert full_bound.ask(self, encode)[0] == "unsat", rows
         return status, inputs
@@ -74,7 +77,45 @@ def test_capped_synth_front_answers_match_the_full_bound(seed, bound, monkeypatc
             result = explore(program, s, cons, config)
             cqs = to_conditioned_queries(result.transcripts, s)
             simplify(cqs, s, cons, dict(program.request_params), table_bound=bound, timeout_s=None)
-    assert seen["skipped"] > 0 and seen["capped"] > 0
+    # Every unsat question's closure is one row per table: a unique-key
+    # fetch repeated on both sides of a branch is one row.
+    assert seen["skipped"] == seen["unsat"] > 0 and seen["capped"] == 0
+
+
+def test_synth_front_counts_the_closure_once_per_bound_1_unsat_question(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import synth
+
+    schema_text, handlers, _ = synth.generate(1)
+    s, cons = _load(schema_text)
+    calls = {"row_bounds": 0, "unsat": 0}
+    row_bounds, check, bounded = solver.Question.row_bounds, fdsolver.CdclBackend.check, solver.bounded
+    bounds = set()
+
+    def counted_row_bounds(self, records):
+        calls["row_bounds"] += 1
+        return row_bounds(self, records)
+
+    def counted_check(self, *args, **kwargs):
+        verdict = check(self, *args, **kwargs)
+        calls["unsat"] += verdict.status == "unsat"
+        return verdict
+
+    def recorded_bounded(schema, constraints, bound, *args):
+        bounds.add(bound)
+        return bounded(schema, constraints, bound, *args)
+
+    monkeypatch.setattr(solver.Question, "row_bounds", counted_row_bounds)
+    monkeypatch.setattr(fdsolver.CdclBackend, "check", counted_check)
+    monkeypatch.setattr(solver, "bounded", recorded_bounded)
+    config = ExplorationConfig(table_bound=2, solver_timeout=None)
+    for name in sorted(handlers):
+        for program in parse_handlers(handlers[name]):
+            result = explore(program, s, cons, config)
+            cqs = to_conditioned_queries(result.transcripts, s)
+            simplify(cqs, s, cons, dict(program.request_params), table_bound=2, timeout_s=None)
+    # Sat questions never count it, and no question reaches bound 2.
+    assert calls == {"row_bounds": 96, "unsat": 96} and bounds == {1}
 
 
 # ---------------------------------------------------------------------------
@@ -175,22 +216,24 @@ def test_capped_random_questions_match_the_full_bound(seed, bound, monkeypatch):
 
 def test_a_self_fk_question_gets_no_cap():
     s, cons = _load("table nodes { id int unique  parent_id int nullable fk nodes.id }")
-    q = Explorer(PROGRAM, s, cons, ExplorationConfig()).catalog.executable("SELECT * FROM nodes WHERE id = ?")
-    assert solver.row_bounds(s, cons, [(1, q, (RequestParam("P"),), True)]) is None
+    explorer = Explorer(PROGRAM, s, cons, ExplorationConfig())
+    q = explorer.catalog.executable("SELECT * FROM nodes WHERE id = ?")
+    assert explorer.question.row_bounds([(1, q, (RequestParam("P"),), True)]) is None
 
 
 @pytest.mark.parametrize("non_empty", [True, False])
 def test_a_left_join_question_gets_no_cap(toys_schema, toys_constraints, non_empty):
     # An empty LEFT JOIN record, or one explore only restricts to one row,
     # counts too: deleting a right row can make an unmatched-left row.
-    catalog = Explorer(PROGRAM, toys_schema, toys_constraints, ExplorationConfig()).catalog
-    plain = catalog.executable("SELECT * FROM items WHERE id = ?")
-    lj = catalog.executable("SELECT * FROM items LEFT JOIN details ON details.item_id = items.id WHERE items.id = ?")
+    explorer = Explorer(PROGRAM, toys_schema, toys_constraints, ExplorationConfig())
+    plain = explorer.catalog.executable("SELECT * FROM items WHERE id = ?")
+    lj = explorer.catalog.executable(
+        "SELECT * FROM items LEFT JOIN details ON details.item_id = items.id WHERE items.id = ?")
     assert isinstance(plain, PlainQuery) and not isinstance(lj, PlainQuery)
     params = (RequestParam("P"),)
-    assert solver.row_bounds(toys_schema, toys_constraints, [(1, plain, params, True)]) is not None
+    assert explorer.question.row_bounds([(1, plain, params, True)]) is not None
     records = [(1, plain, params, True), (2, lj, params, non_empty)]
-    assert solver.row_bounds(toys_schema, toys_constraints, records) is None
+    assert explorer.question.row_bounds(records) is None
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +259,10 @@ handler h(Id: int) {{
     result = explore(program, s, cons, ExplorationConfig(table_bound=2, solver_timeout=None))
     found = any(isinstance(r, QueryRecord) and r.index == 2 and not r.is_empty
                 for t in result.transcripts for r in t.records)
-    catalog = Explorer(program, s, cons, ExplorationConfig()).catalog
-    records = [(1, catalog.executable("SELECT * FROM t WHERE id = ?"), (RequestParam("Id"),), True),
-               (2, catalog.executable(b_sql), (RowCol(1, 1),), True)]
-    return found, solver.row_bounds(s, cons, records), result
+    explorer = Explorer(program, s, cons, ExplorationConfig())
+    records = [(1, explorer.catalog.executable("SELECT * FROM t WHERE id = ?"), (RequestParam("Id"),), True),
+               (2, explorer.catalog.executable(b_sql), (RowCol(1, 1),), True)]
+    return found, explorer.question.row_bounds(records), result
 
 
 def test_no_pin_on_a_key_that_is_not_unique():
@@ -277,3 +320,86 @@ handler h(Id: int, Key: int) {
     result = explore(program, s, cons, ExplorationConfig(table_bound=2, solver_timeout=None))
     outcomes = {r.outcome for t in result.transcripts for r in t.records if isinstance(r, BranchRecord)}
     assert outcomes == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# Merged rows: two fetches that a unique key fixes to one term are one row,
+# and only those
+
+
+def _two_u_rows(schema_text: str, y_sql: str, y_arg: str):
+    """Explore a handler that fetches `x`, a flagged u row with k = A, then
+    `y` by `y_sql` with `y_arg`; returns (the path where both returned a
+    row was found, row bounds of that prefix)."""
+    s, cons = _load(schema_text)
+    x_sql = "SELECT * FROM u WHERE k = ? AND flag"
+    program = parse_handler(f"""
+handler h(A: int, B: int) {{
+  let x = query("{x_sql}", A);
+  abort_if_empty(x, 404);
+  let y = query("{y_sql}", {y_arg});
+  abort_if_empty(y, 404);
+  render(x, y);
+}}
+""")
+    result = explore(program, s, cons, ExplorationConfig(table_bound=2, solver_timeout=None))
+    found = any(isinstance(r, QueryRecord) and r.index == 2 and not r.is_empty
+                for t in result.transcripts for r in t.records)
+    explorer = Explorer(program, s, cons, ExplorationConfig())
+    records = [(1, explorer.catalog.executable(x_sql), (RequestParam("A"),), True),
+               (2, explorer.catalog.executable(y_sql), (RequestParam(y_arg),), True)]
+    return found, explorer.question.row_bounds(records)
+
+
+# `y` must be a second u row in each case: it is not flagged, or its key is
+# not A.  A merge that ignored the term, the uniqueness, the conjunct's
+# position or the key's width would count one row and skip bound 2.
+@pytest.mark.parametrize("schema_text, y_sql, y_arg", [
+    ("table u { k int unique  flag bool }", "SELECT * FROM u WHERE k = ? AND NOT flag", "B"),
+    ("table u { k int  flag bool }", "SELECT * FROM u WHERE k = ? AND NOT flag", "A"),
+    ("table u { k int unique  flag bool }", "SELECT * FROM u WHERE NOT k = ?", "A"),
+    ("table u {\n  k int\n  j int\n  flag bool\n  unique (k, j)\n}", "SELECT * FROM u WHERE k = ? AND NOT flag", "A"),
+], ids=["other-term", "not-unique", "under-not", "two-column-key"])
+def test_no_merged_row_unless_one_unique_key_fixes_both(schema_text, y_sql, y_arg):
+    found, rows = _two_u_rows(schema_text, y_sql, y_arg)
+    assert rows == {"u": 2}
+    assert found
+
+
+def test_an_existence_fetch_and_a_full_fetch_of_one_parent_are_one_row(monkeypatch):
+    # `e` and `b` fetch the same b row by its id; only `b` reads its
+    # `parent_id`, which `c` is keyed by, so the merged row is pinned and
+    # the `d` that c's foreign key needs is the only chased row.  Counting
+    # `e` alone, with `b` dropped, would chase a second c row.
+    s, cons = _load("""
+table d { id int unique  flag bool }
+table c { id int unique  parent_id int fk d.id }
+table b { id int unique  parent_id int fk c.id }
+table a { id int unique  parent_id int fk b.id }
+""")
+    program = parse_handler("""
+handler h(Id: int) {
+  let a = query("SELECT * FROM a WHERE id = ?", Id);
+  abort_if_empty(a, 404);
+  let e = query("SELECT 1 FROM b WHERE id = ? LIMIT 1", a.parent_id);
+  abort_if_empty(e, 404);
+  let b = query("SELECT * FROM b WHERE id = ?", a.parent_id);
+  abort_if_empty(b, 404);
+  let c = query("SELECT * FROM c WHERE id = ?", b.parent_id);
+  abort_if_empty(c, 404);
+  let d = query("SELECT * FROM d WHERE id = ?", c.parent_id);
+  render(a, c, d);
+}
+""")
+    explorer = Explorer(program, s, cons, ExplorationConfig())
+    fetch = explorer.catalog.executable
+    records = [(1, fetch("SELECT * FROM a WHERE id = ?"), (RequestParam("Id"),), True),
+               (2, fetch("SELECT 1 FROM b WHERE id = ? LIMIT 1"), (RowCol(1, 1),), True),
+               (3, fetch("SELECT * FROM b WHERE id = ?"), (RowCol(1, 1),), True),
+               (4, fetch("SELECT * FROM c WHERE id = ?"), (RowCol(3, 1),), True),
+               (5, fetch("SELECT * FROM d WHERE id = ?"), (RowCol(4, 1),), False)]
+    assert explorer.question.row_bounds(records) == {"a": 1, "b": 1, "c": 1, "d": 1}
+    seen = _checked(monkeypatch)
+    result = explore(program, s, cons, ExplorationConfig(table_bound=2, solver_timeout=None))
+    assert result.tree.counts()[INFEASIBLE] == 4  # every empty parent fetch, d's too
+    assert seen == {"unsat": 4, "skipped": 4, "capped": 0}

@@ -359,6 +359,27 @@ def _base_snapshot(base):
     )
 
 
+def _detail_chain2():
+    """Toys' schema, constraints and detail_chain with a second items row
+    fetched first: "the parent came back empty" is infeasible, and its
+    witness closure needs two items rows (`i` and the one `d` points to),
+    so explore asks at bound 2 too."""
+    root = Path(__file__).resolve().parent.parent / "corpus" / "toys"
+    schema = parse_schema((root / "schema.txt").read_text())
+    (program,) = parse_handlers("""
+handler detail_chain2(BodyVal: int, ItemId: int) {
+  let d = query("SELECT * FROM details WHERE body = ?", BodyVal);
+  abort_if_empty(d, 404);
+  let i = query("SELECT * FROM items WHERE id = ?", ItemId);
+  abort_if_empty(i, 404);
+  let parent = query("SELECT * FROM items WHERE id = ?", d.item_id);
+  let siblings = query("SELECT * FROM details WHERE item_id = ?", d.item_id);
+  render(d, i, siblings);
+}
+""")
+    return schema, expand_all(generate_constraints(schema), schema), program
+
+
 def test_checks_on_one_context_leave_its_base_untouched(monkeypatch):
     courses = NormalFormQuery((0,), Cmp("=", Col(0), SessionParam("MyUserId")), ("courses",))
     roles = NormalFormQuery((0, 3), Not(IsNull(Col(3))), ("roles",))
@@ -379,23 +400,25 @@ def test_checks_on_one_context_leave_its_base_untouched(monkeypatch):
         results.append((verdict.status, verdict.model))
     assert results[0] == results[-1] and results[0][0] == "sat"
 
-    # Explore and simplify every synth-front handler, then prune its views
-    # and broaden corpus/broaden's narrow policy: each base, one instance
-    # or two, is as it was built, and every search a stage call or prune
-    # pass made is garbage once the call returns.
+    # Explore and simplify every synth-front handler, explore toys'
+    # detail_chain2 (no synth-front question reaches bound 2, its
+    # infeasible prefix does), then prune the synth-front views and broaden
+    # corpus/broaden's narrow policy: each base, one instance or two, is as
+    # it was built, and every search a stage call or prune pass made is
+    # garbage once the call returns.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import synth
 
     schema_text, handlers, _ = synth.generate(1)
     schema = parse_schema(schema_text)
     cons = expand_all(generate_constraints(schema), schema)
-    bases, searches, copies = {}, [], {}
+    bases, searches, shapes = {}, [], {}
     shared, init = solver._shared, fdsolver.CdclBackend.__init__
 
     def recorded_shared(*args):
         out = shared(*args)
         bases.setdefault(id(out[0]), (out[0], _base_snapshot(out[0])))
-        copies[id(out[0])] = args[-1]
+        shapes[id(out[0])] = args[2], args[-1]  # bound, copies
         return out
 
     def only_bases_live():
@@ -415,7 +438,13 @@ def test_checks_on_one_context_leave_its_base_untouched(monkeypatch):
         simplified = simplify(cqs, schema, cons, dict(program.request_params), table_bound=2, timeout_s=None)
         handler_views.append(views_from_cqs(simplified, schema))
         assert only_bases_live()
-    assert len(bases) == 2 and len(searches) > 2 * len(handlers)  # bound 1 and bound 2
+    toys_schema, toys_cons, detail_chain2 = _detail_chain2()
+    explore(detail_chain2, toys_schema, toys_cons, config)
+    assert only_bases_live()
+    # Each base, one explore and one simplify search per handler, and
+    # detail_chain2's two: bound 1 and bound 2.
+    assert sorted(shapes.values()) == [(1, 1), (1, 1), (2, 1)]
+    assert len(searches) == len(bases) + 2 * len(handlers) + 2
     for base, before in bases.values():
         assert _base_snapshot(base) == before
 
@@ -429,7 +458,8 @@ def test_checks_on_one_context_leave_its_base_untouched(monkeypatch):
     narrow, broader = (load_policy_file(root / f"{name}.sql", broaden_schema) for name in ("narrow", "broader"))
     broaden(Policy(narrow, 2), broader, broaden_cons, broaden_schema, timeout_s=None)
     assert only_bases_live()
-    assert sorted(copies.values()) == [1, 1, 2, 2] and len(searches) > made  # a two-instance base per schema
+    assert len(searches) > made
+    assert sorted(shapes.values()) == [(1, 1), (1, 1), (1, 2), (1, 2), (2, 1)]  # a two-instance base per schema
     for base, before in bases.values():
         assert _base_snapshot(base) == before
 
@@ -446,23 +476,7 @@ def test_base_grows_linearly_with_the_value_range(bound):
 
 
 def test_explore_encodes_each_context_once(monkeypatch):
-    root = Path(__file__).resolve().parent.parent / "corpus" / "toys"
-    schema = parse_schema((root / "schema.txt").read_text())
-    cons = expand_all(generate_constraints(schema), schema)
-    # detail_chain with a second items row fetched first: "the parent came
-    # back empty" is infeasible, and its witness closure needs two items
-    # rows (`i` and the one `d` points to), so explore asks at bound 2 too.
-    (program,) = parse_handlers("""
-handler detail_chain2(BodyVal: int, ItemId: int) {
-  let d = query("SELECT * FROM details WHERE body = ?", BodyVal);
-  abort_if_empty(d, 404);
-  let i = query("SELECT * FROM items WHERE id = ?", ItemId);
-  abort_if_empty(i, 404);
-  let parent = query("SELECT * FROM items WHERE id = ?", d.item_id);
-  let siblings = query("SELECT * FROM details WHERE item_id = ?", d.item_id);
-  render(d, i, siblings);
-}
-""")
+    schema, cons, program = _detail_chain2()
     calls = {"encode_instance": 0, "ladders": 0}
     pools = []
 

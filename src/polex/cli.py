@@ -21,9 +21,10 @@ from .policygen import (
     to_conditioned_queries,
     views_from_cqs,
 )
-from .pruner import Policy, broaden, determinacy_question, is_allowed, merge_and_prune, prune
+from .pruner import Policy, broaden, is_allowed, merge_and_prune, prune
 from .rundir import RunDirectory, RunDirError, load_policy_file, render_policy
 from .schema import SchemaError, load_schema
+from .solver import Question
 from .normal import NormalizeError, session_view
 from .transcript import record_line, render_record
 from .unparse import unparse_view
@@ -225,7 +226,7 @@ def cmd_is_allowed(args) -> int:
     schema, constraints = _load(run, args)
     views = load_policy_file(args.policy, schema)
     q = session_view(args.query, schema)
-    question = determinacy_question(schema, constraints, args.bound, args.value_range, args.timeout)
+    question = Question(schema, constraints, args.bound, args.value_range, timeout_s=args.timeout)
     verdict = is_allowed(q, [v.nf for v in views], question)
     print(verdict.status.replace("_", " "))
     if verdict.counterexample and args.dump:

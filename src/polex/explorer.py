@@ -17,8 +17,10 @@ this is the depth-first order of the tree.  Each input takes the next id
 when it is solved, a repaired input too, so the visited set and all
 emitted ids reproduce.
 
-Every pending prefix is one question on the explore call's
-`solver.Question`, so sibling prefixes share one search per rung: sat
+Every pending prefix is one path question (`solver.Question.ask_path`)
+on the explore call's `solver.Question`: each record becomes a step, a
+branch with its outcome or a query with its emptiness, and `solver`
+builds the formulas.  Sibling prefixes share one search per rung: sat
 gives the next input, already checked against the constraints, unsat
 marks the prefix infeasible, and a timeout marks it abandoned.
 """
@@ -31,12 +33,11 @@ from dataclasses import dataclass, field, replace
 from .constraints import Constraint, check_range
 from .dsl import HandlerProgram
 from .evaluate import ScalarEnv, eval_branch, eval_executable
-from .fdsolver import lnot
 from .instance import ConcreteInput
 from .interpreter import MultiRowResult, QueryCatalog, execute, validate_program
 from .normal import CountQuery, LeftJoinQuery, PlainQuery
 from .schema import Schema
-from .solver import Question, encode_pred, encode_query
+from .solver import Question
 from .terms import IntLit, iter_terms
 from .transcript import BranchRecord, QueryRecord, Transcript, TranscriptRecord
 
@@ -176,28 +177,10 @@ class Explorer:
         """Solve the path conditions of `records`, with an at-most-one-row
         restriction per `(index, sql, params)` of `extra_amo`; returns
         (status, input)."""
-        steps = [(r, True) for r in records]
-        steps += [(QueryRecord(i, sql, params, False), False) for i, sql, params in extra_amo]
-
-        def encode(instances, env) -> list[tuple]:
-            (inst,) = instances
-            formulas: dict = {}  # by record: a record asserted twice counts once
-            for r, on_path in steps:
-                if isinstance(r, BranchRecord):
-                    f = encode_pred(r.cond, {}, env)
-                    formulas.setdefault(r, f if r.outcome else lnot(f))
-                    continue
-                enc = encode_query(self.catalog.executable(r.sql), r.params, inst, self.schema, env)
-                if on_path:  # a path condition, not only a restriction
-                    formulas.setdefault(r, lnot(enc.non_empty) if r.is_empty else enc.non_empty)
-                    if not r.is_empty:
-                        env.rows[r.index] = enc.result
-                formulas.setdefault(("amo", replace(r, is_empty=False)), enc.at_most_one)
-            return list(formulas.values())
-
-        status, inputs = self.question.ask(encode, [
-            (r.index, self.catalog.executable(r.sql), r.params, on_path and not r.is_empty)
-            for r, on_path in steps if isinstance(r, QueryRecord)])
+        exe = self.catalog.executable
+        steps = [(r.cond, r.outcome) if isinstance(r, BranchRecord) else (r.index, exe(r.sql), r.params, r.is_empty)
+                 for r in records]
+        status, inputs = self.question.ask_path(steps + [(i, exe(sql), params, None) for i, sql, params in extra_amo])
         if status == "unknown":
             return ABANDONED, None
         if status == "unsat":

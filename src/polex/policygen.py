@@ -19,10 +19,9 @@ from dataclasses import dataclass, field, replace
 from typing import Union
 
 from .constraints import Constraint
-from .fdsolver import land, lnot
 from .normal import CountQuery, NormalFormQuery, column_of_ordinal, psj_variants, to_executable
 from .schema import Schema
-from .solver import Question, encode_pred, encode_query
+from .solver import Question
 from .sqlparser import parse_sql
 from .terms import (
     BoolLit,
@@ -145,51 +144,6 @@ def _remap_scalar(s: Scalar, remap) -> Scalar:
     return s
 
 
-def _live_params(record, part: _Partial) -> tuple[Scalar, ...] | None:
-    """The query record's parameters under a variant, or None when one
-    became NULL: its filter then compares against NULL, so the query
-    returns no row."""
-    params = tuple(_remap_scalar(s, part.remap) for s in record.params)
-    return None if any(isinstance(s, NullLit) for s in params) else params
-
-
-def _expand_record(partials: list[_Partial], record, variants=()) -> list[_Partial]:
-    """Apply one condition record to every live variant: a branch, or a
-    query that returned a row together with its PSJ rewrite variants."""
-    out: list[_Partial] = []
-    for part in partials:
-        if isinstance(record, BranchRecord):
-            pred = map_terms(record.cond, lambda t: _remap_scalar(t, part.remap))
-            folded = fold_nulls(pred, lambda t: isinstance(t, NullLit))
-            if isinstance(folded, bool):
-                if folded == record.outcome:
-                    out.append(part)  # vacuous under this variant
-                # else: contradiction; variant dies
-                continue
-            part = _Partial(part.conditions + [CondBranch(folded, record.outcome)], part.remap, part.approx)
-            out.append(part)
-            continue
-        params = _live_params(record, part)
-        if params is None:
-            continue  # cannot have returned a row
-        for variant in variants:
-            remap = dict(part.remap)
-            if variant.tag == "left_only":
-                for old, new in enumerate(variant.result_map):
-                    if new is None:
-                        remap[(record.index, old)] = NullLit()
-                    elif new != old:
-                        remap[(record.index, old)] = RowCol(record.index, new)
-            out.append(
-                _Partial(
-                    part.conditions + [CondQuery(record.index, variant.nf, params)],
-                    remap,
-                    part.approx or not variant.lossless,
-                )
-            )
-    return out
-
-
 def to_conditioned_queries(
     transcripts: list[Transcript], schema: Schema
 ) -> list[ConditionedQuery]:
@@ -197,44 +151,67 @@ def to_conditioned_queries(
     collapse), with LEFT JOIN splits and the COUNT(*) rewrite applied.
 
     One pass per transcript keeps the live condition variants: each query
-    record first emits its conditioned queries under them, then extends
-    them.  An empty result and a COUNT(*) (one row, whose value may not be
-    read) add no condition.  A variant under which a parameter became NULL
-    (a LEFT JOIN's left-only part) emits no conditioned query for it."""
+    record emits its conditioned queries under them and, in the same
+    loop, extends them.  An empty result and a COUNT(*) (one row, whose
+    value may not be read) add no condition.  A variant under which a
+    parameter became NULL (a LEFT JOIN's left-only part) gets no row from
+    the query: it emits no conditioned query for it, and dies where the
+    query returned a row."""
     lowered: dict[str, tuple] = {}  # SQL text -> (executable, PSJ variants)
     out: list[ConditionedQuery] = []
     for t in transcripts:
         partials = [_Partial([], {}, False)]
         for record in t.records:
+            grown: list[_Partial] = []
             if isinstance(record, BranchRecord):
-                partials = _expand_record(partials, record)
+                for part in partials:
+                    pred = map_terms(record.cond, lambda s: _remap_scalar(s, part.remap))
+                    folded = fold_nulls(pred, lambda s: isinstance(s, NullLit))
+                    if not isinstance(folded, bool):
+                        grown.append(_Partial(part.conditions + [CondBranch(folded, record.outcome)], part.remap,
+                                              part.approx))
+                    elif folded == record.outcome:
+                        grown.append(part)  # vacuous under this variant; else a contradiction, and it dies
+                partials = grown
                 continue
             if record.sql not in lowered:
                 exe = to_executable(parse_sql(record.sql), schema)
                 lowered[record.sql] = (exe, psj_variants(exe, schema))
             exe, variants = lowered[record.sql]
+            grows = not record.is_empty and not isinstance(exe, CountQuery)
             for part in partials:
-                params = _live_params(record, part)
-                if params is None:
-                    continue  # always empty: nothing to allow
+                params = tuple(_remap_scalar(s, part.remap) for s in record.params)
+                if any(isinstance(s, NullLit) for s in params):
+                    continue
                 for variant in variants:
-                    out.append(
-                        ConditionedQuery(
-                            variant.nf,
-                            params,
-                            tuple(part.conditions),
-                            handler=t.handler,
-                            witness=t.input_id,
-                            approx=part.approx or not variant.lossless,
-                        )
-                    )
-            if not record.is_empty and not isinstance(exe, CountQuery):
-                partials = _expand_record(partials, record, variants)
+                    approx = part.approx or not variant.lossless
+                    out.append(ConditionedQuery(variant.nf, params, tuple(part.conditions), handler=t.handler,
+                                                witness=t.input_id, approx=approx))
+                    if not grows:
+                        continue
+                    remap = dict(part.remap)
+                    if variant.tag == "left_only":
+                        for old, new in enumerate(variant.result_map):
+                            if new is None:
+                                remap[(record.index, old)] = NullLit()
+                            elif new != old:
+                                remap[(record.index, old)] = RowCol(record.index, new)
+                    grown.append(_Partial(part.conditions + [CondQuery(record.index, variant.nf, params)], remap,
+                                          approx))
+            if grows:
+                partials = grown
     return _dedup(out)
 
 
 # ---------------------------------------------------------------------------
 # Simplification
+
+
+def _step(rec: CondRecord, holds: bool) -> tuple:
+    """`rec` as a `solver.Question.ask_path` step, holding or flipped."""
+    if isinstance(rec, CondBranch):
+        return rec.pred, rec.outcome == holds
+    return rec.index, rec.nf, rec.params, not holds
 
 @dataclass
 class Simplifier:
@@ -265,39 +242,18 @@ class Simplifier:
                 break
         return self._remove_subsumed(cqs)
 
-    # Solver plumbing for entailment checks over a condition prefix.
-
     def _entails(self, conditions, k: int) -> bool:
         """The constraints plus `conditions[:k]` entail that `conditions[k]`
         holds: a branch its outcome, a query a row.  A premise query also
-        returns at most one row.  Entailed needs no countermodel within
-        the table bound (`solver.Question.ask`); Unknown counts as no.  Each
+        returns at most one row.  Entailed means the path of the premises
+        followed by `conditions[k]` flipped has no model within the table
+        bound (`solver.Question.ask_path`); Unknown counts as no.  Each
         distinct question is asked once."""
         key = tuple(conditions[: k + 1])
         if key not in self._verdicts:
-            self._verdicts[key] = self._countermodel(conditions, k) == "unsat"
+            steps = [_step(rec, True) for rec in conditions[:k]] + [_step(conditions[k], False)]
+            self._verdicts[key] = self._question.ask_path(steps)[0] == "unsat"
         return self._verdicts[key]
-
-    def _countermodel(self, conditions, k: int) -> str:
-        """Solver status of `conditions[:k]` holding and `conditions[k]` not."""
-
-        def encode(instances, env) -> list:
-            (inst,) = instances
-            formulas: list = []
-            for j, rec in enumerate(conditions[: k + 1]):
-                if isinstance(rec, CondBranch):
-                    f = encode_pred(rec.pred, {}, env)
-                    f = f if rec.outcome else lnot(f)
-                else:
-                    enc = encode_query(rec.nf, rec.params, inst, self.schema, env)
-                    env.rows[rec.index] = enc.result
-                    f = land(enc.non_empty, enc.at_most_one) if j < k else enc.non_empty
-                formulas.append(f if j < k else lnot(f))
-            return formulas
-
-        return self._question.ask(encode, [
-            (rec.index, rec.nf, rec.params, j < k) for j, rec in enumerate(conditions[: k + 1])
-            if isinstance(rec, CondQuery)])[0]
 
     def _remove_vacuous_branches(self, cq: ConditionedQuery) -> ConditionedQuery:
         kept = tuple(

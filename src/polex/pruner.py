@@ -14,17 +14,17 @@ alone.  Two paths decide this:
     the query if it projects none of S's columns, and from a view to
     form a derived view, a projection of the view's result.  Foreign
     keys come from the (user-editable) constraint list, not the schema.
-  * Solver.  Otherwise the standard two-instance formulation runs at a
-    finite bound: search for two constraint-satisfying instances (within
-    the table bound and value range) that share session-parameter values
-    and agree on every view's result set yet disagree on the query.  No
-    such pair means Allowed (at this bound); a found pair (each instance
-    checked against the constraints by `solver.Question.ask`) is verified
-    by brute-force evaluation before it is reported.  The question goes to
-    a two-instance `solver.Question` that a prune pass keeps for all its
-    checks, bound 1 first, so a reported pair has at most one row per
-    table whenever such a pair exists (and the bound-1 search ends in
-    time).
+  * Solver.  Otherwise the pruner states a determinacy pair
+    (`solver.Question.ask_determinacy`) and `solver` builds its formulas:
+    two constraint-satisfying instances (within the table bound and value
+    range) that share session-parameter values and agree on every view's
+    result set yet disagree on the query.  No such pair means Allowed (at
+    this bound); a found pair (each instance checked against the
+    constraints by `solver.Question.ask`) is verified by brute-force
+    evaluation before it is reported.  A prune pass keeps one
+    `solver.Question` for all its checks, bound 1 first, so a reported
+    pair has at most one row per table whenever such a pair exists (and
+    the bound-1 search ends in time).
 
 Pruning walks views in decreasing join count (ties: longer SQL text
 first, then lexicographic) and greedily removes any view already
@@ -38,12 +38,11 @@ from dataclasses import dataclass, field, replace
 
 from .constraints import Constraint, Containment, Unique
 from .evaluate import ScalarEnv, eval_nf
-from .fdsolver import land, lnot, lor
 from .instance import ConcreteInput
 from .normal import NormalFormQuery, source_ranges
 from .policygen import View
 from .schema import Schema
-from .solver import Question, matches, result_pairs
+from .solver import Question
 from .terms import (
     SESSION_PARAMS,
     BoolLit,
@@ -92,23 +91,6 @@ class Policy:
 
 class PrunerError(Exception):
     pass
-
-
-def _set_eq(pairs_a, pairs_b):
-    """Result sets equal: mutual membership over distinct tuples."""
-    return land(
-        *[lor(lnot(g), *matches(tup, pairs_b)) for g, tup in pairs_a],
-        *[lor(lnot(g), *matches(tup, pairs_a)) for g, tup in pairs_b],
-    )
-
-
-def _set_neq(pairs_a, pairs_b):
-    """Some tuple of A's result with no equal tuple in B's.
-
-    One direction suffices: the two instances are interchangeable, so any
-    distinguishing pair can be swapped into this orientation.
-    """
-    return lor(*[land(g, *[lnot(m) for m in matches(tup, pairs_b)]) for g, tup in pairs_a])
 
 
 # ---------------------------------------------------------------------------
@@ -278,16 +260,10 @@ def _rewrites(q: NormalFormQuery, views: list[NormalFormQuery], schema: Schema) 
 # Determinacy
 
 
-def determinacy_question(schema: Schema, constraints: list[Constraint], bound: int, value_range: tuple[int, int],
-                         timeout_s: float | None) -> Question:
-    """The two-instance context that `is_allowed` asks its questions on."""
-    return Question(schema, constraints, bound, value_range, copies=2, timeout_s=timeout_s)
-
-
 def is_allowed(q: NormalFormQuery, views: list[NormalFormQuery], question: Question) -> ContainmentVerdict:
     """Determinacy check of `q` against `views` under `question`'s schema
     and constraints: by rewriting if one exists, else by the bounded
-    solver check on `question`, a `determinacy_question`."""
+    solver check on `question`."""
     if _has_rewriting(q, views, question.constraints, question.schema):
         return ContainmentVerdict(ALLOWED, via=REWRITING)
     return _is_allowed_by_solver(q, views, question)
@@ -295,14 +271,7 @@ def is_allowed(q: NormalFormQuery, views: list[NormalFormQuery], question: Quest
 
 def _is_allowed_by_solver(q: NormalFormQuery, views: list[NormalFormQuery], question: Question) -> ContainmentVerdict:
     """Bounded two-instance determinacy check of `q` against `views`."""
-
-    def encode(instances, env) -> list:
-        inst_a, inst_b = instances
-        formulas = [_set_eq(result_pairs(v, inst_a, env), result_pairs(v, inst_b, env)) for v in views]
-        formulas.append(_set_neq(result_pairs(q, inst_a, env), result_pairs(q, inst_b, env)))
-        return formulas
-
-    status, inputs = question.ask(encode)
+    status, inputs = question.ask_determinacy(q, views)
     if status == "unknown":
         return ContainmentVerdict(UNKNOWN)
     if status == "unsat":
@@ -347,7 +316,7 @@ def prune(
 
     Views whose normal form is in `pinned` are never removed.
     """
-    question = determinacy_question(schema, constraints, policy.bound, policy.value_range, timeout_s)
+    question = Question(schema, constraints, policy.bound, policy.value_range, timeout_s=timeout_s)
     return _prune_pass(policy, question, pinned)
 
 
@@ -408,7 +377,7 @@ def broaden(
     added = [v for v in user_views if v.nf not in seen]
     combined = Policy(policy.views + added, policy.bound, policy.value_range)
     pinned = frozenset(v.nf for v in user_views)
-    question = determinacy_question(schema, constraints, policy.bound, policy.value_range, timeout_s)
+    question = Question(schema, constraints, policy.bound, policy.value_range, timeout_s=timeout_s)
     pruned, removed = _prune_pass(combined, question, pinned)
     report = BroadenReport()
     base = [v.nf for v in pruned.views if v.nf not in pinned]

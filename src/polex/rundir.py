@@ -42,6 +42,13 @@ def _load(path: Path, load):
         raise RunDirError(f"malformed {path}: {e}") from e
 
 
+def _id_order(input_id: str) -> tuple[str, int]:
+    """Sort key of an input id `<handler>-<seq>`: the handler, then the
+    number; a name with no number after its last `-` sorts by its text."""
+    name, _, seq = input_id.rpartition("-")
+    return (name, int(seq)) if seq.isdecimal() else (input_id, -1)
+
+
 @dataclass
 class RunDirectory:
     root: Path
@@ -134,9 +141,11 @@ class RunDirectory:
         return _load(path, lambda p: transcript_from_jsonl(p.read_text(encoding="utf-8")))
 
     def transcript_ids(self, handler: str | None = None) -> list[str]:
+        """Input ids with a transcript, by handler and then in the order
+        the handler's inputs were made: `h-10000` after `h-9999`."""
         if not self.transcripts_dir.is_dir():
             return []
-        ids = sorted(p.stem for p in self.transcripts_dir.glob("*.jsonl"))
+        ids = sorted((p.stem for p in self.transcripts_dir.glob("*.jsonl")), key=_id_order)
         if handler is not None:
             ids = [i for i in ids if i.rsplit("-", 1)[0] == handler]
         return ids

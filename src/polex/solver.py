@@ -11,34 +11,38 @@ comparisons among a bounded set of symbols matter.
 A query over such an instance is encoded by enumerating the combinations
 of rows its FROM product can draw: `nonEmpty` is the disjunction of the
 combination guards, and `atMostOne` asserts that no two distinct
-combinations both match (the driver asserts it to keep every query at one
-row or none).  A result column gets no symbols of its own: it is read as
+combinations both match (every path asserts it, to keep each query at
+one row or none).  A result column gets no symbols of its own: it is read as
 the alternatives `(guard, term, null)` of the combinations that can
 produce it, and a predicate over it is the disjunction, over alternatives,
 of the guard and the predicate on that combination's term.  So a filter
 on a fetched foreign key and the foreign-key containment itself compare
 the same two row symbols, and the solver sees they are one fact.
 
-Every stage asks the solver through a `Question`, bound 1 first (a bound-1
-model is a full-bound model with the other rows absent), and a sat answer
-comes back as one input per instance, checked against the constraints.
-Explore and policy-gen keep one `Question` for a stage call and the pruner
-one for a prune pass, so all its questions on a rung go to one incremental
-search.
+Every stage asks the solver through a `Question`, and this module alone
+builds formulas: a stage states a path (explore's pending prefix, or the
+simplifier's premises followed by its goal flipped) or a determinacy
+pair (the pruner's two instances that agree on the views and differ on
+the query).  A question is asked at bound 1 first (a bound-1 model is a
+full-bound model with the other rows absent), and a sat answer comes
+back as one input per instance, checked against the constraints.
+Explore and policy-gen keep one `Question` for a stage call and the
+pruner one for a prune pass, so all its questions on a rung go to one
+incremental search.
 
-An unsat answer needs only the rows of a countermodel's witness closure:
-the rows its non-empty query records matched, and the rows the `contain`
+An unsat path needs only the rows of a countermodel's witness closure:
+the rows its non-empty query steps matched, and the rows the `contain`
 lines chase from those.  Deleting every other row keeps a countermodel
 one, since emptiness, at-most-one, `unique`, row order and literal
 relations survive deletion and the chase keeps every containment (Johnson
 & Klug, JCSS 1984).  So each table gets its own row bound, as in Kodkod
 (Torlak & Jackson, TACAS 2007): once bound 1 is unsat, `Question.ask`
 counts the closure (`Question.row_bounds`) and caps the full-bound rung
-at it.  Two non-empty single-source records that a top-level `k = ?`
-fixes to the same term, `k` a `unique` key, match one row, counted once;
-a witness row whose column such a conjunct of another record fixes is
-chased to that record's row, which the count already holds.  A LEFT
-JOIN record (a deleted right row can make an unmatched-left row), a cyclic
+at it.  Two non-empty single-source steps that a top-level `k = ?` fixes
+to the same term, `k` a `unique` key, match one row, counted once; a
+witness row whose column such a conjunct of another step fixes is chased
+to that step's row, which the count already holds.  A LEFT JOIN step (a
+deleted right row can make an unmatched-left row), a cyclic
 `contain` graph and a `contain` left side with more than one source get
 no count.
 """
@@ -234,10 +238,7 @@ def bounded(
 
 def _row_values(inst: SymInstance, table: str, row_idx: int) -> tuple[SymValue, ...]:
     row = inst.tables[table][row_idx]
-    out = []
-    for v, n in zip(row.values, row.nulls):
-        out.append((ivar(v), FALSE_F if n is None else bvar(n)))
-    return tuple(out)
+    return tuple((ivar(v), FALSE_F if n is None else bvar(n)) for v, n in zip(row.values, row.nulls))
 
 
 def sym_value_eq(a: SymValue, b: SymValue):
@@ -349,8 +350,8 @@ def encode_query(
     formula holds of that row", which means the formula of the result
     only where exactly one guard holds.  So a caller that reads the result
     in a later formula (`env.rows`) must assert `non_empty` and
-    `at_most_one`; the explorer's path records and the simplifier's
-    premises do.
+    `at_most_one`; `Question.ask_path` does for each step that asserts a
+    row.
     """
     # The query's own params are record scalars; bind them as placeholders.
     penv = SymEnv(env.params, dict(env.rows), tuple(env.scalar(s) for s in params))
@@ -369,11 +370,7 @@ def encode_query(
         raise EncodeError(f"cannot encode query {q!r}")
 
     non_empty = lor(*[g for g, _ in pairs])
-    amo_parts = []
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            amo_parts.append(lnot(land(pairs[i][0], pairs[j][0])))
-    at_most_one = land(*amo_parts)
+    at_most_one = land(*[lnot(land(a, b)) for (a, _), (b, _) in itertools.combinations(pairs, 2)])
     result = tuple(zip(*[[(g, *v) for v in tup] for g, tup in pairs]))
     return QueryEncoding(non_empty, at_most_one, result)
 
@@ -423,46 +420,106 @@ def _key_equalities(nf: NormalFormQuery) -> list[tuple[int, PlaceholderRef]]:
             if isinstance(key, Col) and isinstance(p, PlaceholderRef)]
 
 
+def _set_eq(pairs_a, pairs_b):
+    """Result sets equal: mutual membership over distinct tuples."""
+    return land(
+        *[lor(lnot(g), *matches(tup, pairs_b)) for g, tup in pairs_a],
+        *[lor(lnot(g), *matches(tup, pairs_a)) for g, tup in pairs_b],
+    )
+
+
+def _set_neq(pairs_a, pairs_b):
+    """Some tuple of A's result with no equal tuple in B's.
+
+    One direction suffices: the two instances are interchangeable, so any
+    distinguishing pair can be swapped into this orientation.
+    """
+    return lor(*[land(g, *[lnot(m) for m in matches(tup, pairs_b)]) for g, tup in pairs_a])
+
+
 @dataclass
 class Question:
     """Bounded questions over one context, for the life of one stage call
-    or prune pass: each rung (bound 1, and `bound`) gets one incremental
-    search at its first question, and every later question on that rung
-    reuses it.  Explore's prefixes and the simplifier's entailment
-    questions pass their query records, whose witness closure
-    (`row_bounds`) gives each table T a bound r_T: a countermodel within
-    `bound` rows has one within min(bound, r_T) rows of T.  The pruner's
-    two-instance questions pass none and keep the full bound."""
+    or prune pass.  A stage states what it asks, a path (`ask_path`) or a
+    determinacy pair (`ask_determinacy`), and only this class builds the
+    formulas.  Each rung (bound 1, and `bound`) of each instance count gets
+    one incremental search at its first question, and every later question
+    on that rung reuses it.  A path's query steps give its witness closure
+    (`row_bounds`): a countermodel within `bound` rows has one within
+    min(bound, r_T) rows of each table T.  A determinacy pair keeps the
+    full bound."""
 
     schema: Schema
     constraints: list[Constraint]
     bound: int
     value_range: tuple[int, int]
     params: tuple = ()
-    copies: int = 1
     timeout_s: float | None = 5.0
-    _rungs: dict = field(default_factory=dict, init=False, repr=False)  # bound -> (search, instances, params)
+    _rungs: dict = field(default_factory=dict, init=False, repr=False)  # (bound, copies) -> (search, instances, params)
 
-    def ask(self, encode, records=None) -> tuple[str, tuple[ConcreteInput, ...]]:
+    def ask_path(self, steps) -> tuple[str, tuple[ConcreteInput, ...]]:
+        """Whether the constraints and the path `steps` hold together on one
+        instance; returns `ask`'s answer.
+
+        A step is a branch `(pred, outcome)` or a query `(index, query,
+        params, empty)`: `empty` False asserts that the query returned a
+        row, which later steps read as `RowCol(index, _)`, True that it
+        returned none, and None neither.  Every query step also asserts
+        that the query returns at most one row.  A step given twice is
+        asserted once."""
+
+        def encode(instances, env) -> list:
+            (inst,) = instances
+            formulas: dict = {}  # by step: a step given twice counts once
+            for step in steps:
+                if len(step) == 2:
+                    pred, outcome = step
+                    f = encode_pred(pred, {}, env)
+                    formulas.setdefault(step, f if outcome else lnot(f))
+                    continue
+                index, q, params, empty = step
+                enc = encode_query(q, params, inst, self.schema, env)
+                if empty is not None:
+                    formulas.setdefault(step, lnot(enc.non_empty) if empty else enc.non_empty)
+                    if not empty:
+                        env.rows[index] = enc.result
+                formulas.setdefault(("amo", index, q, params), enc.at_most_one)
+            return list(formulas.values())
+
+        return self.ask(encode, 1, steps)
+
+    def ask_determinacy(self, q: NormalFormQuery, views) -> tuple[str, tuple[ConcreteInput, ...]]:
+        """Whether two instances that share the session parameters can agree
+        on the result of every one of `views` and differ on `q`'s; returns
+        `ask`'s answer, a pair of inputs when it is sat."""
+
+        def encode(instances, env) -> list:
+            inst_a, inst_b = instances
+            formulas = [_set_eq(result_pairs(v, inst_a, env), result_pairs(v, inst_b, env)) for v in views]
+            formulas.append(_set_neq(result_pairs(q, inst_a, env), result_pairs(q, inst_b, env)))
+            return formulas
+
+        return self.ask(encode, 2)
+
+    def ask(self, encode, copies: int, steps=None) -> tuple[str, tuple[ConcreteInput, ...]]:
         """Decide the formulas `encode(instances, env)` builds over the
-        `bounded` context, at bound 1 and then, unless that is sat, at
-        `bound`.  Returns the last check's status and, when it is sat, one
-        input per instance, its request holding `params`.  An input that
-        breaks a constraint raises InternalSolverError.
+        `bounded` context of `copies` instances, at bound 1 and then, unless
+        that is sat, at `bound`.  Returns the last check's status and, when
+        it is sat, one input per instance, its request holding `params`.
+        An input that breaks a constraint raises InternalSolverError.
 
-        With `records` (see `row_bounds`), the closure is counted only
-        once bound 1 is unsat (not unknown): the full-bound rung is then
-        unsat without a search when no r_T exceeds 1, and otherwise it
+        With a path's `steps` (see `row_bounds`), the closure is counted
+        only once bound 1 is unsat (not unknown): the full-bound rung is
+        then unsat without a search when no r_T exceeds 1, and otherwise it
         assumes row r_T of each T absent, so row order drops the rest."""
         for b in dict.fromkeys((1, self.bound)):
-            rows = self.row_bounds(records) if b > 1 and records is not None and verdict.status == "unsat" else None
+            rows = self.row_bounds(steps) if b > 1 and steps is not None and verdict.status == "unsat" else None
             if rows is not None and max(rows.values()) <= 1:
                 break
-            if b not in self._rungs:
-                pool, instances, env = bounded(self.schema, self.constraints, b, self.value_range, self.params,
-                                               self.copies)
-                self._rungs[b] = CdclBackend(pool), instances, env.params
-            search, instances, params = self._rungs[b]
+            if (b, copies) not in self._rungs:
+                pool, instances, env = bounded(self.schema, self.constraints, b, self.value_range, self.params, copies)
+                self._rungs[b, copies] = CdclBackend(pool), instances, env.params
+            search, instances, params = self._rungs[b, copies]
             env = SymEnv(dict(params))
             formulas = encode(instances, env)
             if rows is not None:
@@ -501,33 +558,32 @@ class Question:
                 for c in self.constraints if isinstance(c, Unique) and len(c.columns) == 1}
         return order, sorted(chases, key=lambda c: order.index(c.left.sources[0])), keys
 
-    def row_bounds(self, records) -> dict[str, int] | None:
-        """The witness closure's rows per table (see the module docstring),
-        or None where it has no count.
+    def row_bounds(self, steps) -> dict[str, int] | None:
+        """The witness closure's rows per table (see the module docstring)
+        of the path `steps` (see `ask_path`), or None where it has no count.
 
-        `records` holds `(index, query, params, non_empty)` per query the
-        question encodes, `non_empty` where it asserts a row.  Each non-empty
-        PSJ record adds one row per source occurrence, but single-source
-        records on U that a top-level conjunct `k = ?p` fixes to the same
-        term, `unique U(k)`, share one row: both witnesses hold that
-        non-null key, so by uniqueness they are one row.  Then, in
-        topological order of the query-sided `contain` lines, each row of a
-        line's left table adds one row per right-side source, unless it is
-        pinned: a row needs no chased row for `T.c ⊆ U.k` (one column a
-        side, one right source, `unique U(k)`) when a non-empty
-        single-source record on U has a top-level conjunct `k = ?p` whose
-        parameter is a result column that any of the row's records reads
-        from its `c`.  The conjunct holds, so `c` is non-null and equals
-        that record's key, and by uniqueness only that record's own row can
-        match it."""
-        if self._links is None or any(isinstance(q, LeftJoinQuery) for _, q, _, _ in records):
+        Each query step that asserts a PSJ query's row (a witness) adds one
+        row per source occurrence, but single-source witnesses on U that a
+        top-level conjunct `k = ?p` fixes to the same term, `unique U(k)`,
+        share one row: both hold that non-null key, so by uniqueness they
+        are one row.  Then, in topological order of the query-sided
+        `contain` lines, each row of a line's left table adds one row per
+        right-side source, unless it is pinned: a row needs no chased row
+        for `T.c ⊆ U.k` (one column a side, one right source, `unique
+        U(k)`) when a single-source witness on U has a top-level conjunct
+        `k = ?p` whose parameter is a result column that any of the row's
+        witnesses reads from its `c`.  The conjunct holds, so `c` is
+        non-null and equals that witness's key, and by uniqueness only that
+        witness's own row can match it."""
+        queries = [step for step in steps if len(step) == 4]
+        if self._links is None or any(isinstance(q, LeftJoinQuery) for _, q, _, _ in queries):
             return None
         order, chases, keys = self._links
-        witnesses: dict[int, tuple] = {}  # index -> (nf, params) of each non-empty PSJ record
-        for index, q, params, non_empty in records:
+        witnesses: dict[int, tuple] = {}  # index -> (nf, params) of each witness
+        for index, q, params, empty in queries:
             nf = q.nf if isinstance(q, PlainQuery) else q
-            if non_empty and isinstance(nf, NormalFormQuery) and witnesses.setdefault(index, (nf, params)) != (nf, params):
-                return None  # two records on one index: a result column names neither for sure
+            if empty is False and isinstance(nf, NormalFormQuery) and witnesses.setdefault(index, (nf, params)) != (nf, params):
+                return None  # two witnesses on one index: a result column names neither for sure
         keyed: dict[tuple, int] = {}  # (U, k, term) a witness fixes -> the first witness of that row
         row: dict[int, int] = {}  # index -> the first witness of its row
         for index, (nf, params) in witnesses.items():
@@ -571,13 +627,7 @@ def model_to_input(model: dict, inst: SymInstance, schema: Schema, env: SymEnv, 
         for row in inst.tables[t.name]:
             if not model[row.presence]:
                 continue
-            vals = []
-            for v, n in zip(row.values, row.nulls):
-                if n is not None and model[n]:
-                    vals.append(None)
-                else:
-                    vals.append(model[v])
-            rows.append(tuple(vals))
+            rows.append(tuple(None if n is not None and model[n] else model[v] for v, n in zip(row.values, row.nulls)))
         tables[t.name] = tuple(rows)
     session = {name: model[env.params[name]] for name in SESSION_PARAMS}
     request = {name: model[env.params[name]] for name in request_params}

@@ -6,7 +6,6 @@ import pytest
 
 from polex.constraints import expand_all, generate_constraints
 from polex.dsl import parse_handler
-from polex.pruner import determinacy_question
 from polex.schema import parse_schema
 from polex.solver import Question
 
@@ -20,8 +19,8 @@ def record_acceptance(line: str) -> None:
 
 
 def determinacy(schema, constraints, bound=2, value_range=(0, 7), timeout_s=5.0) -> Question:
-    """`pruner.determinacy_question` at the CLI's defaults."""
-    return determinacy_question(schema, constraints, bound, value_range, timeout_s)
+    """A `Question` for `pruner.is_allowed` at the CLI's defaults."""
+    return Question(schema, constraints, bound, value_range, timeout_s=timeout_s)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -20,11 +20,11 @@ from polex.fdsolver import CdclBackend, InternalSolverError
 from polex.solver import bounded, model_to_input
 
 
-def ask(question: solver.Question, encode, records=None):
+def ask(question: solver.Question, encode, copies, steps=None):
     """`solver.Question.ask` as one check at the full bound, with no row
-    cap: `records` is ignored."""
+    cap: `steps` is ignored."""
     q = question
-    pool, instances, env = bounded(q.schema, q.constraints, q.bound, q.value_range, q.params, q.copies)
+    pool, instances, env = bounded(q.schema, q.constraints, q.bound, q.value_range, q.params, copies)
     verdict = CdclBackend(pool).check(encode(instances, env), q.timeout_s)
     if verdict.status != "sat":
         return verdict.status, ()

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from polex.cli import main
-from polex.rundir import parse_policy_text
+from polex.rundir import RunDirectory, parse_policy_text
 from polex.schema import load_schema
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -186,6 +186,18 @@ def test_policy_witnesses_resolve_to_logged_inputs(tmp_path):
 def test_policy_gen_without_transcripts_exits_2(tmp_path, capsys):
     run = make_run(tmp_path, "grade_sheet")
     assert main(["policy-gen", str(run), "view_grade_sheet"]) == 2
+
+
+def test_transcript_ids_follow_each_handlers_input_numbers(tmp_path):
+    # Ids are `<handler>-<seq:04d>`, so from 10,000 inputs on their text
+    # order is not the order explore made them in; policy-gen reads them
+    # in the latter.  A stray file name sorts by its text.
+    rd = RunDirectory(tmp_path)
+    rd.transcripts_dir.mkdir()
+    for name in ("h-1001", "notes", "h-10000", "g-0002", "h-0999", "h-x", "h-1000"):
+        (rd.transcripts_dir / f"{name}.jsonl").write_text("")
+    assert rd.transcript_ids("h") == ["h-0999", "h-1000", "h-1001", "h-10000", "h-x"]
+    assert rd.transcript_ids() == ["g-0002", "h-0999", "h-1000", "h-1001", "h-10000", "h-x", "notes"]
 
 
 def test_policy_gen_refuses_raw_request_param_branch(tmp_path, capsys):

@@ -123,11 +123,12 @@ def test_every_program_definition_is_used():
     assert not unused, f"defined but never used: {unused}"
 
 
-# The stages reach the solver through `Question` (explore and policy-gen,
-# one per stage call; prune, one per pass) and the formula builders only.
+# The stages reach the solver through `Question` only (explore and
+# policy-gen, one per stage call; prune, one per pass): they state a path
+# or a determinacy pair, and `solver` alone builds its formulas.
 STAGE_IMPORTS = {
-    "solver": {"Question", "encode_pred", "encode_query", "result_pairs", "matches"},
-    "fdsolver": {"land", "lor", "lnot"},
+    "solver": {"Question"},
+    "fdsolver": set(),
 }
 
 

@@ -29,9 +29,6 @@ WRAPPED = [
     (solver, "encode_instance"),
     (solver, "encode_query"),
     (solver, "result_pairs"),
-    (explorer, "encode_query"),
-    (policygen, "encode_query"),
-    (pruner, "result_pairs"),
 ]
 
 

@@ -483,23 +483,23 @@ handler two_after_branch(ItemId: int) {
     res = explore(program, toys_schema, toys_constraints, ExplorationConfig(table_bound=2))
     cqs = to_conditioned_queries(res.transcripts, toys_schema)
     questions, asked = [], {}
-    entails, countermodel = Simplifier._entails, Simplifier._countermodel
+    entails, ask_path = Simplifier._entails, solver.Question.ask_path
     bounds = _record_bounds(monkeypatch)
 
     def recording_entails(self, conditions, k):
         questions.append(tuple(conditions[: k + 1]))
         return entails(self, conditions, k)
 
-    def recording_countermodel(self, conditions, k):
-        key = tuple(conditions[: k + 1])
+    def recording_ask_path(self, steps):
+        key = questions[-1]  # the `_entails` call asking
         assert key not in asked
         del bounds[:]
-        status = countermodel(self, conditions, k)
+        status, inputs = ask_path(self, steps)
         asked[key] = (tuple(bounds), status)
-        return status
+        return status, inputs
 
     monkeypatch.setattr(Simplifier, "_entails", recording_entails)
-    monkeypatch.setattr(Simplifier, "_countermodel", recording_countermodel)
+    monkeypatch.setattr(solver.Question, "ask_path", recording_ask_path)
     simplify(cqs, toys_schema, toys_constraints, dict(program.request_params), timeout_s=None)
     assert len(set(questions)) < len(questions)
     assert set(asked) == set(questions)

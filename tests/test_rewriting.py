@@ -606,9 +606,9 @@ def test_every_allowed_check_at_bound_3_is_rewritten(corpus, monkeypatch):
 
 
 def _record_searches(monkeypatch):
-    """Record each `solver.Question` made, each question it is asked and,
-    for each search made over a pool with a base (one per rung a question
-    reaches), the `Question` asking and the base."""
+    """Record each `solver.Question` made, each question it is asked with
+    its instance count and, for each search made over a pool with a base
+    (one per rung a question reaches), the `Question` asking and the base."""
     record = {"questions": [], "asked": [], "searches": []}
     asking = []
     init, ask, search_init = solver.Question.__init__, solver.Question.ask, fdsolver.CdclBackend.__init__
@@ -617,11 +617,11 @@ def _record_searches(monkeypatch):
         init(self, *args, **kwargs)
         record["questions"].append(self)
 
-    def recorded_ask(self, encode):
-        record["asked"].append(self)
+    def recorded_ask(self, encode, copies, steps=None):
+        record["asked"].append((self, copies))
         asking.append(self)
         try:
-            return ask(self, encode)
+            return ask(self, encode, copies, steps)
         finally:
             asking.pop()
 
@@ -653,7 +653,8 @@ def test_a_prune_pass_makes_one_search_per_rung(corpus, monkeypatch):
         _broadened(3)
         passes = 1
     questions, searches = record["questions"], record["searches"]
-    assert len(questions) == passes and all(q.copies == 2 and q.bound == 3 for q in questions)
+    assert len(questions) == passes and all(q.bound == 3 for q in questions)
+    assert all(copies == 2 for _, copies in record["asked"])
     rungs = [(id(q), id(base)) for q, base in searches]
     assert len(rungs) == len(set(rungs)) <= 2 * passes
     assert len(record["asked"]) > len(searches)

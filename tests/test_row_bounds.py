@@ -3,7 +3,7 @@ verdict.
 
 `solver.Question.ask` answers a question's full-bound rung as unsat without
 a search, or searches it with rows above r_T assumed absent, when the
-question carries query records and bound 1 was unsat.  Every such unsat
+question is a path with query steps and bound 1 was unsat.  Every such unsat
 answer must also be the answer of one fresh, uncapped search at the full
 bound (`full_bound.ask`).  The runs below cover generated `synth-front`
 corpora and random explore prefixes and entailment questions over random
@@ -39,13 +39,13 @@ def _checked(monkeypatch) -> dict:
     ask, row_bounds = solver.Question.ask, solver.Question.row_bounds
     seen = {"unsat": 0, "skipped": 0, "capped": 0}
 
-    def checked(self, encode, records=None):
-        status, inputs = ask(self, encode, records)
+    def checked(self, encode, copies, steps=None):
+        status, inputs = ask(self, encode, copies, steps)
         seen["unsat"] += status == "unsat"
-        rows = row_bounds(self, records) if status == "unsat" and records is not None and self.bound > 1 else None
+        rows = row_bounds(self, steps) if status == "unsat" and steps is not None and self.bound > 1 else None
         if rows is not None and min(rows.values()) < self.bound:
             seen["skipped" if max(rows.values()) <= 1 else "capped"] += 1
-            assert full_bound.ask(self, encode)[0] == "unsat", rows
+            assert full_bound.ask(self, encode, copies)[0] == "unsat", rows
         return status, inputs
 
     monkeypatch.setattr(solver.Question, "ask", checked)
@@ -92,9 +92,9 @@ def test_synth_front_counts_the_closure_once_per_bound_1_unsat_question(monkeypa
     row_bounds, check, bounded = solver.Question.row_bounds, fdsolver.CdclBackend.check, solver.bounded
     bounds = set()
 
-    def counted_row_bounds(self, records):
+    def counted_row_bounds(self, steps):
         calls["row_bounds"] += 1
-        return row_bounds(self, records)
+        return row_bounds(self, steps)
 
     def counted_check(self, *args, **kwargs):
         verdict = check(self, *args, **kwargs)
@@ -206,7 +206,7 @@ def test_capped_random_questions_match_the_full_bound(seed, bound, monkeypatch):
                 for r in records if isinstance(r, BranchRecord) or not r.is_empty
             ]
             for k in range(1, len(conditions)):
-                simplifier._countermodel(conditions, k)
+                simplifier._entails(conditions, k)
     assert seen["skipped"] > 0 and seen["capped"] > 0
 
 
@@ -218,11 +218,11 @@ def test_a_self_fk_question_gets_no_cap():
     s, cons = _load("table nodes { id int unique  parent_id int nullable fk nodes.id }")
     explorer = Explorer(PROGRAM, s, cons, ExplorationConfig())
     q = explorer.catalog.executable("SELECT * FROM nodes WHERE id = ?")
-    assert explorer.question.row_bounds([(1, q, (RequestParam("P"),), True)]) is None
+    assert explorer.question.row_bounds([(1, q, (RequestParam("P"),), False)]) is None
 
 
-@pytest.mark.parametrize("non_empty", [True, False])
-def test_a_left_join_question_gets_no_cap(toys_schema, toys_constraints, non_empty):
+@pytest.mark.parametrize("empty", [False, True, None])
+def test_a_left_join_question_gets_no_cap(toys_schema, toys_constraints, empty):
     # An empty LEFT JOIN record, or one explore only restricts to one row,
     # counts too: deleting a right row can make an unmatched-left row.
     explorer = Explorer(PROGRAM, toys_schema, toys_constraints, ExplorationConfig())
@@ -231,9 +231,9 @@ def test_a_left_join_question_gets_no_cap(toys_schema, toys_constraints, non_emp
         "SELECT * FROM items LEFT JOIN details ON details.item_id = items.id WHERE items.id = ?")
     assert isinstance(plain, PlainQuery) and not isinstance(lj, PlainQuery)
     params = (RequestParam("P"),)
-    assert explorer.question.row_bounds([(1, plain, params, True)]) is not None
-    records = [(1, plain, params, True), (2, lj, params, non_empty)]
-    assert explorer.question.row_bounds(records) is None
+    assert explorer.question.row_bounds([(1, plain, params, False)]) is not None
+    steps = [(1, plain, params, False), (2, lj, params, empty)]
+    assert explorer.question.row_bounds(steps) is None
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +260,9 @@ handler h(Id: int) {{
     found = any(isinstance(r, QueryRecord) and r.index == 2 and not r.is_empty
                 for t in result.transcripts for r in t.records)
     explorer = Explorer(program, s, cons, ExplorationConfig())
-    records = [(1, explorer.catalog.executable("SELECT * FROM t WHERE id = ?"), (RequestParam("Id"),), True),
-               (2, explorer.catalog.executable(b_sql), (RowCol(1, 1),), True)]
-    return found, explorer.question.row_bounds(records), result
+    steps = [(1, explorer.catalog.executable("SELECT * FROM t WHERE id = ?"), (RequestParam("Id"),), False),
+             (2, explorer.catalog.executable(b_sql), (RowCol(1, 1),), False)]
+    return found, explorer.question.row_bounds(steps), result
 
 
 def test_no_pin_on_a_key_that_is_not_unique():
@@ -346,9 +346,9 @@ handler h(A: int, B: int) {{
     found = any(isinstance(r, QueryRecord) and r.index == 2 and not r.is_empty
                 for t in result.transcripts for r in t.records)
     explorer = Explorer(program, s, cons, ExplorationConfig())
-    records = [(1, explorer.catalog.executable(x_sql), (RequestParam("A"),), True),
-               (2, explorer.catalog.executable(y_sql), (RequestParam(y_arg),), True)]
-    return found, explorer.question.row_bounds(records)
+    steps = [(1, explorer.catalog.executable(x_sql), (RequestParam("A"),), False),
+             (2, explorer.catalog.executable(y_sql), (RequestParam(y_arg),), False)]
+    return found, explorer.question.row_bounds(steps)
 
 
 # `y` must be a second u row in each case: it is not flagged, or its key is
@@ -393,12 +393,12 @@ handler h(Id: int) {
 """)
     explorer = Explorer(program, s, cons, ExplorationConfig())
     fetch = explorer.catalog.executable
-    records = [(1, fetch("SELECT * FROM a WHERE id = ?"), (RequestParam("Id"),), True),
-               (2, fetch("SELECT 1 FROM b WHERE id = ? LIMIT 1"), (RowCol(1, 1),), True),
-               (3, fetch("SELECT * FROM b WHERE id = ?"), (RowCol(1, 1),), True),
-               (4, fetch("SELECT * FROM c WHERE id = ?"), (RowCol(3, 1),), True),
-               (5, fetch("SELECT * FROM d WHERE id = ?"), (RowCol(4, 1),), False)]
-    assert explorer.question.row_bounds(records) == {"a": 1, "b": 1, "c": 1, "d": 1}
+    steps = [(1, fetch("SELECT * FROM a WHERE id = ?"), (RequestParam("Id"),), False),
+             (2, fetch("SELECT 1 FROM b WHERE id = ? LIMIT 1"), (RowCol(1, 1),), False),
+             (3, fetch("SELECT * FROM b WHERE id = ?"), (RowCol(1, 1),), False),
+             (4, fetch("SELECT * FROM c WHERE id = ?"), (RowCol(3, 1),), False),
+             (5, fetch("SELECT * FROM d WHERE id = ?"), (RowCol(4, 1),), True)]
+    assert explorer.question.row_bounds(steps) == {"a": 1, "b": 1, "c": 1, "d": 1}
     seen = _checked(monkeypatch)
     result = explore(program, s, cons, ExplorationConfig(table_bound=2, solver_timeout=None))
     assert result.tree.counts()[INFEASIBLE] == 4  # every empty parent fetch, d's too

@@ -547,7 +547,7 @@ def test_ask_goes_on_to_the_full_bound_unless_bound_1_is_sat(bound, at_1, asked,
 
     backend_check = fdsolver.CdclBackend.check
     monkeypatch.setattr(fdsolver.CdclBackend, "check", scripted_check)
-    status, inputs = solver.Question(SCHEMA, CONSTRAINTS, bound, RANGE, timeout_s=0.5).ask(encode)
+    status, inputs = solver.Question(SCHEMA, CONSTRAINTS, bound, RANGE, timeout_s=0.5).ask(encode, 1)
     assert encoded == asked
     assert status == results[-1].status and len(inputs) == (status == "sat")
 
@@ -565,7 +565,7 @@ def test_ask_reads_the_model_through_the_context_it_was_found_in():
     # A bound-1 input holds one row per table at most.
     for encode, bound, rows in ((some_course, 1, 1), (two_courses, 3, 2)):
         question = solver.Question(SCHEMA, CONSTRAINTS, 3, RANGE, [("CourseId", "int")], timeout_s=None)
-        status, (ci,) = question.ask(encode)
+        status, (ci,) = question.ask(encode, 1)
         assert status == "sat" and rows <= len(ci.tables["courses"]) <= bound
         assert list(ci.request) == ["CourseId"] and (ci.input_id, ci.handler) == ("", "")
         assert validate_instance(ci, CONSTRAINTS, SCHEMA)[0]
@@ -583,7 +583,7 @@ def test_ask_rejects_a_model_that_breaks_a_constraint(monkeypatch):
     solver._shared.cache_clear()
     try:
         with pytest.raises(fdsolver.InternalSolverError, match="fk roles.course_id -> courses.id"):
-            solver.Question(SCHEMA, CONSTRAINTS, 2, RANGE, timeout_s=None).ask(dangling_role)
+            solver.Question(SCHEMA, CONSTRAINTS, 2, RANGE, timeout_s=None).ask(dangling_role, 1)
     finally:
         solver._shared.cache_clear()
 
@@ -594,7 +594,7 @@ def test_a_constant_outside_its_domain_raises_in_every_stage():
         fixed = expand_all([FixedValue("roles", column, value)], SCHEMA)
         message = f"value {value} in constraint 'fixed roles.{column} = {value}' lies outside the value range {domain}"
         with pytest.raises(RangeError, match=re.escape(message)):
-            solver.Question(SCHEMA, CONSTRAINTS + fixed, 2, RANGE, timeout_s=None).ask(lambda instances, env: [])
+            solver.Question(SCHEMA, CONSTRAINTS + fixed, 2, RANGE, timeout_s=None).ask(lambda instances, env: [], 1)
     (program,) = parse_handlers('handler h() { let c = query("SELECT * FROM courses WHERE id = 4"); render(c); }')
     with pytest.raises(RangeError, match="value 4 in handler h lies outside the value range 0:3"):
         explore(program, SCHEMA, CONSTRAINTS, ExplorationConfig(value_range=RANGE))

@@ -42,9 +42,14 @@ def run(corpus: str, rundir: Path) -> int:
     return 0
 
 
+def run_in(corpus: str, args: list[str]) -> int:
+    """Run `corpus` in the run directory `args` names, or in a fresh temporary one."""
+    target = Path(args[0]) if args else Path(tempfile.mkdtemp(prefix=f"polex-{corpus}-"))
+    print(f"run directory: {target}")
+    return run(corpus, target)
+
+
 if __name__ == "__main__":
     if len(sys.argv) not in (2, 3):
         sys.exit(__doc__)
-    target = Path(sys.argv[2]) if len(sys.argv) > 2 else Path(tempfile.mkdtemp(prefix=f"polex-{sys.argv[1]}-"))
-    print(f"run directory: {target}")
-    sys.exit(run(sys.argv[1], target))
+    sys.exit(run_in(sys.argv[1], sys.argv[2:]))

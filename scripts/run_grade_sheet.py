@@ -1,45 +1,16 @@
 #!/usr/bin/env python3
 """End-to-end extraction on the grade-sheet example.
 
-Copies the corpus into a scratch run directory, generates constraints,
-explores the handler, generates and prunes the policy, and prints it.
+Shorthand for `python3 scripts/run_corpus.py grade_sheet [RUNDIR]`.
 
     python3 scripts/run_grade_sheet.py [RUNDIR]
 """
 
 from __future__ import annotations
 
-import shutil
 import sys
-import tempfile
-from pathlib import Path
 
-from polex.cli import main
-
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def run(rundir: Path) -> int:
-    rundir.mkdir(parents=True, exist_ok=True)
-    shutil.copy(ROOT / "corpus" / "grade_sheet" / "schema.txt", rundir / "schema.txt")
-    shutil.copytree(ROOT / "corpus" / "grade_sheet" / "handlers", rundir / "handlers",
-                    dirs_exist_ok=True)
-    steps = [
-        ["constraints-gen", str(rundir / "schema.txt"), "-o", str(rundir / "constraints.txt")],
-        ["explore", str(rundir), "view_grade_sheet"],
-        ["policy-gen", str(rundir), "view_grade_sheet"],
-        ["policy-merge-prune", str(rundir), "view_grade_sheet"],
-    ]
-    for step in steps:
-        code = main(step)
-        if code != 0:
-            return code
-    print("\n=== extracted policy ===")
-    print((rundir / "policies" / "final.sql").read_text())
-    return 0
-
+from run_corpus import run_in
 
 if __name__ == "__main__":
-    target = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(tempfile.mkdtemp(prefix="polex-grade-"))
-    print(f"run directory: {target}")
-    sys.exit(run(target))
+    sys.exit(run_in("grade_sheet", sys.argv[1:2]))

@@ -1,52 +1,16 @@
 #!/usr/bin/env python3
 """Extract and merge policies for the whole toy-handler corpus.
 
+Shorthand for `python3 scripts/run_corpus.py toys [RUNDIR]`.
+
     python3 scripts/run_toys.py [RUNDIR]
 """
 
 from __future__ import annotations
 
-import shutil
 import sys
-import tempfile
-from pathlib import Path
 
-from polex.cli import main
-
-ROOT = Path(__file__).resolve().parent.parent
-
-HANDLERS = [
-    "show_item",
-    "flagged_lookup",
-    "detail_chain",
-    "item_report",
-    "category_count",
-    "exists_check",
-    "both_branches",
-]
-
-
-def run(rundir: Path) -> int:
-    rundir.mkdir(parents=True, exist_ok=True)
-    shutil.copy(ROOT / "corpus" / "toys" / "schema.txt", rundir / "schema.txt")
-    shutil.copytree(ROOT / "corpus" / "toys" / "handlers", rundir / "handlers", dirs_exist_ok=True)
-    code = main(["constraints-gen", str(rundir / "schema.txt"), "-o", str(rundir / "constraints.txt")])
-    if code != 0:
-        return code
-    for h in HANDLERS:
-        for step in (["explore", str(rundir), h], ["policy-gen", str(rundir), h]):
-            code = main(step)
-            if code != 0:
-                return code
-    code = main(["policy-merge-prune", str(rundir)] + HANDLERS)
-    if code != 0:
-        return code
-    print("\n=== merged policy ===")
-    print((rundir / "policies" / "final.sql").read_text())
-    return 0
-
+from run_corpus import run_in
 
 if __name__ == "__main__":
-    target = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(tempfile.mkdtemp(prefix="polex-toys-"))
-    print(f"run directory: {target}")
-    sys.exit(run(target))
+    sys.exit(run_in("toys", sys.argv[1:2]))

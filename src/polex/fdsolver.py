@@ -35,7 +35,9 @@ some compiled formula mentions (`Compiler.mentioned`; MiniSat's
 never propagates or takes part in a conflict, so the other variables see
 the same decisions, conflicts and learnt clauses.  Its model value is
 the one deciding it would give: False, or its domain's lower value, all
-its thresholds false.
+its thresholds false.  A search reads every unset variable so (the
+completion) before deciding, and returns that model if every formula
+holds; only otherwise does it build its decision state (`_Cdcl.solve`).
 
 A search over a pool whose `base` is set starts as a copy of that base
 search, which holds its formulas as unit clauses propagated at level 0.
@@ -391,15 +393,9 @@ class Compiler:
         return [v for v in range(self.cnf.nvars) if v not in skip]
 
     def model_from_sat(self, assigns: list) -> dict:
-        """An int symbol's value is lo plus the number of its true thresholds."""
-        model: dict = {}
-        for vid, d in enumerate(self.pool.domains):
-            if d is None:
-                model[vid] = assigns[self.first[vid]] is True
-            else:
-                t = self._sat_vars(vid)
-                model[vid] = d[0] + assigns[t.start:t.stop].count(True)
-        return model
+        """An int symbol's value is lo plus the number of its true thresholds; unset counts as false."""
+        return {vid: assigns[s] is True if d is None else d[0] + assigns[s:s + d[1] - d[0]].count(True)
+                for vid, (s, d) in enumerate(zip(self.first, self.pool.domains))}
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +423,7 @@ class _Cdcl:
     """Minisat-style solver over a growing clause database, starting as a
     copy of `base`'s clauses, watch lists and level-0 trail.  `lval[lit]`
     is True, False or None (unset).  A search decides only `decision`
-    (ascending) and is sat once those are all set."""
+    (ascending) unless it accepts the completion, and is sat once those are all set."""
 
     def __init__(self, base):
         self.nvars = base.nvars
@@ -440,6 +436,7 @@ class _Cdcl:
         self.trail_lim: list[int] = []
         self.qhead = len(self.trail)
         self.ok = base.ok  # False once level 0 holds a conflict
+        self.decision = self.activity = self.phase = self.heap = None  # built at a check's first decision
 
     def attach(self, comp: Compiler) -> None:
         """Take the clauses `comp` compiled since the last call, at level 0:
@@ -639,64 +636,85 @@ class _Cdcl:
                 return v
         return None
 
-    def solve(self, assumptions: list[int], decision: list[int], deadline: float | None):
+    def complete(self, read):
+        """`read` of the trail, unset variables false, if no formula fails on it; else None."""
+        found = read(self.lval[0::2])
+        return found if found[1] is None else None
+
+    def solve(self, assumptions: list[int], read, decision_vars, deadline: float | None):
         """Search, from level 0, for a model in which every literal of
         `assumptions` holds; level i + 1 decides assumptions[i].  Returns
-        ("sat", assigns) | ("unsat", None); assigns[v] is v's bool.  A
-        conflict on the assumption levels refutes them; like a conflict at
-        level 0 of a search that held them as unit clauses, it counts only
-        after other conflicts."""
-        nvars, n, trail_lim = self.nvars, len(assumptions), self.trail_lim
-        self.decision, self.deadline = decision, deadline
-        self.activity = [0.0] * nvars
-        self.var_inc = 1.0
-        self.phase = [0] * nvars
-        self.heap: list[tuple[float, int]] = [(0.0, v) for v in decision]
-        self.conflicts = 0
+        ("sat", read(assigns)) | ("unsat", None), where assigns[v] is v's
+        bool or None and `read` gives (model, the index of a formula it
+        breaks or None).  A conflict on the assumption levels refutes
+        them; like a conflict at level 0 of a search that held them as
+        unit clauses, it counts only after other conflicts.
+
+        Before deciding it returns the completion if `complete` accepts it,
+        the model deciding gives: with each gate set to its formula's value
+        it satisfies every clause (definitions, level-0 units, learnt), so
+        every literal propagation forces agrees with it.  Deciding symbols'
+        thresholds false in variable order, a fresh search forces each gate
+        before it could decide it: a base gate names only base symbols,
+        numbered below it, and later gates follow the pool's symbols.  So
+        it never conflicts and returns the completion.  Only a declined one
+        builds the decision state, `decision_vars()` with activities,
+        phases and heap, which is dropped on return."""
+        n, trail_lim = len(assumptions), self.trail_lim
+        self.deadline, self.conflicts = deadline, 0
         if not self.ok:
             return "unsat", None
         restart_count = 0
         conflicts_left = 64 * _luby(restart_count)
-        while True:
-            confl = self.propagate()
-            if confl is not None:
-                refuted = self.decision_level() <= n  # the clauses refute the assumptions
-                if refuted and not self.conflicts:
-                    return "unsat", None
-                self.conflicts += 1
-                conflicts_left -= 1
-                self._check_time()
-                if refuted:
-                    return "unsat", None
-                learnt, bt = self.analyze(confl)
-                self.cancel_until(bt)
-                ci = len(self.clauses)
-                self.clauses.append(learnt)
-                if len(learnt) == 1:
-                    self.enqueue(learnt[0], None)
-                else:
-                    self.watches[learnt[0]].append(ci)
-                    self.watches[learnt[1]].append(ci)
-                    self.enqueue(learnt[0], ci)
-                self.var_inc /= 0.95
-                continue
-            if conflicts_left <= 0 and self.decision_level() > n:
-                restart_count += 1
-                conflicts_left = 64 * _luby(restart_count)
-                self.cancel_until(n)
-                continue
-            if len(trail_lim) < n:
-                lit = assumptions[len(trail_lim)]
-                if self.lval[lit] is False:
-                    return "unsat", None
-                trail_lim.append(len(self.trail))
-                self.enqueue(lit, None)  # a no-op when it already holds
-                continue
-            v = self.decide_var()
-            if v is None:
-                return "sat", self.lval[0::2]
-            self.new_level()
-            self.enqueue(2 * v + (1 - self.phase[v]), None)
+        try:
+            while True:
+                confl = self.propagate()
+                if confl is not None:
+                    refuted = self.decision_level() <= n  # the clauses refute the assumptions
+                    if refuted and not self.conflicts:
+                        return "unsat", None
+                    self.conflicts += 1
+                    conflicts_left -= 1
+                    self._check_time()
+                    if refuted:
+                        return "unsat", None
+                    learnt, bt = self.analyze(confl)
+                    self.cancel_until(bt)
+                    ci = len(self.clauses)
+                    self.clauses.append(learnt)
+                    if len(learnt) == 1:
+                        self.enqueue(learnt[0], None)
+                    else:
+                        self.watches[learnt[0]].append(ci)
+                        self.watches[learnt[1]].append(ci)
+                        self.enqueue(learnt[0], ci)
+                    self.var_inc /= 0.95
+                    continue
+                if conflicts_left <= 0 and self.decision_level() > n:
+                    restart_count += 1
+                    conflicts_left = 64 * _luby(restart_count)
+                    self.cancel_until(n)
+                    continue
+                if len(trail_lim) < n:
+                    lit = assumptions[len(trail_lim)]
+                    if self.lval[lit] is False:
+                        return "unsat", None
+                    trail_lim.append(len(self.trail))
+                    self.enqueue(lit, None)  # a no-op when it already holds
+                    continue
+                if self.heap is None:  # the first decision
+                    if (found := self.complete(read)) is not None:
+                        return "sat", found
+                    self.decision = decision_vars()
+                    self.activity, self.phase, self.var_inc = [0.0] * self.nvars, [0] * self.nvars, 1.0
+                    self.heap = [(0.0, v) for v in self.decision]
+                v = self.decide_var()
+                if v is None:
+                    return "sat", read(self.lval[0::2])
+                self.new_level()
+                self.enqueue(2 * v + (1 - self.phase[v]), None)
+        finally:
+            self.decision = self.activity = self.phase = self.heap = None
 
 
 # ---------------------------------------------------------------------------
@@ -728,14 +746,18 @@ class CdclBackend:
         comp = self.comp
         assumptions = [comp.lit(f) for f in formulas]
         self.search.attach(comp)
+
+        def read(assigns):  # the model and the index of a formula it breaks, the base's first, or None
+            model = comp.model_from_sat(assigns)
+            return model, next((i for i, f in enumerate([*comp.formulas, *formulas]) if not eval_formula(f, model)), None)
+
         try:
-            status, assigns = self.search.solve(assumptions, comp.decision_vars(), deadline)
+            status, found = self.search.solve(assumptions, read, comp.decision_vars, deadline)
         except _Timeout:
             return CheckResult("unknown")
         if status == "unsat":
             return CheckResult("unsat")
-        model = comp.model_from_sat(assigns)
-        for i, f in enumerate([*comp.formulas, *formulas]):
-            if not eval_formula(f, model):
-                raise InternalSolverError(f"model does not satisfy formula {i}")
+        model, broken = found
+        if broken is not None:
+            raise InternalSolverError(f"model does not satisfy formula {broken}")
         return CheckResult("sat", model=model)

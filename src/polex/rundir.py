@@ -49,6 +49,11 @@ def _id_order(input_id: str) -> tuple[str, int]:
     return (name, int(seq)) if seq.isdecimal() else (input_id, -1)
 
 
+def _is_run_of(input_id: str, handler: str) -> bool:
+    """Whether `input_id` is `<handler>-<digits>`: `h-notes` and `hh-0001` are not `h`'s."""
+    return input_id.startswith(f"{handler}-") and input_id[len(handler) + 1:].isdecimal()
+
+
 @dataclass
 class RunDirectory:
     root: Path
@@ -147,7 +152,7 @@ class RunDirectory:
             return []
         ids = sorted((p.stem for p in self.transcripts_dir.glob("*.jsonl")), key=_id_order)
         if handler is not None:
-            ids = [i for i in ids if i.rsplit("-", 1)[0] == handler]
+            ids = [i for i in ids if _is_run_of(i, handler)]
         return ids
 
     def remove_runs(self, handler: str) -> None:
@@ -155,7 +160,7 @@ class RunDirectory:
         `transcript_ids` matches them, so no other handler's are touched."""
         for directory, suffix in ((self.transcripts_dir, ".jsonl"), (self.inputs_dir, ".json")):
             for path in directory.glob(f"*{suffix}"):
-                if path.stem.rsplit("-", 1)[0] == handler:
+                if _is_run_of(path.stem, handler):
                     path.unlink()
 
     def write_input(self, ci: ConcreteInput, schema: Schema) -> Path:

@@ -584,39 +584,41 @@ class Question:
             nf = q.nf if isinstance(q, PlainQuery) else q
             if empty is False and isinstance(nf, NormalFormQuery) and witnesses.setdefault(index, (nf, params)) != (nf, params):
                 return None  # two witnesses on one index: a result column names neither for sure
-        keyed: dict[tuple, int] = {}  # (U, k, term) a witness fixes -> the first witness of that row
+        keyed: dict[tuple, dict] = {}  # (U, k) -> each term a witness fixes it to -> the first witness of that row
         row: dict[int, int] = {}  # index -> the first witness of its row
         for index, (nf, params) in witnesses.items():
-            facts = [(nf.sources[0], k, params[p.position - 1]) for k, p in _key_equalities(nf)
+            facts = [((nf.sources[0], k), params[p.position - 1]) for k, p in _key_equalities(nf)
                      if (nf.sources[0], k) in keys]
-            row[index] = next((keyed[f] for f in facts if f in keyed), index)
-            for f in facts:
-                keyed.setdefault(f, row[index])
+            row[index] = next((keyed[key][term] for key, term in facts if term in keyed.get(key, ())), index)
+            for key, term in facts:
+                keyed.setdefault(key, {}).setdefault(term, row[index])
+        occurrences = []  # (index, nf, table, start) of each witness's source occurrences
         rows = dict.fromkeys(order, 0)
         for index, (nf, _) in witnesses.items():
+            occurrences += [(index, nf, t, lo) for t, (lo, _) in zip(nf.sources, source_ranges(self.schema, nf.sources))]
             if row[index] == index:
                 for t in nf.sources:
                     rows[t] += 1
         for c in chases:
             t = c.left.sources[0]
-            chased = rows[t] - self._pinned(c, witnesses, row, keyed) if rows[t] else 0
+            chased = rows[t] - _pinned(c, occurrences, row, keyed) if rows[t] else 0
             for u in c.right.sources:
                 rows[u] += chased
         return rows
 
-    def _pinned(self, c: Containment, witnesses: dict, row: dict, keyed: dict) -> int:
-        """How many witness rows of `c`'s left table need no row chased
-        for `c` (see `row_bounds`)."""
-        if not (len(c.left.projection) == len(c.right.sources) == 1):  # the sides' arities are equal
-            return 0
-        (t,), (col,), (u,), (k,) = c.left.sources, c.left.projection, c.right.sources, c.right.projection
-        terms = {term for v, j, term in keyed if (v, j) == (u, k)}  # the parameters U's key is fixed to
-        return len({
-            (row[index], lo)
-            for index, (nf, _) in witnesses.items()
-            for src, (lo, _) in zip(nf.sources, source_ranges(self.schema, nf.sources))
-            if src == t and any(RowCol(index, j) in terms for j, o in enumerate(nf.projection) if o == lo + col)
-        })
+
+def _pinned(c: Containment, occurrences: list, row: dict, keyed: dict) -> int:
+    """How many witness rows of `c`'s left table need no row chased
+    for `c` (see `Question.row_bounds`)."""
+    if not (len(c.left.projection) == len(c.right.sources) == 1):  # the sides' arities are equal
+        return 0
+    (t,), (col,), (u,), (k,) = c.left.sources, c.left.projection, c.right.sources, c.right.projection
+    terms = keyed.get((u, k), ())  # the parameters U's key is fixed to
+    return len({
+        (row[index], lo)
+        for index, nf, src, lo in occurrences
+        if src == t and any(RowCol(index, j) in terms for j, o in enumerate(nf.projection) if o == lo + col)
+    })
 
 
 def model_to_input(model: dict, inst: SymInstance, schema: Schema, env: SymEnv, request_params=()) -> ConcreteInput:

@@ -4,14 +4,18 @@ Each int symbol is a one-hot vector of SAT variables over its domain with
 a pairwise exactly-one scaffold: d(d-1)/2 + 1 clauses per symbol, and d²
 per order comparison between two symbols.  `fdsolver.Compiler` uses the
 order encoding instead; this compiler shares its boolean structure and
-its CDCL search, so the two differ only in how integers are encoded.  It
-takes pools without a base only.
+its CDCL search, so the two differ only in how integers are encoded.  Its
+search always decides (`declining.DecliningSearch`): a one-hot vector
+with no variable set has no value to read.  It takes pools without a base
+only.
 """
 
 from __future__ import annotations
 
-from polex.fdsolver import _NO_BASE, CdclBackend, Compiler, VarPool, _Cdcl
+from polex.fdsolver import _NO_BASE, CdclBackend, Compiler, VarPool
 from polex.terms import cmp_eval
+
+from declining import DecliningSearch
 
 
 class OneHotCompiler(Compiler):
@@ -79,9 +83,10 @@ class OneHotCompiler(Compiler):
 
 
 class OneHotBackend(CdclBackend):
-    """Reference backend: the one-hot compiler and the same CDCL search."""
+    """Reference backend: the one-hot compiler and the same CDCL search,
+    without the accepted completion."""
 
     def __init__(self, pool: VarPool):
         self.comp = OneHotCompiler(pool)
-        self.search = _Cdcl(_NO_BASE.search)
+        self.search = DecliningSearch(_NO_BASE.search)
         self.search.attach(self.comp)

@@ -191,13 +191,25 @@ def test_policy_gen_without_transcripts_exits_2(tmp_path, capsys):
 def test_transcript_ids_follow_each_handlers_input_numbers(tmp_path):
     # Ids are `<handler>-<seq:04d>`, so from 10,000 inputs on their text
     # order is not the order explore made them in; policy-gen reads them
-    # in the latter.  A stray file name sorts by its text.
+    # in the latter.  A stray file name sorts by its text and belongs to
+    # no handler.
     rd = RunDirectory(tmp_path)
     rd.transcripts_dir.mkdir()
     for name in ("h-1001", "notes", "h-10000", "g-0002", "h-0999", "h-x", "h-1000"):
         (rd.transcripts_dir / f"{name}.jsonl").write_text("")
-    assert rd.transcript_ids("h") == ["h-0999", "h-1000", "h-1001", "h-10000", "h-x"]
+    assert rd.transcript_ids("h") == ["h-0999", "h-1000", "h-1001", "h-10000"]
     assert rd.transcript_ids() == ["g-0002", "h-0999", "h-1000", "h-1001", "h-10000", "h-x", "notes"]
+
+
+def test_remove_runs_keeps_stray_files_and_other_handlers_runs(tmp_path):
+    rd = RunDirectory(tmp_path)
+    for directory, suffix in ((rd.transcripts_dir, ".jsonl"), (rd.inputs_dir, ".json")):
+        directory.mkdir()
+        for name in ("h-0001", "h-10000", "h-notes", "hh-0001", "h"):
+            (directory / f"{name}{suffix}").write_text("")
+    rd.remove_runs("h")
+    assert sorted(p.stem for p in rd.inputs_dir.iterdir()) == ["h", "h-notes", "hh-0001"]
+    assert rd.transcript_ids() == ["h", "h-notes", "hh-0001"]
 
 
 def test_policy_gen_refuses_raw_request_param_branch(tmp_path, capsys):

@@ -28,6 +28,7 @@ from polex.fdsolver import (
 
 from polex.terms import cmp_eval
 
+from declining import DecliningBackend
 from enumeration import EnumerationBackend
 from onehot import OneHotBackend
 
@@ -241,6 +242,28 @@ def test_one_search_answers_a_check_sequence_like_fresh_searches(case):
             assert all(eval_formula(f, got.model) for f in pool.base.comp.formulas + formulas)
             if not fresh.search.conflicts:
                 assert got.model == want.model, i
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sessions())
+def test_an_accepted_completion_is_the_model_deciding_gives(case):
+    # A search that accepts the completion answers every check of a
+    # sequence as one that always decides does: the same status, and the
+    # same model where the deciding search met no conflict.  Where the
+    # completion satisfies every formula, the deciding search meets no
+    # conflict and returns it.
+    pool, _, checks, _ = case
+    session, deciding = CdclBackend(pool), DecliningBackend(pool)
+    for i, formulas in enumerate(checks):
+        got = session.check(formulas, timeout_s=None)
+        want = deciding.check(formulas, timeout_s=None)
+        assert got.status == want.status, i
+        completion = deciding.search.completion
+        event(f"{got.status}{', accepted' if completion else ''}{', conflicts' if deciding.search.conflicts else ''}")
+        if completion is not None:
+            assert deciding.search.conflicts == 0 and completion[0] == want.model, i
+        if got.status == "sat" and not deciding.search.conflicts:
+            assert got.model == want.model, i
 
 
 def test_every_comparison_matches_its_truth_table():

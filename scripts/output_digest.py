@@ -24,7 +24,10 @@ machine's speed.  The runs:
   with more than the empty `nonnull` one;
 - toys at bound 2 with `DOMAIN_NO_0` added instead: 0, the value every
   model tries first, is not a category, so these searches must leave it
-  and their inputs hold category 3.
+  and their inputs hold category 3;
+- the `replies` corpus at bounds 2 to 5: explore, policy-gen and prune
+  per handler, then merge-prune, over a nullable self-referencing
+  foreign key (a reply's parent post).
 
 A digest covers the transcript lines, the generated inputs, the prefix-tree
 counts, the warnings and reports, the per-handler views with their witness
@@ -158,6 +161,10 @@ RUNS = [
     ("ranges-b2-r15", lambda: pipeline("ranges", 2, (0, 15))),
     ("toys-b2-domain", lambda: pipeline("toys", 2, extra=DOMAIN)),
     ("toys-b2-domain-no-0", lambda: pipeline("toys", 2, extra=DOMAIN_NO_0)),
+    ("replies-b2", lambda: pipeline("replies", 2)),
+    ("replies-b3", lambda: pipeline("replies", 3)),
+    ("replies-b4", lambda: pipeline("replies", 4)),
+    ("replies-b5", lambda: pipeline("replies", 5)),
 ]
 
 

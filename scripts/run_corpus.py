@@ -7,6 +7,7 @@ files declare, merges and prunes the policies, and prints the result.
 
     python3 scripts/run_corpus.py grade_sheet [RUNDIR]   # the worked example
     python3 scripts/run_corpus.py toys [RUNDIR]          # seven toy handlers
+    python3 scripts/run_corpus.py replies [RUNDIR]       # a nullable self-referencing foreign key
 """
 
 from __future__ import annotations

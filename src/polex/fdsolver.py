@@ -645,7 +645,7 @@ class _Cdcl:
         """Search, from level 0, for a model in which every literal of
         `assumptions` holds; level i + 1 decides assumptions[i].  Returns
         ("sat", read(assigns)) | ("unsat", None), where assigns[v] is v's
-        bool or None and `read` gives (model, the index of a formula it
+        bool or None and `read` gives (model, the name of a formula it
         breaks or None).  A conflict on the assumption levels refutes
         them; like a conflict at level 0 of a search that held them as
         unit clauses, it counts only after other conflicts.
@@ -747,9 +747,10 @@ class CdclBackend:
         assumptions = [comp.lit(f) for f in formulas]
         self.search.attach(comp)
 
-        def read(assigns):  # the model and the index of a formula it breaks, the base's first, or None
+        def read(assigns):  # the model and the name of a formula it breaks, the check's own first, or None
             model = comp.model_from_sat(assigns)
-            return model, next((i for i, f in enumerate([*comp.formulas, *formulas]) if not eval_formula(f, model)), None)
+            return model, next((f"{name} {i}" for name, fs in (("formula", formulas), ("base formula", comp.formulas))
+                                for i, f in enumerate(fs) if not eval_formula(f, model)), None)
 
         try:
             status, found = self.search.solve(assumptions, read, comp.decision_vars, deadline)
@@ -759,5 +760,5 @@ class CdclBackend:
             return CheckResult("unsat")
         model, broken = found
         if broken is not None:
-            raise InternalSolverError(f"model does not satisfy formula {broken}")
+            raise InternalSolverError(f"model does not satisfy {broken}")
         return CheckResult("sat", model=model)

@@ -87,57 +87,56 @@ class QueryCatalog:
 def validate_program(program: HandlerProgram, catalog: QueryCatalog) -> None:
     """Schema-aware static checks, parsing through `catalog`: queries
     resolve, field refs exist and are unambiguous, truthiness tests are on
-    bool-typed operands."""
+    bool-typed operands.  Statements are checked in program order, each
+    `if` block's then-branch before its else-branch."""
     executables: dict[str, ExecutableQuery] = {}
     param_types = dict(program.request_params)
-
-    def field_type(ref: FieldRef) -> str:
-        q = executables.get(ref.binding)
-        if q is None:
-            raise ExecutionError(f"unknown binding {ref.binding!r}")
-        hits = [c for c in q.result if c.name == ref.column]
-        if not hits:
-            raise ExecutionError(f"binding {ref.binding!r} has no column {ref.column!r}")
-        if len(hits) > 1:
-            raise ExecutionError(f"column {ref.column!r} of binding {ref.binding!r} is ambiguous")
-        return hits[0].type
-
-    def check_cond(c: Cond):
-        if isinstance(c, CondNot):
-            check_cond(c.inner)
-        elif isinstance(c, CondTruthy):
-            if isinstance(c.operand, FieldRef):
-                t = field_type(c.operand)
-            else:
-                t = "bool" if param_types.get(c.operand.name) == "bool" else (
-                    "int" if c.operand.name in SESSION_PARAMS else param_types.get(c.operand.name, "?")
-                )
-            if t != "bool":
-                raise ExecutionError(f"truthiness test needs a bool operand, got {t}")
-        elif isinstance(c, CondIsNull):
-            field_type(c.operand)
-        elif isinstance(c, CondEq):
-            for op in (c.left, c.right):
-                if isinstance(op, FieldRef):
-                    field_type(op)
-
-    def walk(stmts):
-        for s in stmts:
+    blocks = [iter(program.body)]  # the statements left in each open block
+    while blocks:
+        s = next(blocks[-1], None)
+        if s is None:
+            blocks.pop()
+        elif isinstance(s, (LetQuery, RenderStmt)):
             if isinstance(s, LetQuery):
                 executables[s.name] = catalog.executable(s.sql)
-                for a in s.args:
-                    if isinstance(a, FieldRef):
-                        field_type(a)
-            elif isinstance(s, IfStmt):
-                check_cond(s.cond)
-                walk(s.then)
-                walk(s.els)
-            elif isinstance(s, RenderStmt):
-                for a in s.args:
-                    if isinstance(a, FieldRef):
-                        field_type(a)
+            for a in s.args:
+                if isinstance(a, FieldRef):
+                    _field_type(a, executables)
+        elif isinstance(s, IfStmt):
+            _check_cond(s.cond, executables, param_types)
+            blocks += [iter(s.els), iter(s.then)]
 
-    walk(program.body)
+
+def _field_type(ref: FieldRef, executables: dict[str, ExecutableQuery]) -> str:
+    q = executables.get(ref.binding)
+    if q is None:
+        raise ExecutionError(f"unknown binding {ref.binding!r}")
+    hits = [c for c in q.result if c.name == ref.column]
+    if not hits:
+        raise ExecutionError(f"binding {ref.binding!r} has no column {ref.column!r}")
+    if len(hits) > 1:
+        raise ExecutionError(f"column {ref.column!r} of binding {ref.binding!r} is ambiguous")
+    return hits[0].type
+
+
+def _check_cond(c: Cond, executables: dict[str, ExecutableQuery], param_types: dict[str, str]) -> None:
+    while isinstance(c, CondNot):
+        c = c.inner
+    if isinstance(c, CondTruthy):
+        if isinstance(c.operand, FieldRef):
+            t = _field_type(c.operand, executables)
+        else:
+            t = "bool" if param_types.get(c.operand.name) == "bool" else (
+                "int" if c.operand.name in SESSION_PARAMS else param_types.get(c.operand.name, "?")
+            )
+        if t != "bool":
+            raise ExecutionError(f"truthiness test needs a bool operand, got {t}")
+    elif isinstance(c, CondIsNull):
+        _field_type(c.operand, executables)
+    elif isinstance(c, CondEq):
+        for op in (c.left, c.right):
+            if isinstance(op, FieldRef):
+                _field_type(op, executables)
 
 
 @dataclass

@@ -3,17 +3,9 @@
 A query is allowed under a policy iff it can be answered from the views
 alone.  Two paths decide this:
 
-  * Rewriting.  When the query equals a selection and projection over a
-    product of view results (each view mapped table for table onto the
-    query's sources), it is computed from the views on every instance,
-    so Allowed holds at every bound and value range.  No solver runs.
-    One rule, the lossless hop, widens this.  If only `R.a = S.k` joins
-    a source S, the constraint list holds `contain SELECT a FROM R in
-    SELECT k FROM S` (an `fk` line) and `unique S(k)`, and R.a is not
-    nullable, then every R row joins exactly one S row.  So S drops from
-    the query if it projects none of S's columns, and from a view to
-    form a derived view, a projection of the view's result.  Foreign
-    keys come from the (user-editable) constraint list, not the schema.
+  * Rewriting.  When `_has_rewriting` finds the query equal to a selection
+    and projection over view results under the constraint list, Allowed
+    holds at every bound and value range, and no solver runs.
   * Solver.  Otherwise the pruner states a determinacy pair
     (`solver.Question.ask_determinacy`) and `solver` builds its formulas:
     two constraint-satisfying instances (within the table bound and value
@@ -33,18 +25,20 @@ answerable from the rest; Unknown verdicts never remove a view.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, replace
 
-from .constraints import Constraint, Containment, Unique
+from .constraints import Constraint, Unique
 from .evaluate import ScalarEnv, eval_nf
 from .instance import ConcreteInput
-from .normal import NormalFormQuery, source_ranges
+from .normal import NormalFormQuery
 from .policygen import View
 from .schema import Schema
 from .solver import Question
 from .terms import (
     SESSION_PARAMS,
+    BoolCol,
     BoolLit,
     Cmp,
     Col,
@@ -54,8 +48,6 @@ from .terms import (
     NullLit,
     Predicate,
     SessionParam,
-    TRUE,
-    conjoin,
     conjuncts,
     iter_terms,
     map_terms,
@@ -94,7 +86,7 @@ class PrunerError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Rewriting fast path
+# Rewriting: chase and backchase
 
 _FLIPPED = {">": "<", ">=": "<="}
 
@@ -106,154 +98,197 @@ def _plain(t) -> bool:
     return isinstance(t, (Col, IntLit, BoolLit, NullLit))
 
 
-def _atoms(p: Predicate) -> frozenset | None:
-    """The conjuncts of `p` in canonical form; None if a term is not plain.
+def _canonical(a: Predicate) -> Predicate:
+    """`a` with the operands of = and <> sorted and > / >= flipped: over
+    classes, an atom that is not an equality must match verbatim."""
+    if isinstance(a, Cmp) and a.op in _FLIPPED:
+        return Cmp(_FLIPPED[a.op], a.right, a.left)
+    return Cmp(a.op, *sorted((a.left, a.right), key=repr)) if isinstance(a, Cmp) and a.op in ("=", "<>") else a
 
-    The operands of = and <> are sorted and > / >= are flipped; NOT, IS NULL
-    and boolean atoms are kept as written.
-    """
-    out = set()
+
+@functools.lru_cache(maxsize=4096)
+def _atoms(p: Predicate):
+    """(equalities as term pairs, terms known non-null, other conjuncts) of
+    `p`, or None if a term is not plain."""
+    eqs, non_null, others = [], [], []
     for a in conjuncts(p):
         if not all(_plain(t) for t in iter_terms(a)):
             return None
-        if isinstance(a, Cmp) and a.op in _FLIPPED:
-            a = Cmp(_FLIPPED[a.op], a.right, a.left)
-        elif isinstance(a, Cmp) and a.op in ("=", "<>"):
-            a = Cmp(a.op, *sorted((a.left, a.right), key=repr))
-        out.add(a)
-    return frozenset(out)
+        a = Cmp("=", a.term, IntLit(1)) if isinstance(a, BoolCol) else a
+        if isinstance(a, Not) and isinstance(a.inner, IsNull):
+            non_null.append(a.inner.term)
+        elif isinstance(a, Cmp) and a.op == "=" and NullLit() not in (a.left, a.right):
+            eqs.append((a.left, a.right))
+        else:
+            others.append(a)
+        non_null += (t for t in iter_terms(a) if isinstance(a, Cmp) and isinstance(t, Col))
+    return tuple(eqs), tuple(non_null), tuple(others)
 
 
-@dataclass(frozen=True)
-class _Use:
-    """A view mapped onto some of the query's sources."""
+class _Body:
+    """A query body under the chase: rows of tables over nodes (an int per
+    column, or a constant or session parameter) in a union-find of values,
+    NULL included; the classes known non-null; and the other conjuncts."""
 
-    positions: frozenset  # query source positions the view's sources map to
-    columns: frozenset  # query ordinals the view projects
-    atoms: frozenset  # the view's conjuncts, in query ordinals
+    def __init__(self, schema: Schema, first: int):
+        self.schema, self.next = schema, first
+        self.rows, self.parent, self.non_null, self.others = {}, {}, set(), []
+
+    def find(self, n):
+        while n in self.parent:
+            n = self.parent[n]
+        return n
+
+    def node(self, h, t):  # the class of term `t` under `h`
+        return self.find(h[t.index] if isinstance(t, Col) else t)
+
+    def known(self, n) -> bool:
+        return (r := self.find(n)) in self.non_null or not isinstance(r, (int, NullLit))
+
+    def union(self, a, b) -> bool:
+        """Identify the classes of `a` and `b` under `a`'s root, or a constant."""
+        a, b = self.find(a), self.find(b)
+        if a == b:
+            return False
+        if not isinstance(b, int):
+            a, b = b, a
+        self.parent[b] = a
+        if b in self.non_null:
+            self.non_null.add(a)
+        return True
+
+    def attach(self, q: NormalFormQuery, atoms, image=()) -> list:
+        """Rows of fresh nodes for `q`'s sources under `atoms`, its projection
+        identified with `image`; the nodes by ordinal."""
+        h = []
+        for name in q.sources:
+            columns = self.schema.table(name).columns
+            self.rows.setdefault(name, []).append(row := tuple(range(self.next, self.next + len(columns))))
+            self.non_null.update(n for n, c in zip(row, columns) if not c.nullable)
+            self.next += len(columns)
+            h += row
+        for o, n in zip(q.projection, image):
+            self.union(n, h[o])
+        self.assume(atoms, h)
+        return h
+
+    def assume(self, atoms, h) -> None:
+        eqs, non_null, others = atoms
+        for a, b in eqs:
+            self.union(self.node(h, a), self.node(h, b))
+        self.non_null.update(self.node(h, t) for t in non_null)
+        self.others += [(a, h) for a in others]
+
+    def matches(self, q: NormalFormQuery, atoms, fixed=()):
+        """Each map of `q`'s sources onto rows, table for table, under which
+        `atoms` and the equalities `fixed` hold."""
+        eqs, non_null, others = atoms
+        eqs = [*fixed, *eqs]
+        facts = {_canonical(map_terms(a, functools.partial(self.node, g))) for a, g in self.others} if others else ()
+        for rows in itertools.product(*(self.rows.get(s, ()) for s in q.sources)):
+            h = sum(rows, ())
+            if (all(self.node(h, a) == self.node(h, b) for a, b in eqs)
+                    and all(self.known(self.node(h, t)) for t in non_null)
+                    and all(_canonical(map_terms(a, functools.partial(self.node, h))) in facts for a in others)):
+                yield h
+
+    def chase(self, tgds, egds, cap) -> None:
+        """Chase until no dependency applies, the tgds spending at most `cap`;
+        a tgd fires where no match of its right side gives its left's image."""
+        changed, met = True, set()
+        while changed:
+            changed, seen = False, {}
+            for name, key in egds:
+                for row in self.rows.get(name, ()):
+                    k = (name, key, tuple(self.find(row[i]) for i in key))
+                    other = seen.setdefault(k, row) if all(map(self.known, k[2])) else row
+                    for a, b in zip(other, row) if other is not row else ():
+                        changed |= self.union(a, b)
+            for i, (left, la, right, ra, cost) in enumerate(tgds):
+                for g in list(self.matches(left, la)):
+                    image = tuple(self.find(g[o]) for o in left.projection)
+                    if (i, image) not in met and cost <= cap and next(
+                            self.matches(right, ra, list(zip(image, map(Col, right.projection)))), None) is None:
+                        self.attach(right, ra, image)
+                        cap, changed = cap - cost, True
+                    met.add((i, image))
 
 
-def _uses(v: NormalFormQuery, q: NormalFormQuery, q_atoms: frozenset, schema: Schema):
-    """Every injective, table-for-table map of `v`'s sources onto `q`'s under
-    which each conjunct of `v` is a conjunct of `q`."""
-    v_ranges = source_ranges(schema, v.sources)
-    q_start = [lo for lo, _ in source_ranges(schema, q.sources)]
-    for image in itertools.permutations(range(len(q.sources)), len(v.sources)):
-        if any(q.sources[j] != t for j, t in zip(image, v.sources)):
-            continue
-        ordinal = {}
-        for (lo, hi), j in zip(v_ranges, image):
-            for o in range(lo, hi):
-                ordinal[o] = q_start[j] + o - lo
-        atoms = _atoms(map_terms(v.filter, lambda t: Col(ordinal[t.index]) if isinstance(t, Col) else t))
-        if atoms is not None and atoms <= q_atoms:
-            yield _Use(frozenset(image), frozenset(ordinal[c] for c in v.projection), atoms)
-
-
-def _reapplicable(q: NormalFormQuery, q_atoms: frozenset, uses: list[_Use]) -> bool:
-    """Whether `q`'s projection and the conjuncts no use gives (those joining
-    two uses among them) touch only columns the uses project."""
-    visible = frozenset().union(*(u.columns for u in uses))
-    needed = set(q.projection)
-    for a in q_atoms.difference(*(u.atoms for u in uses)):
-        needed.update(t.index for t in iter_terms(a) if isinstance(t, Col))
-    return needed <= visible
-
-
-def _lossless_hops(constraints: list[Constraint], schema: Schema) -> frozenset:
-    """(R, a, S, k), column ordinals within each table, for every join
-    `R.a = S.k` that each R row passes with exactly one S row: the list
-    holds `contain SELECT a FROM R in SELECT k FROM S` (the `fk` form's
-    `a IS NOT NULL` filter allowed) and `unique S(k)`, and R.a is not
-    nullable."""
-    keys = {(c.table, c.columns) for c in constraints if isinstance(c, Unique)}
-    hops = set()
+@functools.lru_cache(maxsize=64)
+def _dependencies(constraints: tuple[Constraint, ...], schema: Schema):
+    """(tgds as (left, its atoms, right, its atoms, cost), egds as (table,
+    key ordinals)).  A tgd's cost is the sources it adds if its right side
+    leads into a cycle of the tgds' table graph, else 0."""
+    tgds, egds, graph = [], [], {}
     for c in constraints:
-        if not (isinstance(c, Containment) and isinstance(c.right, NormalFormQuery) and c.right.filter == TRUE
-                and len(c.left.sources) == len(c.right.sources) == len(c.left.projection) == 1):
-            continue
-        (r,), (a,), (s,), (k,) = c.left.sources, c.left.projection, c.right.sources, c.right.projection
-        if (c.left.filter in (TRUE, Not(IsNull(Col(a)))) and not schema.table(r).columns[a].nullable
-                and (s, (schema.table(s).columns[k].name,)) in keys):
-            hops.add((r, a, s, k))
-    return frozenset(hops)
-
-
-def _hops_dropped(v: NormalFormQuery, hops: frozenset, schema: Schema):
-    """`v` without each source that a lossless hop reaches and no other
-    conjunct mentions, with the hop and the source's columns removed."""
-    ranges = source_ranges(schema, v.sources)
-    parts = conjuncts(v.filter)
-    for j, (lo, hi) in enumerate(ranges):
-        touching = [p for p in parts if any(isinstance(t, Col) and lo <= t.index < hi for t in iter_terms(p))]
-        hop = touching[0] if len(touching) == 1 else None
-        if not (isinstance(hop, Cmp) and hop.op == "=" and isinstance(hop.left, Col) and isinstance(hop.right, Col)):
-            continue
-        a, k = sorted((hop.left.index, hop.right.index), key=lambda o: lo <= o < hi)
-        i = next(i for i, (rlo, rhi) in enumerate(ranges) if rlo <= a < rhi)
-        if i == j or (v.sources[i], a - ranges[i][0], v.sources[j], k - lo) not in hops:
-            continue
-
-        def shift(o: int) -> int:
-            return o - (hi - lo) if o >= hi else o
-
-        yield NormalFormQuery(
-            tuple(shift(c) for c in v.projection if not lo <= c < hi),
-            conjoin(map_terms(p, lambda t: Col(shift(t.index)) if isinstance(t, Col) else t)
-                    for p in parts if p is not hop),
-            v.sources[:j] + v.sources[j + 1:],
-        )
+        if isinstance(c, Unique):
+            egds.append((c.table, tuple(map(schema.table(c.table).column_index, c.columns))))
+        elif isinstance(c.right, NormalFormQuery) and len(c.left.sources) == 1:
+            tgds.append((c.left, _atoms(c.left.filter), c.right, _atoms(c.right.filter)))
+            graph.setdefault(c.left.sources[0], set()).update(c.right.sources)
+    for _ in range(len(graph)):  # drop the sinks
+        graph = {t: targets for t, targets in graph.items() if targets & graph.keys()}
+    tgds = [(*d, 0 if graph.keys().isdisjoint(d[2].sources) else len(d[2].sources)) for d in tgds if None not in d]
+    return tgds, egds
 
 
 def _has_rewriting(
     q: NormalFormQuery, views: list[NormalFormQuery], constraints: list[Constraint], schema: Schema
 ) -> bool:
-    """Whether `q`, or `q` with its lossless hops dropped, has a rewriting
-    over `views` and the views derived from them by dropping lossless hops.
+    """Whether `q` equals a selection and projection over a product of view
+    results on every instance that satisfies `constraints`: one chase and
+    backchase (Deutsch, Popa & Tannen, VLDB 1999).  The uses are the maps
+    of a view's body into `q` chased by `_dependencies`, one kept per (view,
+    image of its projection).  A class is visible when a use projects it or
+    it holds a constant or session parameter.  The expansion is the uses'
+    bodies plus `q`'s conjuncts over visible classes, chased.  A rewriting
+    exists iff `q` projects only visible classes and maps into the
+    expansion, each projected column to its own class; each use holds in
+    the chased `q`, which gives the converse.
 
-    Dropping a hop keeps the query equal on every instance that satisfies
-    the constraints when the query projects none of the dropped source's
-    columns; a derived view is a projection of its view's result.  `q` as
-    written is tried too: a view that is a bare product with the hop's
-    target can cover it only there.
+    Soundness rules:
+      * Only `=` over columns, constants and session parameters enters the
+        union-find, `BoolCol(x)` as `x = 1`.  Every other atom must appear
+        verbatim (`_canonical`): containment with comparisons is
+        Pi_2^p-complete.
+      * NULL.  An `=` holds only on a class known non-null: one holding a
+        constant or session parameter, a column the schema declares not
+        nullable, or a column that a comparison or `NOT ... IS NULL` of the
+        same body mentions.  Identity joins of view columns never make a
+        class non-null.  An egd fires only on non-null key classes, an `fk`
+        tgd only where its `a IS NOT NULL` holds.
+      * Literal-relation right sides and multi-source left sides are
+        skipped: a subset of the constraints is sound.
+      * Request parameters, placeholders and result-row references block
+        the rewriting: the two instances do not share them.
+      * The chase ends on an acyclic `contain` graph.  On a cycle, the
+        tgds that lead into it add at most `len(q.sources)` sources to each
+        chase.
     """
-    hops = _lossless_hops(constraints, schema)
-    derived = list(views)
-    for v in derived:  # grows as it goes: chains drop hop by hop
-        derived += [w for w in _hops_dropped(v, hops, schema) if w not in derived]
-    reduced = q
-    while (w := next((w for w in _hops_dropped(reduced, hops, schema)
-                      if len(w.projection) == len(q.projection)), None)) is not None:
-        reduced = w
-    return any(_rewrites(x, derived, schema) for x in dict.fromkeys((q, reduced)))
-
-
-def _rewrites(q: NormalFormQuery, views: list[NormalFormQuery], schema: Schema) -> bool:
-    """Whether `q` equals σ/π over a product of view uses that split its sources.
-
-    The rewriting re-applies the conjuncts no use gives and `q`'s projection.
-    Its expansion has `q`'s sources and conjuncts, and it reads only the
-    views' result sets, so the views determine `q` on every instance (set
-    semantics, shared constants and session parameters).  A view may be
-    used more than once, as in a self-join.
-    """
-    q_atoms = _atoms(q.filter)
-    if q_atoms is None:
+    if (atoms := _atoms(q.filter)) is None:
         return False
-    uses = [u for v in views for u in _uses(v, q, q_atoms, schema)]
-    everything = frozenset(range(len(q.sources)))
-
-    def cover(done: frozenset, chosen: list[_Use]) -> bool:
-        if done == everything:
-            return _reapplicable(q, q_atoms, chosen)
-        first = min(everything - done)
-        return any(
-            cover(done | u.positions, chosen + [u])
-            for u in uses
-            if first in u.positions and not u.positions & done
-        )
-
-    return cover(frozenset(), [])
+    tgds, egds = _dependencies(tuple(constraints), schema)
+    chased = _Body(schema, 0)
+    h = chased.attach(q, atoms)
+    chased.chase(tgds, egds, len(q.sources))
+    uses = {(i, tuple(chased.find(g[o]) for o in v.projection)): (v, va) for i, v in enumerate(views)
+            if (va := _atoms(v.filter)) is not None for g in chased.matches(v, va)}
+    h = [chased.find(n) for n in h]
+    visible = {n for _, image in uses for n in image}
+    hidden = {Col(o) for o, n in enumerate(h) if isinstance(n, int) and n not in visible}
+    if not hidden.isdisjoint(map(Col, q.projection)):
+        return False
+    expansion = _Body(schema, chased.next)
+    for (_, image), (v, va) in uses.items():
+        expansion.attach(v, va, image)
+    eqs, non_null, others = atoms
+    expansion.assume(([e for e in eqs if hidden.isdisjoint(e)], [t for t in non_null if t not in hidden],
+                      [a for a in others if hidden.isdisjoint(iter_terms(a))]), h)
+    fixed = [(h[o], Col(o)) for o in q.projection]
+    if next(expansion.matches(q, atoms, fixed), None) is not None:
+        return True
+    expansion.chase(tgds, egds, len(q.sources))
+    return next(expansion.matches(q, atoms, fixed), None) is not None
 
 
 # ---------------------------------------------------------------------------

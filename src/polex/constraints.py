@@ -236,7 +236,8 @@ def _parse_col(ts: TokenStream) -> tuple[str, str]:
 
 def parse_constraint_line(line: str, schema: Schema, interner: Interner):
     """Parse one config line into a Constraint or ConstraintShorthand."""
-    ts = TokenStream(tokenize(line))
+    tokens = tokenize(line)
+    ts = TokenStream(tokens)
     head = ts.expect_ident("constraint kind").text.lower()
     if head == "unique":
         table = ts.expect_ident("table").text
@@ -274,29 +275,25 @@ def parse_constraint_line(line: str, schema: Schema, interner: Interner):
         ts.expect_eof()
         return FixedValue(table, column, value)
     if head == "contain":
-        rest = line.strip()[len("contain"):].strip()
-        parts = _split_contain(rest)
-        left = to_normal_form(parse_sql(parts[0]), schema)
-        right = to_normal_form(parse_sql(parts[1]), schema)
-        return make_containment(left, right, f"contain {parts[0]} in {parts[1]}")
+        hits = [i for i, word in enumerate(ts.words) if word == "IN"]
+        if len(hits) != 1:
+            raise ConstraintError("contain constraint needs exactly one top-level 'in'")
+        # Positions are 1-based columns on a single line.
+        at = tokens[hits[0]].col - 1
+        left_sql = line[tokens[0].col - 1 + len(head):at].strip()
+        right_sql = line[at + 2:].strip()
+        left = to_normal_form(parse_sql(left_sql), schema)
+        right = to_normal_form(parse_sql(right_sql), schema)
+        return make_containment(left, right, f"contain {left_sql} in {right_sql}")
     raise ConstraintError(f"unknown constraint kind {head!r}")
-
-
-def _split_contain(text: str) -> tuple[str, str]:
-    toks = tokenize(text)
-    hits = [t for t in toks if t.kind == "ident" and t.text.upper() == "IN"]
-    if len(hits) != 1:
-        raise ConstraintError("contain constraint needs exactly one top-level 'in'")
-    # Positions are 1-based columns on a single line.
-    col = hits[0].col - 1
-    return text[:col].strip(), text[col + 2 :].strip()
 
 
 def parse_constraint_file(text: str, schema: Schema, interner: Interner) -> list:
     """One item per line; the tokenizer skips `#` and `--` comments outside
-    quoted values, and a line of only a comment or blanks holds no item."""
+    quoted values, and a line of only a comment or blanks holds no item
+    (a comment runs to the end of its line, so such a line is not lexed)."""
     return [parse_constraint_line(line, schema, interner)
-            for line in text.splitlines() if tokenize(line)[0].kind != "eof"]
+            for line in text.splitlines() if (rest := line.lstrip()) and not rest.startswith(("#", "--"))]
 
 
 # ---------------------------------------------------------------------------

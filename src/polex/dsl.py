@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from .lexutil import SourceError, TokenStream, tokenize, unquote
-from .sqlast import CountStar
+from .sqlast import CountStar, QueryAst
 from .sqlparser import parse_sql
 from .terms import SESSION_PARAMS, BoolLit, IntLit, iter_terms, max_placeholder
 
@@ -111,6 +111,8 @@ class LetQuery:
     sql: str
     args: tuple[ArgExpr, ...]
     line: int
+    # `sql` parsed once for every later stage, or its error for the static checks
+    ast: QueryAst | SourceError = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -225,7 +227,12 @@ class _Parser:
                 args.append(self.arg(render=False))
             ts.expect_punct(")")
             ts.expect_punct(";")
-            return LetQuery(name.text, unquote(sql_tok.text), tuple(args), tok.line)
+            sql = unquote(sql_tok.text)
+            try:
+                ast = parse_sql(sql)
+            except SourceError as e:
+                ast = e
+            return LetQuery(name.text, sql, tuple(args), tok.line, ast)
         if ts.at_keyword("ABORT_IF_EMPTY"):
             ts.next()
             ts.expect_punct("(")
@@ -438,10 +445,9 @@ class _Checker:
             if isinstance(s, LetQuery):
                 if s.name in state.defined or s.name in self.params:
                     self.fail(f"name {s.name!r} is already defined", line)
-                try:
-                    ast = parse_sql(s.sql)
-                except SourceError as e:
-                    self.fail(f"in query for {s.name!r}: {e.message}", line)
+                ast = s.ast
+                if isinstance(ast, SourceError):
+                    self.fail(f"in query for {s.name!r}: {ast.message}", line)
                 expected = max_placeholder(ast.where)
                 if expected != len(s.args):
                     self.fail(

@@ -35,6 +35,7 @@ from .evaluate import ScalarEnv, eval_branch, eval_executable
 from .instance import ConcreteInput, Row
 from .normal import ExecutableQuery, to_executable
 from .schema import Schema
+from .sqlast import QueryAst
 from .sqlparser import parse_sql
 from .terms import (
     SESSION_PARAMS,
@@ -71,24 +72,25 @@ class MultiRowResult(Exception):
 
 @dataclass
 class QueryCatalog:
-    """Schema-bound cache of parsed handler SQL."""
+    """Schema-bound executables of handler SQL, one per distinct text."""
 
     schema: Schema
 
     def __post_init__(self):
         self._cache: dict[str, ExecutableQuery] = {}
 
-    def executable(self, sql: str) -> ExecutableQuery:
+    def executable(self, sql: str, ast: QueryAst | None = None) -> ExecutableQuery:
+        """Lowers `ast`, the parse its `LetQuery` kept, or else `sql` parsed here."""
         if sql not in self._cache:
-            self._cache[sql] = to_executable(parse_sql(sql), self.schema)
+            self._cache[sql] = to_executable(ast or parse_sql(sql), self.schema)
         return self._cache[sql]
 
 
 def validate_program(program: HandlerProgram, catalog: QueryCatalog) -> None:
-    """Schema-aware static checks, parsing through `catalog`: queries
-    resolve, field refs exist and are unambiguous, truthiness tests are on
-    bool-typed operands.  Statements are checked in program order, each
-    `if` block's then-branch before its else-branch."""
+    """Schema-aware static checks, lowering each query through `catalog`:
+    queries resolve, field refs exist and are unambiguous, truthiness tests
+    are on bool-typed operands.  Statements are checked in program order,
+    each `if` block's then-branch before its else-branch."""
     executables: dict[str, ExecutableQuery] = {}
     param_types = dict(program.request_params)
     blocks = [iter(program.body)]  # the statements left in each open block
@@ -98,7 +100,7 @@ def validate_program(program: HandlerProgram, catalog: QueryCatalog) -> None:
             blocks.pop()
         elif isinstance(s, (LetQuery, RenderStmt)):
             if isinstance(s, LetQuery):
-                executables[s.name] = catalog.executable(s.sql)
+                executables[s.name] = catalog.executable(s.sql, s.ast)
             for a in s.args:
                 if isinstance(a, FieldRef):
                     _field_type(a, executables)
@@ -204,7 +206,7 @@ class _Run:
         return False
 
     def do_query(self, s: LetQuery) -> None:
-        q = self.catalog.executable(s.sql)
+        q = self.catalog.executable(s.sql, s.ast)
         scalars = tuple(self.arg_scalar(a) for a in s.args)
         self.env.placeholders = tuple(self.env.lookup(sc) for sc in scalars)
         rows = eval_executable(q, self.input, self.schema, self.env)

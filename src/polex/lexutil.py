@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import string
+from functools import partial
+from typing import NamedTuple
 
 
 class SourceError(Exception):
@@ -16,48 +18,56 @@ class SourceError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "int" | "string" | "punct" | "eof"
     text: str
     line: int
     col: int
 
 
+# One match per token: the whitespace and comments before it, then the
+# token, a lone character no token starts with, or the end of the text.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*|--[^\n]*)
-  | (?P<string>'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")
-  | (?P<int>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct><>|<=|>=|!=|->|[(){}*,.;:=<>?!+/-])
+    ((?:\s+|\#[^\n]*|--[^\n]*)*)
+    ( '(?:[^'\\]|\\.)*' | "(?:[^"\\]|\\.)*"
+    | \d+
+    | [A-Za-z_][A-Za-z0-9_]*
+    | <>|<=|>=|!=|->|[(){}*,.;:=<>?!+/-]
+    | (.)
+    | \Z )
     """,
     re.VERBOSE,
 )
+# A token's kind follows from its first character; `\d` also matches
+# non-ASCII digits, so any other first character starts an int.
+_KINDS = {**dict.fromkeys("'\"", "string"), **dict.fromkeys(string.ascii_letters + "_", "ident"),
+          **dict.fromkeys("(){}*,.;:=<>?!+/-", "punct")}
+_token = partial(tuple.__new__, Token)  # skips NamedTuple's Python-level __new__
 
 
 def tokenize(text: str) -> list[Token]:
     """Split `text` into tokens, tracking 1-based line/column positions."""
     tokens: list[Token] = []
-    pos = 0
+    append = tokens.append
+    pos = 0  # where the last token ended
     line = 1
     line_start = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise SourceError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-        kind = m.lastgroup
-        tok_text = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, tok_text, line, pos - line_start + 1))
-        newlines = tok_text.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + tok_text.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(Token("eof", "", line, n - line_start + 1))
+    for skipped, tok, bad in _TOKEN_RE.findall(text):
+        start = pos + len(skipped)
+        if "\n" in skipped:
+            line += skipped.count("\n")
+            line_start = pos + skipped.rindex("\n") + 1
+        if bad:
+            raise SourceError(f"unexpected character {bad!r}", line, start - line_start + 1)
+        if not tok:
+            break
+        append(_token((_KINDS.get(tok[0], "int"), tok, line, start - line_start + 1)))
+        pos = start + len(tok)
+        if "\n" in tok:  # a quoted string may span lines
+            line += tok.count("\n")
+            line_start = start + tok.rindex("\n") + 1
+    append(_token(("eof", "", line, len(text) - line_start + 1)))
     return tokens
 
 
@@ -66,6 +76,7 @@ class TokenStream:
 
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
+        self.words = [tok.text.upper() if tok.kind == "ident" else "" for tok in tokens]  # for keyword tests
         self.i = 0
 
     def peek(self, ahead: int = 0) -> Token:
@@ -80,11 +91,10 @@ class TokenStream:
         return tok
 
     def at_keyword(self, *words: str) -> bool:
-        tok = self.tokens[self.i]
-        return tok.kind == "ident" and tok.text.upper() in words
+        return self.words[self.i] in words
 
     def accept_keyword(self, *words: str) -> Token | None:
-        if self.at_keyword(*words):
+        if self.words[self.i] in words:
             return self.next()
         return None
 
@@ -96,9 +106,10 @@ class TokenStream:
         return tok
 
     def accept_punct(self, text: str) -> Token | None:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text == text:
-            return self.next()
+        tok = self.tokens[self.i]
+        if tok.text == text and tok.kind == "punct":
+            self.i += 1
+            return tok
         return None
 
     def expect_punct(self, text: str) -> Token:

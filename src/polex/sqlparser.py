@@ -157,8 +157,7 @@ class _Parser:
             if tok.text != "1":
                 raise UnsupportedSqlError(f"literal select item {tok.text}", tok.line, tok.col)
             return OneLit()
-        if tok.kind == "ident" and tok.text.upper() == "COUNT":
-            ts.next()
+        if ts.accept_keyword("COUNT"):
             ts.expect_punct("(")
             ts.expect_punct("*")
             ts.expect_punct(")")

@@ -390,3 +390,34 @@ def test_transcript_jsonl_line_shape(grade_program, grade_schema, grade_constrai
     # lines are plain JSON objects, one per record
     line = json.dumps(q)
     assert json.loads(line) == q
+
+
+def test_explore_and_replay_parse_no_sql(toys_schema, toys_constraints, monkeypatch):
+    """`dsl` parses a handler's SQL once and keeps each AST on its
+    `LetQuery`: exploring the handler and replaying one of its inputs
+    without a catalog parse none of that SQL again."""
+    import sys
+
+    from polex import sqlparser
+    from polex.interpreter import QueryCatalog
+
+    (program,) = parse_handlers((ROOT / "corpus" / "toys" / "handlers" / "show_item.hdl").read_text())
+    parses = []
+    parse_sql = sqlparser.parse_sql
+
+    def counted(text):
+        parses.append(text)
+        return parse_sql(text)
+
+    callers = [m for name, m in sys.modules.items()
+               if name.startswith("polex.") and getattr(m, "parse_sql", None) is parse_sql]
+    assert {"polex.sqlparser", "polex.interpreter", "polex.dsl"} <= {m.__name__ for m in callers}
+    for module in callers:
+        monkeypatch.setattr(module, "parse_sql", counted)
+    res = explore(program, toys_schema, toys_constraints, ExplorationConfig(table_bound=2, solver_timeout=None))
+    assert res.complete and len(res.transcripts) == 6
+    t = res.transcripts[-1]
+    assert execute(program, res.inputs[t.input_id], toys_schema)[0] == t
+    assert parses == []
+    QueryCatalog(toys_schema).executable("SELECT * FROM items")  # a text with no kept AST is parsed
+    assert parses == ["SELECT * FROM items"]

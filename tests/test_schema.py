@@ -206,6 +206,20 @@ contain SELECT course_id FROM roles in SELECT id FROM courses
     assert len(contain.left.projection) == 1
 
 
+def test_constraint_file_lexes_each_line_once(monkeypatch):
+    from polex import constraints
+
+    lexed = []
+    tokenize = constraints.tokenize
+    monkeypatch.setattr(constraints, "tokenize", lambda line: lexed.append(line) or tokenize(line))
+    text = ("# comment\n\nunique roles(user_id, course_id)\n"
+            "  contain SELECT course_id FROM roles IN SELECT id FROM courses  # note\n")
+    unique, contain = parse_constraint_file(text, SCHEMA, Interner())
+    assert lexed == text.splitlines()[2:]  # a line of only a comment or blanks is not lexed
+    assert unique == Unique("roles", ("user_id", "course_id"))
+    assert contain.label == "contain SELECT course_id FROM roles in SELECT id FROM courses  # note"
+
+
 def test_hash_inside_a_quoted_value_is_not_a_comment():
     toys = parse_schema((Path(__file__).resolve().parent.parent / "corpus" / "toys" / "schema.txt").read_text())
     interner = Interner()

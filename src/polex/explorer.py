@@ -1,20 +1,27 @@
 """Concolic exploration driver.
 
-The driver owns a prefix tree of explored paths.  Each node is one
-transcript record together with its outcome (Branch records fork on
-their boolean outcome; Query records fork on their emptiness).  For
-every pending prefix the driver asserts the database constraints plus
-the path conditions up to the prefix (negating the final record's
-outcome is implicit: the pending node already carries the flipped
-outcome), asks the solver for an input, runs the handler on it, and
-grows the tree from the transcript.  Exploration ends when no pending
-prefix remains or the path budget runs out.
+The explored paths form a prefix tree: each node is one transcript
+record together with its outcome (Branch records fork on their boolean
+outcome; Query records fork on their emptiness).  The explorer keeps only
+the tree's frontier: the pending prefixes, each a tuple of records whose
+last record carries the flipped outcome, and a count of settled nodes
+per status.  For every pending prefix the explorer asks the solver for an
+input that follows it, runs the handler on that input, and queues the
+prefixes the transcript opens.  Exploration ends when no pending prefix
+remains or the path budget runs out.
 
-Determinism: one loop takes the pending prefixes first in, first out,
-in the order they were found; the siblings a run adds enter deepest
-first.  Pending prefixes of different runs lie in disjoint subtrees, so
-this is the depth-first order of the tree.  Each input takes the next id
-when it is solved, a repaired input too, so the visited set and all
+No tree is needed because a popped prefix P has no children yet and
+pending prefixes lie in disjoint subtrees, so a run through P passes no
+other pending node: each of its records after P is a fresh branch point,
+whose flipped sibling `records[:i] + (flip(records[i]),)` is a new
+pending prefix.  This is generational search (Godefroid, Levin & Molnar,
+NDSS 2008): an input flips only the records past the prefix it was
+generated for.
+
+Determinism: one loop takes the pending prefixes first in, first out, so
+every prefix a run opens is tried after those opened before it; the
+prefixes one run opens enter deepest first.  Each input takes the next
+id when it is solved, a repaired input too, so the visited set and all
 emitted ids reproduce.
 
 Every pending prefix is one path question (`solver.Question.ask_path`)
@@ -28,7 +35,7 @@ marks the prefix infeasible, and a timeout marks it abandoned.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .constraints import Constraint, check_range
 from .dsl import HandlerProgram
@@ -79,65 +86,40 @@ def _flip(r: TranscriptRecord) -> TranscriptRecord:
     return BranchRecord(r.cond, not r.outcome)
 
 
-@dataclass
-class Node:
-    record: TranscriptRecord | None  # None only at the root
-    status: str
-    parent: "Node | None" = None
-    children: list["Node"] = field(default_factory=list)
-
-    def prefix(self) -> list[TranscriptRecord]:
-        out = []
-        n = self
-        while n.record is not None:
-            out.append(n.record)
-            n = n.parent
-        return list(reversed(out))
-
-
 class PrefixTree:
+    """The frontier of the explored prefix tree: the `pending` prefixes,
+    oldest first, and the `settled` count of every other node by status.
+    The explorer pops a prefix and settles it, by `extend` when a run
+    passes through it and else by counting its status; a popped prefix
+    counts nowhere until then."""
+
     def __init__(self):
-        self.root = Node(None, PENDING)
+        self.pending: deque[tuple[TranscriptRecord, ...]] = deque([()])
+        self.settled = {VISITED: 0, INFEASIBLE: 0, ABANDONED: 0}
 
-    def extend(self, transcript: Transcript, target: Node | None = None) -> list[Node]:
-        """Mark the transcript's path visited, adding pending siblings for
-        fresh branch points.  Returns the new pending siblings deepest
-        first, which is their depth-first order.
+    def extend(self, transcript: Transcript,
+               target: tuple[TranscriptRecord, ...] = ()) -> list[tuple[TranscriptRecord, ...]]:
+        """Mark the transcript's path from the popped prefix `target` on
+        visited, and queue the flipped sibling of every record after it.
+        Returns the new pending prefixes deepest first.
 
-        Raises DivergenceError if the transcript does not pass through
-        `target` (the prefix its input was generated to follow).  Records
-        compare by value, which ignores their source lines.
+        Raises DivergenceError, counting nothing, if the transcript does
+        not pass through `target` (the prefix its input was generated to
+        follow).  Records compare by value, which ignores their source
+        lines.
         """
-        if target is not None:
-            want = target.prefix()
-            got = list(transcript.records[: len(want)])
-            if got != want:
-                raise DivergenceError(
-                    f"run diverged from its prefix at record {len(got)}"
-                )
-        node = self.root
-        node.status = VISITED
-        new_pending = []
-        for r in transcript.records:
-            child = next((c for c in node.children if c.record == r), None)
-            if child is None:
-                child = Node(r, PENDING, parent=node)
-                node.children.append(child)
-                sibling = Node(_flip(r), PENDING, parent=node)
-                node.children.append(sibling)
-                new_pending.append(sibling)
-            child.status = VISITED
-            node = child
-        return new_pending[::-1]
+        records = transcript.records
+        got = records[: len(target)]
+        if got != target:
+            raise DivergenceError(f"run diverged from its prefix at record {len(got)}")
+        self.settled[VISITED] += 1 + len(records) - len(target)
+        new_pending = [records[:i] + (_flip(records[i]),)
+                       for i in reversed(range(len(target), len(records)))]
+        self.pending.extend(new_pending)
+        return new_pending
 
     def counts(self) -> dict[str, int]:
-        out = {PENDING: 0, VISITED: 0, INFEASIBLE: 0, ABANDONED: 0}
-        stack = [self.root]
-        while stack:
-            n = stack.pop()
-            out[n.status] += 1
-            stack.extend(n.children)
-        return out
+        return {PENDING: len(self.pending), **self.settled}
 
 
 @dataclass
@@ -158,7 +140,6 @@ class Explorer:
         check_range(schema, constraints, config.value_range, program)
         self.program = program
         self.schema = schema
-        self.constraints = constraints
         self.config = config
         self.question = Question(schema, constraints, config.table_bound, config.value_range,
                                  program.request_params, timeout_s=config.solver_timeout)
@@ -193,10 +174,9 @@ class Explorer:
 
     # -- execution with multi-row repair ------------------------------------
 
-    def repair_and_run(self, target: Node, first: MultiRowResult):
+    def repair_and_run(self, target: tuple[TranscriptRecord, ...], first: MultiRowResult):
         """Sequential two-phase repair: regenerate the input with the
         offending query's at-most-one restriction added, then re-execute."""
-        prefix = target.prefix()
         extra_amo: list = []
         exc = first
         for _attempt in range(10):
@@ -204,7 +184,7 @@ class Explorer:
             extra_amo.append((next_index, exc.sql, exc.params))
             # The partial run may have stopped mid-prefix; keep asserting
             # the full target prefix in that case.
-            records = list(exc.records) if len(exc.records) >= len(prefix) else prefix
+            records = exc.records if len(exc.records) >= len(target) else target
             status, ci = self.generate_input(records, tuple(extra_amo))
             if status != "sat":
                 raise DivergenceError(f"could not repair multi-row result for {exc.sql!r}")
@@ -241,14 +221,14 @@ class Explorer:
     # -- main loop -----------------------------------------------------------
 
     def explore(self) -> ExplorationResult:
-        pending = deque([self.tree.root])
+        pending, settled = self.tree.pending, self.tree.settled
         while pending:
             if len(self.transcripts) >= self.config.max_paths:
                 return self._result(complete=False)
             target = pending.popleft()
-            status, ci = self.generate_input(target.prefix())
+            status, ci = self.generate_input(target)
             if status != "sat":
-                target.status = status
+                settled[status] += 1
                 if status == ABANDONED:
                     self.warnings.append("solver timeout; prefix abandoned")
                 continue
@@ -258,13 +238,13 @@ class Explorer:
                 except MultiRowResult as e:
                     ci, (transcript, warnings) = self.repair_and_run(target, e)
             except Exception as e:
-                target.status = ABANDONED
+                settled[ABANDONED] += 1
                 self.warnings.append(f"executor failure: {e}")
                 continue
             try:
-                pending.extend(self.tree.extend(transcript, target))
+                self.tree.extend(transcript, target)
             except DivergenceError as e:
-                target.status = ABANDONED
+                settled[ABANDONED] += 1
                 self.warnings.append(str(e))
                 continue
             self.transcripts.append(transcript)

@@ -35,6 +35,7 @@ from .terms import (
     RowCol,
     Scalar,
     SessionParam,
+    SESSION_PARAMS,
     TRUE,
     conjoin,
     conjuncts,
@@ -97,11 +98,7 @@ class View:
 
 
 def _dedup(items):
-    seen = {}
-    for it in items:
-        if it not in seen:
-            seen[it] = it
-    return list(seen.values())
+    return list(dict.fromkeys(items))
 
 
 def _renumber(s: Scalar, mapping: dict[int, int]) -> Scalar:
@@ -215,19 +212,9 @@ def _step(rec: CondRecord, holds: bool) -> tuple:
 
 @dataclass
 class Simplifier:
-    schema: Schema
-    constraints: list[Constraint]
-    param_types: dict[str, str] = field(default_factory=dict)
-    table_bound: int = 2
-    value_range: tuple[int, int] = (0, 7)
-    timeout_s: float = 5.0
+    question: Question  # the entailment questions are its paths
     # conditions[:k+1] -> `_entails` verdict, for this Simplifier's life
     _verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _question: Question = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):  # every parameter once: one no formula names is never decided
-        self._question = Question(self.schema, self.constraints, self.table_bound, self.value_range,
-                                  tuple(self.param_types.items()), timeout_s=self.timeout_s)
 
     def simplify(self, cqs: list[ConditionedQuery]) -> list[ConditionedQuery]:
         cqs = _dedup(cqs)
@@ -252,7 +239,7 @@ class Simplifier:
         key = tuple(conditions[: k + 1])
         if key not in self._verdicts:
             steps = [_step(rec, True) for rec in conditions[:k]] + [_step(conditions[k], False)]
-            self._verdicts[key] = self._question.ask_path(steps)[0] == "unsat"
+            self._verdicts[key] = self.question.ask_path(steps)[0] == "unsat"
         return self._verdicts[key]
 
     def _remove_vacuous_branches(self, cq: ConditionedQuery) -> ConditionedQuery:
@@ -354,7 +341,7 @@ class Simplifier:
                 if isinstance(s, (IntLit, BoolLit)):
                     return (0, repr(s))
                 if isinstance(s, SessionParam):
-                    return (1, ("MyUserId", "Now").index(s.name) if s.name in ("MyUserId", "Now") else 9, s.name)
+                    return (1, SESSION_PARAMS.index(s.name) if s.name in SESSION_PARAMS else 9, s.name)
                 return (3, s.name)
             qindex, ordinal = payload
             nf = queries.get(qindex)
@@ -521,8 +508,10 @@ def simplify(
     value_range: tuple[int, int] = (0, 7),
     timeout_s: float = 5.0,
 ) -> list[ConditionedQuery]:
-    s = Simplifier(schema, constraints, param_types or {}, table_bound, value_range, timeout_s)
-    return s.simplify(cqs)
+    # every parameter once: one no formula names is never decided
+    params = tuple((param_types or {}).items())
+    question = Question(schema, constraints, table_bound, value_range, params, timeout_s=timeout_s)
+    return Simplifier(question).simplify(cqs)
 
 
 # ---------------------------------------------------------------------------

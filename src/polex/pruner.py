@@ -345,14 +345,10 @@ def prune(
     constraints: list[Constraint],
     schema: Schema,
     timeout_s: float = 5.0,
-    pinned: frozenset = frozenset(),
 ) -> tuple[Policy, list[View]]:
-    """Single greedy pass; returns (pruned policy, removed views).
-
-    Views whose normal form is in `pinned` are never removed.
-    """
+    """Single greedy pass; returns (pruned policy, removed views)."""
     question = Question(schema, constraints, policy.bound, policy.value_range, timeout_s=timeout_s)
-    return _prune_pass(policy, question, pinned)
+    return _prune_pass(policy, question, frozenset())
 
 
 def _prune_pass(policy: Policy, question: Question, pinned: frozenset) -> tuple[Policy, list[View]]:

@@ -6,6 +6,7 @@ import pytest
 
 from polex.constraints import expand_all, generate_constraints
 from polex.dsl import parse_handler
+from polex.policygen import Simplifier
 from polex.schema import parse_schema
 from polex.solver import Question
 
@@ -21,6 +22,12 @@ def record_acceptance(line: str) -> None:
 def determinacy(schema, constraints, bound=2, value_range=(0, 7), timeout_s=5.0) -> Question:
     """A `Question` for `pruner.is_allowed` at the CLI's defaults."""
     return Question(schema, constraints, bound, value_range, timeout_s=timeout_s)
+
+
+def simplifier(schema, constraints, param_types=None, bound=2, timeout_s=5.0) -> Simplifier:
+    """A `Simplifier` on the question `policygen.simplify` builds."""
+    params = tuple((param_types or {}).items())
+    return Simplifier(Question(schema, constraints, bound, (0, 7), params, timeout_s=timeout_s))
 
 
 def pytest_terminal_summary(terminalreporter):

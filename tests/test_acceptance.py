@@ -35,7 +35,7 @@ from polex.terms import Col
 from polex.transcript import QueryRecord
 from polex.unparse import unparse_view
 
-from conftest import determinacy, record_acceptance
+from conftest import determinacy, record_acceptance, simplifier
 from oracle import BruteForceDeterminacy
 from test_pruner import random_case
 
@@ -312,7 +312,7 @@ def test_criterion_5_simplification_soundness(toys_schema, toys_constraints, toy
     base = (CondQuery(1, items, (RequestParam("ItemId"),)),)
     a = ConditionedQuery(details, (RowCol(1, 0),), base + (CondBranch(BoolCol(RowCol(1, 2)), True),))
     b = ConditionedQuery(details, (RowCol(1, 0),), base + (CondBranch(BoolCol(RowCol(1, 2)), False),))
-    out = Simplifier(toys_schema, toys_constraints, {"ItemId": "int"})._merge_branches([a, b])
+    out = simplifier(toys_schema, toys_constraints, {"ItemId": "int"})._merge_branches([a, b])
     assert len(out) == 1
     _passed(5, "each simplification step preserves mutual allowance on the corpus; "
                "the branch-merge unit case reduces 2 conditioned queries to 1")

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import gc
+from functools import cmp_to_key
 from pathlib import Path
 
 import pytest
 
-from polex import fdsolver
+from polex import fdsolver, policygen, pruner
 from polex.constraints import expand_all, generate_constraints
 from polex.dsl import parse_handler, parse_handlers
 from polex.explorer import (
@@ -46,97 +48,108 @@ def canonical_transcript():
 # Prefix tree
 
 
-def pending_preorder(tree):
-    """The tree's PENDING nodes in depth-first preorder, children in
-    creation order."""
-    out = []
-    stack = [tree.root]
-    while stack:
-        n = stack.pop()
-        if n.status == PENDING:
-            out.append(n)
-        stack.extend(reversed(n.children))
-    return out
+def popped_tree():
+    """A fresh tree with its root prefix popped, as the explorer pops it."""
+    tree = PrefixTree()
+    assert tree.pending.popleft() == ()
+    return tree
+
+
+def depth_first(prefixes):
+    """Pending prefixes in the depth-first preorder of their tree, a run's
+    own child ahead of the flipped sibling it opened.  Pending prefixes lie
+    in disjoint subtrees, so where two first differ one of them ends: that
+    one is the flipped sibling."""
+    def cmp(p, q):
+        i = next(i for i, (a, b) in enumerate(zip(p, q)) if a != b)
+        return 1 if len(p) == i + 1 else -1
+    return sorted(prefixes, key=cmp_to_key(cmp))
 
 
 def test_fresh_tree_targets_root():
     tree = PrefixTree()
-    assert tree.root.status == PENDING
-    assert tree.root.children == []
-    assert pending_preorder(tree) == [tree.root]
+    assert list(tree.pending) == [()]
+    assert tree.counts() == {PENDING: 1, VISITED: 0, INFEASIBLE: 0, ABANDONED: 0}
 
 
 def test_insert_canonical_transcript_creates_three_pendings():
-    tree = PrefixTree()
+    tree = popped_tree()
+    records = canonical_transcript().records
     pendings = tree.extend(canonical_transcript())
-    assert len(pendings) == 3
-    assert all(p.status == PENDING for p in pendings)
-    assert tree.root.status == VISITED
+    assert list(tree.pending) == pendings
+    assert [len(p) for p in pendings] == [3, 2, 1]
     assert tree.counts() == {PENDING: 3, VISITED: 4, INFEASIBLE: 0, ABANDONED: 0}
     # one sibling per record, with the outcome flipped
-    assert any(isinstance(p.record, QueryRecord) and p.record.is_empty for p in pendings)
-    branch_sibs = [p for p in pendings if isinstance(p.record, BranchRecord)]
-    assert len(branch_sibs) == 1 and branch_sibs[0].record.outcome is False
+    for p in pendings:
+        assert p[:-1] == records[: len(p) - 1] and p[-1] != records[len(p) - 1]
+    assert any(isinstance(p[-1], QueryRecord) and p[-1].is_empty for p in pendings)
+    branch_sibs = [p for p in pendings if isinstance(p[-1], BranchRecord)]
+    assert len(branch_sibs) == 1 and branch_sibs[0][-1].outcome is False
 
 
 def test_insert_empty_transcript_marks_root_visited():
-    tree = PrefixTree()
+    tree = popped_tree()
     t = Transcript("h", "h-0001", (), "end")
     assert tree.extend(t) == []
-    assert tree.root.status == VISITED
+    assert tree.counts()[VISITED] == 1
     assert tree.counts()[PENDING] == 0
 
 
-def test_reinsert_is_idempotent():
-    tree = PrefixTree()
-    first = tree.extend(canonical_transcript())
-    snapshot = tree.counts()
-    assert tree.extend(canonical_transcript()) == []
-    assert tree.counts() == snapshot
-    assert all(p.status == PENDING for p in first)
-
-
 def test_next_target_is_deterministic_depth_first():
-    tree = PrefixTree()
+    tree = popped_tree()
     pendings = tree.extend(canonical_transcript())
-    # the whole list is the depth-first preorder of the pending nodes,
-    # which the explorer's first-in, first-out queue relies on
-    assert pendings == pending_preorder(tree)
-    first = pendings[0]
-    # depth-first, creation order: the deepest sibling comes first
-    assert isinstance(first.record, QueryRecord) and first.record.index == 2
-    assert first.record.is_empty is True
-    assert [len(p.prefix()) for p in pendings] == [3, 2, 1]
-    # a run through the deepest sibling adds its own pendings below it,
-    # still in depth-first order
-    t = canonical_transcript()
-    deeper = Transcript(t.handler, "x-0002", (
-        *t.records[:2],
-        first.record,
-        BranchRecord(Cmp("=", RequestParam("CourseId"), IntLit(3)), True),
-    ), "rendered")
-    added = tree.extend(deeper, first)
-    assert first.status == VISITED
-    assert added == [n for n in pending_preorder(tree) if n not in pendings]
-    assert pending_preorder(tree) == added + pendings[1:]
+    # a run's new prefixes enter deepest first, their depth-first preorder
+    assert pendings == depth_first(pendings)
+    first = tree.pending.popleft()
+    assert first == pendings[0]
+    assert isinstance(first[-1], QueryRecord) and first[-1].index == 2
+    assert first[-1].is_empty is True
+    # a run through the deepest sibling opens a prefix below it, queued
+    # after the older ones but ahead of them in depth-first order
+    branch = BranchRecord(Cmp("=", RequestParam("CourseId"), IntLit(3)), True)
+    added = tree.extend(Transcript("view_grade_sheet", "x-0002", (*first, branch), "rendered"), first)
+    assert added == [(*first, BranchRecord(branch.cond, False))]
+    assert list(tree.pending) == pendings[1:] + added
+    assert depth_first(tree.pending) == added + pendings[1:]
+
+
+def test_run_through_a_pending_prefix_queues_the_flips_after_it():
+    tree = popped_tree()
+    tree.extend(canonical_transcript())
+    target = tree.pending.pop()  # the first query, found empty
+    before = tree.counts()
+    cond = Cmp("=", RequestParam("CourseId"), IntLit(3))
+    sql = "SELECT * FROM grades WHERE course_id = ?"
+    params = (RequestParam("CourseId"),)
+    records = (*target, BranchRecord(cond, True), QueryRecord(2, sql, params, True),
+               BranchRecord(cond, False))
+    added = tree.extend(Transcript("view_grade_sheet", "x-0002", records, "end"), target)
+    assert added == [
+        (*records[:3], BranchRecord(cond, True)),
+        (*records[:2], QueryRecord(2, sql, params, False)),
+        (*target, BranchRecord(cond, False)),
+    ]
+    assert list(tree.pending)[-3:] == added
+    assert tree.counts() == {**before, PENDING: before[PENDING] + 3,
+                             VISITED: before[VISITED] + 1 + len(records) - len(target)}
 
 
 def test_fully_explored_tree_has_no_target():
-    tree = PrefixTree()
+    tree = popped_tree()
     t = Transcript("h", "h-0001", (), "end")
     tree.extend(t)
-    assert pending_preorder(tree) == []
+    assert not tree.pending
     assert tree.counts() == {PENDING: 0, VISITED: 1, INFEASIBLE: 0, ABANDONED: 0}
 
 
 def test_divergence_detected():
-    tree = PrefixTree()
+    tree = popped_tree()
     pendings = tree.extend(canonical_transcript())
-    target = [p for p in pendings if isinstance(p.record, BranchRecord)][0]
+    target = [p for p in pendings if isinstance(p[-1], BranchRecord)][0]
     snapshot = tree.counts()
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DivergenceError, match="^run diverged from its prefix at record 2$"):
         tree.extend(canonical_transcript(), target)
-    assert target.status == PENDING
+    assert list(tree.pending) == pendings
     assert tree.counts() == snapshot
 
 
@@ -194,11 +207,8 @@ handler h(Uid: int) {
 
 def test_coverage_every_sibling_resolved(grade_program, grade_schema, grade_constraints):
     res = explore(grade_program, grade_schema, grade_constraints, ExplorationConfig())
-    stack = [res.tree.root]
-    while stack:
-        n = stack.pop()
-        assert n.status in (VISITED, INFEASIBLE, ABANDONED)
-        stack.extend(n.children)
+    assert not res.tree.pending
+    assert res.tree.counts()[PENDING] == 0
 
 
 def test_reproducible_visited_set(grade_program, grade_schema, grade_constraints):
@@ -332,7 +342,7 @@ handler h(Body: int) {
     ci = ConcreteInput("h-9999", "h", bad, {"MyUserId": 0, "Now": 0}, {"Body": 5})
     with pytest.raises(MultiRowResult) as e:
         execute(p, ci, toys_schema)
-    fixed_ci, (transcript, _) = explorer.repair_and_run(explorer.tree.root, e.value)
+    fixed_ci, (transcript, _) = explorer.repair_and_run((), e.value)
     assert len(transcript.records) == 1
     # the repaired input satisfies the at-most-one restriction
     matching = [r for r in fixed_ci.tables["details"] if r[1] == fixed_ci.request["Body"]]
@@ -421,3 +431,36 @@ def test_explore_and_replay_parse_no_sql(toys_schema, toys_constraints, monkeypa
     assert parses == []
     QueryCatalog(toys_schema).executable("SELECT * FROM items")  # a text with no kept AST is parsed
     assert parses == ["SELECT * FROM items"]
+
+
+def test_a_toys_job_leaves_no_reference_cycles(toys_schema, toys_constraints):
+    """Only the cyclic collector frees a reference cycle, so cyclic garbage
+    lives on until it runs.  One toys job at bound 3 (explore, policy-gen,
+    per-handler prune and merge-prune) leaves none; the first job fills
+    the caches."""
+    programs = [p for path in sorted((ROOT / "corpus" / "toys" / "handlers").glob("*.hdl"))
+                for p in parse_handlers(path.read_text())]
+
+    def job():
+        policies = []
+        for program in programs:
+            res = explore(program, toys_schema, toys_constraints, ExplorationConfig(table_bound=3, solver_timeout=None))
+            cqs = policygen.simplify(policygen.to_conditioned_queries(res.transcripts, toys_schema), toys_schema,
+                                     toys_constraints, dict(program.request_params), table_bound=3, timeout_s=None)
+            policy = pruner.Policy(policygen.views_from_cqs(cqs, toys_schema), 3)
+            policies.append(pruner.prune(policy, toys_constraints, toys_schema, timeout_s=None)[0])
+        return pruner.merge_and_prune(policies, toys_constraints, toys_schema, timeout_s=None)
+
+    job()
+    gc.collect()
+    start, debug = len(gc.garbage), gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        merged, _ = job()
+        gc.collect()
+    finally:
+        gc.set_debug(debug)
+        kinds = [type(o).__name__ for o in gc.garbage[start:]]
+        del gc.garbage[start:]
+    assert len(merged.views) == 3
+    assert kinds == []

@@ -42,6 +42,8 @@ from polex.terms import (
 from polex.transcript import BranchRecord, QueryRecord, Transcript
 from polex.unparse import unparse_nf, unparse_view
 
+from conftest import simplifier
+
 ROLES_SQL = "SELECT * FROM roles WHERE user_id = ? AND course_id = ?"
 GRADES_SQL = "SELECT * FROM grades WHERE course_id = ?"
 
@@ -203,7 +205,7 @@ def test_merge_branches_unit_case(grade_schema, grade_constraints):
         base.sql, base.params,
         (base.conditions[0], CondBranch(BoolCol(RowCol(1, 2)), False)),
     )
-    out = Simplifier(grade_schema, grade_constraints, {"CourseId": "int"})._merge_branches([base, flipped])
+    out = simplifier(grade_schema, grade_constraints, {"CourseId": "int"})._merge_branches([base, flipped])
     assert len(out) == 1  # reduced by exactly one
     assert out[0].conditions == (base.conditions[0],)
 
@@ -218,7 +220,7 @@ def test_vacuous_branch_removed_by_solver(grade_schema, grade_constraints):
             CondBranch(Cmp("=", RowCol(1, 0), SessionParam("MyUserId")), True),
         ),
     )
-    out = Simplifier(grade_schema, grade_constraints, {"CourseId": "int"})._remove_vacuous_branches(cq)
+    out = simplifier(grade_schema, grade_constraints, {"CourseId": "int"})._remove_vacuous_branches(cq)
     assert out.conditions == (cq.conditions[0],)
 
 
@@ -258,7 +260,7 @@ def test_subsumption_renumbers_query_indices(grade_schema, grade_constraints):
         ),
     )
     b = ConditionedQuery(gnf, (RowCol(1, 1),), (CondQuery(1, rnf, params),))
-    out = Simplifier(grade_schema, grade_constraints, {"CourseId": "int"})._remove_subsumed([a, b])
+    out = simplifier(grade_schema, grade_constraints, {"CourseId": "int"})._remove_subsumed([a, b])
     assert out == [b]
 
 
@@ -273,7 +275,7 @@ def test_duplicate_queries_removed_and_renumbered(grade_schema, grade_constraint
             CondQuery(2, rnf, params),  # the same query issued twice
         ),
     )
-    out = Simplifier(grade_schema, grade_constraints, {"CourseId": "int"})._remove_duplicate_queries(cq)
+    out = simplifier(grade_schema, grade_constraints, {"CourseId": "int"})._remove_duplicate_queries(cq)
     assert out.conditions == (CondQuery(1, rnf, params),)
     assert out.params == (RowCol(1, 1),)
 
@@ -292,7 +294,7 @@ def test_equality_propagation_enables_duplicate_removal(grade_schema, grade_cons
             CondQuery(3, gnf, (RowCol(1, 1),)),
         ),
     )
-    s = Simplifier(grade_schema, grade_constraints, {"CourseId": "int"})
+    s = simplifier(grade_schema, grade_constraints, {"CourseId": "int"})
     out = s._remove_duplicate_queries(s._propagate_equalities(cq))
     queries = [r for r in out.conditions if isinstance(r, CondQuery)]
     assert len(queries) == 2  # records 2 and 3 collapsed
@@ -368,7 +370,7 @@ handler two_after_branch(ItemId: int) {
     entails = Simplifier._entails
 
     # Reference output: every question asked by a fresh Simplifier.
-    monkeypatch.setattr(Simplifier, "_entails", lambda self, *args: entails(replace(self), *args))
+    monkeypatch.setattr(Simplifier, "_entails", lambda self, *args: entails(Simplifier(replace(self.question)), *args))
     expected = simplify(cqs, toys_schema, toys_constraints, params, timeout_s=None)
 
     questions, checks = [], []
@@ -425,8 +427,8 @@ def _record_bounds(monkeypatch):
 
 def test_entailed_at_bound_1_is_not_entailed_at_bound_2():
     schema, constraints, cq = two_rows_question()
-    assert Simplifier(schema, constraints, table_bound=1, timeout_s=None)._entails(cq.conditions, 2)
-    assert not Simplifier(schema, constraints, table_bound=2, timeout_s=None)._entails(cq.conditions, 2)
+    assert simplifier(schema, constraints, bound=1, timeout_s=None)._entails(cq.conditions, 2)
+    assert not simplifier(schema, constraints, bound=2, timeout_s=None)._entails(cq.conditions, 2)
 
 
 def test_unknown_at_bound_1_leaves_the_verdict_to_the_full_bound(grade_schema, grade_constraints, monkeypatch):
@@ -447,12 +449,12 @@ def test_unknown_at_bound_1_leaves_the_verdict_to_the_full_bound(grade_schema, g
         return CheckResult("unknown") if bounds[-1] == 1 else verdict
 
     monkeypatch.setattr(CdclBackend, "check", unknown_at_bound_1)
-    for simplifier, cq, k, want in (
-        (Simplifier(schema, constraints, timeout_s=None), not_entailed, 2, False),
-        (Simplifier(grade_schema, grade_constraints, {"CourseId": "int"}, timeout_s=None), vacuous, 1, True),
+    for s, cq, k, want in (
+        (simplifier(schema, constraints, timeout_s=None), not_entailed, 2, False),
+        (simplifier(grade_schema, grade_constraints, {"CourseId": "int"}, timeout_s=None), vacuous, 1, True),
     ):
         del bounds[:]
-        assert simplifier._entails(cq.conditions, k) == want
+        assert s._entails(cq.conditions, k) == want
         assert bounds == [1, 2]
 
 

@@ -22,12 +22,13 @@ from polex.constraints import Containment, expand_all, generate_constraints, par
 from polex.dsl import parse_handler, parse_handlers
 from polex.explorer import INFEASIBLE, ExplorationConfig, Explorer, explore
 from polex.normal import NormalFormQuery, PlainQuery
-from polex.policygen import CondBranch, CondQuery, Simplifier, simplify, to_conditioned_queries
+from polex.policygen import CondBranch, CondQuery, simplify, to_conditioned_queries
 from polex.schema import Interner, parse_schema
 from polex.terms import BoolCol, RequestParam, RowCol
 from polex.transcript import BranchRecord, QueryRecord
 
 import full_bound
+from conftest import simplifier
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -196,7 +197,7 @@ def test_capped_random_questions_match_the_full_bound(seed, bound, monkeypatch):
     for _ in range(12):
         schema, cons = random_fk_schema(rng)
         explorer = Explorer(PROGRAM, schema, cons, ExplorationConfig(table_bound=bound, solver_timeout=None))
-        simplifier = Simplifier(schema, cons, {"P": "int"}, table_bound=bound, timeout_s=None)
+        s = simplifier(schema, cons, {"P": "int"}, bound=bound, timeout_s=None)
         for _ in range(6):
             records = random_prefix(rng, schema, cons)
             explorer.generate_input(records)
@@ -206,7 +207,7 @@ def test_capped_random_questions_match_the_full_bound(seed, bound, monkeypatch):
                 for r in records if isinstance(r, BranchRecord) or not r.is_empty
             ]
             for k in range(1, len(conditions)):
-                simplifier._entails(conditions, k)
+                s._entails(conditions, k)
     assert seen["skipped"] > 0 and seen["capped"] > 0
 
 

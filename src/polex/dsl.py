@@ -160,6 +160,7 @@ class HandlerProgram:
 class _Parser:
     def __init__(self, text: str):
         self.ts = TokenStream(tokenize(text))
+        self.asts: dict[str, QueryAst | SourceError] = {}  # each SQL text's, parsed once: both are immutable
 
     def parse_handlers(self) -> list[HandlerProgram]:
         out = []
@@ -228,11 +229,12 @@ class _Parser:
             ts.expect_punct(")")
             ts.expect_punct(";")
             sql = unquote(sql_tok.text)
-            try:
-                ast = parse_sql(sql)
-            except SourceError as e:
-                ast = e
-            return LetQuery(name.text, sql, tuple(args), tok.line, ast)
+            if sql not in self.asts:
+                try:
+                    self.asts[sql] = parse_sql(sql)
+                except SourceError as e:
+                    self.asts[sql] = e
+            return LetQuery(name.text, sql, tuple(args), tok.line, self.asts[sql])
         if ts.at_keyword("ABORT_IF_EMPTY"):
             ts.next()
             ts.expect_punct("(")

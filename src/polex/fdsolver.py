@@ -38,6 +38,9 @@ the one deciding it would give: False, or its domain's lower value, all
 its thresholds false.  A search reads every unset variable so (the
 completion) before deciding, and returns that model if every formula
 holds; only otherwise does it build its decision state (`_Cdcl.solve`).
+Until its first conflict every activity is 0, so it decides the lowest
+unset decision variable by a forward scan, and it builds the activity
+heap, holding what the scan has not passed, at that conflict.
 
 A search over a pool whose `base` is set starts as a copy of that base
 search, which holds its formulas as unit clauses propagated at level 0.
@@ -246,6 +249,7 @@ class Compiler:
         self.mentioned: set[int] = set(base.mentioned)  # vids some compiled formula names
         self._true_lit: int | None = base._true_lit
         self.formulas: list[tuple] = base.formulas[:]  # asserted for good, in order
+        self.checked: dict = {}  # id(f) -> (f, lit) of each formula a check asserted; f keeps its id unused
         for d in pool.domains[len(self.first):]:
             first = self.cnf.nvars
             self.first.append(first)
@@ -436,7 +440,8 @@ class _Cdcl:
         self.trail_lim: list[int] = []
         self.qhead = len(self.trail)
         self.ok = base.ok  # False once level 0 holds a conflict
-        self.decision = self.activity = self.phase = self.heap = None  # built at a check's first decision
+        self.decision = self.activity = self.phase = None  # built at a check's first decision
+        self.heap = None  # built at its first conflict
 
     def attach(self, comp: Compiler) -> None:
         """Take the clauses `comp` compiled since the last call, at level 0:
@@ -626,13 +631,23 @@ class _Cdcl:
                 raise _Timeout()
 
     def decide_var(self) -> int | None:
-        """Invariant: each unassigned decision variable has a heap entry
-        with its current activity (`cancel_until` pushes what it unassigns,
-        `bump` pushes unassigned variables and a rescale rebuilds)."""
-        heap = self.heap
+        """Before the first conflict every activity is 0 and no variable
+        was unassigned, so the heap would pop `decision` in order: scan it.
+        After, each unassigned decision variable has a heap entry with its
+        current activity (`cancel_until` pushes what it unassigns, `bump`
+        pushes unassigned variables and a rescale rebuilds)."""
+        heap, lval = self.heap, self.lval
+        if heap is None:
+            decision = self.decision
+            while self.scanned < len(decision):
+                v = decision[self.scanned]
+                self.scanned += 1
+                if lval[2 * v] is None:
+                    return v
+            return None
         while heap:
             act, v = _heappop(heap)
-            if self.lval[2 * v] is None and -act == self.activity[v]:
+            if lval[2 * v] is None and -act == self.activity[v]:
                 return v
         return None
 
@@ -678,6 +693,8 @@ class _Cdcl:
                     self._check_time()
                     if refuted:
                         return "unsat", None
+                    if self.heap is None:  # the heap the scan stands for: what it has not passed
+                        self.heap = [(0.0, v) for v in self.decision[self.scanned:]]
                     learnt, bt = self.analyze(confl)
                     self.cancel_until(bt)
                     ci = len(self.clauses)
@@ -702,12 +719,11 @@ class _Cdcl:
                     trail_lim.append(len(self.trail))
                     self.enqueue(lit, None)  # a no-op when it already holds
                     continue
-                if self.heap is None:  # the first decision
+                if self.decision is None:  # the first decision
                     if (found := self.complete(read)) is not None:
                         return "sat", found
-                    self.decision = decision_vars()
+                    self.decision, self.scanned = decision_vars(), 0
                     self.activity, self.phase, self.var_inc = [0.0] * self.nvars, [0] * self.nvars, 1.0
-                    self.heap = [(0.0, v) for v in self.decision]
                 v = self.decide_var()
                 if v is None:
                     return "sat", read(self.lval[0::2])
@@ -743,8 +759,12 @@ class CdclBackend:
 
     def check(self, formulas: list[tuple], timeout_s: float | None = 5.0) -> CheckResult:
         deadline = None if timeout_s is None else time.monotonic() + timeout_s
-        comp = self.comp
-        assumptions = [comp.lit(f) for f in formulas]
+        comp, checked, assumptions = self.comp, self.comp.checked, []
+        for f in formulas:  # a formula object an earlier check asserted is found without hashing its tree
+            hit = checked.get(id(f))
+            if hit is None:
+                hit = checked[id(f)] = f, comp.lit(f)
+            assumptions.append(hit[1])
         self.search.attach(comp)
 
         def read(assigns):  # the model and the name of a formula it breaks, the check's own first, or None

@@ -617,14 +617,13 @@ def _remove_one_request_param(nf: NormalFormQuery, name: str, schema: Schema) ->
                 col = c.left.index
             elif isinstance(c.right, Col) and c.left == RequestParam(name):
                 col = c.right.index
-    view_sql = unparse_safe(nf, schema)
     if occurrences != 1 or len(hits) != 1 or col is None:
         raise RequestParamRemovalError(
-            view_sql, name, "the parameter must occur exactly once, as `column = Param`"
+            unparse_safe(nf, schema), name, "the parameter must occur exactly once, as `column = Param`"
         )
     table, column = column_of_ordinal(schema, nf.sources, col)
     if column.nullable:
-        raise RequestParamRemovalError(view_sql, name, f"column {table}.{column.name} is nullable")
+        raise RequestParamRemovalError(unparse_safe(nf, schema), name, f"column {table}.{column.name} is nullable")
     remaining = [c for i, c in enumerate(cs) if i != hits[0]]
     projection = nf.projection
     if not _projected_equal(col, projection, remaining):

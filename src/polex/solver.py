@@ -28,7 +28,11 @@ full-bound model with the other rows absent), and a sat answer comes
 back as one input per instance, checked against the constraints.
 Explore and policy-gen keep one `Question` for a stage call and the
 pruner one for a prune pass, so all its questions on a rung go to one
-incremental search.
+incremental search.  The rung also encodes each path prefix once (a trie
+of steps: sibling prefixes share all but their last) and each
+determinacy part once (a view's agreement, the query's difference).
+These encodings live as long as the rung of that `Question`, and no
+verdict is kept: every question runs its search and verifies its model.
 
 An unsat path needs only the rows of a countermodel's witness closure:
 the rows its non-empty query steps matched, and the rows the `contain`
@@ -209,6 +213,28 @@ def _shared(schema, constraints, bound, value_range, copies):
         formulas.extend(own)
     session = {name: pool.new_int(*value_range) for name in SESSION_PARAMS}
     return CdclBackend(pool, formulas), tuple(instances), session
+
+
+@functools.lru_cache(maxsize=4)
+def _context_links(schema: Schema, constraints: tuple) -> tuple | None:
+    """The schema-level part of `Question.row_bounds`: the tables in
+    topological order of the query-sided `contain` lines, those lines in
+    the order of their left table, and the single-column `unique` keys as
+    (table, ordinal); None for a cycle or a multi-source left side."""
+    chases = [c for c in constraints if isinstance(c, Containment) and isinstance(c.right, NormalFormQuery)]
+    if any(len(c.left.sources) != 1 for c in chases):
+        return None
+    graph = {t.name: set() for t in schema.tables}
+    for c in chases:
+        for u in c.right.sources:
+            graph[u].add(c.left.sources[0])
+    try:
+        order = list(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError:
+        return None
+    keys = {(c.table, schema.table(c.table).column_index(c.columns[0]))
+            for c in constraints if isinstance(c, Unique) and len(c.columns) == 1}
+    return order, sorted(chases, key=lambda c: order.index(c.left.sources[0])), keys
 
 
 def bounded(
@@ -444,7 +470,8 @@ class Question:
     determinacy pair (`ask_determinacy`), and only this class builds the
     formulas.  Each rung (bound 1, and `bound`) of each instance count gets
     one incremental search at its first question, and every later question
-    on that rung reuses it.  A path's query steps give its witness closure
+    on that rung reuses it, with the formulas it has encoded (a `memo`, see
+    `ask`; never a verdict).  A path's query steps give its witness closure
     (`row_bounds`): a countermodel within `bound` rows has one within
     min(bound, r_T) rows of each table T.  A determinacy pair keeps the
     full bound."""
@@ -455,7 +482,7 @@ class Question:
     value_range: tuple[int, int]
     params: tuple = ()
     timeout_s: float | None = 5.0
-    _rungs: dict = field(default_factory=dict, init=False, repr=False)  # (bound, copies) -> (search, instances, params)
+    _rungs: dict = field(default_factory=dict, init=False, repr=False)  # (bound, copies) -> (search, instances, params, memo)
 
     def ask_path(self, steps) -> tuple[str, tuple[ConcreteInput, ...]]:
         """Whether the constraints and the path `steps` hold together on one
@@ -466,24 +493,33 @@ class Question:
         row, which later steps read as `RowCol(index, _)`, True that it
         returned none, and None neither.  Every query step also asserts
         that the query returns at most one row.  A step given twice is
-        asserted once."""
+        asserted once.
 
-        def encode(instances, env) -> list:
+        A prefix's formulas depend only on the rung and the prefix, so the
+        rung's memo holds them as a trie: a node is a prefix's formulas by
+        step, the query results later steps read and its extended prefixes,
+        and a missing node is encoded from copies of its parent's."""
+
+        def encode(instances, env, memo) -> list:
             (inst,) = instances
-            formulas: dict = {}  # by step: a step given twice counts once
+            formulas, rows, children = {}, {}, memo  # the empty prefix
             for step in steps:
-                if len(step) == 2:
-                    pred, outcome = step
-                    f = encode_pred(pred, {}, env)
-                    formulas.setdefault(step, f if outcome else lnot(f))
-                    continue
-                index, q, params, empty = step
-                enc = encode_query(q, params, inst, self.schema, env)
-                if empty is not None:
-                    formulas.setdefault(step, lnot(enc.non_empty) if empty else enc.non_empty)
-                    if not empty:
-                        env.rows[index] = enc.result
-                formulas.setdefault(("amo", index, q, params), enc.at_most_one)
+                node = children.get(step)
+                if node is None:  # the prefix extended by `step`, encoded from copies of its parent's
+                    formulas, penv = dict(formulas), SymEnv(env.params, rows)
+                    if len(step) == 2:
+                        f = encode_pred(step[0], {}, penv)
+                        formulas.setdefault(step, f if step[1] else lnot(f))
+                    else:
+                        index, q, params, empty = step
+                        enc = encode_query(q, params, inst, self.schema, penv)
+                        if empty is not None:
+                            formulas.setdefault(step, lnot(enc.non_empty) if empty else enc.non_empty)
+                            if not empty:
+                                rows = {**rows, index: enc.result}
+                        formulas.setdefault(("amo", index, q, params), enc.at_most_one)
+                    node = children[step] = formulas, rows, {}
+                formulas, rows, children = node
             return list(formulas.values())
 
         return self.ask(encode, 1, steps)
@@ -493,20 +529,25 @@ class Question:
         on the result of every one of `views` and differ on `q`'s; returns
         `ask`'s answer, a pair of inputs when it is sat."""
 
-        def encode(instances, env) -> list:
-            inst_a, inst_b = instances
-            formulas = [_set_eq(result_pairs(v, inst_a, env), result_pairs(v, inst_b, env)) for v in views]
-            formulas.append(_set_neq(result_pairs(q, inst_a, env), result_pairs(q, inst_b, env)))
-            return formulas
+        def encode(instances, env, memo) -> list:
+            def part(nf, relate):  # `relate` of nf's results on the two instances, encoded once a rung
+                f = memo.get((nf, relate))
+                if f is None:
+                    f = memo[nf, relate] = relate(*[result_pairs(nf, inst, env) for inst in instances])
+                return f
+
+            return [part(v, _set_eq) for v in views] + [part(q, _set_neq)]
 
         return self.ask(encode, 2)
 
     def ask(self, encode, copies: int, steps=None) -> tuple[str, tuple[ConcreteInput, ...]]:
-        """Decide the formulas `encode(instances, env)` builds over the
+        """Decide the formulas `encode(instances, env, memo)` builds over the
         `bounded` context of `copies` instances, at bound 1 and then, unless
-        that is sat, at `bound`.  Returns the last check's status and, when
-        it is sat, one input per instance, its request holding `params`.
-        An input that breaks a constraint raises InternalSolverError.
+        that is sat, at `bound`; `memo` is a dict that lives as long as the
+        rung, for what `encode` derives from the rung alone.  Returns the
+        last check's status and, when it is sat, one input per instance,
+        its request holding `params`.  An input that breaks a constraint
+        raises InternalSolverError.
 
         With a path's `steps` (see `row_bounds`), the closure is counted
         only once bound 1 is unsat (not unknown): the full-bound rung is
@@ -518,10 +559,10 @@ class Question:
                 break
             if (b, copies) not in self._rungs:
                 pool, instances, env = bounded(self.schema, self.constraints, b, self.value_range, self.params, copies)
-                self._rungs[b, copies] = CdclBackend(pool), instances, env.params
-            search, instances, params = self._rungs[b, copies]
+                self._rungs[b, copies] = CdclBackend(pool), instances, env.params, {}
+            search, instances, params, memo = self._rungs[b, copies]
             env = SymEnv(dict(params))
-            formulas = encode(instances, env)
+            formulas = encode(instances, env, memo)
             if rows is not None:
                 formulas += [lnot(bvar(inst.tables[t][r].presence)) for inst in instances for t, r in rows.items()
                              if r < b]
@@ -539,24 +580,8 @@ class Question:
 
     @functools.cached_property
     def _links(self) -> tuple | None:
-        """The schema-level part of `row_bounds`: the tables in topological
-        order of the query-sided `contain` lines, those lines in the order
-        of their left table, and the single-column `unique` keys as
-        (table, ordinal); None for a cycle or a multi-source left side."""
-        chases = [c for c in self.constraints if isinstance(c, Containment) and isinstance(c.right, NormalFormQuery)]
-        if any(len(c.left.sources) != 1 for c in chases):
-            return None
-        graph = {t.name: set() for t in self.schema.tables}
-        for c in chases:
-            for u in c.right.sources:
-                graph[u].add(c.left.sources[0])
-        try:
-            order = list(graphlib.TopologicalSorter(graph).static_order())
-        except graphlib.CycleError:
-            return None
-        keys = {(c.table, self.schema.table(c.table).column_index(c.columns[0]))
-                for c in self.constraints if isinstance(c, Unique) and len(c.columns) == 1}
-        return order, sorted(chases, key=lambda c: order.index(c.left.sources[0])), keys
+        """`_context_links`, looked up once: its key's hash walks every constraint."""
+        return _context_links(self.schema, tuple(self.constraints))
 
     def row_bounds(self, steps) -> dict[str, int] | None:
         """The witness closure's rows per table (see the module docstring)

@@ -25,7 +25,7 @@ def ask(question: solver.Question, encode, copies, steps=None):
     cap: `steps` is ignored."""
     q = question
     pool, instances, env = bounded(q.schema, q.constraints, q.bound, q.value_range, q.params, copies)
-    verdict = CdclBackend(pool).check(encode(instances, env), q.timeout_s)
+    verdict = CdclBackend(pool).check(encode(instances, env, {}), q.timeout_s)
     if verdict.status != "sat":
         return verdict.status, ()
     inputs = tuple(model_to_input(verdict.model, inst, q.schema, env, [n for n, _ in q.params]) for inst in instances)

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
+from polex import dsl
 from polex.dsl import (
     ComputedArgumentError,
     DslError,
@@ -204,3 +207,38 @@ handler h(P: int) {
 """
     )
     assert nested.literals == {4, 6}
+
+
+def test_each_sql_text_is_parsed_once_per_handler_file(monkeypatch):
+    parsed = []
+    parse_sql = dsl.parse_sql
+    monkeypatch.setattr(dsl, "parse_sql", lambda sql: parsed.append(sql) or parse_sql(sql))
+    p = parse_handler(
+        """
+handler h(P: int) {
+  let x = query("SELECT * FROM t WHERE a = ?", P);
+  let y = query("SELECT * FROM t WHERE a = ?", 3);
+  render(x, y);
+}
+"""
+    )
+    x, y = p.body[:2]
+    assert parsed == ["SELECT * FROM t WHERE a = ?"] and x.ast is y.ast
+    # The seeded corpus of the benchmark's synth-front workload repeats
+    # texts within a handler file: its 92 lets hold 84 texts distinct
+    # within their file.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import synth
+
+    parsed.clear()
+    lets = [[s.sql for p in dsl.parse_handlers(text) for s in _lets(p.body)] for text in synth.generate(1)[1].values()]
+    assert (sum(map(len, lets)), sum(len(set(texts)) for texts in lets), len(parsed)) == (92, 84, 84)
+
+
+def _lets(stmts):
+    for s in stmts:
+        if isinstance(s, LetQuery):
+            yield s
+        elif isinstance(s, dsl.IfStmt):
+            yield from _lets(s.then)
+            yield from _lets(s.els)

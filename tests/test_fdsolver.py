@@ -266,6 +266,94 @@ def test_an_accepted_completion_is_the_model_deciding_gives(case):
             assert got.model == want.model, i
 
 
+class _HeapAtFirstDecision(fdsolver._Cdcl):
+    """The search with its decision heap built at the first decision, not
+    at the first conflict."""
+
+    def decide_var(self):
+        if self.heap is None:
+            self.heap = [(0.0, v) for v in self.decision]
+        return super().decide_var()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sessions())
+def test_decisions_before_the_first_conflict_need_no_heap(case):
+    # Until a conflict every activity is 0, so the heap pops the decision
+    # variables in ascending order, as the scan takes them: both searches
+    # make the same decisions, learn the same clauses and find the same
+    # models.  Each check also names two symbols declared after every
+    # other, so a conflict can come before the scan reaches them.
+    pool, (later, *_), checks, _ = case
+    event("conflicts" if any(_same_searches(pool, [formulas + [later] for formulas in checks])) else "no conflict")
+
+
+def _same_searches(pool, checks) -> list[int]:
+    """Asks `checks` of a search and of one built as `_HeapAtFirstDecision`,
+    which must agree; returns each check's conflicts."""
+    session, reference = CdclBackend(pool), CdclBackend.__new__(CdclBackend)
+    reference.comp = fdsolver.Compiler(pool)
+    reference.search = _HeapAtFirstDecision((pool.base or fdsolver._NO_BASE).search)
+    reference.search.attach(reference.comp)
+    conflicts = []
+    for i, formulas in enumerate(checks):
+        got, want = session.check(formulas, timeout_s=None), reference.check(formulas, timeout_s=None)
+        assert (got.status, got.model) == (want.status, want.model), i
+        for part in ("trail", "trail_lim", "clauses"):
+            assert getattr(session.search, part) == getattr(reference.search, part), (i, part)
+        conflicts.append(reference.search.conflicts)
+    return conflicts
+
+
+def test_decisions_after_the_first_conflict_take_what_the_scan_left():
+    # Deciding p false conflicts before the scan reaches z, declared after
+    # it, so the heap built at that conflict must hold z's thresholds.
+    pool = VarPool()
+    p, q, z = pool.new_bool(), pool.new_bool(), pool.new_int(0, 3)
+    formulas = [lor(bvar(p), bvar(q)), lor(bvar(p), lnot(bvar(q))), lor(feq(ivar(z), const(2)), feq(ivar(z), const(3)))]
+    (conflicts,) = _same_searches(pool, [formulas])
+    assert conflicts > 0
+
+
+def _rebuilt(f):
+    """A formula equal to `f`, of tuples distinct from its."""
+    return tuple(_rebuilt(g) if isinstance(g, tuple) else g for g in f)
+
+
+@pytest.mark.parametrize("backend", [CdclBackend, OneHotBackend])
+def test_a_check_finds_a_formula_it_asserted_by_identity_or_by_value(backend, monkeypatch):
+    pool = VarPool()
+    x, y = pool.new_int(0, 3), pool.new_int(0, 3)
+    f = land(feq(ivar(x), ivar(y)), fcmp("<", ivar(x), const(2)))
+    twin = _rebuilt(f)
+    assert twin == f and twin is not f
+    compiled, assumed = [], []
+    lit, solve = fdsolver.Compiler.lit, fdsolver._Cdcl.solve
+    monkeypatch.setattr(fdsolver.Compiler, "lit", lambda self, g: compiled.append(g) or lit(self, g))
+    monkeypatch.setattr(fdsolver._Cdcl, "solve", lambda self, a, *rest: assumed.append(a) or solve(self, a, *rest))
+    checker = backend(pool)
+    answers = [checker.check(formulas, timeout_s=None) for formulas in ([f], [f], [twin], [twin, f])]
+    assert assumed[0] == assumed[1] == assumed[2] and assumed[3] == assumed[0] * 2
+    # The first check compiles f and the third looks twin up by value;
+    # the second and the fourth look them up by identity.
+    assert [id(g) for g in compiled if g == f] == [id(f), id(twin)]
+    assert len({(a.status, tuple(sorted(a.model.items()))) for a in answers}) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(_checks(), st.lists(st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=1, max_size=3),
+                           min_size=2, max_size=4))
+def test_one_search_answers_checks_that_share_formulas_like_enumeration(check, picks):
+    # Each check asks some of the formulas, each the object an earlier
+    # check may have asked or an equal rebuilt one.
+    pool, formulas = check
+    onehot, order = OneHotBackend(pool), CdclBackend(pool)
+    for pick in picks:
+        asked = [formulas[i % len(formulas)] if same else _rebuilt(formulas[i % len(formulas)]) for i, same in pick]
+        want = EnumerationBackend(pool).check(asked, timeout_s=None).status
+        assert onehot.check(asked).status == order.check(asked, timeout_s=None).status == want
+
+
 def test_every_comparison_matches_its_truth_table():
     # Each atom between two symbols, a symbol and itself, and a symbol and
     # a constant (inside or outside its domain), asserted and negated, with

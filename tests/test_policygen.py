@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from polex import solver
+from polex import policygen, solver
 from polex.constraints import expand_all, generate_constraints
 from polex.dsl import parse_handler
 from polex.evaluate import ScalarEnv, eval_branch, eval_nf
@@ -743,3 +743,21 @@ def test_completeness_views_from_cqs_deterministic(grade_schema, grade_constrain
     v1 = views_from_cqs(cqs, grade_schema)
     v2 = views_from_cqs(cqs, grade_schema)
     assert v1 == v2
+
+
+def test_removal_renders_the_view_only_to_refuse_it(grade_schema, monkeypatch):
+    rendered = []
+    monkeypatch.setattr(policygen, "unparse_nf", lambda nf, schema: rendered.append(nf) or unparse_nf(nf, schema))
+    remove_request_params(generate_view_trace(second_cq(grade_schema), grade_schema)[-1], grade_schema)
+    assert rendered == []
+    schema = parse_schema("table t { a int nullable\n b int }")
+    for sql, message in (
+        ("SELECT * FROM t WHERE a = X", "column t.a is nullable\nSELECT * FROM t\nWHERE a = X"),
+        ("SELECT * FROM t WHERE b = X AND b < X",
+         "the parameter must occur exactly once, as `column = Param`\nSELECT * FROM t\nWHERE b = X\n  AND b < X"),
+    ):
+        nf = to_normal_form(parse_sql(sql), schema)
+        with pytest.raises(RequestParamRemovalError) as refused:
+            remove_request_params(nf, schema)
+        assert str(refused.value) == f"cannot remove request parameter 'X' from view: {message}"
+        assert rendered[-1] == nf

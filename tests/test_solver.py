@@ -27,7 +27,7 @@ from polex.solver import (
     model_to_input,
 )
 from polex.sqlparser import parse_sql
-from polex.terms import Cmp, Col, IntLit, IsNull, Not, SessionParam, TRUE, conjoin
+from polex.terms import BoolCol, Cmp, Col, IntLit, IsNull, Not, RowCol, SessionParam, TRUE, conjoin
 
 SCHEMA = parse_schema(
     """
@@ -534,7 +534,7 @@ def test_model_check_covers_the_base_formulas(monkeypatch):
 def test_ask_goes_on_to_the_full_bound_unless_bound_1_is_sat(bound, at_1, asked, monkeypatch):
     encoded, results = [], []
 
-    def encode(instances, env):
+    def encode(instances, env, memo):
         (inst,) = instances
         encoded.append(inst.bound)
         return [("encoded at", inst.bound)]
@@ -553,11 +553,11 @@ def test_ask_goes_on_to_the_full_bound_unless_bound_1_is_sat(bound, at_1, asked,
 
 
 def test_ask_reads_the_model_through_the_context_it_was_found_in():
-    def some_course(instances, env):
+    def some_course(instances, env, memo):
         (inst,) = instances
         return [bvar(inst.tables["courses"][0].presence)]
 
-    def two_courses(instances, env):
+    def two_courses(instances, env, memo):
         (inst,) = instances
         rows = inst.tables["courses"]
         return [lor(*[land(bvar(a.presence), bvar(b.presence)) for a, b in itertools.combinations(rows, 2)])]
@@ -575,7 +575,7 @@ def test_ask_rejects_a_model_that_breaks_a_constraint(monkeypatch):
     # Without its constraint formulas the context admits a role whose
     # course is missing; `Question.ask` checks each answer against the
     # constraints.
-    def dangling_role(instances, env):
+    def dangling_role(instances, env, memo):
         (inst,) = instances
         return [bvar(inst.tables["roles"][0].presence), lnot(bvar(inst.tables["courses"][0].presence))]
 
@@ -594,8 +594,81 @@ def test_a_constant_outside_its_domain_raises_in_every_stage():
         fixed = expand_all([FixedValue("roles", column, value)], SCHEMA)
         message = f"value {value} in constraint 'fixed roles.{column} = {value}' lies outside the value range {domain}"
         with pytest.raises(RangeError, match=re.escape(message)):
-            solver.Question(SCHEMA, CONSTRAINTS + fixed, 2, RANGE, timeout_s=None).ask(lambda instances, env: [], 1)
+            solver.Question(SCHEMA, CONSTRAINTS + fixed, 2, RANGE, timeout_s=None).ask(lambda instances, env, memo: [], 1)
     (program,) = parse_handlers('handler h() { let c = query("SELECT * FROM courses WHERE id = 4"); render(c); }')
     with pytest.raises(RangeError, match="value 4 in handler h lies outside the value range 0:3"):
         explore(program, SCHEMA, CONSTRAINTS, ExplorationConfig(value_range=RANGE))
     assert explore(program, SCHEMA, CONSTRAINTS, ExplorationConfig(value_range=(0, 4), solver_timeout=None)).complete
+
+
+# ---------------------------------------------------------------------------
+# A rung encodes each path prefix and each determinacy part once
+
+
+def _recorded(monkeypatch, counted: str) -> tuple[list, list]:
+    """Record each call of `solver.<counted>` and the formula list of each check."""
+    calls, checked = [], []
+    fn, backend_check = getattr(solver, counted), fdsolver.CdclBackend.check
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    def recording_check(self, formulas, timeout_s=5.0):
+        checked.append(list(formulas))
+        return backend_check(self, formulas, timeout_s)
+
+    monkeypatch.setattr(solver, counted, counting)
+    monkeypatch.setattr(fdsolver.CdclBackend, "check", recording_check)
+    return calls, checked
+
+
+def test_a_path_encodes_each_prefix_step_once(monkeypatch):
+    def exe(sql):
+        return to_executable(parse_sql(sql), SCHEMA)
+
+    course = (1, exe("SELECT * FROM courses WHERE id = ?"), (SessionParam("MyUserId"),), False)
+    role = (2, exe("SELECT * FROM roles WHERE course_id = ?"), (RowCol(1, 0),), False)
+    teaches = (BoolCol(RowCol(2, 2)), True)
+    noted = (3, exe("SELECT * FROM roles WHERE note = ?"), (RowCol(2, 3),), None)
+    path = [course, role, teaches, course]  # a step given twice is asserted once
+    calls, checked = _recorded(monkeypatch, "encode_query")
+    question = solver.Question(SCHEMA, CONSTRAINTS, 2, RANGE, timeout_s=None)
+    answers = [question.ask_path(steps) for steps in (path, path, path + [noted], path)]
+    assert [status for status, _ in answers] == ["sat"] * 4  # each at bound 1
+    # One encoding per prefix: the repeated `course` ends a prefix of its
+    # own, so it is encoded again, but it adds no formula to its parent's.
+    assert [args[0] for args in calls] == [course[1], role[1], course[1], noted[1]]
+    first, again, extended, last = checked
+    assert len(first) == 5  # course and role: non-empty and at most one; teaches
+    assert all(a is b for a, b in zip(first, again, strict=True))
+    assert all(a is b for a, b in zip(first, last, strict=True))  # extending left the prefix as it was
+    assert len(extended) == 6 and all(a is b for a, b in zip(first, extended[:5]))
+    # The answers are those of a question that encodes from scratch.
+    for steps, answer in zip((path, path + [noted]), answers[::2]):
+        assert solver.Question(SCHEMA, CONSTRAINTS, 2, RANGE, timeout_s=None).ask_path(steps) == answer
+
+
+def test_determinacy_questions_encode_each_shared_view_once(monkeypatch):
+    def nf(sql):
+        return to_executable(parse_sql(sql), SCHEMA).nf
+
+    courses, roles, mine = nf("SELECT * FROM courses"), nf("SELECT * FROM roles"), nf(
+        "SELECT * FROM roles WHERE user_id = MyUserId")
+    notes, teachers = nf("SELECT note FROM roles"), nf("SELECT user_id FROM roles WHERE is_instructor")
+    bounded(SCHEMA, CONSTRAINTS, 1, RANGE, copies=2)  # the context's own formulas, encoded before recording
+    calls, checked = _recorded(monkeypatch, "result_pairs")
+    question = solver.Question(SCHEMA, CONSTRAINTS, 1, RANGE, timeout_s=None)
+    asked = [(notes, [courses, roles]), (teachers, [courses, mine]), (notes, [roles, mine]), (mine, [notes])]
+    answers = [question.ask_determinacy(q, views) for q, views in asked]
+    # Two instances per part: the first question's three, then `mine` and
+    # teachers; the third question's parts are all encoded, and the last
+    # asks of `mine` and of notes what no question asked of them.
+    assert [args[0] for args in calls[::2]] == [courses, roles, notes, mine, teachers, notes, mine]
+    assert [status for status, _ in answers] == ["unsat", "sat", "unsat", "sat"]
+    first, second, third, _ = checked
+    assert second[0] is first[0]
+    assert all(a is b for a, b in zip(third, [first[1], second[1], first[2]], strict=True))
+    # The answers are those of questions that encode from scratch.
+    for (q, views), answer in zip(asked, answers):
+        assert solver.Question(SCHEMA, CONSTRAINTS, 1, RANGE, timeout_s=None).ask_determinacy(q, views) == answer

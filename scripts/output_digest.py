@@ -2,6 +2,10 @@
 """Print one SHA-256 digest per pipeline run, to compare two versions' outputs.
 
     PYTHONPATH=src python3 scripts/output_digest.py
+    PYTHONPATH=src python3 scripts/output_digest.py --lines replies-b2
+
+With `--lines RUN` it prints the lines behind that one run's digest, then
+the digest, so two versions' lines can be compared with `diff`.
 
 Every run is in-process and every solver call has no deadline
 (`timeout_s=None`), so the digests depend only on the code, never on the
@@ -38,6 +42,7 @@ they print the same lines.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import sys
@@ -56,12 +61,16 @@ import synth  # noqa: E402  (the synth-front corpus generator)
 
 
 class Digest:
+    echo = None  # a stream that gets each line too (`--lines`)
+
     def __init__(self):
         self._h = hashlib.sha256()
 
     def add(self, *lines: str) -> None:
         for line in lines:
             self._h.update(line.encode("utf-8") + b"\n")
+            if self.echo is not None:
+                print(line, file=self.echo)
 
     def hexdigest(self) -> str:
         return self._h.hexdigest()
@@ -168,9 +177,16 @@ RUNS = [
 ]
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description="Print one output digest per pipeline run.")
+    ap.add_argument("--lines", metavar="RUN", choices=[name for name, _ in RUNS],
+                    help="print the lines behind this run's digest, then the digest")
+    args = ap.parse_args(argv)
+    if args.lines:
+        Digest.echo = sys.stdout
     for name, run in RUNS:
-        print(f"{name} {run()}", flush=True)
+        if args.lines in (None, name):
+            print(f"{name} {run()}", flush=True)
     return 0
 
 

@@ -24,7 +24,7 @@ from .evaluate import eval_nf
 from .instance import ConcreteInput
 from .lexutil import SourceError, TokenStream, tokenize, unquote
 from .normal import NormalFormQuery, column_of_ordinal, to_normal_form
-from .schema import Interner, Schema, SchemaError
+from .schema import Interner, Schema, SchemaError, hash_once
 from .sqlparser import parse_sql
 from .terms import (
     Col,
@@ -53,12 +53,14 @@ class LiteralRelation:
     rows: tuple[tuple, ...]
 
 
+@hash_once
 @dataclass(frozen=True)
 class Unique:
     table: str
     columns: tuple[str, ...]
 
 
+@hash_once
 @dataclass(frozen=True)
 class Containment:
     left: NormalFormQuery

@@ -32,6 +32,14 @@ class SchemaError(Exception):
     pass
 
 
+def hash_once(cls):
+    """Keep a frozen dataclass's hash after its first use: its fields never
+    change, and a solver context is looked up by its schema and constraints."""
+    fields_hash = cls.__hash__
+    cls.__hash__ = lambda self: self.__dict__.get("_hash") or self.__dict__.setdefault("_hash", fields_hash(self))
+    return cls
+
+
 @dataclass(frozen=True)
 class Column:
     name: str
@@ -72,6 +80,7 @@ class Table:
         return tuple(g for g in groups if not any(self.columns[i].nullable for i in g))
 
 
+@hash_once
 @dataclass(frozen=True)
 class Schema:
     tables: tuple[Table, ...]

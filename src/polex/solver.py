@@ -33,6 +33,10 @@ of steps: sibling prefixes share all but their last) and each
 determinacy part once (a view's agreement, the query's difference).
 These encodings live as long as the rung of that `Question`, and no
 verdict is kept: every question runs its search and verifies its model.
+The one question answered without a search is a path whose last step
+asserts empty a fetch by the key a witness row's non-null foreign key
+holds (`Question.forces_row`): the chase gives that row a parent, so the
+fetch returns it and the path is unsat (Johnson & Klug, JCSS 1984).
 
 An unsat path needs only the rows of a countermodel's witness closure:
 the rows its non-empty query steps matched, and the rows the `contain`
@@ -235,6 +239,24 @@ def _context_links(schema: Schema, constraints: tuple) -> tuple | None:
     keys = {(c.table, schema.table(c.table).column_index(c.columns[0]))
             for c in constraints if isinstance(c, Unique) and len(c.columns) == 1}
     return order, sorted(chases, key=lambda c: order.index(c.left.sources[0])), keys
+
+
+@functools.lru_cache(maxsize=4)
+def _forcing_links(schema: Schema, constraints: tuple) -> frozenset:
+    """The schema-level part of `Question.forces_row`: (T, c, U, k) per
+    `contain` line `T.c ⊆ U.k` that gives every T row a U row, that is with
+    one column a side, `c` not nullable, the left side unfiltered or
+    `c IS NOT NULL` and the right side unfiltered.  A cycle does no harm."""
+    links = set()
+    for c in constraints:
+        if not (isinstance(c, Containment) and isinstance(c.right, NormalFormQuery)
+                and len(c.left.sources) == len(c.right.sources) == len(c.left.projection) == 1):
+            continue
+        (t,), (col,), (u,), (k,) = c.left.sources, c.left.projection, c.right.sources, c.right.projection
+        if (c.right.filter == TruePred() and c.left.filter in (TruePred(), Not(IsNull(Col(col))))
+                and not schema.table(t).columns[col].nullable):
+            links.add((t, col, u, k))
+    return frozenset(links)
 
 
 def bounded(
@@ -493,7 +515,7 @@ class Question:
         row, which later steps read as `RowCol(index, _)`, True that it
         returned none, and None neither.  Every query step also asserts
         that the query returns at most one row.  A step given twice is
-        asserted once.
+        asserted once.  A path `forces_row` decides is unsat without a rung.
 
         A prefix's formulas depend only on the rung and the prefix, so the
         rung's memo holds them as a trie: a node is a prefix's formulas by
@@ -522,7 +544,7 @@ class Question:
                 formulas, rows, children = node
             return list(formulas.values())
 
-        return self.ask(encode, 1, steps)
+        return ("unsat", ()) if self.forces_row(steps) else self.ask(encode, 1, steps)
 
     def ask_determinacy(self, q: NormalFormQuery, views) -> tuple[str, tuple[ConcreteInput, ...]]:
         """Whether two instances that share the session parameters can agree
@@ -579,9 +601,33 @@ class Question:
         return verdict.status, ()
 
     @functools.cached_property
-    def _links(self) -> tuple | None:
-        """`_context_links`, looked up once: its key's hash walks every constraint."""
-        return _context_links(self.schema, tuple(self.constraints))
+    def _forcing(self) -> frozenset:
+        """`_forcing_links`, looked up once per `Question`."""
+        return _forcing_links(self.schema, tuple(self.constraints))
+
+    def forces_row(self, steps) -> bool:
+        """Whether the last of the path `steps` (see `ask_path`) asserts
+        empty a single-source PSJ query on U whose filter is the one
+        conjunct `k = ?p`, `?p` the column `c` of a witness on T (see
+        `row_bounds`), where `T.c ⊆ U.k` is one of `_forcing_links`.  The
+        witness's `c` is then some U row's `k`, so the fetch returns that
+        row at every bound and value range.  Explore and the simplifier flip
+        only the last step of a path some input ran, so only it is read."""
+        if not steps or len(steps[-1]) != 4 or steps[-1][3] is not True:
+            return False
+        _, q, params, _ = steps[-1]
+        nf = q.nf if isinstance(q, PlainQuery) else q
+        keys = _key_equalities(nf) if isinstance(nf, NormalFormQuery) and len(conjuncts(nf.filter)) == 1 else ()
+        term = params[keys[0][1].position - 1] if keys else None
+        if not isinstance(term, RowCol):
+            return False
+        witnesses = {(w.nf if isinstance(w, PlainQuery) else w) for index, w, _, empty in
+                     (step for step in steps[:-1] if len(step) == 4) if index == term.query_index and empty is False}
+        if len(witnesses) != 1:  # two queries on one index: a result column names neither for sure
+            return False
+        (w,) = witnesses
+        return (isinstance(w, NormalFormQuery) and len(w.sources) == 1
+                and (w.sources[0], w.projection[term.column_index], nf.sources[0], keys[0][0]) in self._forcing)
 
     def row_bounds(self, steps) -> dict[str, int] | None:
         """The witness closure's rows per table (see the module docstring)
@@ -601,9 +647,10 @@ class Question:
         non-null and equals that witness's key, and by uniqueness only that
         witness's own row can match it."""
         queries = [step for step in steps if len(step) == 4]
-        if self._links is None or any(isinstance(q, LeftJoinQuery) for _, q, _, _ in queries):
+        links = _context_links(self.schema, tuple(self.constraints))
+        if links is None or any(isinstance(q, LeftJoinQuery) for _, q, _, _ in queries):
             return None
-        order, chases, keys = self._links
+        order, chases, keys = links
         witnesses: dict[int, tuple] = {}  # index -> (nf, params) of each witness
         for index, q, params, empty in queries:
             nf = q.nf if isinstance(q, PlainQuery) else q

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from polex import fdsolver, policygen, pruner
+from polex import fdsolver, policygen, pruner, solver
 from polex.constraints import expand_all, generate_constraints
 from polex.dsl import parse_handler, parse_handlers
 from polex.explorer import (
@@ -245,7 +245,9 @@ def test_infeasible_sibling_for_count_query(toys_schema, toys_constraints):
 def test_empty_parent_fetch_is_refuted_in_few_conflicts(monkeypatch):
     """The filter of a fetch through a foreign key and the containment
     itself compare the same two row symbols, so "the parent came back
-    empty" is refuted without splitting on the key's values."""
+    empty" is refuted without splitting on the key's values.  The path is
+    one `solver.Question.forces_row` answers without a search, so the
+    search is asked with that rule bypassed."""
     schema = parse_schema(
         "table parents { id int unique }\ntable children { id int unique  parent_id int fk parents.id }"
     )
@@ -275,6 +277,9 @@ handler h(Id: int) {
         QueryRecord(1, "SELECT * FROM children WHERE id = ?", (RequestParam("Id"),), False),
         QueryRecord(2, "SELECT * FROM parents WHERE id = ?", (RowCol(1, 1),), True),
     )
+    assert explorer.generate_input(prefix) == (INFEASIBLE, None)
+    assert conflicts == []  # no search
+    monkeypatch.setattr(solver.Question, "forces_row", lambda self, steps: False)
     assert explorer.generate_input(prefix) == (INFEASIBLE, None)
     # Bound 1 only: the prefix's witness closure is one row of each table,
     # so its row bounds answer bound 2 without a search.
@@ -316,11 +321,21 @@ def test_exploration_is_the_same_without_the_bound_1_rung(corpus, monkeypatch):
             for r in (explore(p, schema, constraints, config) for p in programs)
         ]
 
+    decided = []
+    forces_row = solver.Question.forces_row
+
+    def counted_forces_row(self, steps):
+        decided.append(forces_row(self, steps))
+        return decided[-1]
+
     monkeypatch.setattr(fdsolver.CdclBackend, "check", counted_check)
+    monkeypatch.setattr(solver.Question, "forces_row", counted_forces_row)
     with_rung = explored()
     full_bound.only(monkeypatch)
     assert explored() == with_rung
-    assert checks[0] == checks[1]  # every infeasible prefix's closure fits in one row per table
+    # Every prefix the rule did not decide that is infeasible has a closure
+    # of one row per table.
+    assert checks[0] + sum(decided) == checks[1] and any(decided)
 
 
 def test_multi_row_repair(toys_schema, toys_constraints):

@@ -15,10 +15,15 @@ Limited to 3 and 5 instead, every input's category is 3, so that run
 prints bytes of its own.  The `replies` corpus prints the same bytes at
 bounds 3 to 5: its one handler's 4 views prune to 1 by rewriting at every
 bound, so no prune check reaches the self-referencing foreign key's
-full-bound search.  Its bound-2 run differs from them in two generated
-inputs only: explore asks their paths at the full bound (the foreign key
-to its own table leaves no witness-closure count), where a model has two
-posts rows at bound 2 and three from bound 3 on.
+full-bound search.  Its bound-2 run differs from them in one generated
+input only, `show_reply-0004`: explore asks that path at the full bound
+(the foreign key to its own table leaves no witness-closure count), where
+a model has two posts rows at bound 2 and three from bound 3 on.  Each
+empty parent fetch is unsat without a search (`Question.forces_row`),
+so no full-bound search of an unsat path comes before the one that
+generates `show_reply-0003`, which is the same at every bound.
+`scripts/output_digest.py --lines RUN` prints the lines behind a digest,
+to show what a change of pin changed.
 
 A change that alters any of these outputs (transcripts, generated inputs,
 policies, blame) on purpose must update the digest here and say why.
@@ -41,7 +46,7 @@ _spec.loader.exec_module(output_digest)
 TOYS = "9a91070e9465cd2d07f6c7d4be1f6acba1c31113e6ca75edb09541493b171cb6"
 BROADEN = "38d9cdef5556f66239b63aa1d1d9b3534071ecbbbd83b619d898db8780e50871"
 SYNTH_S1 = "36f4f69db2c161abc5fd89757537254fdb3c6c4428f4fce999b3b301657b4288"
-REPLIES = "9be4e0219698daea8e9335068aa8d3b5eb4f6314f26bd8ce0a6f2095a221b409"
+REPLIES = "042e328ddcfb9628faba7ff5ef65991f123766276eb872812f73d530a0fd2664"
 PINNED = {
     "toys-b2": TOYS,
     "toys-b3": TOYS,
@@ -63,7 +68,7 @@ PINNED = {
     "ranges-b2-r15": "eca6fbeadffb63b64e96e0475d90e67bf4f0a2bef9ae055c3620a912e97aac71",
     "toys-b2-domain": TOYS,
     "toys-b2-domain-no-0": "d1c3ef5fc8bab2fa18b3113d087c71aacc4b5f30f5cb97c075a3621c30a0069f",
-    "replies-b2": "b63dbb46d5bea935975947ccce52716f6eaa0f16ce1b0fba66d7912fcdbca07e",
+    "replies-b2": "b70ef83e9053d67f5fbfac9df97a2adae89e7884635f71d3489bb131caa91a30",
     "replies-b3": REPLIES,
     "replies-b4": REPLIES,
     "replies-b5": REPLIES,

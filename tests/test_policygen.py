@@ -460,10 +460,12 @@ def test_unknown_at_bound_1_leaves_the_verdict_to_the_full_bound(grade_schema, g
 
 def test_each_question_reaches_the_solver_once_per_bound(toys_schema, toys_constraints, monkeypatch):
     # `maker` must return a row by the foreign key and is never used: both
-    # queries after the branch ask whether it is vacuous.  So must `parent`,
-    # and asking that has `other` among the premises, a details row whose
-    # item the witness closure chases as a second items row: that question
-    # reaches the full bound.
+    # queries after the branch ask whether it is vacuous, and
+    # `Question.forces_row` answers without a search.  At bound 1 so must
+    # `parent`, the one items row being public: asking that has `other`
+    # among the premises, a details row whose item the witness closure
+    # chases as a second items row, so that question reaches the full
+    # bound, where the item may not be public.
     program = parse_handler(
         """
 handler two_after_branch(ItemId: int) {
@@ -474,7 +476,7 @@ handler two_after_branch(ItemId: int) {
     let ds = query("SELECT * FROM details WHERE item_id = ?", item.id);
     let other = query("SELECT * FROM details WHERE body = ?", item.category);
     if (nonempty(other)) {
-      let parent = query("SELECT * FROM items WHERE id = ?", other.item_id);
+      let parent = query("SELECT * FROM items WHERE id = ? AND public", other.item_id);
     }
     let owner = query("SELECT * FROM users WHERE id = ?", item.owner_id);
     render(ds, owner);
@@ -505,8 +507,9 @@ handler two_after_branch(ItemId: int) {
     simplify(cqs, toys_schema, toys_constraints, dict(program.request_params), timeout_s=None)
     assert len(set(questions)) < len(questions)
     assert set(asked) == set(questions)
-    # Each question is asked at bound 1, and some at the full bound too.
-    assert {b for b, _ in asked.values()} == {(1,), (1, 2)}
+    # Each question is decided without a search, or asked at bound 1, and
+    # some at the full bound too.
+    assert {b for b, _ in asked.values()} == {(), (1,), (1, 2)}
     full = {key for key, (b, _) in asked.items() if b == (1, 2)}
     assert 0 < len(full) < len(set(questions))
 

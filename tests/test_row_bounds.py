@@ -1,18 +1,24 @@
-"""Witness-closure row bounds (`solver.Question.row_bounds`) never change a
+"""Witness-closure row bounds (`solver.Question.row_bounds`) and paths
+answered without a search (`solver.Question.forces_row`) never change a
 verdict.
 
 `solver.Question.ask` answers a question's full-bound rung as unsat without
 a search, or searches it with rows above r_T assumed absent, when the
 question is a path with query steps and bound 1 was unsat.  Every such unsat
 answer must also be the answer of one fresh, uncapped search at the full
-bound (`full_bound.ask`).  The runs below cover generated `synth-front`
-corpora and random explore prefixes and entailment questions over random
-small schemas, at bounds 2 and 3.
+bound (`full_bound.ask`).  A path whose last step asserts empty a fetch
+that a `contain` line gives a row is unsat before any search; asked again
+without that rule, it must be unsat at bound 1 and at the full bound, and
+on tiny schemas no instance of the exhaustive oracle may satisfy it.  The
+runs below cover generated `synth-front` corpora and random explore
+prefixes and entailment questions over random small schemas, at bounds 2
+and 3.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -20,15 +26,18 @@ import pytest
 from polex import fdsolver, solver
 from polex.constraints import Containment, expand_all, generate_constraints, parse_constraint_file
 from polex.dsl import parse_handler, parse_handlers
+from polex.evaluate import ScalarEnv, eval_branch, eval_executable
 from polex.explorer import INFEASIBLE, ExplorationConfig, Explorer, explore
 from polex.normal import NormalFormQuery, PlainQuery
 from polex.policygen import CondBranch, CondQuery, simplify, to_conditioned_queries
+from polex.interpreter import QueryCatalog
 from polex.schema import Interner, parse_schema
 from polex.terms import BoolCol, RequestParam, RowCol
 from polex.transcript import BranchRecord, QueryRecord
 
 import full_bound
 from conftest import simplifier
+from oracle import enumerate_instances
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -53,6 +62,24 @@ def _checked(monkeypatch) -> dict:
     return seen
 
 
+def _decided(monkeypatch) -> list:
+    """Route `Question.forces_row` through a check that each path it
+    decides is unsat when asked again without it, by one fresh search at
+    bound 1 and one at the full bound; returns the paths it decided."""
+    forces_row, decided = solver.Question.forces_row, []
+
+    def checked(self, steps):
+        if not forces_row(self, steps):
+            return False
+        decided.append(steps)
+        for bound in dict.fromkeys((1, self.bound)):
+            assert full_bound.ask_path(self, steps, bound)[0] == "unsat", steps
+        return True
+
+    monkeypatch.setattr(solver.Question, "forces_row", checked)
+    return decided
+
+
 def _load(schema_text: str, extra: str = ""):
     s = parse_schema(schema_text)
     items = generate_constraints(s) + parse_constraint_file(extra, s, Interner())
@@ -71,7 +98,7 @@ def test_capped_synth_front_answers_match_the_full_bound(seed, bound, monkeypatc
 
     schema_text, handlers, _ = synth.generate(seed)
     s, cons = _load(schema_text)
-    seen = _checked(monkeypatch)
+    seen, decided = _checked(monkeypatch), _decided(monkeypatch)
     config = ExplorationConfig(table_bound=bound, solver_timeout=None)
     for name in sorted(handlers)[::3]:
         for program in parse_handlers(handlers[name]):
@@ -80,7 +107,8 @@ def test_capped_synth_front_answers_match_the_full_bound(seed, bound, monkeypatc
             simplify(cqs, s, cons, dict(program.request_params), table_bound=bound, timeout_s=None)
     # Every unsat question's closure is one row per table: a unique-key
     # fetch repeated on both sides of a branch is one row.
-    assert seen["skipped"] == seen["unsat"] > 0 and seen["capped"] == 0
+    assert seen["skipped"] == seen["unsat"] and seen["capped"] == 0
+    assert seen["unsat"] + len(decided) > len(decided) > 0
 
 
 def test_synth_front_counts_the_closure_once_per_bound_1_unsat_question(monkeypatch):
@@ -89,13 +117,19 @@ def test_synth_front_counts_the_closure_once_per_bound_1_unsat_question(monkeypa
 
     schema_text, handlers, _ = synth.generate(1)
     s, cons = _load(schema_text)
-    calls = {"row_bounds": 0, "unsat": 0}
+    calls = {"row_bounds": 0, "unsat": 0, "forced": 0}
     row_bounds, check, bounded = solver.Question.row_bounds, fdsolver.CdclBackend.check, solver.bounded
+    forces_row = solver.Question.forces_row
     bounds = set()
 
     def counted_row_bounds(self, steps):
         calls["row_bounds"] += 1
         return row_bounds(self, steps)
+
+    def counted_forces_row(self, steps):
+        forced = forces_row(self, steps)
+        calls["forced"] += forced
+        return forced
 
     def counted_check(self, *args, **kwargs):
         verdict = check(self, *args, **kwargs)
@@ -107,6 +141,7 @@ def test_synth_front_counts_the_closure_once_per_bound_1_unsat_question(monkeypa
         return bounded(schema, constraints, bound, *args)
 
     monkeypatch.setattr(solver.Question, "row_bounds", counted_row_bounds)
+    monkeypatch.setattr(solver.Question, "forces_row", counted_forces_row)
     monkeypatch.setattr(fdsolver.CdclBackend, "check", counted_check)
     monkeypatch.setattr(solver, "bounded", recorded_bounded)
     config = ExplorationConfig(table_bound=2, solver_timeout=None)
@@ -115,8 +150,10 @@ def test_synth_front_counts_the_closure_once_per_bound_1_unsat_question(monkeypa
             result = explore(program, s, cons, config)
             cqs = to_conditioned_queries(result.transcripts, s)
             simplify(cqs, s, cons, dict(program.request_params), table_bound=2, timeout_s=None)
-    # Sat questions never count it, and no question reaches bound 2.
-    assert calls == {"row_bounds": 96, "unsat": 96} and bounds == {1}
+    # Of the 96 unsat questions, 88 are an empty parent fetch that the
+    # foreign key forbids, decided without a search.  Sat questions never
+    # count the closure, and no question reaches bound 2.
+    assert calls == {"row_bounds": 8, "unsat": 8, "forced": 88} and bounds == {1}
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +164,8 @@ def random_fk_schema(rng: random.Random):
     """Two or three tables, each with a unique `id`, an int `v` (maybe
     unique, maybe nullable) and a bool `f`; past the first, a `ref` column
     with a foreign key to an earlier table's `id`, or a `contain` line into
-    its `v`, maybe filtered on `f`.  Returns (schema, constraints)."""
+    its `v`, maybe filtered on `f` on one side.  Returns (schema,
+    constraints)."""
     lines, extra = [], []
     for i in range(rng.choice([2, 2, 3])):
         v = "v int" + rng.choice(["", "", " unique", " nullable"])
@@ -138,7 +176,8 @@ def random_fk_schema(rng: random.Random):
                 cols.append(f"ref int{rng.choice(['', ' nullable'])} fk {target}.id")
             else:
                 cols.append("ref int")
-                extra.append(f"contain SELECT ref FROM t{i} in SELECT v FROM {target}{rng.choice(['', ' WHERE f'])}")
+                left, right = rng.choice([("", ""), ("", " WHERE f"), (" WHERE f", "")])
+                extra.append(f"contain SELECT ref FROM t{i}{left} in SELECT v FROM {target}{right}")
         lines.append(f"table t{i} {{ {'  '.join(cols)} }}")
     return _load("\n".join(lines), "\n".join(extra))
 
@@ -193,7 +232,7 @@ PROGRAM = parse_handler("handler h(P: int) {\n  render();\n}\n")
 @pytest.mark.parametrize("bound", [2, 3])
 def test_capped_random_questions_match_the_full_bound(seed, bound, monkeypatch):
     rng = random.Random(seed)
-    seen = _checked(monkeypatch)
+    seen, decided = _checked(monkeypatch), _decided(monkeypatch)
     for _ in range(12):
         schema, cons = random_fk_schema(rng)
         explorer = Explorer(PROGRAM, schema, cons, ExplorationConfig(table_bound=bound, solver_timeout=None))
@@ -208,7 +247,7 @@ def test_capped_random_questions_match_the_full_bound(seed, bound, monkeypatch):
             ]
             for k in range(1, len(conditions)):
                 s._entails(conditions, k)
-    assert seen["skipped"] > 0 and seen["capped"] > 0
+    assert seen["skipped"] > 0 and seen["capped"] > 0 and decided
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +439,73 @@ handler h(Id: int) {
              (4, fetch("SELECT * FROM c WHERE id = ?"), (RowCol(3, 1),), False),
              (5, fetch("SELECT * FROM d WHERE id = ?"), (RowCol(4, 1),), True)]
     assert explorer.question.row_bounds(steps) == {"a": 1, "b": 1, "c": 1, "d": 1}
-    seen = _checked(monkeypatch)
+    seen, decided = _checked(monkeypatch), _decided(monkeypatch)
     result = explore(program, s, cons, ExplorationConfig(table_bound=2, solver_timeout=None))
-    assert result.tree.counts()[INFEASIBLE] == 4  # every empty parent fetch, d's too
-    assert seen == {"unsat": 4, "skipped": 4, "capped": 0}
+    # Every empty parent fetch, d's too, is infeasible, and each is an
+    # empty fetch by a non-null foreign key: none reaches a search.
+    assert result.tree.counts()[INFEASIBLE] == len(decided) == 4
+    assert seen == {"unsat": 0, "skipped": 0, "capped": 0}
+
+
+# ---------------------------------------------------------------------------
+# Paths a foreign key decides: the exhaustive oracle agrees
+
+
+def _holds(steps, ci, schema, request) -> bool:
+    """Whether the path `steps` holds on the input `ci` with `request`:
+    each query step returns at most one row, and a row or none as asserted."""
+    env = ScalarEnv(session=dict(ci.session), request=request)
+    for step in steps:
+        if len(step) == 2:
+            if eval_branch(step[0], env) != step[1]:
+                return False
+            continue
+        index, q, params, empty = step
+        rows = eval_executable(q, ci, schema, replace(env, placeholders=tuple(map(env.lookup, params))))
+        if len(rows) > 1 or (empty is not None and empty != (not rows)):
+            return False
+        if empty is False:
+            (env.rows[index],) = rows
+    return True
+
+
+REPLIES = """
+table users { id int unique }
+table posts { id int unique  author_id int fk users.id  parent_id int nullable fk posts.id }
+"""
+NODES = "table nodes { id int unique  parent_id int fk nodes.id }"
+FLAGGED = "table t0 { id int unique }\ntable t1 { id int unique  ref int  alt int  f bool }"
+FLAGGED_LINES = "contain SELECT ref FROM t1 WHERE f in SELECT id FROM t0\ncontain SELECT alt FROM t1 in SELECT id FROM t0"
+POST = ("SELECT * FROM posts WHERE id = ?", RequestParam("P"))
+
+
+# Each path fetches rows, then asserts empty its last fetch.  The rule must
+# decide exactly the paths no instance satisfies: a non-null foreign key,
+# also to its own table, but not a nullable one, a key into another table
+# than the line's, a fetch with a second conjunct, or a line whose left
+# side is filtered.
+@pytest.mark.parametrize("schema_text, extra, path, decided", [
+    (REPLIES, "", [POST, ("SELECT * FROM users WHERE id = ?", RowCol(1, 1))], True),
+    (REPLIES, "", [POST, ("SELECT * FROM posts WHERE id = ?", RowCol(1, 2))], False),
+    (REPLIES, "", [POST, ("SELECT * FROM posts WHERE id = ?", RowCol(1, 1))], False),
+    (REPLIES, "", [POST, ("SELECT * FROM posts WHERE id = ?", RowCol(1, 2)),
+                   ("SELECT * FROM users WHERE id = ?", RowCol(2, 1))], True),
+    (REPLIES, "", [POST, ("SELECT * FROM users WHERE id = ? AND id = 1", RowCol(1, 1))], False),
+    (NODES, "", [("SELECT * FROM nodes WHERE id = ?", RequestParam("P")),
+                 ("SELECT * FROM nodes WHERE id = ?", RowCol(1, 1))], True),
+    (FLAGGED, FLAGGED_LINES, [("SELECT * FROM t1 WHERE id = ?", RequestParam("P")),
+                              ("SELECT * FROM t0 WHERE id = ?", RowCol(1, 1))], False),
+    (FLAGGED, FLAGGED_LINES, [("SELECT * FROM t1 WHERE id = ?", RequestParam("P")),
+                              ("SELECT * FROM t0 WHERE id = ?", RowCol(1, 2))], True),
+], ids=["author", "nullable-parent", "wrong-table", "parents-author", "two-conjuncts", "self-fk",
+        "filtered-left", "unfiltered-left"])
+def test_no_instance_satisfies_a_path_the_rule_decides(schema_text, extra, path, decided, monkeypatch):
+    s, cons = _load(schema_text, extra)
+    exe = QueryCatalog(s).executable
+    steps = [(i, exe(sql), (param,) * sql.count("?"), i == len(path)) for i, (sql, param) in enumerate(path, 1)]
+    question = solver.Question(s, cons, 2, (0, 1), (("P", "int"),), timeout_s=None)
+    seen = _decided(monkeypatch)
+    models = [(ci, p) for ci in enumerate_instances(s, cons, 2, (0, 1)) for p in (0, 1)
+              if _holds(steps, ci, s, {"P": p})]
+    assert question.ask_path(steps)[0] == ("unsat" if decided else "sat")
+    assert (len(seen), not models) == (decided, decided)

@@ -278,3 +278,14 @@ def test_contain_constraint_takes_an_inner_join():
         Interner(),
     )
     assert isinstance(item, Containment)
+
+
+def test_a_schema_and_its_constraints_keep_their_value_hash():
+    # A solver context is looked up by (schema, constraints), so each is
+    # hashed once and equal ones, parsed apart, still hash alike.
+    text = "table courses { id int unique }\ntable roles { course_id int fk courses.id  note int nullable }"
+    a, b = parse_schema(text), parse_schema(text)
+    cons_a, cons_b = expand_all(generate_constraints(a), a), expand_all(generate_constraints(b), b)
+    assert (a, cons_a) == (b, cons_b) and a is not b
+    assert hash((a, tuple(cons_a))) == hash((b, tuple(cons_b)))
+    assert all(x.__dict__["_hash"] == hash(x) for x in (a, *cons_a))

@@ -116,10 +116,10 @@ def pipeline(corpus: str, bound: int, value_range: tuple[int, int] = VALUE_RANGE
     for path in sorted((root / "handlers").glob("*.hdl")):
         for program in dsl.parse_handlers(path.read_text(encoding="utf-8")):
             views = _handler_views(d, program, s, cons, bound, value_range)
-            pruned, _ = pruner.prune(pruner.Policy(views, bound, value_range), cons, s, timeout_s=None)
+            pruned, _ = pruner.prune(pruner.Policy(views, bound, value_range), cons, s)
             d.add(f"pruned {program.name}", rundir.render_policy(pruned.views, s))
             policies.append(pruned)
-    merged, removed = pruner.merge_and_prune(policies, cons, s, timeout_s=None)
+    merged, removed = pruner.merge_and_prune(policies, cons, s)
     d.add(f"merged, {len(removed)} pruned", rundir.render_policy(merged.views, s))
     return d.hexdigest()
 
@@ -130,9 +130,7 @@ def broaden(bound: int) -> str:
     s, cons = _load((root / "schema.txt").read_text(encoding="utf-8"))
     narrow = rundir.load_policy_file(root / "narrow.sql", s)
     broader = rundir.load_policy_file(root / "broader.sql", s)
-    policy, report = pruner.broaden(
-        pruner.Policy(narrow, bound, VALUE_RANGE), broader, cons, s, timeout_s=None
-    )
+    policy, report = pruner.broaden(pruner.Policy(narrow, bound, VALUE_RANGE), broader, cons, s)
     d.add("broadened", rundir.render_policy(policy.views, s))
     for v, blame in report.removed:
         d.add(f"removed {narrow.index(v)} blame {blame}")

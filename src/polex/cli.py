@@ -21,7 +21,7 @@ from .policygen import (
     to_conditioned_queries,
     views_from_cqs,
 )
-from .pruner import Policy, broaden, is_allowed, merge_and_prune, prune
+from .pruner import DETERMINED, Policy, broaden, counterexample, is_allowed, merge_and_prune, prune
 from .rundir import RunDirectory, RunDirError, load_policy_file, render_policy
 from .schema import SchemaError, load_schema
 from .solver import Question
@@ -138,7 +138,7 @@ def cmd_policy_gen(args) -> int:
         print(f"policy generation refused: {e}", file=sys.stderr)
         return REFUSED
     policy = Policy(views, args.bound, args.value_range)
-    pruned, _removed = prune(policy, constraints, schema, args.timeout)
+    pruned, _removed = prune(policy, constraints, schema)
     path = run.write_policy(args.handler, pruned.views, schema)
     print(
         f"{args.handler}: paths={len(transcripts)} "
@@ -163,7 +163,7 @@ def cmd_policy_merge_prune(args) -> int:
     for name in args.handlers:
         views = load_policy_file(run.policy_path(name), schema)
         policies.append(Policy(views, args.bound, args.value_range))
-    merged, removed = merge_and_prune(policies, constraints, schema, args.timeout)
+    merged, removed = merge_and_prune(policies, constraints, schema)
     run.policies_dir.mkdir(parents=True, exist_ok=True)
     out = Path(args.output) if args.output else run.policies_dir / "final.sql"
     out.write_text(render_policy(merged.views, schema), encoding="utf-8")
@@ -179,7 +179,7 @@ def cmd_broaden(args) -> int:
     base_views = load_policy_file(args.policy, schema)
     user_views = load_policy_file(args.added, schema)
     policy = Policy(base_views, args.bound, args.value_range)
-    broadened, report = broaden(policy, user_views, constraints, schema, args.timeout)
+    broadened, report = broaden(policy, user_views, constraints, schema)
     out = Path(args.output) if args.output else Path(args.policy).with_suffix(".broadened.sql")
     out.write_text(render_policy(broadened.views, schema), encoding="utf-8")
     run.reports_dir.mkdir(parents=True, exist_ok=True)
@@ -226,9 +226,14 @@ def cmd_is_allowed(args) -> int:
     schema, constraints = _load(run, args)
     views = load_policy_file(args.policy, schema)
     q = session_view(args.query, schema)
-    question = Question(schema, constraints, args.bound, args.value_range, timeout_s=args.timeout)
-    verdict = is_allowed(q, [v.nf for v in views], question)
-    print(verdict.status.replace("_", " "))
+    nfs = [v.nf for v in views]
+    verdict = is_allowed(q, nfs, schema, constraints)
+    if not verdict.allowed:
+        question = Question(schema, constraints, args.bound, args.value_range, timeout_s=args.timeout)
+        verdict = counterexample(q, nfs, question)
+    lo, hi = args.value_range
+    print(f"determined at bound {args.bound} within range {lo}:{hi}, no rewriting"
+          if verdict.status == DETERMINED else verdict.status.replace("_", " "))
     if verdict.counterexample and args.dump:
         dump = Path(args.dump)
         dump.mkdir(parents=True, exist_ok=True)
@@ -243,12 +248,13 @@ def cmd_is_allowed(args) -> int:
 # Argument parsing
 
 
-def _add_solver_args(p, include_explore=False):
+def _add_solver_args(p, include_explore=False, timeout=True):
     p.add_argument("--bound", type=_positive_int, default=2, help="symbolic rows per table (default 2)")
     p.add_argument("--value-range", type=_value_range, default=(0, 7), metavar="LO:HI",
                    help="database value range (default 0:7)")
-    p.add_argument("--timeout", type=_positive_float, default=5.0,
-                   help="solver timeout per check, seconds (a question asks at most two)")
+    if timeout:
+        p.add_argument("--timeout", type=_positive_float, default=5.0,
+                       help="solver timeout per check, seconds (a question asks at most two)")
     if include_explore:
         p.add_argument("--max-paths", type=_positive_int, default=10000, help="path budget")
 
@@ -281,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("rundir")
     p.add_argument("handlers", nargs="+")
     p.add_argument("-o", "--output")
-    _add_solver_args(p)
+    _add_solver_args(p, timeout=False)
     p.set_defaults(func=cmd_policy_merge_prune)
 
     p = sub.add_parser("broaden", help="add pinned broader views and re-prune")
@@ -289,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("policy")
     p.add_argument("added")
     p.add_argument("-o", "--output")
-    _add_solver_args(p)
+    _add_solver_args(p, timeout=False)
     p.set_defaults(func=cmd_broaden)
 
     p = sub.add_parser("replay", help="re-run a logged input and echo its transcript")

@@ -1,26 +1,27 @@
 """Information containment and policy minimization.
 
 A query is allowed under a policy iff it can be answered from the views
-alone.  Two paths decide this:
+alone.  `is_allowed` decides by rewriting alone: when `_has_rewriting`
+finds the query equal to a selection and projection over view results
+under the constraint list, Allowed holds at every bound and value range;
+otherwise the verdict is NoRewriting.  No solver runs, so every prune
+removal holds at every bound and range.  A view determined without a
+rewriting (Nash, Segoufin & Vianu, TODS 2010) is kept: finite
+determinacy of CQ views is undecidable, and only a bounded search sees it.
 
-  * Rewriting.  When `_has_rewriting` finds the query equal to a selection
-    and projection over view results under the constraint list, Allowed
-    holds at every bound and value range, and no solver runs.
-  * Solver.  Otherwise the pruner states a determinacy pair
-    (`solver.Question.ask_determinacy`) and `solver` builds its formulas:
-    two constraint-satisfying instances (within the table bound and value
-    range) that share session-parameter values and agree on every view's
-    result set yet disagree on the query.  No such pair means Allowed (at
-    this bound); a found pair (each instance checked against the
-    constraints by `solver.Question.ask`) is verified by brute-force
-    evaluation before it is reported.  A prune pass keeps one
-    `solver.Question` for all its checks, bound 1 first, so a reported
-    pair has at most one row per table whenever such a pair exists (and
-    the bound-1 search ends in time).
+`counterexample`, which only the `is-allowed` command calls, states a
+determinacy pair (`solver.Question.ask_determinacy`): two
+constraint-satisfying instances within the table bound and value range
+that share session-parameter values and agree on every view's result
+set yet disagree on the query.  A found pair (each instance checked
+against the constraints by `solver.Question.ask`, bound 1 first, so it
+has at most one row per table whenever such a pair exists) is verified
+by brute-force evaluation and reported NotAllowed; none gives
+Determined, which holds at this bound and range only.
 
 Pruning walks views in decreasing join count (ties: longer SQL text
-first, then lexicographic) and greedily removes any view already
-answerable from the rest; Unknown verdicts never remove a view.
+first, then lexicographic) and greedily removes any view the rest
+rewrite.
 """
 
 from __future__ import annotations
@@ -55,19 +56,16 @@ from .terms import (
 from .unparse import unparse_view
 
 ALLOWED = "allowed"
+NO_REWRITING = "no_rewriting"
 NOT_ALLOWED = "not_allowed"
+DETERMINED = "determined"
 UNKNOWN = "unknown"
-
-# Which path decided a verdict.
-REWRITING = "rewriting"
-SOLVER = "solver"
 
 
 @dataclass
 class ContainmentVerdict:
     status: str
     counterexample: tuple[ConcreteInput, ConcreteInput] | None = None
-    via: str = SOLVER
 
     @property
     def allowed(self) -> bool:
@@ -295,22 +293,23 @@ def _has_rewriting(
 # Determinacy
 
 
-def is_allowed(q: NormalFormQuery, views: list[NormalFormQuery], question: Question) -> ContainmentVerdict:
-    """Determinacy check of `q` against `views` under `question`'s schema
-    and constraints: by rewriting if one exists, else by the bounded
-    solver check on `question`."""
-    if _has_rewriting(q, views, question.constraints, question.schema):
-        return ContainmentVerdict(ALLOWED, via=REWRITING)
-    return _is_allowed_by_solver(q, views, question)
+def is_allowed(
+    q: NormalFormQuery, views: list[NormalFormQuery], schema: Schema, constraints: list[Constraint]
+) -> ContainmentVerdict:
+    """Allowed if `views` rewrite `q` under `constraints`, else NoRewriting."""
+    return ContainmentVerdict(ALLOWED if _has_rewriting(q, views, constraints, schema) else NO_REWRITING)
 
 
-def _is_allowed_by_solver(q: NormalFormQuery, views: list[NormalFormQuery], question: Question) -> ContainmentVerdict:
-    """Bounded two-instance determinacy check of `q` against `views`."""
+def counterexample(q: NormalFormQuery, views: list[NormalFormQuery], question: Question) -> ContainmentVerdict:
+    """Bounded two-instance determinacy check of `q` against `views` on
+    `question`, for a query `is_allowed` finds no rewriting of:
+    NotAllowed with a verified pair, Determined when the search is unsat,
+    else Unknown."""
     status, inputs = question.ask_determinacy(q, views)
     if status == "unknown":
         return ContainmentVerdict(UNKNOWN)
     if status == "unsat":
-        return ContainmentVerdict(ALLOWED)
+        return ContainmentVerdict(DETERMINED)
     ca, cb = (replace(ci, input_id=f"counterexample-{side}") for ci, side in zip(inputs, "ab"))
     _verify_counterexample(q, views, question.schema, ca, cb)
     return ContainmentVerdict(NOT_ALLOWED, (ca, cb))
@@ -344,23 +343,23 @@ def prune(
     policy: Policy,
     constraints: list[Constraint],
     schema: Schema,
-    timeout_s: float = 5.0,
+    timeout_s: float | None = None,
 ) -> tuple[Policy, list[View]]:
-    """Single greedy pass; returns (pruned policy, removed views)."""
-    question = Question(schema, constraints, policy.bound, policy.value_range, timeout_s=timeout_s)
-    return _prune_pass(policy, question, frozenset())
+    """Single greedy pass; returns (pruned policy, removed views).  No
+    decision searches, so `timeout_s` is ignored; it goes with ROADMAP
+    item 5's benchmark change, as in `merge_and_prune` and `broaden`."""
+    return _prune_pass(policy, constraints, schema, frozenset())
 
 
-def _prune_pass(policy: Policy, question: Question, pinned: frozenset) -> tuple[Policy, list[View]]:
-    """`prune`'s pass, asking on `question`."""
-    schema = question.schema
+def _prune_pass(policy: Policy, constraints: list[Constraint], schema: Schema, pinned: frozenset):
+    """`prune`'s pass, keeping the views in `pinned`."""
     current = list(policy.views)
     removed: list[View] = []
     for v in _prune_order(policy.views, schema):
         if v.nf in pinned or v not in current:
             continue
         rest = [w.nf for w in current if w is not v]
-        if is_allowed(v.nf, rest, question).allowed:
+        if is_allowed(v.nf, rest, schema, constraints).allowed:
             current = [w for w in current if w is not v]
             removed.append(v)
     return Policy(current, policy.bound, policy.value_range), removed
@@ -370,23 +369,16 @@ def merge_and_prune(
     policies: list[Policy],
     constraints: list[Constraint],
     schema: Schema,
-    timeout_s: float = 5.0,
+    timeout_s: float | None = None,
 ) -> tuple[Policy, list[View]]:
-    """Union of per-handler policies, deduplicated, then pruned."""
+    """Union of per-handler policies, deduplicated, then pruned (`timeout_s`: see `prune`)."""
     if not policies:
         return Policy([], 2), []
-    bound = policies[0].bound
-    value_range = policies[0].value_range
-    merged: list[View] = []
-    seen = set()
-    for p in policies:
-        if (p.bound, p.value_range) != (bound, value_range):
-            raise PrunerError("policies merged with different bounds")
-        for v in p.views:
-            if v.nf not in seen:
-                seen.add(v.nf)
-                merged.append(v)
-    return prune(Policy(merged, bound, value_range), constraints, schema, timeout_s)
+    bound, value_range = policies[0].bound, policies[0].value_range
+    if any((p.bound, p.value_range) != (bound, value_range) for p in policies):
+        raise PrunerError("policies merged with different bounds")
+    merged = list(dict.fromkeys(v for p in policies for v in p.views))  # views compare by `nf`
+    return prune(Policy(merged, bound, value_range), constraints, schema)
 
 
 @dataclass
@@ -401,18 +393,17 @@ def broaden(
     user_views: list[View],
     constraints: list[Constraint],
     schema: Schema,
-    timeout_s: float = 5.0,
+    timeout_s: float | None = None,
 ) -> tuple[Policy, BroadenReport]:
-    """Add pinned user views, re-prune, and report what became redundant."""
+    """Add pinned user views, re-prune, and report what became redundant (`timeout_s`: see `prune`)."""
     seen = {v.nf for v in policy.views}
     added = [v for v in user_views if v.nf not in seen]
     combined = Policy(policy.views + added, policy.bound, policy.value_range)
     pinned = frozenset(v.nf for v in user_views)
-    question = Question(schema, constraints, policy.bound, policy.value_range, timeout_s=timeout_s)
-    pruned, removed = _prune_pass(combined, question, pinned)
+    pruned, removed = _prune_pass(combined, constraints, schema, pinned)
     report = BroadenReport()
     base = [v.nf for v in pruned.views if v.nf not in pinned]
     for v in removed:
-        blame = [i for i, u in enumerate(user_views) if is_allowed(v.nf, base + [u.nf], question).allowed]
+        blame = [i for i, u in enumerate(user_views) if is_allowed(v.nf, base + [u.nf], schema, constraints).allowed]
         report.removed.append((v, blame))
     return pruned, report

@@ -22,15 +22,15 @@ the same two row symbols, and the solver sees they are one fact.
 Every stage asks the solver through a `Question`, and this module alone
 builds formulas: a stage states a path (explore's pending prefix, or the
 simplifier's premises followed by its goal flipped) or a determinacy
-pair (the pruner's two instances that agree on the views and differ on
-the query).  A question is asked at bound 1 first (a bound-1 model is a
+pair (`is-allowed`'s two instances that agree on the views and differ
+on the query).  A question is asked at bound 1 first (a bound-1 model is a
 full-bound model with the other rows absent), and a sat answer comes
 back as one input per instance, checked against the constraints.
-Explore and policy-gen keep one `Question` for a stage call and the
-pruner one for a prune pass, so all its questions on a rung go to one
-incremental search.  The rung also encodes each path prefix once (a trie
-of steps: sibling prefixes share all but their last) and each
-determinacy part once (a view's agreement, the query's difference).
+Explore and policy-gen keep one `Question` for a stage call, so all its
+questions on a rung go to one incremental search.  The rung also
+encodes each path prefix once (a trie of steps: sibling prefixes share
+all but their last) and each determinacy part once (a view's agreement,
+the query's difference).
 These encodings live as long as the rung of that `Question`, and no
 verdict is kept: every question runs its search and verifies its model.
 The one question answered without a search is a path whose last step
@@ -267,11 +267,12 @@ def bounded(
     params=(),
     copies: int = 1,
 ) -> tuple[VarPool, tuple[SymInstance, ...], SymEnv]:
-    """The symbols every check starts from: `copies` instances (the pruner
-    compares two), then shared session-parameter symbols, then one per
-    `(name, type)` request parameter not yet allocated; allocation order
-    fixes the SAT variable numbers.  Returns (pool, instances, env), the
-    pool's base holding the instance formulas, compiled once per context.
+    """The symbols every check starts from: `copies` instances (a
+    determinacy pair compares two), then shared session-parameter
+    symbols, then one per `(name, type)` request parameter not yet
+    allocated; allocation order fixes the SAT variable numbers.  Returns
+    (pool, instances, env), the pool's base holding the instance
+    formulas, compiled once per context.
     `_shared` keeps four, the most a run uses: one instance and two, each
     at bound 1 and at the full bound.
     """
@@ -487,11 +488,11 @@ def _set_neq(pairs_a, pairs_b):
 
 @dataclass
 class Question:
-    """Bounded questions over one context, for the life of one stage call
-    or prune pass.  A stage states what it asks, a path (`ask_path`) or a
-    determinacy pair (`ask_determinacy`), and only this class builds the
-    formulas.  Each rung (bound 1, and `bound`) of each instance count gets
-    one incremental search at its first question, and every later question
+    """Bounded questions over one context, for the life of one stage call.
+    A stage states what it asks, a path (`ask_path`) or a determinacy
+    pair (`ask_determinacy`), and only this class builds the formulas.
+    Each rung (bound 1, and `bound`) of each instance count gets one
+    incremental search at its first question, and every later question
     on that rung reuses it, with the formulas it has encoded (a `memo`, see
     `ask`; never a verdict).  A path's query steps give its witness closure
     (`row_bounds`): a countermodel within `bound` rows has one within

@@ -7,6 +7,7 @@ import pytest
 from polex.constraints import expand_all, generate_constraints
 from polex.dsl import parse_handler
 from polex.policygen import Simplifier
+from polex.pruner import ContainmentVerdict, counterexample, is_allowed
 from polex.schema import parse_schema
 from polex.solver import Question
 
@@ -20,8 +21,15 @@ def record_acceptance(line: str) -> None:
 
 
 def determinacy(schema, constraints, bound=2, value_range=(0, 7), timeout_s=5.0) -> Question:
-    """A `Question` for `pruner.is_allowed` at the CLI's defaults."""
+    """A `Question` for `pruner.counterexample` at the CLI's defaults."""
     return Question(schema, constraints, bound, value_range, timeout_s=timeout_s)
+
+
+def decide(q, views, question: Question) -> ContainmentVerdict:
+    """The `is-allowed` command's verdict: Allowed by a rewriting, else
+    `pruner.counterexample`'s on `question`."""
+    verdict = is_allowed(q, views, question.schema, question.constraints)
+    return verdict if verdict.allowed else counterexample(q, views, question)
 
 
 def simplifier(schema, constraints, param_types=None, bound=2, timeout_s=5.0) -> Simplifier:

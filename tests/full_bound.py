@@ -3,7 +3,7 @@ its row caps and without a search shared between questions.
 
 `solver.Question` decides a question with one row per table first and at
 the full bound only if that finds no model, each rung on one incremental
-search that every question of the stage call or prune pass reuses.  A bound-1 model is
+search that every question of the stage call reuses.  A bound-1 model is
 a full-bound model with the other rows absent, so the rung must never
 change a verdict, and what a search learnt from earlier questions must
 never change an answer.  Nor may a question's witness closure
@@ -42,9 +42,9 @@ def ask(question: solver.Question, encode, copies, steps=None):
 
 
 def only(monkeypatch) -> None:
-    """Route every question of explore, policy-gen and prune through `ask`
-    above while the test runs, paths that `solver.Question.forces_row`
-    decides too."""
+    """Route every question of explore, policy-gen and `counterexample`
+    through `ask` above while the test runs, paths that
+    `solver.Question.forces_row` decides too."""
     monkeypatch.setattr(solver.Question, "ask", ask)
     monkeypatch.setattr(solver.Question, "forces_row", lambda self, steps: False)
 

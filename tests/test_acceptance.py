@@ -27,7 +27,7 @@ from polex.evaluate import ScalarEnv, eval_pred
 from polex.explorer import ExplorationConfig, explore
 from polex.normal import to_normal_form
 from polex.policygen import simplify, to_conditioned_queries, views_from_cqs
-from polex.pruner import ALLOWED, REWRITING, SOLVER, Policy, broaden, is_allowed, merge_and_prune, prune
+from polex.pruner import ALLOWED, DETERMINED, Policy, broaden, is_allowed, merge_and_prune, prune
 from polex.rundir import RunDirectory, load_policy_file
 from polex.schema import parse_schema
 from polex.sqlparser import parse_sql
@@ -35,7 +35,7 @@ from polex.terms import Col
 from polex.transcript import QueryRecord
 from polex.unparse import unparse_view
 
-from conftest import determinacy, record_acceptance, simplifier
+from conftest import decide, determinacy, record_acceptance, simplifier
 from oracle import BruteForceDeterminacy
 from test_pruner import random_case
 
@@ -128,9 +128,9 @@ def test_criterion_1_golden_end_to_end(tmp_path):
     ]
     extracted = [v.nf for v in views]
     for q in extracted:
-        assert is_allowed(q, handwritten, determinacy(schema, constraints)).status == ALLOWED
+        assert is_allowed(q, handwritten, schema, constraints).status == ALLOWED
     for q in handwritten:
-        assert is_allowed(q, extracted, determinacy(schema, constraints)).status == ALLOWED
+        assert is_allowed(q, extracted, schema, constraints).status == ALLOWED
 
     elapsed = time.monotonic() - started
     assert elapsed < 60.0
@@ -265,7 +265,7 @@ def test_criterion_3_completeness(toys_schema, toys_constraints, toy_pipeline):
         views = views_from_cqs(cqs, toys_schema)
         for v in views:
             total += 1
-            verdict = is_allowed(v.nf, policy_nfs, determinacy(toys_schema, toys_constraints, 2, (0, 3)))
+            verdict = is_allowed(v.nf, policy_nfs, toys_schema, toys_constraints)
             if verdict.status != ALLOWED:
                 violations.append((name, unparse_view(v.nf, toys_schema)))
     assert not violations, violations
@@ -297,10 +297,10 @@ def test_criterion_5_simplification_soundness(toys_schema, toys_constraints, toy
             _, ablated = _corpus_policy(toys_schema, toys_constraints, toy_pipeline)
         ablated_nfs = [v.nf for v in ablated.views]
         for q in full_nfs:
-            verdict = is_allowed(q, ablated_nfs, determinacy(toys_schema, toys_constraints, 2, (0, 3)))
+            verdict = is_allowed(q, ablated_nfs, toys_schema, toys_constraints)
             assert verdict.status == ALLOWED, f"step {step}: full view not allowed by ablated policy"
         for q in ablated_nfs:
-            verdict = is_allowed(q, full_nfs, determinacy(toys_schema, toys_constraints, 2, (0, 3)))
+            verdict = is_allowed(q, full_nfs, toys_schema, toys_constraints)
             assert verdict.status == ALLOWED, f"step {step}: ablated view not allowed by full policy"
 
     # The merge-branches unit case reduces the count by exactly one.
@@ -326,27 +326,27 @@ def test_criterion_4_oracle_equivalence():
     rng = random.Random(20260810)
     cases = 0
     unknowns = 0
-    allowed_via = {REWRITING: 0, SOLVER: 0}
+    allowed = {ALLOWED: 0, DETERMINED: 0}  # by rewriting, by the solver
     while cases < 200:
         schema, constraints, bound, views, q = random_case(rng)
         cases += 1
         oracle = BruteForceDeterminacy(schema, constraints, bound, (0, 1, 2))
         want, _ = oracle.is_allowed(q, views)
-        verdict = is_allowed(q, views, determinacy(schema, constraints, bound, (0, 2), 5.0))
+        verdict = decide(q, views, determinacy(schema, constraints, bound, (0, 2), 5.0))
         if verdict.status == "unknown":
             unknowns += 1
             continue
-        got = verdict.status == ALLOWED
+        got = verdict.status in allowed
         assert got == want, f"case {cases}: solver={verdict.status}, oracle allowed={want}"
         if got:
-            allowed_via[verdict.via] += 1
+            allowed[verdict.status] += 1
     assert unknowns / cases < 0.05
     # Every determined case here has a rewriting: the views determine each
     # query monotonically, so the solver never has to say "allowed".
-    assert allowed_via[SOLVER] == 0, allowed_via
+    assert allowed[DETERMINED] == 0, allowed
     _passed(4, f"containment checker agrees with the exhaustive oracle on all "
                f"{cases - unknowns} decided cases of {cases} ({unknowns} unknown); "
-               f"{allowed_via[REWRITING]} allowed by rewriting, {allowed_via[SOLVER]} by the solver")
+               f"{allowed[ALLOWED]} allowed by rewriting, {allowed[DETERMINED]} by the solver")
 
 
 # ---------------------------------------------------------------------------

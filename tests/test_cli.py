@@ -346,6 +346,31 @@ def test_is_allowed_reads_foreign_keys_from_the_edited_constraints(tmp_path, cap
         assert all(len(rows) <= 1 for rows in tables.values()), tables
 
 
+def test_is_allowed_reports_a_determinacy_without_a_rewriting_as_bounded(tmp_path, capsys):
+    # The ids determine the categories only while every category is 0.
+    run = make_run(tmp_path, "toys")
+    policy = tmp_path / "policy.sql"
+    policy.write_text("SELECT id FROM items;\n")
+    argv = ["is-allowed", str(run), str(policy), "SELECT category FROM items", "--bound", "1"]
+    capsys.readouterr()
+    assert main(argv + ["--value-range", "0:0"]) == 0
+    assert capsys.readouterr().out == "determined at bound 1 within range 0:0, no rewriting\n"
+    assert main(argv + ["--value-range", "0:1"]) == 0
+    assert capsys.readouterr().out == "not allowed\n"
+
+
+@pytest.mark.parametrize("command", ["policy-merge-prune", "broaden"])
+def test_commands_that_never_search_reject_timeout(tmp_path, capsys, command):
+    run = make_run(tmp_path, "toys")
+    argv = {"policy-merge-prune": ["policy-merge-prune", str(run), "show_item"],
+            "broaden": ["broaden", str(run), "p.sql", "q.sql"]}[command]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--timeout", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --timeout 5" in capsys.readouterr().err
+
+
 def test_broaden_cli(tmp_path, capsys):
     run = tmp_path / "run"
     run.mkdir()

@@ -18,7 +18,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.mark.parametrize("workload, sat, undecided, decisions", [
-    ("toys-b3", 46, 37, 55),
+    ("toys-b3", 30, 22, 45),
     ("synth-front", 148, 88, 720),
 ])
 def test_sat_checks_end_without_a_decision_when_the_completion_holds(

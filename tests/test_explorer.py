@@ -463,8 +463,8 @@ def test_a_toys_job_leaves_no_reference_cycles(toys_schema, toys_constraints):
             cqs = policygen.simplify(policygen.to_conditioned_queries(res.transcripts, toys_schema), toys_schema,
                                      toys_constraints, dict(program.request_params), table_bound=3, timeout_s=None)
             policy = pruner.Policy(policygen.views_from_cqs(cqs, toys_schema), 3)
-            policies.append(pruner.prune(policy, toys_constraints, toys_schema, timeout_s=None)[0])
-        return pruner.merge_and_prune(policies, toys_constraints, toys_schema, timeout_s=None)
+            policies.append(pruner.prune(policy, toys_constraints, toys_schema)[0])
+        return pruner.merge_and_prune(policies, toys_constraints, toys_schema)
 
     job()
     gc.collect()

@@ -1,8 +1,8 @@
 """Same inputs, same bytes: one pinned output digest per run of
 `scripts/output_digest.py`, so a run added there cannot stay unpinned.
 
-Toys prints the same bytes at bounds 2 to 5, where every solver-decided
-prune check ends at bound 1, and broaden at bounds 2 to 5.  `synth-front`
+Toys prints the same bytes at bounds 2 to 5, and broaden, whose prune
+decides by rewriting alone, at bounds 2 to 5.  `synth-front`
 seed 1 prints the same bytes at bounds 2, 4, 6 and 8: its sat questions
 all end at bound 1, and the witness closure of every unsat one is one row
 per table, so none reaches the full bound.  Models take
@@ -14,8 +14,7 @@ prints the toys bytes: every input's category is 0, the id of 'red'.
 Limited to 3 and 5 instead, every input's category is 3, so that run
 prints bytes of its own.  The `replies` corpus prints the same bytes at
 bounds 3 to 5: its one handler's 4 views prune to 1 by rewriting at every
-bound, so no prune check reaches the self-referencing foreign key's
-full-bound search.  Its bound-2 run differs from them in one generated
+bound, with no search.  Its bound-2 run differs from them in one generated
 input only, `show_reply-0004`: explore asks that path at the full bound
 (the foreign key to its own table leaves no witness-closure count), where
 a model has two posts rows at bound 2 and three from bound 3 on.  Each
@@ -104,9 +103,9 @@ def test_domain_without_0_moves_every_category_off_0():
 
 
 def test_toys_pipeline_compiles_each_bounded_context_once():
-    # Explore and policy-gen use one instance, prune two; every stage asks
-    # through a `solver.Question`, which compiles each at bound 1 and at
-    # the full bound: four contexts at most, all kept by the memo.
+    # Explore and policy-gen use one instance, and prune asks no solver;
+    # every stage asks through a `solver.Question`, which compiles it at
+    # bound 1 and at the full bound: two contexts at most, kept by the memo.
     solver._shared.cache_clear()
     output_digest.pipeline("toys", 5)
-    assert solver._shared.cache_info().misses <= 4
+    assert solver._shared.cache_info().misses <= 2

@@ -64,4 +64,27 @@ def test_traced_toys_job_counts_the_same_work(tracing, tmp_path):
     assert (m["explorer.paths"], m["explorer.infeasible"], m["fdsolver.unknown"]) == (24, 3, 0)
     # Of the 4 unsat questions, 2 are an empty parent fetch that a foreign
     # key forbids, answered without a check: 1 in explore, 1 in policy-gen.
-    assert (m["fdsolver.check_calls"], m["fdsolver.conflicts"], m["explorer.cache_hits"]) == (48, 1, 1)
+    # Prune makes no check: its 26 decisions are rewritings or none.
+    assert (m["fdsolver.check_calls"], m["fdsolver.conflicts"], m["explorer.cache_hits"]) == (32, 1, 1)
+    assert (m["pruner.is_allowed_calls"], m["pruner.allowed"]) == (26, 10)
+
+
+def test_every_workload_job_counts_operations_and_fails_none(tmp_path, monkeypatch):
+    # perfbench/run.py counts a job's operations under `counting_verdicts`,
+    # which sees prune and broaden only through `pruner.is_allowed`: a
+    # decision made past that name leaves broaden-b3 with none to count.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    attempted = {}
+    for name, wl in workloads.WORKLOADS.items():
+        ld = workloads.load(**wl.inputs(PERFBENCH.parent, 1, tmp_path))
+        ops = workloads.Ops()
+        with workloads.counting_verdicts(ops):
+            assert wl.check(ld, wl.job(ld, ops)) == []
+        assert ops.failed == 0, name
+        attempted[name] = ops.attempted
+    assert min(attempted.values()) > 0, attempted
+    # 6 decisions in broaden's prune pass, and 10 in its blame: 5 removed
+    # views, each against the 2 pinned ones.
+    assert attempted["broaden-b3"] == 16

@@ -11,20 +11,22 @@ from polex.normal import to_normal_form
 from polex.policygen import View
 from polex.pruner import (
     ALLOWED,
+    DETERMINED,
+    NO_REWRITING,
     NOT_ALLOWED,
     Policy,
     broaden,
+    counterexample,
     is_allowed,
     merge_and_prune,
     prune,
-    _is_allowed_by_solver,
     _verify_counterexample,
 )
 from polex.schema import parse_schema
 from polex.sqlparser import parse_sql
 
 import full_bound
-from conftest import determinacy
+from conftest import decide, determinacy
 from oracle import BruteForceDeterminacy
 
 
@@ -50,12 +52,12 @@ def listing_policy(grade_schema):
 
 def test_extracted_view_allowed_under_handwritten_policy(grade_schema, grade_constraints, listing_policy):
     v1, v2, vstar = listing_policy
-    assert is_allowed(vstar, [v1, v2], determinacy(grade_schema, grade_constraints)).status == ALLOWED
+    assert is_allowed(vstar, [v1, v2], grade_schema, grade_constraints).status == ALLOWED
 
 
 def test_identity_is_allowed(grade_schema, grade_constraints, listing_policy):
     v1, _, _ = listing_policy
-    assert is_allowed(v1, [v1], determinacy(grade_schema, grade_constraints)).status == ALLOWED
+    assert is_allowed(v1, [v1], grade_schema, grade_constraints).status == ALLOWED
 
 
 def test_independent_column_not_allowed_with_verified_pair():
@@ -63,10 +65,11 @@ def test_independent_column_not_allowed_with_verified_pair():
     cons = expand_all(generate_constraints(schema), schema)
     qa = nf("SELECT a FROM t", schema)
     qb = nf("SELECT b FROM t", schema)
-    verdict = is_allowed(qa, [qb], determinacy(schema, cons, bound=1, value_range=(0, 1)))
+    assert is_allowed(qa, [qb], schema, cons).status == NO_REWRITING
+    verdict = counterexample(qa, [qb], determinacy(schema, cons, bound=1, value_range=(0, 1)))
     assert verdict.status == NOT_ALLOWED
     ca, cb = verdict.counterexample
-    # the pair is pre-verified inside is_allowed; sanity-check shape here
+    # the pair is pre-verified inside counterexample; sanity-check shape here
     assert ca.tables["t"] != cb.tables["t"]
 
 
@@ -98,10 +101,11 @@ def test_counterexample_needing_two_rows_comes_from_the_full_bound(monkeypatch):
     schema, cons, q, views = _two_rows_needed()
     for bound, allowed in ((1, True), (2, False)):
         assert BruteForceDeterminacy(schema, cons, bound, (0, 1)).is_allowed(q, views)[0] == allowed
-    assert _is_allowed_by_solver(q, views, determinacy(schema, cons, 1, (0, 1), None)).status == ALLOWED
-    verdict = is_allowed(q, views, determinacy(schema, cons, 2, (0, 1), None))
+    assert is_allowed(q, views, schema, cons).status == NO_REWRITING
+    assert counterexample(q, views, determinacy(schema, cons, 1, (0, 1), None)).status == DETERMINED
+    verdict = counterexample(q, views, determinacy(schema, cons, 2, (0, 1), None))
     full_bound.only(monkeypatch)
-    full = _is_allowed_by_solver(q, views, determinacy(schema, cons, 2, (0, 1), None))
+    full = counterexample(q, views, determinacy(schema, cons, 2, (0, 1), None))
     assert verdict.status == NOT_ALLOWED and verdict == full
     assert max(len(ci.tables["t"]) for ci in verdict.counterexample) == 2
 
@@ -115,18 +119,18 @@ def test_unknown_at_bound_1_leaves_the_verdict_to_the_full_bound(monkeypatch):
         return CheckResult("unknown") if bounds[-1] == 1 else original(*args, **kwargs)
 
     monkeypatch.setattr(CdclBackend, "check", unknown_at_bound_1)
-    # Not allowed at bound 1 already; allowed, as the union of two views.
+    # Not allowed at bound 1 already; determined, as the union of two views.
     split = parse_schema("table t { a int  f bool }")
     split_cons = expand_all(generate_constraints(split), split)
     union = [nf("SELECT * FROM t WHERE f", split), nf("SELECT * FROM t WHERE NOT f", split)]
     for query, over, s, c, want in ((a, [b], schema, cons, NOT_ALLOWED),
-                                    (nf("SELECT * FROM t", split), union, split, split_cons, ALLOWED)):
+                                    (nf("SELECT * FROM t", split), union, split, split_cons, DETERMINED)):
         del bounds[:]
-        verdict = is_allowed(query, over, determinacy(s, c, 2, (0, 1), None))
+        verdict = counterexample(query, over, determinacy(s, c, 2, (0, 1), None))
         assert bounds == [1, 2] and verdict.status == want
         with pytest.MonkeyPatch.context() as mp:
             full_bound.only(mp)
-            assert verdict == _is_allowed_by_solver(query, over, determinacy(s, c, 2, (0, 1), None))
+            assert verdict == counterexample(query, over, determinacy(s, c, 2, (0, 1), None))
 
 
 def test_prune_removes_projection_subsumed_view():
@@ -152,11 +156,7 @@ def test_prune_soundness(grade_schema, grade_constraints, listing_policy):
     policy = Policy([View(v1), View(v2), View(vstar)], bound=2, value_range=(0, 3))
     pruned, removed = prune(policy, grade_constraints, grade_schema)
     for v in removed:
-        verdict = is_allowed(
-            v.nf, [w.nf for w in pruned.views],
-            determinacy(grade_schema, grade_constraints, policy.bound, policy.value_range),
-        )
-        assert verdict.status == ALLOWED
+        assert is_allowed(v.nf, [w.nf for w in pruned.views], grade_schema, grade_constraints).status == ALLOWED
 
 
 def test_merge_and_prune_dedups():
@@ -223,8 +223,22 @@ def test_broaden_monotonicity(grade_schema, grade_constraints, listing_policy):
     wide = View(nf("SELECT * FROM grades", grade_schema))
     out, _ = broaden(base, [wide], grade_constraints, grade_schema)
     for v in (v1, vstar):
-        verdict = is_allowed(v, [w.nf for w in out.views], determinacy(grade_schema, grade_constraints, 2, (0, 3)))
-        assert verdict.status == ALLOWED
+        assert is_allowed(v, [w.nf for w in out.views], grade_schema, grade_constraints).status == ALLOWED
+
+
+def test_a_view_determined_without_a_rewriting_is_kept(toys_schema, toys_constraints):
+    # At value range 0:0 every category is 0, so the ids, which say whether
+    # an items row exists, determine the categories; at 0:1 they do not.
+    # No rewriting exists, so prune and broaden keep the view.
+    category, ids = nf("SELECT category FROM items", toys_schema), nf("SELECT id FROM items", toys_schema)
+    assert is_allowed(category, [ids], toys_schema, toys_constraints).status == NO_REWRITING
+    for value_range, want in (((0, 0), DETERMINED), ((0, 1), NOT_ALLOWED)):
+        question = determinacy(toys_schema, toys_constraints, 1, value_range, None)
+        assert counterexample(category, [ids], question).status == want
+    policy = Policy([View(category), View(ids)], 1, (0, 0))
+    assert prune(policy, toys_constraints, toys_schema) == (policy, [])
+    out, report = broaden(Policy([View(category)], 1, (0, 0)), [View(ids)], toys_constraints, toys_schema)
+    assert out.views == [View(category), View(ids)] and report.removed == []
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +302,11 @@ def test_is_allowed_agrees_with_exhaustive_oracle(seed):
         schema, constraints, bound, views, q = random_case(rng)
         oracle = BruteForceDeterminacy(schema, constraints, bound, domain)
         want, _ = oracle.is_allowed(q, views)
-        verdict = is_allowed(q, views, determinacy(schema, constraints, bound, (0, 2)))
+        verdict = decide(q, views, determinacy(schema, constraints, bound, (0, 2)))
         if verdict.status == "unknown":
             unknowns += 1
             continue
-        got = verdict.status == ALLOWED
+        got = verdict.status in (ALLOWED, DETERMINED)
         assert got == want, f"case {case}: solver={verdict.status} oracle_allowed={want}"
     assert unknowns == 0
 
@@ -306,7 +320,7 @@ def test_counterexample_has_one_row_per_table_when_bound_1_has_one(seed):
         if BruteForceDeterminacy(schema, constraints, 1, (0, 1, 2)).is_allowed(q, views)[0]:
             continue
         small += 1
-        verdict = is_allowed(q, views, determinacy(schema, constraints, 2, (0, 2), None))
+        verdict = decide(q, views, determinacy(schema, constraints, 2, (0, 2), None))
         assert verdict.status == NOT_ALLOWED, f"case {case}"
         for ci in verdict.counterexample:
             assert all(len(rows) <= 1 for rows in ci.tables.values()), f"case {case}: {ci.tables}"
@@ -314,8 +328,8 @@ def test_counterexample_has_one_row_per_table_when_bound_1_has_one(seed):
 
 
 def test_one_determinacy_search_answers_many_pairs_like_the_oracle():
-    # A prune pass asks all its questions on one two-copy `Question`: what
-    # its searches learnt from earlier pairs must never change an answer.
+    # Many pairs asked on one two-copy `Question`: what its searches learnt
+    # from earlier pairs must never change an answer.
     rng = random.Random(31)
     statuses = []
     for _ in range(8):
@@ -326,11 +340,11 @@ def test_one_determinacy_search_answers_many_pairs_like_the_oracle():
         for _ in range(6):
             q = random_query(rng, schema)
             views = [random_query(rng, schema) for _ in range(rng.randint(0, 3))]
-            verdict = _is_allowed_by_solver(q, views, shared)
-            assert (verdict.status == ALLOWED) == oracle.is_allowed(q, views)[0]
-            fresh = _is_allowed_by_solver(q, views, determinacy(schema, constraints, bound, (0, 2), None))
+            verdict = counterexample(q, views, shared)
+            assert (verdict.status == DETERMINED) == oracle.is_allowed(q, views)[0]
+            fresh = counterexample(q, views, determinacy(schema, constraints, bound, (0, 2), None))
             assert verdict.status == fresh.status
             if verdict.status == NOT_ALLOWED:
                 _verify_counterexample(q, views, schema, *verdict.counterexample)
             statuses.append(verdict.status)
-    assert statuses.count(ALLOWED) >= 10 and statuses.count(NOT_ALLOWED) >= 10, statuses
+    assert statuses.count(DETERMINED) >= 10 and statuses.count(NOT_ALLOWED) >= 10, statuses

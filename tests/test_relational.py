@@ -34,7 +34,6 @@ from polex.terms import (
 )
 from polex.unparse import unparse_nf, unparse_view
 
-from conftest import determinacy
 
 SCHEMA = parse_schema(
     """
@@ -330,7 +329,7 @@ def test_unparse_self_join_on_a_nullable_unique_column_keeps_both_copies():
 
 
 def test_self_join_collapse_is_information_equivalent():
-    # Verified by the bounded determinacy checker at bound 2.
+    # Each rewrites the other, so they are equivalent at every bound.
     from polex.pruner import is_allowed
     from polex.sqlparser import parse_sql as p
 
@@ -341,8 +340,8 @@ def test_self_join_collapse_is_information_equivalent():
     from polex.constraints import expand_all, generate_constraints
 
     cons = expand_all(generate_constraints(SCHEMA), SCHEMA)
-    assert is_allowed(nf, [collapsed], determinacy(SCHEMA, cons, value_range=(0, 2))).allowed
-    assert is_allowed(collapsed, [nf], determinacy(SCHEMA, cons, value_range=(0, 2))).allowed
+    assert is_allowed(nf, [collapsed], SCHEMA, cons).allowed
+    assert is_allowed(collapsed, [nf], SCHEMA, cons).allowed
 
 
 def test_unparse_reparses():
@@ -457,11 +456,11 @@ def test_composite_unique_key_self_join_collapses(grade_schema):
     )
     text = unparse_view(nf, grade_schema)
     assert text == "SELECT * FROM roles\nWHERE user_id = MyUserId"
-    # information-equivalence of the collapse, checked at bound 2
+    # information-equivalence of the collapse, by a rewriting each way
     from polex.constraints import expand_all, generate_constraints
     from polex.pruner import is_allowed
 
     cons = expand_all(generate_constraints(grade_schema), grade_schema)
     collapsed = to_normal_form(parse_sql(text), grade_schema)
-    assert is_allowed(nf, [collapsed], determinacy(grade_schema, cons, value_range=(0, 2))).allowed
-    assert is_allowed(collapsed, [nf], determinacy(grade_schema, cons, value_range=(0, 2))).allowed
+    assert is_allowed(nf, [collapsed], grade_schema, cons).allowed
+    assert is_allowed(collapsed, [nf], grade_schema, cons).allowed

@@ -1,9 +1,10 @@
-"""The pruner's rewriting fast path: unit shapes, soundness, agreement.
+"""The pruner's rewriting: unit shapes, soundness, agreement.
 
-A check decided by rewriting (`via == "rewriting"`) claims determinacy at
-every bound.  It is cross-checked three ways: on the query shapes the
-bundled corpora produce, against the exhaustive oracle on random join
-cases, and against the solver on every check the corpora make.
+`pruner.is_allowed` decides by rewriting alone, and an Allowed verdict
+claims determinacy at every bound.  It is cross-checked three ways: on
+the query shapes the bundled corpora produce, against the exhaustive
+oracle on random join cases, and against the solver on every check the
+corpora's prune passes make.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from polex.explorer import ExplorationConfig, explore
 from polex.interpreter import QueryCatalog, validate_program
 from polex.normal import NormalFormQuery, to_normal_form
 from polex.policygen import simplify, to_conditioned_queries, views_from_cqs
-from polex.pruner import ALLOWED, NOT_ALLOWED, REWRITING, SOLVER, Policy
+from polex.pruner import ALLOWED, DETERMINED, NO_REWRITING, NOT_ALLOWED, Policy
 from polex.rundir import load_policy_file
 from polex.schema import Interner, parse_schema
 from polex.sqlparser import parse_sql
@@ -41,7 +42,7 @@ from polex.terms import (
 )
 
 import full_bound
-from conftest import determinacy
+from conftest import decide, determinacy
 from oracle import BruteForceDeterminacy
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -52,8 +53,8 @@ def nf(sql, schema):
 
 
 def verdict(q, views, schema, constraints):
-    return pruner.is_allowed(nf(q, schema), [nf(v, schema) for v in views],
-                             determinacy(schema, constraints, 2, (0, 3)))
+    """The `is-allowed` command's verdict at bound 2 and range 0:3."""
+    return decide(nf(q, schema), [nf(v, schema) for v in views], determinacy(schema, constraints, 2, (0, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +69,7 @@ def test_selection_with_not_and_session_parameter(toys_schema, toys_constraints)
         " AND items.owner_id = MyUserId AND details.item_id = items.id",
         [DETAILS_ITEMS], toys_schema, toys_constraints,
     )
-    assert (v.status, v.via) == (ALLOWED, REWRITING)
+    assert v.status == ALLOWED
 
 
 def test_projection_of_join_with_reordered_sources(toys_schema, toys_constraints):
@@ -77,7 +78,7 @@ def test_projection_of_join_with_reordered_sources(toys_schema, toys_constraints
         " WHERE details.item_id = items.id",
         [DETAILS_ITEMS], toys_schema, toys_constraints,
     )
-    assert (v.status, v.via) == (ALLOWED, REWRITING)
+    assert v.status == ALLOWED
 
 
 def test_join_of_two_single_table_views(toys_schema, toys_constraints):
@@ -85,7 +86,7 @@ def test_join_of_two_single_table_views(toys_schema, toys_constraints):
         "SELECT * FROM users, items WHERE users.id = MyUserId AND items.owner_id = MyUserId",
         ["SELECT * FROM users", "SELECT * FROM items"], toys_schema, toys_constraints,
     )
-    assert (v.status, v.via) == (ALLOWED, REWRITING)
+    assert v.status == ALLOWED
 
 
 def test_self_join_of_one_view(toys_schema, toys_constraints):
@@ -93,13 +94,13 @@ def test_self_join_of_one_view(toys_schema, toys_constraints):
         "SELECT * FROM details, details d2 WHERE d2.item_id = details.item_id",
         ["SELECT * FROM details"], toys_schema, toys_constraints,
     )
-    assert (v.status, v.via) == (ALLOWED, REWRITING)
+    assert v.status == ALLOWED
 
 
 def test_foreign_key_lossless_join_is_rewritten(toys_schema, toys_constraints):
     # Every details row joins exactly one item: the fk line and items' key say so.
     v = verdict("SELECT * FROM details", [DETAILS_ITEMS], toys_schema, toys_constraints)
-    assert (v.status, v.via) == (ALLOWED, REWRITING)
+    assert v.status == ALLOWED
 
 
 def test_lossless_hop_chain_drops_from_the_view(toys_schema, toys_constraints):
@@ -108,7 +109,7 @@ def test_lossless_hop_chain_drops_from_the_view(toys_schema, toys_constraints):
         ["SELECT * FROM details, items, users WHERE items.id = details.item_id AND users.id = items.owner_id"],
         toys_schema, toys_constraints,
     )
-    assert (v.status, v.via) == (ALLOWED, REWRITING)
+    assert v.status == ALLOWED
 
 
 def test_lossless_hop_drops_from_the_query():
@@ -118,21 +119,21 @@ def test_lossless_hop_drops_from_the_query():
     constraints = expand_all(generate_constraints(schema), schema)
     narrow = load_policy_file(CORPUS / "broaden" / "narrow.sql", schema)
     broader = load_policy_file(CORPUS / "broaden" / "broader.sql", schema)
-    v = pruner.is_allowed(narrow[2].nf, [broader[0].nf], determinacy(schema, constraints, 2, (0, 3)))
-    assert (v.status, v.via) == (ALLOWED, REWRITING)
+    v = pruner.is_allowed(narrow[2].nf, [broader[0].nf], schema, constraints)
+    assert v.status == ALLOWED
 
 
 def test_lossless_hop_at_bound_5_within_the_default_timeout(toys_schema, toys_constraints):
     # By SAT this check takes seconds at bound 5 and can run out of time.
-    v = pruner.is_allowed(nf("SELECT * FROM details", toys_schema), [nf(DETAILS_ITEMS, toys_schema)],
-                          determinacy(toys_schema, toys_constraints, bound=5))
-    assert (v.status, v.via) == (ALLOWED, REWRITING)
+    v = decide(nf("SELECT * FROM details", toys_schema), [nf(DETAILS_ITEMS, toys_schema)],
+               determinacy(toys_schema, toys_constraints, bound=5))
+    assert v.status == ALLOWED
 
 
 def test_flipped_comparison_matches(toys_schema, toys_constraints):
     v = verdict("SELECT id FROM items WHERE category > 1 AND MyUserId = owner_id",
                 ["SELECT id, owner_id FROM items WHERE 1 < category"], toys_schema, toys_constraints)
-    assert (v.status, v.via) == (ALLOWED, REWRITING)
+    assert v.status == ALLOWED
 
 
 @pytest.mark.parametrize("q, views", [
@@ -149,7 +150,9 @@ def test_flipped_comparison_matches(toys_schema, toys_constraints):
 ])
 def test_near_misses_fall_back_to_solver(toys_schema, toys_constraints, q, views):
     v = verdict(q, views, toys_schema, toys_constraints)
-    assert (v.status, v.via) == (NOT_ALLOWED, SOLVER)
+    assert v.status == NOT_ALLOWED
+    assert pruner.is_allowed(nf(q, toys_schema), [nf(w, toys_schema) for w in views], toys_schema,
+                             toys_constraints).status == NO_REWRITING
 
 
 # The toys tables the hop joins, cut down so that the oracle runs fast.
@@ -173,24 +176,24 @@ def _hop_setting(edit):
     return schema, constraints, BruteForceDeterminacy(schema, constraints, 2, (0, 1))
 
 
-@pytest.mark.parametrize("edit, q, view, via", [
-    (None, "SELECT * FROM details", DETAILS_ITEMS + " AND items.public", SOLVER),
+@pytest.mark.parametrize("edit, q, view, rewrites", [
+    (None, "SELECT * FROM details", DETAILS_ITEMS + " AND items.public", False),
     # items.id equals details.item_id, which the view shows
     (None, "SELECT details.*, items.id FROM details, items WHERE items.id = details.item_id",
-     "SELECT * FROM details", REWRITING),
-    ("fk deleted", "SELECT * FROM details", DETAILS_ITEMS, SOLVER),
+     "SELECT * FROM details", True),
+    ("fk deleted", "SELECT * FROM details", DETAILS_ITEMS, False),
     # under set semantics the foreign key alone makes the join lossless
-    ("unique deleted", "SELECT * FROM details", DETAILS_ITEMS, REWRITING),
-    ("nullable fk", "SELECT * FROM details", DETAILS_ITEMS, SOLVER),
+    ("unique deleted", "SELECT * FROM details", DETAILS_ITEMS, True),
+    ("nullable fk", "SELECT * FROM details", DETAILS_ITEMS, False),
     # only the details rows with body 1 have an item
-    ("fk filtered", "SELECT * FROM details", DETAILS_ITEMS, SOLVER),
+    ("fk filtered", "SELECT * FROM details", DETAILS_ITEMS, False),
 ], ids=["extra hop conjunct", "projected hop column", "fk deleted", "unique deleted", "nullable fk", "fk filtered"])
-def test_lossless_hop_near_misses_fall_back_to_solver(edit, q, view, via):
+def test_lossless_hop_near_misses_fall_back_to_solver(edit, q, view, rewrites):
     schema, constraints, oracle = _hop_setting(edit)
     want, _ = oracle.is_allowed(nf(q, schema), [nf(view, schema)])
     v = verdict(q, [view], schema, constraints)
-    assert (v.status, v.via) == (ALLOWED if want else NOT_ALLOWED, via)
-    assert want or via == SOLVER
+    assert v.status == (ALLOWED if rewrites else DETERMINED if want else NOT_ALLOWED)
+    assert want or not rewrites
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +531,8 @@ def test_replies_view_4_is_pruned_by_rewriting(replies, bound):
     schema, constraints, views = replies
     assert len(views) == 4 and len(views[3].sources) == 4
     question = determinacy(schema, constraints, bound, RANGE, 5.0 if bound == 2 else 1.0)
-    v = pruner.is_allowed(views[3], views[:3], question)
-    assert (v.status, v.via) == (ALLOWED, REWRITING)
+    v = decide(views[3], views[:3], question)
+    assert v.status == ALLOWED
 
 
 # ---------------------------------------------------------------------------
@@ -543,26 +546,40 @@ def _record_verdicts(monkeypatch):
     calls = []
     original = pruner.is_allowed
 
-    def recorded(q, views, question):
-        v = original(q, views, question)
-        calls.append((q, list(views), question.bound, question.value_range, v))
+    def recorded(q, views, schema, constraints):
+        v = original(q, views, schema, constraints)
+        calls.append((q, list(views), v))
         return v
 
     monkeypatch.setattr(pruner, "is_allowed", recorded)
     return calls
 
 
-def _assert_rewritten_checks_solver_allowed(calls, constraints, schema, bound=None) -> int:
-    """Re-checks every rewriting verdict by SAT, at its own bound or at
-    `bound`; returns how many there were."""
-    rewritten = [c for c in calls if c[-1].via == REWRITING]
+def _assert_rewritten_checks_solver_allowed(calls, constraints, schema, bound=BOUND) -> int:
+    """Re-checks every rewriting verdict by SAT at `bound`; returns how
+    many there were."""
+    rewritten = [c for c in calls if c[-1].status == ALLOWED]
     with pytest.MonkeyPatch.context() as mp:
         full_bound.only(mp)
-        for q, views, own_bound, value_range, _ in rewritten:
-            v = pruner._is_allowed_by_solver(q, views, determinacy(schema, constraints, bound or own_bound,
-                                                                   value_range, None))
-            assert v.status == ALLOWED
+        for q, views, _ in rewritten:
+            v = pruner.counterexample(q, views, determinacy(schema, constraints, bound, RANGE, None))
+            assert v.status == DETERMINED
     return len(rewritten)
+
+
+def _by_solver(monkeypatch, schema, constraints, bound=BOUND, rewrites=False):
+    """Route `pruner.is_allowed` through one full-bound search per check at
+    `bound` (after a rewriting, if `rewrites`): a pair the search finds
+    determined is Allowed."""
+    def decided(q, views, *_):
+        if rewrites and pruner._has_rewriting(q, views, constraints, schema):
+            return pruner.ContainmentVerdict(ALLOWED)
+        with pytest.MonkeyPatch.context() as mp:
+            full_bound.only(mp)
+            v = pruner.counterexample(q, views, determinacy(schema, constraints, bound, RANGE, None))
+        return pruner.ContainmentVerdict(ALLOWED) if v.status == DETERMINED else v
+
+    monkeypatch.setattr(pruner, "is_allowed", decided)
 
 
 def _corpus(corpus, bound):
@@ -593,10 +610,10 @@ def corpus_views(request):
 
 def _merged(handler_views, schema, constraints, bound=BOUND):
     per_handler = [
-        pruner.prune(Policy(views, bound, RANGE), constraints, schema, timeout_s=None)[0]
+        pruner.prune(Policy(views, bound, RANGE), constraints, schema)[0]
         for views in handler_views
     ]
-    return pruner.merge_and_prune(per_handler, constraints, schema, timeout_s=None)[0]
+    return pruner.merge_and_prune(per_handler, constraints, schema)[0]
 
 
 def _broaden_corpus():
@@ -610,8 +627,7 @@ def _broadened(bound=BOUND):
     schema, constraints = _broaden_corpus()
     narrow = load_policy_file(CORPUS / "broaden" / "narrow.sql", schema)
     broader = load_policy_file(CORPUS / "broaden" / "broader.sql", schema)
-    policy, report = pruner.broaden(Policy(list(narrow), bound, RANGE), broader, constraints, schema,
-                                    timeout_s=None)
+    policy, report = pruner.broaden(Policy(list(narrow), bound, RANGE), broader, constraints, schema)
     return [v.nf for v in policy.views], [(v.nf, blame) for v, blame in report.removed]
 
 
@@ -620,8 +636,7 @@ def test_merged_policy_agrees_with_solver_only_run(corpus_views, monkeypatch):
     calls = _record_verdicts(monkeypatch)
     merged = _merged(handler_views, schema, constraints)
     assert bool(_assert_rewritten_checks_solver_allowed(calls, constraints, schema)) == rewrites
-    monkeypatch.setattr(pruner, "is_allowed", pruner._is_allowed_by_solver)
-    full_bound.only(monkeypatch)
+    _by_solver(monkeypatch, schema, constraints)
     solver_only = _merged(handler_views, schema, constraints)
     assert [v.nf for v in merged.views] == [v.nf for v in solver_only.views]
 
@@ -631,32 +646,22 @@ def test_broadened_policy_and_blame_agree_with_solver_only_run(monkeypatch):
     calls = _record_verdicts(monkeypatch)
     got = _broadened()
     assert _assert_rewritten_checks_solver_allowed(calls, constraints, schema)
-    monkeypatch.setattr(pruner, "is_allowed", pruner._is_allowed_by_solver)
-    full_bound.only(monkeypatch)
+    _by_solver(monkeypatch, schema, constraints)
     assert got == _broadened()
 
 
-# Bound 3: `solver.Question` looks for a counterexample at bound 1 before the
-# full bound.  A SAT-only toys run takes about 28 s here, nearly all in its
+# Bound 3.  A SAT-only toys run takes about 28 s here, nearly all in its
 # rewritten "allowed" checks, so the toys reference keeps the rewriting
 # (checked at bound 2 below) and decides every other check by one solver
 # call at bound 3; broaden's reference is SAT-only, at bound 3 alone too.
-
-
-def _one_full_bound_check(q, views, question):
-    if pruner._has_rewriting(q, views, question.constraints, question.schema):
-        return pruner.ContainmentVerdict(ALLOWED, via=REWRITING)
-    with pytest.MonkeyPatch.context() as mp:
-        full_bound.only(mp)
-        return pruner._is_allowed_by_solver(q, views, question)
 
 
 def test_merged_toys_policy_at_bound_3_agrees_with_one_full_bound_check(monkeypatch):
     schema, constraints, handler_views = _corpus("toys", 3)
     calls = _record_verdicts(monkeypatch)
     merged = _merged(handler_views, schema, constraints, bound=3)
-    assert any(v.status == NOT_ALLOWED for *_, v in calls)
-    monkeypatch.setattr(pruner, "is_allowed", _one_full_bound_check)
+    assert any(v.status == NO_REWRITING for *_, v in calls)
+    _by_solver(monkeypatch, schema, constraints, 3, rewrites=True)
     reference = _merged(handler_views, schema, constraints, bound=3)
     assert [v.nf for v in merged.views] == [v.nf for v in reference.views]
 
@@ -664,16 +669,16 @@ def test_merged_toys_policy_at_bound_3_agrees_with_one_full_bound_check(monkeypa
 def test_broadened_policy_and_blame_at_bound_3_agree_with_solver_only_run(monkeypatch):
     calls = _record_verdicts(monkeypatch)
     got = _broadened(3)
-    assert any(v.status == NOT_ALLOWED for *_, v in calls)
-    monkeypatch.setattr(pruner, "is_allowed", pruner._is_allowed_by_solver)
-    full_bound.only(monkeypatch)
+    assert any(v.status == NO_REWRITING for *_, v in calls)
+    _by_solver(monkeypatch, *_broaden_corpus(), 3)
     assert got == _broadened(3)
 
 
 @pytest.mark.parametrize("corpus", ["toys", "broaden"])
 def test_every_allowed_check_at_bound_3_is_rewritten(corpus, monkeypatch):
     # toys: each handler's prune and the merge-prune; broaden: the prune
-    # and its blame re-checks.
+    # and its blame re-checks.  A check with no rewriting is not allowed
+    # at bound 3 either: no view of theirs is determined without one.
     if corpus == "toys":
         schema, constraints, handler_views = _corpus("toys", 3)
         calls = _record_verdicts(monkeypatch)
@@ -682,11 +687,15 @@ def test_every_allowed_check_at_bound_3_is_rewritten(corpus, monkeypatch):
         schema, constraints = _broaden_corpus()
         calls = _record_verdicts(monkeypatch)
         _broadened(3)
-    allowed = [v.via for *_, v in calls if v.status == ALLOWED]
-    assert allowed and set(allowed) == {REWRITING}
+    allowed = [v for *_, v in calls if v.status == ALLOWED]
+    assert allowed and len(allowed) < len(calls)
+    question = determinacy(schema, constraints, 3, RANGE, None)
+    for q, views, v in calls:
+        if v.status == NO_REWRITING:
+            assert pruner.counterexample(q, views, question).status == NOT_ALLOWED
     # A rewriting holds at every bound; by SAT at bound 3 the merge-prune's
     # checks over up to 10 views take about 25 s, at bound 2 under 1 s.
-    assert _assert_rewritten_checks_solver_allowed(calls, constraints, schema, bound=BOUND) == len(allowed)
+    assert _assert_rewritten_checks_solver_allowed(calls, constraints, schema) == len(allowed)
 
 
 def _record_searches(monkeypatch):
@@ -721,27 +730,30 @@ def _record_searches(monkeypatch):
 
 
 @pytest.mark.parametrize("corpus", ["toys", "broaden"])
-def test_a_prune_pass_makes_one_search_per_rung(corpus, monkeypatch):
+def test_a_prune_pass_makes_no_search_and_counterexample_one_per_rung(corpus, monkeypatch):
     # toys: the merge-prune, one pass; broaden: its prune pass and its
-    # blame loop, which share one `Question`.  Every question of a pass
-    # goes to that pass's searches.
+    # blame loop.  Neither makes a `Question`.  The pairs they find no
+    # rewriting for, asked of `counterexample` on one `Question`, go to
+    # one search per rung.
     if corpus == "toys":
         schema, constraints, handler_views = _corpus("toys", 3)
-        per_handler = [pruner.prune(Policy(views, 3, RANGE), constraints, schema, timeout_s=None)[0]
-                       for views in handler_views]
-        record = _record_searches(monkeypatch)
-        pruner.merge_and_prune(per_handler, constraints, schema, timeout_s=None)
-        passes = 1
+        per_handler = [pruner.prune(Policy(views, 3, RANGE), constraints, schema)[0] for views in handler_views]
+        record, calls = _record_searches(monkeypatch), _record_verdicts(monkeypatch)
+        pruner.merge_and_prune(per_handler, constraints, schema)
     else:
-        record = _record_searches(monkeypatch)
+        schema, constraints = _broaden_corpus()
+        record, calls = _record_searches(monkeypatch), _record_verdicts(monkeypatch)
         _broadened(3)
-        passes = 1
-    questions, searches = record["questions"], record["searches"]
-    assert len(questions) == passes and all(q.bound == 3 for q in questions)
+    assert record == {"questions": [], "asked": [], "searches": []}
+    question = determinacy(schema, constraints, 3, RANGE, None)
+    for q, views, v in calls:
+        if v.status == NO_REWRITING:
+            pruner.counterexample(q, views, question)
+    assert record["questions"] == [question]
     assert all(copies == 2 for _, copies in record["asked"])
-    rungs = [(id(q), id(base)) for q, base in searches]
-    assert len(rungs) == len(set(rungs)) <= 2 * passes
-    assert len(record["asked"]) > len(searches)
+    rungs = [(id(q), id(base)) for q, base in record["searches"]]
+    assert len(rungs) == len(set(rungs)) <= 2
+    assert len(record["asked"]) > len(rungs)
 
 
 def test_request_parameters_block_the_rewriting(toys_schema):

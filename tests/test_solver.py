@@ -16,7 +16,7 @@ from polex.explorer import ExplorationConfig, explore
 from polex.fdsolver import CdclBackend, CheckResult, VarPool, bvar, eval_formula, land, lnot, lor
 from polex.normal import NormalFormQuery, to_executable
 from polex.policygen import simplify, to_conditioned_queries, views_from_cqs
-from polex.pruner import Policy, broaden, prune
+from polex.pruner import counterexample, is_allowed
 from polex.rundir import load_policy_file
 from polex.schema import parse_schema
 from polex.solver import (
@@ -402,10 +402,11 @@ def test_checks_on_one_context_leave_its_base_untouched(monkeypatch):
 
     # Explore and simplify every synth-front handler, explore toys'
     # detail_chain2 (no synth-front question reaches bound 2, its
-    # infeasible prefix does), then prune the synth-front views and broaden
-    # corpus/broaden's narrow policy: each base, one instance or two, is as
-    # it was built, and every search a stage call or prune pass made is
-    # garbage once the call returns.
+    # infeasible prefix does), then ask `counterexample` of each view with
+    # no rewriting from its handler's others, and of corpus/broaden's
+    # narrow views from the broader ones: each base, one instance or two,
+    # is as it was built, and every search a stage call or `Question` made
+    # is garbage once it returns.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import synth
 
@@ -448,15 +449,22 @@ def test_checks_on_one_context_leave_its_base_untouched(monkeypatch):
     for base, before in bases.values():
         assert _base_snapshot(base) == before
 
+    def counterexamples(queries, views, schema, cons):
+        question = solver.Question(schema, cons, 2, (0, 7), timeout_s=None)
+        for q in queries:
+            rest = [v for v in views if v != q]
+            if not is_allowed(q, rest, schema, cons).allowed:
+                assert counterexample(q, rest, question).status == "not_allowed"
+
     made = len(searches)
     for views in handler_views:
-        prune(Policy(views, 2), cons, schema, timeout_s=None)
+        counterexamples([v.nf for v in views], [v.nf for v in views], schema, cons)
         assert only_bases_live()
     root = Path(__file__).resolve().parent.parent / "corpus" / "broaden"
     broaden_schema = parse_schema((root / "schema.txt").read_text())
     broaden_cons = expand_all(generate_constraints(broaden_schema), broaden_schema)
     narrow, broader = (load_policy_file(root / f"{name}.sql", broaden_schema) for name in ("narrow", "broader"))
-    broaden(Policy(narrow, 2), broader, broaden_cons, broaden_schema, timeout_s=None)
+    counterexamples([v.nf for v in narrow], [v.nf for v in broader], broaden_schema, broaden_cons)
     assert only_bases_live()
     assert len(searches) > made
     assert sorted(shapes.values()) == [(1, 1), (1, 1), (1, 2), (1, 2), (2, 1)]  # a two-instance base per schema

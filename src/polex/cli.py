@@ -64,11 +64,12 @@ _positive_float = _arg_type(float, lambda x: x > 0, "a number > 0")
 
 
 def _load(run: RunDirectory, args, program=None):
-    """The run's schema and constraints, their constants and `program`'s
-    literals checked against `--value-range`."""
+    """The run's schema and constraints; for a command that searches, their
+    constants and `program`'s literals checked against `--value-range`."""
     schema = run.load_schema()
     constraints = run.load_constraints(schema)
-    check_range(schema, constraints, args.value_range, program)
+    if "value_range" in args:
+        check_range(schema, constraints, args.value_range, program)
     return schema, constraints
 
 
@@ -162,7 +163,7 @@ def cmd_policy_merge_prune(args) -> int:
     policies = []
     for name in args.handlers:
         views = load_policy_file(run.policy_path(name), schema)
-        policies.append(Policy(views, args.bound, args.value_range))
+        policies.append(Policy(views))
     merged, removed = merge_and_prune(policies, constraints, schema)
     run.policies_dir.mkdir(parents=True, exist_ok=True)
     out = Path(args.output) if args.output else run.policies_dir / "final.sql"
@@ -178,7 +179,7 @@ def cmd_broaden(args) -> int:
     schema, constraints = _load(run, args)
     base_views = load_policy_file(args.policy, schema)
     user_views = load_policy_file(args.added, schema)
-    policy = Policy(base_views, args.bound, args.value_range)
+    policy = Policy(base_views)
     broadened, report = broaden(policy, user_views, constraints, schema)
     out = Path(args.output) if args.output else Path(args.policy).with_suffix(".broadened.sql")
     out.write_text(render_policy(broadened.views, schema), encoding="utf-8")
@@ -248,13 +249,12 @@ def cmd_is_allowed(args) -> int:
 # Argument parsing
 
 
-def _add_solver_args(p, include_explore=False, timeout=True):
+def _add_solver_args(p, include_explore=False):
     p.add_argument("--bound", type=_positive_int, default=2, help="symbolic rows per table (default 2)")
     p.add_argument("--value-range", type=_value_range, default=(0, 7), metavar="LO:HI",
                    help="database value range (default 0:7)")
-    if timeout:
-        p.add_argument("--timeout", type=_positive_float, default=5.0,
-                       help="solver timeout per check, seconds (a question asks at most two)")
+    p.add_argument("--timeout", type=_positive_float, default=5.0,
+                   help="solver timeout per check, seconds (a question asks at most two)")
     if include_explore:
         p.add_argument("--max-paths", type=_positive_int, default=10000, help="path budget")
 
@@ -287,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("rundir")
     p.add_argument("handlers", nargs="+")
     p.add_argument("-o", "--output")
-    _add_solver_args(p, timeout=False)
     p.set_defaults(func=cmd_policy_merge_prune)
 
     p = sub.add_parser("broaden", help="add pinned broader views and re-prune")
@@ -295,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("policy")
     p.add_argument("added")
     p.add_argument("-o", "--output")
-    _add_solver_args(p, timeout=False)
     p.set_defaults(func=cmd_broaden)
 
     p = sub.add_parser("replay", help="re-run a logged input and echo its transcript")

@@ -55,6 +55,10 @@ class NormalizeError(Exception):
     pass
 
 
+def _cached_hash(query, fields: tuple) -> int:
+    return query.__dict__.get("_hash") or query.__dict__.setdefault("_hash", hash(fields))
+
+
 @dataclass(frozen=True)
 class NormalFormQuery:
     projection: tuple[int, ...]
@@ -63,6 +67,9 @@ class NormalFormQuery:
 
     def arity(self, schema: Schema) -> int:
         return sum(schema.table(t).arity for t in self.sources)
+
+    def __hash__(self) -> int:  # the fields' hash, computed once: paths and memos key on queries
+        return _cached_hash(self, (self.projection, self.filter, self.sources))
 
 
 @dataclass(frozen=True)
@@ -76,6 +83,9 @@ class ResultCol:
 class PlainQuery:
     nf: NormalFormQuery
     result: tuple[ResultCol, ...]
+
+    def __hash__(self) -> int:  # as `NormalFormQuery.__hash__`
+        return _cached_hash(self, (self.nf, self.result))
 
 
 @dataclass(frozen=True)

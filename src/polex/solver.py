@@ -29,14 +29,14 @@ back as one input per instance, checked against the constraints.
 Explore and policy-gen keep one `Question` for a stage call, so all its
 questions on a rung go to one incremental search.  The rung also
 encodes each path prefix once (a trie of steps: sibling prefixes share
-all but their last) and each determinacy part once (a view's agreement,
-the query's difference).
-These encodings live as long as the rung of that `Question`, and no
-verdict is kept: every question runs its search and verifies its model.
-The one question answered without a search is a path whose last step
-asserts empty a fetch by the key a witness row's non-null foreign key
-holds (`Question.forces_row`): the chase gives that row a parent, so the
-fetch returns it and the path is unsat (Johnson & Klug, JCSS 1984).
+all but their last).  These encodings live as long as the rung of that
+`Question`, and no verdict is kept: every question that reaches a rung
+runs its search and verifies its model.
+
+A path is a conjunctive query over one instance, which the chase decides
+in the equality fragment (Johnson & Klug, JCSS 1984): a path whose last
+step `Question.chase_refutes` answers in its canonical instance (a
+witness row per non-empty PSJ step) is unsat at every bound and range.
 
 An unsat path needs only the rows of a countermodel's witness closure:
 the rows its non-empty query steps matched, and the rows the `contain`
@@ -45,23 +45,17 @@ one, since emptiness, at-most-one, `unique`, row order and literal
 relations survive deletion and the chase keeps every containment (Johnson
 & Klug, JCSS 1984).  So each table gets its own row bound, as in Kodkod
 (Torlak & Jackson, TACAS 2007): once bound 1 is unsat, `Question.ask`
-counts the closure (`Question.row_bounds`) and caps the full-bound rung
-at it.  Two non-empty single-source steps that a top-level `k = ?` fixes
-to the same term, `k` a `unique` key, match one row, counted once; a
-witness row whose column such a conjunct of another step fixes is chased
-to that step's row, which the count already holds.  A LEFT JOIN step (a
-deleted right row can make an unmatched-left row), a cyclic
-`contain` graph and a `contain` left side with more than one source get
-no count.
+counts the closure from the path's chase (`Question.row_bounds`) and
+caps the full-bound rung at it.
 """
 
 from __future__ import annotations
 
 import functools
-import graphlib
 import itertools
 from dataclasses import dataclass, field
 
+from .chase import Body, atoms, dependencies
 from .constraints import Constraint, Containment, LiteralRelation, Unique, check_range, column_domain, validate_instance
 from .fdsolver import (
     FALSE_F,
@@ -80,7 +74,7 @@ from .fdsolver import (
     lor,
 )
 from .instance import ConcreteInput
-from .normal import CountQuery, LeftJoinQuery, NormalFormQuery, PlainQuery, source_ranges
+from .normal import CountQuery, LeftJoinQuery, NormalFormQuery, PlainQuery
 from .schema import Schema
 from .terms import (
     SESSION_PARAMS,
@@ -100,7 +94,7 @@ from .terms import (
     Scalar,
     SessionParam,
     TruePred,
-    conjuncts,
+    substitute_placeholders,
 )
 
 
@@ -217,46 +211,6 @@ def _shared(schema, constraints, bound, value_range, copies):
         formulas.extend(own)
     session = {name: pool.new_int(*value_range) for name in SESSION_PARAMS}
     return CdclBackend(pool, formulas), tuple(instances), session
-
-
-@functools.lru_cache(maxsize=4)
-def _context_links(schema: Schema, constraints: tuple) -> tuple | None:
-    """The schema-level part of `Question.row_bounds`: the tables in
-    topological order of the query-sided `contain` lines, those lines in
-    the order of their left table, and the single-column `unique` keys as
-    (table, ordinal); None for a cycle or a multi-source left side."""
-    chases = [c for c in constraints if isinstance(c, Containment) and isinstance(c.right, NormalFormQuery)]
-    if any(len(c.left.sources) != 1 for c in chases):
-        return None
-    graph = {t.name: set() for t in schema.tables}
-    for c in chases:
-        for u in c.right.sources:
-            graph[u].add(c.left.sources[0])
-    try:
-        order = list(graphlib.TopologicalSorter(graph).static_order())
-    except graphlib.CycleError:
-        return None
-    keys = {(c.table, schema.table(c.table).column_index(c.columns[0]))
-            for c in constraints if isinstance(c, Unique) and len(c.columns) == 1}
-    return order, sorted(chases, key=lambda c: order.index(c.left.sources[0])), keys
-
-
-@functools.lru_cache(maxsize=4)
-def _forcing_links(schema: Schema, constraints: tuple) -> frozenset:
-    """The schema-level part of `Question.forces_row`: (T, c, U, k) per
-    `contain` line `T.c ⊆ U.k` that gives every T row a U row, that is with
-    one column a side, `c` not nullable, the left side unfiltered or
-    `c IS NOT NULL` and the right side unfiltered.  A cycle does no harm."""
-    links = set()
-    for c in constraints:
-        if not (isinstance(c, Containment) and isinstance(c.right, NormalFormQuery)
-                and len(c.left.sources) == len(c.right.sources) == len(c.left.projection) == 1):
-            continue
-        (t,), (col,), (u,), (k,) = c.left.sources, c.left.projection, c.right.sources, c.right.projection
-        if (c.right.filter == TruePred() and c.left.filter in (TruePred(), Not(IsNull(Col(col))))
-                and not schema.table(t).columns[col].nullable):
-            links.add((t, col, u, k))
-    return frozenset(links)
 
 
 def bounded(
@@ -460,15 +414,6 @@ def encode_constraint(c: Constraint, inst: SymInstance, schema: Schema):
 # Solving and model extraction
 
 
-def _key_equalities(nf: NormalFormQuery) -> list[tuple[int, PlaceholderRef]]:
-    """(k, ?p) per top-level conjunct `k = ?p` of a single-source query."""
-    if len(nf.sources) != 1:
-        return []
-    return [(key.index, p) for atom in conjuncts(nf.filter) if isinstance(atom, Cmp) and atom.op == "="
-            for key, p in ((atom.left, atom.right), (atom.right, atom.left))
-            if isinstance(key, Col) and isinstance(p, PlaceholderRef)]
-
-
 def _set_eq(pairs_a, pairs_b):
     """Result sets equal: mutual membership over distinct tuples."""
     return land(
@@ -494,10 +439,10 @@ class Question:
     Each rung (bound 1, and `bound`) of each instance count gets one
     incremental search at its first question, and every later question
     on that rung reuses it, with the formulas it has encoded (a `memo`, see
-    `ask`; never a verdict).  A path's query steps give its witness closure
-    (`row_bounds`): a countermodel within `bound` rows has one within
-    min(bound, r_T) rows of each table T.  A determinacy pair keeps the
-    full bound."""
+    `ask`; never a verdict).  A path's chase may refute it (`chase_refutes`)
+    or count its witness closure (`row_bounds`): a countermodel within
+    `bound` rows has one within min(bound, r_T) rows of each table T.  A
+    determinacy pair keeps the full bound."""
 
     schema: Schema
     constraints: list[Constraint]
@@ -506,6 +451,7 @@ class Question:
     params: tuple = ()
     timeout_s: float | None = 5.0
     _rungs: dict = field(default_factory=dict, init=False, repr=False)  # (bound, copies) -> (search, instances, params, memo)
+    _trie: dict = field(default_factory=dict, init=False, repr=False)  # step -> (prefix's instance, its extensions)
 
     def ask_path(self, steps) -> tuple[str, tuple[ConcreteInput, ...]]:
         """Whether the constraints and the path `steps` hold together on one
@@ -516,7 +462,7 @@ class Question:
         row, which later steps read as `RowCol(index, _)`, True that it
         returned none, and None neither.  Every query step also asserts
         that the query returns at most one row.  A step given twice is
-        asserted once.  A path `forces_row` decides is unsat without a rung.
+        asserted once.  A path `chase_refutes` is unsat without a rung.
 
         A prefix's formulas depend only on the rung and the prefix, so the
         rung's memo holds them as a trie: a node is a prefix's formulas by
@@ -545,7 +491,7 @@ class Question:
                 formulas, rows, children = node
             return list(formulas.values())
 
-        return ("unsat", ()) if self.forces_row(steps) else self.ask(encode, 1, steps)
+        return ("unsat", ()) if self.chase_refutes(steps) else self.ask(encode, 1, steps)
 
     def ask_determinacy(self, q: NormalFormQuery, views) -> tuple[str, tuple[ConcreteInput, ...]]:
         """Whether two instances that share the session parameters can agree
@@ -553,13 +499,10 @@ class Question:
         `ask`'s answer, a pair of inputs when it is sat."""
 
         def encode(instances, env, memo) -> list:
-            def part(nf, relate):  # `relate` of nf's results on the two instances, encoded once a rung
-                f = memo.get((nf, relate))
-                if f is None:
-                    f = memo[nf, relate] = relate(*[result_pairs(nf, inst, env) for inst in instances])
-                return f
+            def pairs(nf):
+                return [result_pairs(nf, inst, env) for inst in instances]
 
-            return [part(v, _set_eq) for v in views] + [part(q, _set_neq)]
+            return [_set_eq(*pairs(v)) for v in views] + [_set_neq(*pairs(q))]
 
         return self.ask(encode, 2)
 
@@ -602,96 +545,101 @@ class Question:
         return verdict.status, ()
 
     @functools.cached_property
-    def _forcing(self) -> frozenset:
-        """`_forcing_links`, looked up once per `Question`."""
-        return _forcing_links(self.schema, tuple(self.constraints))
+    def _dependencies(self) -> tuple:
+        return dependencies(tuple(self.constraints), self.schema)
 
-    def forces_row(self, steps) -> bool:
-        """Whether the last of the path `steps` (see `ask_path`) asserts
-        empty a single-source PSJ query on U whose filter is the one
-        conjunct `k = ?p`, `?p` the column `c` of a witness on T (see
-        `row_bounds`), where `T.c ⊆ U.k` is one of `_forcing_links`.  The
-        witness's `c` is then some U row's `k`, so the fetch returns that
-        row at every bound and value range.  Explore and the simplifier flip
-        only the last step of a path some input ran, so only it is read."""
-        if not steps or len(steps[-1]) != 4 or steps[-1][3] is not True:
+    def _instance(self, steps) -> Body | None:
+        """The unchased canonical instance of the path `steps` (see
+        `ask_path`), or None for a LEFT JOIN step or two witnesses on one
+        result index; each prefix is built once, from its parent's."""
+        body, children = Body(self.schema, 0), self._trie
+        for step in dict.fromkeys(steps):
+            if body is None:
+                return None
+            node = children.get(step)
+            if node is None:
+                node = children[step] = self._extend(body, step), {}
+            body, children = node
+        return body
+
+    def _extend(self, body: Body, step) -> Body | None:
+        """`body` and a non-empty PSJ step's witness row, whose params fill
+        its placeholders and whose result columns are its classes, or a
+        branch's equalities and non-null terms."""
+        if len(step) == 4:
+            index, q, params, empty = step
+            if isinstance(q, LeftJoinQuery) or empty is False and any(r.query_index == index for r in body.results):
+                return None
+            if empty is not False or isinstance(q, CountQuery):
+                return body
+            body, nf = body.copy(), q.nf if isinstance(q, PlainQuery) else q
+            h = body.attach(nf, _filled(nf, params) or ((), (), ()))
+            body.results.update({RowCol(index, j): h[o] for j, o in enumerate(nf.projection)})
+        else:
+            pred, outcome = _positive(*step)
+            if (facts := atoms(pred if outcome else Not(pred), True)) and (facts[0] or facts[1]):
+                body = body.copy()
+                body.assume((*facts[:2], ()), ())
+        return body
+
+    def chase_refutes(self, steps) -> bool:
+        """Whether the chase of the path `steps` (see `ask_path`) before its
+        last step answers that step, asserted negatively: a fetch asserted
+        empty maps into the chased rows, a COUNT is asserted empty, or a
+        branch asserted false holds there; or two distinct literals share a
+        class.  Then the path is unsat at every bound and range.  Explore
+        and the simplifier flip only the last step, so only a fetch
+        asserted empty is chased, by the egds and the tgds that add rows of
+        its tables."""
+        if not steps:
             return False
-        _, q, params, _ = steps[-1]
-        nf = q.nf if isinstance(q, PlainQuery) else q
-        keys = _key_equalities(nf) if isinstance(nf, NormalFormQuery) and len(conjuncts(nf.filter)) == 1 else ()
-        term = params[keys[0][1].position - 1] if keys else None
-        if not isinstance(term, RowCol):
+        *premises, last = steps
+        if len(last) == 4:
+            _, q, params, empty = last
+            if empty is not True or isinstance(q, (LeftJoinQuery, CountQuery)):
+                return empty is True and isinstance(q, CountQuery)  # a COUNT returns a row
+            nf = q.nf if isinstance(q, PlainQuery) else q
+            goal, tables = (nf, _filled(nf, params)), set(nf.sources)
+        else:
+            pred, outcome = _positive(*last)
+            if outcome:
+                return False
+            goal, tables = (NormalFormQuery((), pred, ()), atoms(pred, True)), set()
+        if goal[1] is None or (body := self._instance(premises)) is None:
             return False
-        witnesses = {(w.nf if isinstance(w, PlainQuery) else w) for index, w, _, empty in
-                     (step for step in steps[:-1] if len(step) == 4) if index == term.query_index and empty is False}
-        if len(witnesses) != 1:  # two queries on one index: a result column names neither for sure
-            return False
-        (w,) = witnesses
-        return (isinstance(w, NormalFormQuery) and len(w.sources) == 1
-                and (w.sources[0], w.projection[term.column_index], nf.sources[0], keys[0][0]) in self._forcing)
+        tgds = [tgd for tgd in self._dependencies[0] if not tables.isdisjoint(tgd[2].sources)]
+        if tables and any(body.rows.get(t) for t in tables | {tgd[0].sources[0] for tgd in tgds}):
+            body = _chased(body, tgds, self._dependencies[1])  # else no row could answer the fetch
+        return body.clash or next(body.matches(*goal), None) is not None
 
     def row_bounds(self, steps) -> dict[str, int] | None:
         """The witness closure's rows per table (see the module docstring)
-        of the path `steps` (see `ask_path`), or None where it has no count.
-
-        Each query step that asserts a PSJ query's row (a witness) adds one
-        row per source occurrence, but single-source witnesses on U that a
-        top-level conjunct `k = ?p` fixes to the same term, `unique U(k)`,
-        share one row: both hold that non-null key, so by uniqueness they
-        are one row.  Then, in topological order of the query-sided
-        `contain` lines, each row of a line's left table adds one row per
-        right-side source, unless it is pinned: a row needs no chased row
-        for `T.c ⊆ U.k` (one column a side, one right source, `unique
-        U(k)`) when a single-source witness on U has a top-level conjunct
-        `k = ?p` whose parameter is a result column that any of the row's
-        witnesses reads from its `c`.  The conjunct holds, so `c` is
-        non-null and equals that witness's key, and by uniqueness only that
-        witness's own row can match it."""
-        queries = [step for step in steps if len(step) == 4]
-        links = _context_links(self.schema, tuple(self.constraints))
-        if links is None or any(isinstance(q, LeftJoinQuery) for _, q, _, _ in queries):
-            return None
-        order, chases, keys = links
-        witnesses: dict[int, tuple] = {}  # index -> (nf, params) of each witness
-        for index, q, params, empty in queries:
-            nf = q.nf if isinstance(q, PlainQuery) else q
-            if empty is False and isinstance(nf, NormalFormQuery) and witnesses.setdefault(index, (nf, params)) != (nf, params):
-                return None  # two witnesses on one index: a result column names neither for sure
-        keyed: dict[tuple, dict] = {}  # (U, k) -> each term a witness fixes it to -> the first witness of that row
-        row: dict[int, int] = {}  # index -> the first witness of its row
-        for index, (nf, params) in witnesses.items():
-            facts = [((nf.sources[0], k), params[p.position - 1]) for k, p in _key_equalities(nf)
-                     if (nf.sources[0], k) in keys]
-            row[index] = next((keyed[key][term] for key, term in facts if term in keyed.get(key, ())), index)
-            for key, term in facts:
-                keyed.setdefault(key, {}).setdefault(term, row[index])
-        occurrences = []  # (index, nf, table, start) of each witness's source occurrences
-        rows = dict.fromkeys(order, 0)
-        for index, (nf, _) in witnesses.items():
-            occurrences += [(index, nf, t, lo) for t, (lo, _) in zip(nf.sources, source_ranges(self.schema, nf.sources))]
-            if row[index] == index:
-                for t in nf.sources:
-                    rows[t] += 1
-        for c in chases:
-            t = c.left.sources[0]
-            chased = rows[t] - _pinned(c, occurrences, row, keyed) if rows[t] else 0
-            for u in c.right.sources:
-                rows[u] += chased
-        return rows
+        of the path `steps` (see `ask_path`): `chase.Body.closure` of its
+        chased canonical instance.  None for a LEFT JOIN step (a deleted
+        right row can make an unmatched-left row), a cyclic `contain` graph
+        or one a tgd misses, or two witnesses on one index."""
+        tgds, egds, counted = self._dependencies
+        body = self._instance(steps) if counted else None
+        return None if body is None else _chased(body, tgds, egds).closure(tgds)
 
 
-def _pinned(c: Containment, occurrences: list, row: dict, keyed: dict) -> int:
-    """How many witness rows of `c`'s left table need no row chased
-    for `c` (see `Question.row_bounds`)."""
-    if not (len(c.left.projection) == len(c.right.sources) == 1):  # the sides' arities are equal
-        return 0
-    (t,), (col,), (u,), (k,) = c.left.sources, c.left.projection, c.right.sources, c.right.projection
-    terms = keyed.get((u, k), ())  # the parameters U's key is fixed to
-    return len({
-        (row[index], lo)
-        for index, nf, src, lo in occurrences
-        if src == t and any(RowCol(index, j) in terms for j, o in enumerate(nf.projection) if o == lo + col)
-    })
+def _positive(pred: Predicate, outcome: bool) -> tuple[Predicate, bool]:
+    """The branch `(pred, outcome)` with the NOTs around `pred` folded into `outcome`."""
+    while isinstance(pred, Not):
+        pred, outcome = pred.inner, not outcome
+    return pred, outcome
+
+
+def _chased(body: Body, tgds, egds) -> Body:
+    """A copy of `body` chased, with as many rows into a cycle as it has rows."""
+    body = body.copy()
+    body.chase(tgds, egds, sum(map(len, body.rows.values())))
+    return body
+
+
+@functools.lru_cache(maxsize=4096)
+def _filled(nf: NormalFormQuery, params: tuple):  # `chase.atoms` of a query's filter on one instance, given its params
+    return atoms(substitute_placeholders(nf.filter, params), True)
 
 
 def model_to_input(model: dict, inst: SymInstance, schema: Schema, env: SymEnv, request_params=()) -> ConcreteInput:

@@ -113,8 +113,7 @@ def test_a_constant_outside_the_value_range_exits_2_and_runs_at_0_15(tmp_path, c
     policy, r = str(run / "policies" / "p.sql"), str(run)
     commands = [["explore", r, handler], ["policy-gen", r, handler]]
     if case != "literal":
-        commands += [["policy-merge-prune", r, "p"], ["broaden", r, policy, policy],
-                     ["is-allowed", r, policy, "SELECT * FROM users"]]
+        commands += [["is-allowed", r, policy, "SELECT * FROM users"]]
     capsys.readouterr()
     for argv in commands:
         assert main(argv + ["--value-range", "0:7"]) == 2, argv
@@ -369,6 +368,19 @@ def test_commands_that_never_search_reject_timeout(tmp_path, capsys, command):
         main(argv + ["--timeout", "5"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --timeout 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--bound", "3"), ("--value-range", "0:15")])
+@pytest.mark.parametrize("command", ["policy-merge-prune", "broaden"])
+def test_commands_that_never_search_reject_bound_and_value_range(tmp_path, capsys, command, flag, value):
+    run = make_run(tmp_path, "toys")
+    argv = {"policy-merge-prune": ["policy-merge-prune", str(run), "show_item"],
+            "broaden": ["broaden", str(run), "p.sql", "q.sql"]}[command]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_broaden_cli(tmp_path, capsys):

@@ -246,8 +246,8 @@ def test_empty_parent_fetch_is_refuted_in_few_conflicts(monkeypatch):
     """The filter of a fetch through a foreign key and the containment
     itself compare the same two row symbols, so "the parent came back
     empty" is refuted without splitting on the key's values.  The path is
-    one `solver.Question.forces_row` answers without a search, so the
-    search is asked with that rule bypassed."""
+    one `solver.Question.chase_refutes` answers without a search, so the
+    search is asked with the chase bypassed."""
     schema = parse_schema(
         "table parents { id int unique }\ntable children { id int unique  parent_id int fk parents.id }"
     )
@@ -279,7 +279,7 @@ handler h(Id: int) {
     )
     assert explorer.generate_input(prefix) == (INFEASIBLE, None)
     assert conflicts == []  # no search
-    monkeypatch.setattr(solver.Question, "forces_row", lambda self, steps: False)
+    monkeypatch.setattr(solver.Question, "chase_refutes", lambda self, steps: False)
     assert explorer.generate_input(prefix) == (INFEASIBLE, None)
     # Bound 1 only: the prefix's witness closure is one row of each table,
     # so its row bounds answer bound 2 without a search.
@@ -322,19 +322,19 @@ def test_exploration_is_the_same_without_the_bound_1_rung(corpus, monkeypatch):
         ]
 
     decided = []
-    forces_row = solver.Question.forces_row
+    chase_refutes = solver.Question.chase_refutes
 
-    def counted_forces_row(self, steps):
-        decided.append(forces_row(self, steps))
+    def counted_chase_refutes(self, steps):
+        decided.append(chase_refutes(self, steps))
         return decided[-1]
 
     monkeypatch.setattr(fdsolver.CdclBackend, "check", counted_check)
-    monkeypatch.setattr(solver.Question, "forces_row", counted_forces_row)
+    monkeypatch.setattr(solver.Question, "chase_refutes", counted_chase_refutes)
     with_rung = explored()
     full_bound.only(monkeypatch)
     assert explored() == with_rung
-    # Every prefix the rule did not decide that is infeasible has a closure
-    # of one row per table.
+    # Every prefix the chase did not refute that is infeasible has a
+    # closure of one row per table.
     assert checks[0] + sum(decided) == checks[1] and any(decided)
 
 

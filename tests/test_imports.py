@@ -124,8 +124,8 @@ def test_every_program_definition_is_used():
 
 
 # The stages reach the solver through `Question` only (explore and
-# policy-gen, one per stage call; prune, one per pass): they state a path
-# or a determinacy pair, and `solver` alone builds its formulas.
+# policy-gen, one per stage call; `is-allowed`, one per query): they state
+# a path or a determinacy pair, and `solver` alone builds its formulas.
 STAGE_IMPORTS = {
     "solver": {"Question"},
     "fdsolver": set(),
@@ -143,3 +143,21 @@ def test_stages_import_only_the_narrow_solver_interface(stage: str):
         if a.name not in STAGE_IMPORTS[node.module]
     ]
     assert not extra, f"{stage} imports solver internals: {extra}"
+
+
+def _imports_chase(tree: ast.Module) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(a.name == "polex.chase" for a in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and (node.module in ("chase", "polex.chase") or (
+                node.module in (None, "polex") and any(a.name == "chase" for a in node.names))):
+            return True
+    return False
+
+
+def test_only_the_solver_and_the_pruner_import_the_chase():
+    # One chase serves path questions (`solver`) and rewritings (`pruner`);
+    # nothing else may grow a second use of its bodies.
+    files = FILES + sorted((ROOT / "perfbench").rglob("*.py"))
+    importers = [str(p.relative_to(ROOT)) for p in files if _imports_chase(ast.parse(p.read_text(), str(p)))]
+    assert importers == ["src/polex/pruner.py", "src/polex/solver.py"]

@@ -18,9 +18,10 @@ bound, with no search.  Its bound-2 run differs from them in one generated
 input only, `show_reply-0004`: explore asks that path at the full bound
 (the foreign key to its own table leaves no witness-closure count), where
 a model has two posts rows at bound 2 and three from bound 3 on.  Each
-empty parent fetch is unsat without a search (`Question.forces_row`),
-so no full-bound search of an unsat path comes before the one that
-generates `show_reply-0003`, which is the same at every bound.
+empty parent fetch is unsat without a search (the chase refutes it,
+`Question.chase_refutes`), so no full-bound search of an unsat path comes
+before the one that generates `show_reply-0003`, which is the same at
+every bound.
 `scripts/output_digest.py --lines RUN` prints the lines behind a digest,
 to show what a change of pin changed.
 

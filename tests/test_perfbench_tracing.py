@@ -62,10 +62,11 @@ def test_traced_toys_job_counts_the_same_work(tracing, tmp_path):
     assert wl.check(ld, out) == []
     m = tracing.layer_metrics(tracer)
     assert (m["explorer.paths"], m["explorer.infeasible"], m["fdsolver.unknown"]) == (24, 3, 0)
-    # Of the 4 unsat questions, 2 are an empty parent fetch that a foreign
-    # key forbids, answered without a check: 1 in explore, 1 in policy-gen.
-    # Prune makes no check: its 26 decisions are rewritings or none.
-    assert (m["fdsolver.check_calls"], m["fdsolver.conflicts"], m["explorer.cache_hits"]) == (32, 1, 1)
+    # The chase refutes all 4 unsat questions without a check, 3 in explore
+    # and 1 in policy-gen, so no search is unsat.  Prune makes no check:
+    # its 26 decisions are rewritings or none.
+    assert (m["fdsolver.check_calls"], m["fdsolver.conflicts"], m["explorer.cache_hits"]) == (30, 1, 3)
+    assert m["fdsolver.unsat"] == 0
     assert (m["pruner.is_allowed_calls"], m["pruner.allowed"]) == (26, 10)
 
 

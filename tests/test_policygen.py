@@ -443,6 +443,9 @@ def test_unknown_at_bound_1_leaves_the_verdict_to_the_full_bound(grade_schema, g
     )
     bounds = _record_bounds(monkeypatch)
     backend_check = CdclBackend.check
+    # The chase refutes the vacuous branch's question before any rung; the
+    # rungs are what this test asks about.
+    monkeypatch.setattr(solver.Question, "chase_refutes", lambda self, steps: False)
 
     def unknown_at_bound_1(*args):
         verdict = backend_check(*args)
@@ -461,7 +464,7 @@ def test_unknown_at_bound_1_leaves_the_verdict_to_the_full_bound(grade_schema, g
 def test_each_question_reaches_the_solver_once_per_bound(toys_schema, toys_constraints, monkeypatch):
     # `maker` must return a row by the foreign key and is never used: both
     # queries after the branch ask whether it is vacuous, and
-    # `Question.forces_row` answers without a search.  At bound 1 so must
+    # `Question.chase_refutes` answers without a search.  At bound 1 so must
     # `parent`, the one items row being public: asking that has `other`
     # among the premises, a details row whose item the witness closure
     # chases as a second items row, so that question reaches the full

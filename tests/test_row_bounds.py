@@ -1,18 +1,17 @@
 """Witness-closure row bounds (`solver.Question.row_bounds`) and paths
-answered without a search (`solver.Question.forces_row`) never change a
-verdict.
+the chase refutes without a search (`solver.Question.chase_refutes`)
+never change a verdict.
 
 `solver.Question.ask` answers a question's full-bound rung as unsat without
 a search, or searches it with rows above r_T assumed absent, when the
 question is a path with query steps and bound 1 was unsat.  Every such unsat
 answer must also be the answer of one fresh, uncapped search at the full
-bound (`full_bound.ask`).  A path whose last step asserts empty a fetch
-that a `contain` line gives a row is unsat before any search; asked again
-without that rule, it must be unsat at bound 1 and at the full bound, and
-on tiny schemas no instance of the exhaustive oracle may satisfy it.  The
-runs below cover generated `synth-front` corpora and random explore
-prefixes and entailment questions over random small schemas, at bounds 2
-and 3.
+bound (`full_bound.ask`).  A path the chase refutes is unsat before any
+search; asked again without the chase, it must be unsat at bound 1 and at
+the full bound, and on tiny schemas no instance of the exhaustive oracle
+may satisfy it.  The runs below cover generated `synth-front` corpora and
+random explore prefixes and entailment questions over random small
+schemas, at bounds 2 and 3.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from polex.normal import NormalFormQuery, PlainQuery
 from polex.policygen import CondBranch, CondQuery, simplify, to_conditioned_queries
 from polex.interpreter import QueryCatalog
 from polex.schema import Interner, parse_schema
-from polex.terms import BoolCol, RequestParam, RowCol
+from polex.terms import BoolCol, Cmp, RequestParam, RowCol
 from polex.transcript import BranchRecord, QueryRecord
 
 import full_bound
@@ -63,20 +62,20 @@ def _checked(monkeypatch) -> dict:
 
 
 def _decided(monkeypatch) -> list:
-    """Route `Question.forces_row` through a check that each path it
-    decides is unsat when asked again without it, by one fresh search at
-    bound 1 and one at the full bound; returns the paths it decided."""
-    forces_row, decided = solver.Question.forces_row, []
+    """Route `Question.chase_refutes` through a check that each path it
+    refutes is unsat when asked again without it, by one fresh search at
+    bound 1 and one at the full bound; returns the paths it refuted."""
+    chase_refutes, decided = solver.Question.chase_refutes, []
 
     def checked(self, steps):
-        if not forces_row(self, steps):
+        if not chase_refutes(self, steps):
             return False
         decided.append(steps)
         for bound in dict.fromkeys((1, self.bound)):
             assert full_bound.ask_path(self, steps, bound)[0] == "unsat", steps
         return True
 
-    monkeypatch.setattr(solver.Question, "forces_row", checked)
+    monkeypatch.setattr(solver.Question, "chase_refutes", checked)
     return decided
 
 
@@ -105,10 +104,8 @@ def test_capped_synth_front_answers_match_the_full_bound(seed, bound, monkeypatc
             result = explore(program, s, cons, config)
             cqs = to_conditioned_queries(result.transcripts, s)
             simplify(cqs, s, cons, dict(program.request_params), table_bound=bound, timeout_s=None)
-    # Every unsat question's closure is one row per table: a unique-key
-    # fetch repeated on both sides of a branch is one row.
-    assert seen["skipped"] == seen["unsat"] and seen["capped"] == 0
-    assert seen["unsat"] + len(decided) > len(decided) > 0
+    # The chase refutes every unsat question, so none reaches a search.
+    assert seen == {"unsat": 0, "skipped": 0, "capped": 0} and decided
 
 
 def test_synth_front_counts_the_closure_once_per_bound_1_unsat_question(monkeypatch):
@@ -117,19 +114,19 @@ def test_synth_front_counts_the_closure_once_per_bound_1_unsat_question(monkeypa
 
     schema_text, handlers, _ = synth.generate(1)
     s, cons = _load(schema_text)
-    calls = {"row_bounds": 0, "unsat": 0, "forced": 0}
+    calls = {"row_bounds": 0, "unsat": 0, "refuted": 0}
     row_bounds, check, bounded = solver.Question.row_bounds, fdsolver.CdclBackend.check, solver.bounded
-    forces_row = solver.Question.forces_row
+    chase_refutes = solver.Question.chase_refutes
     bounds = set()
 
     def counted_row_bounds(self, steps):
         calls["row_bounds"] += 1
         return row_bounds(self, steps)
 
-    def counted_forces_row(self, steps):
-        forced = forces_row(self, steps)
-        calls["forced"] += forced
-        return forced
+    def counted_chase_refutes(self, steps):
+        refuted = chase_refutes(self, steps)
+        calls["refuted"] += refuted
+        return refuted
 
     def counted_check(self, *args, **kwargs):
         verdict = check(self, *args, **kwargs)
@@ -141,7 +138,7 @@ def test_synth_front_counts_the_closure_once_per_bound_1_unsat_question(monkeypa
         return bounded(schema, constraints, bound, *args)
 
     monkeypatch.setattr(solver.Question, "row_bounds", counted_row_bounds)
-    monkeypatch.setattr(solver.Question, "forces_row", counted_forces_row)
+    monkeypatch.setattr(solver.Question, "chase_refutes", counted_chase_refutes)
     monkeypatch.setattr(fdsolver.CdclBackend, "check", counted_check)
     monkeypatch.setattr(solver, "bounded", recorded_bounded)
     config = ExplorationConfig(table_bound=2, solver_timeout=None)
@@ -150,10 +147,9 @@ def test_synth_front_counts_the_closure_once_per_bound_1_unsat_question(monkeypa
             result = explore(program, s, cons, config)
             cqs = to_conditioned_queries(result.transcripts, s)
             simplify(cqs, s, cons, dict(program.request_params), table_bound=2, timeout_s=None)
-    # Of the 96 unsat questions, 88 are an empty parent fetch that the
-    # foreign key forbids, decided without a search.  Sat questions never
-    # count the closure, and no question reaches bound 2.
-    assert calls == {"row_bounds": 8, "unsat": 8, "forced": 88} and bounds == {1}
+    # The chase refutes all 96 unsat questions, so no search is unsat and
+    # no closure is counted; no question reaches bound 2.
+    assert calls == {"row_bounds": 0, "unsat": 0, "refuted": 96} and bounds == {1}
 
 
 # ---------------------------------------------------------------------------
@@ -509,3 +505,67 @@ def test_no_instance_satisfies_a_path_the_rule_decides(schema_text, extra, path,
               if _holds(steps, ci, s, {"P": p})]
     assert question.ask_path(steps)[0] == ("unsat" if decided else "sat")
     assert (len(seen), not models) == (decided, decided)
+
+
+# ---------------------------------------------------------------------------
+# Every path the chase refutes: the exhaustive oracle agrees
+
+TINY = {
+    "self-fk": ("table nodes { id int unique  parent_id int fk nodes.id }", ""),
+    "nullable-self-fk": ("table nodes { id int unique  parent_id int nullable fk nodes.id }", ""),
+    "nullable-fk": ("table p { id int unique }\ntable c { id int unique  pid int nullable fk p.id }", ""),
+    "filtered-contain": ("table p { id int unique }\ntable c { id int unique  ref int  f bool }",
+                         "contain SELECT ref FROM c WHERE f in SELECT id FROM p"),
+    "composite-unique": ("table u {\n  k int\n  j int\n  unique (k, j)\n}", ""),
+}
+
+
+def _tiny_path(rng: random.Random, schema, exe) -> list:
+    """Fetches of one row by a column equal to the request parameter or to
+    an earlier row's column, maybe with a second conjunct, and branches
+    between those values, then the last step asserted negatively: a fetch
+    empty or a branch false."""
+    steps, rows = [], []  # rows: (index, table) of each fetched row
+
+    def value():
+        if rows and rng.random() < 0.7:
+            j, u = rng.choice(rows)
+            return RowCol(j, rng.randrange(schema.table(u).arity))
+        return RequestParam("P")
+
+    def fetch(index, empty):
+        t = rng.choice(schema.tables)
+        atoms = [f"{rng.choice(t.columns).name} = ?"]
+        if rng.random() < 0.3:
+            c = rng.choice(t.columns)
+            atoms.append(rng.choice([c.name, f"NOT {c.name}"]) if c.type == "bool" else f"{c.name} = {rng.randrange(3)}")
+        steps.append((index, exe(f"SELECT * FROM {t.name} WHERE {' AND '.join(atoms)}"), (value(),), empty))
+        if not empty:
+            rows.append((index, t.name))
+
+    for index in range(1, rng.randint(2, 4)):
+        if rows and rng.random() < 0.3:
+            steps.append((Cmp("=", value(), value()), rng.random() < 0.5))
+        fetch(index, False)
+    if rng.random() < 0.6:
+        fetch(len(rows) + 1, True)
+    else:
+        steps.append((Cmp("=", value(), value()), False))
+    return steps
+
+
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_no_instance_satisfies_a_path_the_chase_refutes(name):
+    s, cons = _load(*TINY[name])
+    exe, rng = QueryCatalog(s).executable, random.Random(name)
+    instances = enumerate_instances(s, cons, 2, (0, 1, 2))
+    question = solver.Question(s, cons, 2, (0, 2), (("P", "int"),), timeout_s=None)
+    refuted = satisfied = 0
+    for _ in range(40):
+        steps = _tiny_path(rng, s, exe)
+        holds = any(_holds(steps, ci, s, {"P": p}) for ci in instances for p in (0, 1, 2))
+        if question.chase_refutes(steps):
+            assert not holds, steps
+            refuted += 1
+        satisfied += holds
+    assert refuted and satisfied, (refuted, satisfied)

@@ -360,19 +360,19 @@ def _base_snapshot(base):
 
 
 def _detail_chain2():
-    """Toys' schema, constraints and detail_chain with a second items row
-    fetched first: "the parent came back empty" is infeasible, and its
-    witness closure needs two items rows (`i` and the one `d` points to),
-    so explore asks at bound 2 too."""
+    """Toys' schema, constraints and detail_chain with a second, private
+    items row fetched first: "the parent came back public" is infeasible at
+    bound 1, and its witness closure holds two items rows (`i` and the one
+    `d` points to), so explore asks at bound 2 too."""
     root = Path(__file__).resolve().parent.parent / "corpus" / "toys"
     schema = parse_schema((root / "schema.txt").read_text())
     (program,) = parse_handlers("""
 handler detail_chain2(BodyVal: int, ItemId: int) {
   let d = query("SELECT * FROM details WHERE body = ?", BodyVal);
   abort_if_empty(d, 404);
-  let i = query("SELECT * FROM items WHERE id = ?", ItemId);
+  let i = query("SELECT * FROM items WHERE id = ? AND NOT public", ItemId);
   abort_if_empty(i, 404);
-  let parent = query("SELECT * FROM items WHERE id = ?", d.item_id);
+  let parent = query("SELECT * FROM items WHERE id = ? AND public", d.item_id);
   let siblings = query("SELECT * FROM details WHERE item_id = ?", d.item_id);
   render(d, i, siblings);
 }
@@ -401,8 +401,8 @@ def test_checks_on_one_context_leave_its_base_untouched(monkeypatch):
     assert results[0] == results[-1] and results[0][0] == "sat"
 
     # Explore and simplify every synth-front handler, explore toys'
-    # detail_chain2 (no synth-front question reaches bound 2, its
-    # infeasible prefix does), then ask `counterexample` of each view with
+    # detail_chain2 (no synth-front question reaches bound 2, its public
+    # parent does), then ask `counterexample` of each view with
     # no rewriting from its handler's others, and of corpus/broaden's
     # narrow views from the broader ones: each base, one instance or two,
     # is as it was built, and every search a stage call or `Question` made
@@ -610,7 +610,7 @@ def test_a_constant_outside_its_domain_raises_in_every_stage():
 
 
 # ---------------------------------------------------------------------------
-# A rung encodes each path prefix and each determinacy part once
+# A rung encodes each path prefix once, and its search serves every question
 
 
 def _recorded(monkeypatch, counted: str) -> tuple[list, list]:
@@ -657,26 +657,17 @@ def test_a_path_encodes_each_prefix_step_once(monkeypatch):
         assert solver.Question(SCHEMA, CONSTRAINTS, 2, RANGE, timeout_s=None).ask_path(steps) == answer
 
 
-def test_determinacy_questions_encode_each_shared_view_once(monkeypatch):
+def test_determinacy_questions_on_one_search_answer_as_fresh_ones():
     def nf(sql):
         return to_executable(parse_sql(sql), SCHEMA).nf
 
     courses, roles, mine = nf("SELECT * FROM courses"), nf("SELECT * FROM roles"), nf(
         "SELECT * FROM roles WHERE user_id = MyUserId")
     notes, teachers = nf("SELECT note FROM roles"), nf("SELECT user_id FROM roles WHERE is_instructor")
-    bounded(SCHEMA, CONSTRAINTS, 1, RANGE, copies=2)  # the context's own formulas, encoded before recording
-    calls, checked = _recorded(monkeypatch, "result_pairs")
     question = solver.Question(SCHEMA, CONSTRAINTS, 1, RANGE, timeout_s=None)
     asked = [(notes, [courses, roles]), (teachers, [courses, mine]), (notes, [roles, mine]), (mine, [notes])]
     answers = [question.ask_determinacy(q, views) for q, views in asked]
-    # Two instances per part: the first question's three, then `mine` and
-    # teachers; the third question's parts are all encoded, and the last
-    # asks of `mine` and of notes what no question asked of them.
-    assert [args[0] for args in calls[::2]] == [courses, roles, notes, mine, teachers, notes, mine]
     assert [status for status, _ in answers] == ["unsat", "sat", "unsat", "sat"]
-    first, second, third, _ = checked
-    assert second[0] is first[0]
-    assert all(a is b for a, b in zip(third, [first[1], second[1], first[2]], strict=True))
-    # The answers are those of questions that encode from scratch.
+    # The answers are those of questions that each have a search of their own.
     for (q, views), answer in zip(asked, answers):
         assert solver.Question(SCHEMA, CONSTRAINTS, 1, RANGE, timeout_s=None).ask_determinacy(q, views) == answer

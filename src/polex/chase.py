@@ -14,6 +14,13 @@ holds the rows the body started from:
     column the schema declares not nullable, or one a comparison or
     `NOT ... IS NULL` mentions.  An egd fires only on non-null key
     classes, an `fk` tgd only where its `a IS NOT NULL` holds.
+
+The rewriting search chases each body once (`Body.chase`).  A path's body
+grows a step at a time, each step's from a copy of its prefix's chased
+body (`Growing`, for `solver.Question`), and its chase is semi-naive: it
+matches only the rows the step added or moved, and never answers a tgd
+image twice.  Where a cap cuts a chase into a cycle, the facts it reached
+still hold.
 """
 
 from __future__ import annotations
@@ -79,7 +86,7 @@ class Body:
         self.rows, self.parent, self.non_null, self.others, self.results = {}, {}, set(), [], {}
 
     def copy(self) -> Body:
-        other = Body(self.schema, self.next)
+        other = type(self)(self.schema, self.next)
         other.clash, other.rows = self.clash, {t: list(rows) for t, rows in self.rows.items()}
         other.parent, other.non_null, other.others = dict(self.parent), set(self.non_null), list(self.others)
         other.results = dict(self.results)
@@ -133,13 +140,14 @@ class Body:
         self.non_null.update(self.node(h, t) for t in non_null)
         self.others += [(a, h) for a in others]
 
-    def matches(self, q: NormalFormQuery, atoms, fixed=()):
-        """Each map of `q`'s sources onto rows, table for table, under which
-        `atoms` and the equalities `fixed` hold."""
+    def matches(self, q: NormalFormQuery, atoms, fixed=(), among=None):
+        """Each map of `q`'s sources onto rows, table for table (of `among`
+        if given, else of the body), under which `atoms` and the
+        equalities `fixed` hold."""
         eqs, non_null, others = atoms
         eqs = [*fixed, *eqs]
         facts = {_canonical(map_terms(a, functools.partial(self.node, g))) for a, g in self.others} if others else ()
-        for rows in itertools.product(*(self.rows.get(s, ()) for s in q.sources)):
+        for rows in itertools.product(*((among or self.rows).get(s, ()) for s in q.sources)):
             h = sum(rows, ())
             if (all(self.node(h, a) == self.node(h, b) for a, b in eqs)
                     and all(self.known(self.node(h, t)) for t in non_null)
@@ -183,6 +191,82 @@ class Body:
             count.update(sources)
             chased += [tgd[2].sources for t in sources for tgd in tgds if tgd[0].sources[0] == t]
         return {t.name: count[t.name] for t in self.schema.tables}
+
+
+class Growing(Body):
+    """A body that grows a step at a time and is chased after each.  It
+    also keeps the rows that hold each class (`uses`), the rows added or
+    moved since its last chase (`stale`), a row per non-null `unique` key
+    (`keyed`) and the tgd images its chase has answered (`met`).  A copy
+    keeps them, so its chase matches only the rows its own step added or
+    moved.  Two int classes join under the one held by more rows, whose
+    rows stay as they were."""
+
+    def __init__(self, schema: Schema, first: int):
+        super().__init__(schema, first)
+        self.uses, self.stale, self.keyed, self.met = {}, {}, {}, set()
+
+    def copy(self) -> Growing:
+        other = super().copy()
+        other.uses, other.stale, other.keyed = dict(self.uses), dict(self.stale), dict(self.keyed)
+        other.met = set(self.met)
+        return other
+
+    def union(self, a, b) -> bool:
+        a, b = self.find(a), self.find(b)
+        if a == b:
+            return False
+        if (not isinstance(b, int) and (isinstance(a, int) or isinstance(b, _LITERALS) and not isinstance(a, _LITERALS))
+                or isinstance(a, int) and len(self.uses.get(a, ())) < len(self.uses.get(b, ()))):
+            a, b = b, a  # so that `Body.union` roots `a`
+        moved = self.uses.pop(b, ())  # `b`'s rows join `a`'s and go stale, all if `a` becomes known non-null
+        self.uses[a] = self.uses.get(a, ()) + moved
+        self.stale.update(self.uses[a] if b in self.non_null and a not in self.non_null else moved)
+        return super().union(a, b)
+
+    def attach(self, q: NormalFormQuery, atoms, image=()) -> list:
+        first = self.next
+        for name in q.sources:  # the rows `Body.attach` adds, each of fresh nodes
+            row = tuple(range(first, first := first + self.schema.table(name).arity))
+            self.uses.update(zip(row, itertools.repeat(((row, name),))))
+            self.stale[row] = name
+        return super().attach(q, atoms, image)
+
+    def assume(self, atoms, h) -> None:
+        unknown = [n for t in atoms[1] if not self.known(n := self.node(h, t))]
+        super().assume(atoms, h)
+        self.stale.update(pair for n in unknown for pair in self.uses.get(self.find(n), ()))
+
+    def chase(self, tgds, egds, cap) -> None:
+        """`Body.chase`, semi-naive: a round matches only the stale rows
+        against the egds, and against each tgd whose left side has no other
+        conjuncts (on the other rows its left side holds as before, and
+        `met` holds its image)."""
+        keys = {}
+        for name, key in egds:
+            keys.setdefault(name, []).append(key)
+        while self.stale:
+            rows, self.stale = self.stale, {}
+            for row, name in rows.items():
+                for key in keys.get(name, ()):
+                    if all(map(self.known, k := tuple(self.find(row[i]) for i in key))):
+                        other = self.keyed.setdefault((name, key, k), row)
+                        for a, b in zip(other, row) if other != row else ():
+                            self.union(a, b)
+            tables = set(rows.values())
+            for i, (left, la, right, ra, cost) in enumerate(tgds):
+                (src,) = left.sources
+                if src not in tables and not la[2]:
+                    continue
+                among = None if la[2] else {src: [r for r in self.rows[src] if r in rows or r in self.stale]}
+                for g in list(self.matches(left, la, among=among)):
+                    image = tuple(self.find(g[o]) for o in left.projection)
+                    if (i, image) not in self.met and cost <= cap and next(
+                            self.matches(right, ra, list(zip(image, map(Col, right.projection)))), None) is None:
+                        self.attach(right, ra, image)
+                        cap -= cost
+                        tables.update(self.stale.values())
+                    self.met.add((i, image))
 
 
 @functools.lru_cache(maxsize=64)

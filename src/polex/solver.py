@@ -23,7 +23,8 @@ Every stage asks the solver through a `Question`, and this module alone
 builds formulas: a stage states a path (explore's pending prefix, or the
 simplifier's premises followed by its goal flipped) or a determinacy
 pair (`is-allowed`'s two instances that agree on the views and differ
-on the query).  A question is asked at bound 1 first (a bound-1 model is a
+on the query).  A path the chase answers (see below) needs no formula.
+Any other question is asked at bound 1 first (a bound-1 model is a
 full-bound model with the other rows absent), and a sat answer comes
 back as one input per instance, checked against the constraints.
 Explore and policy-gen keep one `Question` for a stage call, so all its
@@ -37,6 +38,13 @@ A path is a conjunctive query over one instance, which the chase decides
 in the equality fragment (Johnson & Klug, JCSS 1984): a path whose last
 step `Question.chase_refutes` answers in its canonical instance (a
 witness row per non-empty PSJ step) is unsat at every bound and range.
+Where that instance is not refuted, chased it is a universal model
+(Fagin, Kolaitis, Miller & Popa, TCS 2005), and `Question.chased_input`
+reads a sat path's input from it: the lowest values that keep its
+disequalities and keys apart.  The input is returned only if it fits the
+bound, satisfies the constraints and takes the path when evaluated;
+otherwise the path goes to the rungs.  A built input depends on its path
+alone: not on the bound, nor on the questions asked before it.
 
 An unsat path needs only the rows of a countermodel's witness closure:
 the rows its non-empty query steps matched, and the rows the `contain`
@@ -51,12 +59,14 @@ caps the full-bound rung at it.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .chase import Body, atoms, dependencies
+from .chase import Growing, atoms, dependencies
 from .constraints import Constraint, Containment, LiteralRelation, Unique, check_range, column_domain, validate_instance
+from .evaluate import ScalarEnv, eval_branch, eval_executable
 from .fdsolver import (
     FALSE_F,
     TRUE_F,
@@ -436,13 +446,16 @@ class Question:
     """Bounded questions over one context, for the life of one stage call.
     A stage states what it asks, a path (`ask_path`) or a determinacy
     pair (`ask_determinacy`), and only this class builds the formulas.
-    Each rung (bound 1, and `bound`) of each instance count gets one
-    incremental search at its first question, and every later question
-    on that rung reuses it, with the formulas it has encoded (a `memo`, see
-    `ask`; never a verdict).  A path's chase may refute it (`chase_refutes`)
-    or count its witness closure (`row_bounds`): a countermodel within
-    `bound` rows has one within min(bound, r_T) rows of each table T.  A
-    determinacy pair keeps the full bound."""
+    Each path prefix's canonical instance is chased once, from a copy of
+    its parent's (a trie of steps, `_instance`), and that one chased
+    instance may refute the path (`chase_refutes`), give its input
+    (`chased_input`) or count its witness closure (`row_bounds`): a
+    countermodel within `bound` rows has one within min(bound, r_T) rows
+    of each table T.  Any other question goes to the rungs: each rung
+    (bound 1, and `bound`) of each instance count gets one incremental
+    search at its first question, and every later question on that rung
+    reuses it, with the formulas it has encoded (a `memo`, see `ask`;
+    never a verdict).  A determinacy pair keeps the full bound."""
 
     schema: Schema
     constraints: list[Constraint]
@@ -451,7 +464,7 @@ class Question:
     params: tuple = ()
     timeout_s: float | None = 5.0
     _rungs: dict = field(default_factory=dict, init=False, repr=False)  # (bound, copies) -> (search, instances, params, memo)
-    _trie: dict = field(default_factory=dict, init=False, repr=False)  # step -> (prefix's instance, its extensions)
+    _trie: dict = field(default_factory=dict, init=False, repr=False)  # step -> (prefix's chased instance, extensions)
 
     def ask_path(self, steps) -> tuple[str, tuple[ConcreteInput, ...]]:
         """Whether the constraints and the path `steps` hold together on one
@@ -462,7 +475,8 @@ class Question:
         row, which later steps read as `RowCol(index, _)`, True that it
         returned none, and None neither.  Every query step also asserts
         that the query returns at most one row.  A step given twice is
-        asserted once.  A path `chase_refutes` is unsat without a rung.
+        asserted once.  A path `chase_refutes` is unsat without a rung,
+        and one `chased_input` answers is sat without one.
 
         A prefix's formulas depend only on the rung and the prefix, so the
         rung's memo holds them as a trie: a node is a prefix's formulas by
@@ -491,7 +505,10 @@ class Question:
                 formulas, rows, children = node
             return list(formulas.values())
 
-        return ("unsat", ()) if self.chase_refutes(steps) else self.ask(encode, 1, steps)
+        if self.chase_refutes(steps):
+            return "unsat", ()
+        ci = self.chased_input(steps)
+        return ("sat", (ci,)) if ci is not None else self.ask(encode, 1, steps)
 
     def ask_determinacy(self, q: NormalFormQuery, views) -> tuple[str, tuple[ConcreteInput, ...]]:
         """Whether two instances that share the session parameters can agree
@@ -548,11 +565,12 @@ class Question:
     def _dependencies(self) -> tuple:
         return dependencies(tuple(self.constraints), self.schema)
 
-    def _instance(self, steps) -> Body | None:
-        """The unchased canonical instance of the path `steps` (see
+    def _instance(self, steps) -> Growing | None:
+        """The chased canonical instance of the path `steps` (see
         `ask_path`), or None for a LEFT JOIN step or two witnesses on one
-        result index; each prefix is built once, from its parent's."""
-        body, children = Body(self.schema, 0), self._trie
+        result index; each prefix is built and chased once, from its
+        parent's."""
+        body, children = Growing(self.schema, 0), self._trie
         for step in dict.fromkeys(steps):
             if body is None:
                 return None
@@ -562,10 +580,11 @@ class Question:
             body, children = node
         return body
 
-    def _extend(self, body: Body, step) -> Body | None:
+    def _extend(self, body: Growing, step) -> Growing | None:
         """`body` and a non-empty PSJ step's witness row, whose params fill
         its placeholders and whose result columns are its classes, or a
-        branch's equalities and non-null terms."""
+        branch's conjuncts; chased, with as many rows into a cycle as the
+        step adds."""
         if len(step) == 4:
             index, q, params, empty = step
             if isinstance(q, LeftJoinQuery) or empty is False and any(r.query_index == index for r in body.results):
@@ -575,22 +594,23 @@ class Question:
             body, nf = body.copy(), q.nf if isinstance(q, PlainQuery) else q
             h = body.attach(nf, _filled(nf, params) or ((), (), ()))
             body.results.update({RowCol(index, j): h[o] for j, o in enumerate(nf.projection)})
+            cap = len(nf.sources)
         else:
             pred, outcome = _positive(*step)
-            if (facts := atoms(pred if outcome else Not(pred), True)) and (facts[0] or facts[1]):
-                body = body.copy()
-                body.assume((*facts[:2], ()), ())
+            if not ((facts := atoms(pred if outcome else Not(pred), True)) and any(facts)):
+                return body
+            body, cap = body.copy(), 0
+            body.assume(facts, ())
+        body.chase(*self._dependencies[:2], cap)
         return body
 
     def chase_refutes(self, steps) -> bool:
-        """Whether the chase of the path `steps` (see `ask_path`) before its
-        last step answers that step, asserted negatively: a fetch asserted
-        empty maps into the chased rows, a COUNT is asserted empty, or a
-        branch asserted false holds there; or two distinct literals share a
-        class.  Then the path is unsat at every bound and range.  Explore
-        and the simplifier flip only the last step, so only a fetch
-        asserted empty is chased, by the egds and the tgds that add rows of
-        its tables."""
+        """Whether the chased canonical instance of the path `steps` (see
+        `ask_path`) before its last step answers that step, asserted
+        negatively: a fetch asserted empty maps into its rows, a COUNT is
+        asserted empty, or a branch asserted false holds there; or two
+        distinct literals share a class.  Then the path is unsat at every
+        bound and range, the chase capped or not."""
         if not steps:
             return False
         *premises, last = steps
@@ -599,17 +619,14 @@ class Question:
             if empty is not True or isinstance(q, (LeftJoinQuery, CountQuery)):
                 return empty is True and isinstance(q, CountQuery)  # a COUNT returns a row
             nf = q.nf if isinstance(q, PlainQuery) else q
-            goal, tables = (nf, _filled(nf, params)), set(nf.sources)
+            goal = nf, _filled(nf, params)
         else:
             pred, outcome = _positive(*last)
             if outcome:
                 return False
-            goal, tables = (NormalFormQuery((), pred, ()), atoms(pred, True)), set()
+            goal = NormalFormQuery((), pred, ()), atoms(pred, True)
         if goal[1] is None or (body := self._instance(premises)) is None:
             return False
-        tgds = [tgd for tgd in self._dependencies[0] if not tables.isdisjoint(tgd[2].sources)]
-        if tables and any(body.rows.get(t) for t in tables | {tgd[0].sources[0] for tgd in tgds}):
-            body = _chased(body, tgds, self._dependencies[1])  # else no row could answer the fetch
         return body.clash or next(body.matches(*goal), None) is not None
 
     def row_bounds(self, steps) -> dict[str, int] | None:
@@ -618,9 +635,52 @@ class Question:
         chased canonical instance.  None for a LEFT JOIN step (a deleted
         right row can make an unmatched-left row), a cyclic `contain` graph
         or one a tgd misses, or two witnesses on one index."""
-        tgds, egds, counted = self._dependencies
+        tgds, _, counted = self._dependencies
         body = self._instance(steps) if counted else None
-        return None if body is None else _chased(body, tgds, egds).closure(tgds)
+        return None if body is None else body.closure(tgds)
+
+    def chased_input(self, steps) -> ConcreteInput | None:
+        """An input that takes the path `steps` (see `ask_path`), read from
+        its chased canonical instance, or None.  Its rows are the
+        instance's distinct rows.  A class holding a literal takes it, and
+        any other, in the order of the solver's symbols (rows, then session
+        and request parameters), the lowest value of its domain that none
+        of its neighbours holds: the other side of a disequality it is
+        asserted, or a key column where two rows of a `unique` line differ.
+        None when a table needs more than `bound` rows or a class a value
+        outside its domain, and unless the input satisfies the constraints
+        and every step evaluates as asserted."""
+        body = self._instance(steps)
+        if body is None or body.clash:
+            return None
+        rows = {t: list(dict.fromkeys(tuple(map(body.find, r)) for r in rs)) for t, rs in body.rows.items()}
+        if max(map(len, rows.values()), default=0) > self.bound:
+            return None
+        cells = []  # (class, its domain) per symbol
+        for t in self.schema.tables:
+            columns = [column_domain(self.value_range, c.type) for c in t.columns]
+            cells += [cell for r in rows.get(t.name, ()) for cell in zip(r, columns)]
+        cells += [(body.find(SessionParam(name)), self.value_range) for name in SESSION_PARAMS]
+        cells += [(body.find(RequestParam(n)), column_domain(self.value_range, ptype)) for n, ptype in self.params]
+        neighbours = collections.defaultdict(set)
+        for x, y in [tuple(body.node(h, t) for t in terms) for a, h in body.others if (terms := _apart(a))] + [
+                (r[k], s[k]) for name, key in self._dependencies[1]
+                for r, s in itertools.combinations(rows.get(name, ()), 2) for k in key if r[k] != s[k]]:
+            neighbours[x].add(y)
+            neighbours[y].add(x)
+        values = {n: int(n.value) for n in [*neighbours, *(n for n, _ in cells)] if isinstance(n, (IntLit, BoolLit))}
+        for n, (lo, hi) in cells:
+            if n not in values:
+                taken = {values.get(m) for m in neighbours[n]} if n in neighbours else ()
+                values[n] = next((v for v in range(lo, hi + 1) if v not in taken), None)
+        if not all(values[n] is not None and lo <= values[n] <= hi for n, (lo, hi) in cells):
+            return None
+        tables = {t.name: tuple(dict.fromkeys(tuple(values[n] for n in r) for r in rows.get(t.name, ())))
+                  for t in self.schema.tables}
+        ci = ConcreteInput("", "", tables, {name: values[body.find(SessionParam(name))] for name in SESSION_PARAMS},
+                           {name: values[body.find(RequestParam(name))] for name, _ in self.params})
+        valid = validate_instance(ci, self.constraints, self.schema)[0]
+        return ci if valid and _follows(steps, ci, self.schema) else None
 
 
 def _positive(pred: Predicate, outcome: bool) -> tuple[Predicate, bool]:
@@ -630,11 +690,35 @@ def _positive(pred: Predicate, outcome: bool) -> tuple[Predicate, bool]:
     return pred, outcome
 
 
-def _chased(body: Body, tgds, egds) -> Body:
-    """A copy of `body` chased, with as many rows into a cycle as it has rows."""
-    body = body.copy()
-    body.chase(tgds, egds, sum(map(len, body.rows.values())))
-    return body
+def _apart(a: Predicate):
+    """The two terms the atom `a` keeps apart (`x <> y`, `NOT x = y`, or
+    `NOT x` as `x <> 1`), or None."""
+    if isinstance(a, Not) and isinstance(a.inner, BoolCol):
+        return a.inner.term, IntLit(1)
+    if isinstance(a, Not) and isinstance(a.inner, Cmp) and a.inner.op == "=":
+        return a.inner.left, a.inner.right
+    return (a.left, a.right) if isinstance(a, Cmp) and a.op == "<>" else None
+
+
+def _follows(steps, ci: ConcreteInput, schema: Schema) -> bool:
+    """Whether `ci` takes the path `steps` (see `Question.ask_path`): each
+    branch has its outcome, and each query returns at most one row, and
+    a row or none as its step asserts."""
+    env = ScalarEnv(session=ci.session, request=ci.request)
+    for step in steps:
+        if len(step) == 2:
+            if eval_branch(step[0], env) != step[1]:
+                return False
+            continue
+        index, q, params, empty = step
+        placeholders = tuple(map(env.lookup, params))
+        q = PlainQuery(q, ()) if isinstance(q, NormalFormQuery) else q
+        rows = eval_executable(q, ci, schema, ScalarEnv(env.session, env.request, env.rows, placeholders))
+        if len(rows) > 1 or empty is not None and empty != (not rows):
+            return False
+        if empty is False:
+            (env.rows[index],) = rows
+    return True
 
 
 @functools.lru_cache(maxsize=4096)

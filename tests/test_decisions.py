@@ -3,7 +3,10 @@
 A check whose propagated assumptions already give a model (the completion,
 see `fdsolver._Cdcl.solve`) returns it without a decision.  These counts
 do not depend on the machine: every check of a benchmark job runs without
-a deadline.  A change that moves them on purpose updates them here.
+a deadline.  A change that moves them on purpose updates them here.  A job
+reads almost every sat path's input from its chased instance, so these
+jobs send every sat path to the solver (`full_bound.searched`), as a job
+did before.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from pathlib import Path
 import pytest
 
 from polex import fdsolver
+
+import full_bound
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -45,6 +50,7 @@ def test_sat_checks_end_without_a_decision_when_the_completion_holds(
     monkeypatch.setattr(fdsolver._Cdcl, "solve", counted_solve)
     monkeypatch.setattr(fdsolver._Cdcl, "new_level", counted_new_level)
     monkeypatch.setattr(fdsolver.CdclBackend, "check", counted_check)
+    full_bound.searched(monkeypatch)
     wl = workloads.WORKLOADS[workload]
     ld = workloads.load(**wl.inputs(PERFBENCH.parent, 1, tmp_path))
     assert wl.check(ld, wl.job(ld, workloads.Ops())) == []

@@ -321,21 +321,28 @@ def test_exploration_is_the_same_without_the_bound_1_rung(corpus, monkeypatch):
             for r in (explore(p, schema, constraints, config) for p in programs)
         ]
 
-    decided = []
-    chase_refutes = solver.Question.chase_refutes
+    decided, built = [], []
+    chase_refutes, chased_input = solver.Question.chase_refutes, solver.Question.chased_input
 
     def counted_chase_refutes(self, steps):
         decided.append(chase_refutes(self, steps))
         return decided[-1]
 
+    def counted_chased_input(self, steps):
+        built.append(chased_input(self, steps))
+        return built[-1]
+
     monkeypatch.setattr(fdsolver.CdclBackend, "check", counted_check)
     monkeypatch.setattr(solver.Question, "chase_refutes", counted_chase_refutes)
+    monkeypatch.setattr(solver.Question, "chased_input", counted_chased_input)
     with_rung = explored()
     full_bound.only(monkeypatch)
     assert explored() == with_rung
     # Every prefix the chase did not refute that is infeasible has a
-    # closure of one row per table.
-    assert checks[0] + sum(decided) == checks[1] and any(decided)
+    # closure of one row per table, and every one the chase did not build
+    # an input for that is sat has a bound-1 model: one check each.
+    answered = sum(decided) + sum(ci is not None for ci in built)
+    assert checks[0] + answered == checks[1] and any(decided) and any(built)
 
 
 def test_multi_row_repair(toys_schema, toys_constraints):

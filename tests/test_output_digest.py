@@ -2,26 +2,30 @@
 `scripts/output_digest.py`, so a run added there cannot stay unpinned.
 
 Toys prints the same bytes at bounds 2 to 5, and broaden, whose prune
-decides by rewriting alone, at bounds 2 to 5.  `synth-front`
-seed 1 prints the same bytes at bounds 2, 4, 6 and 8: its sat questions
-all end at bound 1, and the witness closure of every unsat one is one row
-per table, so none reaches the full bound.  Models take
-the lowest values their formulas allow, so the toys and `synth-front`
-runs at value range 0:15 print the same bytes as their 0:7 runs; the
-`ranges` corpus is the run whose inputs need values above 7.  For the
-same reason toys with item categories limited to three interned names
-prints the toys bytes: every input's category is 0, the id of 'red'.
-Limited to 3 and 5 instead, every input's category is 3, so that run
-prints bytes of its own.  The `replies` corpus prints the same bytes at
-bounds 3 to 5: its one handler's 4 views prune to 1 by rewriting at every
-bound, with no search.  Its bound-2 run differs from them in one generated
-input only, `show_reply-0004`: explore asks that path at the full bound
-(the foreign key to its own table leaves no witness-closure count), where
-a model has two posts rows at bound 2 and three from bound 3 on.  Each
-empty parent fetch is unsat without a search (the chase refutes it,
-`Question.chase_refutes`), so no full-bound search of an unsat path comes
-before the one that generates `show_reply-0003`, which is the same at
-every bound.
+decides by rewriting alone, at bounds 2 to 5.  `synth-front` seed 1
+prints the same bytes at bounds 2, 4, 6 and 8: the chase refutes every
+unsat question and builds every sat one's input from its chased instance
+(`Question.chased_input`), which holds at most one row per table here and
+does not depend on the bound.  Models and built inputs take the lowest
+values their formulas allow, so the toys and `synth-front` runs at value
+range 0:15 print the same bytes as their 0:7 runs; the `ranges` corpus is
+the run whose inputs need values above 7.  For the same reason toys with
+item categories limited to three interned names prints the toys bytes:
+every input's category is 0, the id of 'red'.  Limited to 3 and 5
+instead, every input's category is 3, so that run prints bytes of its own.
+A built input takes the values a bound-1 model takes, so reading inputs
+from the chase moved no digest but the `replies` ones, and those only in
+generated-input lines (`scripts/output_digest.py --lines RUN` at the
+parent and here: transcripts, tree counts, views and policies are the
+same).  The `replies` corpus prints the same bytes at bounds 3 to 5: its
+one handler's 4 views prune to 1 by rewriting at every bound, with no
+search.  Its bound-2 run differs from them in two generated inputs.
+`show_reply-0003` is built from the chased instance at bounds 3 to 5,
+where its 3 posts rows fit, and at bound 2 comes from a search with 2.
+`show_reply-0004` comes from a full-bound search at every bound (the
+foreign key to its own table leaves no witness-closure count, and its
+built input fetches the empty grandparent), where a model depends on the
+bound.
 `scripts/output_digest.py --lines RUN` prints the lines behind a digest,
 to show what a change of pin changed.
 
@@ -46,7 +50,7 @@ _spec.loader.exec_module(output_digest)
 TOYS = "9a91070e9465cd2d07f6c7d4be1f6acba1c31113e6ca75edb09541493b171cb6"
 BROADEN = "38d9cdef5556f66239b63aa1d1d9b3534071ecbbbd83b619d898db8780e50871"
 SYNTH_S1 = "36f4f69db2c161abc5fd89757537254fdb3c6c4428f4fce999b3b301657b4288"
-REPLIES = "042e328ddcfb9628faba7ff5ef65991f123766276eb872812f73d530a0fd2664"
+REPLIES = "b7556d5cc9d4461b59a8bb6fd0db8bb309c2b14affe003bfec011f9b6beaf49f"
 PINNED = {
     "toys-b2": TOYS,
     "toys-b3": TOYS,
@@ -68,7 +72,7 @@ PINNED = {
     "ranges-b2-r15": "eca6fbeadffb63b64e96e0475d90e67bf4f0a2bef9ae055c3620a912e97aac71",
     "toys-b2-domain": TOYS,
     "toys-b2-domain-no-0": "d1c3ef5fc8bab2fa18b3113d087c71aacc4b5f30f5cb97c075a3621c30a0069f",
-    "replies-b2": "b70ef83e9053d67f5fbfac9df97a2adae89e7884635f71d3489bb131caa91a30",
+    "replies-b2": "e346ac281da0298c55b4775a64e6d1c032732b982f2e893165df68b8681588bf",
     "replies-b3": REPLIES,
     "replies-b4": REPLIES,
     "replies-b5": REPLIES,

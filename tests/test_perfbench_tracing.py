@@ -63,9 +63,10 @@ def test_traced_toys_job_counts_the_same_work(tracing, tmp_path):
     m = tracing.layer_metrics(tracer)
     assert (m["explorer.paths"], m["explorer.infeasible"], m["fdsolver.unknown"]) == (24, 3, 0)
     # The chase refutes all 4 unsat questions without a check, 3 in explore
-    # and 1 in policy-gen, so no search is unsat.  Prune makes no check:
-    # its 26 decisions are rewritings or none.
-    assert (m["fdsolver.check_calls"], m["fdsolver.conflicts"], m["explorer.cache_hits"]) == (30, 1, 3)
+    # and 1 in policy-gen, so no search is unsat, and builds 28 of the 30
+    # sat ones' inputs: only `item_report`'s 2 LEFT JOIN paths are checked.
+    # Prune makes no check: its 26 decisions are rewritings or none.
+    assert (m["fdsolver.check_calls"], m["fdsolver.conflicts"], m["explorer.cache_hits"]) == (2, 1, 3)
     assert m["fdsolver.unsat"] == 0
     assert (m["pruner.is_allowed_calls"], m["pruner.allowed"]) == (26, 10)
 

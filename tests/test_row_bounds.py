@@ -148,8 +148,9 @@ def test_synth_front_counts_the_closure_once_per_bound_1_unsat_question(monkeypa
             cqs = to_conditioned_queries(result.transcripts, s)
             simplify(cqs, s, cons, dict(program.request_params), table_bound=2, timeout_s=None)
     # The chase refutes all 96 unsat questions, so no search is unsat and
-    # no closure is counted; no question reaches bound 2.
-    assert calls == {"row_bounds": 0, "unsat": 0, "refuted": 96} and bounds == {1}
+    # no closure is counted, and it builds every sat question's input
+    # (`test_chased_inputs.py`): no question reaches a rung.
+    assert calls == {"row_bounds": 0, "unsat": 0, "refuted": 96} and bounds == set()
 
 
 # ---------------------------------------------------------------------------

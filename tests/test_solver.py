@@ -29,6 +29,8 @@ from polex.solver import (
 from polex.sqlparser import parse_sql
 from polex.terms import BoolCol, Cmp, Col, IntLit, IsNull, Not, RowCol, SessionParam, TRUE, conjoin
 
+import full_bound
+
 SCHEMA = parse_schema(
     """
 table courses { id int unique }
@@ -406,7 +408,9 @@ def test_checks_on_one_context_leave_its_base_untouched(monkeypatch):
     # no rewriting from its handler's others, and of corpus/broaden's
     # narrow views from the broader ones: each base, one instance or two,
     # is as it was built, and every search a stage call or `Question` made
-    # is garbage once it returns.
+    # is garbage once it returns.  Every sat path goes to the solver, which
+    # the chased instance would otherwise answer.
+    full_bound.searched(monkeypatch)
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import synth
 
@@ -485,6 +489,7 @@ def test_base_grows_linearly_with_the_value_range(bound):
 
 def test_explore_encodes_each_context_once(monkeypatch):
     schema, cons, program = _detail_chain2()
+    full_bound.searched(monkeypatch)  # every sat path to the solver
     calls = {"encode_instance": 0, "ladders": 0}
     pools = []
 
@@ -640,6 +645,7 @@ def test_a_path_encodes_each_prefix_step_once(monkeypatch):
     teaches = (BoolCol(RowCol(2, 2)), True)
     noted = (3, exe("SELECT * FROM roles WHERE note = ?"), (RowCol(2, 3),), None)
     path = [course, role, teaches, course]  # a step given twice is asserted once
+    full_bound.searched(monkeypatch)  # every sat path to the solver
     calls, checked = _recorded(monkeypatch, "encode_query")
     question = solver.Question(SCHEMA, CONSTRAINTS, 2, RANGE, timeout_s=None)
     answers = [question.ask_path(steps) for steps in (path, path, path + [noted], path)]

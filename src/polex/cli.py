@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .constraints import RangeError, check_range, generate_constraints, render_constraint_file
@@ -129,7 +130,7 @@ def cmd_policy_gen(args) -> int:
     ids = run.transcript_ids(args.handler)
     if not ids:
         raise CliError(f"no transcripts for handler {args.handler!r}; run explore first")
-    transcripts = [run.read_transcript(i)[1] for i in ids]
+    transcripts = [replace(run.read_transcript(i)[1], input=run.read_input(i, schema)) for i in ids]
     try:
         cqs = to_conditioned_queries(transcripts, schema)
         simplified = simplify(cqs, schema, constraints, dict(program.request_params),

@@ -273,12 +273,13 @@ def execute(
     schema: Schema,
     catalog: QueryCatalog | None = None,
 ) -> tuple[Transcript, list[str]]:
-    """Run `program` on `input`; returns the transcript and any warnings.
+    """Run `program` on `input`; returns the transcript, which holds
+    `input`, and any warnings.
 
     Raises MultiRowResult when a query returns more than one distinct row.
     """
     catalog = catalog or QueryCatalog(schema)
     run = _Run(program, input, schema, catalog)
     run.run()
-    t = Transcript(program.name, input.input_id, tuple(run.records), run.outcome)
+    t = Transcript(program.name, input.input_id, tuple(run.records), run.outcome, input)
     return t, run.warnings

@@ -11,6 +11,13 @@ branches, equality propagation, duplicate and vacuous-unused query
 records, branch merging, subsumption); and each surviving conditioned
 query becomes one view by conjoining its records onto an accumulated
 query, then deleting request parameters of the supported shape.
+
+Each simplification question is a path (`solver.Question.ask_path`),
+answered in four ways: sat by an input some transcript ran on that takes
+it, unsat by its chase, sat by an input read from its chased instance,
+or by a search.  Every conditioned query carries the inputs of all the
+transcripts it was cut from (`examples`), and `simplify` hands them to
+its `Question`.
 """
 
 from __future__ import annotations
@@ -88,6 +95,7 @@ class ConditionedQuery:
     handler: str = field(compare=False, default="")
     witness: str = field(compare=False, default="")
     approx: bool = field(compare=False, default=False)
+    examples: tuple = field(compare=False, default=(), repr=False)  # the inputs of every transcript it was cut from
 
 
 @dataclass(frozen=True)
@@ -153,9 +161,11 @@ def to_conditioned_queries(
     value may not be read) add no condition.  A variant under which a
     parameter became NULL (a LEFT JOIN's left-only part) gets no row from
     the query: it emits no conditioned query for it, and dies where the
-    query returned a row."""
+    query returned a row.  Each conditioned query carries the inputs of
+    all the transcripts, where known, as its `examples`."""
     lowered: dict[str, tuple] = {}  # SQL text -> (executable, PSJ variants)
     out: list[ConditionedQuery] = []
+    examples = tuple(t.input for t in transcripts if t.input is not None)
     for t in transcripts:
         partials = [_Partial([], {}, False)]
         for record in t.records:
@@ -183,7 +193,7 @@ def to_conditioned_queries(
                 for variant in variants:
                     approx = part.approx or not variant.lossless
                     out.append(ConditionedQuery(variant.nf, params, tuple(part.conditions), handler=t.handler,
-                                                witness=t.input_id, approx=approx))
+                                                witness=t.input_id, approx=approx, examples=examples))
                     if not grows:
                         continue
                     remap = dict(part.remap)
@@ -508,9 +518,12 @@ def simplify(
     value_range: tuple[int, int] = (0, 7),
     timeout_s: float = 5.0,
 ) -> list[ConditionedQuery]:
+    """`Simplifier.simplify` on one `Question`, whose known inputs are
+    the `examples` of `cqs`, each once."""
     # every parameter once: one no formula names is never decided
     params = tuple((param_types or {}).items())
-    question = Question(schema, constraints, table_bound, value_range, params, timeout_s=timeout_s)
+    examples = tuple({id(ci): ci for cq in cqs for ci in cq.examples}.values())
+    question = Question(schema, constraints, table_bound, value_range, params, timeout_s=timeout_s, examples=examples)
     return Simplifier(question).simplify(cqs)
 
 

@@ -23,7 +23,11 @@ Every stage asks the solver through a `Question`, and this module alone
 builds formulas: a stage states a path (explore's pending prefix, or the
 simplifier's premises followed by its goal flipped) or a determinacy
 pair (`is-allowed`'s two instances that agree on the views and differ
-on the query).  A path the chase answers (see below) needs no formula.
+on the query).  A path is answered in one of four ways, tried in turn:
+sat by a known input that takes it (`Question.known_input`, from the
+inputs the stage's transcripts ran on), unsat when its chase refutes it,
+sat by an input read from its chased instance (both below), and
+otherwise by a search.  Only the last builds formulas.
 Any other question is asked at bound 1 first (a bound-1 model is a
 full-bound model with the other rows absent), and a sat answer comes
 back as one input per instance, checked against the constraints.
@@ -446,6 +450,11 @@ class Question:
     """Bounded questions over one context, for the life of one stage call.
     A stage states what it asks, a path (`ask_path`) or a determinacy
     pair (`ask_determinacy`), and only this class builds the formulas.
+    A path is answered in four ways: by one of the known inputs
+    `examples` that takes it (`known_input`), by its chase (refuted, or
+    its input read from the chased instance), or by the rungs' search.
+    Policy-gen's examples are the inputs its transcripts ran on; explore
+    has none, since no run has taken a prefix it queues.
     Each path prefix's canonical instance is chased once, from a copy of
     its parent's (a trie of steps, `_instance`), and that one chased
     instance may refute the path (`chase_refutes`), give its input
@@ -463,6 +472,7 @@ class Question:
     value_range: tuple[int, int]
     params: tuple = ()
     timeout_s: float | None = 5.0
+    examples: tuple = field(default=(), repr=False)  # known inputs (ConcreteInput), such as the runs the paths came from
     _rungs: dict = field(default_factory=dict, init=False, repr=False)  # (bound, copies) -> (search, instances, params, memo)
     _trie: dict = field(default_factory=dict, init=False, repr=False)  # step -> (prefix's chased instance, extensions)
 
@@ -475,8 +485,8 @@ class Question:
         row, which later steps read as `RowCol(index, _)`, True that it
         returned none, and None neither.  Every query step also asserts
         that the query returns at most one row.  A step given twice is
-        asserted once.  A path `chase_refutes` is unsat without a rung,
-        and one `chased_input` answers is sat without one.
+        asserted once.  A path `known_input` or `chased_input` answers
+        is sat without a rung, and one `chase_refutes` is unsat without one.
 
         A prefix's formulas depend only on the rung and the prefix, so the
         rung's memo holds them as a trie: a node is a prefix's formulas by
@@ -505,6 +515,8 @@ class Question:
                 formulas, rows, children = node
             return list(formulas.values())
 
+        if (ci := self.known_input(steps)) is not None:
+            return "sat", (ci,)
         if self.chase_refutes(steps):
             return "unsat", ()
         ci = self.chased_input(steps)
@@ -560,6 +572,34 @@ class Question:
                     raise InternalSolverError(f"model breaks a constraint: {viol}")
             return "sat", inputs
         return verdict.status, ()
+
+    @functools.cached_property
+    def _known(self) -> tuple[ConcreteInput, ...]:
+        """The `examples` that are inputs of this context: at most `bound`
+        rows a table, each value in its column's domain (NULL only in a
+        nullable column), each session and request parameter present and
+        in its domain, and the constraints satisfied."""
+
+        def value(v, lo: int, hi: int) -> bool:
+            return isinstance(v, int) and lo <= v <= hi
+
+        def fits(ci: ConcreteInput) -> bool:
+            for t in self.schema.tables:
+                rows, domains = ci.tables.get(t.name), [column_domain(self.value_range, c.type) for c in t.columns]
+                if rows is None or len(rows) > self.bound or not all(
+                        len(r) == len(domains) and all(v is None and c.nullable or value(v, *d)
+                                                       for v, c, d in zip(r, t.columns, domains)) for r in rows):
+                    return False
+            return all(value(ci.session.get(n), *self.value_range) for n in SESSION_PARAMS) and all(
+                value(ci.request.get(n), *column_domain(self.value_range, ptype)) for n, ptype in self.params)
+
+        return tuple(ci for ci in self.examples if fits(ci) and validate_instance(ci, self.constraints, self.schema)[0])
+
+    def known_input(self, steps) -> ConcreteInput | None:
+        """The first of `examples` that is an input of this context (see
+        `_known`) and takes the path `steps` (see `ask_path`), or None.
+        It is a model within the bound and range, so the path is sat."""
+        return next((ci for ci in self._known if _follows(steps, ci, self.schema)), None)
 
     @functools.cached_property
     def _dependencies(self) -> tuple:

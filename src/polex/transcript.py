@@ -7,6 +7,10 @@ On disk: line 1 is run metadata, then one line per record, e.g.
 
     {"t": "Q", "i": 1, "sql": "SELECT ...", "params": [...], "empty": false}
     {"t": "B", "cond": {...}, "out": true}
+
+A transcript that `interpreter.execute` returns also holds the input it
+ran on, outside its equality and its JSON lines; the simplifier answers
+its sat questions with these inputs where one takes the path.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Union
 
+from .instance import ConcreteInput
 from .terms import (
     And,
     BoolCol,
@@ -59,6 +64,7 @@ class Transcript:
     input_id: str
     records: tuple[TranscriptRecord, ...]
     outcome: str  # "rendered" | "abort:<code>" | "end"
+    input: ConcreteInput | None = field(default=None, compare=False, repr=False)  # the run's input, if known
 
 
 # ---------------------------------------------------------------------------

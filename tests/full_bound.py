@@ -8,8 +8,9 @@ a full-bound model with the other rows absent, so the rung must never
 change a verdict, and what a search learnt from earlier questions must
 never change an answer.  Nor may a question's witness closure
 (`solver.Question.row_bounds`), which skips or caps its full-bound rung,
-nor a path that `solver.Question.chase_refutes` or
-`solver.Question.chased_input` answers without a search.  This module
+nor a path that `solver.Question.chase_refutes`,
+`solver.Question.chased_input` or `solver.Question.known_input` answers
+without a search.  This module
 asks each question by one check at the full bound on a search of its own,
 so tests can compare the stages' outputs against it.
 """
@@ -45,7 +46,8 @@ def ask(question: solver.Question, encode, copies, steps=None):
 def only(monkeypatch) -> None:
     """Route every question of explore, policy-gen and `counterexample`
     through `ask` above while the test runs, paths that
-    `solver.Question.chase_refutes` decides or `chased_input` answers too."""
+    `solver.Question.chase_refutes` decides or `chased_input` or
+    `known_input` answers too."""
     monkeypatch.setattr(solver.Question, "ask", ask)
     monkeypatch.setattr(solver.Question, "chase_refutes", lambda self, steps: False)
     searched(monkeypatch)
@@ -53,14 +55,16 @@ def only(monkeypatch) -> None:
 
 def searched(monkeypatch) -> None:
     """Send every sat path to the solver while the test runs: no input is
-    read from a path's chased instance (`solver.Question.chased_input`)."""
+    read from a path's chased instance (`solver.Question.chased_input`)
+    or taken from the known inputs (`solver.Question.known_input`)."""
     monkeypatch.setattr(solver.Question, "chased_input", lambda self, steps: None)
+    monkeypatch.setattr(solver.Question, "known_input", lambda self, steps: None)
 
 
 def ask_path(question: solver.Question, steps, bound: int):
     """`question.ask_path(steps)` with `question.bound` set to `bound`, as
-    one check by `ask` above, with `solver.Question.chase_refutes` and
-    `chased_input` bypassed."""
+    one check by `ask` above, with `solver.Question.chase_refutes`,
+    `chased_input` and `known_input` bypassed."""
     with pytest.MonkeyPatch.context() as mp:
         only(mp)
         return dataclasses.replace(question, bound=bound).ask_path(steps)

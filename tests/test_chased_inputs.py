@@ -2,9 +2,10 @@
 (`solver.Question.chased_input`), and the chase that builds it one prefix
 at a time (`solver.Question._instance`).
 
-A sat path's input comes from its chased instance when that instance fits
-the bound, satisfies the constraints and replays the path; otherwise the
-path goes to the solver.  The instance of each prefix is chased from a copy
+A sat path that no known input answers (`solver.Question.known_input`)
+gets its input from its chased instance when that instance fits the
+bound, satisfies the constraints and replays the path; otherwise the path
+goes to the solver.  The instance of each prefix is chased from a copy
 of its parent's, matching again only the rows its step added or moved, and
 must equal the instance built from all the path's steps and chased once.
 A built input must be a function of its path alone, and every verdict must
@@ -155,17 +156,24 @@ def test_each_tiny_prefix_is_chased_as_from_scratch(name):
 
 def test_a_built_input_depends_only_on_its_path(synth_front_questions):
     # Each answer was built after other questions on the same `Question`;
-    # a fresh one, at bound 2 or 4, builds the same input.
-    built = 0
+    # a fresh one, at bound 2 or 4, builds the same input.  A path a known
+    # input takes (`Question.known_input`) is answered with that input, and
+    # its chased instance builds one all the same.
+    built = known = 0
     for question, steps, (status, inputs) in synth_front_questions:
         fresh = question.chased_input(steps)
         if fresh is None:
             continue
-        built += 1
-        assert (status, inputs) == ("sat", (fresh,))
+        if question.known_input(steps) is None:
+            built += 1
+            assert (status, inputs) == ("sat", (fresh,))
+        else:
+            known += 1
+            assert (status, inputs) == ("sat", (question.known_input(steps),))
         for bound in (2, 4):
             assert dataclasses.replace(question, bound=bound).chased_input(steps) == fresh, steps
-    assert built == sum(status == "sat" for _, _, (status, _) in synth_front_questions) == 148
+    assert built + known == sum(status == "sat" for _, _, (status, _) in synth_front_questions) == 148
+    assert (built, known) == (92, 56)
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +181,22 @@ def test_a_built_input_depends_only_on_its_path(synth_front_questions):
 
 
 def test_synth_front_and_toys_sat_questions_are_built_but_left_joins(monkeypatch, tmp_path):
-    # Every sat question of a synth-front job is built; of a toys-b3 job's
-    # 30, all but the 2 of `item_report`, whose LEFT JOIN has no canonical
-    # instance, and those 2 are the only checks.
+    # Every sat question of a synth-front job that no known input answers
+    # is built: 56 of its 148 are answered by an input explore ran, and 92
+    # built.  Of a toys-b3 job's 30, known inputs answer 6, and all the
+    # others are built but the 2 of `item_report`, whose LEFT JOIN has no
+    # canonical instance, and those 2 are the only checks.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
 
     counts, fell_back = collections.Counter(), []
     chased_input, check = solver.Question.chased_input, fdsolver.CdclBackend.check
+    known_input = solver.Question.known_input
+
+    def counted_known(self, steps):
+        ci = known_input(self, steps)
+        counts["known"] += ci is not None
+        return ci
 
     def counted(self, steps):
         ci = chased_input(self, steps)
@@ -194,14 +210,15 @@ def test_synth_front_and_toys_sat_questions_are_built_but_left_joins(monkeypatch
         return check(self, *args, **kwargs)
 
     monkeypatch.setattr(solver.Question, "chased_input", counted)
+    monkeypatch.setattr(solver.Question, "known_input", counted_known)
     monkeypatch.setattr(fdsolver.CdclBackend, "check", counted_check)
-    for name, built, checks in (("synth-front", 148, 0), ("toys-b3", 28, 2)):
+    for name, known, built, checks in (("synth-front", 56, 92, 0), ("toys-b3", 6, 22, 2)):
         counts.clear()
         fell_back.clear()
         wl = workloads.WORKLOADS[name]
         ld = workloads.load(**wl.inputs(ROOT, 1, tmp_path))
         assert wl.check(ld, wl.job(ld, workloads.Ops())) == []
-        assert (counts["built"], counts["checks"], len(fell_back)) == (built, checks, checks), name
+        assert (counts["known"], counts["built"], counts["checks"], len(fell_back)) == (known, built, checks, checks), name
         assert all(any(len(step) == 4 and isinstance(step[1], LeftJoinQuery) for step in steps) for steps in fell_back)
 
 

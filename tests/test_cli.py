@@ -472,9 +472,7 @@ def test_malformed_run_files_exit_2_naming_the_file(tmp_path, capsys, kind, cont
     main(["explore", str(run), "view_grade_sheet"])
     (bad,) = (run / kind).glob("view_grade_sheet-0001.json*")
     bad.write_text(content)
-    commands = [["replay", str(run), "view_grade_sheet-0001"]]
-    if kind == "transcripts":
-        commands.append(["policy-gen", str(run), "view_grade_sheet"])
+    commands = [["replay", str(run), "view_grade_sheet-0001"], ["policy-gen", str(run), "view_grade_sheet"]]
     for argv in commands:
         capsys.readouterr()
         assert main(argv) == 2, argv
